@@ -48,6 +48,12 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_products_skipped", "ltl/products_skipped");
   put("obs_leaf_memo_hits", "ltl/leaf_memo_hits");
   put("obs_leaf_memo_misses", "ltl/leaf_memo_misses");
+  // FO leaf work: per-edge leaf queries (set-at-a-time) vs per-binding
+  // evaluations, and how many of the latter were fallbacks of
+  // closure-dependent leaves.
+  put("obs_fo_leaf_queries", "ltl/fo_leaf_queries");
+  put("obs_fo_leaf_evals", "ltl/fo_leaf_evals");
+  put("obs_fo_leaf_fallbacks", "ltl/fo_leaf_fallbacks");
   put("obs_otf_states_created", "ltl/otf_states_created");
   put("obs_otf_early_exits", "ltl/otf_early_exits");
   put("obs_bytecode_compiles", "fo/bytecode_compiles");

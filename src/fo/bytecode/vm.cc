@@ -50,8 +50,16 @@ thread_local Scratch t_scratch;
 /// Outcome of advancing a scan to its next matching tuple.
 enum class ScanResult { kMatch, kEnd };
 
+/// Where a query program's emitted head tuples go: a deduplicating set,
+/// or a flat value buffer (tuples back to back, repeats kept). Boolean
+/// programs pass neither.
+struct QuerySink {
+  std::set<Tuple>* set = nullptr;
+  std::vector<Value>* flat = nullptr;
+};
+
 StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
-                   const Valuation& valuation, std::set<Tuple>* results) {
+                   const Valuation& valuation, QuerySink sink) {
   WSV_COUNT1("fo/bytecode_execs");
   Scratch& s = t_scratch;
   s.regs.assign(p.num_regs, Value());
@@ -281,7 +289,10 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
           }
           s.tup.push_back(v);
         }
-        if (results != nullptr) results->insert(s.tup);
+        if (sink.set != nullptr) sink.set->insert(s.tup);
+        if (sink.flat != nullptr) {
+          sink.flat->insert(sink.flat->end(), s.tup.begin(), s.tup.end());
+        }
         break;
       }
       case Op::kHalt:
@@ -304,15 +315,21 @@ void SetStepBudget(uint64_t budget) {
 
 StatusOr<bool> Execute(const Program& program, const EvalContext& ctx,
                        const Valuation& valuation) {
-  return Run(program, ctx, valuation, /*results=*/nullptr);
+  return Run(program, ctx, valuation, QuerySink{});
 }
 
 StatusOr<std::set<Tuple>> ExecuteQuery(const Program& program,
                                        const EvalContext& ctx,
                                        const Valuation& valuation) {
   std::set<Tuple> out;
-  WSV_RETURN_IF_ERROR(Run(program, ctx, valuation, &out).status());
+  WSV_RETURN_IF_ERROR(
+      Run(program, ctx, valuation, QuerySink{&out, nullptr}).status());
   return out;
+}
+
+Status ExecuteQuery(const Program& program, const EvalContext& ctx,
+                    std::vector<Value>* rows) {
+  return Run(program, ctx, Valuation(), QuerySink{nullptr, rows}).status();
 }
 
 }  // namespace fobc

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/status.h"
 #include "fo/bytecode/program.h"
@@ -45,6 +46,13 @@ StatusOr<bool> Execute(const Program& program, const EvalContext& ctx,
 StatusOr<std::set<Tuple>> ExecuteQuery(const Program& program,
                                        const EvalContext& ctx,
                                        const Valuation& valuation = {});
+
+/// Runs a query program with no entry bindings, appending each emitted
+/// head tuple to `rows` as head_vars.size() consecutive values. Skips the
+/// per-tuple allocation and ordering of the set overload; a tuple emitted
+/// twice (e.g. by two disjuncts) appears twice.
+Status ExecuteQuery(const Program& program, const EvalContext& ctx,
+                    std::vector<Value>* rows);
 
 }  // namespace fobc
 }  // namespace wsv

@@ -462,7 +462,39 @@ class QueryEnumerator {
   std::set<Tuple> results_;
 };
 
+// QueryEnumerator::Enumerate's plan, without the data: a disjunction
+// costs its costliest branch, a guard atom binds its unbound variables
+// for free, and otherwise one variable takes a domain loop.
+// NOLINTNEXTLINE(misc-no-recursion)
+int DomainLoops(const Formula& body, std::set<std::string> unbound) {
+  if (unbound.empty()) return 0;
+  if (body.kind() == Formula::Kind::kOr) {
+    int worst = 0;
+    for (const FormulaPtr& c : body.children()) {
+      worst = std::max(worst, DomainLoops(*c, unbound));
+    }
+    return worst;
+  }
+  std::vector<const Formula*> conjuncts;
+  FlattenAnd(body, &conjuncts);
+  for (const Formula* c : conjuncts) {
+    if (c->kind() != Formula::Kind::kAtom) continue;
+    bool binds = false;
+    for (const Term& t : c->atom().terms) {
+      if (t.is_variable() && unbound.erase(t.name()) > 0) binds = true;
+    }
+    if (binds) return DomainLoops(body, std::move(unbound));
+  }
+  unbound.erase(unbound.begin());
+  return 1 + DomainLoops(body, std::move(unbound));
+}
+
 }  // namespace
+
+int QueryDomainLoops(const Formula& formula,
+                     const std::vector<std::string>& vars) {
+  return DomainLoops(formula, std::set<std::string>(vars.begin(), vars.end()));
+}
 
 StatusOr<bool> Evaluate(const Formula& formula, const EvalContext& ctx,
                         const Valuation& valuation) {

@@ -86,6 +86,14 @@ StatusOr<std::set<Tuple>> EvaluateQuery(const Formula& formula,
                                         const EvalContext& ctx,
                                         const Valuation& valuation = {});
 
+/// The query enumeration plan's cost in active-domain loops: how many of
+/// `vars` EvaluateQuery (and the compiled query, which follows the same
+/// plan) binds by iterating the whole active domain rather than scanning
+/// a positive guard atom, on the costliest disjunct. 0 means the answer
+/// is produced by relation scans alone.
+int QueryDomainLoops(const Formula& formula,
+                     const std::vector<std::string>& vars);
+
 }  // namespace wsv
 
 #endif  // WSV_FO_EVALUATOR_H_

@@ -18,48 +18,113 @@ std::string LassoRun::ToString() const {
   return out;
 }
 
+StepContext::StepContext(const TraceView& step, const Instance& database,
+                         const WebService& service)
+    : service_(service), kappa_(*step.kappa) {
+  for (const RelationSymbol& sym :
+       service.vocab().RelationsOfKind(SymbolKind::kPage)) {
+    (void)pages_.EnsureRelation(sym.name, 0);
+    pages_.MutableRelation(sym.name)->SetBool(sym.name == *step.page);
+  }
+  ctx_.AddLayer(step.inputs);
+  ctx_.AddLayer(step.state);
+  ctx_.AddLayer(step.actions);
+  ctx_.AddLayer(&pages_);
+  ctx_.AddLayer(&database);
+  ctx_.SetPrevLayer(step.prev_inputs);
+  for (const auto& [name, v] : kappa_) ctx_.SetConstant(name, v);
+}
+
+namespace {
+
+bool ConstantsProvided(const WebService& service,
+                       const std::map<std::string, Value>& kappa,
+                       const std::set<std::string>& csyms) {
+  for (const std::string& c : csyms) {
+    if (service.vocab().IsInputConstant(c) && kappa.count(c) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The leaf's constant-symbol and literal analyses: from the compiled
+// program when there is one (so the hot path re-derives neither), else
+// computed into the fallback buffers.
+struct LeafAnalyses {
+  const std::set<std::string>* csyms;
+  const std::set<Value>* lits;
+  std::set<std::string> csyms_fallback;
+  std::set<Value> lits_fallback;
+
+  LeafAnalyses(const Formula& leaf, const fobc::Program* prog) {
+    if (prog != nullptr) {
+      csyms = &prog->constant_symbols;
+      lits = &prog->literals;
+    } else {
+      csyms_fallback = leaf.ConstantSymbols();
+      lits_fallback = leaf.Literals();
+      csyms = &csyms_fallback;
+      lits = &lits_fallback;
+    }
+  }
+};
+
+// Only domain loops read the active domain, so a compiled program
+// without any skips extending it.
+bool ReadsDomain(const fobc::Program* prog) {
+  return prog == nullptr || prog->uses_domain;
+}
+
+}  // namespace
+
+bool StepContext::InputConstantsProvided(
+    const std::set<std::string>& csyms) const {
+  return ConstantsProvided(service_, kappa_, csyms);
+}
+
+StatusOr<bool> QueryFoAtStep(const FormulaPtr& leaf,
+                             const std::vector<std::string>& head_vars,
+                             const StepContext& step,
+                             const std::vector<Value>& extra_domain,
+                             std::vector<Value>* rows) {
+  rows->clear();
+  std::shared_ptr<const fobc::Program> prog;
+  if (fobc::BytecodeEnabled()) prog = fobc::GetOrCompileQuery(leaf, head_vars);
+  const LeafAnalyses an(*leaf, prog.get());
+  if (!step.InputConstantsProvided(*an.csyms)) return false;
+  EvalContext ctx = step.context();
+  if (ReadsDomain(prog.get())) {
+    for (Value v : *an.lits) ctx.AddDomainValue(v);
+    for (Value v : extra_domain) ctx.AddDomainValue(v);
+  }
+  if (prog != nullptr) {
+    WSV_RETURN_IF_ERROR(fobc::ExecuteQuery(*prog, ctx, rows));
+    return true;
+  }
+  WSV_ASSIGN_OR_RETURN(std::set<Tuple> tuples,
+                       EvaluateQuery(*leaf, head_vars, ctx));
+  for (const Tuple& t : tuples) rows->insert(rows->end(), t.begin(), t.end());
+  return true;
+}
+
 StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
                             const Instance& database,
                             const WebService& service,
                             const Valuation& valuation) {
   WSV_TIMER("ltl/leaf_eval_ns");
-  // The compiled program carries the leaf's constant-symbol and literal
-  // analyses, so the hot path re-derives neither.
   std::shared_ptr<const fobc::Program> prog;
   if (fobc::BytecodeEnabled()) prog = fobc::GetOrCompileBool(leaf);
-  std::set<std::string> csyms_fallback;
-  std::set<Value> lits_fallback;
-  if (prog == nullptr) {
-    csyms_fallback = leaf->ConstantSymbols();
-    lits_fallback = leaf->Literals();
+  const LeafAnalyses an(*leaf, prog.get());
+  // Condition (a) first: a leaf naming an unprovided input constant is
+  // false without building the structure.
+  if (!ConstantsProvided(service, *step.kappa, *an.csyms)) return false;
+  StepContext context(step, database, service);
+  EvalContext& ctx = context.ctx_;
+  if (ReadsDomain(prog.get())) {
+    for (Value v : *an.lits) ctx.AddDomainValue(v);
+    for (const auto& [var, v] : valuation) ctx.AddDomainValue(v);
   }
-  const std::set<std::string>& csyms =
-      prog != nullptr ? prog->constant_symbols : csyms_fallback;
-  const std::set<Value>& lits =
-      prog != nullptr ? prog->literals : lits_fallback;
-  // Condition (a): input constants of the sentence must be in kappa_i.
-  for (const std::string& c : csyms) {
-    if (service.vocab().IsInputConstant(c) && step.kappa->count(c) == 0) {
-      return false;
-    }
-  }
-  // Page propositions: the current page is true, all others false.
-  Instance pages;
-  for (const RelationSymbol& sym :
-       service.vocab().RelationsOfKind(SymbolKind::kPage)) {
-    (void)pages.EnsureRelation(sym.name, 0);
-    pages.MutableRelation(sym.name)->SetBool(sym.name == *step.page);
-  }
-  EvalContext ctx;
-  ctx.AddLayer(step.inputs);
-  ctx.AddLayer(step.state);
-  ctx.AddLayer(step.actions);
-  ctx.AddLayer(&pages);
-  ctx.AddLayer(&database);
-  ctx.SetPrevLayer(step.prev_inputs);
-  for (const auto& [name, v] : *step.kappa) ctx.SetConstant(name, v);
-  for (Value v : lits) ctx.AddDomainValue(v);
-  for (const auto& [var, v] : valuation) ctx.AddDomainValue(v);
   if (prog != nullptr) return fobc::Execute(*prog, ctx, valuation);
   return Evaluate(*leaf, ctx, valuation);
 }

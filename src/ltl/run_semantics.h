@@ -13,6 +13,9 @@
 #ifndef WSV_LTL_RUN_SEMANTICS_H_
 #define WSV_LTL_RUN_SEMANTICS_H_
 
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -43,9 +46,44 @@ struct TraceView {
   const std::map<std::string, Value>* kappa = nullptr;
 };
 
+/// The evaluation structure of one trace step, leaf-independent part:
+/// the instance layers, the page propositions (V_i true, all other pages
+/// false) and the provided input constants kappa_i. Built once per step
+/// and shared by every leaf queried there; each query copies the context
+/// and adds its own active-domain extension. Keeps pointers into
+/// the step's instances and `database`, which must outlive it (and, for
+/// configuration-graph views, the graph must not grow meanwhile).
+class StepContext {
+ public:
+  StepContext(const TraceView& step, const Instance& database,
+              const WebService& service);
+  StepContext(const StepContext&) = delete;
+  StepContext& operator=(const StepContext&) = delete;
+
+  /// Condition (a): every input constant among `csyms` is in kappa_i.
+  bool InputConstantsProvided(const std::set<std::string>& csyms) const;
+
+  const EvalContext& context() const { return ctx_; }
+
+ private:
+  // The one-shot TraceView overload of EvalFoAtStep extends the context
+  // in place instead of copying it.
+  friend StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf,
+                                     const TraceView& step,
+                                     const Instance& database,
+                                     const WebService& service,
+                                     const Valuation& valuation);
+
+  const WebService& service_;
+  const std::map<std::string, Value>& kappa_;
+  Instance pages_;
+  EvalContext ctx_;
+};
+
 /// Evaluates one FO leaf at one trace step under `valuation` (bindings
 /// for the property's universal closure variables). Takes the shared
 /// formula pointer so repeated leaves hit the compiled-program cache.
+/// Timed under ltl/leaf_eval_ns.
 StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceStep& step,
                             const Instance& database,
                             const WebService& service,
@@ -55,6 +93,23 @@ StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
                             const Instance& database,
                             const WebService& service,
                             const Valuation& valuation);
+
+/// Set-at-a-time counterpart of EvalFoAtStep: replaces `rows` with the
+/// tuples of values for `head_vars` (distinct variables free in `leaf`)
+/// under which the leaf's FO structure satisfies it, flattened
+/// head_vars.size() values per tuple; a tuple may repeat. The active
+/// domain is the step's plus the leaf's literals plus `extra_domain`;
+/// head variables range over it, so a caller reading the answer at a
+/// binding must have that binding's values in the domain, and the
+/// answer agrees with EvalFoAtStep at a binding only where both
+/// evaluations see the same domain (always, for a quantifier-free
+/// leaf). Returns false, with `rows` empty, when condition (a) fails —
+/// the leaf is then false at every binding, whatever it says. Untimed.
+StatusOr<bool> QueryFoAtStep(const FormulaPtr& leaf,
+                             const std::vector<std::string>& head_vars,
+                             const StepContext& step,
+                             const std::vector<Value>& extra_domain,
+                             std::vector<Value>* rows);
 
 /// Evaluates an LTL-FO property on a lasso run: true iff the run
 /// satisfies the universal closure, with the closure variables ranging

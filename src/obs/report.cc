@@ -230,6 +230,17 @@ std::string FormatStatsTable(const MetricsSnapshot& snap) {
             snap.CounterValue("ltl/leaf_memo_misses")));
     out += line;
   }
+  const uint64_t leaf_queries = snap.CounterValue("ltl/fo_leaf_queries");
+  const uint64_t leaf_fallbacks =
+      snap.CounterValue("ltl/fo_leaf_fallbacks");
+  if (leaf_queries + leaf_fallbacks > 0) {
+    std::snprintf(line, sizeof(line),
+                  "fo leaf evaluation: %llu queries, %llu per-binding "
+                  "fallbacks\n",
+                  static_cast<unsigned long long>(leaf_queries),
+                  static_cast<unsigned long long>(leaf_fallbacks));
+    out += line;
+  }
   const double collapse_rate = ValuationCollapseRate(snap);
   if (collapse_rate >= 0.0) {
     std::snprintf(
@@ -330,6 +341,15 @@ std::string StatsToJson(const MetricsSnapshot& snap) {
     std::snprintf(buf, sizeof(buf), "\n    \"fo_leaf_memo_hit_rate\": %.4f",
                   memo_rate);
     out += buf;
+    first_derived = false;
+  }
+  const uint64_t leaf_queries = snap.CounterValue("ltl/fo_leaf_queries");
+  const uint64_t leaf_fallbacks =
+      snap.CounterValue("ltl/fo_leaf_fallbacks");
+  if (leaf_queries + leaf_fallbacks > 0) {
+    out += first_derived ? "\n" : ",\n";
+    out += "    \"fo_leaf_queries\": " + std::to_string(leaf_queries) +
+           ",\n    \"fo_leaf_fallbacks\": " + std::to_string(leaf_fallbacks);
     first_derived = false;
   }
   const double collapse_rate = ValuationCollapseRate(snap);

@@ -14,6 +14,7 @@
 #include "common/fingerprint.h"
 #include "common/hash.h"
 #include "fo/input_bounded.h"
+#include "fo/rewrite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "verify/leaf_store.h"
@@ -406,7 +407,14 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   std::vector<char> cand_in_db(check.cand_.size(), 0);
   for (size_t i = 0; i < check.cand_.size(); ++i) {
     cand_in_db[i] = db.domain().count(check.cand_[i]) > 0 ? 1 : 0;
+    if (!vars.empty()) {
+      check.cand_pos_.emplace(check.cand_[i], static_cast<int32_t>(i));
+    }
   }
+  const bool distinct_cands = check.cand_pos_.size() == check.cand_.size();
+  check.leaf_heads_.resize(num_leaves);
+  check.leaf_query_.resize(num_leaves);
+  check.leaf_complement_.resize(num_leaves, 0);
   for (size_t k = 0; k < num_leaves; ++k) {
     std::set<std::string> free = automaton->leaves[k]->FreeVariables();
     check.leaf_vars_[k].reserve(vars.size());
@@ -414,6 +422,20 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
       if (free.count(vars[p]) > 0) check.leaf_vars_[k].push_back(p);
     }
     check.leaf_qfree_[k] = automaton->leaves[k]->IsQuantifierFree() ? 1 : 0;
+    std::vector<std::string> heads;
+    for (size_t p : check.leaf_vars_[k]) heads.push_back(vars[p]);
+    // A repeated closure-variable name cannot head a query.
+    if (!heads.empty() && distinct_cands &&
+        std::set<std::string>(heads.begin(), heads.end()).size() ==
+            heads.size()) {
+      const FormulaPtr& leaf = automaton->leaves[k];
+      FormulaPtr negated = ToNNF(*Formula::Not(leaf));
+      const bool complement = QueryDomainLoops(*negated, heads) <
+                              QueryDomainLoops(*leaf, heads);
+      check.leaf_query_[k] = complement ? std::move(negated) : leaf;
+      check.leaf_complement_[k] = complement ? 1 : 0;
+      check.leaf_heads_[k] = std::move(heads);
+    }
     if (check.leaf_vars_[k].empty() && !check.on_the_fly_) {
       Bitset& col = check.static_cols_[k];
       bool loaded = false;
@@ -847,12 +869,45 @@ LtlDatabaseCheck::CheckValuationsOtf(
     /// the column was loaded at, so only net-new prefix is republished.
     std::string store_key;
     size_t loaded_upto = 0;
+    /// Set: the column is gathered from its leaf's table (below) at this
+    /// projection point instead of evaluated per binding.
+    std::optional<uint64_t> point;
   };
   std::deque<LeafCol> col_store;
   std::vector<LeafCol*> static_col(num_leaves, nullptr);
   std::vector<std::unordered_map<std::vector<int32_t>, LeafCol*,
                                  VectorKeyHash<int32_t>>>
       memo(num_leaves);
+
+  // Set-at-a-time leaf tables (DESIGN.md §6f). A leaf with closure
+  // variables runs once per edge as a query whose head is its free
+  // closure variables; the answer is recorded per projection point (the
+  // candidate digits on those variables, packed by stride_), and every
+  // binding column of the leaf is filled from it by bit gather — one
+  // query per edge instead of one evaluation per binding. A binding
+  // reads its point exactly when the query saw the domain a per-binding
+  // evaluation would see: always for a quantifier-free leaf (the query's
+  // domain holds every candidate, and QF truth ignores the domain), and
+  // for other leaves when no value of the valuation extends the domain
+  // (the memo key's empty extension tail; the query then adds no
+  // candidate either). Other bindings keep per-binding columns.
+  struct LeafTable {
+    /// Per projection point in some answer: the edges it answered at.
+    std::unordered_map<uint64_t, Bitset> answered;
+    Bitset queried;     // edges the query has run at
+    Bitset unprovided;  // ... of which condition (a) failed: all false
+  };
+  std::vector<LeafTable> tables(num_leaves);
+  const std::vector<Value> no_values;
+  // The step context of the edge queried last, shared by every leaf
+  // queried there. Its pointers lead into the lazy graph's node and
+  // edge vectors, which only ever grow, so it stays valid while both
+  // sizes are unchanged.
+  struct {
+    size_t edge = 0, nodes = 0, edges = 0;
+    std::unique_ptr<StepContext> ctx;
+  } step_cache;
+  std::vector<Value> rows;  // query answer scratch
 
   // The column store is only sound on full serial sweeps: a chunked
   // parallel sweep expands a chunk-local lazy graph whose edge
@@ -889,10 +944,70 @@ LtlDatabaseCheck::CheckValuationsOtf(
     }
   };
 
+  auto query_edges = [&](size_t k, size_t from, size_t n) -> Status {
+    LeafTable& table = tables[k];
+    table.queried.GrowTo(n);
+    table.unprovided.GrowTo(n);
+    for (size_t e = from; e < n; ++e) {
+      if (table.queried.Test(e)) continue;
+      WSV_TIMER("ltl/leaf_eval_ns");
+      if (step_cache.ctx == nullptr || step_cache.edge != e ||
+          step_cache.nodes != graph.nodes.size() ||
+          step_cache.edges != graph.edges.size()) {
+        step_cache.ctx = std::make_unique<StepContext>(
+            graph.View(static_cast<int>(e)), *database_, *service_);
+        step_cache.edge = e;
+        step_cache.nodes = graph.nodes.size();
+        step_cache.edges = graph.edges.size();
+      }
+      WSV_ASSIGN_OR_RETURN(
+          bool provided,
+          QueryFoAtStep(leaf_query_[k], leaf_heads_[k], *step_cache.ctx,
+                        leaf_qfree_[k] ? cand_ : no_values, &rows));
+      WSV_COUNT1("ltl/fo_leaf_queries");
+      table.queried.Set(e);
+      if (!provided) table.unprovided.Set(e);
+      const size_t arity = leaf_heads_[k].size();
+      for (size_t r = 0; r < rows.size(); r += arity) {
+        // Values outside the candidates bind no valuation; values that
+        // extend the domain of a non-QF leaf bind only fallback ones.
+        uint64_t point = 0;
+        bool bindable = true;
+        for (size_t j = 0; j < arity && bindable; ++j) {
+          auto it = cand_pos_.find(rows[r + j]);
+          bindable = it != cand_pos_.end() &&
+                     (leaf_qfree_[k] ||
+                      !domain_relevant_[k][static_cast<size_t>(it->second)]);
+          if (bindable) point += static_cast<uint64_t>(it->second) * stride_[j];
+        }
+        if (!bindable) continue;
+        Bitset& answered = table.answered[point];
+        answered.GrowTo(e + 1);
+        answered.Set(e);
+      }
+    }
+    return Status::OK();
+  };
+
   auto extend_col = [&](size_t k, LeafCol* col, size_t n) -> Status {
     if (col->upto >= n) return Status::OK();
-    [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
     col->bits.GrowTo(n);
+    if (col->point.has_value()) {
+      WSV_RETURN_IF_ERROR(query_edges(k, col->upto, n));
+      const LeafTable& table = tables[k];
+      auto it = table.answered.find(*col->point);
+      const Bitset* answered =
+          it == table.answered.end() ? nullptr : &it->second;
+      for (size_t e = col->upto; e < n; ++e) {
+        const bool in_answer =
+            answered != nullptr && e < answered->size() && answered->Test(e);
+        col->bits.Set(e, !table.unprovided.Test(e) &&
+                             in_answer != (leaf_complement_[k] != 0));
+      }
+      col->upto = n;
+      return Status::OK();
+    }
+    [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
     for (size_t e = col->upto; e < n; ++e) {
       TraceView view = graph.View(static_cast<int>(e));
       WSV_ASSIGN_OR_RETURN(bool b,
@@ -901,6 +1016,9 @@ LtlDatabaseCheck::CheckValuationsOtf(
       col->bits.Set(e, b);
     }
     WSV_COUNT("ltl/fo_leaf_evals", n - col->upto);
+    if (!leaf_vars_[k].empty()) {
+      WSV_COUNT("ltl/fo_leaf_fallbacks", n - col->upto);
+    }
     WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
     col->upto = n;
     return Status::OK();
@@ -1005,16 +1123,27 @@ LtlDatabaseCheck::CheckValuationsOtf(
       auto it = memo[k].find(memo_key);
       if (it == memo[k].end()) {
         WSV_COUNT1("ltl/leaf_memo_misses");
-        ensure_valuation();
         col_store.emplace_back();
-        col_store.back().val = valuation;
+        LeafCol* col = &col_store.back();
+        if (!leaf_heads_[k].empty() && memo_key.back() == -1) {
+          // No domain extension: the binding reads its table point.
+          uint64_t point = 0;
+          for (size_t j = 0; j < leaf_vars_[k].size(); ++j) {
+            point += static_cast<uint64_t>(digits[leaf_vars_[k][j]]) *
+                     stride_[j];
+          }
+          col->point = point;
+        } else {
+          ensure_valuation();
+          col->val = valuation;
+        }
         if (use_store) {
-          attach_store(k, &col_store.back(),
+          attach_store(k, col,
                        LeafBinding(leaf_vars_[k], digits, cand_,
                                    domain_relevant_[k],
                                    leaf_qfree_[k] != 0));
         }
-        it = memo[k].emplace(memo_key, &col_store.back()).first;
+        it = memo[k].emplace(memo_key, col).first;
         WSV_COUNT1("ltl/leaf_memo_entries");
       } else {
         WSV_COUNT1("ltl/leaf_memo_hits");

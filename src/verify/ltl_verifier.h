@@ -261,6 +261,23 @@ class LtlDatabaseCheck {
   /// domain, so its truth is independent of which closure values extend
   /// the domain — the memo key can drop the domain-extension digits.
   std::vector<char> leaf_qfree_;
+  /// Per leaf: the names of its free closure variables (leaf_vars_
+  /// order) — the head of the query the on-the-fly sweep runs once per
+  /// edge to fill every binding's column at once (DESIGN.md §6f). Empty
+  /// for leaves that stay on per-binding evaluation: static leaves,
+  /// leaves under a repeated closure-variable name, and every leaf when
+  /// the candidate list repeats a value (answers are mapped back to
+  /// bindings by value).
+  std::vector<std::vector<std::string>> leaf_heads_;
+  /// Per leaf with a head: the formula that query runs — the leaf, or the
+  /// negation normal form of its negation when that needs fewer
+  /// active-domain loops (fo/evaluator.h QueryDomainLoops; e.g. a leaf
+  /// !R(x) | S(x) becomes R(x) & !S(x), a scan of R) — and whether the
+  /// answer is therefore the leaf's complement.
+  std::vector<FormulaPtr> leaf_query_;
+  std::vector<char> leaf_complement_;
+  /// Candidate value -> index into cand_ (distinct candidates only).
+  std::unordered_map<Value, int32_t> cand_pos_;
   /// Automaton states grouped by their leaf-truth label, packed as a
   /// bitset over the leaves. Built once per context: the product
   /// construction resolves an edge's matching states with one hash

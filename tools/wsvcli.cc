@@ -100,12 +100,16 @@
 // Parse and validation failures exit non-zero on every subcommand, with
 // annotated diagnostics on stderr rendered by the same engine as lint.
 
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -194,7 +198,7 @@ struct Flags {
   bool unchecked = false;
   /// Force the eager verification pipeline (LtlVerifyOptions::force_eager).
   bool eager = false;
-  /// Worker threads for `verify`; <= 0 = one per hardware thread.
+  /// Worker threads for `verify`; 0 = one per hardware thread.
   int jobs = 0;
   /// Evaluate FO formulas with the tree-walking interpreter instead of
   /// the compiled bytecode engine (same verdicts, slower; for debugging
@@ -243,8 +247,24 @@ struct Flags {
   bool search_prune = false;
 };
 
+// A numeric flag value: the whole token must be one number in [lo, hi]
+// (no sign for unsigned flags, no leading blanks, no trailing garbage);
+// anything else names the flag and the offending token.
+template <typename T>
+StatusOr<T> ParseNumberFlag(const std::string& flag, const std::string& text,
+                            T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    return Status::InvalidArgument("bad value for " + flag + ": " + text);
+  }
+  return value;
+}
+
 StatusOr<Flags> ParseFlags(int argc, char** argv) {
   Flags flags;
+  constexpr double kMaxSeconds = std::numeric_limits<double>::max();
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> StatusOr<std::string> {
@@ -253,22 +273,22 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
+    auto number = [&](auto lo, auto hi) -> StatusOr<decltype(lo)> {
+      WSV_ASSIGN_OR_RETURN(std::string v, next());
+      return ParseNumberFlag(arg, v, lo, hi);
+    };
     if (arg == "--steps") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.steps = std::atoi(v.c_str());
+      WSV_ASSIGN_OR_RETURN(flags.steps, number(0, INT_MAX));
     } else if (arg == "--seed") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      WSV_ASSIGN_OR_RETURN(flags.seed, number(uint64_t{0}, UINT64_MAX));
     } else if (arg == "--fresh") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.fresh = std::atoi(v.c_str());
+      WSV_ASSIGN_OR_RETURN(flags.fresh, number(0, INT_MAX));
     } else if (arg == "--unchecked") {
       flags.unchecked = true;
     } else if (arg == "--eager") {
       flags.eager = true;
     } else if (arg == "--jobs") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.jobs = std::atoi(v.c_str());
+      WSV_ASSIGN_OR_RETURN(flags.jobs, number(0, INT_MAX));
     } else if (arg == "--no-fo-bytecode") {
       flags.no_fo_bytecode = true;
     } else if (arg == "--stats") {
@@ -282,14 +302,12 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
     } else if (arg == "--log-json") {
       WSV_ASSIGN_OR_RETURN(flags.log_json, next());
     } else if (arg == "--heartbeat") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.heartbeat_secs = std::atof(v.c_str());
+      WSV_ASSIGN_OR_RETURN(flags.heartbeat_secs, number(0.0, kMaxSeconds));
     } else if (arg == "--watchdog-deadline") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.watchdog_deadline_secs = std::atof(v.c_str());
+      WSV_ASSIGN_OR_RETURN(flags.watchdog_deadline_secs,
+                           number(0.0, kMaxSeconds));
     } else if (arg == "--step-budget") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.step_budget = std::atoll(v.c_str());
+      WSV_ASSIGN_OR_RETURN(flags.step_budget, number(0LL, LLONG_MAX));
     } else if (arg == "--cache-dir") {
       WSV_ASSIGN_OR_RETURN(flags.cache_dir, next());
     } else if (arg == "--label") {
@@ -307,8 +325,7 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
     } else if (StartsWith(arg, "--search=")) {
       flags.search = arg.substr(std::strlen("--search="));
     } else if (arg == "--search-seed") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.search_seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      WSV_ASSIGN_OR_RETURN(flags.search_seed, number(uint64_t{0}, UINT64_MAX));
     } else if (arg == "--search-prune") {
       flags.search_prune = true;
     } else if (arg == "--property") {
