@@ -72,9 +72,8 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_slice_inputs_dropped", "slice/inputs_dropped");
   put("obs_slice_sliced", "slice/sliced");
   put("obs_slice_lasso_bailouts", "slice/lasso_bailouts");
-  // Directed-search strategies: restart attempts exhausted, successors
-  // dropped by commuting-input pruning, heuristic evaluations spent.
-  put("obs_search_restarts", "search/restarts");
+  // Search strategies: successors dropped by commuting-input pruning,
+  // heuristic evaluations spent.
   put("obs_search_pruned_successors", "search/pruned_successors");
   put("obs_search_heuristic_evals", "search/heuristic_evals");
   uint64_t cone = snap.CounterValue("slice/cone_size");
@@ -113,14 +112,12 @@ void MergeObsCounters(benchmark::State& state) {
 
 // --- E2: the paper's properties on the running example. ---------------
 
-// Property 1 runs in both modes so the _Eager row is the A/B baseline
-// for the on-the-fly early exit (tools/bench_guard.py compares them).
 // The _NoSlice row is the baseline for the cone-of-influence slicer: on
 // this VIOLATED property the sliced probe is pure overhead (the first
 // valuation already has a lasso), so the row bounds that overhead. The
 // _Directed row swaps the CVWY nested DFS for the Büchi-distance
 // best-first hunter — the A/B pair for the directed-search guard rule.
-void RunProperty1(benchmark::State& state, bool eager, bool slice = true,
+void RunProperty1(benchmark::State& state, bool slice = true,
                   const char* strategy = "dfs") {
   std::optional<analysis::ScopedDisableSlice> no_slice;
   if (!slice) no_slice.emplace();
@@ -129,7 +126,6 @@ void RunProperty1(benchmark::State& state, bool eager, bool slice = true,
   LtlVerifyOptions options;
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
-  options.force_eager = eager;
   options.search.strategy = strategy;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))",
@@ -148,23 +144,16 @@ void RunProperty1(benchmark::State& state, bool eager, bool slice = true,
   state.SetLabel("VIOLATED (paper: eventuality not enforced)");
 }
 
-void BM_Property1_Ecommerce(benchmark::State& state) {
-  RunProperty1(state, /*eager=*/false);
-}
+void BM_Property1_Ecommerce(benchmark::State& state) { RunProperty1(state); }
 BENCHMARK(BM_Property1_Ecommerce)->Unit(benchmark::kMillisecond);
 
-void BM_Property1_Ecommerce_Eager(benchmark::State& state) {
-  RunProperty1(state, /*eager=*/true);
-}
-BENCHMARK(BM_Property1_Ecommerce_Eager)->Unit(benchmark::kMillisecond);
-
 void BM_Property1_Ecommerce_NoSlice(benchmark::State& state) {
-  RunProperty1(state, /*eager=*/false, /*slice=*/false);
+  RunProperty1(state, /*slice=*/false);
 }
 BENCHMARK(BM_Property1_Ecommerce_NoSlice)->Unit(benchmark::kMillisecond);
 
 void BM_Property1_Directed(benchmark::State& state) {
-  RunProperty1(state, /*eager=*/false, /*slice=*/true, "directed");
+  RunProperty1(state, /*slice=*/true, "directed");
 }
 BENCHMARK(BM_Property1_Directed)->Unit(benchmark::kMillisecond);
 
@@ -176,8 +165,8 @@ BENCHMARK(BM_Property1_Directed)->Unit(benchmark::kMillisecond);
 // CVWY explores successors in order, so it sweeps the whole decoy chain
 // before trying the bug button; the directed hunter pops the accepting
 // product state (Büchi distance 0) the moment it is discovered and
-// never walks the chain. The three rows are the A/B/B' family for the
-// directed-search budget rules.
+// never walks the chain. The two rows are the A/B pair for the
+// directed-search budget rule.
 std::string DeepDecoySpecText(int fanout, int chain) {
   std::string s =
       "service DeepDecoy;\n\n"
@@ -237,16 +226,11 @@ void BM_DeepLasso_Directed(benchmark::State& state) {
 }
 BENCHMARK(BM_DeepLasso_Directed)->Unit(benchmark::kMillisecond);
 
-void BM_DeepLasso_Restart(benchmark::State& state) {
-  RunDeepLasso(state, "restart");
-}
-BENCHMARK(BM_DeepLasso_Restart)->Unit(benchmark::kMillisecond);
-
 // Property 4 holds, so slicing pays off in full: the sliced graph alone
 // proves the absence of accepting lassos and the unsliced product is
 // never built. The _NoSlice row is the A/B baseline for the guard's
 // cone-reduction compare rules.
-void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
+void RunProperty4(benchmark::State& state, bool slice = true,
                   const char* strategy = "dfs") {
   std::optional<analysis::ScopedDisableSlice> no_slice;
   if (!slice) no_slice.emplace();
@@ -256,7 +240,6 @@ void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.closure_candidates = {V("p1"), V("100"), V("alice")};
-  options.force_eager = eager;
   options.search.strategy = strategy;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty(
@@ -281,17 +264,12 @@ void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
 }
 
 void BM_Property4_PayBeforeShip(benchmark::State& state) {
-  RunProperty4(state, /*eager=*/false);
+  RunProperty4(state);
 }
 BENCHMARK(BM_Property4_PayBeforeShip)->Unit(benchmark::kMillisecond);
 
-void BM_Property4_PayBeforeShip_Eager(benchmark::State& state) {
-  RunProperty4(state, /*eager=*/true);
-}
-BENCHMARK(BM_Property4_PayBeforeShip_Eager)->Unit(benchmark::kMillisecond);
-
 void BM_Property4_PayBeforeShip_NoSlice(benchmark::State& state) {
-  RunProperty4(state, /*eager=*/false, /*slice=*/false);
+  RunProperty4(state, /*slice=*/false);
 }
 BENCHMARK(BM_Property4_PayBeforeShip_NoSlice)->Unit(benchmark::kMillisecond);
 
@@ -299,7 +277,7 @@ BENCHMARK(BM_Property4_PayBeforeShip_NoSlice)->Unit(benchmark::kMillisecond);
 // directed strategy must cost no extra product states over CVWY (both
 // exhaust the same product). Guarded at ratio <= 1.0.
 void BM_Property4_PayBeforeShip_Directed(benchmark::State& state) {
-  RunProperty4(state, /*eager=*/false, /*slice=*/true, "directed");
+  RunProperty4(state, /*slice=*/true, "directed");
 }
 BENCHMARK(BM_Property4_PayBeforeShip_Directed)
     ->Unit(benchmark::kMillisecond);
@@ -459,11 +437,9 @@ BENCHMARK(BM_ScaleClosureArity)->DenseRange(1, 3, 1)
 
 // A HOLDS family where the exhaustive search cannot early-exit: the
 // login safety property over every database within a growing bound. The
-// on-the-fly and eager rows must agree on verdicts; the guard asserts
-// the lazy path never *creates* more product states than the eager one
-// materializes (no state-count inversion on HOLDS).
-void RunLoginHoldsSweep(benchmark::State& state, bool eager,
-                        bool slice = true) {
+// guard bounds the product states the sweep creates; the _NoSlice row is
+// the baseline for the slicer's compare rules.
+void RunLoginHoldsSweep(benchmark::State& state, bool slice = true) {
   std::optional<analysis::ScopedDisableSlice> no_slice;
   if (!slice) no_slice.emplace();
   WebService service = std::move(BuildLoginService()).value();
@@ -471,7 +447,6 @@ void RunLoginHoldsSweep(benchmark::State& state, bool eager,
   options.db.fresh_values = 1;
   options.db.max_tuples_per_relation = static_cast<int>(state.range(0));
   options.graph.constant_pool = {V("d0")};
-  options.force_eager = eager;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty("G(!CP | logged_in)", &service.vocab());
   obs::ResetMetrics();
@@ -490,19 +465,13 @@ void RunLoginHoldsSweep(benchmark::State& state, bool eager,
 }
 
 void BM_LoginHoldsBound(benchmark::State& state) {
-  RunLoginHoldsSweep(state, /*eager=*/false);
+  RunLoginHoldsSweep(state);
 }
 BENCHMARK(BM_LoginHoldsBound)->ArgName("bound")->DenseRange(1, 2, 1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_LoginHoldsBound_Eager(benchmark::State& state) {
-  RunLoginHoldsSweep(state, /*eager=*/true);
-}
-BENCHMARK(BM_LoginHoldsBound_Eager)->ArgName("bound")->DenseRange(1, 2, 1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_LoginHoldsBound_NoSlice(benchmark::State& state) {
-  RunLoginHoldsSweep(state, /*eager=*/false, /*slice=*/false);
+  RunLoginHoldsSweep(state, /*slice=*/false);
 }
 BENCHMARK(BM_LoginHoldsBound_NoSlice)->ArgName("bound")->DenseRange(1, 2, 1)
     ->Unit(benchmark::kMillisecond);

@@ -1,10 +1,8 @@
 #include "automata/emptiness.h"
 
 #include <algorithm>
-#include <memory>
 #include <queue>
 
-#include "automata/search_strategy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -161,32 +159,6 @@ std::optional<Lasso> FindAcceptingLasso(
     return lasso;
   }
   return std::nullopt;
-}
-
-StatusOr<std::optional<Lasso>> FindAcceptingLassoOnTheFly(
-    const std::vector<int>& initial,
-    const std::function<StatusOr<const std::vector<int>*>(int)>& succ,
-    const std::function<bool(int)>& accepting,
-    const std::function<bool()>& stop, NestedDfsStats* stats) {
-  // The CVWY implementation moved to automata/search_strategy.cc as the
-  // registered "dfs" strategy; this entry point is the fixed default
-  // policy over the same machinery.
-  SearchOptions options;  // strategy = "dfs"
-  WSV_ASSIGN_OR_RETURN(std::unique_ptr<SearchStrategy> strategy,
-                       MakeSearchStrategy(options));
-  SearchProblem problem;
-  problem.initial = initial;
-  problem.succ = succ;
-  problem.accepting = accepting;
-  problem.stop = stop;
-  SearchStats st;
-  WSV_ASSIGN_OR_RETURN(std::optional<Lasso> lasso,
-                       strategy->FindLasso(problem, &st));
-  if (stats != nullptr) {
-    stats->max_depth = st.max_depth;
-    stats->vertices_visited = st.vertices_visited;
-  }
-  return std::optional<Lasso>(std::move(lasso));
 }
 
 }  // namespace wsv

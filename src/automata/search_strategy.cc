@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <climits>
-#include <map>
-#include <mutex>
 #include <queue>
-#include <random>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -32,32 +28,25 @@ class CancelPoller {
 };
 
 // ---------------------------------------------------------------------
-// CVWY nested DFS, parameterized for the "dfs" and "restart" strategies:
-// an optional per-vertex successor permutation (seeded RNG) and an
-// optional blue-visit budget whose exhaustion aborts the attempt.
+// CVWY nested DFS: the "dfs" strategy.
 // ---------------------------------------------------------------------
-
-struct CvwyResult {
-  std::optional<Lasso> lasso;
-  bool budget_exhausted = false;
-};
 
 class CvwyRun {
  public:
-  CvwyRun(const SearchProblem& p, std::mt19937_64* rng, uint64_t budget,
-          SearchStats& st)
-      : p_(p), rng_(rng), budget_(budget), st_(st), poll_(p.stop) {}
+  CvwyRun(const SearchProblem& p, SearchStats& st)
+      : p_(p), st_(st), poll_(p.stop) {}
 
-  StatusOr<CvwyResult> Run() {
+  StatusOr<std::optional<Lasso>> Run() {
     for (int root : p_.initial) {
       Ensure(root);
       if (color_[root] != kWhite) continue;
       color_[root] = kCyan;
       blue_stack_.push_back(root);
       stack_pos_[root] = 0;
-      WSV_ASSIGN_OR_RETURN(const std::vector<int>* root_succs, Fetch(root));
+      WSV_ASSIGN_OR_RETURN(const std::vector<int>* root_succs,
+                           p_.succ(root));
       blue_.assign(1, Frame{root, root_succs, 0});
-      if (!Visit()) return CvwyResult{std::nullopt, true};
+      Visit();
 
       while (!blue_.empty()) {
         Frame& f = blue_.back();
@@ -71,9 +60,9 @@ class CvwyRun {
           color_[w] = kCyan;
           stack_pos_[w] = static_cast<int>(blue_stack_.size());
           blue_stack_.push_back(w);
-          WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, Fetch(w));
+          WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, p_.succ(w));
           blue_.push_back(Frame{w, w_succs, 0});
-          if (!Visit()) return CvwyResult{std::nullopt, true};
+          Visit();
         } else {
           // Post-order of v: accepting vertices seed the inner search
           // while still cyan (the seed itself closing the cycle is the
@@ -81,7 +70,7 @@ class CvwyRun {
           const int v = f.v;
           if (p_.accepting(v)) {
             WSV_ASSIGN_OR_RETURN(int w, RedDfs(v));
-            if (w != -1) return CvwyResult{Assemble(w), false};
+            if (w != -1) return std::optional<Lasso>(Assemble(w));
           }
           color_[v] = p_.accepting(v) ? kRed : kBlue;
           stack_pos_[v] = -1;
@@ -90,7 +79,7 @@ class CvwyRun {
         }
       }
     }
-    return CvwyResult{std::nullopt, false};
+    return std::optional<Lasso>(std::nullopt);
   }
 
  private:
@@ -114,24 +103,9 @@ class CvwyRun {
     }
   }
 
-  // Counts one blue visit; false when the attempt's budget is spent.
-  bool Visit() {
+  void Visit() {
     ++st_.vertices_visited;
     st_.max_depth = std::max<uint64_t>(st_.max_depth, blue_stack_.size());
-    ++attempt_visits_;
-    return budget_ == 0 || attempt_visits_ <= budget_;
-  }
-
-  // The successor list the *policy* sees: the caller's order, or a
-  // per-attempt seeded permutation (cached so blue and red ask once).
-  StatusOr<const std::vector<int>*> Fetch(int v) {
-    if (rng_ == nullptr) return p_.succ(v);
-    auto it = shuffled_.find(v);
-    if (it != shuffled_.end()) return &it->second;
-    WSV_ASSIGN_OR_RETURN(const std::vector<int>* s, p_.succ(v));
-    std::vector<int> copy = *s;
-    std::shuffle(copy.begin(), copy.end(), *rng_);
-    return &shuffled_.emplace(v, std::move(copy)).first->second;
   }
 
   // The cycle was detected with the red DFS (frames in `red_`, seed on
@@ -154,7 +128,7 @@ class CvwyRun {
   // Returns the closing cyan vertex, -1 if no accepting cycle through
   // the seed, or an error (cancellation / implicit-graph failure).
   StatusOr<int> RedDfs(int s) {
-    WSV_ASSIGN_OR_RETURN(const std::vector<int>* s_succs, Fetch(s));
+    WSV_ASSIGN_OR_RETURN(const std::vector<int>* s_succs, p_.succ(s));
     red_.assign(1, Frame{s, s_succs, 0});
     while (!red_.empty()) {
       Frame& f = red_.back();
@@ -167,7 +141,7 @@ class CvwyRun {
           return Status::Cancelled("emptiness search cancelled");
         }
         color_[w] = kRed;
-        WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, Fetch(w));
+        WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, p_.succ(w));
         red_.push_back(Frame{w, w_succs, 0});
       } else {
         red_.pop_back();
@@ -177,11 +151,8 @@ class CvwyRun {
   }
 
   const SearchProblem& p_;
-  std::mt19937_64* rng_;
-  const uint64_t budget_;
   SearchStats& st_;
   CancelPoller poll_;
-  uint64_t attempt_visits_ = 0;
 
   std::vector<char> color_;
   // Position on the blue stack while cyan (-1 otherwise): turns the
@@ -190,9 +161,6 @@ class CvwyRun {
   std::vector<int> blue_stack_;
   std::vector<Frame> blue_;
   std::vector<Frame> red_;
-  // Per-attempt permuted successor lists (node-stable map: the DFS holds
-  // pointers into the mapped vectors across rehashes).
-  std::unordered_map<int, std::vector<int>> shuffled_;
 };
 
 class DfsStrategy : public SearchStrategy {
@@ -205,53 +173,8 @@ class DfsStrategy : public SearchStrategy {
     WSV_COUNT1("automata/emptiness_searches");
     SearchStats local;
     SearchStats& st = stats != nullptr ? *stats : local;
-    CvwyRun run(problem, /*rng=*/nullptr, /*budget=*/0, st);
-    WSV_ASSIGN_OR_RETURN(CvwyResult r, run.Run());
-    return std::optional<Lasso>(std::move(r.lasso));
+    return CvwyRun(problem, st).Run();
   }
-};
-
-// Seeded random-restart CVWY: attempt k walks the graph in a fresh
-// seeded permutation under a doubling blue-visit budget; the final
-// attempt is exhaustive, so the strategy decides emptiness exactly. The
-// point: a DFS whose fixed successor order commits to a huge lasso-free
-// region first can be beaten by re-rolling the order a few times.
-class RestartStrategy : public SearchStrategy {
- public:
-  explicit RestartStrategy(const SearchOptions& options)
-      : seed_(options.restart_seed),
-        budget_(options.restart_visit_budget),
-        max_restarts_(options.max_restarts) {}
-
-  const char* name() const override { return "restart"; }
-
-  StatusOr<std::optional<Lasso>> FindLasso(const SearchProblem& problem,
-                                           SearchStats* stats) override {
-    WSV_SPAN("automata/emptiness");
-    WSV_TIMER("automata/emptiness_ns");
-    WSV_COUNT1("automata/emptiness_searches");
-    SearchStats local;
-    SearchStats& st = stats != nullptr ? *stats : local;
-    for (uint32_t attempt = 0;; ++attempt) {
-      // Distinct, reproducible stream per attempt (splitmix64 increment).
-      std::mt19937_64 rng(seed_ + attempt * 0x9e3779b97f4a7c15ULL);
-      const bool last = attempt >= max_restarts_ || budget_ == 0;
-      const uint64_t budget =
-          last ? 0 : budget_ << std::min<uint32_t>(attempt, 32);
-      CvwyRun run(problem, &rng, budget, st);
-      WSV_ASSIGN_OR_RETURN(CvwyResult r, run.Run());
-      if (!r.budget_exhausted) {
-        return std::optional<Lasso>(std::move(r.lasso));
-      }
-      ++st.restarts;
-      WSV_COUNT1("search/restarts");
-    }
-  }
-
- private:
-  const uint64_t seed_;
-  const uint64_t budget_;
-  const uint32_t max_restarts_;
 };
 
 // ---------------------------------------------------------------------
@@ -413,67 +336,21 @@ class DirectedStrategy : public SearchStrategy {
   }
 };
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, SearchStrategyFactory> factories;
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    r->factories["dfs"] = [](const SearchOptions&) {
-      return std::make_unique<DfsStrategy>();
-    };
-    r->factories["directed"] = [](const SearchOptions&) {
-      return std::make_unique<DirectedStrategy>();
-    };
-    r->factories["restart"] = [](const SearchOptions& o) {
-      return std::make_unique<RestartStrategy>(o);
-    };
-    return r;
-  }();
-  return *registry;
-}
-
 }  // namespace
-
-void RegisterSearchStrategy(const std::string& name,
-                            SearchStrategyFactory factory) {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.factories[name] = std::move(factory);
-}
-
-std::vector<std::string> RegisteredSearchStrategies() {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string> names;
-  for (const auto& [name, factory] : r.factories) names.push_back(name);
-  return names;
-}
-
-bool IsPortfolioSelection(const std::string& strategy) {
-  return strategy == "portfolio";
-}
 
 StatusOr<std::unique_ptr<SearchStrategy>> MakeSearchStrategy(
     const SearchOptions& options) {
-  const std::string name =
-      IsPortfolioSelection(options.strategy) ? "dfs" : options.strategy;
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  auto it = r.factories.find(name);
-  if (it == r.factories.end()) {
-    std::string known;
-    for (const auto& [n, f] : r.factories) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    return Status::InvalidArgument("unknown search strategy '" + name +
-                                   "' (registered: " + known +
-                                   ", plus the engine-level 'portfolio')");
+  std::unique_ptr<SearchStrategy> strategy;
+  if (options.strategy == "dfs") {
+    strategy = std::make_unique<DfsStrategy>();
+  } else if (options.strategy == "directed") {
+    strategy = std::make_unique<DirectedStrategy>();
+  } else {
+    return Status::InvalidArgument("unknown search strategy '" +
+                                   options.strategy +
+                                   "' (known: dfs, directed)");
   }
-  return it->second(options);
+  return strategy;
 }
 
 }  // namespace wsv

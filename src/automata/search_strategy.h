@@ -2,38 +2,28 @@
 //
 // The on-the-fly verifier (verify/ltl_verifier.cc) searches the product
 // of a lazily expanded configuration graph with a Büchi automaton for an
-// accepting lasso. PR 5 hard-wired one algorithm — the CVWY nested DFS in
-// automata/emptiness.cc. This header splits the *policy* (which vertex to
-// expand next, when to give up and retry, which successors to bother
-// with) from the *mechanism* (the implicit-graph callbacks that intern
-// product states and expand the configuration graph on demand), in the
-// style of Fast Downward's pluggable search components: a SearchProblem
-// plays the role of the state space + EvaluationContext, an optional
-// `evaluate` hook is the evaluator (a null hook behaves like Fast
-// Downward's const_evaluator), and strategies are looked up by name in a
-// registry so new policies — including a future symbolic backend — plug
-// in without touching the verifier.
+// accepting lasso. This header splits the *policy* (which vertex to
+// expand next, which successors to bother with) from the *mechanism*
+// (the implicit-graph callbacks that intern product states and expand
+// the configuration graph on demand), in the style of Fast Downward's
+// pluggable search components: a SearchProblem plays the role of the
+// state space + EvaluationContext, an optional `evaluate` hook is the
+// evaluator (a null hook behaves like Fast Downward's const_evaluator),
+// and MakeSearchStrategy picks the policy by name.
 //
-// Registered strategies:
+// Strategies:
 //
-//  * "dfs"      — the CVWY nested DFS, unchanged semantics: first lasso
-//                 in DFS order, linear time, the default and the oracle
-//                 every other strategy is differentially tested against.
+//  * "dfs"      — the CVWY nested DFS (Courcoubetis–Vardi–Wolper–
+//                 Yannakakis, the SPIN strategy): first lasso in DFS
+//                 order, linear time, the default. A red DFS from each
+//                 accepting vertex's post-order hunts a cycle back onto
+//                 the blue stack.
 //  * "directed" — greedy best-first over `evaluate` (distance-to-
 //                 accepting precomputed on the Büchi automaton by
 //                 BuchiAutomaton::AcceptingDistance); each accepting
 //                 vertex settled seeds an inner cycle search. Vertices
 //                 the evaluator maps to kInfiniteDistance can never
 //                 reach an accepting vertex and are pruned soundly.
-//  * "restart"  — seeded random-restart CVWY: per-attempt randomized
-//                 successor order under a doubling visit budget, with a
-//                 final exhaustive attempt guaranteeing completeness.
-//                 Deterministic replay: same seed, same search.
-//
-// "portfolio" is a valid *selection* (SearchOptions::strategy) but not a
-// registered strategy: the parallel engine (verify/parallel.cc) resolves
-// it by racing "dfs" and "directed" legs with first-finisher-wins
-// cancellation; serial sweeps run its deterministic "dfs" leg.
 //
 // Every strategy is sound and complete for lasso *existence*: they
 // return a lasso iff the reachable product language is non-empty, and
@@ -63,23 +53,12 @@ namespace wsv {
 /// accepting lasso passes through them).
 inline constexpr int kInfiniteDistance = -1;
 
-/// Strategy selection and tuning, carried inside LtlVerifyOptions so the
-/// serial and parallel engines, the CLI, and the benches configure one
-/// knob. Fields beyond `strategy` are ignored by strategies that do not
-/// use them.
+/// Strategy selection, carried inside LtlVerifyOptions so the serial and
+/// parallel engines, the CLI, and the benches configure one knob.
 struct SearchOptions {
-  /// Registered strategy name ("dfs", "directed", "restart") or the
-  /// engine-level "portfolio" selection. Unknown names fail at
-  /// MakeSearchStrategy time with the registered list in the message.
+  /// "dfs" or "directed". Unknown names fail at MakeSearchStrategy time
+  /// with the known list in the message.
   std::string strategy = "dfs";
-  /// Base RNG seed for "restart". Recorded in the options so a run is
-  /// replayed deterministically by re-verifying with the same seed.
-  uint64_t restart_seed = 20260809;
-  /// Blue-DFS visit budget of the first "restart" attempt; doubles per
-  /// restart. 0 means the first attempt is already exhaustive.
-  uint64_t restart_visit_budget = 64;
-  /// Randomized attempts before the final exhaustive one.
-  uint32_t max_restarts = 6;
   /// Commuting-input successor pruning (verify layer): among successor
   /// edges that differ only in input relations whose write-cones are
   /// disjoint from every rule and from the property's cone
@@ -88,11 +67,13 @@ struct SearchOptions {
   bool prune_commuting = false;
 };
 
-/// One emptiness query over an implicit graph. Contract extends
-/// FindAcceptingLassoOnTheFly's: `succ` must be memoizing (strategies may
-/// ask for a vertex's successors more than once — restarts re-walk the
-/// graph) and the returned pointers must stay valid until the search
-/// ends. `stop` and `evaluate` may be null.
+/// One emptiness query over an implicit graph whose vertex ids the
+/// caller assigns (typically by interning product states on first
+/// discovery). `succ(v)` must be memoizing (strategies may ask for a
+/// vertex's successors more than once) and the returned pointers must
+/// stay valid until the search ends; its errors (e.g. cancellation from
+/// a lazily expanded graph) abort the search. `stop` and `evaluate` may
+/// be null.
 struct SearchProblem {
   std::vector<int> initial;
   std::function<StatusOr<const std::vector<int>*>(int)> succ;
@@ -106,51 +87,34 @@ struct SearchProblem {
   std::function<int(int)> evaluate;
 };
 
-/// Work accounting for one strategy run (a superset of NestedDfsStats).
+/// Work accounting for one strategy run.
 struct SearchStats {
   /// Deepest prefix the strategy tracked (blue stack / parent chain).
   uint64_t max_depth = 0;
-  /// Vertex expansions, summed across restarts.
+  /// Vertex expansions.
   uint64_t vertices_visited = 0;
-  /// Randomized attempts that exhausted their budget ("restart" only).
-  uint64_t restarts = 0;
   /// Calls into SearchProblem::evaluate.
   uint64_t heuristic_evals = 0;
 };
 
 /// A pluggable accepting-lasso search. Implementations are stateless
-/// across FindLasso calls except for deterministic per-construction
-/// seeding; one instance per search run keeps replay exact.
+/// across FindLasso calls.
 class SearchStrategy {
  public:
   virtual ~SearchStrategy() = default;
   virtual const char* name() const = 0;
-  /// Searches `problem` for an accepting lasso. Same result contract as
-  /// FindAcceptingLassoOnTheFly (emptiness.h); `stats` may be null.
+  /// Searches `problem` for an accepting lasso: returns one satisfying
+  /// the Lasso contract (emptiness.h), nullopt if the reachable
+  /// language is empty, or Status::Cancelled when `stop` fires. `stats`
+  /// may be null.
   virtual StatusOr<std::optional<Lasso>> FindLasso(
       const SearchProblem& problem, SearchStats* stats) = 0;
 };
 
-using SearchStrategyFactory =
-    std::function<std::unique_ptr<SearchStrategy>(const SearchOptions&)>;
-
-/// Registers a strategy under `name`, replacing any previous entry.
-/// Builtins ("dfs", "directed", "restart") are pre-registered.
-void RegisterSearchStrategy(const std::string& name,
-                            SearchStrategyFactory factory);
-
-/// Registered names, sorted (for --help and error messages).
-std::vector<std::string> RegisteredSearchStrategies();
-
-/// Instantiates the strategy `options.strategy` names. "portfolio" (an
-/// engine-level selection, not a strategy) resolves to its deterministic
-/// "dfs" leg; unknown names return InvalidArgument.
+/// Instantiates the strategy `options.strategy` names; unknown names
+/// return InvalidArgument.
 StatusOr<std::unique_ptr<SearchStrategy>> MakeSearchStrategy(
     const SearchOptions& options);
-
-/// True for selections the serial sweep must resolve to "dfs"
-/// ("portfolio" — the race lives in verify/parallel.cc).
-bool IsPortfolioSelection(const std::string& strategy);
 
 }  // namespace wsv
 

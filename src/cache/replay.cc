@@ -404,7 +404,6 @@ StatusOr<ReplayReport> RunReplay(const std::vector<ReplayJob>& jobs,
     }
     verify_options.db.fresh_values = job.fresh;
     verify_options.require_input_bounded = !job.unchecked;
-    verify_options.force_eager = options.eager;
 
     const RequestKey key = MakeRequestKey(service, property, database,
                                           verify_options, options.jobs);
@@ -452,8 +451,7 @@ StatusOr<ReplayReport> RunReplay(const std::vector<ReplayJob>& jobs,
           VerifyCache::Enabled()) {
         verify_options.leaf_store = cache->leaf_store();
         verify_options.leaf_store_context = VerifyCache::LeafContext(
-            key, service, property, *database, verify_options,
-            OnTheFlyEnabled() && !verify_options.force_eager);
+            key, service, property, *database, verify_options);
       }
       ParallelLtlVerifier verifier(&service, verify_options, options.jobs);
       StatusOr<LtlVerifyResult> result =

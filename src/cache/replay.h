@@ -65,8 +65,6 @@ struct ReplayOptions {
   std::string cache_dir;
   /// Worker threads per verification (ParallelLtlVerifier jobs).
   int jobs = 1;
-  /// Force the eager pipeline for every request.
-  bool eager = false;
   /// Suppress the per-request progress lines (the report still prints).
   bool quiet = false;
   /// Emit per-request wide events (caller opened the event log).

@@ -110,9 +110,9 @@ RequestKey MakeRequestKey(const WebService& service,
     key.database = b.Finish();
   }
   // Everything that can change the *output* of a request: bounds,
-  // pools, closure candidates, and the execution shape (engine mode,
-  // class collapsing, parallelism all shift the reported statistics
-  // even when verdicts agree). Bytecode on/off is deliberately absent —
+  // pools, closure candidates, and the execution shape (class
+  // collapsing and parallelism shift the reported statistics even when
+  // verdicts agree). Bytecode on/off is deliberately absent —
   // it changes no observable number.
   FingerprintBuilder b;
   b.AbsorbString("opts");
@@ -126,7 +126,6 @@ RequestKey MakeRequestKey(const WebService& service,
   b.AbsorbU64(static_cast<uint64_t>(options.extra_constant_values));
   b.AbsorbU64(options.require_input_bounded ? 1 : 0);
   b.AbsorbFingerprint(FingerprintValues(options.closure_candidates));
-  b.AbsorbU64((options.force_eager || !OnTheFlyEnabled()) ? 1 : 0);
   b.AbsorbU64(ClassCollapseEnabled() ? 1 : 0);
   b.AbsorbU64(static_cast<uint64_t>(jobs));
   key.options = b.Finish();
@@ -597,7 +596,7 @@ std::string VerifyCache::LeafContext(const RequestKey& key,
                                      const TemporalProperty& property,
                                      const Instance& database,
                                      const LtlVerifyOptions& options,
-                                     bool on_the_fly) {
+                                     bool /*on_the_fly*/) {
   FingerprintBuilder b;
   b.AbsorbString("leafctx-v1");
   b.AbsorbFingerprint(key.spec);
@@ -610,14 +609,9 @@ std::string VerifyCache::LeafContext(const RequestKey& key,
     b.AbsorbString(rel);
   }
   b.AbsorbU64(ClassCollapseEnabled() ? 1 : 0);
-  if (on_the_fly) {
-    // The nested DFS discovers edges in property-dependent order, so
-    // columns only transfer between runs of the *same* property.
-    b.AbsorbU64(1);
-    b.AbsorbFingerprint(key.property);
-  } else {
-    b.AbsorbU64(0);
-  }
+  // The nested DFS discovers edges in property-dependent order, so
+  // columns only transfer between runs of the *same* property.
+  b.AbsorbFingerprint(key.property);
   return b.Finish().ToHex();
 }
 

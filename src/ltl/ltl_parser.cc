@@ -11,7 +11,7 @@ namespace {
 
 // Returns the FO formula if the temporal subtree is pure FO (a single
 // coalesced leaf), else nullopt. The smart constructors below coalesce
-// eagerly, so pure-FO subtrees are always single kFo nodes.
+// on construction, so pure-FO subtrees are always single kFo nodes.
 std::optional<FormulaPtr> AsPureFo(const TFormulaPtr& f) {
   if (f->kind() == TFormula::Kind::kFo) return f->fo();
   return std::nullopt;

@@ -257,8 +257,8 @@ StatusOr<bool> LazyConfigGraph::EnsureExpanded(int v) {
 
 Status LazyConfigGraph::ExpandAll() {
   // Nodes are interned in BFS-discovery order and expanded in id order,
-  // so this loop *is* the classic worklist BFS — budget and cancellation
-  // behavior match the historical eager builder exactly.
+  // so this loop *is* the classic worklist BFS, budgets and cancellation
+  // included.
   for (size_t v = 0; v < graph_.nodes.size(); ++v) {
     if (options_.cancel_check && options_.cancel_check()) {
       WSV_COUNT1("config_graph/builds_cancelled");

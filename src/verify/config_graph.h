@@ -79,7 +79,7 @@ StatusOr<ConfigGraph> BuildConfigGraph(const Stepper& stepper,
 /// materialized through the stepper) only on request. The on-the-fly
 /// product search uses this so a configuration is stepped only when the
 /// nested DFS actually reaches it; BuildConfigGraph is ExpandAll() over
-/// the same machinery, so eager and lazy builds produce identical
+/// the same machinery, so full and lazy builds produce identical
 /// node/edge orderings, dedup behavior, budgets, and counters.
 ///
 /// Not thread-safe: each concurrent valuation sweep owns its own
@@ -96,12 +96,12 @@ class LazyConfigGraph {
 
   /// Returns the expansion state's bytes to the mem/config_graph_bytes
   /// gauge. The gauge tracks live lazy-graph state; a graph moved out via
-  /// TakeGraph (the eager pipeline) is no longer counted.
+  /// TakeGraph (BuildConfigGraph) is no longer counted.
   ~LazyConfigGraph();
 
   /// The graph built so far. out_edges[v] is complete iff Expanded(v);
   /// unexpanded nodes look like dead ends, which is exactly the prefix
-  /// semantics of a truncated eager build.
+  /// semantics of a truncated full build.
   const ConfigGraph& graph() const { return graph_; }
   int initial() const { return graph_.initial; }
   bool truncated() const { return graph_.truncated; }

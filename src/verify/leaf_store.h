@@ -6,7 +6,7 @@
 // every leaf from scratch. This interface lets a caller plug a
 // cross-request store underneath the memo (the verification cache's
 // disk tier, src/cache/), so a warm request whose context — spec,
-// database, constant pool, tracked prev-relations, engine mode —
+// database, constant pool, tracked prev-relations, property —
 // matches an earlier one loads its columns instead of re-running the FO
 // evaluator over every edge.
 //
@@ -19,7 +19,7 @@
 //
 // Columns are exchanged as (set-bit indices, upto): the bits are
 // meaningful on edge indices [0, upto). Implementations must be
-// thread-safe — eager sweeps may run chunked across pool workers.
+// thread-safe — verifiers on different threads may share one store.
 
 #ifndef WSV_VERIFY_LEAF_STORE_H_
 #define WSV_VERIFY_LEAF_STORE_H_

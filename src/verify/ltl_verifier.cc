@@ -9,7 +9,6 @@
 
 #include "analysis/depgraph.h"
 #include "analysis/slice.h"
-#include "automata/emptiness.h"
 #include "automata/ltl_to_buchi.h"
 #include "common/fingerprint.h"
 #include "common/hash.h"
@@ -125,8 +124,7 @@ std::string EdgeVisibleKey(const ConfigGraph::Edge& edge,
   return key;
 }
 
-// Hash for vector-valued keys: the FO-leaf memo (projected valuation
-// digits) and the valuation class table (leaf-column id tuples).
+// Hash for the FO-leaf memo's keys (projected valuation digits).
 template <typename T>
 struct VectorKeyHash {
   size_t operator()(const std::vector<T>& key) const {
@@ -136,15 +134,6 @@ struct VectorKeyHash {
 
 // Matching-state list for edge labels no automaton state carries.
 const std::vector<int> kNoMatchingStates;
-
-// Rebuilds a truth column from its stored set-bit representation.
-void ColumnFromSetBits(const std::vector<uint64_t>& set_bits, uint64_t upto,
-                       Bitset* col) {
-  col->Resize(static_cast<size_t>(upto));
-  for (uint64_t e : set_bits) {
-    if (e < upto) col->Set(static_cast<size_t>(e), true);
-  }
-}
 
 std::vector<uint64_t> SetBitsOf(const Bitset& col, uint64_t upto) {
   std::vector<uint64_t> out;
@@ -204,8 +193,14 @@ bool ClassCollapseEnabled() {
   return std::getenv("WSV_DISABLE_CLASS_COLLAPSE") == nullptr;
 }
 
-bool OnTheFlyEnabled() {
-  return std::getenv("WSV_DISABLE_ONTHEFLY") == nullptr;
+bool OnTheFlyEnabled() { return true; }
+
+Status ValidateVerifyOptions(const LtlVerifyOptions& options) {
+  if (options.force_eager) {
+    return Status::InvalidArgument(
+        "force_eager: the eager verification engine was removed");
+  }
+  return MakeSearchStrategy(options.search).status();
 }
 
 std::vector<Value> ResolveConstantPool(const WebService& service,
@@ -252,21 +247,14 @@ LtlVerifyOptions SlicedCheckOptions(const LtlVerifyOptions& base,
       ResolveConstantPool(original, property, database, base);
   opts.closure_candidates =
       ResolveClosureCandidates(original, property, database, base);
-  // The sliced phase only decides lasso existence, so it always runs
-  // the early-exiting on-the-fly engine (unless the environment forces
-  // eager): under --eager the canonical phase stays eager while the
-  // probe's cost is one nested DFS on the reduced graph.
-  opts.force_eager = false;
   // Sliced truth columns differ from full-spec ones, so they live in
   // their own store keyspace: the sliced graph is a pure function of
   // (spec, database, pool — all in the caller's context) plus the
-  // property (which the eager context omits) and the probe engine —
-  // add both explicitly, plus a slicer version tag so algorithm changes
-  // invalidate cleanly.
+  // property; add it explicitly, plus a slicer version tag so algorithm
+  // changes invalidate cleanly. The "otf|" tag keeps existing keys.
   if (base.leaf_store != nullptr && !base.leaf_store_context.empty()) {
-    opts.leaf_store_context += std::string("|sliced-v1|") +
-                               (OnTheFlyEnabled() ? "otf|" : "eager|") +
-                               FingerprintProperty(property).ToHex();
+    opts.leaf_store_context +=
+        "|sliced-v1|otf|" + FingerprintProperty(property).ToHex();
   } else {
     opts.leaf_store = nullptr;
     opts.leaf_store_context.clear();
@@ -322,11 +310,10 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   check.database_ = std::make_unique<Instance>(database);
   const Instance& db = *check.database_;
 
-  // The stepper is owned by the context: on-the-fly sweeps generate
-  // successors long after Create returns.
+  // The stepper is owned by the context: sweeps generate successors
+  // long after Create returns.
   check.stepper_ = std::make_unique<Stepper>(service, check.database_.get());
   check.stepper_->SetTrackedPrev(TrackedPrevRelations(*service, *property));
-  const Stepper& stepper = *check.stepper_;
 
   // Candidate values for input constants: the database's active domain,
   // the rule/property literals, plus fresh "typed by the user" values.
@@ -334,12 +321,6 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   graph_options.constant_pool =
       ResolveConstantPool(*service, *property, db, options);
   check.graph_options_ = graph_options;
-
-  check.on_the_fly_ = OnTheFlyEnabled() && !options.force_eager;
-  if (!check.on_the_fly_) {
-    WSV_ASSIGN_OR_RETURN(check.graph_,
-                         BuildConfigGraph(stepper, graph_options));
-  }
 
   check.leaf_store_ = options.leaf_store;
   check.leaf_ctx_ = options.leaf_store_context;
@@ -352,18 +333,14 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
 
   check.abort_on_lasso_ = options.abort_on_lasso;
 
-  // Search-strategy plumbing (on-the-fly only: the eager pipeline's SCC
-  // emptiness has no expansion policy to steer). The accepting-distance
-  // table feeds the "directed" evaluator — also built for "portfolio",
-  // whose directed leg shares this context's options. Invisible-input
-  // detection is pure spec analysis, done once per context.
+  // Search-strategy plumbing. The accepting-distance table feeds the
+  // "directed" evaluator. Invisible-input detection is pure spec
+  // analysis, done once per context.
   check.search_options_ = options.search;
-  if (check.on_the_fly_ &&
-      (options.search.strategy == "directed" ||
-       IsPortfolioSelection(options.search.strategy))) {
+  if (options.search.strategy == "directed") {
     check.accept_dist_ = automaton->AcceptingDistance();
   }
-  if (check.on_the_fly_ && options.search.prune_commuting) {
+  if (options.search.prune_commuting) {
     check.invisible_inputs_ = ComputeInvisibleInputs(*service, *property);
   }
 
@@ -394,12 +371,9 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
     check.num_valuations_ = n;
   }
 
-  // Classify leaves by the closure variables they mention, and evaluate
-  // the valuation-independent ones once per database.
+  // Classify leaves by the closure variables they mention.
   const size_t num_leaves = automaton->leaves.size();
-  const size_t num_edges = check.graph_.edges.size();
   check.leaf_vars_.resize(num_leaves);
-  check.static_cols_.resize(num_leaves);
   check.leaf_qfree_.resize(num_leaves, 0);
   check.domain_relevant_.resize(num_leaves);
   // Database-domain membership of each candidate is leaf-independent;
@@ -435,43 +409,6 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
       check.leaf_query_[k] = complement ? std::move(negated) : leaf;
       check.leaf_complement_[k] = complement ? 1 : 0;
       check.leaf_heads_[k] = std::move(heads);
-    }
-    if (check.leaf_vars_[k].empty() && !check.on_the_fly_) {
-      Bitset& col = check.static_cols_[k];
-      bool loaded = false;
-      if (check.leaf_store_ != nullptr) {
-        std::vector<uint64_t> set_bits;
-        uint64_t upto = 0;
-        if (check.leaf_store_->Lookup(
-                LeafStoreKey(check.leaf_ctx_, check.leaf_fp_[k], "static"),
-                &set_bits, &upto) &&
-            upto == num_edges) {
-          ColumnFromSetBits(set_bits, upto, &col);
-          loaded = true;
-          WSV_COUNT1("cache/leaf_cols_loaded");
-          WSV_COUNT("cache/leaf_evals_saved", num_edges);
-        }
-      }
-      if (!loaded) {
-        [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
-        col.Resize(num_edges);
-        for (size_t e = 0; e < num_edges; ++e) {
-          TraceView view = check.graph_.View(static_cast<int>(e));
-          WSV_ASSIGN_OR_RETURN(bool b,
-                               EvalFoAtStep(automaton->leaves[k], view, db,
-                                            *service, {}));
-          col.Set(e, b);
-        }
-        WSV_COUNT("ltl/fo_leaf_evals", num_edges);
-        WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
-        if (check.leaf_store_ != nullptr) {
-          check.leaf_store_->Publish(
-              LeafStoreKey(check.leaf_ctx_, check.leaf_fp_[k], "static"),
-              SetBitsOf(col, num_edges), num_edges);
-          WSV_COUNT1("cache/leaf_cols_published");
-        }
-      }
-      WSV_COUNT1("ltl/static_leaf_cols");
     }
     // A candidate value can influence this leaf through the active
     // domain only if neither the database nor the leaf's own literals
@@ -509,313 +446,6 @@ StatusOr<std::optional<IndexedCounterExample>>
 LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                                   const std::function<bool(uint64_t)>& stop,
                                   uint64_t* product_states) const {
-  if (on_the_fly_) return CheckValuationsOtf(begin, end, stop, product_states);
-  WSV_SPAN("verify/check_valuations");
-  const std::vector<std::string>& vars = property_->universal_vars;
-  const size_t num_leaves = automaton_->leaves.size();
-  const size_t num_edges = graph_.edges.size();
-  const uint64_t c = cand_.size();
-  if (end > num_valuations_) end = num_valuations_;
-  const bool collapse = ClassCollapseEnabled();
-
-  // All sweep state is local to this call: concurrent sweeps of one
-  // context never share mutable state.
-  //
-  // Truth columns are interned by content: every distinct column gets a
-  // dense id, and the column store (a node-based map, so key addresses
-  // are stable) owns the bits. Two valuations whose leaves resolve to
-  // the same id tuple induce the *same* product — the equivalence
-  // classes the sweep collapses.
-  std::unordered_map<Bitset, uint32_t, BitsetHash> col_ids;
-  std::vector<const Bitset*> col_by_id;
-  auto intern_col = [&](const Bitset& col) -> uint32_t {
-    auto it = col_ids.find(col);
-    if (it == col_ids.end()) {
-      it = col_ids.emplace(col, static_cast<uint32_t>(col_by_id.size()))
-               .first;
-      col_by_id.push_back(&it->first);
-    }
-    return it->second;
-  };
-
-  // Memoized column ids per dynamic leaf, keyed by the projection of
-  // the valuation onto the leaf's free variables plus the sorted set of
-  // domain-relevant candidate digits (the only other channel a closure
-  // value can reach the leaf through).
-  std::vector<std::unordered_map<std::vector<int32_t>, uint32_t,
-                                 VectorKeyHash<int32_t>>>
-      memo(num_leaves);
-
-  // The emptiness verdict of each first-of-class product. For violating
-  // classes the accepting lasso and its Dom(rho) are cached too: repeats
-  // skip the product entirely but still re-run the valuation-specific
-  // faithfulness check (spuriousness depends on the concrete bindings).
-  struct ClassOutcome {
-    bool violating = false;
-    LassoRun run;
-    std::set<Value> dom;
-  };
-  std::unordered_map<std::vector<uint32_t>, ClassOutcome,
-                     VectorKeyHash<uint32_t>>
-      classes;
-
-  // Reusable per-sweep scratch: steady-state iterations (memoized
-  // columns, repeated class) allocate nothing, and even first-of-class
-  // product builds reuse the buffers' capacity.
-  std::vector<int32_t> digits(vars.size(), 0);
-  std::vector<uint32_t> cols(num_leaves, 0);  // column id per leaf
-  std::vector<uint32_t> static_ids(num_leaves, 0);
-  for (size_t k = 0; k < num_leaves; ++k) {
-    if (leaf_vars_[k].empty()) static_ids[k] = intern_col(static_cols_[k]);
-  }
-  std::vector<int32_t> memo_key;
-  memo_key.reserve(2 * vars.size() + 1);
-  Bitset col_scratch;
-  Bitset label_scratch;
-  std::vector<const std::vector<int>*> matching(num_edges,
-                                                &kNoMatchingStates);
-  std::vector<std::pair<int, int>> verts;  // (edge, q)
-  std::unordered_map<uint64_t, int> vert_index;
-  std::vector<std::vector<int>> succ;
-  std::vector<char> initial;
-  std::vector<char> accepting;
-
-  for (uint64_t i = begin; i < end; ++i) {
-    // Sweeping ascending means the first faithful counterexample is the
-    // range minimum, so we return the moment we find one; a stop only
-    // ever fires while still empty-handed.
-    if (stop && stop(i)) {
-      WSV_COUNT1("ltl/valuation_sweeps_cancelled");
-      return Status::Cancelled("valuation sweep cancelled at index " +
-                               std::to_string(i));
-    }
-    WSV_COUNT1("ltl/valuations_checked");
-    for (size_t k = 0; k < vars.size(); ++k) {
-      digits[k] = static_cast<int32_t>((i / stride_[k]) % c);
-    }
-    // The full var -> value map is only needed off the fast path (FO
-    // evaluation on a memo miss, counterexample assembly); everything
-    // else works from the digits.
-    Valuation valuation;
-    auto ensure_valuation = [&] {
-      if (valuation.empty() && !vars.empty()) {
-        for (size_t k = 0; k < vars.size(); ++k) {
-          valuation[vars[k]] = cand_[static_cast<size_t>(digits[k])];
-        }
-      }
-    };
-
-    // Resolve the truth-column id of every FO leaf under the valuation.
-    for (size_t k = 0; k < num_leaves; ++k) {
-      if (leaf_vars_[k].empty()) {
-        cols[k] = static_ids[k];
-        continue;
-      }
-      memo_key.clear();
-      for (size_t p : leaf_vars_[k]) memo_key.push_back(digits[p]);
-      memo_key.push_back(-1);  // separator: bindings | domain extension
-      if (!leaf_qfree_[k]) {
-        // The extension is the sorted deduped set of domain-relevant
-        // digits; the handful of closure variables makes insertion
-        // sort on the scratch tail the cheap way to canonicalize.
-        // Quantifier-free leaves skip it: they never iterate the active
-        // domain, so extending it cannot change their truth.
-        const size_t ext_begin = memo_key.size();
-        for (int32_t d : digits) {
-          if (domain_relevant_[k][static_cast<size_t>(d)]) {
-            memo_key.push_back(d);
-          }
-        }
-        std::sort(memo_key.begin() + ext_begin, memo_key.end());
-        memo_key.erase(
-            std::unique(memo_key.begin() + ext_begin, memo_key.end()),
-            memo_key.end());
-      }
-      auto it = memo[k].find(memo_key);
-      if (it == memo[k].end()) {
-        WSV_COUNT1("ltl/leaf_memo_misses");
-        std::string store_key;
-        bool loaded = false;
-        if (leaf_store_ != nullptr) {
-          store_key = LeafStoreKey(
-              leaf_ctx_, leaf_fp_[k],
-              LeafBinding(leaf_vars_[k], digits, cand_, domain_relevant_[k],
-                          leaf_qfree_[k] != 0));
-          std::vector<uint64_t> set_bits;
-          uint64_t upto = 0;
-          if (leaf_store_->Lookup(store_key, &set_bits, &upto) &&
-              upto == num_edges) {
-            ColumnFromSetBits(set_bits, upto, &col_scratch);
-            loaded = true;
-            WSV_COUNT1("cache/leaf_cols_loaded");
-            WSV_COUNT("cache/leaf_evals_saved", num_edges);
-          }
-        }
-        if (!loaded) {
-          [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
-          ensure_valuation();
-          col_scratch.Resize(num_edges);
-          for (size_t e = 0; e < num_edges; ++e) {
-            TraceView view = graph_.View(static_cast<int>(e));
-            WSV_ASSIGN_OR_RETURN(bool b,
-                                 EvalFoAtStep(automaton_->leaves[k], view,
-                                              *database_, *service_,
-                                              valuation));
-            col_scratch.Set(e, b);
-          }
-          WSV_COUNT("ltl/fo_leaf_evals", num_edges);
-          WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
-          if (leaf_store_ != nullptr) {
-            leaf_store_->Publish(store_key, SetBitsOf(col_scratch, num_edges),
-                                 num_edges);
-            WSV_COUNT1("cache/leaf_cols_published");
-          }
-        }
-        it = memo[k].emplace(memo_key, intern_col(col_scratch)).first;
-        WSV_COUNT1("ltl/leaf_memo_entries");
-      } else {
-        WSV_COUNT1("ltl/leaf_memo_hits");
-      }
-      cols[k] = it->second;
-    }
-
-    // Look up the valuation's equivalence class. A repeat skips the
-    // product build and emptiness run; its cached outcome is handled
-    // below exactly like a fresh one.
-    ClassOutcome naive_outcome;
-    ClassOutcome* outcome = nullptr;
-    bool first_of_class = true;
-    if (collapse) {
-      auto [it, inserted] = classes.try_emplace(cols);
-      outcome = &it->second;
-      first_of_class = inserted;
-      if (inserted) {
-        WSV_COUNT1("ltl/valuation_classes");
-      } else {
-        WSV_COUNT1("ltl/class_hits");
-        WSV_COUNT1("ltl/products_skipped");
-      }
-    } else {
-      outcome = &naive_outcome;
-    }
-
-    if (first_of_class) {
-      // First of its class (or naive mode): build the product — vertices
-      // are (edge, automaton state) pairs where the state label matches
-      // the edge's leaf truth — and run emptiness.
-      WSV_SPAN("ltl/product");
-      verts.clear();
-      vert_index.clear();
-      for (size_t e = 0; e < num_edges; ++e) {
-        label_scratch.Resize(num_leaves);
-        for (size_t k = 0; k < num_leaves; ++k) {
-          if (col_by_id[cols[k]]->Test(e)) label_scratch.Set(k);
-        }
-        auto it = label_index_.find(label_scratch);
-        matching[e] = it == label_index_.end() ? &kNoMatchingStates
-                                               : &it->second;
-      }
-      auto vid = [&](int e, int q) {
-        uint64_t key = PackInts(e, q);
-        auto it = vert_index.find(key);
-        if (it != vert_index.end()) return it->second;
-        int id = static_cast<int>(verts.size());
-        vert_index.emplace(key, id);
-        verts.emplace_back(e, q);
-        return id;
-      };
-      for (size_t e = 0; e < num_edges; ++e) {
-        for (int q : *matching[e]) vid(static_cast<int>(e), q);
-      }
-      const size_t nv = verts.size();
-      succ.resize(nv);
-      for (size_t v = 0; v < nv; ++v) succ[v].clear();
-      initial.assign(nv, 0);
-      accepting.assign(nv, 0);
-      const std::set<int>& acc_set = automaton_->accepting_sets.front();
-      for (size_t v = 0; v < nv; ++v) {
-        auto [e, q] = verts[v];
-        if (graph_.edges[e].from == graph_.initial &&
-            automaton_->initial[q]) {
-          initial[v] = 1;
-        }
-        if (acc_set.count(q) > 0) accepting[v] = 1;
-        const Bitset& q_succ = succ_bits_[q];
-        for (int e2 : graph_.out_edges[graph_.edges[e].to]) {
-          for (int q2 : *matching[e2]) {
-            if (q_succ.Test(q2)) succ[v].push_back(vid(e2, q2));
-          }
-        }
-      }
-      if (product_states != nullptr) *product_states += nv;
-      WSV_COUNT1("ltl/products_built");
-      WSV_COUNT("ltl/product_states", nv);
-
-      std::optional<Lasso> lasso =
-          FindAcceptingLasso(succ, initial, accepting);
-      if (lasso.has_value()) {
-        // Reconstruct the run: prefix vertices then cycle[1..], looping
-        // back to the prefix's last vertex.
-        LassoRun run;
-        for (int v : lasso->prefix) {
-          run.steps.push_back(graph_.Materialize(verts[v].first));
-        }
-        run.loop_start = lasso->prefix.size() - 1;
-        for (size_t j = 1; j < lasso->cycle.size(); ++j) {
-          run.steps.push_back(
-              graph_.Materialize(verts[lasso->cycle[j]].first));
-        }
-        outcome->violating = true;
-        outcome->dom = LassoDomain(run, *database_);
-        std::set<Value> lits = property_->formula->Literals();
-        outcome->dom.insert(lits.begin(), lits.end());
-        outcome->run = std::move(run);
-      }
-    }
-    if (!outcome->violating) continue;
-
-    if (abort_on_lasso_) {
-      // Sliced first phase: an accepting lasso exists here, but its
-      // faithfulness is not slicing-invariant — report the index and
-      // let the caller re-check the full spec from it.
-      WSV_COUNT1("slice/lasso_bailouts");
-      IndexedCounterExample found;
-      found.valuation_index = i;
-      found.lasso_only = true;
-      return std::optional<IndexedCounterExample>(std::move(found));
-    }
-
-    // Faithfulness check: the closure valuation must range over
-    // Dom(rho); discard spurious witnesses using pool values that never
-    // occur in the run or database. The product (and so the lasso) is
-    // class-invariant, but spuriousness is not — every valuation of a
-    // violating class takes this check individually.
-    bool in_dom = true;
-    for (size_t k = 0; k < vars.size(); ++k) {
-      if (outcome->dom.count(cand_[static_cast<size_t>(digits[k])]) == 0) {
-        in_dom = false;
-      }
-    }
-    if (!in_dom) {
-      WSV_COUNT1("ltl/spurious_witnesses");
-      continue;
-    }
-    WSV_COUNT1("ltl/counterexamples_found");
-    ensure_valuation();
-    IndexedCounterExample found;
-    found.valuation_index = i;
-    found.cex.database = *database_;
-    found.cex.run = outcome->run;
-    found.cex.valuation = std::move(valuation);
-    return std::optional<IndexedCounterExample>(std::move(found));
-  }
-  return std::optional<IndexedCounterExample>(std::nullopt);
-}
-
-StatusOr<std::optional<IndexedCounterExample>>
-LtlDatabaseCheck::CheckValuationsOtf(
-    uint64_t begin, uint64_t end, const std::function<bool(uint64_t)>& stop,
-    uint64_t* product_states) const {
   WSV_SPAN("verify/check_valuations");
   const std::vector<std::string>& vars = property_->universal_vars;
   const size_t num_leaves = automaton_->leaves.size();
@@ -912,9 +542,7 @@ LtlDatabaseCheck::CheckValuationsOtf(
   // The column store is only sound on full serial sweeps: a chunked
   // parallel sweep expands a chunk-local lazy graph whose edge
   // discovery order depends on the chunk's valuation range, so its
-  // column indices are not comparable across requests. (The eager
-  // engine has no such restriction — its columns cover the one full
-  // graph regardless of range.)
+  // column indices are not comparable across requests.
   const bool use_store = leaf_store_ != nullptr && begin == 0 &&
                          end >= num_valuations_ && !stop;
   auto attach_store = [&](size_t k, LeafCol* col,
@@ -1091,9 +719,12 @@ LtlDatabaseCheck::CheckValuationsOtf(
       }
     };
 
-    // Resolve each leaf's column (same memo discipline as the eager
-    // sweep; only the representation changed from eager bits to a lazily
-    // extended prefix).
+    // Resolve each leaf's column. The memo key is the projection of the
+    // valuation onto the leaf's free variables plus the sorted set of
+    // domain-relevant candidate digits (the only other channel a closure
+    // value can reach the leaf through). Quantifier-free leaves skip the
+    // extension: they never iterate the active domain, so extending it
+    // cannot change their truth.
     for (size_t k = 0; k < num_leaves; ++k) {
       if (leaf_vars_[k].empty()) {
         if (static_col[k] == nullptr) {
@@ -1269,8 +900,8 @@ LtlDatabaseCheck::CheckValuationsOtf(
         }
         const auto [e, q] = verts[static_cast<size_t>(v)];
         const int to = graph.edges[static_cast<size_t>(e)].to;
-        // An unexpanded node (budget hit) is a dead end — exactly the
-        // truncated-prefix semantics of the eager build.
+        // An unexpanded node (budget hit) is a dead end: the graph is
+        // then a truncated prefix of the real one.
         WSV_ASSIGN_OR_RETURN(bool expanded, lazy.EnsureExpanded(to));
         (void)expanded;
         std::vector<int> out;
@@ -1382,8 +1013,9 @@ LtlDatabaseCheck::CheckValuationsOtf(
     if (!outcome->violating) continue;
 
     if (abort_on_lasso_) {
-      // Sliced first phase (see the eager sweep): lasso existence is
-      // slicing-invariant, faithfulness is not — hand the index back.
+      // Sliced first phase: an accepting lasso exists here, but its
+      // faithfulness is not slicing-invariant — report the index and
+      // let the caller re-check the full spec from it.
       WSV_COUNT1("slice/lasso_bailouts");
       IndexedCounterExample found;
       found.valuation_index = i;
@@ -1392,9 +1024,11 @@ LtlDatabaseCheck::CheckValuationsOtf(
       return std::optional<IndexedCounterExample>(std::move(found));
     }
 
-    // Faithfulness: identical to the eager sweep — the valuation must
-    // range over Dom(rho) ∪ property literals or the witness is spurious
-    // for this particular binding.
+    // Faithfulness check: the closure valuation must range over
+    // Dom(rho) ∪ property literals; discard spurious witnesses using pool
+    // values that never occur in the run or database. The lasso is
+    // class-invariant, but spuriousness is not — every valuation of a
+    // violating class takes this check individually.
     bool in_dom = true;
     for (size_t k = 0; k < vars.size(); ++k) {
       if (outcome->dom.count(cand_[static_cast<size_t>(digits[k])]) == 0) {
@@ -1473,6 +1107,7 @@ StatusOr<bool> LtlVerifier::CheckDatabase(const TemporalProperty& property,
 
 StatusOr<LtlVerifyResult> LtlVerifier::VerifyOnDatabase(
     const TemporalProperty& property, const Instance& database) {
+  WSV_RETURN_IF_ERROR(ValidateVerifyOptions(options_));
   WSV_ASSIGN_OR_RETURN(
       BuchiAutomaton automaton,
       BuildNegatedAutomaton(*service_, property,
@@ -1491,6 +1126,7 @@ StatusOr<LtlVerifyResult> LtlVerifier::VerifyOnDatabase(
 
 StatusOr<LtlVerifyResult> LtlVerifier::Verify(
     const TemporalProperty& property) {
+  WSV_RETURN_IF_ERROR(ValidateVerifyOptions(options_));
   WSV_ASSIGN_OR_RETURN(
       BuchiAutomaton automaton,
       BuildNegatedAutomaton(*service_, property,

@@ -66,10 +66,7 @@ struct LtlVerifyOptions {
   /// counterexamples; complete only if every violating valuation is
   /// covered).
   std::vector<Value> closure_candidates;
-  /// Force the eager pipeline (full configuration graph + full product +
-  /// SCC emptiness) even when the on-the-fly path is enabled. The CLI's
-  /// `verify --eager`; equivalent to the WSV_DISABLE_ONTHEFLY=1
-  /// environment toggle but scoped to this verifier.
+  /// Compile shim read only by perfbench/driver.cc; true is rejected.
   bool force_eager = false;
   /// Slice the spec against the property before building any
   /// configuration graph (analysis/slice.h): rules outside the
@@ -84,16 +81,13 @@ struct LtlVerifyOptions {
   /// slicing-invariant; faithfulness is not, so the marker index is
   /// where the full-spec re-check resumes.
   bool abort_on_lasso = false;
-  /// Accepting-lasso search strategy for the on-the-fly sweep
-  /// (automata/search_strategy.h): "dfs" (default), "directed",
-  /// "restart", or the engine-level "portfolio" (resolved by
-  /// verify/parallel.cc; serial sweeps run its dfs leg). Non-default
-  /// strategies run only in phases whose verdict is provably
-  /// lasso-choice-invariant — abort-on-lasso probes and properties
-  /// without universal closure variables; the faithfulness-sensitive
-  /// canonical sweep of a quantified property pins the canonical DFS
-  /// lasso so verdicts stay bit-identical across strategies (DESIGN.md
-  /// §11). The eager pipeline ignores the strategy entirely.
+  /// Accepting-lasso search strategy (automata/search_strategy.h):
+  /// "dfs" (default) or "directed". A non-default strategy runs only in
+  /// phases whose verdict is provably lasso-choice-invariant —
+  /// abort-on-lasso probes and properties without universal closure
+  /// variables; the faithfulness-sensitive sweep of a quantified
+  /// property pins the canonical DFS lasso so verdicts stay
+  /// bit-identical across strategies (DESIGN.md §11).
   SearchOptions search;
   /// Optional cross-request persistence for FO-leaf truth columns
   /// (verify/leaf_store.h; the verification cache's disk tier plugs in
@@ -103,9 +97,8 @@ struct LtlVerifyOptions {
   LeafColumnStore* leaf_store = nullptr;
   /// Opaque key prefix for leaf-store entries. Callers must fingerprint
   /// everything that fixes the configuration graph and its edge order:
-  /// spec, database, resolved constant pool, tracked prev-relations,
-  /// engine mode — and, for the on-the-fly engine, the property (its
-  /// nested DFS drives edge discovery order).
+  /// spec, database, resolved constant pool, tracked prev-relations and
+  /// the property (its nested DFS drives edge discovery order).
   std::string leaf_store_context;
 };
 
@@ -142,9 +135,9 @@ struct IndexedCounterExample {
   bool lasso_only = false;
 };
 
-/// The per-database half of the Theorem 3.5 procedure: the configuration
-/// graph over one candidate database, the closure-valuation candidate
-/// list, and the truth table of valuation-independent FO leaves.
+/// The per-database half of the Theorem 3.5 procedure: the stepper over
+/// one candidate database, the closure-valuation candidate list, and the
+/// per-leaf and per-automaton tables the on-the-fly sweep reads.
 ///
 /// Valuations are addressed by index in [0, NumValuations()): index i
 /// denotes the valuation whose k-th variable takes candidate number
@@ -153,15 +146,14 @@ struct IndexedCounterExample {
 /// coincide.
 ///
 /// Thread-compatibility: immutable after Create; CheckValuations is
-/// const and keeps all scratch state (including the FO-leaf memo) local
-/// to the call, so any number of threads may sweep disjoint index ranges
-/// of one context concurrently.
+/// const and keeps all scratch state (the lazy configuration graph, the
+/// FO-leaf memo, the class table) local to the call, so any number of
+/// threads may sweep disjoint index ranges of one context concurrently.
 class LtlDatabaseCheck {
  public:
-  /// Builds the context: configuration graph, candidate valuations, and
-  /// static-leaf truth labels. Takes ownership of a copy of `database`
-  /// (the enumerator reuses its instance buffer across visits).
-  /// Honors `options.graph.cancel_check` during the graph build.
+  /// Builds the context: stepper, candidate valuations, and leaf and
+  /// automaton tables. Takes ownership of a copy of `database` (the
+  /// enumerator reuses its instance buffer across visits).
   static StatusOr<LtlDatabaseCheck> Create(const WebService* service,
                                            const LtlVerifyOptions& options,
                                            const TemporalProperty* property,
@@ -175,20 +167,20 @@ class LtlDatabaseCheck {
 
   const Instance& database() const { return *database_; }
 
-  /// Configuration-graph size and truncation. Eager mode: properties of
-  /// the one graph built at Create, valid immediately. On-the-fly mode:
-  /// aggregates over the lazily expanded per-sweep graphs, so read them
-  /// *after* the CheckValuations calls you care about.
+  /// Configuration-graph size and truncation, aggregated over the lazily
+  /// expanded per-sweep graphs: read them *after* the CheckValuations
+  /// calls you care about.
   uint64_t graph_nodes() const {
-    return on_the_fly_ ? otf_totals_->nodes.load(std::memory_order_relaxed)
-                       : graph_.nodes.size();
+    return otf_totals_->nodes.load(std::memory_order_relaxed);
   }
   bool truncated() const {
-    return on_the_fly_
-               ? otf_totals_->truncated.load(std::memory_order_relaxed)
-               : graph_.truncated;
+    return otf_totals_->truncated.load(std::memory_order_relaxed);
   }
 
+  /// The on-the-fly sweep (DESIGN.md §6e): a lazy configuration graph
+  /// is expanded by product searches run once per valuation equivalence
+  /// class, stopping at the first accepting lasso.
+  ///
   /// Sweeps valuation indices [begin, end) in increasing order and
   /// returns the lowest-index counterexample in the range, or nullopt if
   /// the range is violation-free. `stop` (optional) is polled with the
@@ -198,10 +190,10 @@ class LtlDatabaseCheck {
   /// `product_states` (optional) accumulates product automaton sizes
   /// (of the products actually built — see ClassCollapseEnabled()).
   ///
-  /// Valuations whose FO leaves all resolve to previously seen truth
-  /// columns induce the *same* product, so the product build and
-  /// emptiness run execute once per equivalence class; repeats reuse
-  /// the cached verdict (and, for violating classes, the cached lasso),
+  /// Valuations whose FO leaves all resolve to the same truth columns
+  /// (on the edges a class's search consulted) induce the *same*
+  /// search, so it runs once per equivalence class; repeats reuse the
+  /// cached verdict (and, for violating classes, the cached lasso),
   /// re-running only the valuation-specific Dom(rho) faithfulness
   /// check. The class table, like the FO-leaf memo, is local to the
   /// call: concurrent sweeps of one context never share mutable state.
@@ -213,29 +205,17 @@ class LtlDatabaseCheck {
  private:
   LtlDatabaseCheck() = default;
 
-  /// The on-the-fly sweep (see DESIGN.md §6e): per call, a lazy
-  /// configuration graph is expanded by nested-DFS product searches run
-  /// once per valuation equivalence class.
-  StatusOr<std::optional<IndexedCounterExample>> CheckValuationsOtf(
-      uint64_t begin, uint64_t end,
-      const std::function<bool(uint64_t)>& stop,
-      uint64_t* product_states) const;
-
   const WebService* service_ = nullptr;
   const TemporalProperty* property_ = nullptr;
   const BuchiAutomaton* automaton_ = nullptr;
   std::unique_ptr<Instance> database_;  // owned; address stable
-  /// The bound stepper; owned so on-the-fly sweeps can generate
-  /// successors after Create returns (address stable across moves).
+  /// The bound stepper; owned so sweeps can generate successors after
+  /// Create returns (address stable across moves).
   std::unique_ptr<Stepper> stepper_;
   /// Graph options with the input-constant pool resolved; the seed of
-  /// every lazy per-sweep graph (and of the eager build).
+  /// every lazy per-sweep graph.
   ConfigGraphOptions graph_options_;
-  /// True: CheckValuations interleaves graph expansion, product
-  /// construction, and nested-DFS emptiness. False: the eager pipeline
-  /// over graph_.
-  bool on_the_fly_ = false;
-  /// Aggregates across on-the-fly sweeps (graph_nodes()/truncated());
+  /// Aggregates across sweeps (graph_nodes()/truncated());
   /// relaxed atomics because concurrent chunked sweeps finish
   /// independently. Heap-allocated so the context stays movable.
   struct OtfTotals {
@@ -243,8 +223,6 @@ class LtlDatabaseCheck {
     std::atomic<bool> truncated{false};
   };
   std::unique_ptr<OtfTotals> otf_totals_ = std::make_unique<OtfTotals>();
-  /// Empty (unbuilt) in on-the-fly mode.
-  ConfigGraph graph_;
   /// Candidate values for each closure variable.
   std::vector<Value> cand_;
   /// cand_.size()^k for each variable position k (odometer strides).
@@ -253,18 +231,14 @@ class LtlDatabaseCheck {
   /// Per leaf: positions (into property_->universal_vars) of the closure
   /// variables free in the leaf. Empty = valuation-independent leaf.
   std::vector<std::vector<size_t>> leaf_vars_;
-  /// Per *static* leaf k (leaf_vars_[k].empty()): truth per edge,
-  /// evaluated once at Create. Empty bitset for dynamic leaves; empty in
-  /// on-the-fly mode (columns are then grown lazily per sweep).
-  std::vector<Bitset> static_cols_;
   /// Per leaf: quantifier-free? A QF leaf never iterates the active
   /// domain, so its truth is independent of which closure values extend
   /// the domain — the memo key can drop the domain-extension digits.
   std::vector<char> leaf_qfree_;
   /// Per leaf: the names of its free closure variables (leaf_vars_
-  /// order) — the head of the query the on-the-fly sweep runs once per
-  /// edge to fill every binding's column at once (DESIGN.md §6f). Empty
-  /// for leaves that stay on per-binding evaluation: static leaves,
+  /// order) — the head of the query the sweep runs once per edge to
+  /// fill every binding's column at once (DESIGN.md §6f). Empty for
+  /// leaves that stay on per-binding evaluation: static leaves,
   /// leaves under a repeated closure-variable name, and every leaf when
   /// the candidate list repeats a value (answers are mapped back to
   /// bindings by value).
@@ -293,23 +267,17 @@ class LtlDatabaseCheck {
   /// Lets the memo key include exactly the domain-relevant values, so
   /// memoized and direct evaluation agree bit-for-bit.
   std::vector<std::vector<char>> domain_relevant_;
-  /// Cross-request column persistence (null = disabled; see
-  /// LtlVerifyOptions::leaf_store). The eager sweep consults it for
-  /// static and memoized dynamic columns; the on-the-fly sweep only on
-  /// full uncancellable ranges, where edge discovery order is
-  /// deterministic (chunked parallel sweeps expand chunk-local graphs
-  /// whose edge orders differ).
-  /// Copied from LtlVerifyOptions::abort_on_lasso: both sweeps return a
+  /// Copied from LtlVerifyOptions::abort_on_lasso: the sweep returns a
   /// lasso_only marker at the first accepting lasso instead of running
   /// the faithfulness check.
   bool abort_on_lasso_ = false;
   /// Copied from LtlVerifyOptions::search; dispatched per class search
-  /// in CheckValuationsOtf.
+  /// in CheckValuations.
   SearchOptions search_options_;
   /// Per automaton state: distance to the accepting set
   /// (BuchiAutomaton::AcceptingDistance), the "directed" strategy's
-  /// evaluator. Built at Create only when a heuristic strategy is
-  /// selected; empty otherwise.
+  /// evaluator. Built at Create only when "directed" is selected; empty
+  /// otherwise.
   std::vector<int> accept_dist_;
   /// Input relations whose chosen tuples provably cannot influence
   /// anything the search observes: no rule reads them (directly or via
@@ -320,6 +288,11 @@ class LtlDatabaseCheck {
   /// (search/pruned_successors). Populated only when
   /// search_options_.prune_commuting is set.
   std::set<std::string> invisible_inputs_;
+  /// Cross-request column persistence (null = disabled; see
+  /// LtlVerifyOptions::leaf_store). Consulted only on full uncancellable
+  /// ranges, where edge discovery order is deterministic (chunked
+  /// parallel sweeps expand chunk-local graphs whose edge orders
+  /// differ).
   LeafColumnStore* leaf_store_ = nullptr;
   std::string leaf_ctx_;
   /// Per leaf: hex structural fingerprint — the leaf component of store
@@ -360,14 +333,13 @@ class LtlVerifier {
 /// Verdicts and counterexamples are identical either way.
 bool ClassCollapseEnabled();
 
-/// Whether LtlDatabaseCheck::CheckValuations runs the on-the-fly pipeline
-/// (lazy configuration-graph expansion interleaved with nested-DFS
-/// product emptiness, aborting at the first accepting cycle). On by
-/// default; setting the environment variable WSV_DISABLE_ONTHEFLY forces
-/// the eager pipeline (full graph + full product + SCC emptiness), as
-/// does LtlVerifyOptions::force_eager per verifier. Verdicts and
-/// counterexamples are identical either way.
+/// Compile shim read only by perfbench/driver.cc; always true.
 bool OnTheFlyEnabled();
+
+/// Rejects option values no engine supports: a set `force_eager`
+/// (InvalidArgument) and an unknown `search.strategy`. The serial and
+/// parallel verifiers check this before any work.
+Status ValidateVerifyOptions(const LtlVerifyOptions& options);
 
 /// The resolved input-constant candidate pool for one (service,
 /// property, database) context: the database's active domain, the rule

@@ -56,9 +56,8 @@ ParallelLtlVerifier::ParallelLtlVerifier(const WebService* service,
 StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
     const TemporalProperty& property) {
   // The multi-database sweep parallelizes across databases, not inside
-  // one: a "portfolio" selection resolves to its deterministic dfs leg
-  // here (MakeSearchStrategy's documented fallback), exactly as in the
-  // serial verifier. The race lives in VerifyOnDatabase.
+  // one.
+  WSV_RETURN_IF_ERROR(ValidateVerifyOptions(options_));
   if (jobs_ == 1) {
     return LtlVerifier(service_, options_).Verify(property);
   }
@@ -271,10 +270,8 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
 
 StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
     const TemporalProperty& property, const Instance& database) {
-  // "portfolio" races a dfs leg against a directed leg over the same
-  // valuation space; the race needs the pool even at jobs == 1.
-  const bool portfolio = IsPortfolioSelection(options_.search.strategy);
-  if (jobs_ == 1 && !portfolio) {
+  WSV_RETURN_IF_ERROR(ValidateVerifyOptions(options_));
+  if (jobs_ == 1) {
     return LtlVerifier(service_, options_).VerifyOnDatabase(property,
                                                             database);
   }
@@ -286,102 +283,78 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
       BuildNegatedAutomaton(*service_, property,
                             options_.require_input_bounded));
   LtlVerifyOptions opts = options_;
-  // Chunked on-the-fly sweeps expand chunk-local lazy graphs whose edge
-  // order depends on the visited range, so persisted columns from one
-  // cut would be garbage under another. The sweep itself refuses
-  // partial-range stores, but gate here too so the intent is explicit:
-  // only the eager engine (fixed edge order from Create) shares columns
-  // across chunked sweeps.
-  if (OnTheFlyEnabled() && !opts.force_eager) opts.leaf_store = nullptr;
+  // Chunked sweeps expand chunk-local lazy graphs whose edge order
+  // depends on the visited range, so persisted columns from one cut
+  // would be garbage under another. The sweep itself refuses
+  // partial-range stores, but gate here too so the intent is explicit.
+  opts.leaf_store = nullptr;
 
   LtlVerifyResult result;
   result.databases_checked = 1;
   std::mutex stats_mu;
   uint64_t total_product_states = 0;
 
-  // One chunked sweep of [from, n) over each context in `legs`,
-  // lowest-index-wins on `board`. The contexts are immutable; chunks
-  // share them freely. Each chunk's sweep keeps its own FO-leaf memo and
-  // valuation-class table (call-local state in CheckValuations), so
-  // chunking trades collapse for balance: with class collapsing on, one
-  // contiguous shard per worker maximizes the per-shard collapse rate
-  // (and repeats cost next to nothing, so imbalance matters little);
-  // with the naive sweep forced, oversubscribe 4x so uneven valuation
-  // costs load-balance. Work counters sum exactly across shards either
-  // way — only the per-shard split (memo hits vs misses, classes vs
-  // hits) depends on the cut.
-  //
-  // Two legs implement the "portfolio" selection: both sweep the same
-  // index space under different search strategies, interleaved in one
-  // pool, and the first event at the lowest index cancels every chunk of
-  // either leg that can no longer win (best_index is one shared signal).
-  // Verdict and witness *valuation* stay deterministic — any recorded
-  // index is a genuine violation index, and the chunk containing the
-  // true minimum is never cancelled before sweeping it — but the witness
-  // run at that index may come from either leg (both replay through
-  // verify/witness_check.h).
-  auto run_chunked = [&](const std::vector<const LtlDatabaseCheck*>& legs,
-                         uint64_t from, EventBoard& board) {
-    const uint64_t n = legs.front()->NumValuations();
+  // One chunked sweep of [from, n) over `chk`, lowest-index-wins on
+  // `board`. The context is immutable; chunks share it freely. Each
+  // chunk's sweep keeps its own FO-leaf memo and valuation-class table
+  // (call-local state in CheckValuations), so chunking trades collapse
+  // for balance: with class collapsing on, one contiguous shard per
+  // worker maximizes the per-shard collapse rate (and repeats cost next
+  // to nothing, so imbalance matters little); with the naive sweep
+  // forced, oversubscribe 4x so uneven valuation costs load-balance.
+  // Work counters sum exactly across shards either way — only the
+  // per-shard split (memo hits vs misses, classes vs hits) depends on
+  // the cut.
+  auto run_chunked = [&](const LtlDatabaseCheck& chk, uint64_t from,
+                         EventBoard& board) {
+    const uint64_t n = chk.NumValuations();
     if (from >= n) return;
     const uint64_t range = n - from;
     const uint64_t num_chunks = std::min<uint64_t>(
         range,
         static_cast<uint64_t>(jobs_) * (ClassCollapseEnabled() ? 1 : 4));
     const uint64_t chunk = (range + num_chunks - 1) / num_chunks;
-    // A portfolio race needs both legs in flight even at jobs == 1.
-    ThreadPool pool(legs.size() > 1 ? std::max(jobs_, 2) : jobs_);
+    ThreadPool pool(jobs_);
     for (uint64_t begin = from; begin < n; begin += chunk) {
       const uint64_t end = std::min(n, begin + chunk);
-      for (const LtlDatabaseCheck* chk : legs) {
-        WSV_COUNT1("verify/valuation_chunks");
-        pool.Submit([&, chk, begin, end] {
-          if (board.best_index.load(std::memory_order_relaxed) <= begin) {
-            return;
-          }
-          uint64_t product_states = 0;
-          auto found_or = chk->CheckValuations(
-              begin, end,
-              [&board](uint64_t i) {
-                return board.best_index.load(std::memory_order_relaxed) <= i;
-              },
-              &product_states);
-          {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            total_product_states += product_states;
-          }
-          if (!found_or.ok()) {
-            if (found_or.status().code() != StatusCode::kCancelled) {
-              // Key the error by the chunk's first index (a lower bound
-              // on where it occurred).
-              if (board.Record(begin, true, found_or.status(),
-                               std::nullopt)) {
-                WSV_COUNT1("verify/cancellations_signalled");
-                pool.CancelPending();
-              }
-            }
-            return;
-          }
-          if (found_or->has_value()) {
-            if (board.Record((**found_or).valuation_index, false,
-                             Status::OK(), std::move((**found_or).cex))) {
+      WSV_COUNT1("verify/valuation_chunks");
+      pool.Submit([&, begin, end] {
+        if (board.best_index.load(std::memory_order_relaxed) <= begin) {
+          return;
+        }
+        uint64_t product_states = 0;
+        auto found_or = chk.CheckValuations(
+            begin, end,
+            [&board](uint64_t i) {
+              return board.best_index.load(std::memory_order_relaxed) <= i;
+            },
+            &product_states);
+        {
+          std::lock_guard<std::mutex> lock(stats_mu);
+          total_product_states += product_states;
+        }
+        if (!found_or.ok()) {
+          if (found_or.status().code() != StatusCode::kCancelled) {
+            // Key the error by the chunk's first index (a lower bound
+            // on where it occurred).
+            if (board.Record(begin, true, found_or.status(), std::nullopt)) {
               WSV_COUNT1("verify/cancellations_signalled");
               pool.CancelPending();
             }
           }
-        });
-      }
+          return;
+        }
+        if (found_or->has_value()) {
+          if (board.Record((**found_or).valuation_index, false, Status::OK(),
+                           std::move((**found_or).cex))) {
+            WSV_COUNT1("verify/cancellations_signalled");
+            pool.CancelPending();
+          }
+        }
+      });
     }
     pool.Wait();
   };
-
-  // The portfolio's legs: the deterministic dfs leg plus a directed
-  // hunter. Non-portfolio selections run one leg with the options as
-  // given (per-shard strategies flow through the shared context).
-  LtlVerifyOptions leg_opts = opts;
-  if (portfolio) leg_opts.search.strategy = "dfs";
-  LtlVerifyOptions directed_opts = opts;
-  directed_opts.search.strategy = "directed";
 
   // Phase 1 (when slicing applies): chunked abort-on-lasso sweep of the
   // sliced spec. The lowest marker index is exactly the first index
@@ -395,28 +368,15 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
   }
   if (sliced != nullptr) {
     LtlVerifyOptions sliced_opts =
-        SlicedCheckOptions(leg_opts, *service_, property, database);
+        SlicedCheckOptions(opts, *service_, property, database);
     WSV_ASSIGN_OR_RETURN(
         LtlDatabaseCheck sliced_check,
         LtlDatabaseCheck::Create(sliced.get(), sliced_opts, &property,
                                  &automaton, database));
-    std::optional<LtlDatabaseCheck> sliced_directed;
-    std::vector<const LtlDatabaseCheck*> sliced_legs{&sliced_check};
-    if (portfolio) {
-      LtlVerifyOptions sliced_dir_opts =
-          SlicedCheckOptions(directed_opts, *service_, property, database);
-      auto dir_or = LtlDatabaseCheck::Create(sliced.get(), sliced_dir_opts,
-                                             &property, &automaton, database);
-      if (!dir_or.ok()) return dir_or.status();
-      sliced_directed.emplace(std::move(*dir_or));
-      sliced_legs.push_back(&*sliced_directed);
-    }
     EventBoard marker_board;
-    run_chunked(sliced_legs, 0, marker_board);
-    for (const LtlDatabaseCheck* leg : sliced_legs) {
-      result.total_graph_nodes += leg->graph_nodes();
-      if (leg->truncated()) result.complete_within_bounds = false;
-    }
+    run_chunked(sliced_check, 0, marker_board);
+    result.total_graph_nodes += sliced_check.graph_nodes();
+    if (sliced_check.truncated()) result.complete_within_bounds = false;
     if (marker_board.best_index.load() != UINT64_MAX) {
       if (marker_board.is_error) return marker_board.error;
       sweep_begin = marker_board.best_index.load();
@@ -428,18 +388,8 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
 
   WSV_ASSIGN_OR_RETURN(
       LtlDatabaseCheck check,
-      LtlDatabaseCheck::Create(service_, leg_opts, &property, &automaton,
+      LtlDatabaseCheck::Create(service_, opts, &property, &automaton,
                                database));
-  std::optional<LtlDatabaseCheck> check_directed;
-  std::vector<const LtlDatabaseCheck*> full_legs{&check};
-  if (portfolio) {
-    auto dir_or = LtlDatabaseCheck::Create(service_, directed_opts, &property,
-                                           &automaton, database);
-    if (!dir_or.ok()) return dir_or.status();
-    check_directed.emplace(std::move(*dir_or));
-    full_legs.push_back(&*check_directed);
-  }
-
   const uint64_t n = check.NumValuations();
   if (n == 0) {
     result.total_graph_nodes += check.graph_nodes();
@@ -448,7 +398,7 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
   }
 
   EventBoard board;
-  run_chunked(full_legs, sweep_begin, board);
+  run_chunked(check, sweep_begin, board);
   if (board.first_event_ns != 0) {
     if (!board.is_error) {
       WSV_HIST("verify/time_to_first_cex_ns",
@@ -457,12 +407,10 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
     WSV_HIST("verify/cancel_drain_ns", WSV_OBS_NOW() - board.first_event_ns);
   }
 
-  // Graph accounting after the sweeps: in on-the-fly mode the graphs are
-  // expanded (and possibly truncated) by the per-shard sweeps.
-  for (const LtlDatabaseCheck* leg : full_legs) {
-    result.total_graph_nodes += leg->graph_nodes();
-    if (leg->truncated()) result.complete_within_bounds = false;
-  }
+  // Graph accounting after the sweeps: the graphs are expanded (and
+  // possibly truncated) by the per-shard sweeps.
+  result.total_graph_nodes += check.graph_nodes();
+  if (check.truncated()) result.complete_within_bounds = false;
   result.total_product_states = total_product_states;
   if (board.best_index.load() != UINT64_MAX) {
     if (board.is_error) return board.error;

@@ -6,8 +6,7 @@
 // valuations are independent. The engine fans out accordingly:
 //
 //   Verify            — one task per enumerated database; each task runs
-//                       the full per-database check (configuration graph
-//                       + valuation sweep).
+//                       the full per-database valuation sweep.
 //   VerifyOnDatabase  — one shared LtlDatabaseCheck context, with the
 //                       valuation index space [0, N) chunked across
 //                       tasks.
@@ -28,14 +27,7 @@
 // (LtlDatabaseCheck::CheckValuations's stop predicate).
 //
 // Search strategies (LtlVerifyOptions::search): every shard runs the
-// selected strategy through its shared LtlDatabaseCheck context. The
-// "portfolio" selection is resolved by VerifyOnDatabase as a race of a
-// dfs leg against a directed leg over the same valuation index space —
-// first event at the lowest index wins and cancels both legs (so the
-// verdict and witness valuation match the serial dfs sweep exactly; the
-// witness run may come from either leg and always revalidates). Verify
-// (the multi-database sweep) and jobs == 1 delegation resolve
-// "portfolio" to its deterministic dfs leg.
+// selected strategy through its shared LtlDatabaseCheck context.
 
 #ifndef WSV_VERIFY_PARALLEL_H_
 #define WSV_VERIFY_PARALLEL_H_

@@ -1,7 +1,7 @@
 // Independent validation of violation witnesses.
 //
-// A counterexample produced by either verification pipeline (eager or
-// on-the-fly) is an ultimately periodic run. This validator re-derives
+// A counterexample produced by the verifier (or by the test-only
+// reference checker) is an ultimately periodic run. This validator re-derives
 // the run through the runtime stepper — the single source of truth for
 // Definition 2.3's successor semantics — and checks, without trusting
 // any verifier state:

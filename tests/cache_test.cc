@@ -608,38 +608,46 @@ TEST(VerifyCacheTest, LintTextPersistsPerSpec) {
 #ifndef WSV_OBS_DISABLED
 // FO-leaf truth columns persist on disk: a fresh process (modeled by a
 // fresh cache instance and verifier) loads the published columns
-// instead of re-evaluating every leaf.
+// instead of re-evaluating every leaf, and reports the same verdict and
+// byte-identical witness. Both properties run full-range sweeps (the
+// violated one is ground, so its re-check starts at index 0), which is
+// where the verifier consults the store.
 TEST(VerifyCacheTest, LeafColumnsPersistAcrossInstances) {
-  const std::string dir = FreshCacheDir("leafcols");
-  Request r = MakeRequest(kSpec, "G(!CP | logged_in)");
-  r.options.force_eager = true;
+  for (const char* text : {"G(!CP | logged_in)", "G(!MP)"}) {
+    SCOPED_TRACE(text);
+    const bool violated = std::string(text) == "G(!MP)";
+    const std::string dir =
+        FreshCacheDir(violated ? "leafcols_violated" : "leafcols_holds");
+    Request r = MakeRequest(kSpec, text);
 
-  obs::MetricsSnapshot before = obs::SnapshotMetrics();
-  CachedVerdict first;
-  {
-    VerifyCache::Config cfg;
-    cfg.dir = dir;
-    VerifyCache cache(std::move(cfg));
-    r.options.leaf_store_context = VerifyCache::LeafContext(
-        r.key, r.service, r.property, r.db, r.options, /*on_the_fly=*/false);
-    r.options.leaf_store = cache.leaf_store();
-    first = ColdVerdict(r);
-  }
-  obs::MetricsSnapshot mid = obs::SnapshotMetrics();
-  EXPECT_GT(CounterDelta(before, mid, "cache/leaf_cols_published"), 0u);
+    obs::MetricsSnapshot before = obs::SnapshotMetrics();
+    CachedVerdict first;
+    {
+      VerifyCache::Config cfg;
+      cfg.dir = dir;
+      VerifyCache cache(std::move(cfg));
+      r.options.leaf_store_context = VerifyCache::LeafContext(
+          r.key, r.service, r.property, r.db, r.options);
+      r.options.leaf_store = cache.leaf_store();
+      first = ColdVerdict(r);
+    }
+    obs::MetricsSnapshot mid = obs::SnapshotMetrics();
+    EXPECT_GT(CounterDelta(before, mid, "cache/leaf_cols_published"), 0u);
 
-  {
-    VerifyCache::Config cfg;
-    cfg.dir = dir;
-    VerifyCache cache(std::move(cfg));
-    r.options.leaf_store = cache.leaf_store();
-    CachedVerdict second = ColdVerdict(r);
-    EXPECT_EQ(second.holds, first.holds);
-    EXPECT_EQ(second.witness_text, first.witness_text);
-    EXPECT_EQ(second.total_product_states, first.total_product_states);
+    {
+      VerifyCache::Config cfg;
+      cfg.dir = dir;
+      VerifyCache cache(std::move(cfg));
+      r.options.leaf_store = cache.leaf_store();
+      CachedVerdict second = ColdVerdict(r);
+      EXPECT_EQ(second.holds, first.holds);
+      EXPECT_EQ(second.witness_text, first.witness_text);
+      EXPECT_EQ(second.total_product_states, first.total_product_states);
+    }
+    obs::MetricsSnapshot after = obs::SnapshotMetrics();
+    EXPECT_GT(CounterDelta(mid, after, "cache/leaf_cols_loaded"), 0u);
+    EXPECT_EQ(first.holds, !violated);
   }
-  obs::MetricsSnapshot after = obs::SnapshotMetrics();
-  EXPECT_GT(CounterDelta(mid, after, "cache/leaf_cols_loaded"), 0u);
 }
 #endif
 

@@ -6,10 +6,11 @@
 // domain of a quantified leaf fall back to per-binding evaluation. Both
 // must be invisible in the results. Each seeded quantified property is
 // checked on three gallery services against
-//   - the eager pipeline, which evaluates every binding separately (the
-//     oracle): same verdict, both witnesses replay, and — where the two
-//     engines' lassos agree on faithfulness, see kEagerValuation — the
-//     same witness valuation, i.e. the same lowest violating index;
+//   - the reference checker (reference_checker.h), which evaluates every
+//     binding separately (the oracle): same verdict, both witnesses
+//     replay, and — where the two checkers' lassos agree on
+//     faithfulness, see kReferenceValuation — the same witness
+//     valuation, i.e. the same lowest violating index;
 //   - the on-the-fly sweep with every leaf forced onto per-binding
 //     evaluation (a repeated closure candidate disables the tables,
 //     since answers map back to bindings by value): same verdict and
@@ -31,6 +32,7 @@
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "obs/metrics.h"
+#include "reference_checker.h"
 #include "verify/leaf_store.h"
 #include "verify/ltl_verifier.h"
 #include "verify/parallel.h"
@@ -81,21 +83,21 @@ struct PathCounts {
   uint64_t fallbacks = 0;
 };
 
-// Whether the fuzz compares the witness valuation with the eager
-// oracle's. Each engine keeps one lasso per valuation class and skips a
-// valuation whose value is missing from that lasso's domain, so when a
-// service admits lassos with different domains (the clear loop re-asks
-// for the input constants) the DFS and SCC searches can settle on
-// different lowest faithful valuations. That divergence predates the
+// Whether the fuzz compares the witness valuation with the reference
+// oracle's. Both checkers keep one lasso per valuation (class) and skip
+// a valuation whose value is missing from that lasso's domain, so when
+// a service admits lassos with different domains (the clear loop
+// re-asks for the input constants) the DFS and SCC searches can settle
+// on different lowest faithful valuations. That divergence predates the
 // leaf tables — the per-binding on-the-fly oracle, which reproduces the
 // earlier sweep exactly, matches the set-at-a-time witness byte for
 // byte — so such services check the valuation against that oracle only.
-enum EagerValuation { kEagerValuation, kNoEagerValuation };
+enum ReferenceValuation { kReferenceValuation, kNoReferenceValuation };
 
 void ExpectSetAtATimeExact(const WebService& service,
                            const TemporalProperty& property,
                            const Instance& db, const LtlVerifyOptions& base,
-                           EagerValuation eager_valuation,
+                           ReferenceValuation ref_valuation,
                            const std::string& what, PathCounts* counts) {
   LtlVerifyOptions options = base;
   options.closure_candidates =
@@ -107,10 +109,7 @@ void ExpectSetAtATimeExact(const WebService& service,
   counts->queries += Counter("ltl/fo_leaf_queries");
   counts->fallbacks += Counter("ltl/fo_leaf_fallbacks");
 
-  LtlVerifyOptions eager_opts = options;
-  eager_opts.force_eager = true;
-  auto eager =
-      LtlVerifier(&service, eager_opts).VerifyOnDatabase(property, db);
+  auto ref = ReferenceVerifyOnDatabase(service, property, db, options);
 
   LtlVerifyOptions per_binding_opts = options;
   per_binding_opts.closure_candidates.push_back(
@@ -142,35 +141,34 @@ void ExpectSetAtATimeExact(const WebService& service,
     EXPECT_EQ(warm_queries, 0u) << what;
   }
 
-  ASSERT_EQ(otf.ok(), eager.ok())
+  ASSERT_EQ(otf.ok(), ref.ok())
       << what << ": otf=" << otf.status().ToString()
-      << " eager=" << eager.status().ToString();
+      << " reference=" << ref.status().ToString();
   if (!otf.ok()) return;
   for (const auto* r : {&per_binding, &jobs4, &cold, &warm}) {
     ASSERT_TRUE(r->ok()) << what << ": " << r->status().ToString();
   }
-  EXPECT_EQ(otf->holds, eager->holds) << what;
-  EXPECT_EQ(otf->complete_within_bounds, eager->complete_within_bounds)
+  EXPECT_EQ(otf->holds, ref->holds) << what;
+  EXPECT_EQ(otf->complete_within_bounds, ref->complete_within_bounds)
       << what;
   for (const auto* r : {&per_binding, &jobs4, &cold, &warm}) {
     EXPECT_EQ((*r)->holds, otf->holds) << what;
     EXPECT_EQ(Witness(**r), Witness(*otf)) << what;
   }
-  if (otf->holds || !eager.ok() || eager->holds) return;
+  if (otf->holds || ref->holds) return;
   ASSERT_TRUE(otf->counterexample.has_value()) << what;
-  ASSERT_TRUE(eager->counterexample.has_value()) << what;
-  // The eager search may close a different lasso, but (see
-  // EagerValuation) not at another valuation: lowest index wins in both.
-  if (eager_valuation == kEagerValuation) {
-    EXPECT_EQ(otf->counterexample->valuation,
-              eager->counterexample->valuation)
+  ASSERT_TRUE(ref->counterexample.has_value()) << what;
+  // The reference search may close a different lasso, but (see
+  // ReferenceValuation) not at another valuation: lowest index wins in
+  // both.
+  if (ref_valuation == kReferenceValuation) {
+    EXPECT_EQ(otf->counterexample->valuation, ref->counterexample->valuation)
         << what;
   }
   Status witness = ValidateWitness(service, property, *otf->counterexample);
   EXPECT_TRUE(witness.ok()) << what << ": " << witness.ToString();
-  Status eager_witness =
-      ValidateWitness(service, property, *eager->counterexample);
-  EXPECT_TRUE(eager_witness.ok()) << what << ": " << eager_witness.ToString();
+  Status ref_witness = ValidateWitness(service, property, *ref->counterexample);
+  EXPECT_TRUE(ref_witness.ok()) << what << ": " << ref_witness.ToString();
 }
 
 // FO leaf templates over the closure variables $a and $b ($b = $a for
@@ -249,7 +247,7 @@ std::vector<std::string> SeededProperties(uint32_t seed, int count,
 
 PathCounts FuzzService(const WebService& service, const Instance& db,
                        const LtlVerifyOptions& options,
-                       EagerValuation eager_valuation, uint32_t seed,
+                       ReferenceValuation ref_valuation, uint32_t seed,
                        int count, const FuzzVocab& vocab,
                        const std::string& label) {
   PathCounts counts;
@@ -258,7 +256,7 @@ PathCounts FuzzService(const WebService& service, const Instance& db,
     auto p = ParseTemporalProperty(text, &service.vocab());
     EXPECT_TRUE(p.ok()) << text << ": " << p.status().ToString();
     if (!p.ok()) continue;
-    ExpectSetAtATimeExact(service, *p, db, options, eager_valuation,
+    ExpectSetAtATimeExact(service, *p, db, options, ref_valuation,
                           label + ": " + text, &counts);
   }
   return counts;
@@ -296,7 +294,7 @@ TEST(LeafQueryFuzz, LoginAgreesWithPerBindingOracle) {
       "!(exists z . (user(z, $b) & button(\"login\")))",
   };
   PathCounts c = FuzzService(*ws, LoginDatabase(), options,
-                             kEagerValuation, 20261017u,
+                             kReferenceValuation, 20261017u,
                              kPropertiesPerService, vocab, "login");
   EXPECT_GT(c.queries, 0u);
   EXPECT_GT(c.fallbacks, 0u);
@@ -323,7 +321,7 @@ TEST(LeafQueryFuzz, PaperClearLoopAgreesWithPerBindingOracle) {
       "!(exists z . (error(z) & z = $a))",
   };
   PathCounts c = FuzzService(*ws, LoginDatabase(), options,
-                             kNoEagerValuation, 20261018u,
+                             kNoReferenceValuation, 20261018u,
                              kPropertiesPerService, vocab, "clear-loop");
   EXPECT_GT(c.queries, 0u);
   EXPECT_GT(c.fallbacks, 0u);
@@ -350,7 +348,7 @@ TEST(LeafQueryFuzz, CatalogSearchAgreesWithPerBindingOracle) {
       "(exists z . (I(z) & z != $a))",
   };
   PathCounts c = FuzzService(*ws, CatalogSearchDatabase(), options,
-                             kEagerValuation, 20261019u,
+                             kReferenceValuation, 20261019u,
                              kPropertiesPerService, vocab, "catalog");
   EXPECT_GT(c.queries, 0u);
   EXPECT_GT(c.fallbacks, 0u);
@@ -397,7 +395,7 @@ error ERR;
     SCOPED_TRACE(text);
     auto p = ParseTemporalProperty(text, &ws->vocab());
     ASSERT_TRUE(p.ok()) << p.status().ToString();
-    ExpectSetAtATimeExact(*ws, *p, db, options, kEagerValuation, text,
+    ExpectSetAtATimeExact(*ws, *p, db, options, kReferenceValuation, text,
                           &counts);
   }
   EXPECT_GT(counts.queries, 0u);

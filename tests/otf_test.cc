@@ -1,24 +1,25 @@
-// On-the-fly vs eager pipeline equivalence, witness validation, and
-// determinism (`ctest -L otf`).
+// On-the-fly verifier vs reference checker equivalence, witness
+// validation, and determinism (`ctest -L otf`).
 //
-// The on-the-fly nested-DFS path is the default; the eager pipeline
-// (full configuration graph + full product + SCC emptiness) is the
-// oracle it is checked against, per property:
+// The verifier (lazy configuration graph, nested-DFS product search,
+// class collapse, slicing) is checked against the reference checker
+// (reference_checker.h: full configuration graph + full product per
+// valuation + SCC emptiness), per property:
 //   - identical verdicts on the gallery services and on seeded random
 //     formulas,
 //   - every VIOLATED verdict yields a witness that survives the
 //     standalone replay validator,
 //   - lowest-valuation-index witness selection is deterministic, and
-//     the `force_eager` option matches the WSV_DISABLE_ONTHEFLY toggle.
+//     the removed `force_eager` option is rejected.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <string>
 
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
+#include "reference_checker.h"
 #include "verify/ltl_verifier.h"
 #include "verify/parallel.h"
 #include "verify/witness_check.h"
@@ -28,43 +29,35 @@ namespace {
 
 Value V(const char* s) { return Value::Intern(s); }
 
-// Forces the eager pipeline via the environment for one scope, the way
-// `WSV_DISABLE_ONTHEFLY=1 wsvcli verify` would.
-struct ScopedDisableOtf {
-  ScopedDisableOtf() { setenv("WSV_DISABLE_ONTHEFLY", "1", 1); }
-  ~ScopedDisableOtf() { unsetenv("WSV_DISABLE_ONTHEFLY"); }
-};
-
-// Runs one (service, property, database) through both pipelines and
-// requires verdict agreement. On VIOLATED both must pick the witness at
-// the same (lowest) valuation index, and the on-the-fly witness must
-// survive the independent replay validator. The lasso itself may differ
-// between pipelines (different emptiness searches), so only the
-// valuation is compared across them.
+// Runs one (service, property, database) through the verifier and the
+// reference checker and requires verdict agreement. On VIOLATED both
+// must pick the witness at the same (lowest) valuation index, and both
+// witnesses must survive the independent replay validator. The lasso
+// itself may differ (different emptiness searches), so only the
+// valuation is compared.
 void ExpectEquivalent(const WebService& service,
                       const TemporalProperty& property, const Instance& db,
-                      LtlVerifyOptions options, const std::string& what) {
-  options.force_eager = false;
+                      const LtlVerifyOptions& options,
+                      const std::string& what) {
   auto r_otf = LtlVerifier(&service, options).VerifyOnDatabase(property, db);
-  options.force_eager = true;
-  auto r_eager = LtlVerifier(&service, options).VerifyOnDatabase(property, db);
-  ASSERT_EQ(r_otf.ok(), r_eager.ok())
+  auto r_ref = ReferenceVerifyOnDatabase(service, property, db, options);
+  ASSERT_EQ(r_otf.ok(), r_ref.ok())
       << what << ": otf=" << r_otf.status().ToString()
-      << " eager=" << r_eager.status().ToString();
+      << " reference=" << r_ref.status().ToString();
   if (!r_otf.ok()) return;
-  EXPECT_EQ(r_otf->holds, r_eager->holds) << what;
-  EXPECT_EQ(r_otf->complete_within_bounds, r_eager->complete_within_bounds)
+  EXPECT_EQ(r_otf->holds, r_ref->holds) << what;
+  EXPECT_EQ(r_otf->complete_within_bounds, r_ref->complete_within_bounds)
       << what;
-  if (r_otf->holds || r_otf->holds != r_eager->holds) return;
+  if (r_otf->holds || r_otf->holds != r_ref->holds) return;
   ASSERT_TRUE(r_otf->counterexample.has_value()) << what;
-  ASSERT_TRUE(r_eager->counterexample.has_value()) << what;
-  EXPECT_EQ(r_otf->counterexample->valuation, r_eager->counterexample->valuation)
+  ASSERT_TRUE(r_ref->counterexample.has_value()) << what;
+  EXPECT_EQ(r_otf->counterexample->valuation, r_ref->counterexample->valuation)
       << what;
   Status otf_witness = ValidateWitness(service, property, *r_otf->counterexample);
   EXPECT_TRUE(otf_witness.ok()) << what << ": " << otf_witness.ToString();
-  Status eager_witness =
-      ValidateWitness(service, property, *r_eager->counterexample);
-  EXPECT_TRUE(eager_witness.ok()) << what << ": " << eager_witness.ToString();
+  Status ref_witness =
+      ValidateWitness(service, property, *r_ref->counterexample);
+  EXPECT_TRUE(ref_witness.ok()) << what << ": " << ref_witness.ToString();
 }
 
 class LoginOtfTest : public ::testing::Test {
@@ -100,8 +93,8 @@ TEST_F(LoginOtfTest, GalleryPropertiesAgree) {
 }
 
 TEST_F(LoginOtfTest, SeededRandomFormulasAgree) {
-  // Seeded formula fuzzing (no wall-clock APIs): both pipelines must
-  // agree on every generated formula, and every violation witness must
+  // Seeded formula fuzzing (no wall-clock APIs): verifier and reference
+  // must agree on every generated formula, and every violation witness must
   // replay. Atoms cover pages, a state proposition, and an FO leaf.
   std::mt19937 rng(20260806u);
   auto pick = [&rng](int n) {
@@ -149,26 +142,22 @@ TEST_F(LoginOtfTest, OnTheFlyWitnessIsDeterministic) {
   EXPECT_EQ(r1->counterexample->ToString(), r2->counterexample->ToString());
 }
 
-TEST_F(LoginOtfTest, ForceEagerMatchesEnvironmentToggle) {
-  // `--eager` (the option) and WSV_DISABLE_ONTHEFLY=1 (the environment
-  // oracle switch) must select the same pipeline: identical witnesses,
-  // byte for byte.
+TEST_F(LoginOtfTest, ForceEagerIsRejected) {
+  // The eager engine is gone; its option survives only as a compile
+  // shim, and setting it fails closed in both verifiers.
   auto p = ParseTemporalProperty("G(!MP)", &service_.vocab());
   ASSERT_TRUE(p.ok());
   LtlVerifyOptions options = options_;
   options.force_eager = true;
-  auto r_flag = LtlVerifier(&service_, options).VerifyOnDatabase(*p, db_);
-  std::string env_cex;
-  {
-    ScopedDisableOtf disable;
-    auto r_env = LtlVerifier(&service_, options_).VerifyOnDatabase(*p, db_);
-    ASSERT_TRUE(r_env.ok());
-    ASSERT_TRUE(r_env->counterexample.has_value());
-    env_cex = r_env->counterexample->ToString();
+  auto serial = LtlVerifier(&service_, options).VerifyOnDatabase(*p, db_);
+  EXPECT_EQ(serial.status().code(), StatusCode::kInvalidArgument);
+  for (int jobs : {1, 4}) {
+    auto parallel =
+        ParallelLtlVerifier(&service_, options, jobs).VerifyOnDatabase(*p, db_);
+    EXPECT_EQ(parallel.status().code(), StatusCode::kInvalidArgument) << jobs;
+    auto swept = ParallelLtlVerifier(&service_, options, jobs).Verify(*p);
+    EXPECT_EQ(swept.status().code(), StatusCode::kInvalidArgument) << jobs;
   }
-  ASSERT_TRUE(r_flag.ok());
-  ASSERT_TRUE(r_flag->counterexample.has_value());
-  EXPECT_EQ(r_flag->counterexample->ToString(), env_cex);
 }
 
 TEST_F(LoginOtfTest, ParallelJobsAgreeWithSerial) {
@@ -219,7 +208,7 @@ class EcommerceOtfTest : public ::testing::Test {
 TEST_F(EcommerceOtfTest, Property1ViolatedIdentically) {
   // Paper Property 1 (eventuality not enforced): the flagship early-exit
   // case — the on-the-fly search finds the lasso in ~100 product states
-  // where the eager pipeline builds 159k.
+  // where the full product has 159k.
   auto p = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))",
                                  &service_.vocab());
   ASSERT_TRUE(p.ok());

@@ -1,17 +1,17 @@
 // Pluggable accepting-lasso search strategies (`ctest -L search`).
 //
-// The canonical CVWY "dfs" strategy is the oracle: every other strategy
-// ("directed", "restart", the engine-level "portfolio") and the eager
-// pipeline must agree with it on every verdict, pick the witness at the
-// same (lowest) valuation index, and produce only witnesses that survive
-// the standalone replay validator. Which *lasso* is returned may differ
-// per strategy — that freedom is exactly what the strategies exploit.
+// The reference checker (reference_checker.h) is the oracle: both
+// strategies ("dfs" and "directed") must agree with it on every verdict,
+// pick the witness at the same (lowest) valuation index, and produce
+// only witnesses that survive the standalone replay validator. Which
+// *lasso* is returned may differ per strategy — that freedom is exactly
+// what the strategies exploit.
 //
-// Also here: deterministic replay of a recorded restart seed, soundness
-// of commuting-input successor pruning (verdicts identical with pruning
-// on and off, and the pruning provably fired), registry error paths, and
-// cancellation drain of the racing strategies under jobs=4 (the suite is
-// in the tsan label for that reason).
+// Also here: soundness of commuting-input successor pruning (verdicts
+// identical with pruning on and off, and the pruning provably fired),
+// the strategy factory's error path, and cancellation drain of the
+// chunked strategies under jobs=4 (the suite is in the tsan label for
+// that reason).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "obs/metrics.h"
+#include "reference_checker.h"
 #include "verify/ltl_verifier.h"
 #include "verify/parallel.h"
 #include "verify/witness_check.h"
@@ -37,39 +38,32 @@ struct EngineResult {
   StatusOr<LtlVerifyResult> result = Status::OK();
 };
 
-// Runs one (service, property, database) through the eager oracle, the
-// serial sweep under each registered strategy, and the parallel
-// portfolio race, then cross-checks all of them. Witness *runs* are not
-// compared across engines (strategies legitimately find different
-// lassos); verdict, completeness, witness valuation, and witness
-// validity are.
+// Runs one (service, property, database) through the reference oracle,
+// the serial sweep under each strategy, and the parallel sweep under
+// "directed", then cross-checks them. Witness *runs* are not compared
+// (strategies legitimately find different lassos); verdict,
+// completeness, witness valuation, and witness validity are.
 void ExpectStrategiesAgree(const WebService& service,
                            const TemporalProperty& property,
                            const Instance& db, LtlVerifyOptions options,
                            const std::string& what) {
   std::vector<EngineResult> results;
 
-  LtlVerifyOptions eager = options;
-  eager.force_eager = true;
   results.push_back(
-      {"eager", LtlVerifier(&service, eager).VerifyOnDatabase(property, db)});
-
-  for (const std::string& name : RegisteredSearchStrategies()) {
+      {"reference", ReferenceVerifyOnDatabase(service, property, db, options)});
+  for (const char* name : {"dfs", "directed"}) {
     LtlVerifyOptions opt = options;
     opt.search.strategy = name;
-    // Keep restart attempts short so the fuzz actually exercises the
-    // restart path, not just the final exhaustive attempt.
-    opt.search.restart_visit_budget = 8;
-    opt.search.max_restarts = 2;
     results.push_back(
         {name, LtlVerifier(&service, opt).VerifyOnDatabase(property, db)});
   }
-
   {
+    // The chunked parallel sweep under the non-default strategy.
     LtlVerifyOptions opt = options;
-    opt.search.strategy = "portfolio";
+    opt.search.strategy = "directed";
     ParallelLtlVerifier verifier(&service, opt, /*jobs=*/2);
-    results.push_back({"portfolio", verifier.VerifyOnDatabase(property, db)});
+    results.push_back(
+        {"directed jobs=2", verifier.VerifyOnDatabase(property, db)});
   }
 
   const EngineResult& oracle = results.front();
@@ -210,47 +204,6 @@ TEST(StrategyEcommerce, QuantifiedClosureAgreesAcrossStrategies) {
                         "login quantified");
 }
 
-// --- restart determinism ----------------------------------------------
-
-TEST(RestartStrategy, RecordedSeedReplaysIdentically) {
-  auto ws = BuildLoginService();
-  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
-  Instance db = LoginDatabase();
-  auto p = ParseTemporalProperty("G(!MP)", &ws->vocab());
-  ASSERT_TRUE(p.ok());
-
-  LtlVerifyOptions options;
-  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
-  options.search.strategy = "restart";
-  options.search.restart_seed = 424242;
-  options.search.restart_visit_budget = 2;  // force real restarts
-  options.search.max_restarts = 3;
-
-  obs::ResetMetrics();
-  auto r1 = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_FALSE(r1->holds);
-  ASSERT_TRUE(r1->counterexample.has_value());
-  // The tiny budget must have exhausted at least one attempt, or the
-  // test is not exercising the restart path at all.
-  EXPECT_GT(obs::SnapshotMetrics().CounterValue("search/restarts"), 0u);
-
-  auto r2 = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  ASSERT_TRUE(r2->counterexample.has_value());
-  EXPECT_EQ(r1->counterexample->ToString(), r2->counterexample->ToString());
-
-  // A different seed may find a different lasso, but never a different
-  // verdict, and its witness still replays.
-  options.search.restart_seed = 777;
-  auto r3 = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
-  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
-  EXPECT_FALSE(r3->holds);
-  ASSERT_TRUE(r3->counterexample.has_value());
-  Status witness = ValidateWitness(*ws, *p, *r3->counterexample);
-  EXPECT_TRUE(witness.ok()) << witness.ToString();
-}
-
 // --- directed heuristic telemetry --------------------------------------
 
 TEST(DirectedStrategy, HeuristicEvaluationsAreCounted) {
@@ -355,27 +308,45 @@ TEST(CommutingPruning, ObservedInputsAreNeverPruned) {
             0u);
 }
 
-// --- registry ----------------------------------------------------------
+// --- strategy factory --------------------------------------------------
 
 TEST(StrategyRegistry, BuiltinsRegisteredAndUnknownNamesRejected) {
-  std::vector<std::string> names = RegisteredSearchStrategies();
-  EXPECT_NE(std::find(names.begin(), names.end(), "dfs"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "directed"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "restart"), names.end());
-
-  SearchOptions bogus;
-  bogus.strategy = "simulated-annealing";
-  auto made = MakeSearchStrategy(bogus);
-  EXPECT_FALSE(made.ok());
-  EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
-
-  // "portfolio" is an engine-level selection: the factory resolves it to
-  // the deterministic dfs leg.
-  SearchOptions portfolio;
-  portfolio.strategy = "portfolio";
-  auto leg = MakeSearchStrategy(portfolio);
-  ASSERT_TRUE(leg.ok());
-  EXPECT_STREQ((*leg)->name(), "dfs");
+  for (const char* name : {"dfs", "directed"}) {
+    SearchOptions options;
+    options.strategy = name;
+    auto made = MakeSearchStrategy(options);
+    ASSERT_TRUE(made.ok()) << name;
+    EXPECT_STREQ((*made)->name(), name);
+  }
+  // Removed and made-up names fail closed, naming the known strategies —
+  // through the factory and through both verifiers.
+  auto ws = BuildLoginService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  auto p = ParseTemporalProperty("G(!MP)", &ws->vocab());
+  ASSERT_TRUE(p.ok());
+  for (const char* name : {"restart", "portfolio", "simulated-annealing"}) {
+    SearchOptions bogus;
+    bogus.strategy = name;
+    auto made = MakeSearchStrategy(bogus);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(made.status().message(),
+              std::string("unknown search strategy '") + name +
+                  "' (known: dfs, directed)");
+    LtlVerifyOptions options;
+    options.search = bogus;
+    EXPECT_EQ(LtlVerifier(&*ws, options)
+                  .VerifyOnDatabase(*p, LoginDatabase())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_EQ(ParallelLtlVerifier(&*ws, options, /*jobs=*/4)
+                  .VerifyOnDatabase(*p, LoginDatabase())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 // --- cancellation drain under jobs=4 (tsan) ----------------------------
@@ -406,7 +377,6 @@ TEST_P(StrategyCancellationTest, EarlyExitDrainsCleanly) {
   }
 
   options.search.strategy = GetParam();
-  options.search.restart_visit_budget = 4;
   ParallelLtlVerifier verifier(&*ws, options, /*jobs=*/4);
   auto r = verifier.VerifyOnDatabase(*p, db);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -420,8 +390,7 @@ TEST_P(StrategyCancellationTest, EarlyExitDrainsCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyCancellationTest,
-                         ::testing::Values("directed", "restart",
-                                           "portfolio"));
+                         ::testing::Values("dfs", "directed"));
 
 }  // namespace
 }  // namespace wsv

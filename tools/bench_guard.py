@@ -19,11 +19,10 @@ The special "__compare__" key holds cross-benchmark ratio rules, each
 asserting numerator-counter / denominator-counter <= max_ratio:
 
     "__compare__": [
-      {"label": "on-the-fly beats eager on Property 1",
-       "numerator": ["BM_Property1_Ecommerce", "obs_otf_states_created"],
-       "denominator": ["BM_Property1_Ecommerce_Eager",
-                       "obs_product_states"],
-       "max_ratio": 0.2}
+      {"label": "directed search reaches the deep lasso cheaper than CVWY",
+       "numerator": ["BM_DeepLasso_Directed", "obs_otf_states_created"],
+       "denominator": ["BM_DeepLasso_Dfs", "obs_otf_states_created"],
+       "max_ratio": 0.7}
     ]
 
 The budgeted counters are *work* counters (products built, nodes
@@ -31,8 +30,8 @@ expanded), not timings, so the guard is immune to machine noise: a
 budget trips only when a code change makes the verifier do more work —
 e.g. a regression in the valuation-class collapse would send
 obs_products_built from 2 back to 9 on the pay-before-ship sweep, and a
-regression in the on-the-fly early exit would push the Property-1 ratio
-toward 1.
+regression in the on-the-fly early exit would push Property 1's
+obs_product_states past its budget.
 
 Usage: bench_guard.py BENCH_BINARY BUDGETS_JSON [--min-time SECS]
        bench_guard.py REPORT_JSON BUDGETS_JSON --json-report

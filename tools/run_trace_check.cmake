@@ -28,8 +28,8 @@ endif()
 
 execute_process(
   COMMAND "${PYTHON}" "${CHECKER}" "${TRACE_OUT}"
-          # config_graph/build only exists on the eager path; the
-          # on-the-fly default expands the graph inside the sweep span.
+          # The verifier expands the configuration graph inside the
+          # sweep span (there is no separate config_graph/build span).
           --require-span verify/parallel_db_sweep
           --require-span verify/check_valuations
   RESULT_VARIABLE check_rc)

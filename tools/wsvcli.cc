@@ -13,20 +13,18 @@
 //       conditions i-iii); without a database, enumerate databases up to
 //       the bound.
 //   wsvcli verify <spec.wsv> <property> [db.wsd] [--pool a,b,c]
-//                 [--fresh N] [--unchecked] [--eager] [--jobs N]
+//                 [--fresh N] [--unchecked] [--jobs N]
 //                 [--no-fo-bytecode] [--stats] [--stats-json FILE]
 //                 [--trace-out FILE] [--progress] [--log-json FILE]
 //                 [--heartbeat SECS] [--watchdog-deadline SECS]
 //                 [--step-budget N]
 //       Verify an LTL-FO property (Theorem 3.5); --unchecked skips the
-//       input-boundedness gate. By default the product is searched
-//       on-the-fly (configurations expanded only as the nested DFS
-//       reaches them, stopping at the first accepting cycle); --eager
-//       forces the classic pipeline — full configuration graph, full
-//       product, SCC emptiness — as an oracle for A/B runs. --jobs N
-//       fans the database/valuation sweep over N worker threads
-//       (default: one per hardware thread; 1 = serial). Verdict and
-//       witness are identical at any job count and in either mode.
+//       input-boundedness gate. The product is searched on-the-fly
+//       (configurations expanded only as the nested DFS reaches them,
+//       stopping at the first accepting cycle). --jobs N fans the
+//       database/valuation sweep over N worker threads (default: one
+//       per hardware thread; 1 = serial). Verdict and witness are
+//       identical at any job count.
 //       --no-fo-bytecode evaluates FO formulas with the tree-walking
 //       interpreter instead of the compiled bytecode engine (same
 //       verdicts, slower; for debugging and A/B runs).
@@ -63,13 +61,10 @@
 //       runs and debugging. WSV_DISABLE_SLICE=1 is the env equivalent.
 //       --search NAME picks the accepting-lasso search strategy
 //       (automata/search_strategy.h): dfs (default, the CVWY nested
-//       DFS), directed (greedy best-first on the Büchi accepting-
-//       distance heuristic), restart (seeded random-restart DFS;
-//       --search-seed N replays a recorded run), or portfolio (the
-//       parallel engine races dfs and directed, first finisher wins).
-//       --search-prune skips commuting interleavings of provably
-//       unobserved inputs. Verdicts are identical under every strategy;
-//       see DESIGN.md §11.
+//       DFS) or directed (greedy best-first on the Büchi accepting-
+//       distance heuristic). --search-prune skips commuting
+//       interleavings of provably unobserved inputs. Verdicts are
+//       identical under every strategy; see DESIGN.md §11.
 //   wsvcli deps <spec.wsv> [--property P] [--format=dot|json]
 //       Dump the whole-spec dependence graph (src/analysis/depgraph.h):
 //       relations, constants, and rules as nodes, reads-edges between
@@ -78,7 +73,7 @@
 //       verifier slices against — and print a summary to stderr. dot
 //       renders for graphviz; json is machine-checkable (see
 //       tools/check_deps_graph.py).
-//   wsvcli replay <jobs.jsonl> [--cache-dir DIR] [--jobs N] [--eager]
+//   wsvcli replay <jobs.jsonl> [--cache-dir DIR] [--jobs N]
 //                 [--quiet] [--bench-json FILE] [--stats]
 //                 [--stats-json FILE] [--log-json FILE] [--trace-out F]
 //       Feed a JSONL request stream (one {"spec": ..., "property": ...}
@@ -161,15 +156,14 @@ int Usage() {
       "  wsvcli check-errors <spec.wsv> [db.wsd] [--pool a,b,c] "
       "[--fresh N]\n"
       "  wsvcli verify <spec.wsv> <property> [db.wsd] [--pool a,b,c] "
-      "[--fresh N] [--unchecked] [--eager] [--jobs N] [--no-fo-bytecode] "
+      "[--fresh N] [--unchecked] [--jobs N] [--no-fo-bytecode] "
       "[--stats] [--stats-json FILE] [--trace-out FILE] [--progress] "
       "[--log-json FILE] [--heartbeat SECS] [--watchdog-deadline SECS] "
       "[--step-budget N] [--cache-dir DIR] [--label NAME] [--no-slice]\n"
-      "      [--search dfs|directed|restart|portfolio] [--search-seed N] "
-      "[--search-prune]\n"
+      "      [--search dfs|directed] [--search-prune]\n"
       "  wsvcli deps <spec.wsv> [--property P] [--format=dot|json]\n"
       "  wsvcli replay <jobs.jsonl> [--cache-dir DIR] [--jobs N] "
-      "[--eager] [--quiet] [--bench-json FILE] [--stats] "
+      "[--quiet] [--bench-json FILE] [--stats] "
       "[--stats-json FILE] [--log-json FILE] [--trace-out FILE]\n"
       "  wsvcli verify-ctl <spec.wsv> <property> <db.wsd> "
       "[--pool a,b,c]\n"
@@ -196,8 +190,6 @@ struct Flags {
   uint64_t seed = 0;
   int fresh = 1;
   bool unchecked = false;
-  /// Force the eager verification pipeline (LtlVerifyOptions::force_eager).
-  bool eager = false;
   /// Worker threads for `verify`; 0 = one per hardware thread.
   int jobs = 0;
   /// Evaluate FO formulas with the tree-walking interpreter instead of
@@ -237,12 +229,9 @@ struct Flags {
   bool no_slice = false;
   /// Deps: property whose cone of influence to highlight; empty = none.
   std::string property;
-  /// Verify: accepting-lasso search strategy ("dfs", "directed",
-  /// "restart", "portfolio"); empty = the verifier default (dfs).
+  /// Verify: accepting-lasso search strategy ("dfs", "directed");
+  /// empty = the verifier default (dfs).
   std::string search;
-  /// Verify: base RNG seed for --search restart (0 = keep the recorded
-  /// default, so runs replay deterministically).
-  uint64_t search_seed = 0;
   /// Verify: enable commuting-input successor pruning.
   bool search_prune = false;
 };
@@ -285,8 +274,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       WSV_ASSIGN_OR_RETURN(flags.fresh, number(0, INT_MAX));
     } else if (arg == "--unchecked") {
       flags.unchecked = true;
-    } else if (arg == "--eager") {
-      flags.eager = true;
     } else if (arg == "--jobs") {
       WSV_ASSIGN_OR_RETURN(flags.jobs, number(0, INT_MAX));
     } else if (arg == "--no-fo-bytecode") {
@@ -324,8 +311,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       WSV_ASSIGN_OR_RETURN(flags.search, next());
     } else if (StartsWith(arg, "--search=")) {
       flags.search = arg.substr(std::strlen("--search="));
-    } else if (arg == "--search-seed") {
-      WSV_ASSIGN_OR_RETURN(flags.search_seed, number(uint64_t{0}, UINT64_MAX));
     } else if (arg == "--search-prune") {
       flags.search_prune = true;
     } else if (arg == "--property") {
@@ -619,10 +604,13 @@ int CmdVerify(const Flags& flags) {
   options.graph.constant_pool = flags.pool;
   options.db.fresh_values = flags.fresh;
   options.require_input_bounded = !flags.unchecked;
-  options.force_eager = flags.eager;
   if (!flags.search.empty()) options.search.strategy = flags.search;
-  if (flags.search_seed != 0) options.search.restart_seed = flags.search_seed;
   options.search.prune_commuting = flags.search_prune;
+  // Before the cache: a hit must not mask an unknown strategy.
+  if (Status st = ValidateVerifyOptions(options); !st.ok()) {
+    finish(st, "ERROR");
+    return Fail(st);
+  }
 
   std::optional<Instance> db;
   if (flags.positional.size() >= 3) {
@@ -672,8 +660,7 @@ int CmdVerify(const Flags& flags) {
     }
     if (db.has_value() && cache::VerifyCache::Enabled()) {
       options.leaf_store_context = cache::VerifyCache::LeafContext(
-          cache_key, *service, *prop, *db, options,
-          /*on_the_fly=*/!options.force_eager && OnTheFlyEnabled());
+          cache_key, *service, *prop, *db, options);
       options.leaf_store = vcache->leaf_store();
     }
   }
@@ -767,7 +754,6 @@ int CmdReplay(const Flags& flags) {
   cache::ReplayOptions options;
   options.cache_dir = flags.cache_dir;
   options.jobs = flags.jobs > 0 ? flags.jobs : 1;
-  options.eager = flags.eager;
   options.quiet = flags.quiet;
   options.log_events = log_enabled;
   auto report = cache::RunReplay(*jobs, options, &vcache);
