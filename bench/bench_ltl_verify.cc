@@ -40,6 +40,8 @@ void MergeObsCounters(benchmark::State& state) {
         benchmark::Counter::kAvgIterations);
   };
   put("obs_nodes_expanded", "config_graph/nodes_expanded");
+  put("obs_graph_nodes", "config_graph/nodes");
+  put("obs_graph_edges", "config_graph/edges");
   put("obs_product_states", "ltl/product_states");
   put("obs_products_built", "ltl/products_built");
   put("obs_valuations_checked", "ltl/valuations_checked");

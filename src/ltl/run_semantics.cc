@@ -18,18 +18,32 @@ std::string LassoRun::ToString() const {
   return out;
 }
 
-StepContext::StepContext(const TraceView& step, const Instance& database,
-                         const WebService& service)
-    : service_(service), kappa_(*step.kappa) {
-  for (const RelationSymbol& sym :
-       service.vocab().RelationsOfKind(SymbolKind::kPage)) {
-    (void)pages_.EnsureRelation(sym.name, 0);
-    pages_.MutableRelation(sym.name)->SetBool(sym.name == *step.page);
+PagePropositions::PagePropositions(const WebService& service) {
+  const std::vector<RelationSymbol> page_syms =
+      service.vocab().RelationsOfKind(SymbolKind::kPage);
+  for (const RelationSymbol& sym : page_syms) {
+    (void)none_.EnsureRelation(sym.name, 0);
   }
+  for (const RelationSymbol& sym : page_syms) {
+    Instance& pages = by_page_[sym.name];
+    pages = none_;
+    pages.MutableRelation(sym.name)->SetBool(true);
+  }
+}
+
+const Instance& PagePropositions::For(const std::string& page) const {
+  auto it = by_page_.find(page);
+  return it == by_page_.end() ? none_ : it->second;
+}
+
+StepContext::StepContext(const TraceView& step, const Instance& database,
+                         const WebService& service,
+                         const PagePropositions& pages)
+    : service_(service), kappa_(*step.kappa) {
   ctx_.AddLayer(step.inputs);
   ctx_.AddLayer(step.state);
   ctx_.AddLayer(step.actions);
-  ctx_.AddLayer(&pages_);
+  ctx_.AddLayer(&pages.For(*step.page));
   ctx_.AddLayer(&database);
   ctx_.SetPrevLayer(step.prev_inputs);
   for (const auto& [name, v] : kappa_) ctx_.SetConstant(name, v);
@@ -111,6 +125,7 @@ StatusOr<bool> QueryFoAtStep(const FormulaPtr& leaf,
 StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
                             const Instance& database,
                             const WebService& service,
+                            const PagePropositions& pages,
                             const Valuation& valuation) {
   WSV_TIMER("ltl/leaf_eval_ns");
   std::shared_ptr<const fobc::Program> prog;
@@ -119,7 +134,7 @@ StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
   // Condition (a) first: a leaf naming an unprovided input constant is
   // false without building the structure.
   if (!ConstantsProvided(service, *step.kappa, *an.csyms)) return false;
-  StepContext context(step, database, service);
+  StepContext context(step, database, service, pages);
   EvalContext& ctx = context.ctx_;
   if (ReadsDomain(prog.get())) {
     for (Value v : *an.lits) ctx.AddDomainValue(v);
@@ -132,6 +147,7 @@ StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
 StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceStep& step,
                             const Instance& database,
                             const WebService& service,
+                            const PagePropositions& pages,
                             const Valuation& valuation) {
   TraceView view;
   view.page = &step.page;
@@ -140,7 +156,7 @@ StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceStep& step,
   view.prev_inputs = &step.prev_inputs;
   view.actions = &step.actions;
   view.kappa = &step.kappa;
-  return EvalFoAtStep(leaf, view, database, service, valuation);
+  return EvalFoAtStep(leaf, view, database, service, pages, valuation);
 }
 
 namespace {
@@ -152,10 +168,12 @@ size_t NextPos(const LassoRun& run, size_t i) {
 class LassoEvaluator {
  public:
   LassoEvaluator(const LassoRun& run, const Instance& database,
-                 const WebService& service, const Valuation& valuation)
+                 const WebService& service, const PagePropositions& pages,
+                 const Valuation& valuation)
       : run_(run),
         database_(database),
         service_(service),
+        pages_(pages),
         valuation_(valuation) {}
 
   StatusOr<std::vector<char>> Truth(const TFormula& f) {
@@ -166,7 +184,8 @@ class LassoEvaluator {
         for (size_t i = 0; i < n; ++i) {
           WSV_ASSIGN_OR_RETURN(bool b,
                                EvalFoAtStep(f.fo(), run_.steps[i],
-                                            database_, service_, valuation_));
+                                            database_, service_, pages_,
+                                            valuation_));
           v[i] = b ? 1 : 0;
         }
         return v;
@@ -229,6 +248,7 @@ class LassoEvaluator {
   const LassoRun& run_;
   const Instance& database_;
   const WebService& service_;
+  const PagePropositions& pages_;
   const Valuation& valuation_;
 };
 
@@ -248,6 +268,19 @@ std::vector<Value> RunDomain(const LassoRun& run, const Instance& database,
   return std::vector<Value>(dom.begin(), dom.end());
 }
 
+StatusOr<bool> EvaluateOnLasso(const TFormula& formula, const LassoRun& run,
+                               const Instance& database,
+                               const WebService& service,
+                               const PagePropositions& pages,
+                               const Valuation& valuation) {
+  if (run.steps.empty() || run.loop_start >= run.steps.size()) {
+    return Status::InvalidArgument("malformed lasso run");
+  }
+  LassoEvaluator eval(run, database, service, pages, valuation);
+  WSV_ASSIGN_OR_RETURN(std::vector<char> v, eval.Truth(formula));
+  return v[0] != 0;
+}
+
 }  // namespace
 
 StatusOr<bool> EvaluateLtlOnLassoWithValuation(const TFormula& formula,
@@ -255,12 +288,8 @@ StatusOr<bool> EvaluateLtlOnLassoWithValuation(const TFormula& formula,
                                                const Instance& database,
                                                const WebService& service,
                                                const Valuation& valuation) {
-  if (run.steps.empty() || run.loop_start >= run.steps.size()) {
-    return Status::InvalidArgument("malformed lasso run");
-  }
-  LassoEvaluator eval(run, database, service, valuation);
-  WSV_ASSIGN_OR_RETURN(std::vector<char> v, eval.Truth(formula));
-  return v[0] != 0;
+  const PagePropositions pages(service);
+  return EvaluateOnLasso(formula, run, database, service, pages, valuation);
 }
 
 StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
@@ -274,9 +303,9 @@ StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
   }
   std::vector<Value> domain = RunDomain(run, database, *prop.formula);
   const std::vector<std::string>& vars = prop.universal_vars;
+  const PagePropositions pages(service);
   if (vars.empty()) {
-    return EvaluateLtlOnLassoWithValuation(*prop.formula, run, database,
-                                           service, {});
+    return EvaluateOnLasso(*prop.formula, run, database, service, pages, {});
   }
   if (domain.empty()) return true;  // no valuations to check
   std::vector<size_t> idx(vars.size(), 0);
@@ -284,8 +313,8 @@ StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
     Valuation val;
     for (size_t i = 0; i < vars.size(); ++i) val[vars[i]] = domain[idx[i]];
     WSV_ASSIGN_OR_RETURN(
-        bool holds, EvaluateLtlOnLassoWithValuation(*prop.formula, run,
-                                                    database, service, val));
+        bool holds, EvaluateOnLasso(*prop.formula, run, database, service,
+                                    pages, val));
     if (!holds) return false;
     size_t k = 0;
     while (k < idx.size()) {

@@ -16,6 +16,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -46,17 +47,38 @@ struct TraceView {
   const std::map<std::string, Value>* kappa = nullptr;
 };
 
+/// The page propositions of every page of a service: for page V, the
+/// instance with V's proposition true and every other page's false. An
+/// FO structure at a step reads its page's instance from here instead of
+/// building one per step. Immutable after construction, so concurrent
+/// sweeps share one table; it must outlive the contexts that read it.
+class PagePropositions {
+ public:
+  explicit PagePropositions(const WebService& service);
+  PagePropositions(const PagePropositions&) = delete;
+  PagePropositions& operator=(const PagePropositions&) = delete;
+
+  /// The instance for `page`; every proposition false for a name that
+  /// is not a page of the service.
+  const Instance& For(const std::string& page) const;
+
+ private:
+  std::unordered_map<std::string, Instance> by_page_;
+  Instance none_;
+};
+
 /// The evaluation structure of one trace step, leaf-independent part:
 /// the instance layers, the page propositions (V_i true, all other pages
 /// false) and the provided input constants kappa_i. Built once per step
 /// and shared by every leaf queried there; each query copies the context
 /// and adds its own active-domain extension. Keeps pointers into
-/// the step's instances and `database`, which must outlive it (and, for
-/// configuration-graph views, the graph must not grow meanwhile).
+/// the step's instances, `database` and `pages`, which must outlive it
+/// (and, for configuration-graph views, the graph must not grow
+/// meanwhile).
 class StepContext {
  public:
   StepContext(const TraceView& step, const Instance& database,
-              const WebService& service);
+              const WebService& service, const PagePropositions& pages);
   StepContext(const StepContext&) = delete;
   StepContext& operator=(const StepContext&) = delete;
 
@@ -72,26 +94,29 @@ class StepContext {
                                      const TraceView& step,
                                      const Instance& database,
                                      const WebService& service,
+                                     const PagePropositions& pages,
                                      const Valuation& valuation);
 
   const WebService& service_;
   const std::map<std::string, Value>& kappa_;
-  Instance pages_;
   EvalContext ctx_;
 };
 
 /// Evaluates one FO leaf at one trace step under `valuation` (bindings
 /// for the property's universal closure variables). Takes the shared
 /// formula pointer so repeated leaves hit the compiled-program cache.
-/// Timed under ltl/leaf_eval_ns.
+/// `pages` is the service's page-proposition table. Timed under
+/// ltl/leaf_eval_ns.
 StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceStep& step,
                             const Instance& database,
                             const WebService& service,
+                            const PagePropositions& pages,
                             const Valuation& valuation);
 
 StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
                             const Instance& database,
                             const WebService& service,
+                            const PagePropositions& pages,
                             const Valuation& valuation);
 
 /// Set-at-a-time counterpart of EvalFoAtStep: replaces `rows` with the

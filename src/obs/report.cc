@@ -241,6 +241,18 @@ std::string FormatStatsTable(const MetricsSnapshot& snap) {
                   static_cast<unsigned long long>(leaf_fallbacks));
     out += line;
   }
+  const auto successor = snap.histograms.find("runtime/successor_ns");
+  if (successor != snap.histograms.end() && successor->second.count > 0) {
+    std::snprintf(line, sizeof(line),
+                  "successor generation: %llu nodes expanded in %s "
+                  "(%s per node)\n",
+                  static_cast<unsigned long long>(successor->second.count),
+                  FormatDurationNs(successor->second.sum).c_str(),
+                  FormatDurationNs(static_cast<uint64_t>(
+                                       successor->second.Mean()))
+                      .c_str());
+    out += line;
+  }
   const double collapse_rate = ValuationCollapseRate(snap);
   if (collapse_rate >= 0.0) {
     std::snprintf(
@@ -350,6 +362,15 @@ std::string StatsToJson(const MetricsSnapshot& snap) {
     out += first_derived ? "\n" : ",\n";
     out += "    \"fo_leaf_queries\": " + std::to_string(leaf_queries) +
            ",\n    \"fo_leaf_fallbacks\": " + std::to_string(leaf_fallbacks);
+    first_derived = false;
+  }
+  const auto successor = snap.histograms.find("runtime/successor_ns");
+  if (successor != snap.histograms.end() && successor->second.count > 0) {
+    out += first_derived ? "\n" : ",\n";
+    out += "    \"successor_ns\": " + std::to_string(successor->second.sum);
+    std::snprintf(buf, sizeof(buf), ",\n    \"successor_ns_per_node\": %.1f",
+                  successor->second.Mean());
+    out += buf;
     first_derived = false;
   }
   const double collapse_rate = ValuationCollapseRate(snap);

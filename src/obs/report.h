@@ -20,8 +20,9 @@ std::string FormatByteCount(int64_t bytes);
 
 /// The phase table: one row per span histogram (count/total/mean/p90),
 /// then every other histogram, then all counters, then the memory
-/// gauges (live bytes per subsystem), then derived rates (FO-leaf memo
-/// hit rate, program-cache occupancy). Multi-line, trailing newline.
+/// gauges (live bytes per subsystem), then derived rows (FO-leaf memo
+/// hit rate, program-cache occupancy, successor-generation time per
+/// expanded node). Multi-line, trailing newline.
 std::string FormatStatsTable(const MetricsSnapshot& snap);
 
 /// {"counters":{...},"histograms":{name:{count,sum_ns,mean_ns,p50_ns,

@@ -52,15 +52,10 @@ struct Config {
   }
 
   /// Structural hash, consistent with operator==. The config-graph
-  /// builder deduplicates nodes through hashed containers keyed by this.
+  /// builder's node dedup index is keyed by this.
   size_t Hash() const;
 
   std::string ToString() const;
-};
-
-/// Functor for unordered containers keyed by Config.
-struct ConfigHash {
-  size_t operator()(const Config& c) const { return c.Hash(); }
 };
 
 /// The user's decision at one step: values for the input constants the

@@ -6,22 +6,61 @@
 
 namespace wsv {
 
+namespace {
+
+// An instance with every relation of `kind` materialized empty, except
+// those outside `only` when it is set.
+Instance EmptyInstanceOfKind(const WebService& service, SymbolKind kind,
+                             const std::optional<std::set<std::string>>& only) {
+  Instance out;
+  for (const RelationSymbol& sym : service.vocab().RelationsOfKind(kind)) {
+    if (only.has_value() && only->count(sym.name) == 0) continue;
+    // EnsureRelation only fails on arity conflicts, impossible here.
+    (void)out.EnsureRelation(sym.name, sym.arity);
+  }
+  return out;
+}
+
+}  // namespace
+
 Stepper::Stepper(const WebService* service, const Instance* database)
     : service_(service), database_(database) {
+  rule_constants_.reserve(service_->pages().size());
   for (const PageSchema& page : service_->pages()) {
-    auto collect = [&](const FormulaPtr& body) {
-      std::set<Value> lits = body->Literals();
-      rule_literals_.insert(lits.begin(), lits.end());
+    std::vector<RuleConstants>& table = rule_constants_.emplace_back();
+    auto collect = [&](const FormulaPtr& body, RuleConstants::Kind kind,
+                       size_t rule) {
+      for (Value v : body->Literals()) rule_literals_.AddDomainValue(v);
+      RuleConstants entry{kind, rule, {}};
+      for (const std::string& c : body->ConstantSymbols()) {
+        if (service_->vocab().IsInputConstant(c)) entry.constants.push_back(c);
+      }
+      if (!entry.constants.empty()) table.push_back(std::move(entry));
     };
-    for (const InputRule& r : page.input_rules) collect(r.body);
-    for (const StateRule& r : page.state_rules) collect(r.body);
-    for (const ActionRule& r : page.action_rules) collect(r.body);
-    for (const TargetRule& r : page.target_rules) collect(r.body);
+    using Kind = RuleConstants::Kind;
+    for (size_t i = 0; i < page.input_rules.size(); ++i) {
+      collect(page.input_rules[i].body, Kind::kInput, i);
+    }
+    for (size_t i = 0; i < page.state_rules.size(); ++i) {
+      collect(page.state_rules[i].body, Kind::kState, i);
+    }
+    for (size_t i = 0; i < page.action_rules.size(); ++i) {
+      collect(page.action_rules[i].body, Kind::kAction, i);
+    }
+    for (size_t i = 0; i < page.target_rules.size(); ++i) {
+      collect(page.target_rules[i].body, Kind::kTarget, i);
+    }
   }
+  empty_state_ = EmptyInstanceOfKind(*service_, SymbolKind::kState, {});
+  empty_inputs_ = EmptyInstanceOfKind(*service_, SymbolKind::kInput, {});
+  empty_actions_ = EmptyInstanceOfKind(*service_, SymbolKind::kAction, {});
+  empty_prev_ = empty_inputs_;
 }
 
 void Stepper::SetTrackedPrev(std::set<std::string> tracked_prev) {
   tracked_prev_ = std::move(tracked_prev);
+  empty_prev_ =
+      EmptyInstanceOfKind(*service_, SymbolKind::kInput, tracked_prev_);
 }
 
 std::set<std::string> Stepper::PrevRelationsInRules(
@@ -41,33 +80,12 @@ std::set<std::string> Stepper::PrevRelationsInRules(
   return out;
 }
 
-Instance Stepper::EmptyInstanceOfKind(SymbolKind kind) const {
-  Instance out;
-  for (const RelationSymbol& sym : service_->vocab().RelationsOfKind(kind)) {
-    // EnsureRelation only fails on arity conflicts, impossible here.
-    (void)out.EnsureRelation(sym.name, sym.arity);
-  }
-  return out;
-}
-
-Instance Stepper::EmptyPrevInstance() const {
-  Instance out;
-  for (const RelationSymbol& sym :
-       service_->vocab().RelationsOfKind(SymbolKind::kInput)) {
-    if (tracked_prev_.has_value() && tracked_prev_->count(sym.name) == 0) {
-      continue;
-    }
-    (void)out.EnsureRelation(sym.name, sym.arity);
-  }
-  return out;
-}
-
 Config Stepper::InitialConfig() const {
   Config c;
   c.page = service_->home_page();
-  c.state = EmptyInstanceOfKind(SymbolKind::kState);
-  c.prev_inputs = EmptyPrevInstance();
-  c.actions = EmptyInstanceOfKind(SymbolKind::kAction);
+  c.state = empty_state_;
+  c.prev_inputs = empty_prev_;
+  c.actions = empty_actions_;
   return c;
 }
 
@@ -79,8 +97,8 @@ EvalContext Stepper::MakeContext(const Config& config,
   ctx.AddLayer(&config.state);
   ctx.AddLayer(database_);
   ctx.SetPrevLayer(&config.prev_inputs);
+  ctx.AddLayer(&rule_literals_);
   for (const auto& [name, v] : kappa) ctx.SetConstant(name, v);
-  for (Value v : rule_literals_) ctx.AddDomainValue(v);
   return ctx;
 }
 
@@ -97,35 +115,33 @@ std::optional<std::string> Stepper::StaticError(const Config& config) const {
   }
 
   // Condition (i): some rule formula uses an input constant outside
-  // kappa_i = provided ∪ requested-now.
-  std::set<std::string> kappa_names;
-  for (const auto& [name, v] : config.provided_constants) {
-    kappa_names.insert(name);
-  }
-  kappa_names.insert(page->input_constants.begin(),
-                     page->input_constants.end());
-  auto check_body = [&](const FormulaPtr& body,
-                        const std::string& rule) -> std::optional<std::string> {
-    for (const std::string& c : body->ConstantSymbols()) {
-      if (!service_->vocab().IsInputConstant(c)) continue;
-      if (kappa_names.count(c) == 0) {
-        return "rule [" + rule + "] uses input constant '" + c +
-               "' before it was provided (condition i)";
+  // kappa_i = provided ∪ requested-now. The message is built only here,
+  // on the failing branch.
+  const size_t index = static_cast<size_t>(page - service_->pages().data());
+  for (const RuleConstants& entry : rule_constants_[index]) {
+    for (const std::string& c : entry.constants) {
+      if (config.provided_constants.count(c) > 0 ||
+          page->HasInputConstant(c)) {
+        continue;
       }
+      std::string rule;
+      switch (entry.kind) {
+        case RuleConstants::Kind::kInput:
+          rule = page->input_rules[entry.rule].ToString();
+          break;
+        case RuleConstants::Kind::kState:
+          rule = page->state_rules[entry.rule].ToString();
+          break;
+        case RuleConstants::Kind::kAction:
+          rule = page->action_rules[entry.rule].ToString();
+          break;
+        case RuleConstants::Kind::kTarget:
+          rule = page->target_rules[entry.rule].ToString();
+          break;
+      }
+      return "rule [" + rule + "] uses input constant '" + c +
+             "' before it was provided (condition i)";
     }
-    return std::nullopt;
-  };
-  for (const InputRule& r : page->input_rules) {
-    if (auto e = check_body(r.body, r.ToString())) return e;
-  }
-  for (const StateRule& r : page->state_rules) {
-    if (auto e = check_body(r.body, r.ToString())) return e;
-  }
-  for (const ActionRule& r : page->action_rules) {
-    if (auto e = check_body(r.body, r.ToString())) return e;
-  }
-  for (const TargetRule& r : page->target_rules) {
-    if (auto e = check_body(r.body, r.ToString())) return e;
   }
   return std::nullopt;
 }
@@ -150,23 +166,44 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::ComputeOptions(
   return options;
 }
 
-StepOutcome Stepper::ErrorOutcome(const Config& config,
-                                  const std::map<std::string, Value>& kappa,
-                                  const std::string& reason) const {
-  StepOutcome out;
+Successor Stepper::ErrorPageLoop(const Config& config) const {
+  Successor out;
+  out.next.page = config.page;
+  out.next.state = config.state;
+  out.next.prev_inputs = empty_prev_;
+  out.next.actions = empty_actions_;
+  out.next.provided_constants = config.provided_constants;
+  out.inputs = empty_inputs_;
+  return out;
+}
+
+Successor Stepper::ToErrorPage(const Config& config,
+                               const std::map<std::string, Value>& kappa,
+                               std::string reason) const {
+  Successor out;
   out.to_error = true;
-  out.error_reason = reason;
+  out.error_reason = std::move(reason);
   out.next.page = service_->error_page();
   out.next.state = config.state;  // carried unchanged
-  out.next.prev_inputs = EmptyPrevInstance();
-  out.next.actions = EmptyInstanceOfKind(SymbolKind::kAction);
+  out.next.prev_inputs = empty_prev_;
+  out.next.actions = empty_actions_;
   out.next.provided_constants = kappa;
+  out.inputs = empty_inputs_;
+  return out;
+}
+
+StepOutcome Stepper::WithTrace(const Config& config, Successor succ) {
+  StepOutcome out;
   out.trace.page = config.page;
   out.trace.state = config.state;
-  out.trace.inputs = EmptyInstanceOfKind(SymbolKind::kInput);
+  out.trace.inputs = std::move(succ.inputs);
   out.trace.prev_inputs = config.prev_inputs;
   out.trace.actions = config.actions;
-  out.trace.kappa = kappa;
+  // kappa_i is the successor's accumulated interpretation.
+  out.trace.kappa = succ.next.provided_constants;
+  out.next = std::move(succ.next);
+  out.to_error = succ.to_error;
+  out.error_reason = std::move(succ.error_reason);
   return out;
 }
 
@@ -174,17 +211,7 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
                                     const UserChoice& choice) const {
   // The error page loops forever with no inputs and no rules.
   if (config.page == service_->error_page()) {
-    StepOutcome out;
-    out.next = config;
-    out.next.prev_inputs = EmptyPrevInstance();
-    out.next.actions = EmptyInstanceOfKind(SymbolKind::kAction);
-    out.trace.page = config.page;
-    out.trace.state = config.state;
-    out.trace.inputs = EmptyInstanceOfKind(SymbolKind::kInput);
-    out.trace.prev_inputs = config.prev_inputs;
-    out.trace.actions = config.actions;
-    out.trace.kappa = config.provided_constants;
-    return out;
+    return WithTrace(config, ErrorPageLoop(config));
   }
 
   const PageSchema* page = service_->FindPage(config.page);
@@ -194,10 +221,11 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
 
   // Node-level error conditions (i) and (ii): the step consumes no input.
   if (std::optional<std::string> err = StaticError(config)) {
-    return ErrorOutcome(config, config.provided_constants, *err);
+    return WithTrace(config, ToErrorPage(config, config.provided_constants,
+                                         std::move(*err)));
   }
 
-  // Validate and apply the constant choices.
+  // Validate the constant choices.
   for (const auto& [name, v] : choice.constant_values) {
     if (!page->HasInputConstant(name)) {
       return Status::InvalidArgument("page " + page->name +
@@ -216,10 +244,10 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
     kappa[c] = it->second;
   }
 
-  // Compute options and assemble the input instance I_i.
+  // Validate the relation picks against the options and the
+  // propositions against the page.
   WSV_ASSIGN_OR_RETURN(auto options,
                        ComputeOptions(config, choice.constant_values));
-  Instance inputs = EmptyInstanceOfKind(SymbolKind::kInput);
   for (const auto& [rel, pick] : choice.relation_choices) {
     if (!page->HasInputRelation(rel)) {
       return Status::InvalidArgument("page " + page->name +
@@ -231,8 +259,6 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
       return Status::InvalidArgument("chosen tuple " + TupleToString(*pick) +
                                      " is not among the options for " + rel);
     }
-    inputs.MutableRelation(rel)->Insert(*pick);
-    for (Value v : *pick) inputs.AddDomainValue(v);
   }
   for (const auto& [prop, truth] : choice.proposition_choices) {
     const RelationSymbol* sym = service_->vocab().FindRelation(prop);
@@ -242,10 +268,30 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
           "page " + page->name + " does not offer propositional input " +
           prop);
     }
+    (void)truth;
+  }
+
+  WSV_ASSIGN_OR_RETURN(Successor succ,
+                       ApplyChoice(config, *page, kappa, choice));
+  return WithTrace(config, std::move(succ));
+}
+
+StatusOr<Successor> Stepper::ApplyChoice(
+    const Config& config, const PageSchema& page,
+    const std::map<std::string, Value>& kappa,
+    const UserChoice& choice) const {
+  // Assemble the input instance I_i.
+  Instance inputs = empty_inputs_;
+  for (const auto& [rel, pick] : choice.relation_choices) {
+    if (!pick.has_value()) continue;
+    inputs.MutableRelation(rel)->Insert(*pick);
+    for (Value v : *pick) inputs.AddDomainValue(v);
+  }
+  for (const auto& [prop, truth] : choice.proposition_choices) {
     inputs.MutableRelation(prop)->SetBool(truth);
   }
   // Record the constants provided at this step in I_i for the trace.
-  for (const std::string& c : page->input_constants) {
+  for (const std::string& c : page.input_constants) {
     inputs.SetConstant(c, kappa.at(c));
   }
 
@@ -253,17 +299,17 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
 
   // Target rules; condition (iii) fires on ambiguity.
   std::vector<std::string> true_targets;
-  for (const TargetRule& rule : page->target_rules) {
+  for (const TargetRule& rule : page.target_rules) {
     WSV_ASSIGN_OR_RETURN(bool fired, fobc::EvaluateFast(rule.body, ctx));
     if (fired) true_targets.push_back(rule.target);
   }
   if (true_targets.size() > 1) {
-    return ErrorOutcome(config, kappa,
-                        "ambiguous targets: " + true_targets[0] + " and " +
-                            true_targets[1] + " (condition iii)");
+    return ToErrorPage(config, kappa,
+                       "ambiguous targets: " + true_targets[0] + " and " +
+                           true_targets[1] + " (condition iii)");
   }
 
-  StepOutcome out;
+  Successor out;
   out.next.page =
       true_targets.empty() ? config.page : true_targets.front();
   out.next.provided_constants = kappa;
@@ -272,7 +318,7 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
   // per state relation with rules on this page; others carry unchanged.
   out.next.state = config.state;
   std::map<std::string, std::pair<std::set<Tuple>, std::set<Tuple>>> updates;
-  for (const StateRule& rule : page->state_rules) {
+  for (const StateRule& rule : page.state_rules) {
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
         fobc::EvaluateQueryFast(rule.body, rule.head_vars, ctx));
@@ -305,8 +351,8 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
   }
 
   // Actions triggered at step i land in A_{i+1}.
-  out.next.actions = EmptyInstanceOfKind(SymbolKind::kAction);
-  for (const ActionRule& rule : page->action_rules) {
+  out.next.actions = empty_actions_;
+  for (const ActionRule& rule : page.action_rules) {
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
         fobc::EvaluateQueryFast(rule.body, rule.head_vars, ctx));
@@ -320,9 +366,8 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
   // P_{i+1}(prev_I) = I_i(I) for I offered by this page, empty otherwise.
   // Under lossless-input semantics (Theorem 3.9's extension (iii)),
   // prev_I instead accumulates every input ever given to I.
-  out.next.prev_inputs =
-      lossless_input_ ? config.prev_inputs : EmptyPrevInstance();
-  for (const std::string& in : page->inputs) {
+  out.next.prev_inputs = lossless_input_ ? config.prev_inputs : empty_prev_;
+  for (const std::string& in : page.inputs) {
     const Relation* cur = inputs.FindRelation(in);
     if (cur == nullptr) continue;
     Relation* prev = out.next.prev_inputs.MutableRelation(in);
@@ -337,12 +382,7 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
     }
   }
 
-  out.trace.page = config.page;
-  out.trace.state = config.state;
-  out.trace.inputs = std::move(inputs);
-  out.trace.prev_inputs = config.prev_inputs;
-  out.trace.actions = config.actions;
-  out.trace.kappa = kappa;
+  out.inputs = std::move(inputs);
   return out;
 }
 

@@ -7,6 +7,12 @@
 // interactive interpreter and the verification config-graph builder are
 // built on this class, so the semantics live in exactly one place.
 //
+// Everything that depends only on the service is computed once, at
+// construction (SetTrackedPrev redoes the prev prototype): empty
+// instance prototypes, the rule literals, and the input constants each
+// rule mentions. After the setters a Stepper is only read, so
+// concurrent sweeps share one (DESIGN.md §6g).
+//
 // Semantic choices the paper leaves open (documented in DESIGN.md):
 //  * On a transition to the error page the state is carried unchanged,
 //    the next actions and Prev_I are empty, and the step consumes no
@@ -24,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "fo/evaluator.h"
@@ -37,6 +44,17 @@ namespace wsv {
 struct StepOutcome {
   Config next;
   TraceStep trace;
+  bool to_error = false;
+  std::string error_reason;
+};
+
+/// One successor as the configuration graph stores it: the successor
+/// node and the inputs chosen at this step. The rest of the trace element
+/// is the source node's page, state, prev and actions plus the
+/// successor's kappa, so it is not copied here.
+struct Successor {
+  Config next;
+  Instance inputs;
   bool to_error = false;
   std::string error_reason;
 };
@@ -85,38 +103,76 @@ class Stepper {
   /// input constants the page requests, and relation picks must be among
   /// the computed options (checked; violations are InvalidArgument).
   /// On the error page the choice is ignored.
+  ///
+  /// Step is validate -> ComputeOptions -> ApplyChoice; the successor
+  /// builders below are the unvalidated pieces, for callers that hold
+  /// those facts already (the configuration-graph expansion).
   StatusOr<StepOutcome> Step(const Config& config,
                              const UserChoice& choice) const;
+
+  /// The only successor of a node on the error page: a self-loop with
+  /// no inputs and empty prev and actions.
+  Successor ErrorPageLoop(const Config& config) const;
+
+  /// The transition to the error page with `reason`: the state carried
+  /// unchanged, kappa set to `kappa`, no inputs.
+  Successor ToErrorPage(const Config& config,
+                        const std::map<std::string, Value>& kappa,
+                        std::string reason) const;
+
+  /// The apply core of Step, without its checks. Preconditions: `page`
+  /// is config's page, not the error page, and StaticError(config) is
+  /// nullopt; `kappa` is config.provided_constants plus a value for each
+  /// constant the page requests; every relation pick of `choice` is
+  /// among ComputeOptions(config, those values) and every proposition is
+  /// one the page offers. Returns the successor Step would return.
+  StatusOr<Successor> ApplyChoice(const Config& config,
+                                  const PageSchema& page,
+                                  const std::map<std::string, Value>& kappa,
+                                  const UserChoice& choice) const;
 
   const WebService& service() const { return *service_; }
   const Instance& database() const { return *database_; }
 
  private:
+  /// A rule whose body mentions input constants, and those constants in
+  /// name order: condition (i) reads only these.
+  struct RuleConstants {
+    enum class Kind { kInput, kState, kAction, kTarget };
+    Kind kind;
+    size_t rule;  // index into the page's rules of `kind`
+    std::vector<std::string> constants;
+  };
+
   /// EvalContext over D, S_i, P_i, kappa; optionally the current inputs.
   EvalContext MakeContext(const Config& config,
                           const std::map<std::string, Value>& kappa,
                           const Instance* current_inputs) const;
 
-  /// An instance with every relation of `kind` materialized empty.
-  Instance EmptyInstanceOfKind(SymbolKind kind) const;
-
-  /// An instance with the tracked prev relations materialized empty.
-  Instance EmptyPrevInstance() const;
-
-  /// Successor used for every transition into the error page.
-  StepOutcome ErrorOutcome(const Config& config,
-                           const std::map<std::string, Value>& kappa,
-                           const std::string& reason) const;
+  /// Wraps a successor of `config` into the StepOutcome Step returns.
+  static StepOutcome WithTrace(const Config& config, Successor succ);
 
   const WebService* service_;
   const Instance* database_;
   /// Literal values occurring in any rule of the service; they denote
   /// schema constants and are part of every evaluation's active domain.
-  std::set<Value> rule_literals_;
+  /// Held as the domain of an instance without relations or constants,
+  /// so a context adds them as one layer instead of value by value.
+  Instance rule_literals_;
+  /// Per page, parallel to service().pages(), in the order condition (i)
+  /// checks rules: input, state, action, then target rules.
+  std::vector<std::vector<RuleConstants>> rule_constants_;
   /// Input relations whose previous value is kept in configurations;
   /// nullopt means all.
   std::optional<std::set<std::string>> tracked_prev_;
   bool lossless_input_ = false;
+  /// Every relation of the kind materialized empty; copied, never
+  /// rebuilt, on each step. empty_prev_ holds the tracked prev relations
+  /// and is rebuilt by SetTrackedPrev.
+  Instance empty_state_;
+  Instance empty_inputs_;
+  Instance empty_actions_;
+  Instance empty_prev_;
 };
 
 }  // namespace wsv

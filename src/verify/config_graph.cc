@@ -2,7 +2,6 @@
 
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "obs/trace.h"
@@ -50,101 +49,111 @@ std::string ConfigGraph::Stats() const {
 
 namespace {
 
-// Enumerates every UserChoice available at `config` and hands it to `fn`.
-class ChoiceEnumerator {
+// Enumerates the successors of node `v` of `nodes`, which is neither on
+// the error page nor statically erroneous, one per user choice, in the
+// canonical choice order: constant values odometer-style over the pool
+// (first requested constant slowest); then per offered relation no pick
+// followed by each option; then each proposition false, then true.
+// Options are computed once per constant binding and each choice goes
+// straight to the stepper's apply core: the choices are valid by
+// construction, so the checks Step would repeat are skipped. Each
+// successor is handed to `emit` as soon as it is built; `emit` may grow
+// `nodes`, so the node is re-read by index after every call.
+class SuccessorEnumerator {
  public:
-  ChoiceEnumerator(const Stepper& stepper,
-                   const std::vector<Value>& constant_pool)
-      : stepper_(stepper), constant_pool_(constant_pool) {}
+  using Emit = std::function<Status(Successor)>;
 
-  Status ForEachChoice(const Config& config,
-                       const std::function<Status(const UserChoice&)>& fn) {
-    const WebService& service = stepper_.service();
-    if (config.page == service.error_page() ||
-        stepper_.StaticError(config).has_value()) {
-      // Exactly one successor; the choice is ignored.
-      return fn(UserChoice{});
+  SuccessorEnumerator(const Stepper& stepper, const std::vector<Config>& nodes,
+                      size_t v, const PageSchema& page,
+                      const std::vector<Value>& constant_pool, Emit emit)
+      : stepper_(stepper),
+        nodes_(nodes),
+        v_(v),
+        page_(page),
+        constant_pool_(constant_pool),
+        emit_(std::move(emit)) {
+    for (const std::string& in : page.inputs) {
+      const RelationSymbol* sym = stepper.service().vocab().FindRelation(in);
+      if (sym != nullptr && sym->arity == 0) props_.push_back(in);
     }
-    const PageSchema* page = service.FindPage(config.page);
-    if (page == nullptr) {
-      return Status::NotFound("unknown page " + config.page);
-    }
-    return EnumerateConstants(config, *page, 0, {}, fn);
+  }
+
+  Status Run() {
+    std::map<std::string, Value> chosen;
+    return EnumerateConstants(0, chosen);
   }
 
  private:
-  Status EnumerateConstants(
-      const Config& config, const PageSchema& page, size_t idx,
-      std::map<std::string, Value> chosen,
-      const std::function<Status(const UserChoice&)>& fn) {
-    if (idx < page.input_constants.size()) {
+  using Alternatives =
+      std::vector<std::pair<std::string, std::vector<std::optional<Tuple>>>>;
+
+  const Config& node() const { return nodes_[v_]; }
+
+  Status EnumerateConstants(size_t idx, std::map<std::string, Value>& chosen) {
+    if (idx < page_.input_constants.size()) {
       if (constant_pool_.empty()) {
         return Status::InvalidArgument(
-            "page " + page.name + " requests input constants but the "
+            "page " + page_.name + " requests input constants but the "
             "candidate constant pool is empty");
       }
       for (Value v : constant_pool_) {
-        chosen[page.input_constants[idx]] = v;
-        WSV_RETURN_IF_ERROR(
-            EnumerateConstants(config, page, idx + 1, chosen, fn));
+        chosen[page_.input_constants[idx]] = v;
+        WSV_RETURN_IF_ERROR(EnumerateConstants(idx + 1, chosen));
       }
       return Status::OK();
     }
-    // Constants fixed; compute options, then enumerate relation picks and
-    // proposition values.
-    auto options_or = stepper_.ComputeOptions(config, chosen);
-    if (!options_or.ok()) return options_or.status();
-    const std::map<std::string, std::set<Tuple>>& options = *options_or;
-
-    std::vector<std::string> props;
-    for (const std::string& in : page.inputs) {
-      const RelationSymbol* sym =
-          stepper_.service().vocab().FindRelation(in);
-      if (sym != nullptr && sym->arity == 0) props.push_back(in);
-    }
-
+    // Constants fixed; compute options once, then enumerate relation
+    // picks and proposition values.
+    WSV_ASSIGN_OR_RETURN(auto options, stepper_.ComputeOptions(node(), chosen));
+    std::map<std::string, Value> kappa = node().provided_constants;
+    for (const auto& [name, v] : chosen) kappa[name] = v;
     UserChoice choice;
     choice.constant_values = chosen;
-    std::vector<std::pair<std::string, std::vector<std::optional<Tuple>>>>
-        rel_alternatives;
+    Alternatives rel_alternatives;
     for (const auto& [rel, tuples] : options) {
       std::vector<std::optional<Tuple>> alts;
+      alts.reserve(tuples.size() + 1);
       alts.push_back(std::nullopt);
       for (const Tuple& t : tuples) alts.push_back(t);
       rel_alternatives.emplace_back(rel, std::move(alts));
     }
-    return EnumeratePicks(rel_alternatives, 0, props, 0, choice, fn);
+    return EnumeratePicks(rel_alternatives, 0, 0, kappa, choice);
   }
 
-  Status EnumeratePicks(
-      const std::vector<
-          std::pair<std::string, std::vector<std::optional<Tuple>>>>& rels,
-      size_t rel_idx, const std::vector<std::string>& props, size_t prop_idx,
-      UserChoice& choice,
-      const std::function<Status(const UserChoice&)>& fn) {
+  Status EnumeratePicks(const Alternatives& rels, size_t rel_idx,
+                        size_t prop_idx,
+                        const std::map<std::string, Value>& kappa,
+                        UserChoice& choice) {
     if (rel_idx < rels.size()) {
       for (const std::optional<Tuple>& alt : rels[rel_idx].second) {
         choice.relation_choices[rels[rel_idx].first] = alt;
         WSV_RETURN_IF_ERROR(
-            EnumeratePicks(rels, rel_idx + 1, props, prop_idx, choice, fn));
+            EnumeratePicks(rels, rel_idx + 1, prop_idx, kappa, choice));
       }
       choice.relation_choices.erase(rels[rel_idx].first);
       return Status::OK();
     }
-    if (prop_idx < props.size()) {
+    if (prop_idx < props_.size()) {
       for (bool b : {false, true}) {
-        choice.proposition_choices[props[prop_idx]] = b;
+        choice.proposition_choices[props_[prop_idx]] = b;
         WSV_RETURN_IF_ERROR(
-            EnumeratePicks(rels, rel_idx, props, prop_idx + 1, choice, fn));
+            EnumeratePicks(rels, rel_idx, prop_idx + 1, kappa, choice));
       }
-      choice.proposition_choices.erase(props[prop_idx]);
+      choice.proposition_choices.erase(props_[prop_idx]);
       return Status::OK();
     }
-    return fn(choice);
+    WSV_ASSIGN_OR_RETURN(Successor succ,
+                         stepper_.ApplyChoice(node(), page_, kappa, choice));
+    return emit_(std::move(succ));
   }
 
   const Stepper& stepper_;
+  const std::vector<Config>& nodes_;
+  const size_t v_;
+  const PageSchema& page_;
   const std::vector<Value>& constant_pool_;
+  const Emit emit_;
+  std::vector<std::string> props_;  // the page's propositional inputs
 };
 
 }  // namespace
@@ -166,20 +175,23 @@ LazyConfigGraph::~LazyConfigGraph() {
   WSV_GAUGE_SUB("mem/config_graph_bytes", gauge_bytes_);
 }
 
-int LazyConfigGraph::InternNode(const Config& c) {
-  auto it = node_index_.find(c);
-  if (it != node_index_.end()) {
-    WSV_COUNT1("config_graph/node_dedup_hits");
-    return it->second;
+int LazyConfigGraph::InternNode(Config c) {
+  const size_t hash = c.Hash();
+  auto [first, last] = node_index_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (graph_.nodes[static_cast<size_t>(it->second)] == c) {
+      WSV_COUNT1("config_graph/node_dedup_hits");
+      return it->second;
+    }
   }
   WSV_COUNT1("config_graph/nodes");
   int id = static_cast<int>(graph_.nodes.size());
-  node_index_.emplace(c, id);
-  graph_.nodes.push_back(c);
+  node_index_.emplace(hash, id);
+  // The node itself plus its hash-index entry (hash, id, bucket link).
+  const uint64_t node_bytes = c.ApproxBytes() + 4 * sizeof(void*);
+  graph_.nodes.push_back(std::move(c));
   graph_.out_edges.emplace_back();
   expanded_.push_back(0);
-  // Stored twice: once in the graph, once as the dedup-index key.
-  const uint64_t node_bytes = 2 * c.ApproxBytes() + 4 * sizeof(void*);
   gauge_bytes_ += node_bytes;
   WSV_GAUGE_ADD("mem/config_graph_bytes", node_bytes);
   return id;
@@ -193,51 +205,68 @@ void LazyConfigGraph::MarkTruncated() {
 }
 
 Status LazyConfigGraph::ExpandNode(int v) {
+  WSV_TIMER("runtime/successor_ns");
   WSV_COUNT1("config_graph/nodes_expanded");
   expanded_[static_cast<size_t>(v)] = 1;
-  // Copy: InternNode may reallocate graph_.nodes during enumeration.
-  Config current = graph_.nodes[static_cast<size_t>(v)];
   // Deduplicate parallel edges that lead to the same successor with the
-  // same trace (different choices can be observationally identical).
-  struct EdgeSigHash {
-    size_t operator()(const std::pair<int, std::string>& p) const {
-      return HashCombine(std::hash<std::string>()(p.second),
-                         static_cast<size_t>(p.first));
+  // same inputs (different choices can be observationally identical):
+  // this node's edge ids keyed by a (target, inputs) hash.
+  std::unordered_multimap<size_t, int> seen;
+  auto add_edge = [&](Successor succ) -> Status {
+    if (graph_.edges.size() >= options_.max_edges) {
+      MarkTruncated();
+      return Status::OK();
     }
-  };
-  std::unordered_set<std::pair<int, std::string>, EdgeSigHash> seen;
-  ChoiceEnumerator choices(*stepper_, pool_);
-  return choices.ForEachChoice(
-      current, [&](const UserChoice& choice) -> Status {
-        WSV_ASSIGN_OR_RETURN(StepOutcome outcome,
-                             stepper_->Step(current, choice));
-        if (graph_.edges.size() >= options_.max_edges) {
-          MarkTruncated();
-          return Status::OK();
-        }
-        int to = InternNode(outcome.next);
-        std::string sig = outcome.trace.inputs.ToString();
-        if (!seen.insert({to, sig}).second) {
-          WSV_COUNT1("config_graph/edge_dedup_hits");
-          return Status::OK();
-        }
-        WSV_COUNT1("config_graph/edges");
-        ConfigGraph::Edge edge;
-        edge.from = v;
-        edge.to = to;
-        edge.inputs = std::move(outcome.trace.inputs);
-        edge.to_error = outcome.to_error;
-        edge.error_reason = std::move(outcome.error_reason);
-        const uint64_t edge_bytes =
-            sizeof(ConfigGraph::Edge) + edge.inputs.ApproxBytes() +
-            edge.error_reason.capacity() + sizeof(int);
-        gauge_bytes_ += edge_bytes;
-        WSV_GAUGE_ADD("mem/config_graph_bytes", edge_bytes);
-        graph_.out_edges[static_cast<size_t>(v)].push_back(
-            static_cast<int>(graph_.edges.size()));
-        graph_.edges.push_back(std::move(edge));
+    const int to = InternNode(std::move(succ.next));
+    const size_t sig =
+        HashCombine(succ.inputs.Hash(), static_cast<size_t>(to));
+    auto [first, last] = seen.equal_range(sig);
+    for (auto it = first; it != last; ++it) {
+      const ConfigGraph::Edge& e = graph_.edges[static_cast<size_t>(it->second)];
+      if (e.to == to && e.inputs == succ.inputs) {
+        WSV_COUNT1("config_graph/edge_dedup_hits");
         return Status::OK();
-      });
+      }
+    }
+    seen.emplace(sig, static_cast<int>(graph_.edges.size()));
+    WSV_COUNT1("config_graph/edges");
+    ConfigGraph::Edge edge;
+    edge.from = v;
+    edge.to = to;
+    edge.inputs = std::move(succ.inputs);
+    edge.to_error = succ.to_error;
+    edge.error_reason = std::move(succ.error_reason);
+    const uint64_t edge_bytes =
+        sizeof(ConfigGraph::Edge) + edge.inputs.ApproxBytes() +
+        edge.error_reason.capacity() + sizeof(int);
+    gauge_bytes_ += edge_bytes;
+    WSV_GAUGE_ADD("mem/config_graph_bytes", edge_bytes);
+    graph_.out_edges[static_cast<size_t>(v)].push_back(
+        static_cast<int>(graph_.edges.size()));
+    graph_.edges.push_back(std::move(edge));
+    return Status::OK();
+  };
+
+  // `current` is read before any edge is added: interning a successor
+  // may reallocate graph_.nodes.
+  const Config& current = graph_.nodes[static_cast<size_t>(v)];
+  const WebService& service = stepper_->service();
+  if (current.page == service.error_page()) {
+    return add_edge(stepper_->ErrorPageLoop(current));
+  }
+  const PageSchema* page = service.FindPage(current.page);
+  if (page == nullptr) {
+    return Status::NotFound("unknown page " + current.page);
+  }
+  // Conditions (i) and (ii) are checked once per node: exactly one
+  // successor, the choice ignored.
+  if (std::optional<std::string> err = stepper_->StaticError(current)) {
+    return add_edge(stepper_->ToErrorPage(current, current.provided_constants,
+                                          std::move(*err)));
+  }
+  return SuccessorEnumerator(*stepper_, graph_.nodes, static_cast<size_t>(v),
+                             *page, pool_, add_edge)
+      .Run();
 }
 
 StatusOr<bool> LazyConfigGraph::EnsureExpanded(int v) {

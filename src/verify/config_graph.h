@@ -122,7 +122,8 @@ class LazyConfigGraph {
   ConfigGraph TakeGraph() { return std::move(graph_); }
 
  private:
-  int InternNode(const Config& c);
+  /// The id of `c`, appending it to graph_.nodes if new.
+  int InternNode(Config c);
   Status ExpandNode(int v);
   void MarkTruncated();
 
@@ -130,7 +131,9 @@ class LazyConfigGraph {
   ConfigGraphOptions options_;
   std::vector<Value> pool_;
   ConfigGraph graph_;
-  std::unordered_map<Config, int, ConfigHash> node_index_;
+  /// Dedup index: Config::Hash() -> node ids; the configuration itself
+  /// is stored once, in graph_.nodes.
+  std::unordered_multimap<size_t, int> node_index_;
   std::vector<char> expanded_;
   // Bytes this instance has published to mem/config_graph_bytes
   // (estimated node/edge footprints), returned on destruction.

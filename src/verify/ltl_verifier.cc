@@ -314,6 +314,7 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   // long after Create returns.
   check.stepper_ = std::make_unique<Stepper>(service, check.database_.get());
   check.stepper_->SetTrackedPrev(TrackedPrevRelations(*service, *property));
+  check.pages_ = std::make_unique<const PagePropositions>(*service);
 
   // Candidate values for input constants: the database's active domain,
   // the rule/property literals, plus fresh "typed by the user" values.
@@ -583,7 +584,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
           step_cache.nodes != graph.nodes.size() ||
           step_cache.edges != graph.edges.size()) {
         step_cache.ctx = std::make_unique<StepContext>(
-            graph.View(static_cast<int>(e)), *database_, *service_);
+            graph.View(static_cast<int>(e)), *database_, *service_, *pages_);
         step_cache.edge = e;
         step_cache.nodes = graph.nodes.size();
         step_cache.edges = graph.edges.size();
@@ -640,7 +641,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       TraceView view = graph.View(static_cast<int>(e));
       WSV_ASSIGN_OR_RETURN(bool b,
                            EvalFoAtStep(automaton_->leaves[k], view,
-                                        *database_, *service_, col->val));
+                                        *database_, *service_, *pages_,
+                                        col->val));
       col->bits.Set(e, b);
     }
     WSV_COUNT("ltl/fo_leaf_evals", n - col->upto);

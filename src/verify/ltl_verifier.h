@@ -212,6 +212,9 @@ class LtlDatabaseCheck {
   /// The bound stepper; owned so sweeps can generate successors after
   /// Create returns (address stable across moves).
   std::unique_ptr<Stepper> stepper_;
+  /// The page-proposition table every step context reads; immutable,
+  /// so concurrent sweeps share it.
+  std::unique_ptr<const PagePropositions> pages_;
   /// Graph options with the input-constant pool resolved; the seed of
   /// every lazy per-sweep graph.
   ConfigGraphOptions graph_options_;

@@ -292,6 +292,42 @@ TEST(Report, StatsTableAndJson) {
   EXPECT_DOUBLE_EQ(obs::LeafMemoHitRate(snap), 0.75);
 }
 
+// Successor generation is timed once per expanded node and reported as
+// a --stats row and two --stats-json derived fields.
+TEST(Report, SuccessorGenerationRow) {
+  SKIP_IF_NOT_INSTRUMENTED();
+  WebService service = std::move(BuildLoginService()).value();
+  Instance db = LoginDatabase();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw")};
+  auto prop = ParseTemporalProperty("G(!CP | logged_in)", &service.vocab());
+  ASSERT_TRUE(prop.ok()) << prop.status().ToString();
+  obs::ResetMetrics();
+  {
+    ParallelLtlVerifier verifier(&service, options, 1);
+    auto r = verifier.VerifyOnDatabase(*prop, db);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->holds);
+  }
+  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+  auto it = snap.histograms.find("runtime/successor_ns");
+  ASSERT_NE(it, snap.histograms.end());
+  const uint64_t expanded = snap.CounterValue("config_graph/nodes_expanded");
+  EXPECT_GT(expanded, 0u);
+  EXPECT_EQ(it->second.count, expanded);
+  EXPECT_GT(it->second.sum, 0u);
+  const std::string table = obs::FormatStatsTable(snap);
+  EXPECT_NE(table.find("successor generation: " + std::to_string(expanded) +
+                       " nodes expanded in "),
+            std::string::npos)
+      << table;
+  const std::string json = obs::StatsToJson(snap);
+  EXPECT_NE(json.find("\"successor_ns\": " + std::to_string(it->second.sum)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"successor_ns_per_node\": "), std::string::npos);
+}
+
 TEST(Report, LeafMemoRateUndefinedWithoutLookups) {
   obs::ResetMetrics();
   EXPECT_LT(obs::LeafMemoHitRate(obs::SnapshotMetrics()), 0.0);

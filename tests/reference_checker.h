@@ -47,6 +47,7 @@ inline StatusOr<LtlVerifyResult> ReferenceVerifyOnDatabase(
   uint64_t num_valuations = 1;
   for (size_t k = 0; k < vars.size(); ++k) num_valuations *= cand.size();
 
+  const PagePropositions pages(service);
   const size_t num_edges = graph.edges.size();
   const size_t num_states = automaton.size();
   const std::set<int>& accepting_states = automaton.accepting_sets.front();
@@ -69,7 +70,7 @@ inline StatusOr<LtlVerifyResult> ReferenceVerifyOnDatabase(
       for (const FormulaPtr& leaf : automaton.leaves) {
         WSV_ASSIGN_OR_RETURN(
             bool b, EvalFoAtStep(leaf, graph.View(static_cast<int>(e)), db,
-                                 service, valuation));
+                                 service, pages, valuation));
         truth.push_back(b ? 1 : 0);
       }
       for (size_t q = 0; q < num_states; ++q) {
