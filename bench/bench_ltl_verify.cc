@@ -110,6 +110,10 @@ void MergeObsCounters(benchmark::State& state) {
     }
     state.counters[key] = static_cast<double>(value);
   }
+  // The configuration graphs' peak footprint over this benchmark's
+  // iterations (ResetMetrics rebases gauge marks to the live level).
+  state.counters["obs_config_graph_peak_bytes"] =
+      static_cast<double>(snap.GaugePeak("mem/config_graph_bytes"));
 }
 
 // --- E2: the paper's properties on the running example. ---------------

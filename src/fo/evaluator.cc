@@ -35,6 +35,10 @@ std::optional<Value> EvalContext::ResolveConstant(
     const std::string& name) const {
   auto it = constant_overrides_.find(name);
   if (it != constant_overrides_.end()) return it->second;
+  if (constant_layer_ != nullptr) {
+    auto layer_it = constant_layer_->find(name);
+    if (layer_it != constant_layer_->end()) return layer_it->second;
+  }
   for (const Instance* layer : layers_) {
     std::optional<Value> v = layer->FindConstant(name);
     if (v.has_value()) return v;
@@ -52,6 +56,9 @@ const std::vector<Value>& EvalContext::ActiveDomain() const {
       dom.insert(prev_layer_->domain().begin(), prev_layer_->domain().end());
     }
     for (const auto& [name, v] : constant_overrides_) dom.insert(v);
+    if (constant_layer_ != nullptr) {
+      for (const auto& [name, v] : *constant_layer_) dom.insert(v);
+    }
     domain_cache_.assign(dom.begin(), dom.end());
     domain_valid_ = true;
   }

@@ -42,6 +42,15 @@ class EvalContext {
   /// Binds a constant symbol, overriding any layer's binding.
   void SetConstant(const std::string& name, Value v);
 
+  /// Binds every constant symbol of `*constants`, read through the
+  /// pointer rather than copied: after SetConstant's overrides, before
+  /// any layer's binding. The map must outlive the context; the run's
+  /// input-constant interpretation kappa is bound this way.
+  void SetConstantLayer(const std::map<std::string, Value>* constants) {
+    constant_layer_ = constants;
+    domain_valid_ = false;
+  }
+
   /// Adds extra elements to the active domain beyond the layers' domains.
   void AddDomainValue(Value v) {
     extra_domain_.insert(v);
@@ -55,16 +64,18 @@ class EvalContext {
   std::optional<Value> ResolveConstant(const std::string& name) const;
 
   /// The active domain: union of all layer domains, constant overrides,
-  /// and extra values, in Value order. Memoized until the next mutator
-  /// call; the lazy const materialization is not synchronized, so a
-  /// context must not see its first ActiveDomain() call from two threads
-  /// at once (contexts are built per evaluation everywhere in the repo).
+  /// the constant layer's values and extra values, in Value order.
+  /// Memoized until the next mutator call; the lazy const materialization
+  /// is not synchronized, so a context must not see its first
+  /// ActiveDomain() call from two threads at once (contexts are built per
+  /// evaluation everywhere in the repo).
   const std::vector<Value>& ActiveDomain() const;
 
  private:
   std::vector<const Instance*> layers_;
   const Instance* prev_layer_ = nullptr;
   std::map<std::string, Value> constant_overrides_;
+  const std::map<std::string, Value>* constant_layer_ = nullptr;
   std::set<Value> extra_domain_;
   mutable std::vector<Value> domain_cache_;
   mutable bool domain_valid_ = false;

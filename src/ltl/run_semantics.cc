@@ -46,7 +46,7 @@ StepContext::StepContext(const TraceView& step, const Instance& database,
   ctx_.AddLayer(&pages.For(*step.page));
   ctx_.AddLayer(&database);
   ctx_.SetPrevLayer(step.prev_inputs);
-  for (const auto& [name, v] : kappa_) ctx_.SetConstant(name, v);
+  ctx_.SetConstantLayer(&kappa_);
 }
 
 namespace {

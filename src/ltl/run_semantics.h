@@ -72,9 +72,8 @@ class PagePropositions {
 /// false) and the provided input constants kappa_i. Built once per step
 /// and shared by every leaf queried there; each query copies the context
 /// and adds its own active-domain extension. Keeps pointers into
-/// the step's instances, `database` and `pages`, which must outlive it
-/// (and, for configuration-graph views, the graph must not grow
-/// meanwhile).
+/// the step's instances and kappa, `database` and `pages`, which must
+/// outlive it (configuration-graph views stay valid as the graph grows).
 class StepContext {
  public:
   StepContext(const TraceView& step, const Instance& database,

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -49,6 +50,11 @@ int64_t MetricsSnapshot::GaugeValue(std::string_view name) const {
   return it == gauges.end() ? 0 : it->second;
 }
 
+int64_t MetricsSnapshot::GaugePeak(std::string_view name) const {
+  auto it = gauge_peaks.find(std::string(name));
+  return it == gauge_peaks.end() ? 0 : it->second;
+}
+
 MetricsSnapshot DiffSnapshots(const MetricsSnapshot& later,
                               const MetricsSnapshot& earlier) {
   MetricsSnapshot d;
@@ -79,6 +85,8 @@ MetricsSnapshot DiffSnapshots(const MetricsSnapshot& later,
     auto it = earlier.gauges.find(name);
     d.gauges[name] = value - (it == earlier.gauges.end() ? 0 : it->second);
   }
+  d.gauge_peaks = later.gauge_peaks;
+  d.process_peak_rss_bytes = later.process_peak_rss_bytes;
   return d;
 }
 
@@ -86,6 +94,19 @@ namespace {
 
 // Which request this thread's metric writes attribute to.
 thread_local RequestId t_current_request = kNoRequest;
+
+// VmHWM from /proc/self/status, in bytes; 0 if unavailable.
+int64_t ProcessPeakRssBytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lld kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return static_cast<int64_t>(kb) * 1024;
+}
 
 size_t BucketOf(uint64_t value) {
   return static_cast<size_t>(std::bit_width(value));
@@ -200,7 +221,9 @@ class Registry {
     if (inserted) {
       gauge_names_.push_back(it->first);
       gauge_slots_.emplace_back(0);
-      gauge_handles_.push_back(Gauge(&gauge_slots_.back()));
+      gauge_peaks_.emplace_back(0);
+      gauge_handles_.push_back(
+          Gauge(&gauge_slots_.back(), &gauge_peaks_.back()));
     }
     return gauge_handles_[it->second];
   }
@@ -229,7 +252,10 @@ class Registry {
     for (size_t i = 0; i < gauge_names_.size(); ++i) {
       snap.gauges[gauge_names_[i]] =
           gauge_slots_[i].load(std::memory_order_relaxed);
+      snap.gauge_peaks[gauge_names_[i]] =
+          gauge_peaks_[i].load(std::memory_order_relaxed);
     }
+    snap.process_peak_rss_bytes = ProcessPeakRssBytes();
     return snap;
   }
 
@@ -245,8 +271,13 @@ class Registry {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
       ZeroShardLocked(shard.get());
     }
-    // Gauges are intentionally left alone: they track live occupancy and
-    // their Add/Sub bookkeeping must stay balanced across resets.
+    // Gauge levels are intentionally left alone: they track live
+    // occupancy and their Add/Sub bookkeeping must stay balanced across
+    // resets. Their marks restart from the current level.
+    for (size_t i = 0; i < gauge_slots_.size(); ++i) {
+      gauge_peaks_[i].store(gauge_slots_[i].load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
+    }
   }
 
   RequestId OpenRequest(std::string label) {
@@ -487,6 +518,7 @@ class Registry {
   std::vector<std::string> gauge_names_;
   std::deque<Gauge> gauge_handles_;
   std::deque<std::atomic<int64_t>> gauge_slots_;  // stable addresses
+  std::deque<std::atomic<int64_t>> gauge_peaks_;  // parallel to the slots
   std::vector<std::shared_ptr<Shard>> shards_;
   std::unordered_map<RequestId, RequestAccum> requests_;
   RequestId next_request_ = kNoRequest;

@@ -28,7 +28,8 @@
 // Gauges are different: they track current occupancy (bytes held by the
 // value interner, program cache, graphs, VM arenas), go up *and* down,
 // and are process-global by nature — they appear only in global
-// snapshots, never in per-request deltas.
+// snapshots, never in per-request deltas. Each gauge also keeps its
+// high-water mark since the last ResetMetrics.
 //
 // Compile-time kill switch: building with -DWSV_OBS_DISABLED turns every
 // instrumentation macro into a no-op, so the instrumented code compiles
@@ -77,17 +78,27 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramSnapshot> histograms;
   /// Occupancy gauges (global snapshots only; empty in request deltas).
   std::map<std::string, int64_t> gauges;
+  /// Each gauge's high-water mark since the last ResetMetrics (global
+  /// snapshots only).
+  std::map<std::string, int64_t> gauge_peaks;
+  /// The process's peak resident set size (VmHWM) in bytes at snapshot
+  /// time; 0 where the platform does not report it (global snapshots
+  /// only).
+  int64_t process_peak_rss_bytes = 0;
 
   /// Value of a counter, 0 if never registered/bumped.
   uint64_t CounterValue(std::string_view name) const;
   /// Value of a gauge, 0 if never registered.
   int64_t GaugeValue(std::string_view name) const;
+  /// High-water mark of a gauge, 0 if never registered.
+  int64_t GaugePeak(std::string_view name) const;
 };
 
 /// later − earlier, per metric. Counters and histogram counts/sums/buckets
 /// subtract (saturating at 0); a histogram's `max` is not subtractable, so
 /// the diff keeps `later`'s max (an upper bound for the interval). Gauges
-/// diff signed. Used for phase-window attribution.
+/// diff signed; gauge peaks and the process peak RSS are not subtractable
+/// either, so the diff keeps `later`'s. Used for phase-window attribution.
 MetricsSnapshot DiffSnapshots(const MetricsSnapshot& later,
                               const MetricsSnapshot& earlier);
 
@@ -116,19 +127,31 @@ class Histogram {
 };
 
 /// An occupancy gauge handle: a signed level that rises and falls (bytes
-/// held, entries cached). Writes are single relaxed atomic ops on a
-/// process-global slot — gauges are not sharded because they track
-/// *current* occupancy, not attributable work.
+/// held, entries cached), and its high-water mark. Writes are relaxed
+/// atomic ops on process-global slots — gauges are not sharded because
+/// they track *current* occupancy, not attributable work. Add raises the
+/// mark to the level it produced (a relaxed max), so the mark is the
+/// highest level any Add reached since the last ResetMetrics.
 class Gauge {
  public:
-  void Add(int64_t n) { slot_->fetch_add(n, std::memory_order_relaxed); }
+  void Add(int64_t n) {
+    const int64_t level = slot_->fetch_add(n, std::memory_order_relaxed) + n;
+    int64_t peak = peak_->load(std::memory_order_relaxed);
+    while (level > peak &&
+           !peak_->compare_exchange_weak(peak, level,
+                                         std::memory_order_relaxed)) {
+    }
+  }
   void Sub(int64_t n) { slot_->fetch_sub(n, std::memory_order_relaxed); }
   int64_t Value() const { return slot_->load(std::memory_order_relaxed); }
+  int64_t Peak() const { return peak_->load(std::memory_order_relaxed); }
 
  private:
   friend class Registry;
-  explicit Gauge(std::atomic<int64_t>* slot) : slot_(slot) {}
+  Gauge(std::atomic<int64_t>* slot, std::atomic<int64_t>* peak)
+      : slot_(slot), peak_(peak) {}
   std::atomic<int64_t>* slot_;
+  std::atomic<int64_t>* peak_;
 };
 
 /// Interns `name` and returns its process-wide counter. Call sites should
@@ -141,8 +164,10 @@ Gauge& GetGauge(std::string_view name);
 MetricsSnapshot SnapshotMetrics();
 
 /// Zeroes every counter and histogram (names stay registered), including
-/// open per-request accumulators. Gauges are deliberately *not* reset:
-/// they track live occupancy whose Add/Sub bookkeeping would desync.
+/// open per-request accumulators. Gauge levels are deliberately *not*
+/// reset: they track live occupancy whose Add/Sub bookkeeping would
+/// desync. Each gauge's high-water mark is rebased to its current level,
+/// so the mark then measures the peak of what runs after the reset.
 /// Intended for tests and benchmark iterations; do not race it against
 /// writers.
 void ResetMetrics();

@@ -183,8 +183,8 @@ std::string FormatStatsTable(const MetricsSnapshot& snap) {
   }
 
   if (!snap.gauges.empty()) {
-    std::snprintf(line, sizeof(line), "%-34s %10s\n", "memory gauge",
-                  "live");
+    std::snprintf(line, sizeof(line), "%-34s %10s %10s\n", "memory gauge",
+                  "live", "peak");
     out += line;
     for (const auto& [name, value] : snap.gauges) {
       // The "_bytes" suffix marks byte gauges; everything else (entry
@@ -192,9 +192,17 @@ std::string FormatStatsTable(const MetricsSnapshot& snap) {
       const bool is_bytes =
           name.size() >= 6 &&
           name.compare(name.size() - 6, 6, "_bytes") == 0;
-      std::snprintf(line, sizeof(line), "%-34s %10s\n", name.c_str(),
-                    is_bytes ? FormatByteCount(value).c_str()
-                             : std::to_string(value).c_str());
+      auto fmt = [&](int64_t v) {
+        return is_bytes ? FormatByteCount(v) : std::to_string(v);
+      };
+      std::snprintf(line, sizeof(line), "%-34s %10s %10s\n", name.c_str(),
+                    fmt(value).c_str(), fmt(snap.GaugePeak(name)).c_str());
+      out += line;
+    }
+    if (snap.process_peak_rss_bytes > 0) {
+      std::snprintf(line, sizeof(line), "%-34s %10s %10s\n",
+                    "process rss (VmHWM)", "",
+                    FormatByteCount(snap.process_peak_rss_bytes).c_str());
       out += line;
     }
   }
@@ -346,7 +354,18 @@ std::string StatsToJson(const MetricsSnapshot& snap) {
     AppendJsonEscaped(name, &out);
     out += "\": " + std::to_string(value);
   }
-  out += "\n  },\n  \"derived\": {";
+  out += "\n  },\n  \"gauge_peaks\": {";
+  first = true;
+  for (const auto& [name, value] : snap.gauge_peaks) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    \"";
+    AppendJsonEscaped(name, &out);
+    out += "\": " + std::to_string(value);
+  }
+  out += "\n  },\n  \"process_peak_rss_bytes\": " +
+         std::to_string(snap.process_peak_rss_bytes);
+  out += ",\n  \"derived\": {";
   const double memo_rate = LeafMemoHitRate(snap);
   bool first_derived = true;
   if (memo_rate >= 0.0) {

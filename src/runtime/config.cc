@@ -1,7 +1,5 @@
 #include "runtime/config.h"
 
-#include "common/hash.h"
-
 namespace wsv {
 
 namespace {
@@ -19,27 +17,14 @@ std::string ConstantsToString(const std::map<std::string, Value>& consts) {
 
 }  // namespace
 
-size_t Config::Hash() const {
-  size_t h = std::hash<std::string>()(page);
-  h = HashCombine(h, state.Hash());
-  h = HashCombine(h, prev_inputs.Hash());
-  h = HashCombine(h, actions.Hash());
-  for (const auto& [name, v] : provided_constants) {
-    h = HashCombine(h, std::hash<std::string>()(name));
-    h = HashCombine(h, ValueHash()(v));
-  }
-  return h;
-}
-
-size_t Config::ApproxBytes() const {
-  size_t bytes = sizeof(Config) + page.capacity();
-  bytes += state.ApproxBytes() + prev_inputs.ApproxBytes() +
-           actions.ApproxBytes();
-  for (const auto& [name, v] : provided_constants) {
-    bytes += 4 * sizeof(void*) + sizeof(std::string) + name.capacity() +
-             sizeof(Value);
-  }
-  return bytes;
+Config ConfigView::Materialize() const {
+  Config c;
+  c.page = *page;
+  c.state = *state;
+  c.prev_inputs = *prev_inputs;
+  c.actions = *actions;
+  c.provided_constants = *kappa;
+  return c;
 }
 
 std::string Config::ToString() const {

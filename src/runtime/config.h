@@ -8,8 +8,10 @@
 // The pair determines the trace element <V_i, S_i, I_i, P_i, A_i> that
 // temporal formulas are evaluated on, and the unique successor node.
 //
-// Configs compare structurally; the verifiers use this to deduplicate
-// the (finite, for a fixed database) configuration graph.
+// Configs own their parts and compare structurally. The configuration
+// graph stores nodes hash-consed instead (verify/config_graph.h): a node
+// is a ConfigView, five pointers into the graph's store, and the stepper's
+// apply core (runtime/successor.h) works on such views.
 
 #ifndef WSV_RUNTIME_CONFIG_H_
 #define WSV_RUNTIME_CONFIG_H_
@@ -22,6 +24,11 @@
 
 namespace wsv {
 
+/// An input-constant interpretation kappa: constant name -> value.
+using Kappa = std::map<std::string, Value>;
+
+struct ConfigView;
+
 /// The node part of a run step (everything except the current input).
 struct Config {
   /// Current Web page V_i (possibly the error page).
@@ -33,10 +40,7 @@ struct Config {
   /// Actions A_i (triggered by the rules of step i-1).
   Instance actions;
   /// kappa_{i-1}: input constants provided strictly before this step.
-  std::map<std::string, Value> provided_constants;
-
-  /// Estimated heap footprint, for the mem/config_graph_bytes gauge.
-  size_t ApproxBytes() const;
+  Kappa provided_constants;
 
   friend bool operator==(const Config& a, const Config& b) {
     return a.page == b.page && a.state == b.state &&
@@ -51,11 +55,47 @@ struct Config {
     return a.provided_constants < b.provided_constants;
   }
 
-  /// Structural hash, consistent with operator==. The config-graph
-  /// builder's node dedup index is keyed by this.
-  size_t Hash() const;
-
   std::string ToString() const;
+};
+
+/// A non-owning view of a node: one pointer per part of a Config. The
+/// configuration graph holds its nodes this way, every pointer leading
+/// into the graph's hash-consed store, so two of its nodes are equal iff
+/// their views are pointer-equal. Like std::string_view, a view taken of
+/// a Config is valid only while that Config is alive and unmodified.
+struct ConfigView {
+  const std::string* page = nullptr;
+  const Instance* state = nullptr;
+  const Instance* prev_inputs = nullptr;
+  const Instance* actions = nullptr;
+  /// kappa_{i-1}, the Config's provided_constants.
+  const Kappa* kappa = nullptr;
+
+  ConfigView() = default;
+  ConfigView(const std::string* page_, const Instance* state_,
+             const Instance* prev_inputs_, const Instance* actions_,
+             const Kappa* kappa_)
+      : page(page_),
+        state(state_),
+        prev_inputs(prev_inputs_),
+        actions(actions_),
+        kappa(kappa_) {}
+  // Implicit, like string_view, so Config callers of the view-based API
+  // stay unchanged.
+  ConfigView(const Config& c)  // NOLINT(runtime/explicit)
+      : ConfigView(&c.page, &c.state, &c.prev_inputs, &c.actions,
+                   &c.provided_constants) {}
+
+  /// An owning copy of the viewed node.
+  Config Materialize() const;
+
+  /// Pointer identity, which is structural equality for views into one
+  /// configuration graph's store.
+  friend bool operator==(const ConfigView& a, const ConfigView& b) {
+    return a.page == b.page && a.state == b.state &&
+           a.prev_inputs == b.prev_inputs && a.actions == b.actions &&
+           a.kappa == b.kappa;
+  }
 };
 
 /// The user's decision at one step: values for the input constants the
@@ -93,7 +133,7 @@ struct TraceStep {
   Instance inputs;  // relations, propositions, and constants chosen now
   Instance prev_inputs;
   Instance actions;
-  std::map<std::string, Value> kappa;
+  Kappa kappa;
 
   std::string ToString() const;
 };

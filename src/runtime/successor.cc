@@ -80,36 +80,34 @@ std::set<std::string> Stepper::PrevRelationsInRules(
   return out;
 }
 
-Config Stepper::InitialConfig() const {
-  Config c;
-  c.page = service_->home_page();
-  c.state = empty_state_;
-  c.prev_inputs = empty_prev_;
-  c.actions = empty_actions_;
-  return c;
+Config Stepper::InitialConfig() const { return InitialView().Materialize(); }
+
+ConfigView Stepper::InitialView() const {
+  return ConfigView(&service_->home_page(), &empty_state_, &empty_prev_,
+                    &empty_actions_, &empty_kappa_);
 }
 
-EvalContext Stepper::MakeContext(const Config& config,
-                                 const std::map<std::string, Value>& kappa,
+EvalContext Stepper::MakeContext(const ConfigView& node, const Kappa& kappa,
                                  const Instance* current_inputs) const {
   EvalContext ctx;
   if (current_inputs != nullptr) ctx.AddLayer(current_inputs);
-  ctx.AddLayer(&config.state);
+  ctx.AddLayer(node.state);
   ctx.AddLayer(database_);
-  ctx.SetPrevLayer(&config.prev_inputs);
+  ctx.SetPrevLayer(node.prev_inputs);
   ctx.AddLayer(&rule_literals_);
-  for (const auto& [name, v] : kappa) ctx.SetConstant(name, v);
+  ctx.SetConstantLayer(&kappa);
   return ctx;
 }
 
-std::optional<std::string> Stepper::StaticError(const Config& config) const {
-  if (config.page == service_->error_page()) return std::nullopt;
-  const PageSchema* page = service_->FindPage(config.page);
-  if (page == nullptr) return "unknown page " + config.page;
+std::optional<std::string> Stepper::StaticError(const ConfigView& node) const {
+  if (*node.page == service_->error_page()) return std::nullopt;
+  const PageSchema* page = service_->FindPage(*node.page);
+  if (page == nullptr) return "unknown page " + *node.page;
+  const Kappa& provided = *node.kappa;
 
   // Condition (ii): the page requests a constant already provided.
   for (const std::string& c : page->input_constants) {
-    if (config.provided_constants.count(c) > 0) {
+    if (provided.count(c) > 0) {
       return "input constant '" + c + "' requested again (condition ii)";
     }
   }
@@ -120,10 +118,7 @@ std::optional<std::string> Stepper::StaticError(const Config& config) const {
   const size_t index = static_cast<size_t>(page - service_->pages().data());
   for (const RuleConstants& entry : rule_constants_[index]) {
     for (const std::string& c : entry.constants) {
-      if (config.provided_constants.count(c) > 0 ||
-          page->HasInputConstant(c)) {
-        continue;
-      }
+      if (provided.count(c) > 0 || page->HasInputConstant(c)) continue;
       std::string rule;
       switch (entry.kind) {
         case RuleConstants::Kind::kInput:
@@ -147,15 +142,20 @@ std::optional<std::string> Stepper::StaticError(const Config& config) const {
 }
 
 StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::ComputeOptions(
-    const Config& config,
+    const ConfigView& node,
     const std::map<std::string, Value>& new_constants) const {
-  const PageSchema* page = service_->FindPage(config.page);
-  if (page == nullptr) {
-    return Status::NotFound("unknown page " + config.page);
-  }
-  std::map<std::string, Value> kappa = config.provided_constants;
+  Kappa kappa = *node.kappa;
   for (const auto& [name, v] : new_constants) kappa[name] = v;
-  EvalContext ctx = MakeContext(config, kappa, /*current_inputs=*/nullptr);
+  return OptionsUnder(node, kappa);
+}
+
+StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::OptionsUnder(
+    const ConfigView& node, const Kappa& kappa) const {
+  const PageSchema* page = service_->FindPage(*node.page);
+  if (page == nullptr) {
+    return Status::NotFound("unknown page " + *node.page);
+  }
+  EvalContext ctx = MakeContext(node, kappa, /*current_inputs=*/nullptr);
   std::map<std::string, std::set<Tuple>> options;
   for (const InputRule& rule : page->input_rules) {
     WSV_ASSIGN_OR_RETURN(
@@ -166,29 +166,28 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::ComputeOptions(
   return options;
 }
 
-Successor Stepper::ErrorPageLoop(const Config& config) const {
+Successor Stepper::ErrorPageLoop(const ConfigView& node) const {
   Successor out;
-  out.next.page = config.page;
-  out.next.state = config.state;
-  out.next.prev_inputs = empty_prev_;
-  out.next.actions = empty_actions_;
-  out.next.provided_constants = config.provided_constants;
-  out.inputs = empty_inputs_;
+  out.page = node.page;
+  out.state = Part::Source(node.state);
+  out.prev_inputs = Part::Prototype(&empty_prev_);
+  out.actions = Part::Prototype(&empty_actions_);
+  out.kappa = node.kappa;
+  out.inputs = Part::Prototype(&empty_inputs_);
   return out;
 }
 
-Successor Stepper::ToErrorPage(const Config& config,
-                               const std::map<std::string, Value>& kappa,
+Successor Stepper::ToErrorPage(const ConfigView& node, const Kappa* kappa,
                                std::string reason) const {
   Successor out;
   out.to_error = true;
   out.error_reason = std::move(reason);
-  out.next.page = service_->error_page();
-  out.next.state = config.state;  // carried unchanged
-  out.next.prev_inputs = empty_prev_;
-  out.next.actions = empty_actions_;
-  out.next.provided_constants = kappa;
-  out.inputs = empty_inputs_;
+  out.page = &service_->error_page();
+  out.state = Part::Source(node.state);  // carried unchanged
+  out.prev_inputs = Part::Prototype(&empty_prev_);
+  out.actions = Part::Prototype(&empty_actions_);
+  out.kappa = kappa;
+  out.inputs = Part::Prototype(&empty_inputs_);
   return out;
 }
 
@@ -196,12 +195,16 @@ StepOutcome Stepper::WithTrace(const Config& config, Successor succ) {
   StepOutcome out;
   out.trace.page = config.page;
   out.trace.state = config.state;
-  out.trace.inputs = std::move(succ.inputs);
+  out.trace.inputs = succ.inputs.Release();
   out.trace.prev_inputs = config.prev_inputs;
   out.trace.actions = config.actions;
   // kappa_i is the successor's accumulated interpretation.
-  out.trace.kappa = succ.next.provided_constants;
-  out.next = std::move(succ.next);
+  out.trace.kappa = *succ.kappa;
+  out.next.page = *succ.page;
+  out.next.state = succ.state.Release();
+  out.next.prev_inputs = succ.prev_inputs.Release();
+  out.next.actions = succ.actions.Release();
+  out.next.provided_constants = *succ.kappa;
   out.to_error = succ.to_error;
   out.error_reason = std::move(succ.error_reason);
   return out;
@@ -221,7 +224,7 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
 
   // Node-level error conditions (i) and (ii): the step consumes no input.
   if (std::optional<std::string> err = StaticError(config)) {
-    return WithTrace(config, ToErrorPage(config, config.provided_constants,
+    return WithTrace(config, ToErrorPage(config, &config.provided_constants,
                                          std::move(*err)));
   }
 
@@ -234,7 +237,7 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
     }
     (void)v;
   }
-  std::map<std::string, Value> kappa = config.provided_constants;
+  Kappa kappa = config.provided_constants;
   for (const std::string& c : page->input_constants) {
     auto it = choice.constant_values.find(c);
     if (it == choice.constant_values.end()) {
@@ -246,8 +249,7 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
 
   // Validate the relation picks against the options and the
   // propositions against the page.
-  WSV_ASSIGN_OR_RETURN(auto options,
-                       ComputeOptions(config, choice.constant_values));
+  WSV_ASSIGN_OR_RETURN(auto options, OptionsUnder(config, kappa));
   for (const auto& [rel, pick] : choice.relation_choices) {
     if (!page->HasInputRelation(rel)) {
       return Status::InvalidArgument("page " + page->name +
@@ -272,51 +274,84 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
   }
 
   WSV_ASSIGN_OR_RETURN(Successor succ,
-                       ApplyChoice(config, *page, kappa, choice));
+                       ApplyChoice(config, *page, &kappa, choice));
   return WithTrace(config, std::move(succ));
 }
 
-StatusOr<Successor> Stepper::ApplyChoice(
-    const Config& config, const PageSchema& page,
-    const std::map<std::string, Value>& kappa,
-    const UserChoice& choice) const {
-  // Assemble the input instance I_i.
-  Instance inputs = empty_inputs_;
+namespace {
+
+// Whether `rel` holds every tuple of `sub`.
+bool ContainsAll(const Relation& rel, const Relation& sub) {
+  for (const Tuple& t : sub.tuples()) {
+    if (!rel.Contains(t)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+// Each part is built only where the step changes it; otherwise the
+// successor reuses the source node's instance or an empty prototype.
+// Reuse yields exactly the instance a fresh build would: every tuple
+// enters a state, prev or action relation through a build below, which
+// adds the tuple's values to that instance's domain, so an instance
+// whose relations a build would leave unchanged gains nothing from it
+// either (DESIGN.md §6h).
+StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
+                                         const PageSchema& page,
+                                         const Kappa* kappa,
+                                         const UserChoice& choice) const {
+  Successor out;
+  // Assemble the input instance I_i; it is the empty prototype unless
+  // something is picked, some proposition is true, or the page records a
+  // constant in it.
+  bool any_input = !page.input_constants.empty();
   for (const auto& [rel, pick] : choice.relation_choices) {
-    if (!pick.has_value()) continue;
-    inputs.MutableRelation(rel)->Insert(*pick);
-    for (Value v : *pick) inputs.AddDomainValue(v);
+    any_input = any_input || pick.has_value();
   }
   for (const auto& [prop, truth] : choice.proposition_choices) {
-    inputs.MutableRelation(prop)->SetBool(truth);
+    any_input = any_input || truth;
   }
-  // Record the constants provided at this step in I_i for the trace.
-  for (const std::string& c : page.input_constants) {
-    inputs.SetConstant(c, kappa.at(c));
+  if (any_input) {
+    Instance built = empty_inputs_;
+    for (const auto& [rel, pick] : choice.relation_choices) {
+      if (!pick.has_value()) continue;
+      built.MutableRelation(rel)->Insert(*pick);
+      for (Value v : *pick) built.AddDomainValue(v);
+    }
+    for (const auto& [prop, truth] : choice.proposition_choices) {
+      built.MutableRelation(prop)->SetBool(truth);
+    }
+    // Record the constants provided at this step in I_i for the trace.
+    for (const std::string& c : page.input_constants) {
+      built.SetConstant(c, kappa->at(c));
+    }
+    out.inputs = Part::Built(std::move(built));
+  } else {
+    out.inputs = Part::Prototype(&empty_inputs_);
   }
+  const Instance& inputs = out.inputs.get();
 
-  EvalContext ctx = MakeContext(config, kappa, &inputs);
+  EvalContext ctx = MakeContext(node, *kappa, &inputs);
 
   // Target rules; condition (iii) fires on ambiguity.
-  std::vector<std::string> true_targets;
+  std::vector<const std::string*> true_targets;
   for (const TargetRule& rule : page.target_rules) {
     WSV_ASSIGN_OR_RETURN(bool fired, fobc::EvaluateFast(rule.body, ctx));
-    if (fired) true_targets.push_back(rule.target);
+    if (fired) true_targets.push_back(&rule.target);
   }
   if (true_targets.size() > 1) {
-    return ToErrorPage(config, kappa,
-                       "ambiguous targets: " + true_targets[0] + " and " +
-                           true_targets[1] + " (condition iii)");
+    return ToErrorPage(node, kappa,
+                       "ambiguous targets: " + *true_targets[0] + " and " +
+                           *true_targets[1] + " (condition iii)");
   }
 
-  Successor out;
-  out.next.page =
-      true_targets.empty() ? config.page : true_targets.front();
-  out.next.provided_constants = kappa;
+  out.page = true_targets.empty() ? node.page : true_targets.front();
+  out.kappa = kappa;
 
   // State update: S' = (ins \ del) ∪ (S ∩ ins ∩ del) ∪ (S \ (ins ∪ del)),
   // per state relation with rules on this page; others carry unchanged.
-  out.next.state = config.state;
+  // The source state is copied only once some relation actually changes.
   std::map<std::string, std::pair<std::set<Tuple>, std::set<Tuple>>> updates;
   for (const StateRule& rule : page.state_rules) {
     WSV_ASSIGN_OR_RETURN(
@@ -325,64 +360,92 @@ StatusOr<Successor> Stepper::ApplyChoice(
     auto& [ins, del] = updates[rule.state];
     (rule.insert ? ins : del) = std::move(tuples);
   }
+  Instance state;
+  bool state_changed = false;
   for (const auto& [state_name, insdel] : updates) {
     const auto& [ins, del] = insdel;
-    Relation* rel = out.next.state.MutableRelation(state_name);
-    const Relation* old = config.state.FindRelation(state_name);
-    Relation updated(rel->arity());
+    const Relation* old = node.state->FindRelation(state_name);
+    if (old == nullptr) continue;  // every state relation is materialized
+    Relation updated(old->arity());
     for (const Tuple& t : ins) {
       bool deleted = del.count(t) > 0;
-      bool was_in = old != nullptr && old->Contains(t);
       // Insert wins unless also deleted; insert+delete conflicts no-op.
-      if (!deleted || was_in) updated.Insert(t);
+      if (!deleted || old->Contains(t)) updated.Insert(t);
     }
-    if (old != nullptr) {
-      for (const Tuple& t : old->tuples()) {
-        bool inserted = ins.count(t) > 0;
-        bool deleted = del.count(t) > 0;
-        if (!inserted && !deleted) updated.Insert(t);
-      }
+    for (const Tuple& t : old->tuples()) {
+      bool inserted = ins.count(t) > 0;
+      bool deleted = del.count(t) > 0;
+      if (!inserted && !deleted) updated.Insert(t);
     }
+    if (updated == *old) continue;
+    if (!state_changed) {
+      state = *node.state;
+      state_changed = true;
+    }
+    Relation* rel = state.MutableRelation(state_name);
     *rel = std::move(updated);
     // Track new values in the state's domain.
     for (const Tuple& t : rel->tuples()) {
-      for (Value v : t) out.next.state.AddDomainValue(v);
+      for (Value v : t) state.AddDomainValue(v);
     }
   }
+  out.state = state_changed ? Part::Built(std::move(state))
+                            : Part::Source(node.state);
 
   // Actions triggered at step i land in A_{i+1}.
-  out.next.actions = empty_actions_;
+  Instance actions;
+  bool any_action = false;
   for (const ActionRule& rule : page.action_rules) {
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
         fobc::EvaluateQueryFast(rule.body, rule.head_vars, ctx));
-    Relation* rel = out.next.actions.MutableRelation(rule.action);
+    if (tuples.empty()) continue;
+    if (!any_action) {
+      actions = empty_actions_;
+      any_action = true;
+    }
+    Relation* rel = actions.MutableRelation(rule.action);
     for (const Tuple& t : tuples) {
       rel->Insert(t);
-      for (Value v : t) out.next.actions.AddDomainValue(v);
+      for (Value v : t) actions.AddDomainValue(v);
     }
   }
+  out.actions = any_action ? Part::Built(std::move(actions))
+                           : Part::Prototype(&empty_actions_);
 
   // P_{i+1}(prev_I) = I_i(I) for I offered by this page, empty otherwise.
   // Under lossless-input semantics (Theorem 3.9's extension (iii)),
   // prev_I instead accumulates every input ever given to I.
-  out.next.prev_inputs = lossless_input_ ? config.prev_inputs : empty_prev_;
+  const Instance& prev_base = lossless_input_ ? *node.prev_inputs : empty_prev_;
+  Instance prev;
+  bool prev_changed = false;
   for (const std::string& in : page.inputs) {
     const Relation* cur = inputs.FindRelation(in);
-    if (cur == nullptr) continue;
-    Relation* prev = out.next.prev_inputs.MutableRelation(in);
-    if (prev == nullptr) continue;  // untracked Prev_I relation
+    const Relation* before = prev_base.FindRelation(in);
+    if (cur == nullptr || before == nullptr) continue;  // untracked Prev_I
+    if (lossless_input_ ? ContainsAll(*before, *cur) : *cur == *before) {
+      continue;
+    }
+    if (!prev_changed) {
+      prev = prev_base;
+      prev_changed = true;
+    }
+    Relation* rel = prev.MutableRelation(in);
     if (lossless_input_) {
-      for (const Tuple& t : cur->tuples()) prev->Insert(t);
+      for (const Tuple& t : cur->tuples()) rel->Insert(t);
     } else {
-      *prev = *cur;
+      *rel = *cur;
     }
     for (const Tuple& t : cur->tuples()) {
-      for (Value v : t) out.next.prev_inputs.AddDomainValue(v);
+      for (Value v : t) prev.AddDomainValue(v);
     }
   }
-
-  out.inputs = std::move(inputs);
+  if (prev_changed) {
+    out.prev_inputs = Part::Built(std::move(prev));
+  } else {
+    out.prev_inputs = lossless_input_ ? Part::Source(node.prev_inputs)
+                                      : Part::Prototype(&empty_prev_);
+  }
   return out;
 }
 

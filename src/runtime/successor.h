@@ -48,13 +48,59 @@ struct StepOutcome {
   std::string error_reason;
 };
 
-/// One successor as the configuration graph stores it: the successor
-/// node and the inputs chosen at this step. The rest of the trace element
-/// is the source node's page, state, prev and actions plus the
-/// successor's kappa, so it is not copied here.
+/// One instance part of a successor node as the apply core produced it:
+/// the source node's own instance, one of the stepper's empty prototypes,
+/// or a newly built instance. Only a built part owns its instance; the
+/// other two point at instances that outlive the successor. The
+/// configuration graph interns a part by its origin (DESIGN.md §6h).
+class Part {
+ public:
+  enum class Origin { kSource, kPrototype, kBuilt };
+
+  Part() = default;
+  static Part Source(const Instance* inst) {
+    return Part(Origin::kSource, inst);
+  }
+  static Part Prototype(const Instance* inst) {
+    return Part(Origin::kPrototype, inst);
+  }
+  static Part Built(Instance inst) {
+    Part part(Origin::kBuilt, nullptr);
+    part.built_ = std::move(inst);
+    return part;
+  }
+
+  Origin origin() const { return origin_; }
+  const Instance& get() const {
+    return origin_ == Origin::kBuilt ? built_ : *ref_;
+  }
+  /// The instance as an owning value: moved out of a built part, copied
+  /// otherwise. The part must not be read afterwards.
+  Instance Release() {
+    return origin_ == Origin::kBuilt ? std::move(built_) : *ref_;
+  }
+
+ private:
+  Part(Origin origin, const Instance* ref) : origin_(origin), ref_(ref) {}
+
+  Origin origin_ = Origin::kPrototype;
+  const Instance* ref_ = nullptr;
+  Instance built_;
+};
+
+/// One successor as the apply core builds it: the successor node's parts
+/// and the inputs chosen at this step. The rest of the trace element is
+/// the source node's page, state, prev and actions plus the successor's
+/// kappa, so it is not copied here. `page` and `kappa` point at data that
+/// outlives the successor: the source node's, a page name the service
+/// owns, or the kappa the caller passed in.
 struct Successor {
-  Config next;
-  Instance inputs;
+  const std::string* page = nullptr;
+  Part state;
+  Part prev_inputs;
+  Part actions;
+  const Kappa* kappa = nullptr;
+  Part inputs;
   bool to_error = false;
   std::string error_reason;
 };
@@ -86,49 +132,60 @@ class Stepper {
 
   /// The initial node: home page, empty state/prev/actions, empty kappa.
   Config InitialConfig() const;
+  /// The same node as a view of the stepper's own prototypes, valid while
+  /// the stepper is alive and its setters are not called.
+  ConfigView InitialView() const;
 
   /// Returns the reason if the node transitions to the error page
   /// regardless of the user's choice (conditions (i) and (ii)); nullopt
   /// otherwise. Always nullopt on the error page itself.
-  std::optional<std::string> StaticError(const Config& config) const;
+  std::optional<std::string> StaticError(const ConfigView& node) const;
 
   /// Options for each positive-arity input relation offered by the
   /// current page, computed over D, S_i, P_i, and kappa_i (which includes
   /// `new_constants`, the values for the constants the page requests).
   StatusOr<std::map<std::string, std::set<Tuple>>> ComputeOptions(
-      const Config& config,
+      const ConfigView& node,
       const std::map<std::string, Value>& new_constants) const;
+
+  /// ComputeOptions with kappa_i given whole: node's kappa plus a value
+  /// for each constant the page requests.
+  StatusOr<std::map<std::string, std::set<Tuple>>> OptionsUnder(
+      const ConfigView& node, const Kappa& kappa) const;
 
   /// Applies one step. The choice must supply a value for exactly the
   /// input constants the page requests, and relation picks must be among
   /// the computed options (checked; violations are InvalidArgument).
   /// On the error page the choice is ignored.
   ///
-  /// Step is validate -> ComputeOptions -> ApplyChoice; the successor
-  /// builders below are the unvalidated pieces, for callers that hold
-  /// those facts already (the configuration-graph expansion).
+  /// Step is validate -> ComputeOptions -> ApplyChoice, and materializes
+  /// the successor as an owning Config. The successor builders below are
+  /// the unvalidated pieces, on node views, for callers that hold those
+  /// facts already (the configuration-graph expansion). Each reuses the
+  /// source node's instances and the stepper's empty prototypes wherever
+  /// the step leaves a part unchanged, and builds a part only where it
+  /// changes (DESIGN.md §6h).
   StatusOr<StepOutcome> Step(const Config& config,
                              const UserChoice& choice) const;
 
   /// The only successor of a node on the error page: a self-loop with
   /// no inputs and empty prev and actions.
-  Successor ErrorPageLoop(const Config& config) const;
+  Successor ErrorPageLoop(const ConfigView& node) const;
 
   /// The transition to the error page with `reason`: the state carried
-  /// unchanged, kappa set to `kappa`, no inputs.
-  Successor ToErrorPage(const Config& config,
-                        const std::map<std::string, Value>& kappa,
+  /// unchanged, kappa set to `*kappa`, no inputs.
+  Successor ToErrorPage(const ConfigView& node, const Kappa* kappa,
                         std::string reason) const;
 
   /// The apply core of Step, without its checks. Preconditions: `page`
-  /// is config's page, not the error page, and StaticError(config) is
-  /// nullopt; `kappa` is config.provided_constants plus a value for each
-  /// constant the page requests; every relation pick of `choice` is
-  /// among ComputeOptions(config, those values) and every proposition is
-  /// one the page offers. Returns the successor Step would return.
-  StatusOr<Successor> ApplyChoice(const Config& config,
-                                  const PageSchema& page,
-                                  const std::map<std::string, Value>& kappa,
+  /// is node's page, not the error page, and StaticError(node) is
+  /// nullopt; `*kappa` is node's kappa plus a value for each constant
+  /// the page requests; every relation pick of `choice` is among
+  /// OptionsUnder(node, *kappa) and every proposition is one the page
+  /// offers. Returns the successor Step would return; its parts may
+  /// point into `node` and at `*kappa`.
+  StatusOr<Successor> ApplyChoice(const ConfigView& node,
+                                  const PageSchema& page, const Kappa* kappa,
                                   const UserChoice& choice) const;
 
   const WebService& service() const { return *service_; }
@@ -145,8 +202,8 @@ class Stepper {
   };
 
   /// EvalContext over D, S_i, P_i, kappa; optionally the current inputs.
-  EvalContext MakeContext(const Config& config,
-                          const std::map<std::string, Value>& kappa,
+  /// `kappa` is bound by pointer and must outlive the context.
+  EvalContext MakeContext(const ConfigView& node, const Kappa& kappa,
                           const Instance* current_inputs) const;
 
   /// Wraps a successor of `config` into the StepOutcome Step returns.
@@ -166,13 +223,15 @@ class Stepper {
   /// nullopt means all.
   std::optional<std::set<std::string>> tracked_prev_;
   bool lossless_input_ = false;
-  /// Every relation of the kind materialized empty; copied, never
-  /// rebuilt, on each step. empty_prev_ holds the tracked prev relations
-  /// and is rebuilt by SetTrackedPrev.
+  /// Every relation of the kind materialized empty: the part a step
+  /// yields when it leaves that part empty, and the base it copies when
+  /// it does not. empty_prev_ holds the tracked prev relations and is
+  /// rebuilt by SetTrackedPrev.
   Instance empty_state_;
   Instance empty_inputs_;
   Instance empty_actions_;
   Instance empty_prev_;
+  Kappa empty_kappa_;
 };
 
 }  // namespace wsv

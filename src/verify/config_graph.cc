@@ -2,6 +2,7 @@
 
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/hash.h"
 #include "obs/trace.h"
@@ -9,19 +10,111 @@
 
 namespace wsv {
 
+namespace {
+
+// Edge dedup key within one node: (target node, stored inputs).
+struct EdgeKeyHash {
+  size_t operator()(const std::pair<int, const Instance*>& key) const {
+    return HashCombine(std::hash<const void*>()(key.second),
+                       static_cast<size_t>(key.first));
+  }
+};
+
+// Approximate heap bytes of one hash-index or tree entry (node links,
+// key, mapped value, allocator rounding).
+constexpr uint64_t kIndexEntryBytes = 4 * sizeof(void*);
+
+uint64_t KappaBytes(const Kappa& kappa) {
+  uint64_t bytes = sizeof(Kappa);
+  for (const auto& [name, v] : kappa) {
+    bytes += kIndexEntryBytes + sizeof(std::string) + name.capacity() +
+             sizeof(Value);
+  }
+  return bytes;
+}
+
+size_t KappaHash(const Kappa& kappa) {
+  size_t h = 0;
+  for (const auto& [name, v] : kappa) {
+    h = HashCombine(h, std::hash<std::string>()(name));
+    h = HashCombine(h, ValueHash()(v));
+  }
+  return h;
+}
+
+}  // namespace
+
+template <typename T>
+const T* ConfigStore::Pool<T>::Intern(T value, size_t hash, bool* added) {
+  auto [first, last] = index.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (*it->second == value) {
+      *added = false;
+      return it->second;
+    }
+  }
+  const T* stored = &items.emplace_back(std::move(value));
+  index.emplace(hash, stored);
+  *added = true;
+  return stored;
+}
+
+const Instance* ConfigStore::Intern(Part part) {
+  switch (part.origin()) {
+    case Part::Origin::kSource:
+      return &part.get();
+    case Part::Origin::kPrototype: {
+      for (const auto& [prototype, stored] : prototypes_) {
+        if (prototype == &part.get()) return stored;
+      }
+      const Instance* stored = Intern(part.get());
+      prototypes_.emplace_back(&part.get(), stored);
+      return stored;
+    }
+    case Part::Origin::kBuilt:
+      break;
+  }
+  return Intern(part.Release());
+}
+
+const Instance* ConfigStore::Intern(Instance inst) {
+  const size_t hash = inst.Hash();
+  bool added = false;
+  const Instance* stored = instances_.Intern(std::move(inst), hash, &added);
+  if (added) bytes_ += stored->ApproxBytes() + kIndexEntryBytes;
+  return stored;
+}
+
+const Kappa* ConfigStore::Intern(Kappa kappa) {
+  const size_t hash = KappaHash(kappa);
+  bool added = false;
+  const Kappa* stored = kappas_.Intern(std::move(kappa), hash, &added);
+  if (added) bytes_ += KappaBytes(*stored) + kIndexEntryBytes;
+  return stored;
+}
+
+const std::string* ConfigStore::InternPage(const std::string& page) {
+  bool added = false;
+  const std::string* stored =
+      pages_.Intern(page, std::hash<std::string>()(page), &added);
+  if (added) {
+    bytes_ += sizeof(std::string) + stored->capacity() + kIndexEntryBytes;
+  }
+  return stored;
+}
+
 TraceView ConfigGraph::View(int e) const {
   const Edge& edge = edges[static_cast<size_t>(e)];
-  const Config& from = nodes[static_cast<size_t>(edge.from)];
-  const Config& to = nodes[static_cast<size_t>(edge.to)];
+  const ConfigView& from = nodes[static_cast<size_t>(edge.from)];
   TraceView view;
-  view.page = &from.page;
-  view.state = &from.state;
-  view.inputs = &edge.inputs;
-  view.prev_inputs = &from.prev_inputs;
-  view.actions = &from.actions;
+  view.page = from.page;
+  view.state = from.state;
+  view.inputs = edge.inputs;
+  view.prev_inputs = from.prev_inputs;
+  view.actions = from.actions;
   // kappa_i includes the constants provided at this step, i.e. the
   // successor node's accumulated interpretation.
-  view.kappa = &to.provided_constants;
+  view.kappa = nodes[static_cast<size_t>(edge.to)].kappa;
   return view;
 }
 
@@ -37,6 +130,10 @@ TraceStep ConfigGraph::Materialize(int e) const {
   return step;
 }
 
+Config ConfigGraph::MaterializeNode(int v) const {
+  return nodes[static_cast<size_t>(v)].Materialize();
+}
+
 std::string ConfigGraph::Stats() const {
   // Thin formatting shim over the per-graph fields. The aggregate
   // numbers live in the metrics registry ("config_graph/*" counters,
@@ -49,26 +146,26 @@ std::string ConfigGraph::Stats() const {
 
 namespace {
 
-// Enumerates the successors of node `v` of `nodes`, which is neither on
-// the error page nor statically erroneous, one per user choice, in the
-// canonical choice order: constant values odometer-style over the pool
-// (first requested constant slowest); then per offered relation no pick
-// followed by each option; then each proposition false, then true.
-// Options are computed once per constant binding and each choice goes
-// straight to the stepper's apply core: the choices are valid by
-// construction, so the checks Step would repeat are skipped. Each
-// successor is handed to `emit` as soon as it is built; `emit` may grow
-// `nodes`, so the node is re-read by index after every call.
+// Enumerates the successors of `node`, which is neither on the error
+// page nor statically erroneous, one per user choice, in the canonical
+// choice order: constant values odometer-style over the pool (first
+// requested constant slowest); then per offered relation no pick followed
+// by each option; then each proposition false, then true. Each constant
+// binding's kappa is interned once and its options are computed once;
+// each choice goes straight to the stepper's apply core: the choices are
+// valid by construction, so the checks Step would repeat are skipped.
+// Each successor is handed to `emit` as soon as it is built. The node's
+// parts are stored, so `node` stays valid while `emit` grows the graph.
 class SuccessorEnumerator {
  public:
-  using Emit = std::function<Status(Successor)>;
+  using Emit = std::function<Status(Successor&)>;
 
-  SuccessorEnumerator(const Stepper& stepper, const std::vector<Config>& nodes,
-                      size_t v, const PageSchema& page,
+  SuccessorEnumerator(const Stepper& stepper, ConfigStore& store,
+                      const ConfigView& node, const PageSchema& page,
                       const std::vector<Value>& constant_pool, Emit emit)
       : stepper_(stepper),
-        nodes_(nodes),
-        v_(v),
+        store_(store),
+        node_(node),
         page_(page),
         constant_pool_(constant_pool),
         emit_(std::move(emit)) {
@@ -87,8 +184,6 @@ class SuccessorEnumerator {
   using Alternatives =
       std::vector<std::pair<std::string, std::vector<std::optional<Tuple>>>>;
 
-  const Config& node() const { return nodes_[v_]; }
-
   Status EnumerateConstants(size_t idx, std::map<std::string, Value>& chosen) {
     if (idx < page_.input_constants.size()) {
       if (constant_pool_.empty()) {
@@ -102,13 +197,17 @@ class SuccessorEnumerator {
       }
       return Status::OK();
     }
-    // Constants fixed; compute options once, then enumerate relation
-    // picks and proposition values.
-    WSV_ASSIGN_OR_RETURN(auto options, stepper_.ComputeOptions(node(), chosen));
-    std::map<std::string, Value> kappa = node().provided_constants;
-    for (const auto& [name, v] : chosen) kappa[name] = v;
+    // Constants fixed: kappa_i is the node's kappa when the page requests
+    // none, else one interned map per binding. Compute options once, then
+    // enumerate relation picks and proposition values.
+    const Kappa* kappa = node_.kappa;
+    if (!chosen.empty()) {
+      Kappa extended = *node_.kappa;
+      for (const auto& [name, v] : chosen) extended[name] = v;
+      kappa = store_.Intern(std::move(extended));
+    }
+    WSV_ASSIGN_OR_RETURN(auto options, stepper_.OptionsUnder(node_, *kappa));
     UserChoice choice;
-    choice.constant_values = chosen;
     Alternatives rel_alternatives;
     for (const auto& [rel, tuples] : options) {
       std::vector<std::optional<Tuple>> alts;
@@ -121,8 +220,7 @@ class SuccessorEnumerator {
   }
 
   Status EnumeratePicks(const Alternatives& rels, size_t rel_idx,
-                        size_t prop_idx,
-                        const std::map<std::string, Value>& kappa,
+                        size_t prop_idx, const Kappa* kappa,
                         UserChoice& choice) {
     if (rel_idx < rels.size()) {
       for (const std::optional<Tuple>& alt : rels[rel_idx].second) {
@@ -143,13 +241,13 @@ class SuccessorEnumerator {
       return Status::OK();
     }
     WSV_ASSIGN_OR_RETURN(Successor succ,
-                         stepper_.ApplyChoice(node(), page_, kappa, choice));
-    return emit_(std::move(succ));
+                         stepper_.ApplyChoice(node_, page_, kappa, choice));
+    return emit_(succ);
   }
 
   const Stepper& stepper_;
-  const std::vector<Config>& nodes_;
-  const size_t v_;
+  ConfigStore& store_;
+  const ConfigView node_;
   const PageSchema& page_;
   const std::vector<Value>& constant_pool_;
   const Emit emit_;
@@ -168,33 +266,65 @@ LazyConfigGraph::LazyConfigGraph(const Stepper* stepper,
     for (Value v : ServiceRuleLiterals(stepper_->service())) p.insert(v);
     pool_.assign(p.begin(), p.end());
   }
-  graph_.initial = InternNode(stepper_->InitialConfig());
+  // The initial node's parts are the stepper's prototypes and its own
+  // empty kappa; they are interned like any other part.
+  const ConfigView initial = stepper_->InitialView();
+  ConfigStore& store = *graph_.store;
+  graph_.initial = InternView(ConfigView(
+      store.InternPage(*initial.page),
+      store.Intern(Part::Prototype(initial.state)),
+      store.Intern(Part::Prototype(initial.prev_inputs)),
+      store.Intern(Part::Prototype(initial.actions)),
+      store.Intern(*initial.kappa)));
 }
 
 LazyConfigGraph::~LazyConfigGraph() {
   WSV_GAUGE_SUB("mem/config_graph_bytes", gauge_bytes_);
 }
 
-int LazyConfigGraph::InternNode(Config c) {
-  const size_t hash = c.Hash();
-  auto [first, last] = node_index_.equal_range(hash);
-  for (auto it = first; it != last; ++it) {
-    if (graph_.nodes[static_cast<size_t>(it->second)] == c) {
-      WSV_COUNT1("config_graph/node_dedup_hits");
-      return it->second;
-    }
+size_t LazyConfigGraph::NodeHash::operator()(const ConfigView& n) const {
+  std::hash<const void*> h;
+  size_t seed = h(n.page);
+  seed = HashCombine(seed, h(n.state));
+  seed = HashCombine(seed, h(n.prev_inputs));
+  seed = HashCombine(seed, h(n.actions));
+  return HashCombine(seed, h(n.kappa));
+}
+
+void LazyConfigGraph::AccountBytes(uint64_t fixed_bytes) {
+  fixed_bytes_ += fixed_bytes;
+  const uint64_t total = graph_.store->bytes() + fixed_bytes_;
+  WSV_GAUGE_ADD("mem/config_graph_bytes", total - gauge_bytes_);
+  gauge_bytes_ = total;
+}
+
+int LazyConfigGraph::InternNode(Successor& succ, const ConfigView& source) {
+  ConfigStore& store = *graph_.store;
+  return InternView(ConfigView(
+      succ.page == source.page ? source.page : store.InternPage(*succ.page),
+      store.Intern(std::move(succ.state)),
+      store.Intern(std::move(succ.prev_inputs)),
+      store.Intern(std::move(succ.actions)),
+      // A successor's kappa is the source's or a per-binding map the
+      // enumerator interned.
+      succ.kappa));
+}
+
+int LazyConfigGraph::InternView(const ConfigView& node) {
+  auto [it, added] =
+      node_index_.try_emplace(node, static_cast<int>(graph_.nodes.size()));
+  if (!added) {
+    WSV_COUNT1("config_graph/node_dedup_hits");
+    return it->second;
   }
   WSV_COUNT1("config_graph/nodes");
-  int id = static_cast<int>(graph_.nodes.size());
-  node_index_.emplace(hash, id);
-  // The node itself plus its hash-index entry (hash, id, bucket link).
-  const uint64_t node_bytes = c.ApproxBytes() + 4 * sizeof(void*);
-  graph_.nodes.push_back(std::move(c));
+  graph_.nodes.push_back(node);
   graph_.out_edges.emplace_back();
   expanded_.push_back(0);
-  gauge_bytes_ += node_bytes;
-  WSV_GAUGE_ADD("mem/config_graph_bytes", node_bytes);
-  return id;
+  // The node's pointers, its out-edge list, expansion flag and index entry.
+  AccountBytes(sizeof(ConfigView) + sizeof(std::vector<int>) + sizeof(char) +
+               kIndexEntryBytes);
+  return it->second;
 }
 
 void LazyConfigGraph::MarkTruncated() {
@@ -208,64 +338,57 @@ Status LazyConfigGraph::ExpandNode(int v) {
   WSV_TIMER("runtime/successor_ns");
   WSV_COUNT1("config_graph/nodes_expanded");
   expanded_[static_cast<size_t>(v)] = 1;
+  // The node's parts are stored, so this copy of its pointers stays
+  // valid while successors grow graph_.nodes.
+  const ConfigView current = graph_.nodes[static_cast<size_t>(v)];
   // Deduplicate parallel edges that lead to the same successor with the
   // same inputs (different choices can be observationally identical):
-  // this node's edge ids keyed by a (target, inputs) hash.
-  std::unordered_multimap<size_t, int> seen;
-  auto add_edge = [&](Successor succ) -> Status {
+  // with the inputs interned, an edge is identified by two pointers.
+  std::unordered_set<std::pair<int, const Instance*>, EdgeKeyHash> seen;
+  auto add_edge = [&](Successor& succ) -> Status {
     if (graph_.edges.size() >= options_.max_edges) {
       MarkTruncated();
       return Status::OK();
     }
-    const int to = InternNode(std::move(succ.next));
-    const size_t sig =
-        HashCombine(succ.inputs.Hash(), static_cast<size_t>(to));
-    auto [first, last] = seen.equal_range(sig);
-    for (auto it = first; it != last; ++it) {
-      const ConfigGraph::Edge& e = graph_.edges[static_cast<size_t>(it->second)];
-      if (e.to == to && e.inputs == succ.inputs) {
-        WSV_COUNT1("config_graph/edge_dedup_hits");
-        return Status::OK();
-      }
+    const int to = InternNode(succ, current);
+    const Instance* inputs = graph_.store->Intern(std::move(succ.inputs));
+    if (!seen.emplace(to, inputs).second) {
+      WSV_COUNT1("config_graph/edge_dedup_hits");
+      return Status::OK();
     }
-    seen.emplace(sig, static_cast<int>(graph_.edges.size()));
     WSV_COUNT1("config_graph/edges");
-    ConfigGraph::Edge edge;
+    ConfigGraph::Edge& edge = graph_.edges.emplace_back();
     edge.from = v;
     edge.to = to;
-    edge.inputs = std::move(succ.inputs);
+    edge.inputs = inputs;
     edge.to_error = succ.to_error;
     edge.error_reason = std::move(succ.error_reason);
-    const uint64_t edge_bytes =
-        sizeof(ConfigGraph::Edge) + edge.inputs.ApproxBytes() +
-        edge.error_reason.capacity() + sizeof(int);
-    gauge_bytes_ += edge_bytes;
-    WSV_GAUGE_ADD("mem/config_graph_bytes", edge_bytes);
     graph_.out_edges[static_cast<size_t>(v)].push_back(
-        static_cast<int>(graph_.edges.size()));
-    graph_.edges.push_back(std::move(edge));
+        static_cast<int>(graph_.edges.size() - 1));
+    // The edge, its reason text and its out-edge list slot.
+    AccountBytes(sizeof(ConfigGraph::Edge) + edge.error_reason.capacity() +
+                 sizeof(int));
     return Status::OK();
   };
 
-  // `current` is read before any edge is added: interning a successor
-  // may reallocate graph_.nodes.
-  const Config& current = graph_.nodes[static_cast<size_t>(v)];
   const WebService& service = stepper_->service();
-  if (current.page == service.error_page()) {
-    return add_edge(stepper_->ErrorPageLoop(current));
+  if (*current.page == service.error_page()) {
+    Successor loop = stepper_->ErrorPageLoop(current);
+    return add_edge(loop);
   }
-  const PageSchema* page = service.FindPage(current.page);
+  const PageSchema* page = service.FindPage(*current.page);
   if (page == nullptr) {
-    return Status::NotFound("unknown page " + current.page);
+    return Status::NotFound("unknown page " + *current.page);
   }
   // Conditions (i) and (ii) are checked once per node: exactly one
   // successor, the choice ignored.
   if (std::optional<std::string> err = stepper_->StaticError(current)) {
-    return add_edge(stepper_->ToErrorPage(current, current.provided_constants,
-                                          std::move(*err)));
+    Successor to_error =
+        stepper_->ToErrorPage(current, current.kappa, std::move(*err));
+    return add_edge(to_error);
   }
-  return SuccessorEnumerator(*stepper_, graph_.nodes, static_cast<size_t>(v),
-                             *page, pool_, add_edge)
+  return SuccessorEnumerator(*stepper_, *graph_.store, current, *page, pool_,
+                             add_edge)
       .Run();
 }
 

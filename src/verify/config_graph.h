@@ -16,9 +16,12 @@
 #ifndef WSV_VERIFY_CONFIG_GRAPH_H_
 #define WSV_VERIFY_CONFIG_GRAPH_H_
 
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -41,19 +44,73 @@ struct ConfigGraphOptions {
   std::function<bool()> cancel_check;
 };
 
+/// The hash-consed store of one configuration graph (DESIGN.md §6h): every
+/// distinct instance (state, prev, actions or edge inputs), kappa map and
+/// page name the graph's nodes and edges refer to, held once. Interning
+/// returns the stored copy's address, so equal parts have equal addresses
+/// and nodes hash and compare as pointers. Nothing stored moves or dies
+/// before the store: entries live in deques, and a graph holds its store
+/// through a unique_ptr, so views stay valid while the graph grows and
+/// when it is moved.
+class ConfigStore {
+ public:
+  ConfigStore() = default;
+  ConfigStore(const ConfigStore&) = delete;
+  ConfigStore& operator=(const ConfigStore&) = delete;
+
+  /// The stored copy of `part`'s instance. A source part is already one
+  /// (the source node's instances are stored); a prototype is interned
+  /// once per prototype address; a built part is looked up by value and
+  /// stored only if new.
+  const Instance* Intern(Part part);
+  const Kappa* Intern(Kappa kappa);
+  const std::string* InternPage(const std::string& page);
+
+  /// Estimated heap bytes of everything stored, each part counted once.
+  uint64_t bytes() const { return bytes_; }
+
+  const std::deque<Instance>& instances() const { return instances_.items; }
+  const std::deque<Kappa>& kappas() const { return kappas_.items; }
+
+ private:
+  // Stored values of one type and their index by structural hash.
+  template <typename T>
+  struct Pool {
+    std::deque<T> items;
+    std::unordered_multimap<size_t, const T*> index;
+
+    // The stored copy of `value`, storing it if new; `*added` tells which.
+    const T* Intern(T value, size_t hash, bool* added);
+  };
+
+  // The stored copy of `inst`, storing it if new.
+  const Instance* Intern(Instance inst);
+
+  Pool<Instance> instances_;
+  Pool<Kappa> kappas_;
+  Pool<std::string> pages_;
+  /// Stepper prototypes already interned: prototype address -> stored copy.
+  std::vector<std::pair<const Instance*, const Instance*>> prototypes_;
+  uint64_t bytes_ = 0;
+};
+
 struct ConfigGraph {
   /// An edge stores only what the source node does not already carry:
-  /// the inputs chosen at this step. The trace element
-  /// <V, S, I, P, A, kappa> is reconstructed as a view on demand.
+  /// the inputs chosen at this step, as a pointer into the store. The
+  /// trace element <V, S, I, P, A, kappa> is reconstructed as a view on
+  /// demand.
   struct Edge {
     int from = 0;
     int to = 0;
-    Instance inputs;
+    const Instance* inputs = nullptr;
     bool to_error = false;
     std::string error_reason;
   };
 
-  std::vector<Config> nodes;
+  /// The store every node and edge points into.
+  std::unique_ptr<ConfigStore> store = std::make_unique<ConfigStore>();
+  /// Node v's parts; structurally distinct nodes have distinct views.
+  std::vector<ConfigView> nodes;
   std::vector<Edge> edges;
   /// out_edges[v] indexes into `edges`.
   std::vector<std::vector<int>> out_edges;
@@ -62,10 +119,12 @@ struct ConfigGraph {
   bool truncated = false;
 
   /// A non-owning view of the trace element of edge `e`; valid while the
-  /// graph is alive and unmodified.
+  /// graph (wherever it has been moved) is alive, also as it grows.
   TraceView View(int e) const;
   /// An owning copy of the trace element of edge `e`.
   TraceStep Materialize(int e) const;
+  /// An owning copy of node `v`.
+  Config MaterializeNode(int v) const;
 
   std::string Stats() const;
 };
@@ -122,22 +181,34 @@ class LazyConfigGraph {
   ConfigGraph TakeGraph() { return std::move(graph_); }
 
  private:
-  /// The id of `c`, appending it to graph_.nodes if new.
-  int InternNode(Config c);
+  struct NodeHash {
+    size_t operator()(const ConfigView& n) const;
+  };
+
+  /// The id of the node with these parts, interning them and appending
+  /// the node to graph_.nodes if new. `source` is the node the successor
+  /// was stepped from (its parts are stored already).
+  int InternNode(Successor& succ, const ConfigView& source);
+  /// The id of `node`, whose parts are stored, appending it if new.
+  int InternView(const ConfigView& node);
   Status ExpandNode(int v);
   void MarkTruncated();
+  /// Adds `fixed_bytes` of node or edge size to the footprint and
+  /// publishes the footprint's growth (store included) to the gauge.
+  void AccountBytes(uint64_t fixed_bytes);
 
   const Stepper* stepper_;
   ConfigGraphOptions options_;
   std::vector<Value> pool_;
   ConfigGraph graph_;
-  /// Dedup index: Config::Hash() -> node ids; the configuration itself
-  /// is stored once, in graph_.nodes.
-  std::unordered_multimap<size_t, int> node_index_;
+  /// Dedup index over the nodes' pointer tuples.
+  std::unordered_map<ConfigView, int, NodeHash> node_index_;
   std::vector<char> expanded_;
-  // Bytes this instance has published to mem/config_graph_bytes
-  // (estimated node/edge footprints), returned on destruction.
+  // Bytes this instance has published to mem/config_graph_bytes (the
+  // store's contents plus the fixed node and edge sizes), returned on
+  // destruction.
   uint64_t gauge_bytes_ = 0;
+  uint64_t fixed_bytes_ = 0;
 };
 
 }  // namespace wsv

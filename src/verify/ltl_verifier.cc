@@ -102,13 +102,13 @@ std::string EdgeVisibleKey(const ConfigGraph::Edge& edge,
   std::string key = std::to_string(edge.to);
   key += edge.to_error ? "|E|" : "|.|";
   key += edge.error_reason;
-  for (const auto& [name, value] : edge.inputs.constants()) {
+  for (const auto& [name, value] : edge.inputs->constants()) {
     key += '|';
     key += name;
     key += '=';
     key += value.name();
   }
-  for (const auto& [name, rel] : edge.inputs.relations()) {
+  for (const auto& [name, rel] : edge.inputs->relations()) {
     if (invisible.count(name) > 0) continue;
     key += '|';
     key += name;
@@ -531,11 +531,10 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   std::vector<LeafTable> tables(num_leaves);
   const std::vector<Value> no_values;
   // The step context of the edge queried last, shared by every leaf
-  // queried there. Its pointers lead into the lazy graph's node and
-  // edge vectors, which only ever grow, so it stays valid while both
-  // sizes are unchanged.
+  // queried there. Its pointers lead into the lazy graph's store, whose
+  // parts never move, so it stays valid however the graph grows.
   struct {
-    size_t edge = 0, nodes = 0, edges = 0;
+    size_t edge = 0;
     std::unique_ptr<StepContext> ctx;
   } step_cache;
   std::vector<Value> rows;  // query answer scratch
@@ -580,14 +579,10 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     for (size_t e = from; e < n; ++e) {
       if (table.queried.Test(e)) continue;
       WSV_TIMER("ltl/leaf_eval_ns");
-      if (step_cache.ctx == nullptr || step_cache.edge != e ||
-          step_cache.nodes != graph.nodes.size() ||
-          step_cache.edges != graph.edges.size()) {
+      if (step_cache.ctx == nullptr || step_cache.edge != e) {
         step_cache.ctx = std::make_unique<StepContext>(
             graph.View(static_cast<int>(e)), *database_, *service_, *pages_);
         step_cache.edge = e;
-        step_cache.nodes = graph.nodes.size();
-        step_cache.edges = graph.edges.size();
       }
       WSV_ASSIGN_OR_RETURN(
           bool provided,

@@ -1,5 +1,5 @@
-// Differential test of one-pass successor generation (`ctest -L runtime`;
-// DESIGN.md §6g).
+// Differential test of one-pass successor generation and the hash-consed
+// configuration graph (`ctest -L runtime`; DESIGN.md §6g, §6h).
 //
 // LazyConfigGraph expands a node by computing its static error check
 // once, its options once per constant binding, and every choice through
@@ -15,7 +15,9 @@
 // conditions (i)-(iii), propositions, an input nothing reads). Step must
 // still reject every kind of invalid choice, and one stepper shared by
 // four concurrent expansions (the chunked sweep's shape) must give each
-// of them the same graph; the suite is in the tsan set for that.
+// of them the same graph; the suite is in the tsan set for that. Every
+// production graph's store must hold each part once, and views into it
+// must stay valid as the graph grows and when it is moved.
 
 #include <gtest/gtest.h>
 
@@ -101,10 +103,25 @@ StatusOr<std::vector<UserChoice>> ReferenceChoices(
   return out;
 }
 
+// The reference expansion's own graph: owning nodes and edge inputs.
+struct ReferenceGraph {
+  struct Edge {
+    int from = 0;
+    int to = 0;
+    Instance inputs;
+    bool to_error = false;
+    std::string error_reason;
+  };
+  std::vector<Config> nodes;
+  std::vector<Edge> edges;
+  std::vector<std::vector<int>> out_edges;
+  int initial = 0;
+};
+
 // BuildConfigGraph the slow way: BFS, Step on every choice.
-StatusOr<ConfigGraph> ReferenceExpansion(const Stepper& stepper,
-                                         const std::vector<Value>& pool) {
-  ConfigGraph graph;
+StatusOr<ReferenceGraph> ReferenceExpansion(const Stepper& stepper,
+                                            const std::vector<Value>& pool) {
+  ReferenceGraph graph;
   std::map<Config, int> index;
   auto intern = [&](const Config& c) {
     auto [it, inserted] =
@@ -127,7 +144,7 @@ StatusOr<ConfigGraph> ReferenceExpansion(const Stepper& stepper,
       if (!seen.insert({to, outcome.trace.inputs.ToString()}).second) {
         continue;
       }
-      ConfigGraph::Edge edge;
+      ReferenceGraph::Edge edge;
       edge.from = static_cast<int>(v);
       edge.to = to;
       edge.inputs = std::move(outcome.trace.inputs);
@@ -140,6 +157,26 @@ StatusOr<ConfigGraph> ReferenceExpansion(const Stepper& stepper,
   return graph;
 }
 
+// The graph's store holds each part once: no two stored instances and
+// no two stored kappa maps are equal, and structurally distinct nodes are
+// exactly the distinct pointer tuples.
+void ExpectStoreUnique(const ConfigGraph& graph) {
+  std::set<Instance> instances;
+  for (const Instance& inst : graph.store->instances()) {
+    EXPECT_TRUE(instances.insert(inst).second)
+        << "instance stored twice:\n" << inst.ToString();
+  }
+  std::set<Kappa> kappas;
+  for (const Kappa& kappa : graph.store->kappas()) {
+    EXPECT_TRUE(kappas.insert(kappa).second) << "kappa stored twice";
+  }
+  std::set<Config> configs;
+  for (size_t v = 0; v < graph.nodes.size(); ++v) {
+    configs.insert(graph.MaterializeNode(static_cast<int>(v)));
+  }
+  EXPECT_EQ(configs.size(), graph.nodes.size());
+}
+
 StatusOr<ConfigGraph> ProductionExpansion(const Stepper& stepper,
                                           const std::vector<Value>& pool) {
   ConfigGraphOptions options;
@@ -147,26 +184,29 @@ StatusOr<ConfigGraph> ProductionExpansion(const Stepper& stepper,
   LazyConfigGraph lazy(&stepper, options);
   WSV_RETURN_IF_ERROR(lazy.ExpandAll());
   EXPECT_FALSE(lazy.truncated());
-  return lazy.TakeGraph();
+  ConfigGraph graph = lazy.TakeGraph();
+  ExpectStoreUnique(graph);
+  return graph;
 }
 
-void ExpectSameGraph(const ConfigGraph& got, const ConfigGraph& want,
+void ExpectSameGraph(const ConfigGraph& got, const ReferenceGraph& want,
                      const std::string& where) {
   SCOPED_TRACE(where);
   EXPECT_EQ(got.initial, want.initial);
   ASSERT_EQ(got.nodes.size(), want.nodes.size());
   for (size_t v = 0; v < want.nodes.size(); ++v) {
-    ASSERT_TRUE(got.nodes[v] == want.nodes[v]) << "node " << v;
+    ASSERT_TRUE(got.MaterializeNode(static_cast<int>(v)) == want.nodes[v])
+        << "node " << v;
     ASSERT_EQ(got.out_edges[v], want.out_edges[v]) << "node " << v;
   }
   ASSERT_EQ(got.edges.size(), want.edges.size());
   for (size_t e = 0; e < want.edges.size(); ++e) {
     const ConfigGraph::Edge& a = got.edges[e];
-    const ConfigGraph::Edge& b = want.edges[e];
+    const ReferenceGraph::Edge& b = want.edges[e];
     ASSERT_EQ(a.from, b.from) << "edge " << e;
     ASSERT_EQ(a.to, b.to) << "edge " << e;
-    ASSERT_EQ(a.inputs.ToString(), b.inputs.ToString()) << "edge " << e;
-    ASSERT_TRUE(a.inputs == b.inputs) << "edge " << e;
+    ASSERT_EQ(a.inputs->ToString(), b.inputs.ToString()) << "edge " << e;
+    ASSERT_TRUE(*a.inputs == b.inputs) << "edge " << e;
     ASSERT_EQ(a.to_error, b.to_error) << "edge " << e;
     ASSERT_EQ(a.error_reason, b.error_reason) << "edge " << e;
   }
@@ -292,7 +332,7 @@ error ERR;
 
   // The spec reaches each branch it is written for.
   std::set<std::string> reasons;
-  for (const ConfigGraph::Edge& e : want->edges) {
+  for (const ReferenceGraph::Edge& e : want->edges) {
     if (!e.to_error) continue;
     reasons.insert(e.error_reason.substr(e.error_reason.rfind('(')));
   }
@@ -309,6 +349,13 @@ error ERR;
     }
   }
   EXPECT_TRUE(same_target_other_inputs);
+  // Some step updates the state, so a successor state is built as well
+  // as reused.
+  bool state_updated = false;
+  for (const Config& node : want->nodes) {
+    state_updated |= !(node.state == want->nodes[0].state);
+  }
+  EXPECT_TRUE(state_updated);
 }
 
 TEST(ExpansionDiff, StepStillRejectsInvalidChoices) {
@@ -324,7 +371,8 @@ TEST(ExpansionDiff, StepStillRejectsInvalidChoices) {
     return !out.ok() && out.status().code() == StatusCode::kInvalidArgument;
   };
   int checked = 0;
-  for (const Config& c : graph->nodes) {
+  for (size_t v = 0; v < graph->nodes.size(); ++v) {
+    const Config c = graph->MaterializeNode(static_cast<int>(v));
     if (c.page == service.error_page() ||
         f.stepper.StaticError(c).has_value()) {
       continue;
@@ -367,6 +415,55 @@ TEST(ExpansionDiff, StepStillRejectsInvalidChoices) {
     ++checked;
   }
   EXPECT_GT(checked, 10);
+}
+
+// Stored parts never move: a view taken after the first expansion reads
+// the same content, through the same addresses, once the whole graph is
+// expanded and after the graph is moved out of the builder.
+TEST(ExpansionDiff, ViewsStayValidAsTheGraphGrows) {
+  WebService service = std::move(BuildEcommerceService()).value();
+  Instance db = EcommerceSmallDatabase();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw")};
+  Fixture f(service, db, "G(!MP)", options);
+  ConfigGraphOptions graph_options;
+  graph_options.constant_pool = f.pool;
+  LazyConfigGraph lazy(&f.stepper, graph_options);
+  auto expanded = lazy.EnsureExpanded(lazy.initial());
+  ASSERT_TRUE(expanded.ok() && *expanded);
+  ASSERT_FALSE(lazy.graph().edges.empty());
+  const size_t early_nodes = lazy.graph().nodes.size();
+  const TraceView view = lazy.graph().View(0);
+  const TraceStep copy = lazy.graph().Materialize(0);
+  const ConfigView node = lazy.graph().nodes[0];
+  const Config node_copy = lazy.graph().MaterializeNode(0);
+
+  auto expect_unchanged = [&](const ConfigGraph& graph) {
+    EXPECT_EQ(*view.page, copy.page);
+    EXPECT_TRUE(*view.state == copy.state);
+    EXPECT_TRUE(*view.inputs == copy.inputs);
+    EXPECT_TRUE(*view.prev_inputs == copy.prev_inputs);
+    EXPECT_TRUE(*view.actions == copy.actions);
+    EXPECT_EQ(*view.kappa, copy.kappa);
+    EXPECT_TRUE(node.Materialize() == node_copy);
+    const TraceView again = graph.View(0);
+    EXPECT_EQ(again.state, view.state);
+    EXPECT_EQ(again.inputs, view.inputs);
+    EXPECT_EQ(again.kappa, view.kappa);
+    EXPECT_TRUE(graph.nodes[0] == node);
+    // The early addresses are still those of stored instances.
+    std::set<const Instance*> stored;
+    for (const Instance& inst : graph.store->instances()) stored.insert(&inst);
+    for (const Instance* inst :
+         {view.state, view.inputs, view.prev_inputs, view.actions}) {
+      EXPECT_EQ(stored.count(inst), 1u);
+    }
+  };
+  ASSERT_TRUE(lazy.ExpandAll().ok());
+  ASSERT_GT(lazy.graph().nodes.size(), 10 * early_nodes);
+  expect_unchanged(lazy.graph());
+  const ConfigGraph graph = lazy.TakeGraph();
+  expect_unchanged(graph);
 }
 
 TEST(ExpansionDiff, SharedStepperConcurrentExpansions) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fo/evaluator.h"
 #include "fo/formula.h"
 #include "fo/input_bounded.h"
@@ -129,6 +131,25 @@ TEST_F(FoEvalTest, GroundAtoms) {
   EXPECT_TRUE(*r);
   ctx_.SetConstant("password", Value::Intern("wrong"));
   EXPECT_FALSE(*Eval("user(name, password)"));
+}
+
+// A constant layer is read through its pointer: later changes to the map
+// show, SetConstant still overrides it, and its values join the domain.
+TEST_F(FoEvalTest, ConstantLayerIsReadThroughThePointer) {
+  std::map<std::string, Value> kappa = {{"name", Value::Intern("ann")},
+                                        {"password", Value::Intern("pw1")}};
+  ctx_.SetConstantLayer(&kappa);
+  EXPECT_TRUE(*Eval("user(name, password)"));
+  ctx_.SetConstant("password", Value::Intern("wrong"));
+  EXPECT_FALSE(*Eval("user(name, password)"));
+  EvalContext layered;
+  layered.AddLayer(&db_);
+  kappa["password"] = Value::Intern("fresh");
+  layered.SetConstantLayer(&kappa);
+  EXPECT_EQ(layered.ResolveConstant("password"), Value::Intern("fresh"));
+  const std::vector<Value>& dom = layered.ActiveDomain();
+  EXPECT_TRUE(std::binary_search(dom.begin(), dom.end(),
+                                 Value::Intern("fresh")));
 }
 
 TEST_F(FoEvalTest, ActiveDomainQuantification) {

@@ -328,6 +328,87 @@ TEST(Report, SuccessorGenerationRow) {
   EXPECT_NE(json.find("\"successor_ns_per_node\": "), std::string::npos);
 }
 
+// --- Gauge high-water marks. -------------------------------------------
+
+TEST(GaugePeaks, AddRaisesTheMarkAndSubLeavesIt) {
+  obs::ResetMetrics();
+  obs::Gauge& g = obs::GetGauge("obs_test/peak_add_sub");
+  const int64_t base = g.Value();
+  g.Add(100);
+  g.Sub(60);
+  g.Add(30);  // level base+70, below the mark
+  EXPECT_EQ(g.Value(), base + 70);
+  EXPECT_EQ(g.Peak(), base + 100);
+  g.Add(50);  // level base+120, a new mark
+  EXPECT_EQ(g.Peak(), base + 120);
+  g.Sub(120);
+  EXPECT_EQ(g.Value(), base);
+  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+  EXPECT_EQ(snap.GaugeValue("obs_test/peak_add_sub"), base);
+  EXPECT_EQ(snap.GaugePeak("obs_test/peak_add_sub"), base + 120);
+}
+
+// Four threads each raise the level to its own maximum and back; the
+// mark is at least the largest single excursion and at most the sum of
+// all concurrent ones, and the level returns exactly to where it was.
+TEST(GaugePeaks, ConcurrentAddsKeepTheMaximum) {
+  obs::ResetMetrics();
+  obs::Gauge& g = obs::GetGauge("obs_test/peak_concurrent");
+  const int64_t base = g.Value();
+  std::vector<std::thread> threads;
+  for (int t = 1; t <= 4; ++t) {
+    threads.emplace_back([&g, t] {
+      for (int i = 0; i < 1000; ++i) {
+        g.Add(t * 10);
+        g.Sub(t * 10);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(g.Value(), base);
+  EXPECT_GE(g.Peak(), base + 40);
+  EXPECT_LE(g.Peak(), base + 100);
+}
+
+// ResetMetrics rebases the mark to the live level: a later, smaller
+// excursion is measured on its own, not hidden behind the earlier peak.
+TEST(GaugePeaks, ResetRebasesTheMarkToTheLevel) {
+  obs::Gauge& g = obs::GetGauge("obs_test/peak_reset");
+  g.Add(500);
+  g.Sub(480);  // level 20 above where it started, mark 500 above
+  obs::ResetMetrics();
+  const int64_t level = g.Value();
+  EXPECT_EQ(g.Peak(), level);
+  g.Add(7);
+  g.Sub(7);
+  EXPECT_EQ(g.Peak(), level + 7);
+  g.Sub(20);
+}
+
+TEST(GaugePeaks, ReportedInStatsTableAndJson) {
+  obs::ResetMetrics();
+  obs::Gauge& g = obs::GetGauge("obs_test/peak_report_bytes");
+  const int64_t base = g.Value();
+  g.Add(3 * 1024 * 1024);
+  g.Sub(3 * 1024 * 1024);
+  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+  const std::string table = obs::FormatStatsTable(snap);
+  EXPECT_NE(table.find("peak"), std::string::npos) << table;
+  EXPECT_NE(table.find(obs::FormatByteCount(base + 3 * 1024 * 1024)),
+            std::string::npos)
+      << table;
+  const std::string json = obs::StatsToJson(snap);
+  EXPECT_NE(json.find("\"gauge_peaks\": {"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"obs_test/peak_report_bytes\": " +
+                      std::to_string(base + 3 * 1024 * 1024)),
+            std::string::npos)
+      << json;
+#if defined(__linux__)
+  EXPECT_GT(snap.process_peak_rss_bytes, 0);
+  EXPECT_NE(table.find("process rss (VmHWM)"), std::string::npos) << table;
+#endif
+}
+
 TEST(Report, LeafMemoRateUndefinedWithoutLookups) {
   obs::ResetMetrics();
   EXPECT_LT(obs::LeafMemoHitRate(obs::SnapshotMetrics()), 0.0);

@@ -117,6 +117,60 @@ TEST_F(LoginRuntimeTest, ChoiceValidation) {
   EXPECT_FALSE(stepper_->Step(c, bad).ok());
 }
 
+// The apply core builds a part only where the step changes it and
+// otherwise reuses the source node's instance or an empty prototype
+// (DESIGN.md §6h); Step materializes the same successor either way.
+TEST_F(LoginRuntimeTest, ApplyChoiceBuildsOnlyChangedParts) {
+  using Origin = Part::Origin;
+  const Config start = stepper_->InitialConfig();
+  const PageSchema* hp = service_.FindPage("HP");
+  ASSERT_NE(hp, nullptr);
+
+  // A successful login changes the state, records the inputs and the
+  // pressed button (prev), and triggers no action.
+  Kappa kappa = {{"name", V("alice")}, {"password", V("pw")}};
+  auto login =
+      stepper_->ApplyChoice(start, *hp, &kappa, LoginChoice("alice", "pw"));
+  ASSERT_TRUE(login.ok()) << login.status().ToString();
+  EXPECT_EQ(login->state.origin(), Origin::kBuilt);
+  EXPECT_EQ(login->inputs.origin(), Origin::kBuilt);
+  EXPECT_EQ(login->prev_inputs.origin(), Origin::kBuilt);
+  EXPECT_EQ(login->actions.origin(), Origin::kPrototype);
+  EXPECT_EQ(*login->page, "CP");
+  EXPECT_EQ(login->kappa, &kappa);
+
+  // Quitting fires no state update: the source state itself is reused.
+  UserChoice quit = LoginChoice("alice", "pw");
+  quit.relation_choices["button"] = Tuple{V("quit")};
+  auto bye = stepper_->ApplyChoice(start, *hp, &kappa, quit);
+  ASSERT_TRUE(bye.ok()) << bye.status().ToString();
+  EXPECT_EQ(bye->state.origin(), Origin::kSource);
+  EXPECT_EQ(&bye->state.get(), &start.state);
+  EXPECT_EQ(*bye->page, "BYE");
+
+  // Idling on CP changes nothing: the page pointer and the state are the
+  // source's, and inputs, prev and actions are the empty prototypes.
+  auto cp_or = stepper_->Step(start, LoginChoice("alice", "pw"));
+  ASSERT_TRUE(cp_or.ok());
+  const Config cp = cp_or->next;
+  const PageSchema* cp_page = service_.FindPage("CP");
+  ASSERT_NE(cp_page, nullptr);
+  UserChoice idle;
+  idle.relation_choices["button"] = std::nullopt;
+  auto stay = stepper_->ApplyChoice(cp, *cp_page, &cp.provided_constants, idle);
+  ASSERT_TRUE(stay.ok()) << stay.status().ToString();
+  EXPECT_EQ(stay->page, &cp.page);
+  EXPECT_EQ(stay->state.origin(), Origin::kSource);
+  EXPECT_EQ(stay->inputs.origin(), Origin::kPrototype);
+  EXPECT_EQ(stay->prev_inputs.origin(), Origin::kPrototype);
+  EXPECT_EQ(stay->actions.origin(), Origin::kPrototype);
+  auto stepped = stepper_->Step(cp, idle);
+  ASSERT_TRUE(stepped.ok());
+  EXPECT_TRUE(stepped->next.state == cp.state);
+  EXPECT_TRUE(stepped->trace.inputs == stay->inputs.get());
+  EXPECT_TRUE(stepped->next.prev_inputs == stay->prev_inputs.get());
+}
+
 TEST_F(LoginRuntimeTest, ErrorPageLoopsForever) {
   Config c = stepper_->InitialConfig();
   c.page = "ERR";
