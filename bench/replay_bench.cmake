@@ -1,8 +1,9 @@
 # Driver for the replay cache benchmark (cmake -P script): generates
 # the deterministic 1000-request workload, replays it through `wsvcli
 # replay` against a fresh cache directory, and — when BUDGETS is set —
-# holds the report to bench/budgets_replay.json (repeat hit rate >= 0.9,
-# zero products built on cache-served requests, hit p99 under 1ms).
+# holds the report to bench/budgets_replay.json (repeat hit rate >= 0.9;
+# zero products built, graph nodes and FO leaf work on cache-served
+# requests; hit p99 at most 0.25x the miss/invalidated p50).
 #
 # Variables: PYTHON, WSVCLI, SRC_DIR, WORK_DIR, OUT_JSON, [BUDGETS]
 

@@ -199,6 +199,15 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+uint64_t PercentileNs(std::vector<uint64_t> latencies, double p) {
+  if (latencies.empty()) return 0;
+  std::sort(latencies.begin(), latencies.end());
+  const size_t idx = std::min(
+      latencies.size() - 1,
+      static_cast<size_t>(p * static_cast<double>(latencies.size())));
+  return latencies[idx];
+}
+
 }  // namespace
 
 StatusOr<std::vector<ReplayJob>> ParseReplayJobs(std::string_view jsonl) {
@@ -234,13 +243,14 @@ StatusOr<std::vector<ReplayJob>> ParseReplayJobs(std::string_view jsonl) {
 }
 
 uint64_t ReplayReport::HitLatencyPercentileNs(double p) const {
-  if (hit_latencies_ns.empty()) return 0;
-  std::vector<uint64_t> sorted = hit_latencies_ns;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t idx = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted.size())));
-  return sorted[idx];
+  return PercentileNs(hit_latencies_ns, p);
+}
+
+double ReplayReport::HitP99OverMissP50() const {
+  const uint64_t miss_p50 = PercentileNs(verify_latencies_ns, 0.5);
+  if (miss_p50 == 0) return 0;
+  return static_cast<double>(HitLatencyPercentileNs(0.99)) /
+         static_cast<double>(miss_p50);
 }
 
 std::string ReplayReport::ToText() const {
@@ -258,8 +268,13 @@ std::string ReplayReport::ToText() const {
       << obs::FormatDurationNs(HitLatencyPercentileNs(0.5))
       << " p99=" << obs::FormatDurationNs(HitLatencyPercentileNs(0.99))
       << "\n";
+  char ratio[32];
+  std::snprintf(ratio, sizeof(ratio), "%.3f", HitP99OverMissP50());
+  out << "  cache-served p99 / verified p50: " << ratio << "\n";
   out << "  products built on cache-served requests: "
       << cached_products_built << "\n";
+  out << "  graph nodes / FO leaf work on cache-served requests: "
+      << cached_graph_nodes << " / " << cached_fo_leaf_work << "\n";
   return out.str();
 }
 
@@ -267,6 +282,8 @@ std::string ReplayReport::ToBenchJson() const {
   std::ostringstream out;
   char rate[32];
   std::snprintf(rate, sizeof(rate), "%.6f", RepeatHitRate());
+  char ratio[32];
+  std::snprintf(ratio, sizeof(ratio), "%.6f", HitP99OverMissP50());
   out << "{\n  \"context\": {\"replay_requests\": " << requests << "},\n"
       << "  \"benchmarks\": [\n"
       << "    {\n"
@@ -286,6 +303,9 @@ std::string ReplayReport::ToBenchJson() const {
       << "      \"repeat_hit_rate\": " << rate << ",\n"
       << "      \"cached_products_built\": " << cached_products_built
       << ",\n"
+      << "      \"cached_graph_nodes\": " << cached_graph_nodes << ",\n"
+      << "      \"cached_fo_leaf_work\": " << cached_fo_leaf_work << ",\n"
+      << "      \"hit_p99_over_miss_p50\": " << ratio << ",\n"
       << "      \"hit_p50_ns\": " << HitLatencyPercentileNs(0.5) << ",\n"
       << "      \"hit_p99_ns\": " << HitLatencyPercentileNs(0.99) << "\n"
       << "    }\n  ]\n}\n";
@@ -447,12 +467,6 @@ StatusOr<ReplayReport> RunReplay(const std::vector<ReplayJob>& jobs,
     }
 
     if (outcome == Outcome::kMiss || outcome == Outcome::kInvalidated) {
-      if (cache != nullptr && database != nullptr &&
-          VerifyCache::Enabled()) {
-        verify_options.leaf_store = cache->leaf_store();
-        verify_options.leaf_store_context = VerifyCache::LeafContext(
-            key, service, property, *database, verify_options);
-      }
       ParallelLtlVerifier verifier(&service, verify_options, options.jobs);
       StatusOr<LtlVerifyResult> result =
           database != nullptr ? verifier.VerifyOnDatabase(property, *database)
@@ -481,7 +495,12 @@ StatusOr<ReplayReport> RunReplay(const std::vector<ReplayJob>& jobs,
       report.hit_latencies_ns.push_back(latency_ns);
       report.cached_products_built +=
           delta.CounterValue("ltl/products_built");
+      report.cached_graph_nodes += delta.CounterValue("config_graph/nodes");
+      report.cached_fo_leaf_work += delta.CounterValue("ltl/fo_leaf_queries") +
+                                    delta.CounterValue("ltl/fo_leaf_evals");
       if (repeat) ++report.repeat_hits;
+    } else {
+      report.verify_latencies_ns.push_back(latency_ns);
     }
     switch (outcome) {
       case Outcome::kHit: ++report.hits; break;

@@ -24,11 +24,13 @@
 //
 // Per request the driver performs the cache lookup, runs the verifier
 // on a miss, and records the outcome (hit/warm/miss/invalidated),
-// latency, and the per-request `ltl/products_built` delta — the proof
-// that cache-served requests build no products. The report aggregates
-// into repeat hit rate and hit-latency percentiles; ToBenchJson renders
-// a google-benchmark-schema JSON so tools/bench_guard.py can enforce
-// budgets on replay runs (bench/budgets_replay.json).
+// latency, and the per-request `ltl/products_built`, `config_graph/nodes`
+// and FO-leaf work deltas — the proof that cache-served requests build,
+// expand and evaluate nothing. The report aggregates into repeat hit
+// rate, hit-latency percentiles and the hit-p99 / miss-p50 latency
+// ratio; ToBenchJson renders a google-benchmark-schema JSON so
+// tools/bench_guard.py can enforce budgets on replay runs
+// (bench/budgets_replay.json).
 
 #ifndef WSV_CACHE_REPLAY_H_
 #define WSV_CACHE_REPLAY_H_
@@ -85,8 +87,15 @@ struct ReplayReport {
   /// Sum of per-request ltl/products_built deltas over cache-served
   /// requests — must stay 0 (a served request builds nothing).
   uint64_t cached_products_built = 0;
+  /// Likewise for config_graph/nodes: a served request expands no graph.
+  uint64_t cached_graph_nodes = 0;
+  /// Likewise for ltl/fo_leaf_queries + ltl/fo_leaf_evals: a served
+  /// request evaluates no FO leaf.
+  uint64_t cached_fo_leaf_work = 0;
   /// Wall latencies of cache-served requests, ns.
   std::vector<uint64_t> hit_latencies_ns;
+  /// Wall latencies of verified requests (miss or invalidated), ns.
+  std::vector<uint64_t> verify_latencies_ns;
   uint64_t total_ns = 0;
 
   double RepeatHitRate() const {
@@ -95,6 +104,9 @@ struct ReplayReport {
                               static_cast<double>(repeats);
   }
   uint64_t HitLatencyPercentileNs(double p) const;
+  /// Hit p99 over miss/invalidated p50, both measured in this process,
+  /// so a slower host slows both sides; 0 when nothing was verified.
+  double HitP99OverMissP50() const;
 
   std::string ToText() const;
   /// google-benchmark JSON schema (one "replay" benchmark with the

@@ -47,11 +47,6 @@ void ByteWriter::Str(std::string_view s) {
   out_.append(s.data(), s.size());
 }
 
-void ByteWriter::U64Vec(const std::vector<uint64_t>& v) {
-  U64(v.size());
-  for (uint64_t e : v) U64(e);
-}
-
 bool ByteReader::U8(uint8_t* v) {
   uint64_t r;
   if (!GetLe(data_, &pos_, 1, &r)) return false;
@@ -74,22 +69,6 @@ bool ByteReader::Str(std::string* s) {
   if (data_.size() - pos_ < n) return false;
   s->assign(data_.data() + pos_, static_cast<size_t>(n));
   pos_ += static_cast<size_t>(n);
-  return true;
-}
-
-bool ByteReader::U64Vec(std::vector<uint64_t>* v) {
-  uint64_t n;
-  if (!U64(&n)) return false;
-  // A corrupt count must not drive a huge allocation: each element is
-  // 8 payload bytes, so the remaining data bounds it.
-  if ((data_.size() - pos_) / 8 < n) return false;
-  v->clear();
-  v->reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t e;
-    if (!U64(&e)) return false;
-    v->push_back(e);
-  }
   return true;
 }
 

@@ -35,6 +35,8 @@ inline constexpr uint32_t kStoreVersion = 1;
 // Record kinds. Values are part of the on-disk format; append only.
 inline constexpr uint32_t kKindVerdict = 1;
 inline constexpr uint32_t kKindSpec = 2;
+// Retired: the FO-leaf column store's records (cols/). Never reuse, so
+// an old record can never decode as a new kind.
 inline constexpr uint32_t kKindLeafColumn = 3;
 inline constexpr uint32_t kKindLabels = 4;
 
@@ -46,7 +48,6 @@ class ByteWriter {
   void U64(uint64_t v);
   /// Length-prefixed (u64) byte string.
   void Str(std::string_view s);
-  void U64Vec(const std::vector<uint64_t>& v);
 
   std::string& data() { return out_; }
   const std::string& data() const { return out_; }
@@ -66,7 +67,6 @@ class ByteReader {
   bool U32(uint32_t* v);
   bool U64(uint64_t* v);
   bool Str(std::string* s);
-  bool U64Vec(std::vector<uint64_t>* v);
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:

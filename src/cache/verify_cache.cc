@@ -135,101 +135,17 @@ RequestKey MakeRequestKey(const WebService& service,
 }
 
 // ---------------------------------------------------------------------
-// Leaf column store: memory map, write-through to cols/ when a dir is
-// configured. Columns only grow (a shorter republish never truncates).
-
-class VerifyCache::DiskLeafColumnStore : public LeafColumnStore {
- public:
-  explicit DiskLeafColumnStore(std::string dir) : dir_(std::move(dir)) {}
-
-  bool Lookup(const std::string& key, std::vector<uint64_t>* set_bits,
-              uint64_t* upto) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = columns_.find(key);
-    if (it == columns_.end() && !dir_.empty()) {
-      std::string payload;
-      bool existed = false;
-      if (ReadRecordFile(Path(key), kKindLeafColumn, &payload, &existed)) {
-        ByteReader r(payload);
-        std::string stored_key;
-        Column col;
-        if (r.Str(&stored_key) && r.U64(&col.upto) &&
-            r.U64Vec(&col.set_bits) && r.AtEnd() && stored_key == key) {
-          WSV_GAUGE_ADD("mem/leaf_store_bytes", Bytes(col));
-          it = columns_.emplace(key, std::move(col)).first;
-        } else if (stored_key != key && !stored_key.empty()) {
-          // A filename-hash collision between distinct keys: serve a
-          // miss, never the other key's column.
-          WSV_COUNT1("cache/leaf_key_collisions");
-        } else {
-          WSV_COUNT1("cache/store_corrupt");
-        }
-      } else if (existed) {
-        WSV_COUNT1("cache/store_corrupt");
-      }
-    }
-    if (it == columns_.end()) return false;
-    *set_bits = it->second.set_bits;
-    *upto = it->second.upto;
-    return true;
-  }
-
-  void Publish(const std::string& key, const std::vector<uint64_t>& set_bits,
-               uint64_t upto) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Column& col = columns_[key];
-    if (upto <= col.upto) return;
-    WSV_GAUGE_SUB("mem/leaf_store_bytes", Bytes(col));
-    col.set_bits = set_bits;
-    col.upto = upto;
-    WSV_GAUGE_ADD("mem/leaf_store_bytes", Bytes(col));
-    if (dir_.empty()) return;
-    ByteWriter w;
-    w.Str(key);
-    w.U64(col.upto);
-    w.U64Vec(col.set_bits);
-    WriteRecordFile(Path(key), kKindLeafColumn, w.data());
-  }
-
- private:
-  struct Column {
-    std::vector<uint64_t> set_bits;
-    uint64_t upto = 0;
-  };
-
-  static uint64_t Bytes(const Column& col) {
-    return col.set_bits.size() * sizeof(uint64_t) + 32;
-  }
-
-  std::string Path(const std::string& key) const {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(StoreChecksum(key)));
-    return dir_ + "/" + hex + ".bin";
-  }
-
-  std::string dir_;
-  std::mutex mu_;
-  std::unordered_map<std::string, Column> columns_;
-};
-
-// ---------------------------------------------------------------------
 
 VerifyCache::VerifyCache(Config config) : config_(std::move(config)) {
-  std::string cols_dir;
   if (!config_.dir.empty()) {
-    if (EnsureDir(config_.dir) && EnsureDir(config_.dir + "/verdicts") &&
-        EnsureDir(config_.dir + "/specs") &&
-        EnsureDir(config_.dir + "/cols")) {
-      cols_dir = config_.dir + "/cols";
-    } else {
+    if (!EnsureDir(config_.dir) || !EnsureDir(config_.dir + "/verdicts") ||
+        !EnsureDir(config_.dir + "/specs")) {
       // Unusable directory: degrade to memory-only rather than failing
       // requests over a cache problem.
       WSV_COUNT1("cache/store_write_errors");
       config_.dir.clear();
     }
   }
-  leaf_store_ = std::make_unique<DiskLeafColumnStore>(std::move(cols_dir));
   std::lock_guard<std::mutex> lock(mu_);
   LoadLabelsLocked();
 }
@@ -246,8 +162,6 @@ bool VerifyCache::Enabled() {
   return disabled == nullptr || disabled[0] == '\0' ||
          (disabled[0] == '0' && disabled[1] == '\0');
 }
-
-LeafColumnStore* VerifyCache::leaf_store() { return leaf_store_.get(); }
 
 std::string VerifyCache::VerdictPath(const Fingerprint& combined) const {
   return config_.dir + "/verdicts/" + combined.ToHex() + ".bin";
@@ -589,30 +503,6 @@ void VerifyCache::InsertLocked(const Fingerprint& combined,
     WSV_COUNT1("cache/evictions");
     lru_.pop_back();
   }
-}
-
-std::string VerifyCache::LeafContext(const RequestKey& key,
-                                     const WebService& service,
-                                     const TemporalProperty& property,
-                                     const Instance& database,
-                                     const LtlVerifyOptions& options,
-                                     bool /*on_the_fly*/) {
-  FingerprintBuilder b;
-  b.AbsorbString("leafctx-v1");
-  b.AbsorbFingerprint(key.spec);
-  b.AbsorbFingerprint(key.database);
-  b.AbsorbFingerprint(key.options);
-  b.AbsorbFingerprint(
-      FingerprintValues(ResolveConstantPool(service, property, database,
-                                            options)));
-  for (const std::string& rel : TrackedPrevRelations(service, property)) {
-    b.AbsorbString(rel);
-  }
-  b.AbsorbU64(ClassCollapseEnabled() ? 1 : 0);
-  // The nested DFS discovers edges in property-dependent order, so
-  // columns only transfer between runs of the *same* property.
-  b.AbsorbFingerprint(key.property);
-  return b.Finish().ToHex();
 }
 
 size_t VerifyCache::entries() const {

@@ -14,7 +14,6 @@
 //   disk   — versioned binary records (cache/store.h) under --cache-dir:
 //              verdicts/<combined-fp>.bin   one verdict each
 //              specs/<spec-fp>.bin          spec text + lint text
-//              cols/<key-fnv>.bin           FO-leaf truth columns
 //              labels.bin                   label registry + edit edges
 //            Corrupt or version-mismatched records degrade to misses.
 //
@@ -54,7 +53,6 @@
 
 #include "cache/invalidate.h"
 #include "common/fingerprint.h"
-#include "verify/leaf_store.h"
 #include "verify/ltl_verifier.h"
 #include "ws/service.h"
 
@@ -148,27 +146,17 @@ class VerifyCache {
   bool LookupLint(const Fingerprint& spec_fp, std::string* lint_text);
   void InsertLint(const Fingerprint& spec_fp, const std::string& lint_text);
 
-  /// The FO-leaf column store backing LtlVerifyOptions::leaf_store.
-  /// Memory-backed always; disk-backed when a dir is configured.
-  LeafColumnStore* leaf_store();
-
-  /// The leaf-store context string for a request: everything that fixes
-  /// the configuration graph and its edge order, including the property
-  /// (the nested DFS drives edge discovery).
-  static std::string LeafContext(const RequestKey& key,
-                                 const WebService& service,
-                                 const TemporalProperty& property,
-                                 const Instance& database,
-                                 const LtlVerifyOptions& options,
-                                 // Ignored compile shim read only by
-                                 // perfbench/driver.cc.
-                                 bool on_the_fly = true);
+  /// Compile shims read only by perfbench/driver.cc; they do no work.
+  LeafColumnStore* leaf_store() { return nullptr; }
+  static std::string LeafContext(const RequestKey&, const WebService&,
+                                 const TemporalProperty&, const Instance&,
+                                 const LtlVerifyOptions&, bool = true) {
+    return "";
+  }
 
   size_t entries() const;
 
  private:
-  class DiskLeafColumnStore;
-
   void InsertLocked(const Fingerprint& combined, CachedVerdict verdict);
   void EvictLocked(const Fingerprint& combined);
   bool LoadFromDiskLocked(const Fingerprint& combined, CachedVerdict* out);
@@ -207,8 +195,6 @@ class VerifyCache {
   std::map<std::pair<Fingerprint, Fingerprint>, SpecDelta> delta_memo_;
   std::map<Fingerprint, std::string> lint_texts_;
   std::set<Fingerprint> lint_known_;
-
-  std::unique_ptr<DiskLeafColumnStore> leaf_store_;
 };
 
 }  // namespace cache

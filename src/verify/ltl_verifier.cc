@@ -10,13 +10,11 @@
 #include "analysis/depgraph.h"
 #include "analysis/slice.h"
 #include "automata/ltl_to_buchi.h"
-#include "common/fingerprint.h"
 #include "common/hash.h"
 #include "fo/input_bounded.h"
 #include "fo/rewrite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "verify/leaf_store.h"
 #include "ws/classify.h"
 
 namespace wsv {
@@ -135,58 +133,6 @@ struct VectorKeyHash {
 // Matching-state list for edge labels no automaton state carries.
 const std::vector<int> kNoMatchingStates;
 
-std::vector<uint64_t> SetBitsOf(const Bitset& col, uint64_t upto) {
-  std::vector<uint64_t> out;
-  for (uint64_t e = 0; e < upto; ++e) {
-    if (col.Test(static_cast<size_t>(e))) out.push_back(e);
-  }
-  return out;
-}
-
-std::string LeafStoreKey(const std::string& ctx, const std::string& leaf_fp,
-                         const std::string& binding) {
-  std::string key = ctx;
-  key += "|leaf:";
-  key += leaf_fp;
-  key += '|';
-  key += binding;
-  return key;
-}
-
-// Canonical, process-portable rendering of the binding a dynamic leaf
-// column is evaluated under: the closure values projected onto the
-// leaf's free variables (in variable order) plus the sorted set of
-// domain-relevant extension values — the exact key the in-call memo
-// uses, but by value *name* instead of candidate digit, so two
-// processes with different interning orders agree.
-std::string LeafBinding(const std::vector<size_t>& leaf_vars,
-                        const std::vector<int32_t>& digits,
-                        const std::vector<Value>& cand,
-                        const std::vector<char>& domain_relevant,
-                        bool qfree) {
-  std::string b = "b:";
-  for (size_t p : leaf_vars) {
-    b += cand[static_cast<size_t>(digits[p])].name();
-    b += ',';
-  }
-  b += "|e:";
-  if (!qfree) {
-    std::vector<std::string> ext;
-    for (int32_t d : digits) {
-      if (domain_relevant[static_cast<size_t>(d)]) {
-        ext.push_back(cand[static_cast<size_t>(d)].name());
-      }
-    }
-    std::sort(ext.begin(), ext.end());
-    ext.erase(std::unique(ext.begin(), ext.end()), ext.end());
-    for (const std::string& n : ext) {
-      b += n;
-      b += ',';
-    }
-  }
-  return b;
-}
-
 }  // namespace
 
 bool ClassCollapseEnabled() {
@@ -247,18 +193,6 @@ LtlVerifyOptions SlicedCheckOptions(const LtlVerifyOptions& base,
       ResolveConstantPool(original, property, database, base);
   opts.closure_candidates =
       ResolveClosureCandidates(original, property, database, base);
-  // Sliced truth columns differ from full-spec ones, so they live in
-  // their own store keyspace: the sliced graph is a pure function of
-  // (spec, database, pool — all in the caller's context) plus the
-  // property; add it explicitly, plus a slicer version tag so algorithm
-  // changes invalidate cleanly. The "otf|" tag keeps existing keys.
-  if (base.leaf_store != nullptr && !base.leaf_store_context.empty()) {
-    opts.leaf_store_context +=
-        "|sliced-v1|otf|" + FingerprintProperty(property).ToHex();
-  } else {
-    opts.leaf_store = nullptr;
-    opts.leaf_store_context.clear();
-  }
   opts.abort_on_lasso = true;
   return opts;
 }
@@ -322,15 +256,6 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   graph_options.constant_pool =
       ResolveConstantPool(*service, *property, db, options);
   check.graph_options_ = graph_options;
-
-  check.leaf_store_ = options.leaf_store;
-  check.leaf_ctx_ = options.leaf_store_context;
-  if (check.leaf_store_ != nullptr) {
-    check.leaf_fp_.reserve(automaton->leaves.size());
-    for (const FormulaPtr& leaf : automaton->leaves) {
-      check.leaf_fp_.push_back(FingerprintFormula(*leaf).ToHex());
-    }
-  }
 
   check.abort_on_lasso_ = options.abort_on_lasso;
 
@@ -496,10 +421,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     /// the memo key) can influence the truth, so sharing the column
     /// across valuations with the same key is exact.
     Valuation val;
-    /// Cross-request persistence (empty key = not persisted): the bound
-    /// the column was loaded at, so only net-new prefix is republished.
-    std::string store_key;
-    size_t loaded_upto = 0;
     /// Set: the column is gathered from its leaf's table (below) at this
     /// projection point instead of evaluated per binding.
     std::optional<uint64_t> point;
@@ -538,39 +459,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     std::unique_ptr<StepContext> ctx;
   } step_cache;
   std::vector<Value> rows;  // query answer scratch
-
-  // The column store is only sound on full serial sweeps: a chunked
-  // parallel sweep expands a chunk-local lazy graph whose edge
-  // discovery order depends on the chunk's valuation range, so its
-  // column indices are not comparable across requests.
-  const bool use_store = leaf_store_ != nullptr && begin == 0 &&
-                         end >= num_valuations_ && !stop;
-  auto attach_store = [&](size_t k, LeafCol* col,
-                          const std::string& binding) {
-    col->store_key = LeafStoreKey(leaf_ctx_, leaf_fp_[k], binding);
-    std::vector<uint64_t> set_bits;
-    uint64_t upto = 0;
-    if (leaf_store_->Lookup(col->store_key, &set_bits, &upto) && upto > 0) {
-      col->bits.GrowTo(static_cast<size_t>(upto));
-      for (uint64_t e : set_bits) {
-        if (e < upto) col->bits.Set(static_cast<size_t>(e));
-      }
-      col->upto = static_cast<size_t>(upto);
-      col->loaded_upto = col->upto;
-      WSV_COUNT1("cache/leaf_cols_loaded");
-      WSV_COUNT("cache/leaf_evals_saved", upto);
-    }
-  };
-  auto publish_cols = [&] {
-    if (!use_store) return;
-    for (LeafCol& col : col_store) {
-      if (col.store_key.empty() || col.upto <= col.loaded_upto) continue;
-      leaf_store_->Publish(col.store_key, SetBitsOf(col.bits, col.upto),
-                           col.upto);
-      col.loaded_upto = col.upto;
-      WSV_COUNT1("cache/leaf_cols_published");
-    }
-  };
 
   auto query_edges = [&](size_t k, size_t from, size_t n) -> Status {
     LeafTable& table = tables[k];
@@ -691,7 +579,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                      !invisible_inputs_.empty();
 
   std::vector<int32_t> digits(vars.size(), 0);
-  std::vector<LeafCol*> leaf_cols(num_leaves, nullptr);
+  std::vector<LeafCol*> val_cols(num_leaves, nullptr);
   std::vector<int32_t> memo_key;
   memo_key.reserve(2 * vars.size() + 1);
   Bitset label_scratch;
@@ -727,10 +615,9 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         if (static_col[k] == nullptr) {
           col_store.emplace_back();
           static_col[k] = &col_store.back();
-          if (use_store) attach_store(k, static_col[k], "static");
           WSV_COUNT1("ltl/static_leaf_cols");
         }
-        leaf_cols[k] = static_col[k];
+        val_cols[k] = static_col[k];
         continue;
       }
       memo_key.clear();
@@ -765,18 +652,12 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
           ensure_valuation();
           col->val = valuation;
         }
-        if (use_store) {
-          attach_store(k, col,
-                       LeafBinding(leaf_vars_[k], digits, cand_,
-                                   domain_relevant_[k],
-                                   leaf_qfree_[k] != 0));
-        }
         it = memo[k].emplace(memo_key, col).first;
         WSV_COUNT1("ltl/leaf_memo_entries");
       } else {
         WSV_COUNT1("ltl/leaf_memo_hits");
       }
-      leaf_cols[k] = it->second;
+      val_cols[k] = it->second;
     }
 
     // Class lookup by column prefix (pointer equality short-circuits the
@@ -786,12 +667,12 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       for (OtfClass& cls : classes) {
         bool same = true;
         for (size_t k = 0; k < num_leaves && same; ++k) {
-          if (cls.cols[k] == leaf_cols[k]) continue;
+          if (cls.cols[k] == val_cols[k]) continue;
           WSV_RETURN_IF_ERROR(
               extend_col(k, cls.cols[k], cls.edges_at_close));
           WSV_RETURN_IF_ERROR(
-              extend_col(k, leaf_cols[k], cls.edges_at_close));
-          if (!cls.cols[k]->bits.PrefixEquals(leaf_cols[k]->bits,
+              extend_col(k, val_cols[k], cls.edges_at_close));
+          if (!cls.cols[k]->bits.PrefixEquals(val_cols[k]->bits,
                                               cls.edges_at_close)) {
             same = false;
           }
@@ -839,11 +720,11 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         }
         if (matching.size() <= e) matching.resize(e + 1, nullptr);
         for (size_t k = 0; k < num_leaves; ++k) {
-          WSV_RETURN_IF_ERROR(extend_col(k, leaf_cols[k], e + 1));
+          WSV_RETURN_IF_ERROR(extend_col(k, val_cols[k], e + 1));
         }
         label_scratch.Resize(num_leaves);
         for (size_t k = 0; k < num_leaves; ++k) {
-          if (leaf_cols[k]->bits.Test(e)) label_scratch.Set(k);
+          if (val_cols[k]->bits.Test(e)) label_scratch.Set(k);
         }
         auto it = label_index_.find(label_scratch);
         matching[e] =
@@ -998,7 +879,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         local.run = std::move(run);
       }
       if (collapse) {
-        local.cols = leaf_cols;
+        local.cols = val_cols;
         local.edges_at_close = graph.edges.size();
         classes.push_back(std::move(local));
         outcome = &classes.back();
@@ -1017,7 +898,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       IndexedCounterExample found;
       found.valuation_index = i;
       found.lasso_only = true;
-      publish_cols();
       return std::optional<IndexedCounterExample>(std::move(found));
     }
 
@@ -1043,10 +923,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     found.cex.database = *database_;
     found.cex.run = outcome->run;
     found.cex.valuation = std::move(valuation);
-    publish_cols();
     return std::optional<IndexedCounterExample>(std::move(found));
   }
-  publish_cols();
   return std::optional<IndexedCounterExample>(std::nullopt);
 }
 

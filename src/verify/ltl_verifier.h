@@ -48,6 +48,7 @@
 
 namespace wsv {
 
+// Never defined: the type of the LtlVerifyOptions::leaf_store shim.
 class LeafColumnStore;
 
 struct LtlVerifyOptions {
@@ -89,16 +90,8 @@ struct LtlVerifyOptions {
   /// property pins the canonical DFS lasso so verdicts stay
   /// bit-identical across strategies (DESIGN.md §11).
   SearchOptions search;
-  /// Optional cross-request persistence for FO-leaf truth columns
-  /// (verify/leaf_store.h; the verification cache's disk tier plugs in
-  /// here). Null disables persistence. Verdicts and witnesses are
-  /// identical with or without a store — only FO re-evaluation is
-  /// skipped.
+  /// Compile shims read only by perfbench/driver.cc; ignored.
   LeafColumnStore* leaf_store = nullptr;
-  /// Opaque key prefix for leaf-store entries. Callers must fingerprint
-  /// everything that fixes the configuration graph and its edge order:
-  /// spec, database, resolved constant pool, tracked prev-relations and
-  /// the property (its nested DFS drives edge discovery order).
   std::string leaf_store_context;
 };
 
@@ -291,16 +284,6 @@ class LtlDatabaseCheck {
   /// (search/pruned_successors). Populated only when
   /// search_options_.prune_commuting is set.
   std::set<std::string> invisible_inputs_;
-  /// Cross-request column persistence (null = disabled; see
-  /// LtlVerifyOptions::leaf_store). Consulted only on full uncancellable
-  /// ranges, where edge discovery order is deterministic (chunked
-  /// parallel sweeps expand chunk-local graphs whose edge orders
-  /// differ).
-  LeafColumnStore* leaf_store_ = nullptr;
-  std::string leaf_ctx_;
-  /// Per leaf: hex structural fingerprint — the leaf component of store
-  /// keys. Populated only when leaf_store_ is set.
-  std::vector<std::string> leaf_fp_;
 };
 
 class LtlVerifier {
@@ -370,10 +353,8 @@ std::vector<Value> ResolveClosureCandidates(const WebService& service,
 
 /// Options for the sliced first phase of a two-phase check: `base` with
 /// the constant pool and closure candidates pinned to what the
-/// *original* service resolves (identical valuation indexing), the leaf
-/// store re-keyed into a sliced-column keyspace (sliced truth columns
-/// differ from full-spec ones; disabled when the caller set no
-/// context), and abort_on_lasso set.
+/// *original* service resolves (identical valuation indexing) and
+/// abort_on_lasso set.
 LtlVerifyOptions SlicedCheckOptions(const LtlVerifyOptions& base,
                                     const WebService& original,
                                     const TemporalProperty& property,

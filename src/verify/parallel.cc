@@ -152,12 +152,6 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
           if (cancelled_below(d)) return;
 
           LtlVerifyOptions opts = options_;
-          // The leaf-column store context cannot bind an enumerated
-          // database's identity (the caller fingerprints one concrete
-          // database), so persisted columns would alias across the
-          // sweep. Drop the store here; enumerated verifies always
-          // evaluate leaves fresh.
-          opts.leaf_store = nullptr;
           opts.graph.cancel_check = [&board, d] {
             return board.best_index.load(std::memory_order_relaxed) < d;
           };
@@ -282,12 +276,6 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
       BuchiAutomaton automaton,
       BuildNegatedAutomaton(*service_, property,
                             options_.require_input_bounded));
-  LtlVerifyOptions opts = options_;
-  // Chunked sweeps expand chunk-local lazy graphs whose edge order
-  // depends on the visited range, so persisted columns from one cut
-  // would be garbage under another. The sweep itself refuses
-  // partial-range stores, but gate here too so the intent is explicit.
-  opts.leaf_store = nullptr;
 
   LtlVerifyResult result;
   result.databases_checked = 1;
@@ -368,7 +356,7 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
   }
   if (sliced != nullptr) {
     LtlVerifyOptions sliced_opts =
-        SlicedCheckOptions(opts, *service_, property, database);
+        SlicedCheckOptions(options_, *service_, property, database);
     WSV_ASSIGN_OR_RETURN(
         LtlDatabaseCheck sliced_check,
         LtlDatabaseCheck::Create(sliced.get(), sliced_opts, &property,
@@ -388,7 +376,7 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
 
   WSV_ASSIGN_OR_RETURN(
       LtlDatabaseCheck check,
-      LtlDatabaseCheck::Create(service_, opts, &property, &automaton,
+      LtlDatabaseCheck::Create(service_, options_, &property, &automaton,
                                database));
   const uint64_t n = check.NumValuations();
   if (n == 0) {

@@ -2,8 +2,8 @@
 // invariance, store-format negatives (corruption, version bumps),
 // hit/warm/invalidated classification with counter enforcement,
 // cold-vs-cached verdict identity (the differential the cache's whole
-// design leans on), FO-leaf column persistence, the bytecode
-// fingerprint collision guard, and the replay job parser.
+// design leans on), old cache directories with retired record kinds,
+// the bytecode fingerprint collision guard, and the replay job parser.
 
 #include <gtest/gtest.h>
 
@@ -209,7 +209,6 @@ std::string SamplePayload() {
   w.U8(1);
   w.U64(42);
   w.Str("witness text");
-  w.U64Vec({1, 2, 3});
   return w.data();
 }
 
@@ -224,16 +223,13 @@ TEST(StoreTest, RecordRoundTrip) {
   uint8_t u8 = 0;
   uint64_t u64 = 0;
   std::string s;
-  std::vector<uint64_t> v;
   ASSERT_TRUE(r.U8(&u8));
   ASSERT_TRUE(r.U64(&u64));
   ASSERT_TRUE(r.Str(&s));
-  ASSERT_TRUE(r.U64Vec(&v));
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(u8, 1);
   EXPECT_EQ(u64, 42u);
   EXPECT_EQ(s, "witness text");
-  EXPECT_EQ(v, (std::vector<uint64_t>{1, 2, 3}));
 }
 
 TEST(StoreTest, CorruptionIsAMiss) {
@@ -285,9 +281,8 @@ TEST(StoreTest, TruncatedReaderFailsClosed) {
   ByteReader r(std::string_view("\x02", 1));
   std::string s;
   EXPECT_FALSE(r.Str(&s));  // length prefix itself is truncated
-  std::vector<uint64_t> v;
   ByteReader r2(std::string_view("\xff\xff\xff\xff\xff\xff\xff\xff", 8));
-  EXPECT_FALSE(r2.U64Vec(&v));  // claims 2^64-1 elements
+  EXPECT_FALSE(r2.Str(&s));  // claims 2^64-1 bytes
 }
 
 // ---------------------------------------------------------------------
@@ -605,51 +600,83 @@ TEST(VerifyCacheTest, LintTextPersistsPerSpec) {
   EXPECT_EQ(lint, "rendered lint\n");
 }
 
+// A directory written before the FO-leaf column store was retired
+// still holds cols/: a well-formed column record (record kind 3, the
+// retired kKindLeafColumn) and a garbage file. The cache serves the
+// directory's verdicts as hits, writes new verdicts beside them, and
+// never reads or rewrites anything under cols/.
+TEST(VerifyCacheTest, OldColumnRecordsAreIgnored) {
+  const std::string dir = FreshCacheDir("oldcols");
+  Request holds = MakeRequest(kSpec, "G(!CP | logged_in)");
+  Request violated = MakeRequest(kSpec, "G(!MP)");
+  const CachedVerdict holds_cold = ColdVerdict(holds);
+  const CachedVerdict violated_cold = ColdVerdict(violated);
+  ASSERT_TRUE(holds_cold.holds);
+  ASSERT_FALSE(violated_cold.holds);
+  {
+    VerifyCache::Config cfg;
+    cfg.dir = dir;
+    VerifyCache cache(std::move(cfg));
+    cache.RegisterSpec(holds.key.spec, kSpec);
+    cache.Insert(holds.key, holds_cold);
+    cache.Insert(violated.key, violated_cold);
+  }
+
+  // The parent-era column record: key, bound, then the set-bit indices
+  // as a length-prefixed u64 list.
+  const std::string cols = dir + "/cols";
+  ASSERT_TRUE(EnsureDir(cols));
+  ByteWriter w;
+  w.Str("leafctx|leaf:0123|b:alice,|e:");
+  w.U64(5);
+  w.U64(2);
+  w.U64(1);
+  w.U64(3);
+  ASSERT_TRUE(WriteRecordFile(cols + "/00000000deadbeef.bin",
+                              kKindLeafColumn, w.data()));
+  ASSERT_TRUE(WriteFileAtomic(cols + "/ffffffffffffffff.bin",
+                              "not a record at all")
+                  .ok());
+  const std::vector<std::string> names = ListDir(cols);
+  ASSERT_EQ(names.size(), 2u);
+  std::vector<std::string> contents;
+  for (const std::string& name : names) {
+    ASSERT_TRUE(ReadFileToString(cols + "/" + name, &contents.emplace_back()));
+  }
+
+  obs::MetricsSnapshot before = obs::SnapshotMetrics();
+  {
+    VerifyCache::Config cfg;
+    cfg.dir = dir;
+    VerifyCache cache(std::move(cfg));
+    cache.RegisterSpec(holds.key.spec, kSpec);
+    for (const auto& [r, cold] :
+         {std::pair<const Request*, const CachedVerdict*>{&holds, &holds_cold},
+          {&violated, &violated_cold}}) {
+      auto hit = cache.Lookup(r->key, "login", r->service, r->property);
+      ASSERT_EQ(hit.outcome, Outcome::kHit);
+      EXPECT_EQ(hit.verdict.holds, cold->holds);
+      EXPECT_EQ(hit.verdict.witness_text, cold->witness_text);
+      EXPECT_EQ(hit.verdict.total_product_states, cold->total_product_states);
+    }
+    // A miss verifies and writes its verdict; cols/ stays untouched.
+    Request fresh = MakeRequest(kSpec, "G(!CP)");
+    auto miss = cache.Lookup(fresh.key, "login", fresh.service, fresh.property);
+    EXPECT_EQ(miss.outcome, Outcome::kMiss);
+    cache.Insert(fresh.key, ColdVerdict(fresh));
+  }
+  obs::MetricsSnapshot after = obs::SnapshotMetrics();
 #ifndef WSV_OBS_DISABLED
-// FO-leaf truth columns persist on disk: a fresh process (modeled by a
-// fresh cache instance and verifier) loads the published columns
-// instead of re-evaluating every leaf, and reports the same verdict and
-// byte-identical witness. Both properties run full-range sweeps (the
-// violated one is ground, so its re-check starts at index 0), which is
-// where the verifier consults the store.
-TEST(VerifyCacheTest, LeafColumnsPersistAcrossInstances) {
-  for (const char* text : {"G(!CP | logged_in)", "G(!MP)"}) {
-    SCOPED_TRACE(text);
-    const bool violated = std::string(text) == "G(!MP)";
-    const std::string dir =
-        FreshCacheDir(violated ? "leafcols_violated" : "leafcols_holds");
-    Request r = MakeRequest(kSpec, text);
-
-    obs::MetricsSnapshot before = obs::SnapshotMetrics();
-    CachedVerdict first;
-    {
-      VerifyCache::Config cfg;
-      cfg.dir = dir;
-      VerifyCache cache(std::move(cfg));
-      r.options.leaf_store_context = VerifyCache::LeafContext(
-          r.key, r.service, r.property, r.db, r.options);
-      r.options.leaf_store = cache.leaf_store();
-      first = ColdVerdict(r);
-    }
-    obs::MetricsSnapshot mid = obs::SnapshotMetrics();
-    EXPECT_GT(CounterDelta(before, mid, "cache/leaf_cols_published"), 0u);
-
-    {
-      VerifyCache::Config cfg;
-      cfg.dir = dir;
-      VerifyCache cache(std::move(cfg));
-      r.options.leaf_store = cache.leaf_store();
-      CachedVerdict second = ColdVerdict(r);
-      EXPECT_EQ(second.holds, first.holds);
-      EXPECT_EQ(second.witness_text, first.witness_text);
-      EXPECT_EQ(second.total_product_states, first.total_product_states);
-    }
-    obs::MetricsSnapshot after = obs::SnapshotMetrics();
-    EXPECT_GT(CounterDelta(mid, after, "cache/leaf_cols_loaded"), 0u);
-    EXPECT_EQ(first.holds, !violated);
+  EXPECT_EQ(CounterDelta(before, after, "cache/store_corrupt"), 0u);
+  EXPECT_EQ(CounterDelta(before, after, "cache/store_write_errors"), 0u);
+#endif
+  ASSERT_EQ(ListDir(cols), names);
+  for (size_t i = 0; i < names.size(); ++i) {
+    std::string now;
+    ASSERT_TRUE(ReadFileToString(cols + "/" + names[i], &now));
+    EXPECT_EQ(now, contents[i]) << names[i];
   }
 }
-#endif
 
 // ---------------------------------------------------------------------
 // Bytecode program cache: fingerprint re-key and the collision guard
@@ -746,6 +773,42 @@ TEST(ReplayParseTest, RejectsMalformedLinesWithLineNumbers) {
 
   auto not_json = ParseReplayJobs("spec: a.wsv\n");
   EXPECT_FALSE(not_json.ok());
+}
+
+// ---------------------------------------------------------------------
+// Replay report
+
+TEST(ReplayReportTest, HitP99OverMissP50) {
+  ReplayReport report;
+  for (uint64_t ns = 1; ns <= 100; ++ns) report.hit_latencies_ns.push_back(ns);
+  EXPECT_EQ(report.HitP99OverMissP50(), 0.0);  // nothing verified
+  report.verify_latencies_ns = {400, 1000, 800};
+  EXPECT_DOUBLE_EQ(report.HitP99OverMissP50(), 100.0 / 800.0);
+}
+
+// A request, its repeat and a second repeat: one verification, two
+// cache-served requests that do no verification work at all.
+TEST(ReplayReportTest, CacheServedRequestsDoNoWork) {
+  ReplayJob job;
+  job.label = "login";
+  job.spec_text = kSpec;
+  job.property = "G(!CP | logged_in)";
+  job.db_text = "user(alice, pw).";
+  ReplayOptions options;
+  options.quiet = true;
+  VerifyCache cache(VerifyCache::Config{});
+  auto report = RunReplay({job, job, job}, options, &cache);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->misses, 1u);
+  EXPECT_EQ(report->hits, 2u);
+  EXPECT_EQ(report->verify_latencies_ns.size(), 1u);
+  EXPECT_EQ(report->hit_latencies_ns.size(), 2u);
+  EXPECT_EQ(report->cached_products_built, 0u);
+  EXPECT_EQ(report->cached_graph_nodes, 0u);
+  EXPECT_EQ(report->cached_fo_leaf_work, 0u);
+  EXPECT_GT(report->HitP99OverMissP50(), 0.0);
+  EXPECT_NE(report->ToBenchJson().find("\"hit_p99_over_miss_p50\": "),
+            std::string::npos);
 }
 
 }  // namespace

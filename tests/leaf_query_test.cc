@@ -15,7 +15,7 @@
 //     evaluation (a repeated closure candidate disables the tables,
 //     since answers map back to bindings by value): same verdict and
 //     byte-identical witness, because the lazy graph grows identically;
-//   - jobs=4 and a warm leaf-column store: byte-identical witness.
+//   - jobs=4: byte-identical witness.
 // Plus a service whose input constant arrives late (condition (a) on
 // complemented leaves), and the counter budget of the Property 4
 // family: at most two queries per discovered edge per leaf, and no
@@ -23,8 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -33,7 +31,6 @@
 #include "ltl/ltl_parser.h"
 #include "obs/metrics.h"
 #include "reference_checker.h"
-#include "verify/leaf_store.h"
 #include "verify/ltl_verifier.h"
 #include "verify/parallel.h"
 #include "verify/witness_check.h"
@@ -47,30 +44,6 @@ Value V(const char* s) { return Value::Intern(s); }
 uint64_t Counter(const char* name) {
   return obs::SnapshotMetrics().CounterValue(name);
 }
-
-// An in-memory leaf-column store that keeps the longest column per key.
-class MemoryLeafStore : public LeafColumnStore {
- public:
-  bool Lookup(const std::string& key, std::vector<uint64_t>* set_bits,
-              uint64_t* upto) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cols_.find(key);
-    if (it == cols_.end()) return false;
-    *set_bits = it->second.first;
-    *upto = it->second.second;
-    return true;
-  }
-  void Publish(const std::string& key, const std::vector<uint64_t>& set_bits,
-               uint64_t upto) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = cols_[key];
-    if (upto >= slot.second) slot = {set_bits, upto};
-  }
-
- private:
-  std::mutex mu_;
-  std::map<std::string, std::pair<std::vector<uint64_t>, uint64_t>> cols_;
-};
 
 std::string Witness(const LtlVerifyResult& r) {
   return r.counterexample.has_value() ? r.counterexample->ToString() : "";
@@ -122,36 +95,17 @@ void ExpectSetAtATimeExact(const WebService& service,
   auto jobs4 =
       ParallelLtlVerifier(&service, options, 4).VerifyOnDatabase(property, db);
 
-  MemoryLeafStore store;
-  LtlVerifyOptions store_opts = options;
-  store_opts.leaf_store = &store;
-  store_opts.leaf_store_context = "leaf-query-test";
-  obs::ResetMetrics();
-  auto cold = LtlVerifier(&service, store_opts).VerifyOnDatabase(property, db);
-  const uint64_t cold_queries = Counter("ltl/fo_leaf_queries");
-  obs::ResetMetrics();
-  auto warm = LtlVerifier(&service, store_opts).VerifyOnDatabase(property, db);
-  // Loaded prefixes skip queries. A HOLDS check only runs full sweeps,
-  // which load and publish every column they use, so its warm run
-  // queries nothing; a VIOLATED check's re-check from the lasso index is
-  // a partial sweep, which never touches the store.
-  const uint64_t warm_queries = Counter("ltl/fo_leaf_queries");
-  EXPECT_LE(warm_queries, cold_queries) << what;
-  if (warm.ok() && warm->holds) {
-    EXPECT_EQ(warm_queries, 0u) << what;
-  }
-
   ASSERT_EQ(otf.ok(), ref.ok())
       << what << ": otf=" << otf.status().ToString()
       << " reference=" << ref.status().ToString();
   if (!otf.ok()) return;
-  for (const auto* r : {&per_binding, &jobs4, &cold, &warm}) {
+  for (const auto* r : {&per_binding, &jobs4}) {
     ASSERT_TRUE(r->ok()) << what << ": " << r->status().ToString();
   }
   EXPECT_EQ(otf->holds, ref->holds) << what;
   EXPECT_EQ(otf->complete_within_bounds, ref->complete_within_bounds)
       << what;
-  for (const auto* r : {&per_binding, &jobs4, &cold, &warm}) {
+  for (const auto* r : {&per_binding, &jobs4}) {
     EXPECT_EQ((*r)->holds, otf->holds) << what;
     EXPECT_EQ(Witness(**r), Witness(*otf)) << what;
   }

@@ -7,8 +7,8 @@
 // property's Büchi automaton, and run the SCC emptiness check. The first
 // valuation whose lasso is faithful (its values occur in the run, the
 // database or the property) is the witness. There is no leaf memo, class
-// collapse, column store, slicing or on-the-fly expansion, so it shares
-// no optimization with LtlVerifier.
+// collapse, slicing or on-the-fly expansion, so it shares no
+// optimization with LtlVerifier.
 
 #ifndef WSV_TESTS_REFERENCE_CHECKER_H_
 #define WSV_TESTS_REFERENCE_CHECKER_H_

@@ -658,11 +658,6 @@ int CmdVerify(const Flags& flags) {
       std::printf("VIOLATED; counterexample:\n%s", v.witness_text.c_str());
       return 3;
     }
-    if (db.has_value() && cache::VerifyCache::Enabled()) {
-      options.leaf_store_context = cache::VerifyCache::LeafContext(
-          cache_key, *service, *prop, *db, options);
-      options.leaf_store = vcache->leaf_store();
-    }
   }
 
   ParallelLtlVerifier verifier(&*service, options, flags.jobs);
