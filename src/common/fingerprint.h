@@ -12,7 +12,7 @@
 //
 // A fingerprint is 128 bits (two independently seeded 64-bit FNV-1a
 // lanes over the same canonical byte stream). Collisions are
-// negligible for cache keying; the one consumer that aliases *code* on
+// negligible for cache keying; the one consumer that shares *code* on
 // fingerprint equality (the FO bytecode program cache) additionally
 // guards with a deep structural comparison, see StructurallyEqual.
 

@@ -8,7 +8,6 @@
 
 #include "common/fingerprint.h"
 #include "fo/bytecode/compiler.h"
-#include "fo/bytecode/vm.h"
 #include "obs/metrics.h"
 
 namespace wsv {
@@ -28,43 +27,37 @@ bool DisabledByEnv() {
 
 std::atomic<bool> g_force_fp_collisions{false};
 
-// A structurally keyed cache slot: the compiled program plus the
-// exemplar formula it was compiled from, kept so fingerprint hits can
-// be confirmed by deep comparison before aliasing code.
-struct FpEntry {
+// One distinct structure: the compiled program (nullptr when
+// compilation failed, so a bad formula compiles only once) plus the
+// exemplar formula it was compiled from, which confirms fingerprint
+// matches by deep comparison. Query entries also carry the head list
+// baked into the code.
+struct Entry {
   std::shared_ptr<const Program> prog;
   FormulaPtr exemplar;
-  // Query programs only: the head-variable list baked into the code
-  // (part of the key, but re-checked here so the forced-collision test
-  // mode cannot alias across head lists either).
   std::vector<std::string> head_vars;
 };
 
-// Cached programs pin their source FormulaPtr (Program::source), so a
-// Formula* key can never be reused by a different live formula. Entries
-// whose key formula is NOT the program's source — fingerprint aliases
-// (the shared program's source is the exemplar) and failure tombstones
-// (no program at all) — must be pinned explicitly in `pins`, or their
-// key address could be recycled by a structurally different formula
-// that would then falsely address-hit a stale program.
+// Fingerprint (of the formula, and of the head list for queries) ->
+// every distinct entry with that fingerprint: more than one only on a
+// collision.
+using Table = std::unordered_map<Fingerprint, std::vector<Entry>,
+                                 FingerprintHash>;
+
 struct Cache {
   std::shared_mutex mu;
-  std::unordered_map<const Formula*, std::shared_ptr<const Program>> bool_progs;
-  std::unordered_map<const Formula*, std::shared_ptr<const Program>>
-      query_progs;
-  // Secondary structural index: formula fingerprint -> compiled program.
-  // Lets re-parsed copies of a formula (new addresses, same structure)
-  // alias the existing program instead of recompiling.
-  std::unordered_map<Fingerprint, FpEntry, FingerprintHash> bool_by_fp;
-  std::unordered_map<Fingerprint, FpEntry, FingerprintHash> query_by_fp;
-  // Keeps alive every key formula not already pinned through its
-  // program (aliases, tombstones). Grow-only, like the cache.
-  std::vector<FormulaPtr> pins;
+  Table bools;
+  Table queries;
   // Occupancy (under mu): entries never evict, so these only grow.
   uint64_t entries = 0;
   uint64_t program_bytes = 0;
   uint64_t formula_bytes = 0;
 };
+
+Cache& GetCache() {
+  static Cache* cache = new Cache();
+  return *cache;
+}
 
 Fingerprint FormulaFp(const Formula& f) {
   if (g_force_fp_collisions.load(std::memory_order_relaxed)) {
@@ -104,9 +97,9 @@ uint64_t ApproxProgramBytes(const Program& prog) {
   return bytes;
 }
 
-// Estimated footprint of the pinned source formula tree: per-node header
-// plus term/variable vectors. Cached entries keep these alive for the
-// process lifetime (the cache key pins FormulaPtr).
+// Estimated footprint of an exemplar formula tree: per-node header plus
+// term/variable vectors. The cache keeps one per entry alive for the
+// process lifetime.
 uint64_t ApproxFormulaBytes(const Formula& f) {
   uint64_t bytes = sizeof(Formula);
   bytes += f.atom().relation.capacity();
@@ -120,9 +113,50 @@ uint64_t ApproxFormulaBytes(const Formula& f) {
   return bytes;
 }
 
-// Caller holds the cache lock and has just inserted `prog` for `f`.
-void AccountInsertLocked(Cache& cache, const FormulaPtr& f,
-                         const std::shared_ptr<const Program>& prog) {
+// The entry of `bucket` with `f`'s structure and head list, or nullptr.
+const Entry* FindLocked(const std::vector<Entry>& bucket, const Formula& f,
+                        const std::vector<std::string>& head_vars) {
+  for (const Entry& e : bucket) {
+    if (e.head_vars == head_vars && StructurallyEqual(f, *e.exemplar)) {
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
+// The program for `f`'s structure (and head list) in `table`, one of
+// the cache's tables, under fingerprint `fp`, compiled by `compile` on first use. The lookup
+// confirms the candidate by deep comparison, so like the fingerprint it
+// costs time linear in the formula: owners look a formula up once, when
+// they are built, never per evaluation.
+template <typename CompileFn>
+std::shared_ptr<const Program> GetOrCompile(
+    Table& table, const Fingerprint& fp, const FormulaPtr& f,
+    const std::vector<std::string>& head_vars, CompileFn compile) {
+  Cache& cache = GetCache();
+  {
+    std::shared_lock<std::shared_mutex> lock(cache.mu);
+    auto it = table.find(fp);
+    if (it != table.end()) {
+      if (const Entry* e = FindLocked(it->second, *f, head_vars)) {
+        WSV_COUNT1("fo/bytecode_cache_hits");
+        return e->prog;
+      }
+    }
+  }
+  WSV_COUNT1("fo/bytecode_compiles");
+  auto compiled = compile();
+  std::shared_ptr<const Program> prog =
+      compiled.ok() ? std::move(compiled).value() : nullptr;
+  std::unique_lock<std::shared_mutex> lock(cache.mu);
+  std::vector<Entry>& bucket = table[fp];
+  // Another thread may have compiled the same structure meanwhile; the
+  // first insert wins so every owner shares one program.
+  if (const Entry* e = FindLocked(bucket, *f, head_vars)) return e->prog;
+  // The fingerprint matched a different structure: the guard keeps the
+  // two apart.
+  if (!bucket.empty()) WSV_COUNT1("fo/bytecode_fp_collisions");
+  bucket.push_back(Entry{prog, f, head_vars});
   const uint64_t prog_bytes =
       prog == nullptr ? sizeof(void*) : ApproxProgramBytes(*prog);
   const uint64_t formula_bytes = ApproxFormulaBytes(*f);
@@ -132,36 +166,7 @@ void AccountInsertLocked(Cache& cache, const FormulaPtr& f,
   WSV_GAUGE_ADD("mem/fo_program_cache_entries", 1);
   WSV_GAUGE_ADD("mem/fo_program_cache_bytes", prog_bytes);
   WSV_GAUGE_ADD("mem/fo_pinned_formula_bytes", formula_bytes);
-}
-
-// Caller holds the cache lock and has aliased `f`'s address to a
-// program that already exists under another formula object: the new
-// entry pins `f` but shares the code, so only the formula tree counts.
-void AccountAliasLocked(Cache& cache, const FormulaPtr& f) {
-  const uint64_t formula_bytes = ApproxFormulaBytes(*f);
-  cache.entries += 1;
-  cache.formula_bytes += formula_bytes;
-  WSV_GAUGE_ADD("mem/fo_program_cache_entries", 1);
-  WSV_GAUGE_ADD("mem/fo_pinned_formula_bytes", formula_bytes);
-}
-
-Cache& GetCache() {
-  static Cache* cache = new Cache();
-  return *cache;
-}
-
-std::shared_ptr<const Program> Lookup(
-    const std::unordered_map<const Formula*,
-                             std::shared_ptr<const Program>>& map,
-    std::shared_mutex& mu, const Formula* key, bool* found) {
-  std::shared_lock<std::shared_mutex> lock(mu);
-  auto it = map.find(key);
-  if (it == map.end()) {
-    *found = false;
-    return nullptr;
-  }
-  *found = true;
-  return it->second;
+  return prog;
 }
 
 }  // namespace
@@ -185,105 +190,24 @@ void ForceFingerprintCollisionsForTest(bool force) {
 
 std::shared_ptr<const Program> GetOrCompileBool(const FormulaPtr& f) {
   if (f == nullptr) return nullptr;
-  Cache& cache = GetCache();
-  bool found = false;
-  std::shared_ptr<const Program> prog =
-      Lookup(cache.bool_progs, cache.mu, f.get(), &found);
-  if (found) {
-    WSV_COUNT1("fo/bytecode_cache_hits");
-    return prog;
-  }
-  // Address miss: a structurally identical formula may already be
-  // compiled under a different object (same spec re-parsed). The
-  // fingerprint finds the candidate; StructurallyEqual confirms it
-  // before any code is aliased.
-  const Fingerprint fp = FormulaFp(*f);
-  {
-    std::unique_lock<std::shared_mutex> lock(cache.mu);
-    auto addr_it = cache.bool_progs.find(f.get());
-    if (addr_it != cache.bool_progs.end()) {
-      WSV_COUNT1("fo/bytecode_cache_hits");
-      return addr_it->second;
-    }
-    auto fp_it = cache.bool_by_fp.find(fp);
-    if (fp_it != cache.bool_by_fp.end()) {
-      if (StructurallyEqual(*f, *fp_it->second.exemplar)) {
-        WSV_COUNT1("fo/bytecode_xspec_hits");
-        cache.bool_progs.emplace(f.get(), fp_it->second.prog);
-        cache.pins.push_back(f);
-        AccountAliasLocked(cache, f);
-        return fp_it->second.prog;
-      }
-      WSV_COUNT1("fo/bytecode_fp_collisions");
-    }
-  }
-  WSV_COUNT1("fo/bytecode_compiles");
-  auto compiled = CompileBool(f);
-  // Failures are cached as nullptr so a bad formula compiles only once.
-  prog = compiled.ok() ? std::move(compiled).value() : nullptr;
-  std::unique_lock<std::shared_mutex> lock(cache.mu);
-  auto [it, inserted] = cache.bool_progs.emplace(f.get(), prog);
-  if (inserted) {
-    if (prog == nullptr) cache.pins.push_back(f);
-    AccountInsertLocked(cache, f, prog);
-    // First structural exemplar wins; colliding formulas stay
-    // address-cached only.
-    cache.bool_by_fp.emplace(fp, FpEntry{prog, f, {}});
-  }
-  return inserted ? prog : it->second;
+  return GetOrCompile(GetCache().bools, FormulaFp(*f), f, {},
+                      [&] { return CompileBool(f); });
 }
 
 std::shared_ptr<const Program> GetOrCompileQuery(
     const FormulaPtr& f, const std::vector<std::string>& head_vars) {
   if (f == nullptr) return nullptr;
-  Cache& cache = GetCache();
-  bool found = false;
-  std::shared_ptr<const Program> prog =
-      Lookup(cache.query_progs, cache.mu, f.get(), &found);
-  if (found && (prog == nullptr || prog->head_vars == head_vars)) {
-    WSV_COUNT1("fo/bytecode_cache_hits");
-    return prog;
-  }
-  const Fingerprint fp = QueryFp(*f, head_vars);
-  if (!found) {
-    // Address miss: try the structural index (fingerprint covers the
-    // head list; the guard re-checks both structure and heads).
-    std::unique_lock<std::shared_mutex> lock(cache.mu);
-    auto addr_it = cache.query_progs.find(f.get());
-    if (addr_it != cache.query_progs.end() &&
-        (addr_it->second == nullptr ||
-         addr_it->second->head_vars == head_vars)) {
-      WSV_COUNT1("fo/bytecode_cache_hits");
-      return addr_it->second;
-    }
-    if (addr_it == cache.query_progs.end()) {
-      auto fp_it = cache.query_by_fp.find(fp);
-      if (fp_it != cache.query_by_fp.end()) {
-        if (fp_it->second.head_vars == head_vars &&
-            StructurallyEqual(*f, *fp_it->second.exemplar)) {
-          WSV_COUNT1("fo/bytecode_xspec_hits");
-          cache.query_progs.emplace(f.get(), fp_it->second.prog);
-          cache.pins.push_back(f);
-          AccountAliasLocked(cache, f);
-          return fp_it->second.prog;
-        }
-        WSV_COUNT1("fo/bytecode_fp_collisions");
-      }
-    }
-  }
-  WSV_COUNT1("fo/bytecode_compiles");
-  auto compiled = CompileQuery(f, head_vars);
-  std::shared_ptr<const Program> fresh =
-      compiled.ok() ? std::move(compiled).value() : nullptr;
-  if (found) return fresh;  // head mismatch: usable, but not cacheable
-  std::unique_lock<std::shared_mutex> lock(cache.mu);
-  auto [it, inserted] = cache.query_progs.emplace(f.get(), fresh);
-  if (inserted) {
-    if (fresh == nullptr) cache.pins.push_back(f);
-    AccountInsertLocked(cache, f, fresh);
-    cache.query_by_fp.emplace(fp, FpEntry{fresh, f, head_vars});
-  }
-  return inserted ? fresh : it->second;
+  return GetOrCompile(GetCache().queries, QueryFp(*f, head_vars), f,
+                      head_vars, [&] { return CompileQuery(f, head_vars); });
+}
+
+std::shared_ptr<const Program> ResolveBool(const FormulaPtr& f) {
+  return BytecodeEnabled() ? GetOrCompileBool(f) : nullptr;
+}
+
+std::shared_ptr<const Program> ResolveQuery(
+    const FormulaPtr& f, const std::vector<std::string>& head_vars) {
+  return BytecodeEnabled() ? GetOrCompileQuery(f, head_vars) : nullptr;
 }
 
 CacheStats ProgramCacheStats() {
@@ -294,34 +218,6 @@ CacheStats ProgramCacheStats() {
   stats.program_bytes = cache.program_bytes;
   stats.formula_bytes = cache.formula_bytes;
   return stats;
-}
-
-StatusOr<bool> EvaluateFast(const FormulaPtr& f, const EvalContext& ctx,
-                            const Valuation& valuation) {
-  if (BytecodeEnabled()) {
-    std::shared_ptr<const Program> prog = GetOrCompileBool(f);
-    if (prog != nullptr) return Execute(*prog, ctx, valuation);
-  }
-  return Evaluate(*f, ctx, valuation);
-}
-
-StatusOr<std::set<Tuple>> EvaluateQueryFast(
-    const FormulaPtr& f, const std::vector<std::string>& vars,
-    const EvalContext& ctx, const Valuation& valuation) {
-  if (BytecodeEnabled()) {
-    bool heads_bound = false;
-    for (const std::string& v : vars) {
-      if (valuation.count(v) > 0) {
-        heads_bound = true;
-        break;
-      }
-    }
-    if (!heads_bound) {
-      std::shared_ptr<const Program> prog = GetOrCompileQuery(f, vars);
-      if (prog != nullptr) return ExecuteQuery(*prog, ctx, valuation);
-    }
-  }
-  return EvaluateQuery(*f, vars, ctx, valuation);
 }
 
 }  // namespace fobc

@@ -1,16 +1,21 @@
 // Program cache and gating for the FO bytecode engine.
 //
-// Each FO leaf, input-option formula, and update rule is compiled once
-// per process and cached by formula address (entries pin the FormulaPtr,
-// so an address is never reused while cached). A secondary index keyed
-// by structural fingerprint (common/fingerprint.h) lets a *different*
-// formula object with identical structure — the same spec re-parsed, a
-// re-verified request in a replay — reuse the compiled program instead
-// of recompiling: on an address miss the fingerprint is consulted, the
-// candidate is confirmed with a deep structural comparison (the
-// collision guard), and the address is aliased to the existing program
-// (counter fo/bytecode_xspec_hits; a guard rejection counts
-// fo/bytecode_fp_collisions and compiles separately).
+// Each FO leaf, input-option formula and update rule is compiled once
+// per process per distinct structure. The cache is keyed by structure
+// only: a formula's fingerprint (common/fingerprint.h; for queries, the
+// fingerprint and the head-variable list) finds the candidate entry, and
+// a deep structural comparison with the entry's exemplar formula
+// confirms it (the collision guard: a rejected candidate counts
+// fo/bytecode_fp_collisions and compiles separately). So a re-parsed
+// spec, a re-verified request in a replay, or a rule that two pages
+// share reuses the compiled program, and the cache holds one exemplar
+// per distinct structure however many formula objects were looked up.
+//
+// A lookup fingerprints the formula, so it is not for hot paths. The
+// owners of formulas resolve their programs once, when they are built
+// (runtime/successor's Stepper, verify/ltl_verifier's database check,
+// ltl/run_semantics' lasso evaluator), hold them, and run them through
+// fo/bytecode/vm.h.
 //
 // The engine is on by default and can be disabled three ways, all of
 // which fall back to the tree-walking interpreter:
@@ -20,18 +25,20 @@
 //     --no-fo-bytecode flag),
 //   * per-thread, scoped: ScopedDisable (used by witness validation to
 //     re-check verdicts with the interpreter as the oracle).
+//
+// Owners resolve nothing while the engine is disabled (ResolveBool,
+// ResolveQuery), and check BytecodeEnabled() before running a program
+// they hold, so a scoped disable reaches programs resolved earlier.
 
 #ifndef WSV_FO_BYTECODE_CACHE_H_
 #define WSV_FO_BYTECODE_CACHE_H_
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "fo/bytecode/program.h"
-#include "fo/evaluator.h"
+#include "fo/formula.h"
 
 namespace wsv {
 namespace fobc {
@@ -56,35 +63,28 @@ class ScopedDisable {
 /// mem/fo_* gauges. Byte figures are footprint estimates (vector
 /// capacities + node overheads), not allocator ground truth.
 struct CacheStats {
-  uint64_t entries = 0;         // cached programs incl. failure tombstones
+  uint64_t entries = 0;         // distinct structures incl. failed compiles
   uint64_t program_bytes = 0;   // compiled code + slot tables
-  uint64_t formula_bytes = 0;   // pinned source formula trees
+  uint64_t formula_bytes = 0;   // pinned exemplar formula trees
 };
 CacheStats ProgramCacheStats();
 
-/// Returns the cached boolean program for `f`, compiling on first use.
+/// Returns the program for `f`'s structure, compiling on first use.
 /// nullptr when compilation failed (callers fall back to the
 /// interpreter). Thread-safe.
 std::shared_ptr<const Program> GetOrCompileBool(const FormulaPtr& f);
 
-/// Same for query programs. A cached program is reused only when its
-/// head-variable list matches; otherwise a fresh uncached compile is
-/// returned.
+/// Same for query programs with head variables `head_vars`; the head
+/// list is part of the key. A compiled query assumes its heads are
+/// unbound on entry.
 std::shared_ptr<const Program> GetOrCompileQuery(
     const FormulaPtr& f, const std::vector<std::string>& head_vars);
 
-/// Evaluates `f`, compiled when the engine is enabled, interpreted
-/// otherwise (or when compilation fails). Drop-in for fo/Evaluate at
-/// call sites that hold a FormulaPtr.
-StatusOr<bool> EvaluateFast(const FormulaPtr& f, const EvalContext& ctx,
-                            const Valuation& valuation = {});
-
-/// Query counterpart of EvaluateFast. Falls back to the interpreter
-/// when the entry valuation binds a head variable (compiled query
-/// programs assume unbound heads) or the head list is malformed.
-StatusOr<std::set<Tuple>> EvaluateQueryFast(
-    const FormulaPtr& f, const std::vector<std::string>& vars,
-    const EvalContext& ctx, const Valuation& valuation = {});
+/// GetOrCompileBool / GetOrCompileQuery when BytecodeEnabled(), else
+/// nullptr: what an owner holds for a formula it evaluates.
+std::shared_ptr<const Program> ResolveBool(const FormulaPtr& f);
+std::shared_ptr<const Program> ResolveQuery(
+    const FormulaPtr& f, const std::vector<std::string>& head_vars);
 
 /// Test hook: when forced, every formula reports the same fingerprint,
 /// so the structural collision guard must carry the entire load —

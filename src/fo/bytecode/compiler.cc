@@ -26,7 +26,6 @@ class Compiler {
   StatusOr<std::shared_ptr<const Program>> CompileBoolProgram(
       const FormulaPtr& f) {
     prog_ = std::make_shared<Program>();
-    prog_->source = f;
     WSV_RETURN_IF_ERROR(CompileEval(*f));
     Emit(Op::kHalt);
     return Finish(f);
@@ -35,7 +34,6 @@ class Compiler {
   StatusOr<std::shared_ptr<const Program>> CompileQueryProgram(
       const FormulaPtr& f, const std::vector<std::string>& head_vars) {
     prog_ = std::make_shared<Program>();
-    prog_->source = f;
     prog_->is_query = true;
     prog_->head_vars = head_vars;
     std::set<std::string> unbound(head_vars.begin(), head_vars.end());

@@ -143,10 +143,6 @@ struct Program {
   /// (ltl/run_semantics) stop re-deriving them on every evaluation.
   std::set<std::string> constant_symbols;
   std::set<Value> literals;
-
-  /// Keep-alive for the cache key: programs are cached by Formula
-  /// address, so the entry must pin the formula to prevent address reuse.
-  FormulaPtr source;
 };
 
 }  // namespace fobc

@@ -97,18 +97,17 @@ bool StepContext::InputConstantsProvided(
   return ConstantsProvided(service_, kappa_, csyms);
 }
 
-StatusOr<bool> QueryFoAtStep(const FormulaPtr& leaf,
+StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
                              const std::vector<std::string>& head_vars,
                              const StepContext& step,
                              const std::vector<Value>& extra_domain,
                              std::vector<Value>* rows) {
   rows->clear();
-  std::shared_ptr<const fobc::Program> prog;
-  if (fobc::BytecodeEnabled()) prog = fobc::GetOrCompileQuery(leaf, head_vars);
-  const LeafAnalyses an(*leaf, prog.get());
+  if (!fobc::BytecodeEnabled()) prog = nullptr;
+  const LeafAnalyses an(leaf, prog);
   if (!step.InputConstantsProvided(*an.csyms)) return false;
   EvalContext ctx = step.context();
-  if (ReadsDomain(prog.get())) {
+  if (ReadsDomain(prog)) {
     for (Value v : *an.lits) ctx.AddDomainValue(v);
     for (Value v : extra_domain) ctx.AddDomainValue(v);
   }
@@ -117,46 +116,30 @@ StatusOr<bool> QueryFoAtStep(const FormulaPtr& leaf,
     return true;
   }
   WSV_ASSIGN_OR_RETURN(std::set<Tuple> tuples,
-                       EvaluateQuery(*leaf, head_vars, ctx));
+                       EvaluateQuery(leaf, head_vars, ctx));
   for (const Tuple& t : tuples) rows->insert(rows->end(), t.begin(), t.end());
   return true;
 }
 
-StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
-                            const Instance& database,
+StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
+                            const TraceView& step, const Instance& database,
                             const WebService& service,
                             const PagePropositions& pages,
                             const Valuation& valuation) {
   WSV_TIMER("ltl/leaf_eval_ns");
-  std::shared_ptr<const fobc::Program> prog;
-  if (fobc::BytecodeEnabled()) prog = fobc::GetOrCompileBool(leaf);
-  const LeafAnalyses an(*leaf, prog.get());
+  if (!fobc::BytecodeEnabled()) prog = nullptr;
+  const LeafAnalyses an(leaf, prog);
   // Condition (a) first: a leaf naming an unprovided input constant is
   // false without building the structure.
   if (!ConstantsProvided(service, *step.kappa, *an.csyms)) return false;
   StepContext context(step, database, service, pages);
   EvalContext& ctx = context.ctx_;
-  if (ReadsDomain(prog.get())) {
+  if (ReadsDomain(prog)) {
     for (Value v : *an.lits) ctx.AddDomainValue(v);
     for (const auto& [var, v] : valuation) ctx.AddDomainValue(v);
   }
   if (prog != nullptr) return fobc::Execute(*prog, ctx, valuation);
-  return Evaluate(*leaf, ctx, valuation);
-}
-
-StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceStep& step,
-                            const Instance& database,
-                            const WebService& service,
-                            const PagePropositions& pages,
-                            const Valuation& valuation) {
-  TraceView view;
-  view.page = &step.page;
-  view.state = &step.state;
-  view.inputs = &step.inputs;
-  view.prev_inputs = &step.prev_inputs;
-  view.actions = &step.actions;
-  view.kappa = &step.kappa;
-  return EvalFoAtStep(leaf, view, database, service, pages, valuation);
+  return Evaluate(leaf, ctx, valuation);
 }
 
 namespace {
@@ -180,10 +163,21 @@ class LassoEvaluator {
     const size_t n = run_.steps.size();
     switch (f.kind()) {
       case TFormula::Kind::kFo: {
+        // The leaf's program is resolved once for all steps.
+        const std::shared_ptr<const fobc::Program> prog =
+            fobc::ResolveBool(f.fo());
         std::vector<char> v(n);
         for (size_t i = 0; i < n; ++i) {
+          const TraceStep& step = run_.steps[i];
+          TraceView view;
+          view.page = &step.page;
+          view.state = &step.state;
+          view.inputs = &step.inputs;
+          view.prev_inputs = &step.prev_inputs;
+          view.actions = &step.actions;
+          view.kappa = &step.kappa;
           WSV_ASSIGN_OR_RETURN(bool b,
-                               EvalFoAtStep(f.fo(), run_.steps[i],
+                               EvalFoAtStep(*f.fo(), prog.get(), view,
                                             database_, service_, pages_,
                                             valuation_));
           v[i] = b ? 1 : 0;

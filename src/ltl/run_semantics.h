@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "fo/bytecode/program.h"
 #include "fo/evaluator.h"
 #include "ltl/ltl.h"
 #include "runtime/config.h"
@@ -87,9 +88,10 @@ class StepContext {
   const EvalContext& context() const { return ctx_; }
 
  private:
-  // The one-shot TraceView overload of EvalFoAtStep extends the context
-  // in place instead of copying it.
-  friend StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf,
+  // The one-shot EvalFoAtStep extends the context in place instead of
+  // copying it.
+  friend StatusOr<bool> EvalFoAtStep(const Formula& leaf,
+                                     const fobc::Program* prog,
                                      const TraceView& step,
                                      const Instance& database,
                                      const WebService& service,
@@ -102,18 +104,13 @@ class StepContext {
 };
 
 /// Evaluates one FO leaf at one trace step under `valuation` (bindings
-/// for the property's universal closure variables). Takes the shared
-/// formula pointer so repeated leaves hit the compiled-program cache.
-/// `pages` is the service's page-proposition table. Timed under
-/// ltl/leaf_eval_ns.
-StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceStep& step,
-                            const Instance& database,
-                            const WebService& service,
-                            const PagePropositions& pages,
-                            const Valuation& valuation);
-
-StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
-                            const Instance& database,
+/// for the property's universal closure variables). `prog` is the
+/// leaf's program as its owner resolved it once (fobc::ResolveBool); it
+/// runs when the engine is enabled on this thread, and the interpreter
+/// runs when it is not or `prog` is nullptr. `pages` is the service's
+/// page-proposition table. Timed under ltl/leaf_eval_ns.
+StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
+                            const TraceView& step, const Instance& database,
                             const WebService& service,
                             const PagePropositions& pages,
                             const Valuation& valuation);
@@ -121,15 +118,17 @@ StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
 /// Set-at-a-time counterpart of EvalFoAtStep: replaces `rows` with the
 /// tuples of values for `head_vars` (distinct variables free in `leaf`)
 /// under which the leaf's FO structure satisfies it, flattened
-/// head_vars.size() values per tuple; a tuple may repeat. The active
-/// domain is the step's plus the leaf's literals plus `extra_domain`;
-/// head variables range over it, so a caller reading the answer at a
-/// binding must have that binding's values in the domain, and the
-/// answer agrees with EvalFoAtStep at a binding only where both
-/// evaluations see the same domain (always, for a quantifier-free
-/// leaf). Returns false, with `rows` empty, when condition (a) fails —
-/// the leaf is then false at every binding, whatever it says. Untimed.
-StatusOr<bool> QueryFoAtStep(const FormulaPtr& leaf,
+/// head_vars.size() values per tuple; a tuple may repeat. `prog` is the
+/// leaf's query program for `head_vars` (fobc::ResolveQuery), dispatched
+/// as in EvalFoAtStep. The active domain is the step's plus the leaf's
+/// literals plus `extra_domain`; head variables range over it, so a
+/// caller reading the answer at a binding must have that binding's
+/// values in the domain, and the answer agrees with EvalFoAtStep at a
+/// binding only where both evaluations see the same domain (always, for
+/// a quantifier-free leaf). Returns false, with `rows` empty, when
+/// condition (a) fails — the leaf is then false at every binding,
+/// whatever it says. Untimed.
+StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
                              const std::vector<std::string>& head_vars,
                              const StepContext& step,
                              const std::vector<Value>& extra_domain,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fo/bytecode/cache.h"
+#include "fo/bytecode/vm.h"
 
 namespace wsv {
 
@@ -21,12 +22,47 @@ Instance EmptyInstanceOfKind(const WebService& service, SymbolKind kind,
   return out;
 }
 
+// A rule body as a sentence: its program when one was resolved and the
+// engine is enabled on this thread, else the interpreter.
+StatusOr<bool> RunRule(const Formula& body, const fobc::Program* prog,
+                       const EvalContext& ctx) {
+  if (prog != nullptr && fobc::BytecodeEnabled()) {
+    return fobc::Execute(*prog, ctx);
+  }
+  return Evaluate(body, ctx);
+}
+
+// A rule body as a query over its head variables; same dispatch.
+StatusOr<std::set<Tuple>> RunRuleQuery(const Formula& body,
+                                       const std::vector<std::string>& heads,
+                                       const fobc::Program* prog,
+                                       const EvalContext& ctx) {
+  if (prog != nullptr && fobc::BytecodeEnabled()) {
+    return fobc::ExecuteQuery(*prog, ctx);
+  }
+  return EvaluateQuery(body, heads, ctx);
+}
+
 }  // namespace
 
 Stepper::Stepper(const WebService* service, const Instance* database)
     : service_(service), database_(database) {
   rule_constants_.reserve(service_->pages().size());
+  programs_.reserve(service_->pages().size());
   for (const PageSchema& page : service_->pages()) {
+    PagePrograms& progs = programs_.emplace_back();
+    for (const InputRule& r : page.input_rules) {
+      progs.input.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+    }
+    for (const StateRule& r : page.state_rules) {
+      progs.state.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+    }
+    for (const ActionRule& r : page.action_rules) {
+      progs.action.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+    }
+    for (const TargetRule& r : page.target_rules) {
+      progs.target.push_back(fobc::ResolveBool(r.body));
+    }
     std::vector<RuleConstants>& table = rule_constants_.emplace_back();
     auto collect = [&](const FormulaPtr& body, RuleConstants::Kind kind,
                        size_t rule) {
@@ -156,11 +192,13 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::OptionsUnder(
     return Status::NotFound("unknown page " + *node.page);
   }
   EvalContext ctx = MakeContext(node, kappa, /*current_inputs=*/nullptr);
+  const PagePrograms& progs = ProgramsOf(*page);
   std::map<std::string, std::set<Tuple>> options;
-  for (const InputRule& rule : page->input_rules) {
+  for (size_t i = 0; i < page->input_rules.size(); ++i) {
+    const InputRule& rule = page->input_rules[i];
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
-        fobc::EvaluateQueryFast(rule.body, rule.head_vars, ctx));
+        RunRuleQuery(*rule.body, rule.head_vars, progs.input[i].get(), ctx));
     options[rule.input] = std::move(tuples);
   }
   return options;
@@ -333,11 +371,14 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   const Instance& inputs = out.inputs.get();
 
   EvalContext ctx = MakeContext(node, *kappa, &inputs);
+  const PagePrograms& progs = ProgramsOf(page);
 
   // Target rules; condition (iii) fires on ambiguity.
   std::vector<const std::string*> true_targets;
-  for (const TargetRule& rule : page.target_rules) {
-    WSV_ASSIGN_OR_RETURN(bool fired, fobc::EvaluateFast(rule.body, ctx));
+  for (size_t i = 0; i < page.target_rules.size(); ++i) {
+    const TargetRule& rule = page.target_rules[i];
+    WSV_ASSIGN_OR_RETURN(bool fired,
+                         RunRule(*rule.body, progs.target[i].get(), ctx));
     if (fired) true_targets.push_back(&rule.target);
   }
   if (true_targets.size() > 1) {
@@ -353,10 +394,11 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   // per state relation with rules on this page; others carry unchanged.
   // The source state is copied only once some relation actually changes.
   std::map<std::string, std::pair<std::set<Tuple>, std::set<Tuple>>> updates;
-  for (const StateRule& rule : page.state_rules) {
+  for (size_t i = 0; i < page.state_rules.size(); ++i) {
+    const StateRule& rule = page.state_rules[i];
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
-        fobc::EvaluateQueryFast(rule.body, rule.head_vars, ctx));
+        RunRuleQuery(*rule.body, rule.head_vars, progs.state[i].get(), ctx));
     auto& [ins, del] = updates[rule.state];
     (rule.insert ? ins : del) = std::move(tuples);
   }
@@ -395,10 +437,11 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   // Actions triggered at step i land in A_{i+1}.
   Instance actions;
   bool any_action = false;
-  for (const ActionRule& rule : page.action_rules) {
+  for (size_t i = 0; i < page.action_rules.size(); ++i) {
+    const ActionRule& rule = page.action_rules[i];
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
-        fobc::EvaluateQueryFast(rule.body, rule.head_vars, ctx));
+        RunRuleQuery(*rule.body, rule.head_vars, progs.action[i].get(), ctx));
     if (tuples.empty()) continue;
     if (!any_action) {
       actions = empty_actions_;

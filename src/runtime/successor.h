@@ -9,9 +9,9 @@
 //
 // Everything that depends only on the service is computed once, at
 // construction (SetTrackedPrev redoes the prev prototype): empty
-// instance prototypes, the rule literals, and the input constants each
-// rule mentions. After the setters a Stepper is only read, so
-// concurrent sweeps share one (DESIGN.md §6g).
+// instance prototypes, the rule literals, the input constants each rule
+// mentions, and each rule's compiled FO program. After the setters a
+// Stepper is only read, so concurrent sweeps share one (DESIGN.md §6g).
 //
 // Semantic choices the paper leaves open (documented in DESIGN.md):
 //  * On a transition to the error page the state is carried unchanged,
@@ -27,12 +27,14 @@
 #define WSV_RUNTIME_SUCCESSOR_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "fo/bytecode/program.h"
 #include "fo/evaluator.h"
 #include "runtime/config.h"
 #include "ws/service.h"
@@ -178,12 +180,12 @@ class Stepper {
                         std::string reason) const;
 
   /// The apply core of Step, without its checks. Preconditions: `page`
-  /// is node's page, not the error page, and StaticError(node) is
-  /// nullopt; `*kappa` is node's kappa plus a value for each constant
-  /// the page requests; every relation pick of `choice` is among
-  /// OptionsUnder(node, *kappa) and every proposition is one the page
-  /// offers. Returns the successor Step would return; its parts may
-  /// point into `node` and at `*kappa`.
+  /// is node's page as an element of service().pages(), not the error
+  /// page, and StaticError(node) is nullopt; `*kappa` is node's kappa
+  /// plus a value for each constant the page requests; every relation
+  /// pick of `choice` is among OptionsUnder(node, *kappa) and every
+  /// proposition is one the page offers. Returns the successor Step
+  /// would return; its parts may point into `node` and at `*kappa`.
   StatusOr<Successor> ApplyChoice(const ConfigView& node,
                                   const PageSchema& page, const Kappa* kappa,
                                   const UserChoice& choice) const;
@@ -201,10 +203,23 @@ class Stepper {
     std::vector<std::string> constants;
   };
 
+  /// Each rule body's compiled program, parallel to the page's rules of
+  /// that kind; nullptr runs the interpreter (the engine was disabled
+  /// when the stepper was built, or the body did not compile).
+  struct PagePrograms {
+    std::vector<std::shared_ptr<const fobc::Program>> input, state, action,
+        target;
+  };
+
   /// EvalContext over D, S_i, P_i, kappa; optionally the current inputs.
   /// `kappa` is bound by pointer and must outlive the context.
   EvalContext MakeContext(const ConfigView& node, const Kappa& kappa,
                           const Instance* current_inputs) const;
+
+  /// The programs of `page`, which must be one of service().pages().
+  const PagePrograms& ProgramsOf(const PageSchema& page) const {
+    return programs_[static_cast<size_t>(&page - service_->pages().data())];
+  }
 
   /// Wraps a successor of `config` into the StepOutcome Step returns.
   static StepOutcome WithTrace(const Config& config, Successor succ);
@@ -219,6 +234,8 @@ class Stepper {
   /// Per page, parallel to service().pages(), in the order condition (i)
   /// checks rules: input, state, action, then target rules.
   std::vector<std::vector<RuleConstants>> rule_constants_;
+  /// Per page, parallel to service().pages().
+  std::vector<PagePrograms> programs_;
   /// Input relations whose previous value is kept in configurations;
   /// nullopt means all.
   std::optional<std::set<std::string>> tracked_prev_;

@@ -11,6 +11,7 @@
 #include "analysis/slice.h"
 #include "automata/ltl_to_buchi.h"
 #include "common/hash.h"
+#include "fo/bytecode/cache.h"
 #include "fo/input_bounded.h"
 #include "fo/rewrite.h"
 #include "obs/metrics.h"
@@ -315,7 +316,10 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   check.leaf_heads_.resize(num_leaves);
   check.leaf_query_.resize(num_leaves);
   check.leaf_complement_.resize(num_leaves, 0);
+  check.leaf_progs_.resize(num_leaves);
+  check.leaf_query_progs_.resize(num_leaves);
   for (size_t k = 0; k < num_leaves; ++k) {
+    check.leaf_progs_[k] = fobc::ResolveBool(automaton->leaves[k]);
     std::set<std::string> free = automaton->leaves[k]->FreeVariables();
     check.leaf_vars_[k].reserve(vars.size());
     for (size_t p = 0; p < vars.size(); ++p) {
@@ -334,6 +338,8 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
                               QueryDomainLoops(*leaf, heads);
       check.leaf_query_[k] = complement ? std::move(negated) : leaf;
       check.leaf_complement_[k] = complement ? 1 : 0;
+      check.leaf_query_progs_[k] =
+          fobc::ResolveQuery(check.leaf_query_[k], heads);
       check.leaf_heads_[k] = std::move(heads);
     }
     // A candidate value can influence this leaf through the active
@@ -474,7 +480,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       }
       WSV_ASSIGN_OR_RETURN(
           bool provided,
-          QueryFoAtStep(leaf_query_[k], leaf_heads_[k], *step_cache.ctx,
+          QueryFoAtStep(*leaf_query_[k], leaf_query_progs_[k].get(),
+                        leaf_heads_[k], *step_cache.ctx,
                         leaf_qfree_[k] ? cand_ : no_values, &rows));
       WSV_COUNT1("ltl/fo_leaf_queries");
       table.queried.Set(e);
@@ -523,7 +530,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     for (size_t e = col->upto; e < n; ++e) {
       TraceView view = graph.View(static_cast<int>(e));
       WSV_ASSIGN_OR_RETURN(bool b,
-                           EvalFoAtStep(automaton_->leaves[k], view,
+                           EvalFoAtStep(*automaton_->leaves[k],
+                                        leaf_progs_[k].get(), view,
                                         *database_, *service_, *pages_,
                                         col->val));
       col->bits.Set(e, b);

@@ -246,6 +246,11 @@ class LtlDatabaseCheck {
   /// answer is therefore the leaf's complement.
   std::vector<FormulaPtr> leaf_query_;
   std::vector<char> leaf_complement_;
+  /// Per leaf: the compiled program of the leaf (per-binding
+  /// evaluation) and of leaf_query_ under leaf_heads_ (the per-edge
+  /// query), resolved once here; nullptr runs the interpreter.
+  std::vector<std::shared_ptr<const fobc::Program>> leaf_progs_;
+  std::vector<std::shared_ptr<const fobc::Program>> leaf_query_progs_;
   /// Candidate value -> index into cand_ (distinct candidates only).
   std::unordered_map<Value, int32_t> cand_pos_;
   /// Automaton states grouped by their leaf-truth label, packed as a

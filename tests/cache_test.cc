@@ -20,6 +20,7 @@
 #include "common/fingerprint.h"
 #include "common/file_util.h"
 #include "fo/bytecode/cache.h"
+#include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "obs/metrics.h"
 #include "verify/ltl_verifier.h"
@@ -690,21 +691,71 @@ struct ScopedForcedCollisions {
 
 TEST(BytecodeFingerprintTest, CrossSpecProgramReuse) {
   // Two parses of the same text: distinct Formula objects, identical
-  // structure. The second verification must alias compiled programs via
-  // the fingerprint index instead of recompiling.
+  // structure. The cache is keyed by structure, so the second
+  // verification compiles nothing and adds no entry.
   Request a = MakeRequest(kSpec, "G(!CP | logged_in)");
-  obs::MetricsSnapshot before = obs::SnapshotMetrics();
   CachedVerdict va = ColdVerdict(a);
+  const fobc::CacheStats stats_before = fobc::ProgramCacheStats();
+  obs::MetricsSnapshot before = obs::SnapshotMetrics();
   Request b = MakeRequest(kSpecReformatted, "G(!CP | logged_in)");
   CachedVerdict vb = ColdVerdict(b);
   obs::MetricsSnapshot after = obs::SnapshotMetrics();
   EXPECT_EQ(va.holds, vb.holds);
   EXPECT_EQ(va.total_product_states, vb.total_product_states);
+  EXPECT_EQ(fobc::ProgramCacheStats().entries, stats_before.entries);
 #ifndef WSV_OBS_DISABLED
-  if (fobc::BytecodeEnabled()) {
-    EXPECT_GT(CounterDelta(before, after, "fo/bytecode_xspec_hits"), 0u);
-  }
+  EXPECT_EQ(CounterDelta(before, after, "fo/bytecode_compiles"), 0u);
 #endif
+}
+
+// Zero steady-state growth: verifying the same request from a fresh
+// parse of the same text compiles nothing after the first time, and the
+// program cache keeps exactly the entries, code and exemplar formulas it
+// had. Every parse makes new formula objects, so a cache that kept
+// anything per object would grow here.
+TEST(BytecodeFingerprintTest, RepeatedRequestsDoNotGrowProgramCache) {
+  struct Case {
+    std::string spec;
+    std::string property;
+    std::string db;
+    std::vector<Value> pool;
+  };
+  const Case cases[] = {
+      {EcommerceSpecText(), "G(!PIP) | F(PIP & F(CC))", "",
+       {Value::Intern("alice"), Value::Intern("pw")}},
+      {kSpec, "G(!CP | logged_in)", "user(alice, pw).", {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.property);
+    fobc::CacheStats first;
+    obs::MetricsSnapshot after_first;
+    for (int round = 0; round < 5; ++round) {
+      WebService service = MustParse(c.spec);
+      TemporalProperty property = MustProp(service, c.property);
+      Instance db = c.db.empty() ? EcommerceSmallDatabase()
+                                 : MustDb(service, c.db);
+      LtlVerifyOptions options;
+      options.graph.constant_pool = c.pool;
+      options.require_input_bounded = false;
+      auto result =
+          LtlVerifier(&service, options).VerifyOnDatabase(property, db);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const fobc::CacheStats stats = fobc::ProgramCacheStats();
+      if (round == 0) {
+        first = stats;
+        after_first = obs::SnapshotMetrics();
+        continue;
+      }
+      EXPECT_EQ(stats.entries, first.entries) << "round " << round;
+      EXPECT_EQ(stats.program_bytes, first.program_bytes) << "round " << round;
+      EXPECT_EQ(stats.formula_bytes, first.formula_bytes) << "round " << round;
+    }
+#ifndef WSV_OBS_DISABLED
+    EXPECT_EQ(CounterDelta(after_first, obs::SnapshotMetrics(),
+                           "fo/bytecode_compiles"),
+              0u);
+#endif
+  }
 }
 
 TEST(BytecodeFingerprintTest, ForcedCollisionsStayCorrect) {

@@ -13,10 +13,12 @@
 #ifndef WSV_TESTS_REFERENCE_CHECKER_H_
 #define WSV_TESTS_REFERENCE_CHECKER_H_
 
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "automata/emptiness.h"
+#include "fo/bytecode/cache.h"
 #include "verify/config_graph.h"
 #include "verify/ltl_verifier.h"
 
@@ -48,6 +50,10 @@ inline StatusOr<LtlVerifyResult> ReferenceVerifyOnDatabase(
   for (size_t k = 0; k < vars.size(); ++k) num_valuations *= cand.size();
 
   const PagePropositions pages(service);
+  std::vector<std::shared_ptr<const fobc::Program>> progs;
+  for (const FormulaPtr& leaf : automaton.leaves) {
+    progs.push_back(fobc::ResolveBool(leaf));
+  }
   const size_t num_edges = graph.edges.size();
   const size_t num_states = automaton.size();
   const std::set<int>& accepting_states = automaton.accepting_sets.front();
@@ -67,10 +73,11 @@ inline StatusOr<LtlVerifyResult> ReferenceVerifyOnDatabase(
     std::vector<std::vector<int>> verts_at(num_edges);
     for (size_t e = 0; e < num_edges; ++e) {
       std::vector<char> truth;
-      for (const FormulaPtr& leaf : automaton.leaves) {
+      for (size_t k = 0; k < automaton.leaves.size(); ++k) {
         WSV_ASSIGN_OR_RETURN(
-            bool b, EvalFoAtStep(leaf, graph.View(static_cast<int>(e)), db,
-                                 service, pages, valuation));
+            bool b, EvalFoAtStep(*automaton.leaves[k], progs[k].get(),
+                                 graph.View(static_cast<int>(e)), db, service,
+                                 pages, valuation));
         truth.push_back(b ? 1 : 0);
       }
       for (size_t q = 0; q < num_states; ++q) {
