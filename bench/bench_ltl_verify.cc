@@ -11,16 +11,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
 
-#include "analysis/slice.h"
 #include "gallery/gallery.h"
 #include "ws/spec_parser.h"
 #include "ltl/ltl_parser.h"
 #include "obs/report.h"
 #include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 
 namespace wsv {
 namespace {
@@ -125,11 +122,10 @@ void MergeObsCounters(benchmark::State& state) {
 // best-first hunter — the A/B pair for the directed-search guard rule.
 void RunProperty1(benchmark::State& state, bool slice = true,
                   const char* strategy = "dfs") {
-  std::optional<analysis::ScopedDisableSlice> no_slice;
-  if (!slice) no_slice.emplace();
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();
   LtlVerifyOptions options;
+  options.enable_slice = slice;
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.search.strategy = strategy;
@@ -238,11 +234,10 @@ BENCHMARK(BM_DeepLasso_Directed)->Unit(benchmark::kMillisecond);
 // cone-reduction compare rules.
 void RunProperty4(benchmark::State& state, bool slice = true,
                   const char* strategy = "dfs") {
-  std::optional<analysis::ScopedDisableSlice> no_slice;
-  if (!slice) no_slice.emplace();
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();
   LtlVerifyOptions options;
+  options.enable_slice = slice;
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.closure_candidates = {V("p1"), V("100"), V("alice")};
@@ -305,8 +300,7 @@ void BM_Property4_PayBeforeShip_Jobs(benchmark::State& state) {
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.closure_candidates = {V("p1"), V("100"), V("alice")};
-  ParallelLtlVerifier verifier(&service, options,
-                               static_cast<int>(state.range(0)));
+  LtlVerifier verifier(&service, options, static_cast<int>(state.range(0)));
   auto prop = ParseTemporalProperty(
       "forall pid, price . ((UPP & payamount(price) & button(\"submit\") "
       "& pick(pid, price) & prod_prices(pid, price)) "
@@ -335,8 +329,7 @@ void BM_LoginEnumSweep_Jobs(benchmark::State& state) {
   options.db.fresh_values = 1;
   options.db.max_tuples_per_relation = 1;
   options.graph.constant_pool = {V("d0")};
-  ParallelLtlVerifier verifier(&service, options,
-                               static_cast<int>(state.range(0)));
+  LtlVerifier verifier(&service, options, static_cast<int>(state.range(0)));
   auto prop = ParseTemporalProperty("G(!error(\"no such page\"))",
                                     &service.vocab());
   obs::ResetMetrics();
@@ -446,10 +439,9 @@ BENCHMARK(BM_ScaleClosureArity)->DenseRange(1, 3, 1)
 // guard bounds the product states the sweep creates; the _NoSlice row is
 // the baseline for the slicer's compare rules.
 void RunLoginHoldsSweep(benchmark::State& state, bool slice = true) {
-  std::optional<analysis::ScopedDisableSlice> no_slice;
-  if (!slice) no_slice.emplace();
   WebService service = std::move(BuildLoginService()).value();
   LtlVerifyOptions options;
+  options.enable_slice = slice;
   options.db.fresh_values = 1;
   options.db.max_tuples_per_relation = static_cast<int>(state.range(0));
   options.graph.constant_pool = {V("d0")};

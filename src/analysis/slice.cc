@@ -15,7 +15,6 @@ namespace analysis {
 namespace {
 
 std::atomic<bool> g_enabled{true};
-thread_local int t_disable_depth = 0;
 
 bool DisabledByEnv() {
   static const bool disabled = std::getenv("WSV_DISABLE_SLICE") != nullptr;
@@ -36,17 +35,12 @@ std::set<std::string> BodyInputConstants(const Vocabulary& vocab,
 }  // namespace
 
 bool SliceEnabled() {
-  if (DisabledByEnv()) return false;
-  if (!g_enabled.load(std::memory_order_relaxed)) return false;
-  return t_disable_depth == 0;
+  return !DisabledByEnv() && g_enabled.load(std::memory_order_relaxed);
 }
 
 void SetSliceEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-ScopedDisableSlice::ScopedDisableSlice() { ++t_disable_depth; }
-ScopedDisableSlice::~ScopedDisableSlice() { --t_disable_depth; }
 
 SliceResult SlicePropertyCone(const WebService& service,
                               const TemporalProperty& property) {

@@ -53,19 +53,12 @@ SliceResult SlicePropertyCone(const WebService& service,
 
 /// Process-wide gate, mirroring fobc::BytecodeEnabled:
 ///   * environment: WSV_DISABLE_SLICE=1 disables for the process;
-///   * process-wide: SetSliceEnabled(false) (the CLI's --no-slice);
-///   * per-thread, scoped: ScopedDisableSlice (used by the differential
-///     tests and the in-process A/B benchmark rows).
+///   * process-wide: SetSliceEnabled(false) (the CLI's --no-slice).
+/// One verification opts out with LtlVerifyOptions::enable_slice = false
+/// (the differential tests and the in-process A/B benchmark rows);
+/// SlicingEnabled (verify/ltl_verifier.h) combines the two.
 bool SliceEnabled();
 void SetSliceEnabled(bool enabled);
-
-class ScopedDisableSlice {
- public:
-  ScopedDisableSlice();
-  ~ScopedDisableSlice();
-  ScopedDisableSlice(const ScopedDisableSlice&) = delete;
-  ScopedDisableSlice& operator=(const ScopedDisableSlice&) = delete;
-};
 
 }  // namespace analysis
 }  // namespace wsv

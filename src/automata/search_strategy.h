@@ -53,8 +53,8 @@ namespace wsv {
 /// accepting lasso passes through them).
 inline constexpr int kInfiniteDistance = -1;
 
-/// Strategy selection, carried inside LtlVerifyOptions so the serial and
-/// parallel engines, the CLI, and the benches configure one knob.
+/// Strategy selection, carried inside LtlVerifyOptions so the verifier
+/// at every job count, the CLI, and the benches configure one knob.
 struct SearchOptions {
   /// "dfs" or "directed". Unknown names fail at MakeSearchStrategy time
   /// with the known list in the message.

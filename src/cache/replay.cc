@@ -17,7 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/request.h"
-#include "verify/parallel.h"
+#include "verify/ltl_verifier.h"
 #include "ws/data_parser.h"
 #include "ws/spec_parser.h"
 
@@ -467,7 +467,7 @@ StatusOr<ReplayReport> RunReplay(const std::vector<ReplayJob>& jobs,
     }
 
     if (outcome == Outcome::kMiss || outcome == Outcome::kInvalidated) {
-      ParallelLtlVerifier verifier(&service, verify_options, options.jobs);
+      LtlVerifier verifier(&service, verify_options, options.jobs);
       StatusOr<LtlVerifyResult> result =
           database != nullptr ? verifier.VerifyOnDatabase(property, *database)
                               : verifier.Verify(property);

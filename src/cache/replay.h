@@ -65,7 +65,7 @@ StatusOr<std::vector<ReplayJob>> ParseReplayJobs(std::string_view jsonl);
 struct ReplayOptions {
   /// On-disk cache tier; empty = memory-only.
   std::string cache_dir;
-  /// Worker threads per verification (ParallelLtlVerifier jobs).
+  /// Worker threads per verification (LtlVerifier jobs).
   int jobs = 1;
   /// Suppress the per-request progress lines (the report still prints).
   bool quiet = false;

@@ -110,10 +110,12 @@ RequestKey MakeRequestKey(const WebService& service,
     key.database = b.Finish();
   }
   // Everything that can change the *output* of a request: bounds,
-  // pools, closure candidates, and the execution shape (class
-  // collapsing and parallelism shift the reported statistics even when
-  // verdicts agree). Bytecode on/off is deliberately absent —
-  // it changes no observable number.
+  // pools, closure candidates, and the execution shape — class
+  // collapsing, parallelism, the slicing decision (SlicingEnabled) and
+  // the search strategy with its pruning shift the reported statistics
+  // and, for a ground property, the witness lasso even when verdicts
+  // agree. Bytecode on/off is deliberately absent — it changes no
+  // observable number.
   FingerprintBuilder b;
   b.AbsorbString("opts");
   b.AbsorbFingerprint(FingerprintValues(options.db.base_values));
@@ -128,6 +130,9 @@ RequestKey MakeRequestKey(const WebService& service,
   b.AbsorbFingerprint(FingerprintValues(options.closure_candidates));
   b.AbsorbU64(ClassCollapseEnabled() ? 1 : 0);
   b.AbsorbU64(static_cast<uint64_t>(jobs));
+  b.AbsorbU64(SlicingEnabled(options) ? 1 : 0);
+  b.AbsorbString(options.search.strategy);
+  b.AbsorbU64(options.search.prune_commuting ? 1 : 0);
   key.options = b.Finish();
   key.combined = CombineKey(key.spec, key.property, key.database,
                             key.options);

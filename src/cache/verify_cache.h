@@ -92,8 +92,10 @@ struct RequestKey {
 
 /// Builds the key for a request. `database` may be null (enumerated
 /// database space — fingerprinted from the enumeration options
-/// instead). `jobs` participates because parallel sweeps can report
-/// different (equally valid) statistics than serial ones.
+/// instead). `jobs`, the slicing decision and the search options
+/// participate because they can change the reported statistics (and,
+/// for the strategy, a ground property's witness) while the verdict
+/// stays the same.
 RequestKey MakeRequestKey(const WebService& service,
                           const TemporalProperty& property,
                           const Instance* database,

@@ -38,9 +38,10 @@ struct ConfigGraphOptions {
   size_t max_edges = 2000000;
   /// Cooperative cancellation hook, polled once per expanded node. When
   /// it returns true, BuildConfigGraph abandons the build and returns
-  /// Status::Cancelled — the parallel engine sets this so workers whose
-  /// database can no longer win stop mid-build instead of finishing a
-  /// large graph nobody will read.
+  /// Status::Cancelled. LtlDatabaseCheck::CheckValuations chains its
+  /// stop predicate in here, so parallel workers whose index can no
+  /// longer win stop mid-build instead of finishing a large graph nobody
+  /// will read.
   std::function<bool()> cancel_check;
 };
 

@@ -1,8 +1,11 @@
 #include "verify/ltl_verifier.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -11,6 +14,7 @@
 #include "analysis/slice.h"
 #include "automata/ltl_to_buchi.h"
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "fo/bytecode/cache.h"
 #include "fo/input_bounded.h"
 #include "fo/rewrite.h"
@@ -32,9 +36,6 @@ std::string CounterExample::ToString() const {
   out += "violating run (lasso):\n" + run.ToString();
   return out;
 }
-
-LtlVerifier::LtlVerifier(const WebService* service, LtlVerifyOptions options)
-    : service_(service), options_(std::move(options)) {}
 
 namespace {
 
@@ -148,6 +149,10 @@ Status ValidateVerifyOptions(const LtlVerifyOptions& options) {
         "force_eager: the eager verification engine was removed");
   }
   return MakeSearchStrategy(options.search).status();
+}
+
+bool SlicingEnabled(const LtlVerifyOptions& options) {
+  return options.enable_slice && analysis::SliceEnabled();
 }
 
 std::vector<Value> ResolveConstantPool(const WebService& service,
@@ -936,105 +941,320 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   return std::optional<IndexedCounterExample>(std::nullopt);
 }
 
-StatusOr<bool> LtlVerifier::CheckDatabase(const TemporalProperty& property,
-                                          const BuchiAutomaton& automaton,
-                                          const Instance& database,
-                                          const WebService* sliced_service,
-                                          LtlVerifyResult* result) {
-  uint64_t sweep_begin = 0;
-  if (sliced_service != nullptr) {
-    // Phase 1: sweep the sliced spec in abort-on-lasso mode. A range
-    // with no accepting lasso on the sliced graph has none on the full
-    // graph either (the sliced graph is its quotient), so a lasso-free
-    // sweep decides HOLDS for this database outright; otherwise the
-    // full-spec sweep resumes at the first lasso index.
-    LtlVerifyOptions sliced_opts =
-        SlicedCheckOptions(options_, *service_, property, database);
+namespace {
+
+// What the front end computes once per Verify/VerifyOnDatabase call;
+// every database's check reads it.
+struct Plan {
+  const TemporalProperty* property = nullptr;
+  BuchiAutomaton automaton;
+  // The property cone reduction of the service; null when slicing is off
+  // or the slice is the identity.
+  std::unique_ptr<WebService> sliced;
+};
+
+// A sweep of one check's valuations [from, NumValuations()): the
+// lowest-index event in that range — a counterexample, a lasso marker
+// (abort-on-lasso checks) or an error — or nullopt if there is none.
+// `product_states` accumulates the sizes of the products built.
+using ValuationSweep =
+    std::function<StatusOr<std::optional<IndexedCounterExample>>(
+        const LtlDatabaseCheck& check, uint64_t from,
+        uint64_t* product_states)>;
+
+// The sweep as one CheckValuations call, polling `stop` per valuation.
+ValuationSweep WholeSweep(std::function<bool(uint64_t)> stop) {
+  return [stop = std::move(stop)](const LtlDatabaseCheck& check,
+                                  uint64_t from, uint64_t* product_states) {
+    return check.CheckValuations(from, check.NumValuations(), stop,
+                                 product_states);
+  };
+}
+
+// Adds one check's graph size and truncation, read after its sweep.
+void AddGraphTotals(const LtlDatabaseCheck& check, LtlVerifyResult* totals) {
+  totals->total_graph_nodes += check.graph_nodes();
+  if (check.truncated()) totals->complete_within_bounds = false;
+}
+
+// The two-phase check of one database (DESIGN.md §10). Phase 1 sweeps
+// the sliced spec in abort-on-lasso mode: a range with no accepting
+// lasso on the sliced graph has none on the full graph either (the
+// sliced graph is its quotient), so a lasso-free probe decides the
+// database outright. Otherwise the full-spec sweep resumes at the first
+// lasso index. Returns the full sweep's event; graph, product and
+// truncation accounting of both phases lands in `totals`.
+StatusOr<std::optional<IndexedCounterExample>> CheckDatabase(
+    const WebService& service, const LtlVerifyOptions& options,
+    const Plan& plan, const Instance& database, const ValuationSweep& sweep,
+    LtlVerifyResult* totals) {
+  uint64_t from = 0;
+  if (plan.sliced != nullptr) {
     WSV_ASSIGN_OR_RETURN(
-        LtlDatabaseCheck sliced_check,
-        LtlDatabaseCheck::Create(sliced_service, sliced_opts, &property,
-                                 &automaton, database));
-    uint64_t sliced_product_states = 0;
-    auto marker =
-        sliced_check.CheckValuations(0, sliced_check.NumValuations(), nullptr,
-                                     &sliced_product_states);
-    if (sliced_check.truncated()) result->complete_within_bounds = false;
-    result->total_graph_nodes += sliced_check.graph_nodes();
-    result->total_product_states += sliced_product_states;
-    if (!marker.ok()) return marker.status();
-    if (!marker->has_value()) return false;  // no lasso anywhere: holds
-    sweep_begin = (**marker).valuation_index;
+        LtlDatabaseCheck probe,
+        LtlDatabaseCheck::Create(
+            plan.sliced.get(),
+            SlicedCheckOptions(options, service, *plan.property, database),
+            plan.property, &plan.automaton, database));
+    auto marker = sweep(probe, 0, &totals->total_product_states);
+    AddGraphTotals(probe, totals);
+    if (!marker.ok() || !marker->has_value()) return marker;
+    from = (**marker).valuation_index;
   }
+  WSV_ASSIGN_OR_RETURN(LtlDatabaseCheck check,
+                       LtlDatabaseCheck::Create(&service, options,
+                                                plan.property,
+                                                &plan.automaton, database));
+  auto found = sweep(check, from, &totals->total_product_states);
+  AddGraphTotals(check, totals);
+  return found;
+}
 
-  WSV_ASSIGN_OR_RETURN(
-      LtlDatabaseCheck check,
-      LtlDatabaseCheck::Create(service_, options_, &property, &automaton,
-                               database));
+// The winning event of a sweep whose tasks are keyed by an index
+// (database, or first valuation of a chunk): the lowest-keyed
+// counterexample or error offered so far. `best_` doubles as the
+// cancellation signal workers poll (UINT64_MAX: no event yet); the
+// outcome is only touched under `mu_`.
+class EventBoard {
+ public:
+  // Whether an event keyed below `key` has landed: work at `key` can no
+  // longer win.
+  bool Beaten(uint64_t key) const {
+    return best_.load(std::memory_order_relaxed) < key;
+  }
+  bool Settled() const { return Beaten(UINT64_MAX); }
+  uint64_t best() const { return best_.load(std::memory_order_relaxed); }
 
-  uint64_t product_states = 0;
-  auto found = check.CheckValuations(sweep_begin, check.NumValuations(),
-                                     nullptr, &product_states);
-  // Graph accounting after the sweep: in on-the-fly mode the graph is
-  // expanded (and possibly truncated) by the sweep itself.
-  if (check.truncated()) result->complete_within_bounds = false;
-  result->total_graph_nodes += check.graph_nodes();
-  result->total_product_states += product_states;
-  if (!found.ok()) return found.status();
-  if (found->has_value()) {
-    result->holds = false;
-    result->counterexample = std::move((**found).cex);
+  // Offers the outcome of the task keyed `key`. A task that found
+  // nothing, or was cancelled because it could no longer win, offers
+  // nothing. Returns true if the outcome is the new winner; the caller
+  // then cancels the work that can no longer win.
+  bool Offer(uint64_t key,
+             StatusOr<std::optional<IndexedCounterExample>> outcome) {
+    if (outcome.ok() ? !outcome->has_value()
+                     : outcome.status().code() == StatusCode::kCancelled &&
+                           Beaten(key)) {
+      return false;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (key >= best_.load(std::memory_order_relaxed)) return false;
+    if (first_event_ns_ == 0) first_event_ns_ = WSV_OBS_NOW();
+    best_.store(key, std::memory_order_relaxed);
+    outcome_ = std::move(outcome);
     return true;
   }
-  return false;
+
+  // The winner (nullopt if no event landed). Call once the sweep drained.
+  StatusOr<std::optional<IndexedCounterExample>> Take() {
+    return std::move(outcome_);
+  }
+
+  // Time from `start` to the first counterexample, and how long
+  // in-flight work took to drain after the first event: the latency the
+  // three-layer cancellation is supposed to keep small.
+  void RecordTiming([[maybe_unused]] uint64_t start) const {
+    if (first_event_ns_ == 0) return;
+    if (outcome_.ok() && !(*outcome_)->lasso_only) {
+      WSV_HIST("verify/time_to_first_cex_ns", first_event_ns_ - start);
+    }
+    WSV_HIST("verify/cancel_drain_ns", WSV_OBS_NOW() - first_event_ns_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::atomic<uint64_t> best_{UINT64_MAX};
+  StatusOr<std::optional<IndexedCounterExample>> outcome_ =
+      std::optional<IndexedCounterExample>();
+  uint64_t first_event_ns_ = 0;
+};
+
+// The sweep cut into chunks run on a pool of `jobs` workers, lowest
+// chunk winning. Each chunk's CheckValuations keeps its own FO-leaf memo
+// and class table, so chunking trades collapse for balance: with class
+// collapsing on, one contiguous chunk per worker maximizes each chunk's
+// collapse rate (and repeats cost next to nothing, so imbalance matters
+// little); with the naive sweep forced, oversubscribe 4x so uneven
+// valuation costs balance. Work counters sum exactly across chunks
+// either way; only their split (memo hits vs misses, classes vs hits)
+// depends on the cut.
+StatusOr<std::optional<IndexedCounterExample>> ChunkedSweep(
+    const LtlDatabaseCheck& check, uint64_t from, int jobs, uint64_t start,
+    uint64_t* product_states) {
+  const uint64_t n = check.NumValuations();
+  if (from >= n) return std::optional<IndexedCounterExample>();
+  const uint64_t num_chunks = std::min<uint64_t>(
+      n - from,
+      static_cast<uint64_t>(jobs) * (ClassCollapseEnabled() ? 1 : 4));
+  const uint64_t chunk = (n - from + num_chunks - 1) / num_chunks;
+  EventBoard board;
+  std::mutex states_mu;
+  ThreadPool pool(jobs);
+  for (uint64_t begin = from; begin < n; begin += chunk) {
+    const uint64_t end = std::min(n, begin + chunk);
+    WSV_COUNT1("verify/valuation_chunks");
+    pool.Submit([&, begin, end] {
+      if (board.Beaten(begin)) return;
+      uint64_t states = 0;
+      auto found = check.CheckValuations(
+          begin, end, [&board](uint64_t i) { return board.Beaten(i); },
+          &states);
+      {
+        std::lock_guard<std::mutex> lock(states_mu);
+        *product_states += states;
+      }
+      if (board.Offer(begin, std::move(found))) {
+        WSV_COUNT1("verify/cancellations_signalled");
+        pool.CancelPending();
+      }
+    });
+  }
+  pool.Wait();
+  board.RecordTiming(start);
+  return board.Take();
+}
+
+}  // namespace
+
+LtlVerifier::LtlVerifier(const WebService* service, LtlVerifyOptions options,
+                         int jobs)
+    : service_(service),
+      options_(std::move(options)),
+      jobs_(ResolveJobCount(jobs)) {}
+
+StatusOr<LtlVerifyResult> LtlVerifier::Verify(
+    const TemporalProperty& property) {
+  if (jobs_ == 1) return Run(property, nullptr);
+  WSV_SPAN("verify/parallel_sweep");
+  return Run(property, nullptr);
 }
 
 StatusOr<LtlVerifyResult> LtlVerifier::VerifyOnDatabase(
     const TemporalProperty& property, const Instance& database) {
-  WSV_RETURN_IF_ERROR(ValidateVerifyOptions(options_));
-  WSV_ASSIGN_OR_RETURN(
-      BuchiAutomaton automaton,
-      BuildNegatedAutomaton(*service_, property,
-                            options_.require_input_bounded));
-  std::unique_ptr<WebService> sliced;
-  if (analysis::SliceEnabled() && options_.enable_slice) {
-    sliced = analysis::SlicePropertyCone(*service_, property).service;
-  }
-  LtlVerifyResult result;
-  result.databases_checked = 1;
-  WSV_RETURN_IF_ERROR(
-      CheckDatabase(property, automaton, database, sliced.get(), &result)
-          .status());
-  return result;
+  if (jobs_ == 1) return Run(property, &database);
+  WSV_SPAN("verify/parallel_db_sweep");
+  return Run(property, &database);
 }
 
-StatusOr<LtlVerifyResult> LtlVerifier::Verify(
-    const TemporalProperty& property) {
+StatusOr<LtlVerifyResult> LtlVerifier::Run(const TemporalProperty& property,
+                                           const Instance* database) {
+  [[maybe_unused]] const uint64_t start = WSV_OBS_NOW();
   WSV_RETURN_IF_ERROR(ValidateVerifyOptions(options_));
+  Plan plan;
+  plan.property = &property;
   WSV_ASSIGN_OR_RETURN(
-      BuchiAutomaton automaton,
+      plan.automaton,
       BuildNegatedAutomaton(*service_, property,
                             options_.require_input_bounded));
-  std::unique_ptr<WebService> sliced;
-  if (analysis::SliceEnabled() && options_.enable_slice) {
-    sliced = analysis::SlicePropertyCone(*service_, property).service;
-  }
-
-  DbEnumOptions db_options = options_.db;
-  for (Value v : property.formula->Literals()) {
-    db_options.base_values.push_back(v);
+  if (SlicingEnabled(options_)) {
+    plan.sliced = analysis::SlicePropertyCone(*service_, property).service;
   }
 
   LtlVerifyResult result;
-  WSV_ASSIGN_OR_RETURN(
-      bool stopped,
-      EnumerateDatabases(
-          *service_, db_options,
-          [&](const Instance& db) -> StatusOr<bool> {
-            ++result.databases_checked;
-            return CheckDatabase(property, automaton, db, sliced.get(),
-                                 &result);
-          }));
-  (void)stopped;
+  EventBoard board;
+  uint64_t num_dbs = 0;
+  StatusOr<bool> enumerated = false;
+  if (database != nullptr) {
+    // One database: at jobs > 1 each phase's valuations are chunked.
+    const ValuationSweep sweep =
+        jobs_ == 1 ? WholeSweep(nullptr)
+                   : ValuationSweep([&](const LtlDatabaseCheck& check,
+                                        uint64_t from, uint64_t* states) {
+                       return ChunkedSweep(check, from, jobs_, start, states);
+                     });
+    board.Offer(num_dbs++, CheckDatabase(*service_, options_, plan,
+                                         *database, sweep, &result));
+  } else {
+    DbEnumOptions db_options = options_.db;
+    for (Value v : property.formula->Literals()) {
+      db_options.base_values.push_back(v);
+    }
+    // jobs > 1: one pool task per database. Backpressure caps the
+    // submitted-but-unfinished tasks (each holds a database copy), since
+    // the enumerator runs far ahead of the workers.
+    std::optional<ThreadPool> pool;
+    if (jobs_ > 1) pool.emplace(jobs_);
+    std::mutex mu;  // guards `result` and `outstanding`
+    std::condition_variable slot_cv;
+    uint64_t outstanding = 0;
+    const uint64_t max_outstanding = static_cast<uint64_t>(jobs_) * 2;
+    enumerated = EnumerateDatabases(
+        *service_, db_options, [&](const Instance& db) -> StatusOr<bool> {
+          const uint64_t d = num_dbs++;
+          if (!pool.has_value()) {
+            board.Offer(d, CheckDatabase(*service_, options_, plan, db,
+                                         WholeSweep(nullptr), &result));
+            return board.Settled();
+          }
+          if (board.Beaten(d)) {
+            WSV_COUNT1("verify/dbs_pruned_by_cancel");
+            return true;  // stop enumerating
+          }
+          {
+            std::unique_lock<std::mutex> lock(mu);
+            slot_cv.wait(lock, [&] {
+              return outstanding < max_outstanding || board.Settled();
+            });
+            if (board.Beaten(d)) return true;
+            ++outstanding;
+          }
+          // The enumerator reuses its instance buffer: the task gets a
+          // copy.
+          auto db_copy = std::make_shared<Instance>(db);
+          pool->Submit([&, d, db_copy] {
+            LtlVerifyResult totals;
+            // Releases the slot on every exit path.
+            struct Release {
+              std::mutex& mu;
+              std::condition_variable& cv;
+              uint64_t& outstanding;
+              LtlVerifyResult& totals;
+              LtlVerifyResult& result;
+              ~Release() {
+                {
+                  std::lock_guard<std::mutex> lock(mu);
+                  --outstanding;
+                  result.total_graph_nodes += totals.total_graph_nodes;
+                  result.total_product_states += totals.total_product_states;
+                  if (!totals.complete_within_bounds) {
+                    result.complete_within_bounds = false;
+                  }
+                }
+                cv.notify_all();
+              }
+            } release{mu, slot_cv, outstanding, totals, result};
+            if (board.Beaten(d)) return;
+            auto found = CheckDatabase(
+                *service_, options_, plan, *db_copy,
+                WholeSweep([&board, d](uint64_t) { return board.Beaten(d); }),
+                &totals);
+            if (board.Offer(d, std::move(found))) {
+              WSV_COUNT1("verify/cancellations_signalled");
+              const size_t dropped = pool->CancelPending();
+              std::lock_guard<std::mutex> lock(mu);
+              outstanding -= dropped;
+            }
+          });
+          return false;
+        });
+    if (pool.has_value()) {
+      pool->Wait();
+      board.RecordTiming(start);
+    }
+  }
+
+  auto winner = board.Take();
+  if (!winner.ok()) return winner.status();
+  if (winner->has_value()) {
+    result.holds = false;
+    result.counterexample = std::move((**winner).cex);
+    // What an inline sweep visits before stopping.
+    result.databases_checked = board.best() + 1;
+    return result;
+  }
+  // No event anywhere: an enumerator failure (e.g. the instance cap) is
+  // the outcome.
+  if (!enumerated.ok()) return enumerated.status();
+  result.databases_checked = num_dbs;
   return result;
 }
 

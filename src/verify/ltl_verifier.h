@@ -18,12 +18,13 @@
 // constant pool), which is complete once the bounds reach the paper's
 // small-model sizes.
 //
-// The per-database work is packaged as LtlDatabaseCheck so the serial
-// verifier (below) and the parallel engine (verify/parallel.h) run the
-// *same* decision procedure: one context per candidate database, built
-// once, then a sweep over a range of closure-valuation indices. Contexts
-// are immutable after Create, so concurrent CheckValuations calls on one
-// context are safe.
+// The per-database work is packaged as LtlDatabaseCheck: one context per
+// candidate database, built once, then a sweep over a range of
+// closure-valuation indices. Contexts are immutable after Create, so
+// concurrent CheckValuations calls on one context are safe. LtlVerifier
+// (below) drives it: one front end per call, one two-phase check per
+// database, and a `jobs` parameter that picks only how databases and
+// valuation ranges are dispatched.
 
 #ifndef WSV_VERIFY_LTL_VERIFIER_H_
 #define WSV_VERIFY_LTL_VERIFIER_H_
@@ -73,8 +74,9 @@ struct LtlVerifyOptions {
   /// configuration graph (analysis/slice.h): rules outside the
   /// property's cone of influence are dropped, configurations merge,
   /// and a full-spec re-check from the first sliced lasso keeps
-  /// verdicts and witnesses bit-identical. The CLI's `--no-slice`;
-  /// equivalent to WSV_DISABLE_SLICE=1 but scoped to this verifier.
+  /// verdicts and witnesses bit-identical. Off is equivalent to
+  /// WSV_DISABLE_SLICE=1 or the CLI's `--no-slice`, but scoped to this
+  /// verifier (see SlicingEnabled).
   bool enable_slice = true;
   /// Internal (the sliced first phase): return at the first accepting
   /// lasso — faithful or spurious — as a `lasso_only` marker instead of
@@ -291,9 +293,33 @@ class LtlDatabaseCheck {
   std::set<std::string> invisible_inputs_;
 };
 
+/// The Theorem 3.5 procedure end to end. Each Verify/VerifyOnDatabase
+/// call runs one front end — validate the options, build the negated
+/// automaton, decide on slicing (SlicingEnabled) and slice — then one
+/// two-phase check per candidate database (DESIGN.md §10): a sliced
+/// abort-on-lasso probe, then the full-spec sweep from the probe's
+/// marker index.
+///
+/// `jobs` (<= 0: one worker per hardware thread) chooses only how that
+/// work is dispatched:
+///   * jobs == 1: everything runs inline on the calling thread — no
+///     pool, no thread.
+///   * jobs > 1: Verify runs one pool task per enumerated database
+///     (with backpressure); VerifyOnDatabase cuts each phase's
+///     valuation range into chunks run on a pool.
+///
+/// Determinism: every job count reports the verdict and witness of the
+/// inline run. Counterexamples and errors are events keyed by database
+/// (resp. chunk) index and the lowest index wins; cancellation only
+/// stops work at indices above the current best, so every index below
+/// the winner has been swept violation-free. Cancellation is
+/// three-layered: the enumerator stops producing, the pool drops its
+/// queued backlog, and in-flight sweeps poll the best index per
+/// valuation and per expanded configuration-graph node.
 class LtlVerifier {
  public:
-  LtlVerifier(const WebService* service, LtlVerifyOptions options);
+  LtlVerifier(const WebService* service, LtlVerifyOptions options,
+              int jobs = 1);
 
   /// Verifies over all databases within the enumeration bounds.
   StatusOr<LtlVerifyResult> Verify(const TemporalProperty& property);
@@ -303,17 +329,13 @@ class LtlVerifier {
                                              const Instance& database);
 
  private:
-  /// `sliced_service` (optional) is the property cone reduction of
-  /// service_: the check first sweeps the sliced spec in abort-on-lasso
-  /// mode and re-checks the full spec only from the first lasso index.
-  StatusOr<bool> CheckDatabase(const TemporalProperty& property,
-                               const BuchiAutomaton& automaton,
-                               const Instance& database,
-                               const WebService* sliced_service,
-                               LtlVerifyResult* result);
+  /// Both entry points: `database` null enumerates.
+  StatusOr<LtlVerifyResult> Run(const TemporalProperty& property,
+                                const Instance* database);
 
   const WebService* service_;
   LtlVerifyOptions options_;
+  int jobs_;
 };
 
 /// Whether the valuation sweep collapses equivalence classes of
@@ -328,9 +350,16 @@ bool ClassCollapseEnabled();
 bool OnTheFlyEnabled();
 
 /// Rejects option values no engine supports: a set `force_eager`
-/// (InvalidArgument) and an unknown `search.strategy`. The serial and
-/// parallel verifiers check this before any work.
+/// (InvalidArgument) and an unknown `search.strategy`. LtlVerifier
+/// checks this before any work.
 Status ValidateVerifyOptions(const LtlVerifyOptions& options);
+
+/// The slicing decision of a verification with `options`: whether it
+/// runs the sliced two-phase check. Reads `options.enable_slice` and the
+/// process-wide gate (analysis::SliceEnabled: WSV_DISABLE_SLICE,
+/// --no-slice). LtlVerifier's front end and the verification cache key
+/// both read it here.
+bool SlicingEnabled(const LtlVerifyOptions& options);
 
 /// The resolved input-constant candidate pool for one (service,
 /// property, database) context: the database's active domain, the rule
@@ -373,8 +402,8 @@ std::set<std::string> TrackedPrevRelations(const WebService& service,
                                            const TemporalProperty& property);
 
 /// Validates the property for the linear-time pipeline and builds the
-/// degeneralized Büchi automaton for its negation. Shared by the serial
-/// and parallel front ends.
+/// degeneralized Büchi automaton for its negation (LtlVerifier's front
+/// end).
 StatusOr<BuchiAutomaton> BuildNegatedAutomaton(
     const WebService& service, const TemporalProperty& property,
     bool require_input_bounded);

@@ -13,6 +13,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "analysis/slice.h"
 #include "cache/invalidate.h"
 #include "cache/replay.h"
 #include "cache/store.h"
@@ -24,7 +25,6 @@
 #include "ltl/ltl_parser.h"
 #include "obs/metrics.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "ws/data_parser.h"
 #include "ws/spec_parser.h"
 
@@ -478,6 +478,49 @@ TEST(VerifyCacheTest, CachedVerdictsMatchColdRunsBitForBit) {
     EXPECT_EQ(hit.verdict.total_product_states, cold.total_product_states)
         << prop_text;
   }
+}
+
+// The slicing decision and the search options change what a request
+// reports (graph and product counts; for the strategy, a ground
+// property's witness), so the key must tell them apart: a verdict
+// computed under one setting is never served under another. The key
+// holds the *resolved* decision: under WSV_DISABLE_SLICE (the
+// cache_test_noslice rerun) both sides are unsliced and share a key.
+TEST(VerifyCacheTest, KeyCoversSlicingAndSearchOptions) {
+  const bool slicing = analysis::SliceEnabled();
+  Request sliced = MakeRequest(kSpec, "G(!CP | logged_in)");
+  auto key_with = [&](void (*edit)(LtlVerifyOptions&)) {
+    LtlVerifyOptions options = sliced.options;
+    edit(options);
+    return MakeRequestKey(sliced.service, sliced.property, &sliced.db,
+                          options, /*jobs=*/1)
+        .combined;
+  };
+  const std::vector<Fingerprint> keys = {
+      sliced.key.combined,
+      key_with([](LtlVerifyOptions& o) { o.enable_slice = false; }),
+      key_with([](LtlVerifyOptions& o) { o.search.strategy = "directed"; }),
+      key_with([](LtlVerifyOptions& o) { o.search.prune_commuting = true; }),
+  };
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t j = i + 1; j < keys.size(); ++j) {
+      const bool same_decision = i == 0 && j == 1 && !slicing;
+      EXPECT_EQ(keys[i] == keys[j], same_decision)
+          << "settings " << i << " and " << j;
+    }
+  }
+
+  VerifyCache cache(VerifyCache::Config{});
+  cache.RegisterSpec(sliced.key.spec, kSpec);
+  cache.Insert(sliced.key, ColdVerdict(sliced));
+  Request unsliced = MakeRequest(kSpec, "G(!CP | logged_in)");
+  unsliced.options.enable_slice = false;
+  unsliced.key = MakeRequestKey(unsliced.service, unsliced.property,
+                                &unsliced.db, unsliced.options, /*jobs=*/1);
+  EXPECT_EQ(cache.Lookup(unsliced.key, "login", unsliced.service,
+                         unsliced.property)
+                .outcome,
+            slicing ? Outcome::kMiss : Outcome::kHit);
 }
 
 TEST(VerifyCacheTest, EditMigratesUnaffectedAndEvictsAffected) {

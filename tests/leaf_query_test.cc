@@ -32,7 +32,6 @@
 #include "obs/metrics.h"
 #include "reference_checker.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 #include "ws/spec_parser.h"
 
@@ -93,7 +92,7 @@ void ExpectSetAtATimeExact(const WebService& service,
   EXPECT_EQ(Counter("ltl/fo_leaf_queries"), 0u) << what;
 
   auto jobs4 =
-      ParallelLtlVerifier(&service, options, 4).VerifyOnDatabase(property, db);
+      LtlVerifier(&service, options, 4).VerifyOnDatabase(property, db);
 
   ASSERT_EQ(otf.ok(), ref.ok())
       << what << ": otf=" << otf.status().ToString()

@@ -24,7 +24,7 @@
 #include "obs/request.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "verify/parallel.h"
+#include "verify/ltl_verifier.h"
 
 namespace wsv {
 namespace {
@@ -135,7 +135,7 @@ TEST(RequestScope, InterleavedVerificationsSumToGlobal) {
     for (int t = 0; t < 2; ++t) {
       threads.emplace_back([&, t] {
         obs::RequestScope scope("interleaved_" + std::to_string(t));
-        ParallelLtlVerifier verifier(&service, options, 4);
+        LtlVerifier verifier(&service, options, 4);
         auto r = verifier.VerifyOnDatabase(*prop, db);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         EXPECT_TRUE(r->holds);
@@ -187,7 +187,7 @@ TEST(RequestScope, CancellationTelemetry) {
   obs::MetricsSnapshot delta1;
   {
     obs::RequestScope scope("jobs1");
-    ParallelLtlVerifier serial(&service, options, 1);
+    LtlVerifier serial(&service, options, 1);
     auto r = serial.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_FALSE(r->holds);
@@ -198,7 +198,7 @@ TEST(RequestScope, CancellationTelemetry) {
   obs::MetricsSnapshot delta4;
   {
     obs::RequestScope scope("jobs4");
-    ParallelLtlVerifier parallel(&service, options, 4);
+    LtlVerifier parallel(&service, options, 4);
     auto r = parallel.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_FALSE(r->holds);

@@ -18,7 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "verify/parallel.h"
+#include "verify/ltl_verifier.h"
 
 namespace wsv {
 namespace {
@@ -304,7 +304,7 @@ TEST(Report, SuccessorGenerationRow) {
   ASSERT_TRUE(prop.ok()) << prop.status().ToString();
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier verifier(&service, options, 1);
+    LtlVerifier verifier(&service, options, 1);
     auto r = verifier.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -454,7 +454,7 @@ TEST(CounterEquality, LoginEnumerationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier serial(&service, options, 1);
+    LtlVerifier serial(&service, options, 1);
     auto r = serial.Verify(*prop);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -466,7 +466,7 @@ TEST(CounterEquality, LoginEnumerationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier parallel(&service, options, 4);
+    LtlVerifier parallel(&service, options, 4);
     auto r = parallel.Verify(*prop);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -498,7 +498,7 @@ TEST(CounterEquality, ClearLoopService) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier serial(&service, options, 1);
+    LtlVerifier serial(&service, options, 1);
     auto r = serial.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -507,7 +507,7 @@ TEST(CounterEquality, ClearLoopService) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier parallel(&service, options, 4);
+    LtlVerifier parallel(&service, options, 4);
     auto r = parallel.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -545,7 +545,7 @@ TEST(CounterEquality, EcommerceValuationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier serial(&service, options, 1);
+    LtlVerifier serial(&service, options, 1);
     auto r = serial.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -557,7 +557,7 @@ TEST(CounterEquality, EcommerceValuationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier parallel(&service, options, 4);
+    LtlVerifier parallel(&service, options, 4);
     auto r = parallel.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);

@@ -21,7 +21,6 @@
 #include "ltl/ltl_parser.h"
 #include "reference_checker.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 
 namespace wsv {
@@ -153,9 +152,9 @@ TEST_F(LoginOtfTest, ForceEagerIsRejected) {
   EXPECT_EQ(serial.status().code(), StatusCode::kInvalidArgument);
   for (int jobs : {1, 4}) {
     auto parallel =
-        ParallelLtlVerifier(&service_, options, jobs).VerifyOnDatabase(*p, db_);
+        LtlVerifier(&service_, options, jobs).VerifyOnDatabase(*p, db_);
     EXPECT_EQ(parallel.status().code(), StatusCode::kInvalidArgument) << jobs;
-    auto swept = ParallelLtlVerifier(&service_, options, jobs).Verify(*p);
+    auto swept = LtlVerifier(&service_, options, jobs).Verify(*p);
     EXPECT_EQ(swept.status().code(), StatusCode::kInvalidArgument) << jobs;
   }
 }
@@ -167,7 +166,7 @@ TEST_F(LoginOtfTest, ParallelJobsAgreeWithSerial) {
   ASSERT_TRUE(p.ok());
   std::string cex1, cex4;
   {
-    ParallelLtlVerifier verifier(&service_, options_, /*jobs=*/1);
+    LtlVerifier verifier(&service_, options_, /*jobs=*/1);
     auto r = verifier.VerifyOnDatabase(*p, db_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_FALSE(r->holds);
@@ -177,7 +176,7 @@ TEST_F(LoginOtfTest, ParallelJobsAgreeWithSerial) {
     cex1 = r->counterexample->ToString();
   }
   {
-    ParallelLtlVerifier verifier(&service_, options_, /*jobs=*/4);
+    LtlVerifier verifier(&service_, options_, /*jobs=*/4);
     auto r = verifier.VerifyOnDatabase(*p, db_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_FALSE(r->holds);

@@ -1,4 +1,4 @@
-// The parallel verification engine (verify/parallel.h) and its thread
+// LtlVerifier at jobs > 1 (verify/ltl_verifier.h) and its thread
 // pool. The load-bearing property is determinism: at any job count the
 // engine must report exactly the serial verifier's verdict and witness,
 // so most tests here are serial-vs-parallel equality checks over the
@@ -19,7 +19,6 @@
 #include "ltl/run_semantics.h"
 #include "verify/config_graph.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 #include "ws/builder.h"
 
@@ -115,7 +114,7 @@ class ParallelLoginTest : public ::testing::Test {
     EXPECT_TRUE(p.ok()) << p.status().ToString();
     auto serial = LtlVerifier(&service_, options_).VerifyOnDatabase(*p, db_);
     auto par =
-        ParallelLtlVerifier(&service_, options_, 4).VerifyOnDatabase(*p, db_);
+        LtlVerifier(&service_, options_, 4).VerifyOnDatabase(*p, db_);
     EXPECT_TRUE(serial.ok()) << serial.status().ToString();
     EXPECT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(serial->holds, par->holds) << prop;
@@ -182,7 +181,7 @@ TEST_F(ParallelLoginTest, EnumeratedDatabaseSweepAgrees) {
   auto p = ParseTemporalProperty("G(!CP)", &service_.vocab());
   ASSERT_TRUE(p.ok());
   auto serial = LtlVerifier(&service_, options).Verify(*p);
-  auto par = ParallelLtlVerifier(&service_, options, 4).Verify(*p);
+  auto par = LtlVerifier(&service_, options, 4).Verify(*p);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   ASSERT_FALSE(serial->holds);
@@ -204,7 +203,7 @@ TEST_F(ParallelLoginTest, HoldingEnumeratedSweepAgrees) {
                                  &service_.vocab());
   ASSERT_TRUE(p.ok());
   auto serial = LtlVerifier(&service_, options).Verify(*p);
-  auto par = ParallelLtlVerifier(&service_, options, 4).Verify(*p);
+  auto par = LtlVerifier(&service_, options, 4).Verify(*p);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   EXPECT_EQ(serial->holds, par->holds);
@@ -225,7 +224,7 @@ TEST(ParallelEcommerceTest, PaperPropertiesAgree) {
     auto p = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))", &ws->vocab());
     ASSERT_TRUE(p.ok());
     auto serial = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
-    auto par = ParallelLtlVerifier(&*ws, options, 4).VerifyOnDatabase(*p, db);
+    auto par = LtlVerifier(&*ws, options, 4).VerifyOnDatabase(*p, db);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     ASSERT_FALSE(serial->holds);
@@ -246,8 +245,7 @@ TEST(ParallelEcommerceTest, PaperPropertiesAgree) {
         &ws->vocab());
     ASSERT_TRUE(p.ok()) << p.status().ToString();
     auto serial = LtlVerifier(&*ws, closure_options).VerifyOnDatabase(*p, db);
-    auto par = ParallelLtlVerifier(&*ws, closure_options, 4)
-                   .VerifyOnDatabase(*p, db);
+    auto par = LtlVerifier(&*ws, closure_options, 4).VerifyOnDatabase(*p, db);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_TRUE(serial->holds);

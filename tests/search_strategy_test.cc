@@ -24,7 +24,6 @@
 #include "obs/metrics.h"
 #include "reference_checker.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 #include "ws/spec_parser.h"
 
@@ -61,7 +60,7 @@ void ExpectStrategiesAgree(const WebService& service,
     // The chunked parallel sweep under the non-default strategy.
     LtlVerifyOptions opt = options;
     opt.search.strategy = "directed";
-    ParallelLtlVerifier verifier(&service, opt, /*jobs=*/2);
+    LtlVerifier verifier(&service, opt, /*jobs=*/2);
     results.push_back(
         {"directed jobs=2", verifier.VerifyOnDatabase(property, db)});
   }
@@ -340,7 +339,7 @@ TEST(StrategyRegistry, BuiltinsRegisteredAndUnknownNamesRejected) {
                   .code(),
               StatusCode::kInvalidArgument)
         << name;
-    EXPECT_EQ(ParallelLtlVerifier(&*ws, options, /*jobs=*/4)
+    EXPECT_EQ(LtlVerifier(&*ws, options, /*jobs=*/4)
                   .VerifyOnDatabase(*p, LoginDatabase())
                   .status()
                   .code(),
@@ -377,7 +376,7 @@ TEST_P(StrategyCancellationTest, EarlyExitDrainsCleanly) {
   }
 
   options.search.strategy = GetParam();
-  ParallelLtlVerifier verifier(&*ws, options, /*jobs=*/4);
+  LtlVerifier verifier(&*ws, options, /*jobs=*/4);
   auto r = verifier.VerifyOnDatabase(*p, db);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->holds);

@@ -6,7 +6,7 @@
 // same databases_checked — for every property, not just the gallery
 // ones. This suite hammers that contract with seeded random temporal
 // properties over three gallery services, comparing a normal (sliced)
-// run against a ScopedDisableSlice run of the same request, and runs
+// run against an enable_slice = false run of the same request, and runs
 // every violated sliced verdict through the independent witness checker.
 //
 // The generator is deliberately ground (no closure variables): quantified
@@ -15,13 +15,13 @@
 // which the ground pool already varies.
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "analysis/slice.h"
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "verify/ltl_verifier.h"
@@ -91,6 +91,11 @@ struct Fixture {
   WebService service;
   Instance db;
   LtlVerifyOptions options;
+  // Enumeration bounds of the fixture's Verify comparisons; unset where
+  // even the smallest enumeration is too slow for a fuzz corpus (the
+  // empty e-commerce database alone costs more than the rest of this
+  // suite).
+  std::optional<DbEnumOptions> sweep_db;
 };
 
 std::vector<Fixture> BuildFixtures() {
@@ -109,6 +114,9 @@ std::vector<Fixture> BuildFixtures() {
     f.name = "login";
     f.service = std::move(BuildLoginService()).value();
     f.db = LoginDatabase();
+    f.sweep_db.emplace();
+    f.sweep_db->fresh_values = 0;
+    f.sweep_db->max_tuples_per_relation = 1;
     fixtures.push_back(std::move(f));
   }
   {
@@ -116,6 +124,9 @@ std::vector<Fixture> BuildFixtures() {
     f.name = "paper-clear-loop";
     f.service = std::move(BuildPaperClearLoopService()).value();
     f.db = LoginDatabase();
+    f.sweep_db.emplace();
+    f.sweep_db->fresh_values = 0;
+    f.sweep_db->max_tuples_per_relation = 1;
     fixtures.push_back(std::move(f));
   }
   for (Fixture& f : fixtures) {
@@ -127,41 +138,73 @@ std::vector<Fixture> BuildFixtures() {
   return fixtures;
 }
 
-// The core oracle: one property, one service, sliced vs unsliced.
-void ExpectSlicedRunIdentical(const Fixture& f,
-                              const TemporalProperty& property,
-                              const std::string& text) {
-  LtlVerifier verifier(&f.service, f.options);
-  auto sliced = verifier.VerifyOnDatabase(property, f.db);
-  ASSERT_TRUE(sliced.ok()) << text << ": " << sliced.status().message();
-
-  StatusOr<LtlVerifyResult> unsliced = Status::Internal("unset");
-  {
-    analysis::ScopedDisableSlice off;
-    LtlVerifier plain(&f.service, f.options);
-    unsliced = plain.VerifyOnDatabase(property, f.db);
-  }
-  ASSERT_TRUE(unsliced.ok()) << text << ": " << unsliced.status().message();
-
-  EXPECT_EQ(sliced->holds, unsliced->holds) << f.name << ": " << text;
-  EXPECT_EQ(sliced->databases_checked, unsliced->databases_checked)
-      << f.name << ": " << text;
-  EXPECT_EQ(sliced->complete_within_bounds, unsliced->complete_within_bounds)
-      << f.name << ": " << text;
+// One sliced result against the unsliced serial one: same verdict, same
+// databases_checked and completeness, and the byte-identical
+// counterexample, which the independent witness checker also accepts.
+void ExpectSameOutcome(const Fixture& f, const TemporalProperty& property,
+                       const StatusOr<LtlVerifyResult>& sliced,
+                       const LtlVerifyResult& unsliced,
+                       const std::string& what) {
+  ASSERT_TRUE(sliced.ok()) << what << ": " << sliced.status().message();
+  EXPECT_EQ(sliced->holds, unsliced.holds) << what;
+  EXPECT_EQ(sliced->databases_checked, unsliced.databases_checked) << what;
+  EXPECT_EQ(sliced->complete_within_bounds, unsliced.complete_within_bounds)
+      << what;
   ASSERT_EQ(sliced->counterexample.has_value(),
-            unsliced->counterexample.has_value())
-      << f.name << ": " << text;
+            unsliced.counterexample.has_value())
+      << what;
   if (sliced->counterexample.has_value()) {
     // Lowest-index-wins witness selection must be slicing-invariant:
     // the full-spec re-check resumes from the sliced lasso marker, so
     // the two runs must surface the byte-identical counterexample.
     EXPECT_EQ(sliced->counterexample->ToString(),
-              unsliced->counterexample->ToString())
-        << f.name << ": " << text;
+              unsliced.counterexample->ToString())
+        << what;
     EXPECT_TRUE(
         ValidateWitness(f.service, property, *sliced->counterexample).ok())
-        << f.name << ": " << text;
+        << what;
   }
+}
+
+LtlVerifyOptions Unsliced(LtlVerifyOptions options) {
+  options.enable_slice = false;
+  return options;
+}
+
+// The core oracle: one property, one service, sliced vs unsliced. The
+// sliced side runs inline and at jobs = 4, where VerifyOnDatabase chunks
+// both phases' valuation ranges across the pool.
+void ExpectSlicedRunIdentical(const Fixture& f,
+                              const TemporalProperty& property,
+                              const std::string& text) {
+  auto unsliced = LtlVerifier(&f.service, Unsliced(f.options))
+                      .VerifyOnDatabase(property, f.db);
+  ASSERT_TRUE(unsliced.ok()) << text << ": " << unsliced.status().message();
+  for (int jobs : {1, 4}) {
+    ExpectSameOutcome(
+        f, property,
+        LtlVerifier(&f.service, f.options, jobs).VerifyOnDatabase(property,
+                                                                  f.db),
+        *unsliced,
+        std::string(f.name) + ": " + text + " (jobs " +
+            std::to_string(jobs) + ")");
+  }
+}
+
+// The same oracle over enumerated databases: Verify at jobs = 4 runs
+// each database's two-phase check as its own pool task, over the
+// fixture's small enumeration.
+void ExpectSlicedSweepIdentical(const Fixture& f,
+                                const TemporalProperty& property,
+                                const std::string& text) {
+  LtlVerifyOptions options = f.options;
+  options.db = *f.sweep_db;
+  auto unsliced = LtlVerifier(&f.service, Unsliced(options)).Verify(property);
+  ASSERT_TRUE(unsliced.ok()) << text << ": " << unsliced.status().message();
+  ExpectSameOutcome(f, property,
+                    LtlVerifier(&f.service, options, 4).Verify(property),
+                    *unsliced,
+                    std::string(f.name) + ": " + text + " (Verify, jobs 4)");
 }
 
 TEST(SliceFuzz, RandomPropertiesVerdictAndWitnessIdentical) {
@@ -179,6 +222,9 @@ TEST(SliceFuzz, RandomPropertiesVerdictAndWitnessIdentical) {
       ASSERT_TRUE(prop.ok()) << text << ": " << prop.status().message();
       SCOPED_TRACE(std::string(f.name) + ": " + text);
       ExpectSlicedRunIdentical(f, *prop, text);
+      if (f.sweep_db.has_value()) {
+        ExpectSlicedSweepIdentical(f, *prop, text);
+      }
       LtlVerifier verifier(&f.service, f.options);
       auto r = verifier.VerifyOnDatabase(*prop, f.db);
       if (r.ok()) (r->holds ? holds : violated)++;
@@ -211,9 +257,10 @@ TEST(SliceFuzz, GalleryPropertiesVerdictIdentical) {
   }
 }
 
-// Quantified sweep: one universally closed property per service keeps
-// the multi-valuation path (per-valuation probe markers, lowest-index
-// selection across valuations) under differential coverage.
+// Quantified sweep: universally closed properties keep the
+// multi-valuation path (per-valuation probe markers, lowest-index
+// selection across valuations) under differential coverage, over the
+// fixed e-commerce database and over the enumerated login databases.
 TEST(SliceFuzz, QuantifiedClosureSweepIdentical) {
   std::vector<Fixture> fixtures = BuildFixtures();
   Fixture& ecommerce = fixtures[0];
@@ -225,6 +272,19 @@ TEST(SliceFuzz, QuantifiedClosureSweepIdentical) {
   auto prop = ParseTemporalProperty(text, &ecommerce.service.vocab());
   ASSERT_TRUE(prop.ok()) << prop.status().message();
   ExpectSlicedRunIdentical(ecommerce, *prop, text);
+
+  const Fixture& login = fixtures[1];
+  // The button properties are violated at several valuations, in
+  // several chunks at jobs = 4: the lowest must win in both phases.
+  for (const char* login_text :
+       {"forall m . G(!error(m))", "forall m . (G(!error(m)) | F(BYE))",
+        "forall x . G(!button(x))",
+        "forall x . G(!button(x) | x = \"login\")"}) {
+    auto login_prop = ParseTemporalProperty(login_text, &login.service.vocab());
+    ASSERT_TRUE(login_prop.ok()) << login_prop.status().message();
+    ExpectSlicedRunIdentical(login, *login_prop, login_text);
+    ExpectSlicedSweepIdentical(login, *login_prop, login_text);
+  }
 }
 
 }  // namespace

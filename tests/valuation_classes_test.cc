@@ -23,7 +23,6 @@
 #include "obs/metrics.h"
 #include "verify/db_enum.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 
 namespace wsv {
 namespace {
@@ -64,7 +63,7 @@ SweepRun RunSweep(const WebService& service, const LtlVerifyOptions& options,
   auto p = ParseTemporalProperty(prop, &service.vocab());
   EXPECT_TRUE(p.ok()) << p.status().ToString();
   obs::ResetMetrics();
-  ParallelLtlVerifier verifier(&service, options, jobs);
+  LtlVerifier verifier(&service, options, jobs);
   auto r = db ? verifier.VerifyOnDatabase(*p, *db) : verifier.Verify(*p);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   SweepRun out;

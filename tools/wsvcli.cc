@@ -134,7 +134,6 @@
 #include "verify/abstraction.h"
 #include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 #include "ws/classify.h"
 #include "ws/data_parser.h"
@@ -660,7 +659,7 @@ int CmdVerify(const Flags& flags) {
     }
   }
 
-  ParallelLtlVerifier verifier(&*service, options, flags.jobs);
+  LtlVerifier verifier(&*service, options, flags.jobs);
   if (!flags.trace_out.empty()) obs::StartTracing();
   StatusOr<LtlVerifyResult> result = Status::OK();
   {
