@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "fo/plan.h"
 #include "fo/rewrite.h"
 #include "obs/metrics.h"
 
@@ -27,14 +28,6 @@ namespace {
 // contents, the formula's literals/constants, and the free-variable
 // bindings.
 // ---------------------------------------------------------------------------
-
-void FlattenAnd(const Formula& f, std::vector<const Formula*>* out) {
-  if (f.kind() == Formula::Kind::kAnd) {
-    for (const FormulaPtr& c : f.children()) FlattenAnd(*c, out);
-    return;
-  }
-  out->push_back(&f);
-}
 
 bool CheckDomainIndependent(const Formula& f);
 

@@ -5,21 +5,12 @@
 #include <set>
 #include <utility>
 
+#include "fo/plan.h"
 #include "fo/rewrite.h"
 
 namespace wsv {
 namespace fobc {
 namespace {
-
-// Recursively flattens nested conjunctions into a conjunct list (same
-// traversal as the tree-walker's FlattenAnd).
-void FlattenAnd(const Formula& f, std::vector<const Formula*>* out) {
-  if (f.kind() == Formula::Kind::kAnd) {
-    for (const FormulaPtr& c : f.children()) FlattenAnd(*c, out);
-  } else {
-    out->push_back(&f);
-  }
-}
 
 class Compiler {
  public:
@@ -237,6 +228,26 @@ class Compiler {
     return Status::OK();
   }
 
+  /// Opens the loop of a planning step without a guard (fo/plan.h): a
+  /// kPinBegin for the first equality-pinned variable of `*vars`, else a
+  /// kDomBegin for its first variable. Removes the variable from `*vars`
+  /// and returns the loop's first instruction (its exit is patched into
+  /// `c` by the caller). Both read the active domain.
+  uint32_t EmitUnguardedBegin(const std::vector<const Formula*>& conjuncts,
+                              std::set<std::string>* vars) {
+    const Pin pin = FindPin(conjuncts, *vars);
+    const std::string var =
+        pin.var != nullptr ? pin.var->name() : *vars->begin();
+    vars->erase(var);
+    uint32_t reg = scope_.at(var);
+    static_bound_[reg] = 1;
+    uses_domain_ = true;
+    if (pin.var != nullptr) {
+      return Emit(Op::kPinBegin, reg, LoadOperand(*pin.value));
+    }
+    return Emit(Op::kDomBegin, reg);
+  }
+
   // -- Existential evaluation (mirrors Evaluator::EvalExists) ---------------
 
   Status CompileExists(const std::set<std::string>& vars,
@@ -252,27 +263,13 @@ class Compiler {
     if (vars.empty()) return CompileConjunction(conjuncts);
 
     // Guard selection: the first atom conjunct binding a quantified var.
-    const Formula* guard = nullptr;
-    for (const Formula* c : conjuncts) {
-      if (c->kind() != Formula::Kind::kAtom) continue;
-      for (const Term& t : c->atom().terms) {
-        if (t.is_variable() && vars.count(t.name()) > 0) {
-          guard = c;
-          break;
-        }
-      }
-      if (guard != nullptr) break;
-    }
+    const Formula* guard = FindGuard(conjuncts, vars);
 
     if (guard == nullptr) {
-      // Domain fallback: bind one variable over the active domain; the
-      // recursion never finds a guard for the remaining subset either.
-      std::string var = *vars.begin();
-      vars.erase(vars.begin());
-      uint32_t reg = scope_.at(var);
-      static_bound_[reg] = 1;
-      uses_domain_ = true;
-      uint32_t dom = Emit(Op::kDomBegin, reg);
+      // No guard (nor for any subset, in the recursion): bind a pinned
+      // variable to its value, or else one variable over the active
+      // domain.
+      uint32_t dom = EmitUnguardedBegin(conjuncts, &vars);
       EnterLoop();
       WSV_RETURN_IF_ERROR(CompileExistsStep(std::move(vars),
                                             std::move(conjuncts)));
@@ -360,26 +357,11 @@ class Compiler {
 
     std::vector<const Formula*> conjuncts;
     FlattenAnd(body, &conjuncts);
-    const Formula* guard = nullptr;
-    for (const Formula* c : conjuncts) {
-      if (c->kind() != Formula::Kind::kAtom) continue;
-      for (const Term& t : c->atom().terms) {
-        if (t.is_variable() && unbound.count(t.name()) > 0) {
-          guard = c;
-          break;
-        }
-      }
-      if (guard != nullptr) break;
-    }
+    const Formula* guard = FindGuard(conjuncts, unbound);
 
     if (guard == nullptr) {
-      // Domain fallback, without early exit: every binding enumerates.
-      std::string var = *unbound.begin();
-      unbound.erase(unbound.begin());
-      uint32_t reg = scope_.at(var);
-      static_bound_[reg] = 1;
-      uses_domain_ = true;
-      uint32_t dom = Emit(Op::kDomBegin, reg);
+      // Pin or domain loop, without early exit: every binding enumerates.
+      uint32_t dom = EmitUnguardedBegin(conjuncts, &unbound);
       EnterLoop();
       WSV_RETURN_IF_ERROR(CompileEnumerate(std::move(unbound), body));
       Emit(Op::kDomNext, dom);

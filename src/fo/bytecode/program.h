@@ -50,7 +50,12 @@ enum class Op : uint8_t {
                // to a+1, else pop frame, flag = false, pc = code[a].c
   kDomBegin,   // iterate the active domain into register a; empty domain:
                // flag = false, pc = c
-  kDomNext,    // advance the domain loop opened at instruction a
+  kDomNext,    // advance the domain or pin loop opened at instruction a
+  kPinBegin,   // equality pin of register a to the value of operand b
+               // (kReg or kConst, read without error): when that value is
+               // valid, a one-pass loop binding it if it is in the active
+               // domain (else flag = false, pc = c); when it is invalid
+               // (unbound), kDomBegin over register a
   kBreak,      // pop the innermost loop frame and jump to a (early exit
                // of an existential with flag preserved)
   kEmit,       // append the head tuple (registers pool[a..a+count)) to

@@ -12,12 +12,14 @@ namespace {
 
 std::atomic<uint64_t> g_step_budget{kDefaultStepBudget};
 
-/// One open quantifier loop: a relation scan or an active-domain walk.
+/// One open quantifier loop: a relation scan, an active-domain walk, or
+/// the single pass of an equality pin.
 struct Frame {
   uint32_t begin_ip = 0;
   std::set<Tuple>::const_iterator it;
   std::set<Tuple>::const_iterator end;
   size_t dom_idx = 0;
+  bool pinned = false;
 };
 
 /// The per-thread arena. Vectors keep their capacity across executions,
@@ -248,6 +250,26 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
         }
         break;
       }
+      case Op::kPinBegin: {
+        const uint32_t idx = OperandIndexOf(in.b);
+        const Value v = OperandTagOf(in.b) == kOperandReg ? s.regs[idx]
+                                                           : s.consts[idx];
+        if (v.valid()) {
+          if (!ctx.InActiveDomain(v)) {
+            flag = false;
+            next = in.c;
+            break;
+          }
+          Frame fr;
+          fr.begin_ip = pc;
+          fr.pinned = true;
+          s.frames.push_back(fr);
+          s.regs[in.a] = v;
+          break;
+        }
+        // An unresolved pin loops over the active domain.
+        [[fallthrough]];
+      }
       case Op::kDomBegin: {
         if (s.domain == nullptr) s.domain = &ctx.ActiveDomain();
         if (s.domain->empty()) {
@@ -264,7 +286,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
       case Op::kDomNext: {
         Frame& fr = s.frames.back();
         const Instr& begin = p.code[in.a];
-        if (++fr.dom_idx < s.domain->size()) {
+        if (!fr.pinned && ++fr.dom_idx < s.domain->size()) {
           s.regs[begin.a] = (*s.domain)[fr.dom_idx];
           next = in.a + 1;
         } else {

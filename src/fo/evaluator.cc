@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "fo/plan.h"
 #include "fo/rewrite.h"
 #include "obs/metrics.h"
 
@@ -65,6 +66,25 @@ const std::vector<Value>& EvalContext::ActiveDomain() const {
   return domain_cache_;
 }
 
+bool EvalContext::InActiveDomain(Value v) const {
+  if (extra_domain_.count(v) > 0) return true;
+  for (const Instance* layer : layers_) {
+    if (layer->domain().count(v) > 0) return true;
+  }
+  if (prev_layer_ != nullptr && prev_layer_->domain().count(v) > 0) {
+    return true;
+  }
+  for (const auto& [name, c] : constant_overrides_) {
+    if (c == v) return true;
+  }
+  if (constant_layer_ != nullptr) {
+    for (const auto& [name, c] : *constant_layer_) {
+      if (c == v) return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 
 // Hot-path variable bindings: a small insertion-ordered flat vector.
@@ -110,22 +130,15 @@ class Bindings {
   std::vector<std::pair<std::string, Value>> entries_;
 };
 
-// Recursively flattens nested conjunctions into a conjunct list.
-void FlattenAnd(const Formula& f, std::vector<const Formula*>* out) {
-  if (f.kind() == Formula::Kind::kAnd) {
-    for (const FormulaPtr& c : f.children()) FlattenAnd(*c, out);
-  } else {
-    out->push_back(&f);
-  }
-}
-
-// Evaluation uses guard-driven joins: an existential quantifier whose
-// body contains a positive atom conjunct binds its variables by
-// iterating that atom's relation instead of the whole active domain;
-// universal quantifiers evaluate as negated existentials of the NNF'd
-// negation (turning the input-bounded forall x (alpha -> phi) pattern
-// into a guarded exists). This makes input-bounded rule evaluation cost
-// proportional to the relations' sizes rather than |domain|^vars.
+// Evaluation uses guard-driven joins (fo/plan.h): an existential
+// quantifier whose body contains a positive atom conjunct binds its
+// variables by iterating that atom's relation instead of the whole
+// active domain, and an equality conjunct x = t binds x to t's value
+// alone; universal quantifiers evaluate as negated existentials of the
+// NNF'd negation (turning the input-bounded forall x (alpha -> phi)
+// pattern into a guarded exists). This makes input-bounded rule
+// evaluation cost proportional to the relations' sizes rather than
+// |domain|^vars.
 class Evaluator {
  public:
   explicit Evaluator(const EvalContext& ctx) : ctx_(ctx) {}
@@ -227,27 +240,65 @@ class Evaluator {
   StatusOr<bool> EvalExists(std::set<std::string> vars, const Formula& body,
                             Bindings& valuation) {
     if (vars.empty()) return Eval(body, valuation);
-
-    // Flatten conjunctions to find a guard atom.
     std::vector<const Formula*> conjuncts;
     FlattenAnd(body, &conjuncts);
-    const Formula* guard = nullptr;
-    for (const Formula* c : conjuncts) {
-      if (c->kind() != Formula::Kind::kAtom) continue;
-      // Usable iff it binds at least one quantified variable.
-      for (const Term& t : c->atom().terms) {
-        if (t.is_variable() && vars.count(t.name()) > 0) {
-          guard = c;
-          break;
-        }
+    return EvalExistsStep(vars, conjuncts, valuation);
+  }
+
+  // The value an equality pin binds: nullopt when `t` does not resolve
+  // (an unbound variable or constant symbol), which leaves the pinned
+  // variable to an active-domain loop.
+  std::optional<Value> PinnedValue(const Term& t, const Bindings& valuation) {
+    StatusOr<Value> v = ResolveTerm(t, valuation);
+    if (!v.ok()) return std::nullopt;
+    return *v;
+  }
+
+  // Calls `body(v)` for each value the unguarded variable of one planning
+  // step takes: the pinned value alone when it resolves (none when it is
+  // outside the active domain), else every active-domain value. Stops at
+  // the first error or the first `true`.
+  template <typename Fn>
+  StatusOr<bool> ForEachUnguardedValue(const std::optional<Value>& pinned,
+                                       Fn&& body) {
+    if (pinned.has_value()) {
+      if (!ctx_.InActiveDomain(*pinned)) return false;
+      return body(*pinned);
+    }
+    if (domain_ == nullptr) domain_ = &ctx_.ActiveDomain();
+    for (Value v : *domain_) {
+      WSV_ASSIGN_OR_RETURN(bool sub, body(v));
+      if (sub) return true;
+    }
+    return false;
+  }
+
+ private:
+  // One planning step of an existential (fo/plan.h): binds one guard's,
+  // pin's or domain loop's variables of `vars`, then recurses on the
+  // rest. With `vars` empty, evaluates `conjuncts` left to right.
+  // `vars` is restored on every non-error return.
+  StatusOr<bool> EvalExistsStep(std::set<std::string>& vars,
+                                const std::vector<const Formula*>& conjuncts,
+                                Bindings& valuation) {
+    if (vars.empty()) {
+      for (const Formula* c : conjuncts) {
+        WSV_ASSIGN_OR_RETURN(bool sub, Eval(*c, valuation));
+        if (!sub) return false;
       }
-      if (guard != nullptr) break;
+      return true;
     }
 
+    const Formula* guard = FindGuard(conjuncts, vars);
     if (guard != nullptr) {
       const Atom& atom = guard->atom();
       const Relation* rel = ctx_.ResolveRelation(atom.relation, atom.prev);
       if (rel == nullptr || rel->empty()) return false;  // guard unmatchable
+      std::vector<const Formula*> rest;
+      rest.reserve(conjuncts.size());
+      for (const Formula* c : conjuncts) {
+        if (c != guard) rest.push_back(c);
+      }
       for (const Tuple& tuple : rel->tuples()) {
         std::vector<std::string> newly_bound;
         bool match = true;
@@ -272,9 +323,7 @@ class Evaluator {
           }
         }
         StatusOr<bool> sub = true;
-        if (match) {
-          sub = EvalExistsRest(vars, conjuncts, guard, valuation);
-        }
+        if (match) sub = EvalExistsStep(vars, rest, valuation);
         for (const std::string& v : newly_bound) {
           valuation.Erase(v);
           vars.insert(v);
@@ -285,64 +334,23 @@ class Evaluator {
       return false;
     }
 
-    // Fallback: bind one variable over the active domain.
-    std::string var = *vars.begin();
-    vars.erase(vars.begin());
-    if (domain_ == nullptr) domain_ = &ctx_.ActiveDomain();
-    for (Value v : *domain_) {
-      valuation.Set(var, v);
-      StatusOr<bool> sub = EvalExists(vars, body, valuation);
-      valuation.Erase(var);
-      if (!sub.ok()) return sub.status();
-      if (*sub) return true;
-    }
-    return false;
-  }
-
- private:
-  // Continues an existential after the guard bound some variables:
-  // evaluates the remaining conjuncts with the still-unbound vars.
-  StatusOr<bool> EvalExistsRest(std::set<std::string>& vars,
-                                const std::vector<const Formula*>& conjuncts,
-                                const Formula* guard, Bindings& valuation) {
-    std::vector<FormulaPtr> rest;
-    rest.reserve(conjuncts.size());
-    for (const Formula* c : conjuncts) {
-      if (c == guard) continue;
-      rest.push_back(Clone(*c));
-    }
-    FormulaPtr body = Formula::And(std::move(rest));
-    return EvalExists(vars, *body, valuation);
-  }
-
-  // Shallow re-wrap of a subformula as a shared pointer (the nodes are
-  // immutable, so sharing children is safe).
-  static FormulaPtr Clone(const Formula& f) {
-    switch (f.kind()) {
-      case Formula::Kind::kTrue:
-        return Formula::True();
-      case Formula::Kind::kFalse:
-        return Formula::False();
-      case Formula::Kind::kAtom:
-        return Formula::MakeAtom(f.atom());
-      case Formula::Kind::kEquals:
-        return Formula::Equals(f.lhs(), f.rhs());
-      case Formula::Kind::kNot:
-        return Formula::Not(f.children()[0]);
-      case Formula::Kind::kAnd: {
-        std::vector<FormulaPtr> parts = f.children();
-        return Formula::And(std::move(parts));
-      }
-      case Formula::Kind::kOr: {
-        std::vector<FormulaPtr> parts = f.children();
-        return Formula::Or(std::move(parts));
-      }
-      case Formula::Kind::kExists:
-        return Formula::Exists(f.variables(), f.body());
-      case Formula::Kind::kForall:
-        return Formula::Forall(f.variables(), f.body());
-    }
-    return Formula::True();
+    // No guard: bind a pinned variable to its value, or else one
+    // variable over the active domain.
+    const Pin pin = FindPin(conjuncts, vars);
+    const std::string var = pin.var != nullptr ? pin.var->name()
+                                               : *vars.begin();
+    std::optional<Value> pinned;
+    if (pin.var != nullptr) pinned = PinnedValue(*pin.value, valuation);
+    vars.erase(var);
+    StatusOr<bool> result =
+        ForEachUnguardedValue(pinned, [&](Value v) -> StatusOr<bool> {
+          valuation.Set(var, v);
+          StatusOr<bool> sub = EvalExistsStep(vars, conjuncts, valuation);
+          valuation.Erase(var);
+          return sub;
+        });
+    vars.insert(var);
+    return result;
   }
 
   const EvalContext& ctx_;
@@ -400,17 +408,7 @@ class QueryEnumerator {
     // Find a guard atom among the conjuncts that binds head variables.
     std::vector<const Formula*> conjuncts;
     FlattenAnd(body, &conjuncts);
-    const Formula* guard = nullptr;
-    for (const Formula* c : conjuncts) {
-      if (c->kind() != Formula::Kind::kAtom) continue;
-      for (const Term& t : c->atom().terms) {
-        if (t.is_variable() && unbound.count(t.name()) > 0) {
-          guard = c;
-          break;
-        }
-      }
-      if (guard != nullptr) break;
-    }
+    const Formula* guard = FindGuard(conjuncts, unbound);
     if (guard != nullptr) {
       const Atom& atom = guard->atom();
       const Relation* rel = ctx_.ResolveRelation(atom.relation, atom.prev);
@@ -450,28 +448,35 @@ class QueryEnumerator {
       return Status::OK();
     }
 
-    // Fallback: bind one variable over the active domain.
-    std::string var = *unbound.begin();
-    unbound.erase(unbound.begin());
-    if (domain_ == nullptr) domain_ = &ctx_.ActiveDomain();
-    for (Value v : *domain_) {
+    // No guard: bind a pinned head variable to its value, or else one
+    // head variable over the active domain. Every binding enumerates.
+    const Pin pin = FindPin(conjuncts, unbound);
+    const std::string var = pin.var != nullptr ? pin.var->name()
+                                               : *unbound.begin();
+    std::optional<Value> pinned;
+    if (pin.var != nullptr) {
+      pinned = evaluator_.PinnedValue(*pin.value, valuation);
+    }
+    unbound.erase(var);
+    auto enumerate = [&](Value v) -> StatusOr<bool> {
       valuation.Set(var, v);
       WSV_RETURN_IF_ERROR(Enumerate(unbound, body, valuation));
       valuation.Erase(var);
-    }
-    return Status::OK();
+      return false;  // no early exit: every binding enumerates
+    };
+    return evaluator_.ForEachUnguardedValue(pinned, enumerate).status();
   }
 
   const EvalContext& ctx_;
   const std::vector<std::string>& head_vars_;
   Evaluator evaluator_;
-  const std::vector<Value>* domain_ = nullptr;
   std::set<Tuple> results_;
 };
 
 // QueryEnumerator::Enumerate's plan, without the data: a disjunction
 // costs its costliest branch, a guard atom binds its unbound variables
-// for free, and otherwise one variable takes a domain loop.
+// and a pin its variable for free, and otherwise one variable takes a
+// domain loop.
 // NOLINTNEXTLINE(misc-no-recursion)
 int DomainLoops(const Formula& body, std::set<std::string> unbound) {
   if (unbound.empty()) return 0;
@@ -484,13 +489,16 @@ int DomainLoops(const Formula& body, std::set<std::string> unbound) {
   }
   std::vector<const Formula*> conjuncts;
   FlattenAnd(body, &conjuncts);
-  for (const Formula* c : conjuncts) {
-    if (c->kind() != Formula::Kind::kAtom) continue;
-    bool binds = false;
-    for (const Term& t : c->atom().terms) {
-      if (t.is_variable() && unbound.erase(t.name()) > 0) binds = true;
+  if (const Formula* guard = FindGuard(conjuncts, unbound)) {
+    for (const Term& t : guard->atom().terms) {
+      if (t.is_variable()) unbound.erase(t.name());
     }
-    if (binds) return DomainLoops(body, std::move(unbound));
+    return DomainLoops(body, std::move(unbound));
+  }
+  const Pin pin = FindPin(conjuncts, unbound);
+  if (pin.var != nullptr) {
+    unbound.erase(pin.var->name());
+    return DomainLoops(body, std::move(unbound));
   }
   unbound.erase(unbound.begin());
   return 1 + DomainLoops(body, std::move(unbound));

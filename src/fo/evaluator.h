@@ -65,11 +65,19 @@ class EvalContext {
 
   /// The active domain: union of all layer domains, constant overrides,
   /// the constant layer's values and extra values, in Value order.
-  /// Memoized until the next mutator call; the lazy const materialization
-  /// is not synchronized, so a context must not see its first
-  /// ActiveDomain() call from two threads at once (contexts are built per
-  /// evaluation everywhere in the repo).
+  /// Built only by evaluations that loop over it (a variable that no
+  /// guard atom and no equality pin binds; fo/plan.h). Memoized until the
+  /// next mutator call; the lazy const materialization is not
+  /// synchronized, so a context must not see its first ActiveDomain()
+  /// call from two threads at once (contexts are built per evaluation
+  /// everywhere in the repo).
   const std::vector<Value>& ActiveDomain() const;
+
+  /// Whether `v` is in ActiveDomain(), answered from the layers' domain
+  /// sets, the prev layer, the constant overrides, the constant layer
+  /// and the extra values without building the union. An equality pin
+  /// x = t binds x only when t's value passes this test.
+  bool InActiveDomain(Value v) const;
 
  private:
   std::vector<const Instance*> layers_;
@@ -92,6 +100,13 @@ StatusOr<bool> Evaluate(const Formula& formula, const EvalContext& ctx,
 
 /// Evaluates a formula with free variables `vars` as a query: returns the
 /// set of tuples (in `vars` order, over the active domain) satisfying it.
+/// Head variables are bound by the plan of fo/plan.h: a disjunction
+/// enumerates each branch; a guard atom scans its relation; an equality
+/// conjunct x = t (t a literal, a constant symbol or an already-bound
+/// variable) binds x to t's value when that value is in the active
+/// domain and yields nothing from the branch otherwise; any other head
+/// variable loops over the active domain. Every candidate tuple is
+/// re-checked against the whole branch before it is emitted.
 StatusOr<std::set<Tuple>> EvaluateQuery(const Formula& formula,
                                         const std::vector<std::string>& vars,
                                         const EvalContext& ctx,
@@ -100,8 +115,11 @@ StatusOr<std::set<Tuple>> EvaluateQuery(const Formula& formula,
 /// The query enumeration plan's cost in active-domain loops: how many of
 /// `vars` EvaluateQuery (and the compiled query, which follows the same
 /// plan) binds by iterating the whole active domain rather than scanning
-/// a positive guard atom, on the costliest disjunct. 0 means the answer
-/// is produced by relation scans alone.
+/// a positive guard atom or pinning it by an equality, on the costliest
+/// disjunct. 0 means the answer is produced by relation scans and
+/// membership tests alone. A pin is priced 0 even though it falls back
+/// to a domain loop when its value does not resolve at run time (an
+/// unbound constant symbol or free variable).
 int QueryDomainLoops(const Formula& formula,
                      const std::vector<std::string>& vars);
 

@@ -1,6 +1,8 @@
 // Differential tests for the FO bytecode engine: on seeded random
 // formulas and instances, compiled verdicts, query results, and error
-// statuses must be bit-identical to the tree-walking interpreter's.
+// statuses must be bit-identical to the tree-walking interpreter's, and
+// every value both they and the plan-free reference evaluator
+// (fo_reference.h) return must agree with the reference.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,8 @@
 #include "fo/bytecode/vm.h"
 #include "fo/evaluator.h"
 #include "fo/formula.h"
+#include "fo_reference.h"
+#include "ws/builder.h"
 
 namespace wsv {
 namespace {
@@ -63,7 +67,27 @@ class Fuzzer {
     return Formula::MakeAtom(Atom{rel.name, prev, std::move(terms), {}});
   }
 
+  // An equality pinning a variable to a literal (sometimes one no
+  // instance holds), a constant symbol (cb is unbound in half the
+  // contexts) or another variable, either way round.
+  FormulaPtr RandPin() {
+    Term var = Term::Variable(kVars[Uniform(4)]);
+    Term value = Chance(20)   ? Term::Literal(Value::Intern("outside"))
+                 : Chance(30) ? Term::Variable(kVars[Uniform(4)])
+                              : RandTerm();
+    return Uniform(2) == 0 ? Formula::Equals(var, value)
+                           : Formula::Equals(value, var);
+  }
+
+  // With pins_ set, leaves are pins half the time and a connective is
+  // sometimes a disjunction of pins (`x = "a" | x = ca`).
   FormulaPtr RandFormula(int depth) {
+    if (pins_ && Chance(depth <= 0 ? 50 : 15)) {
+      if (depth <= 0 || Chance(50)) return RandPin();
+      std::vector<FormulaPtr> pins;
+      for (int i = 0, n = 2 + Uniform(2); i < n; ++i) pins.push_back(RandPin());
+      return Formula::Or(std::move(pins));
+    }
     if (depth <= 0) {
       switch (Uniform(6)) {
         case 0:
@@ -84,8 +108,9 @@ class Fuzzer {
         std::vector<FormulaPtr> parts;
         int n = 2 + Uniform(2);
         for (int i = 0; i < n; ++i) parts.push_back(RandFormula(depth - 1));
-        return Uniform(2) == 0 ? Formula::And(std::move(parts))
-                               : Formula::Or(std::move(parts));
+        // Pins bind variables only as conjuncts.
+        return Uniform(pins_ ? 3 : 2) != 1 ? Formula::And(std::move(parts))
+                                           : Formula::Or(std::move(parts));
       }
       case 3:
       case 4: {
@@ -125,33 +150,127 @@ class Fuzzer {
     return val;
   }
 
+  // Query heads: one or two distinct variables.
+  std::vector<std::string> RandHeads() {
+    std::vector<std::string> heads;
+    heads.push_back(kVars[Uniform(4)]);
+    if (Chance(50)) {
+      const char* second = kVars[Uniform(4)];
+      if (second != heads[0]) heads.push_back(second);
+    }
+    return heads;
+  }
+
+  // A rule head's term list as the .wsv parser hands it to
+  // DesugarHeadTerms: variables (sometimes repeated, as in R(x, x)),
+  // literals and constant symbols.
+  std::vector<Term> RandHeadTerms() {
+    std::vector<Term> terms;
+    for (int i = 0, n = 1 + Uniform(3); i < n; ++i) {
+      terms.push_back(Chance(60) ? Term::Variable(kVars[Uniform(3)])
+                                 : RandTerm());
+    }
+    return terms;
+  }
+
+  // A context over `inst` and `prev`, or one with an empty active domain
+  // (no values, no constants) one time in `empty_one_in`.
+  void FillContext(EvalContext* ctx, const Instance* inst,
+                   const Instance* prev, const Instance* empty,
+                   int empty_one_in) {
+    if (empty_one_in > 0 && Uniform(empty_one_in) == 0) {
+      ctx->AddLayer(empty);
+      return;
+    }
+    ctx->AddLayer(inst);
+    if (prev != nullptr) ctx->SetPrevLayer(prev);
+    ctx->SetConstant("ca", RandValue());
+    if (Chance(50)) ctx->SetConstant("cb", RandValue());
+  }
+
   std::mt19937_64 eng_;
   std::vector<Value> values_;
+  bool pins_ = false;
 };
+
+// An instance with every fuzz relation and nothing else: its active
+// domain is empty.
+Instance EmptyInstance() {
+  Instance inst;
+  for (const RelSpec& rel : kRels) {
+    EXPECT_TRUE(inst.EnsureRelation(rel.name, rel.arity).ok());
+  }
+  return inst;
+}
 
 // Compares interpreter and bytecode on one (formula, context, valuation)
 // triple: same ok-ness, same verdict, and the same error code + message.
-void ExpectSameBool(const FormulaPtr& f, const EvalContext& ctx,
+// When the interpreter and the reference both return a verdict, they
+// must agree; returns whether that reference comparison was made.
+bool ExpectSameBool(const FormulaPtr& f, const EvalContext& ctx,
                     const Valuation& val) {
   StatusOr<bool> interp = Evaluate(*f, ctx, val);
   auto prog = fobc::CompileBool(f);
-  ASSERT_TRUE(prog.ok()) << prog.status().ToString() << "\n  formula: "
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString() << "\n  formula: "
                          << f->ToString();
+  if (!prog.ok()) return false;
   StatusOr<bool> compiled = fobc::Execute(**prog, ctx, val);
-  ASSERT_EQ(interp.ok(), compiled.ok())
+  EXPECT_EQ(interp.ok(), compiled.ok())
       << "formula: " << f->ToString()
       << "\n  interp:   " << interp.status().ToString()
       << "\n  compiled: " << compiled.status().ToString();
-  if (interp.ok()) {
-    EXPECT_EQ(*interp, *compiled) << "formula: " << f->ToString();
-  } else {
+  if (interp.ok() != compiled.ok()) return false;
+  if (!interp.ok()) {
     EXPECT_EQ(interp.status().ToString(), compiled.status().ToString())
         << "formula: " << f->ToString();
+    return false;
   }
+  EXPECT_EQ(*interp, *compiled) << "formula: " << f->ToString();
+  StatusOr<bool> ref = fo_reference::Evaluate(*f, ctx, val);
+  if (!ref.ok()) return false;
+  EXPECT_EQ(*interp, *ref) << "reference disagrees on: " << f->ToString();
+  return true;
+}
+
+// The query analogue of ExpectSameBool: identical tuple sets or error
+// strings from interpreter and bytecode, and the reference's tuple set
+// whenever it and the interpreter both return one.
+bool ExpectSameQuery(const FormulaPtr& f,
+                     const std::vector<std::string>& heads,
+                     const EvalContext& ctx, const Valuation& val) {
+  StatusOr<std::set<Tuple>> interp = EvaluateQuery(*f, heads, ctx, val);
+  auto prog = fobc::CompileQuery(f, heads);
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString() << "\n  query: "
+                         << f->ToString();
+  if (!prog.ok()) return false;
+  StatusOr<std::set<Tuple>> compiled = fobc::ExecuteQuery(**prog, ctx, val);
+  EXPECT_EQ(interp.ok(), compiled.ok())
+      << "query: " << f->ToString()
+      << "\n  interp:   " << interp.status().ToString()
+      << "\n  compiled: " << compiled.status().ToString();
+  if (interp.ok() != compiled.ok()) return false;
+  if (!interp.ok()) {
+    EXPECT_EQ(interp.status().ToString(), compiled.status().ToString())
+        << "query: " << f->ToString();
+    return false;
+  }
+  EXPECT_EQ(*interp, *compiled) << "query: " << f->ToString();
+  StatusOr<std::set<Tuple>> ref =
+      fo_reference::EvaluateQuery(*f, heads, ctx, val);
+  if (!ref.ok()) return false;
+  EXPECT_EQ(*interp, *ref) << "reference disagrees on: " << f->ToString();
+  return true;
+}
+
+// The valuation of a query's non-head free variables.
+Valuation WithoutHeads(Valuation val, const std::vector<std::string>& heads) {
+  for (const std::string& h : heads) val.erase(h);
+  return val;
 }
 
 TEST(FoBytecodeDiffTest, RandomSentencesMatchInterpreter) {
   Fuzzer fz(20260809);
+  int checked = 0;
   for (int iter = 0; iter < 400; ++iter) {
     Instance inst = fz.RandInstance(4);
     Instance prev = fz.RandInstance(2);
@@ -161,16 +280,18 @@ TEST(FoBytecodeDiffTest, RandomSentencesMatchInterpreter) {
     ctx.SetConstant("ca", fz.RandValue());
     if (fz.Chance(50)) ctx.SetConstant("cb", fz.RandValue());
     FormulaPtr f = fz.RandFormula(1 + fz.Uniform(3));
-    ExpectSameBool(f, ctx, fz.RandValuation());
+    checked += ExpectSameBool(f, ctx, fz.RandValuation());
     if (HasFailure()) {
       ADD_FAILURE() << "first divergence at iteration " << iter;
       break;
     }
   }
+  EXPECT_GE(checked, 200) << "too few reference comparisons";
 }
 
 TEST(FoBytecodeDiffTest, RandomQueriesMatchInterpreter) {
   Fuzzer fz(424242);
+  int checked = 0;
   for (int iter = 0; iter < 250; ++iter) {
     Instance inst = fz.RandInstance(4);
     EvalContext ctx;
@@ -178,30 +299,84 @@ TEST(FoBytecodeDiffTest, RandomQueriesMatchInterpreter) {
     ctx.SetConstant("ca", fz.RandValue());
     if (fz.Chance(50)) ctx.SetConstant("cb", fz.RandValue());
     FormulaPtr f = fz.RandFormula(1 + fz.Uniform(2));
-    std::vector<std::string> heads;
-    heads.push_back(kVars[fz.Uniform(4)]);
-    if (fz.Chance(50)) {
-      const char* second = kVars[fz.Uniform(4)];
-      if (second != heads[0]) heads.push_back(second);
+    std::vector<std::string> heads = fz.RandHeads();
+    checked += ExpectSameQuery(f, heads, ctx, {});
+    if (HasFailure()) {
+      ADD_FAILURE() << "first divergence at iteration " << iter;
+      break;
     }
-    StatusOr<std::set<Tuple>> interp = EvaluateQuery(*f, heads, ctx);
-    auto prog = fobc::CompileQuery(f, heads);
-    ASSERT_TRUE(prog.ok()) << prog.status().ToString() << "\n  query: "
-                           << f->ToString();
-    StatusOr<std::set<Tuple>> compiled = fobc::ExecuteQuery(**prog, ctx);
-    ASSERT_EQ(interp.ok(), compiled.ok())
-        << "query: " << f->ToString()
-        << "\n  interp:   " << interp.status().ToString()
-        << "\n  compiled: " << compiled.status().ToString()
-        << "\n  iteration " << iter;
-    if (interp.ok()) {
-      EXPECT_EQ(*interp, *compiled)
-          << "query: " << f->ToString() << "\n  iteration " << iter;
-    } else {
-      EXPECT_EQ(interp.status().ToString(), compiled.status().ToString());
-    }
-    if (HasFailure()) break;
   }
+  EXPECT_GE(checked, 100) << "too few reference comparisons";
+}
+
+// Equality-pinned shapes (fo/plan.h): x = literal, x = ca / cb (cb
+// sometimes unbound), x = y, disjunctions of pins, and contexts with an
+// empty active domain.
+TEST(FoBytecodeDiffTest, PinnedSentencesMatchInterpreterAndReference) {
+  Fuzzer fz(5150);
+  fz.pins_ = true;
+  const Instance empty = EmptyInstance();
+  int checked = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    Instance inst = fz.RandInstance(3);
+    Instance prev = fz.RandInstance(2);
+    EvalContext ctx;
+    fz.FillContext(&ctx, &inst, &prev, &empty, 8);
+    FormulaPtr f = fz.RandFormula(1 + fz.Uniform(3));
+    checked += ExpectSameBool(f, ctx, fz.RandValuation());
+    if (HasFailure()) {
+      ADD_FAILURE() << "first divergence at iteration " << iter;
+      break;
+    }
+  }
+  EXPECT_GE(checked, 180) << "too few reference comparisons";
+}
+
+TEST(FoBytecodeDiffTest, PinnedQueriesMatchInterpreterAndReference) {
+  Fuzzer fz(6160);
+  fz.pins_ = true;
+  const Instance empty = EmptyInstance();
+  int checked = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    Instance inst = fz.RandInstance(3);
+    EvalContext ctx;
+    fz.FillContext(&ctx, &inst, nullptr, &empty, 8);
+    FormulaPtr f = fz.RandFormula(1 + fz.Uniform(2));
+    std::vector<std::string> heads = fz.RandHeads();
+    checked += ExpectSameQuery(f, heads, ctx,
+                               WithoutHeads(fz.RandValuation(), heads));
+    if (HasFailure()) {
+      ADD_FAILURE() << "first divergence at iteration " << iter;
+      break;
+    }
+  }
+  EXPECT_GE(checked, 220) << "too few reference comparisons";
+}
+
+// Rule queries as the spec builder produces them: DesugarHeadTerms turns
+// each literal, constant or repeated head term into a fresh head
+// variable pinned by `_hN = t`.
+TEST(FoBytecodeDiffTest, DesugaredRuleHeadsMatchInterpreterAndReference) {
+  Fuzzer fz(7270);
+  fz.pins_ = true;
+  const Instance empty = EmptyInstance();
+  int checked = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    Instance inst = fz.RandInstance(3);
+    EvalContext ctx;
+    fz.FillContext(&ctx, &inst, nullptr, &empty, 8);
+    FormulaPtr body = fz.RandFormula(fz.Uniform(3));
+    std::vector<Term> head_terms = fz.RandHeadTerms();
+    std::vector<std::string> heads;
+    ASSERT_TRUE(DesugarHeadTerms(head_terms, &body, &heads).ok());
+    checked += ExpectSameQuery(body, heads, ctx,
+                               WithoutHeads(fz.RandValuation(), heads));
+    if (HasFailure()) {
+      ADD_FAILURE() << "first divergence at iteration " << iter;
+      break;
+    }
+  }
+  EXPECT_GE(checked, 180) << "too few reference comparisons";
 }
 
 // Programs served by the process-wide cache agree with the interpreter,

@@ -7,6 +7,7 @@
 #include "fo/input_bounded.h"
 #include "fo/parser.h"
 #include "fo/rewrite.h"
+#include "ws/builder.h"
 
 namespace wsv {
 namespace {
@@ -199,6 +200,95 @@ TEST_F(FoEvalTest, EmptyDomainSemantics) {
   auto r = Evaluate(**exists, ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(*r);
+}
+
+// --- Plan pricing and domain membership ------------------------------------
+
+// QueryDomainLoops prices the plan of fo/plan.h, where an equality pin
+// binds its variable without a domain loop. Before pins existed these
+// bodies cost 1, 2 and 2 loops.
+TEST(QueryDomainLoopsTest, EqualityPinsCostNoDomainLoop) {
+  Vocabulary v = DemoVocab();
+  ASSERT_TRUE(v.AddRelation("orderpick", 2, SymbolKind::kInput).ok());
+
+  // options button(x) :- x = "a" | x = "b"
+  auto options = ParseFormula("x = \"a\" | x = \"b\"", &v);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(QueryDomainLoops(**options, {"x"}), 0);
+
+  // state +newuser(name, password) :- button("confirm"), desugared to
+  // button("confirm") & _h0 = name & _h1 = password.
+  auto newuser = ParseFormula("button(\"confirm\")", &v);
+  ASSERT_TRUE(newuser.ok()) << newuser.status().ToString();
+  FormulaPtr body = *newuser;
+  std::vector<std::string> heads;
+  ASSERT_TRUE(DesugarHeadTerms({Term::ConstantSymbol("name"),
+                                Term::ConstantSymbol("password")},
+                               &body, &heads)
+                  .ok());
+  ASSERT_EQ(heads, (std::vector<std::string>{"_h0", "_h1"}));
+  EXPECT_EQ(QueryDomainLoops(*body, heads), 0);
+
+  // The e-commerce cancel rule: u is pinned; p keeps its loop, since a
+  // guard inside a nested existential does not count.
+  auto cancel = ParseFormula(
+      "u = name & (exists a . prev.orderpick(p, a) & true) & "
+      "button(\"cancel\")",
+      &v);
+  ASSERT_TRUE(cancel.ok()) << cancel.status().ToString();
+  EXPECT_EQ(QueryDomainLoops(**cancel, {"u", "p"}), 1);
+}
+
+// A pin's value may be a variable bound earlier in the plan, but not one
+// still being planned; a guard comes before any pin.
+TEST(QueryDomainLoopsTest, PinsFollowTheBindOrder) {
+  auto chained = ParseFormula("x = y");
+  ASSERT_TRUE(chained.ok());
+  // x loops over the domain, then y = x pins y.
+  EXPECT_EQ(QueryDomainLoops(**chained, {"x", "y"}), 1);
+  auto guarded = ParseFormula("y = x & p(x)");
+  ASSERT_TRUE(guarded.ok());
+  EXPECT_EQ(QueryDomainLoops(**guarded, {"x", "y"}), 0);
+  auto free_value = ParseFormula("x = z");
+  ASSERT_TRUE(free_value.ok());
+  EXPECT_EQ(QueryDomainLoops(**free_value, {"x"}), 0);
+}
+
+// InActiveDomain answers membership in ActiveDomain() from every source
+// of the domain, with or without the union built.
+TEST(EvalContextTest, InActiveDomainMatchesActiveDomain) {
+  auto val = [](const char* s) { return Value::Intern(s); };
+  Instance db;
+  ASSERT_TRUE(db.AddFact("user", {val("ann"), val("pw1")}).ok());
+  Instance state;
+  state.AddDomainValue(val("st"));
+  Instance prev;
+  ASSERT_TRUE(prev.AddFact("button", {val("login")}).ok());
+  std::map<std::string, Value> kappa = {{"name", val("kap")}};
+  const std::vector<Value> probes = {val("ann"), val("pw1"),   val("st"),
+                                     val("login"), val("kap"), val("ovr"),
+                                     val("extra"), val("absent")};
+
+  EvalContext ctx;
+  ctx.AddLayer(&state);
+  ctx.AddLayer(&db);
+  ctx.SetPrevLayer(&prev);
+  ctx.SetConstantLayer(&kappa);
+  ctx.SetConstant("password", val("ovr"));
+  ctx.AddDomainValue(val("extra"));
+  // Before ActiveDomain() is built: every source answers.
+  for (Value v : probes) {
+    EXPECT_EQ(ctx.InActiveDomain(v), v != val("absent")) << v.name();
+  }
+  const std::vector<Value>& dom = ctx.ActiveDomain();
+  for (Value v : probes) {
+    EXPECT_EQ(ctx.InActiveDomain(v),
+              std::binary_search(dom.begin(), dom.end(), v))
+        << v.name();
+  }
+  EvalContext empty;
+  EXPECT_FALSE(empty.InActiveDomain(val("ann")));
+  EXPECT_TRUE(empty.ActiveDomain().empty());
 }
 
 // --- Rewriting --------------------------------------------------------------
