@@ -71,9 +71,7 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_slice_inputs_dropped", "slice/inputs_dropped");
   put("obs_slice_sliced", "slice/sliced");
   put("obs_slice_lasso_bailouts", "slice/lasso_bailouts");
-  // Search strategies: successors dropped by commuting-input pruning,
-  // heuristic evaluations spent.
-  put("obs_search_pruned_successors", "search/pruned_successors");
+  // Search strategies: heuristic evaluations spent.
   put("obs_search_heuristic_evals", "search/heuristic_evals");
   uint64_t cone = snap.CounterValue("slice/cone_size");
   uint64_t dropped = snap.CounterValue("slice/relations_dropped");

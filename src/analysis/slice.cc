@@ -1,7 +1,5 @@
 #include "analysis/slice.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,13 +11,6 @@ namespace wsv {
 namespace analysis {
 
 namespace {
-
-std::atomic<bool> g_enabled{true};
-
-bool DisabledByEnv() {
-  static const bool disabled = std::getenv("WSV_DISABLE_SLICE") != nullptr;
-  return disabled;
-}
 
 // Input constants a rule body mentions; dropping a rule must not shrink
 // the per-page set the stepper's static-error condition (i) scans.
@@ -33,14 +24,6 @@ std::set<std::string> BodyInputConstants(const Vocabulary& vocab,
 }
 
 }  // namespace
-
-bool SliceEnabled() {
-  return !DisabledByEnv() && g_enabled.load(std::memory_order_relaxed);
-}
-
-void SetSliceEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 SliceResult SlicePropertyCone(const WebService& service,
                               const TemporalProperty& property) {

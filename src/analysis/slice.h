@@ -24,6 +24,9 @@
 // from the first sliced lasso (see ltl_verifier.cc). Properties or
 // in-cone rules that fail the domain-independence analysis void the
 // reduction; SlicePropertyCone then returns the identity (null).
+//
+// Whether a verification slices at all is its own setting,
+// LtlVerifyOptions::enable_slice (verify/ltl_verifier.h).
 #ifndef WSV_ANALYSIS_SLICE_H_
 #define WSV_ANALYSIS_SLICE_H_
 
@@ -38,7 +41,7 @@ namespace analysis {
 
 struct SliceResult {
   /// The reduced service, or null when the slice is the identity
-  /// (nothing droppable, slicing disabled, or analysis bailed out).
+  /// (nothing droppable, or analysis bailed out).
   std::unique_ptr<WebService> service;
   uint64_t relations_dropped = 0;  // state/input/action symbols out of cone
   uint64_t rules_dropped = 0;
@@ -50,15 +53,6 @@ struct SliceResult {
 /// identity (null service) whenever the reduction cannot be justified.
 SliceResult SlicePropertyCone(const WebService& service,
                               const TemporalProperty& property);
-
-/// Process-wide gate, mirroring fobc::BytecodeEnabled:
-///   * environment: WSV_DISABLE_SLICE=1 disables for the process;
-///   * process-wide: SetSliceEnabled(false) (the CLI's --no-slice).
-/// One verification opts out with LtlVerifyOptions::enable_slice = false
-/// (the differential tests and the in-process A/B benchmark rows);
-/// SlicingEnabled (verify/ltl_verifier.h) combines the two.
-bool SliceEnabled();
-void SetSliceEnabled(bool enabled);
 
 }  // namespace analysis
 }  // namespace wsv

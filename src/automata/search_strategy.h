@@ -59,12 +59,6 @@ struct SearchOptions {
   /// "dfs" or "directed". Unknown names fail at MakeSearchStrategy time
   /// with the known list in the message.
   std::string strategy = "dfs";
-  /// Commuting-input successor pruning (verify layer): among successor
-  /// edges that differ only in input relations whose write-cones are
-  /// disjoint from every rule and from the property's cone
-  /// (analysis/depgraph.h), only one interleaving is explored. Off by
-  /// default; verdict-preserving (see DESIGN.md §11).
-  bool prune_commuting = false;
 };
 
 /// One emptiness query over an implicit graph whose vertex ids the

@@ -1,10 +1,10 @@
 #include "cache/verify_cache.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "cache/store.h"
+#include "common/env.h"
 #include "obs/metrics.h"
 #include "ws/spec_parser.h"
 
@@ -111,11 +111,10 @@ RequestKey MakeRequestKey(const WebService& service,
   }
   // Everything that can change the *output* of a request: bounds,
   // pools, closure candidates, and the execution shape — class
-  // collapsing, parallelism, the slicing decision (SlicingEnabled) and
-  // the search strategy with its pruning shift the reported statistics
-  // and, for a ground property, the witness lasso even when verdicts
-  // agree. Bytecode on/off is deliberately absent — it changes no
-  // observable number.
+  // collapsing, parallelism, slicing and the search strategy shift the
+  // reported statistics and, for a ground property, the witness lasso
+  // even when verdicts agree. Bytecode on/off is deliberately absent —
+  // it changes no observable number.
   FingerprintBuilder b;
   b.AbsorbString("opts");
   b.AbsorbFingerprint(FingerprintValues(options.db.base_values));
@@ -128,11 +127,10 @@ RequestKey MakeRequestKey(const WebService& service,
   b.AbsorbU64(static_cast<uint64_t>(options.extra_constant_values));
   b.AbsorbU64(options.require_input_bounded ? 1 : 0);
   b.AbsorbFingerprint(FingerprintValues(options.closure_candidates));
-  b.AbsorbU64(ClassCollapseEnabled() ? 1 : 0);
+  b.AbsorbU64(options.class_collapse ? 1 : 0);
   b.AbsorbU64(static_cast<uint64_t>(jobs));
-  b.AbsorbU64(SlicingEnabled(options) ? 1 : 0);
+  b.AbsorbU64(options.enable_slice ? 1 : 0);
   b.AbsorbString(options.search.strategy);
-  b.AbsorbU64(options.search.prune_commuting ? 1 : 0);
   key.options = b.Finish();
   key.combined = CombineKey(key.spec, key.property, key.database,
                             key.options);
@@ -163,9 +161,7 @@ VerifyCache::~VerifyCache() {
 bool VerifyCache::Enabled() {
   // Read per call (not a once-only static) so tests can flip the
   // environment mid-process.
-  const char* disabled = std::getenv("WSV_DISABLE_VERIFY_CACHE");
-  return disabled == nullptr || disabled[0] == '\0' ||
-         (disabled[0] == '0' && disabled[1] == '\0');
+  return !EnvFlagSet("WSV_DISABLE_VERIFY_CACHE");
 }
 
 std::string VerifyCache::VerdictPath(const Fingerprint& combined) const {

@@ -33,8 +33,9 @@
 //   miss         nothing known
 //
 // The environment variable WSV_DISABLE_VERIFY_CACHE=1 turns every
-// Lookup into a miss and every Insert into a no-op (checked per call,
-// so tests can flip it at runtime). Verifier behavior is unchanged
+// Lookup into a miss and every Insert into a no-op (common/env.h's
+// rule: unset, empty or "0" leaves the cache on; checked per call, so
+// tests can flip it at runtime). Verifier behavior is unchanged
 // either way — the cache only decides whether the verifier runs.
 
 #ifndef WSV_CACHE_VERIFY_CACHE_H_
@@ -92,10 +93,10 @@ struct RequestKey {
 
 /// Builds the key for a request. `database` may be null (enumerated
 /// database space — fingerprinted from the enumeration options
-/// instead). `jobs`, the slicing decision and the search options
-/// participate because they can change the reported statistics (and,
-/// for the strategy, a ground property's witness) while the verdict
-/// stays the same.
+/// instead). `jobs`, `options.enable_slice`, `options.class_collapse`
+/// and the search strategy participate because they can change the
+/// reported statistics (and, for the strategy, a ground property's
+/// witness) while the verdict stays the same.
 RequestKey MakeRequestKey(const WebService& service,
                           const TemporalProperty& property,
                           const Instance* database,

@@ -1,11 +1,11 @@
 #include "fo/bytecode/cache.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 
+#include "common/env.h"
 #include "common/fingerprint.h"
 #include "fo/bytecode/compiler.h"
 #include "obs/metrics.h"
@@ -15,13 +15,9 @@ namespace fobc {
 namespace {
 
 std::atomic<bool> g_enabled{true};
-thread_local int t_disable_depth = 0;
 
 bool DisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("WSV_DISABLE_FO_BYTECODE");
-    return v != nullptr && *v != '\0' && std::string(v) != "0";
-  }();
+  static const bool disabled = EnvFlagSet("WSV_DISABLE_FO_BYTECODE");
   return disabled;
 }
 
@@ -172,17 +168,12 @@ std::shared_ptr<const Program> GetOrCompile(
 }  // namespace
 
 bool BytecodeEnabled() {
-  if (DisabledByEnv()) return false;
-  if (!g_enabled.load(std::memory_order_relaxed)) return false;
-  return t_disable_depth == 0;
+  return !DisabledByEnv() && g_enabled.load(std::memory_order_relaxed);
 }
 
 void SetBytecodeEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-ScopedDisable::ScopedDisable() { ++t_disable_depth; }
-ScopedDisable::~ScopedDisable() { --t_disable_depth; }
 
 void ForceFingerprintCollisionsForTest(bool force) {
   g_force_fp_collisions.store(force, std::memory_order_relaxed);

@@ -17,18 +17,20 @@
 // ltl/run_semantics' lasso evaluator), hold them, and run them through
 // fo/bytecode/vm.h.
 //
-// The engine is on by default and can be disabled three ways, all of
-// which fall back to the tree-walking interpreter:
+// The engine is on by default. It is one process-wide value, fixed
+// before any work starts, and either of two switches turns it off for
+// the whole process; the tree-walking interpreter then runs instead:
 //
-//   * environment: WSV_DISABLE_FO_BYTECODE=1 (read once per process),
-//   * process-wide: SetBytecodeEnabled(false) (the CLI's
-//     --no-fo-bytecode flag),
-//   * per-thread, scoped: ScopedDisable (used by witness validation to
-//     re-check verdicts with the interpreter as the oracle).
+//   * environment: WSV_DISABLE_FO_BYTECODE=1 (read once per process,
+//     common/env.h's rule),
+//   * SetBytecodeEnabled(false) (the CLI's --no-fo-bytecode flag).
 //
-// Owners resolve nothing while the engine is disabled (ResolveBool,
-// ResolveQuery), and check BytecodeEnabled() before running a program
-// they hold, so a scoped disable reaches programs resolved earlier.
+// Owners decide at resolution time: ResolveBool and ResolveQuery return
+// nullptr while the engine is off, and an owner runs the programs it
+// holds without asking again. A caller that needs the interpreter for
+// one evaluation (witness validation, the independent oracle) asks for
+// it explicitly (ltl/run_semantics.h's FoEngine). The program cache key
+// omits the setting: it changes no observable number.
 
 #ifndef WSV_FO_BYTECODE_CACHE_H_
 #define WSV_FO_BYTECODE_CACHE_H_
@@ -43,21 +45,12 @@
 namespace wsv {
 namespace fobc {
 
-/// True iff the compiled path should be used on this thread right now.
+/// True iff owners resolve compiled programs (the process value).
 bool BytecodeEnabled();
 
-/// Process-wide switch (the env var still wins when set).
+/// Process-wide switch (the env var still wins when set). Set it before
+/// any owner resolves programs.
 void SetBytecodeEnabled(bool enabled);
-
-/// Disables the compiled path on this thread for the object's lifetime.
-/// Nests; used to force interpreter evaluation as a differential oracle.
-class ScopedDisable {
- public:
-  ScopedDisable();
-  ~ScopedDisable();
-  ScopedDisable(const ScopedDisable&) = delete;
-  ScopedDisable& operator=(const ScopedDisable&) = delete;
-};
 
 /// Occupancy of the process-wide program cache, for --stats and the
 /// mem/fo_* gauges. Byte figures are footprint estimates (vector

@@ -103,7 +103,6 @@ StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
                              const std::vector<Value>& extra_domain,
                              std::vector<Value>* rows) {
   rows->clear();
-  if (!fobc::BytecodeEnabled()) prog = nullptr;
   const LeafAnalyses an(leaf, prog);
   if (!step.InputConstantsProvided(*an.csyms)) return false;
   EvalContext ctx = step.context();
@@ -127,7 +126,6 @@ StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
                             const PagePropositions& pages,
                             const Valuation& valuation) {
   WSV_TIMER("ltl/leaf_eval_ns");
-  if (!fobc::BytecodeEnabled()) prog = nullptr;
   const LeafAnalyses an(leaf, prog);
   // Condition (a) first: a leaf naming an unprovided input constant is
   // false without building the structure.
@@ -152,12 +150,13 @@ class LassoEvaluator {
  public:
   LassoEvaluator(const LassoRun& run, const Instance& database,
                  const WebService& service, const PagePropositions& pages,
-                 const Valuation& valuation)
+                 const Valuation& valuation, FoEngine engine)
       : run_(run),
         database_(database),
         service_(service),
         pages_(pages),
-        valuation_(valuation) {}
+        valuation_(valuation),
+        engine_(engine) {}
 
   StatusOr<std::vector<char>> Truth(const TFormula& f) {
     const size_t n = run_.steps.size();
@@ -165,7 +164,8 @@ class LassoEvaluator {
       case TFormula::Kind::kFo: {
         // The leaf's program is resolved once for all steps.
         const std::shared_ptr<const fobc::Program> prog =
-            fobc::ResolveBool(f.fo());
+            engine_ == FoEngine::kInterpreter ? nullptr
+                                              : fobc::ResolveBool(f.fo());
         std::vector<char> v(n);
         for (size_t i = 0; i < n; ++i) {
           const TraceStep& step = run_.steps[i];
@@ -244,6 +244,7 @@ class LassoEvaluator {
   const WebService& service_;
   const PagePropositions& pages_;
   const Valuation& valuation_;
+  const FoEngine engine_;
 };
 
 // The run's active domain for closure-variable valuations.
@@ -266,11 +267,11 @@ StatusOr<bool> EvaluateOnLasso(const TFormula& formula, const LassoRun& run,
                                const Instance& database,
                                const WebService& service,
                                const PagePropositions& pages,
-                               const Valuation& valuation) {
+                               const Valuation& valuation, FoEngine engine) {
   if (run.steps.empty() || run.loop_start >= run.steps.size()) {
     return Status::InvalidArgument("malformed lasso run");
   }
-  LassoEvaluator eval(run, database, service, pages, valuation);
+  LassoEvaluator eval(run, database, service, pages, valuation, engine);
   WSV_ASSIGN_OR_RETURN(std::vector<char> v, eval.Truth(formula));
   return v[0] != 0;
 }
@@ -281,9 +282,11 @@ StatusOr<bool> EvaluateLtlOnLassoWithValuation(const TFormula& formula,
                                                const LassoRun& run,
                                                const Instance& database,
                                                const WebService& service,
-                                               const Valuation& valuation) {
+                                               const Valuation& valuation,
+                                               FoEngine engine) {
   const PagePropositions pages(service);
-  return EvaluateOnLasso(formula, run, database, service, pages, valuation);
+  return EvaluateOnLasso(formula, run, database, service, pages, valuation,
+                         engine);
 }
 
 StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
@@ -299,7 +302,8 @@ StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
   const std::vector<std::string>& vars = prop.universal_vars;
   const PagePropositions pages(service);
   if (vars.empty()) {
-    return EvaluateOnLasso(*prop.formula, run, database, service, pages, {});
+    return EvaluateOnLasso(*prop.formula, run, database, service, pages, {},
+                           FoEngine::kResolved);
   }
   if (domain.empty()) return true;  // no valuations to check
   std::vector<size_t> idx(vars.size(), 0);
@@ -308,7 +312,7 @@ StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
     for (size_t i = 0; i < vars.size(); ++i) val[vars[i]] = domain[idx[i]];
     WSV_ASSIGN_OR_RETURN(
         bool holds, EvaluateOnLasso(*prop.formula, run, database, service,
-                                    pages, val));
+                                    pages, val, FoEngine::kResolved));
     if (!holds) return false;
     size_t k = 0;
     while (k < idx.size()) {

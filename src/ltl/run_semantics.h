@@ -105,9 +105,8 @@ class StepContext {
 
 /// Evaluates one FO leaf at one trace step under `valuation` (bindings
 /// for the property's universal closure variables). `prog` is the
-/// leaf's program as its owner resolved it once (fobc::ResolveBool); it
-/// runs when the engine is enabled on this thread, and the interpreter
-/// runs when it is not or `prog` is nullptr. `pages` is the service's
+/// leaf's program as its owner resolved it once (fobc::ResolveBool); the
+/// interpreter runs when it is nullptr. `pages` is the service's
 /// page-proposition table. Timed under ltl/leaf_eval_ns.
 StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
                             const TraceView& step, const Instance& database,
@@ -137,20 +136,32 @@ StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
 /// Evaluates an LTL-FO property on a lasso run: true iff the run
 /// satisfies the universal closure, with the closure variables ranging
 /// over the run's active domain (database, all step instances, provided
-/// constants, and the property's literals). Fails with InvalidArgument
-/// if the property contains path quantifiers.
+/// constants, and the property's literals). The leaves run on
+/// FoEngine::kResolved. Fails with InvalidArgument if the property
+/// contains path quantifiers.
 StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
                                   const LassoRun& run,
                                   const Instance& database,
                                   const WebService& service);
 
+/// Which FO evaluator a lasso evaluation runs on its leaves.
+enum class FoEngine {
+  /// The leaves' resolved programs (fobc::ResolveBool): bytecode unless
+  /// the process turned the engine off, then the interpreter.
+  kResolved,
+  /// The tree-walking interpreter alone: the independent oracle witness
+  /// validation re-checks verdicts with.
+  kInterpreter,
+};
+
 /// Evaluates the (closed) temporal formula on the lasso for one fixed
-/// valuation of the closure variables.
+/// valuation of the closure variables, with `engine` on the FO leaves.
 StatusOr<bool> EvaluateLtlOnLassoWithValuation(const TFormula& formula,
                                                const LassoRun& run,
                                                const Instance& database,
                                                const WebService& service,
-                                               const Valuation& valuation);
+                                               const Valuation& valuation,
+                                               FoEngine engine);
 
 }  // namespace wsv
 

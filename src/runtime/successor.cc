@@ -22,11 +22,11 @@ Instance EmptyInstanceOfKind(const WebService& service, SymbolKind kind,
   return out;
 }
 
-// A rule body as a sentence: its program when one was resolved and the
-// engine is enabled on this thread, else the interpreter.
+// A rule body as a sentence: its program when one was resolved, else
+// the interpreter.
 StatusOr<bool> RunRule(const Formula& body, const fobc::Program* prog,
                        const EvalContext& ctx) {
-  if (prog != nullptr && fobc::BytecodeEnabled()) {
+  if (prog != nullptr) {
     return fobc::Execute(*prog, ctx);
   }
   return Evaluate(body, ctx);
@@ -37,7 +37,7 @@ StatusOr<std::set<Tuple>> RunRuleQuery(const Formula& body,
                                        const std::vector<std::string>& heads,
                                        const fobc::Program* prog,
                                        const EvalContext& ctx) {
-  if (prog != nullptr && fobc::BytecodeEnabled()) {
+  if (prog != nullptr) {
     return fobc::ExecuteQuery(*prog, ctx);
   }
   return EvaluateQuery(body, heads, ctx);

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/depgraph.h"
 #include "analysis/slice.h"
 #include "automata/ltl_to_buchi.h"
+#include "common/env.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "fo/bytecode/cache.h"
@@ -53,77 +52,6 @@ std::set<Value> LassoDomain(const LassoRun& run, const Instance& database) {
   return dom;
 }
 
-// Input relations whose chosen tuple nothing in the search can observe:
-// no rule reads the relation, directly or through prev (prev atoms
-// resolve to the base relation, so "no reader in the dependence graph"
-// also means the relation is untracked and absent from successor
-// configurations); no property leaf names it; and neither the property
-// leaves nor any rule body is domain-dependent (a domain-dependent
-// formula ranges over the active domain, which contains every chosen
-// input value). Successor edges differing only in such relations' tuples
-// are commuting interleavings of the same future — the "prune_commuting"
-// option explores one representative (DESIGN.md §11).
-std::set<std::string> ComputeInvisibleInputs(const WebService& service,
-                                             const TemporalProperty& property) {
-  analysis::DepGraph dep = analysis::DepGraph::Build(service);
-  if (!dep.PropertyDomainIndependent(property)) return {};
-  for (const analysis::DepNode& n : dep.nodes()) {
-    if (n.kind == analysis::DepNodeKind::kRule && !n.domain_independent) {
-      return {};
-    }
-  }
-  std::vector<char> in_property(dep.nodes().size(), 0);
-  for (int s : dep.PropertySeeds(property)) {
-    in_property[static_cast<size_t>(s)] = 1;
-  }
-  std::set<std::string> invisible;
-  for (size_t id = 0; id < dep.nodes().size(); ++id) {
-    const analysis::DepNode& n = dep.nodes()[id];
-    if (n.kind != analysis::DepNodeKind::kRelation ||
-        n.symbol_kind != SymbolKind::kInput || in_property[id]) {
-      continue;
-    }
-    std::vector<char> reach = dep.ForwardReach({static_cast<int>(id)});
-    bool unread = true;
-    for (size_t j = 0; j < reach.size() && unread; ++j) {
-      if (reach[j] != 0 && j != id) unread = false;
-    }
-    if (unread) invisible.insert(n.name);
-  }
-  return invisible;
-}
-
-// Everything the product search can observe about one configuration-graph
-// edge when `invisible` input relations are pruned: the target node,
-// error routing, provided constants, and the tuples of every *visible*
-// input relation. Edges sharing a key are interchangeable interleavings.
-std::string EdgeVisibleKey(const ConfigGraph::Edge& edge,
-                           const std::set<std::string>& invisible) {
-  std::string key = std::to_string(edge.to);
-  key += edge.to_error ? "|E|" : "|.|";
-  key += edge.error_reason;
-  for (const auto& [name, value] : edge.inputs->constants()) {
-    key += '|';
-    key += name;
-    key += '=';
-    key += value.name();
-  }
-  for (const auto& [name, rel] : edge.inputs->relations()) {
-    if (invisible.count(name) > 0) continue;
-    key += '|';
-    key += name;
-    key += ':';
-    for (const Tuple& t : rel.tuples()) {
-      for (const Value& v : t) {
-        key += v.name();
-        key += ',';
-      }
-      key += ';';
-    }
-  }
-  return key;
-}
-
 // Hash for the FO-leaf memo's keys (projected valuation digits).
 template <typename T>
 struct VectorKeyHash {
@@ -137,8 +65,9 @@ const std::vector<int> kNoMatchingStates;
 
 }  // namespace
 
-bool ClassCollapseEnabled() {
-  return std::getenv("WSV_DISABLE_CLASS_COLLAPSE") == nullptr;
+bool SliceByDefault() {
+  static const bool enabled = !EnvFlagSet("WSV_DISABLE_SLICE");
+  return enabled;
 }
 
 bool OnTheFlyEnabled() { return true; }
@@ -149,10 +78,6 @@ Status ValidateVerifyOptions(const LtlVerifyOptions& options) {
         "force_eager: the eager verification engine was removed");
   }
   return MakeSearchStrategy(options.search).status();
-}
-
-bool SlicingEnabled(const LtlVerifyOptions& options) {
-  return options.enable_slice && analysis::SliceEnabled();
 }
 
 std::vector<Value> ResolveConstantPool(const WebService& service,
@@ -199,7 +124,6 @@ LtlVerifyOptions SlicedCheckOptions(const LtlVerifyOptions& base,
       ResolveConstantPool(original, property, database, base);
   opts.closure_candidates =
       ResolveClosureCandidates(original, property, database, base);
-  opts.abort_on_lasso = true;
   return opts;
 }
 
@@ -240,7 +164,7 @@ StatusOr<BuchiAutomaton> BuildNegatedAutomaton(
 StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
     const WebService* service, const LtlVerifyOptions& options,
     const TemporalProperty* property, const BuchiAutomaton* automaton,
-    const Instance& database) {
+    const Instance& database, bool abort_on_lasso) {
   WSV_SPAN("verify/db_check_create");
   WSV_COUNT1("verify/databases");
   LtlDatabaseCheck check;
@@ -263,17 +187,14 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
       ResolveConstantPool(*service, *property, db, options);
   check.graph_options_ = graph_options;
 
-  check.abort_on_lasso_ = options.abort_on_lasso;
+  check.abort_on_lasso_ = abort_on_lasso;
+  check.class_collapse_ = options.class_collapse;
 
   // Search-strategy plumbing. The accepting-distance table feeds the
-  // "directed" evaluator. Invisible-input detection is pure spec
-  // analysis, done once per context.
+  // "directed" evaluator.
   check.search_options_ = options.search;
   if (options.search.strategy == "directed") {
     check.accept_dist_ = automaton->AcceptingDistance();
-  }
-  if (options.search.prune_commuting) {
-    check.invisible_inputs_ = ComputeInvisibleInputs(*service, *property);
   }
 
   // Valuation candidates for the universal closure variables: everything
@@ -388,7 +309,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   const size_t num_leaves = automaton_->leaves.size();
   const uint64_t c = cand_.size();
   if (end > num_valuations_) end = num_valuations_;
-  const bool collapse = ClassCollapseEnabled();
+  const bool collapse = class_collapse_;
 
   // One lazy graph per sweep call: configurations are stepped only when
   // a nested DFS reaches them, and everything this call expands stays
@@ -576,11 +497,11 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   // Strategy resolution for this sweep (DESIGN.md §11). Phases whose
   // verdict depends on *which* lasso is found — the faithfulness-checked
   // sweep of a property with universal closure variables — pin the
-  // canonical DFS with no pruning, so verdicts stay bit-identical across
-  // strategies. Phases that only need lasso *existence* (ground
-  // properties, where any lasso is already a faithful witness, and the
-  // abort-on-lasso slice probe, which discards the lasso and returns an
-  // index) are free to hunt with whatever strategy was selected.
+  // canonical DFS, so verdicts stay bit-identical across strategies.
+  // Phases that only need lasso *existence* (ground properties, where
+  // any lasso is already a faithful witness, and the abort-on-lasso
+  // slice probe, which discards the lasso and returns an index) are free
+  // to hunt with whatever strategy was selected.
   const bool lasso_choice_invariant = vars.empty() || abort_on_lasso_;
   SearchOptions search_opts = search_options_;
   if (!lasso_choice_invariant) search_opts.strategy = "dfs";
@@ -588,8 +509,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                        MakeSearchStrategy(search_opts));
   obs::GetCounter(std::string("search/strategy_") + strategy->name())
       .Increment();
-  const bool prune = search_opts.prune_commuting && lasso_choice_invariant &&
-                     !invisible_inputs_.empty();
 
   std::vector<int32_t> digits(vars.size(), 0);
   std::vector<LeafCol*> val_cols(num_leaves, nullptr);
@@ -702,7 +621,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       WSV_COUNT1("ltl/class_hits");
       WSV_COUNT1("ltl/products_skipped");
     } else {
-      if (collapse) WSV_COUNT1("ltl/valuation_classes");
       WSV_SPAN("ltl/product");
 
       // The on-the-fly product search. Vertices (edge, automaton state)
@@ -752,38 +670,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         }
       };
 
-      // Commuting-input pruning: among a node's out-edges, keep one
-      // representative per visible-observation key (EdgeVisibleKey).
-      // Pruned edges differ only in invisible input relations' tuples,
-      // so they reach the same node with the same leaf labels — every
-      // lasso through a pruned edge maps to one through its
-      // representative. Node-stable map: callers hold pointers into the
-      // mapped vectors. Only consulted after the node is expanded, when
-      // its out-edge list is final.
-      std::unordered_map<int, std::vector<int>> kept_edges;
-      auto out_edges_of = [&](int node) -> const std::vector<int>* {
-        const std::vector<int>& all =
-            graph.out_edges[static_cast<size_t>(node)];
-        if (!prune) return &all;
-        auto it = kept_edges.find(node);
-        if (it != kept_edges.end()) return &it->second;
-        std::vector<int> kept;
-        std::set<std::string> seen_keys;
-        uint64_t dropped = 0;
-        for (int e2 : all) {
-          if (seen_keys
-                  .insert(EdgeVisibleKey(graph.edges[static_cast<size_t>(e2)],
-                                         invisible_inputs_))
-                  .second) {
-            kept.push_back(e2);
-          } else {
-            ++dropped;
-          }
-        }
-        if (dropped > 0) WSV_COUNT("search/pruned_successors", dropped);
-        return &kept_edges.emplace(node, std::move(kept)).first->second;
-      };
-
       auto succ_fn = [&](int v) -> StatusOr<const std::vector<int>*> {
         ensure_slot(static_cast<size_t>(v));
         if (vsucc_done[static_cast<size_t>(v)]) {
@@ -797,7 +683,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         (void)expanded;
         std::vector<int> out;
         const Bitset& q_succ = succ_bits_[q];
-        for (int e2 : *out_edges_of(to)) {
+        for (int e2 : graph.out_edges[static_cast<size_t>(to)]) {
           WSV_ASSIGN_OR_RETURN(const std::vector<int>* m,
                                edge_matching(static_cast<size_t>(e2)));
           for (int q2 : *m) {
@@ -817,7 +703,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       std::optional<Lasso> lasso;
       SearchStats search_stats;
       if (search_status.ok()) {
-        for (int e : *out_edges_of(lazy.initial())) {
+        for (int e : graph.out_edges[static_cast<size_t>(lazy.initial())]) {
           auto m_or = edge_matching(static_cast<size_t>(e));
           if (!m_or.ok()) {
             search_status = m_or.status();
@@ -892,6 +778,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         local.run = std::move(run);
       }
       if (collapse) {
+        WSV_COUNT1("ltl/valuation_classes");
         local.cols = val_cols;
         local.edges_at_close = graph.edges.size();
         classes.push_back(std::move(local));
@@ -995,7 +882,8 @@ StatusOr<std::optional<IndexedCounterExample>> CheckDatabase(
         LtlDatabaseCheck::Create(
             plan.sliced.get(),
             SlicedCheckOptions(options, service, *plan.property, database),
-            plan.property, &plan.automaton, database));
+            plan.property, &plan.automaton, database,
+            /*abort_on_lasso=*/true));
     auto marker = sweep(probe, 0, &totals->total_product_states);
     AddGraphTotals(probe, totals);
     if (!marker.ok() || !marker->has_value()) return marker;
@@ -1004,7 +892,8 @@ StatusOr<std::optional<IndexedCounterExample>> CheckDatabase(
   WSV_ASSIGN_OR_RETURN(LtlDatabaseCheck check,
                        LtlDatabaseCheck::Create(&service, options,
                                                 plan.property,
-                                                &plan.automaton, database));
+                                                &plan.automaton, database,
+                                                /*abort_on_lasso=*/false));
   auto found = sweep(check, from, &totals->total_product_states);
   AddGraphTotals(check, totals);
   return found;
@@ -1078,13 +967,12 @@ class EventBoard {
 // either way; only their split (memo hits vs misses, classes vs hits)
 // depends on the cut.
 StatusOr<std::optional<IndexedCounterExample>> ChunkedSweep(
-    const LtlDatabaseCheck& check, uint64_t from, int jobs, uint64_t start,
-    uint64_t* product_states) {
+    const LtlDatabaseCheck& check, uint64_t from, int jobs, bool collapse,
+    uint64_t start, uint64_t* product_states) {
   const uint64_t n = check.NumValuations();
   if (from >= n) return std::optional<IndexedCounterExample>();
   const uint64_t num_chunks = std::min<uint64_t>(
-      n - from,
-      static_cast<uint64_t>(jobs) * (ClassCollapseEnabled() ? 1 : 4));
+      n - from, static_cast<uint64_t>(jobs) * (collapse ? 1 : 4));
   const uint64_t chunk = (n - from + num_chunks - 1) / num_chunks;
   EventBoard board;
   std::mutex states_mu;
@@ -1145,7 +1033,7 @@ StatusOr<LtlVerifyResult> LtlVerifier::Run(const TemporalProperty& property,
       plan.automaton,
       BuildNegatedAutomaton(*service_, property,
                             options_.require_input_bounded));
-  if (SlicingEnabled(options_)) {
+  if (options_.enable_slice) {
     plan.sliced = analysis::SlicePropertyCone(*service_, property).service;
   }
 
@@ -1159,7 +1047,9 @@ StatusOr<LtlVerifyResult> LtlVerifier::Run(const TemporalProperty& property,
         jobs_ == 1 ? WholeSweep(nullptr)
                    : ValuationSweep([&](const LtlDatabaseCheck& check,
                                         uint64_t from, uint64_t* states) {
-                       return ChunkedSweep(check, from, jobs_, start, states);
+                       return ChunkedSweep(check, from, jobs_,
+                                           options_.class_collapse, start,
+                                           states);
                      });
     board.Offer(num_dbs++, CheckDatabase(*service_, options_, plan,
                                          *database, sweep, &result));

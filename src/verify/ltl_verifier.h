@@ -52,6 +52,11 @@ namespace wsv {
 // Never defined: the type of the LtlVerifyOptions::leaf_store shim.
 class LeafColumnStore;
 
+/// The default of LtlVerifyOptions::enable_slice: false when the
+/// environment sets WSV_DISABLE_SLICE (common/env.h's rule), read once
+/// per process; true otherwise.
+bool SliceByDefault();
+
 struct LtlVerifyOptions {
   DbEnumOptions db;
   ConfigGraphOptions graph;
@@ -74,16 +79,16 @@ struct LtlVerifyOptions {
   /// configuration graph (analysis/slice.h): rules outside the
   /// property's cone of influence are dropped, configurations merge,
   /// and a full-spec re-check from the first sliced lasso keeps
-  /// verdicts and witnesses bit-identical. Off is equivalent to
-  /// WSV_DISABLE_SLICE=1 or the CLI's `--no-slice`, but scoped to this
-  /// verifier (see SlicingEnabled).
-  bool enable_slice = true;
-  /// Internal (the sliced first phase): return at the first accepting
-  /// lasso — faithful or spurious — as a `lasso_only` marker instead of
-  /// running the Dom(rho) faithfulness check. Lasso existence is
-  /// slicing-invariant; faithfulness is not, so the marker index is
-  /// where the full-spec re-check resumes.
-  bool abort_on_lasso = false;
+  /// verdicts and witnesses bit-identical. This field alone decides
+  /// slicing; the CLI's `--no-slice` clears it, and so does
+  /// WSV_DISABLE_SLICE through the default (SliceByDefault).
+  bool enable_slice = SliceByDefault();
+  /// Collapse valuation equivalence classes in the sweep (same truth
+  /// column for every FO leaf => same product, so one search per
+  /// class). False runs the naive one-product-per-valuation sweep, for
+  /// tests and A/B runs; verdicts and counterexamples are identical
+  /// either way, the ltl/* counters are not.
+  bool class_collapse = true;
   /// Accepting-lasso search strategy (automata/search_strategy.h):
   /// "dfs" (default) or "directed". A non-default strategy runs only in
   /// phases whose verdict is provably lasso-choice-invariant —
@@ -124,9 +129,10 @@ struct LtlVerifyResult {
 struct IndexedCounterExample {
   uint64_t valuation_index = 0;
   CounterExample cex;
-  /// Set by abort-on-lasso sweeps (LtlVerifyOptions::abort_on_lasso):
-  /// an accepting lasso exists at this index, but `cex` is empty — the
-  /// caller re-checks the full spec from `valuation_index` on.
+  /// Set by abort-on-lasso sweeps (the sliced probe, see
+  /// LtlDatabaseCheck::Create): an accepting lasso exists at this index,
+  /// but `cex` is empty — the caller re-checks the full spec from
+  /// `valuation_index` on.
   bool lasso_only = false;
 };
 
@@ -149,11 +155,19 @@ class LtlDatabaseCheck {
   /// Builds the context: stepper, candidate valuations, and leaf and
   /// automaton tables. Takes ownership of a copy of `database` (the
   /// enumerator reuses its instance buffer across visits).
+  ///
+  /// `abort_on_lasso` makes the context a probe (the sliced first
+  /// phase): its sweeps return at the first accepting lasso — faithful
+  /// or spurious — as a `lasso_only` marker instead of running the
+  /// Dom(rho) faithfulness check. Lasso existence is slicing-invariant;
+  /// faithfulness is not, so the marker index is where the full-spec
+  /// re-check resumes. A probe's marker is never a verdict.
   static StatusOr<LtlDatabaseCheck> Create(const WebService* service,
                                            const LtlVerifyOptions& options,
                                            const TemporalProperty* property,
                                            const BuchiAutomaton* automaton,
-                                           const Instance& database);
+                                           const Instance& database,
+                                           bool abort_on_lasso);
 
   /// Number of closure valuations to sweep. 1 when the property has no
   /// universal variables; 0 when it has variables but no candidates
@@ -183,7 +197,8 @@ class LtlDatabaseCheck {
   /// sweep aborts — with the counterexample found so far if any (later
   /// indices cannot beat it), else with Status::Cancelled.
   /// `product_states` (optional) accumulates product automaton sizes
-  /// (of the products actually built — see ClassCollapseEnabled()).
+  /// (of the products actually built — see
+  /// LtlVerifyOptions::class_collapse).
   ///
   /// Valuations whose FO leaves all resolve to the same truth columns
   /// (on the edges a class's search consulted) induce the *same*
@@ -270,10 +285,12 @@ class LtlDatabaseCheck {
   /// Lets the memo key include exactly the domain-relevant values, so
   /// memoized and direct evaluation agree bit-for-bit.
   std::vector<std::vector<char>> domain_relevant_;
-  /// Copied from LtlVerifyOptions::abort_on_lasso: the sweep returns a
-  /// lasso_only marker at the first accepting lasso instead of running
-  /// the faithfulness check.
+  /// Create's `abort_on_lasso`: the sweep returns a lasso_only marker at
+  /// the first accepting lasso instead of running the faithfulness
+  /// check.
   bool abort_on_lasso_ = false;
+  /// Copied from LtlVerifyOptions::class_collapse.
+  bool class_collapse_ = true;
   /// Copied from LtlVerifyOptions::search; dispatched per class search
   /// in CheckValuations.
   SearchOptions search_options_;
@@ -282,20 +299,11 @@ class LtlDatabaseCheck {
   /// evaluator. Built at Create only when "directed" is selected; empty
   /// otherwise.
   std::vector<int> accept_dist_;
-  /// Input relations whose chosen tuples provably cannot influence
-  /// anything the search observes: no rule reads them (directly or via
-  /// prev), no property leaf names them, and both the property's leaves
-  /// and every rule body are domain-independent. Successor edges that
-  /// differ only in these relations' tuples are commuting interleavings
-  /// — one representative is explored, the rest are pruned
-  /// (search/pruned_successors). Populated only when
-  /// search_options_.prune_commuting is set.
-  std::set<std::string> invisible_inputs_;
 };
 
 /// The Theorem 3.5 procedure end to end. Each Verify/VerifyOnDatabase
 /// call runs one front end — validate the options, build the negated
-/// automaton, decide on slicing (SlicingEnabled) and slice — then one
+/// automaton, and slice when `options.enable_slice` says so — then one
 /// two-phase check per candidate database (DESIGN.md §10): a sliced
 /// abort-on-lasso probe, then the full-spec sweep from the probe's
 /// marker index.
@@ -338,14 +346,6 @@ class LtlVerifier {
   int jobs_;
 };
 
-/// Whether the valuation sweep collapses equivalence classes of
-/// valuations (same truth column for every FO leaf => same product, so
-/// the emptiness verdict is computed once per class). On by default;
-/// setting the environment variable WSV_DISABLE_CLASS_COLLAPSE forces
-/// the naive one-product-per-valuation sweep (for tests and A/B runs).
-/// Verdicts and counterexamples are identical either way.
-bool ClassCollapseEnabled();
-
 /// Compile shim read only by perfbench/driver.cc; always true.
 bool OnTheFlyEnabled();
 
@@ -353,13 +353,6 @@ bool OnTheFlyEnabled();
 /// (InvalidArgument) and an unknown `search.strategy`. LtlVerifier
 /// checks this before any work.
 Status ValidateVerifyOptions(const LtlVerifyOptions& options);
-
-/// The slicing decision of a verification with `options`: whether it
-/// runs the sliced two-phase check. Reads `options.enable_slice` and the
-/// process-wide gate (analysis::SliceEnabled: WSV_DISABLE_SLICE,
-/// --no-slice). LtlVerifier's front end and the verification cache key
-/// both read it here.
-bool SlicingEnabled(const LtlVerifyOptions& options);
 
 /// The resolved input-constant candidate pool for one (service,
 /// property, database) context: the database's active domain, the rule
@@ -387,8 +380,8 @@ std::vector<Value> ResolveClosureCandidates(const WebService& service,
 
 /// Options for the sliced first phase of a two-phase check: `base` with
 /// the constant pool and closure candidates pinned to what the
-/// *original* service resolves (identical valuation indexing) and
-/// abort_on_lasso set.
+/// *original* service resolves (identical valuation indexing). The
+/// probe itself is Create's `abort_on_lasso`.
 LtlVerifyOptions SlicedCheckOptions(const LtlVerifyOptions& base,
                                     const WebService& original,
                                     const TemporalProperty& property,

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "fo/bytecode/cache.h"
 #include "ltl/run_semantics.h"
 #include "obs/trace.h"
 #include "runtime/successor.h"
@@ -154,14 +153,10 @@ Status ValidateWitness(const WebService& service,
   // valuation ranges over Dom(rho); semantic falsity subsumes what we
   // need here.) Re-checked with the tree-walking interpreter so the
   // validation stays an independent oracle for the bytecode engine.
-  bool sat;
-  {
-    fobc::ScopedDisable no_bytecode;
-    WSV_ASSIGN_OR_RETURN(
-        sat, EvaluateLtlOnLassoWithValuation(*property.formula, run,
-                                             cex.database, service,
-                                             cex.valuation));
-  }
+  WSV_ASSIGN_OR_RETURN(
+      bool sat, EvaluateLtlOnLassoWithValuation(
+                    *property.formula, run, cex.database, service,
+                    cex.valuation, FoEngine::kInterpreter));
   if (sat) {
     return Status::InvalidArgument(
         "witness run satisfies the property under the witness valuation; "

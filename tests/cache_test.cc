@@ -13,7 +13,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "analysis/slice.h"
 #include "cache/invalidate.h"
 #include "cache/replay.h"
 #include "cache/store.h"
@@ -480,14 +479,14 @@ TEST(VerifyCacheTest, CachedVerdictsMatchColdRunsBitForBit) {
   }
 }
 
-// The slicing decision and the search options change what a request
-// reports (graph and product counts; for the strategy, a ground
+// Slicing, class collapsing and the search strategy change what a
+// request reports (graph and product counts; for the strategy, a ground
 // property's witness), so the key must tell them apart: a verdict
-// computed under one setting is never served under another. The key
-// holds the *resolved* decision: under WSV_DISABLE_SLICE (the
-// cache_test_noslice rerun) both sides are unsliced and share a key.
+// computed under one setting is never served under another. Under
+// WSV_DISABLE_SLICE (the cache_test_noslice rerun) the default options
+// are already unsliced, so the first two settings are one.
 TEST(VerifyCacheTest, KeyCoversSlicingAndSearchOptions) {
-  const bool slicing = analysis::SliceEnabled();
+  const bool slicing = LtlVerifyOptions{}.enable_slice;
   Request sliced = MakeRequest(kSpec, "G(!CP | logged_in)");
   auto key_with = [&](void (*edit)(LtlVerifyOptions&)) {
     LtlVerifyOptions options = sliced.options;
@@ -500,7 +499,7 @@ TEST(VerifyCacheTest, KeyCoversSlicingAndSearchOptions) {
       sliced.key.combined,
       key_with([](LtlVerifyOptions& o) { o.enable_slice = false; }),
       key_with([](LtlVerifyOptions& o) { o.search.strategy = "directed"; }),
-      key_with([](LtlVerifyOptions& o) { o.search.prune_commuting = true; }),
+      key_with([](LtlVerifyOptions& o) { o.class_collapse = false; }),
   };
   for (size_t i = 0; i < keys.size(); ++i) {
     for (size_t j = i + 1; j < keys.size(); ++j) {

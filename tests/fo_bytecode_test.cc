@@ -18,6 +18,11 @@
 #include "fo/evaluator.h"
 #include "fo/formula.h"
 #include "fo_reference.h"
+#include "gallery/gallery.h"
+#include "ltl/ltl_parser.h"
+#include "ltl/run_semantics.h"
+#include "obs/metrics.h"
+#include "verify/ltl_verifier.h"
 #include "ws/builder.h"
 
 namespace wsv {
@@ -473,21 +478,46 @@ TEST(FoBytecodeTest, SharedProgramRunsConcurrently) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(FoBytecodeTest, GatingRespectsScopeAndProcessSwitch) {
-  EXPECT_TRUE(fobc::BytecodeEnabled());
-  {
-    fobc::ScopedDisable d1;
-    EXPECT_FALSE(fobc::BytecodeEnabled());
-    {
-      fobc::ScopedDisable d2;
-      EXPECT_FALSE(fobc::BytecodeEnabled());
-    }
-    EXPECT_FALSE(fobc::BytecodeEnabled());
-  }
+TEST(FoBytecodeTest, GatingRespectsProcessSwitch) {
   EXPECT_TRUE(fobc::BytecodeEnabled());
   fobc::SetBytecodeEnabled(false);
   EXPECT_FALSE(fobc::BytecodeEnabled());
+  // Owners resolve nothing while the engine is off.
+  const FormulaPtr atom = Formula::MakeAtom("p", {Term::Variable("x")});
+  EXPECT_EQ(fobc::ResolveBool(atom), nullptr);
   fobc::SetBytecodeEnabled(true);
+  EXPECT_NE(fobc::ResolveBool(atom), nullptr);
+}
+
+// Witness validation asks the lasso evaluator for the interpreter
+// explicitly: that mode runs no program, and the default mode runs the
+// leaves' programs whenever the engine is on.
+TEST(FoBytecodeTest, LassoEvaluationHonorsTheRequestedEngine) {
+  auto ws = BuildLoginService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  const Instance db = LoginDatabase();
+  auto p = ParseTemporalProperty("forall m . G(!error(m))", &ws->vocab());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {Value::Intern("alice"), Value::Intern("pw")};
+  auto r = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->counterexample.has_value());
+  const CounterExample& cex = *r->counterexample;
+
+  auto execs_during = [&](FoEngine engine) {
+    const uint64_t before =
+        obs::SnapshotMetrics().CounterValue("fo/bytecode_execs");
+    auto sat = EvaluateLtlOnLassoWithValuation(
+        *p->formula, cex.run, cex.database, *ws, cex.valuation, engine);
+    EXPECT_TRUE(sat.ok()) << sat.status().ToString();
+    EXPECT_FALSE(sat.ok() && *sat);
+    return obs::SnapshotMetrics().CounterValue("fo/bytecode_execs") - before;
+  };
+  EXPECT_EQ(execs_during(FoEngine::kInterpreter), 0u);
+  if (fobc::BytecodeEnabled()) {
+    EXPECT_GT(execs_during(FoEngine::kResolved), 0u);
+  }
 }
 
 // A compiled query assumes its heads are unbound on entry, so a caller

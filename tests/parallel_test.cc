@@ -17,6 +17,7 @@
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "ltl/run_semantics.h"
+#include "obs/metrics.h"
 #include "verify/config_graph.h"
 #include "verify/ltl_verifier.h"
 #include "verify/witness_check.h"
@@ -281,7 +282,8 @@ TEST(CancellationTest, ValuationSweepObservesStopPredicate) {
   ASSERT_TRUE(p.ok());
   auto automaton = BuildNegatedAutomaton(*ws, *p, true);
   ASSERT_TRUE(automaton.ok()) << automaton.status().ToString();
-  auto check = LtlDatabaseCheck::Create(&*ws, options, &*p, &*automaton, db);
+  auto check = LtlDatabaseCheck::Create(&*ws, options, &*p, &*automaton, db,
+                                        /*abort_on_lasso=*/false);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   ASSERT_GT(check->NumValuations(), 1u);
 
@@ -300,6 +302,40 @@ TEST(CancellationTest, ValuationSweepObservesStopPredicate) {
   ASSERT_TRUE(found.ok()) << found.status().ToString();
   ASSERT_TRUE(found->has_value());
   EXPECT_EQ((**found).cex.valuation.at("m"), V("failed login"));
+}
+
+// A class is counted where the class table records it, after its
+// product search finished: a search cancelled mid-way counts neither a
+// class nor a product, so ltl/valuation_classes == ltl/products_built on
+// every exit path.
+TEST(CancellationTest, CancelledSearchCountsNoClass) {
+  auto ws = BuildLoginService();
+  ASSERT_TRUE(ws.ok());
+  Instance db = LoginDatabase();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
+  auto p = ParseTemporalProperty("forall m . G(!error(m))", &ws->vocab());
+  ASSERT_TRUE(p.ok());
+  auto automaton = BuildNegatedAutomaton(*ws, *p, true);
+  ASSERT_TRUE(automaton.ok()) << automaton.status().ToString();
+  auto check = LtlDatabaseCheck::Create(&*ws, options, &*p, &*automaton, db,
+                                        /*abort_on_lasso=*/false);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+
+  // The first poll (before valuation 0) passes; the next one, inside
+  // valuation 0's product search, cancels.
+  int polls = 0;
+  obs::ResetMetrics();
+  auto cancelled = check->CheckValuations(
+      0, check->NumValuations(), [&polls](uint64_t) { return ++polls > 1; },
+      nullptr);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_GT(polls, 1);
+  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+  EXPECT_EQ(snap.CounterValue("ltl/valuations_checked"), 1u);
+  EXPECT_EQ(snap.CounterValue("ltl/valuation_classes"), 0u);
+  EXPECT_EQ(snap.CounterValue("ltl/products_built"), 0u);
 }
 
 }  // namespace

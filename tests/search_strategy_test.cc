@@ -7,11 +7,9 @@
 // *lasso* is returned may differ per strategy — that freedom is exactly
 // what the strategies exploit.
 //
-// Also here: soundness of commuting-input successor pruning (verdicts
-// identical with pruning on and off, and the pruning provably fired),
-// the strategy factory's error path, and cancellation drain of the
-// chunked strategies under jobs=4 (the suite is in the tsan label for
-// that reason).
+// Also here: the strategy factory's error path, and cancellation drain
+// of the chunked strategies under jobs=4 (the suite is in the tsan label
+// for that reason).
 
 #include <gtest/gtest.h>
 
@@ -25,7 +23,6 @@
 #include "reference_checker.h"
 #include "verify/ltl_verifier.h"
 #include "verify/witness_check.h"
-#include "ws/spec_parser.h"
 
 namespace wsv {
 namespace {
@@ -221,90 +218,6 @@ TEST(DirectedStrategy, HeuristicEvaluationsAreCounted) {
   obs::MetricsSnapshot snap = obs::SnapshotMetrics();
   EXPECT_GT(snap.CounterValue("search/heuristic_evals"), 0u);
   EXPECT_GT(snap.CounterValue("search/strategy_directed"), 0u);
-}
-
-// --- commuting-input successor pruning ---------------------------------
-
-// A service with an input relation (`noise`) that no rule reads and no
-// property mentions: every choice of noise tuple commutes with every
-// other, so pruning collapses the interleavings without changing any
-// verdict.
-constexpr char kNoisySpec[] = R"(
-service Noisy;
-
-database user(uname);
-state visited;
-input pick(label);
-input noise(label);
-
-page HP {
-  options pick(x) :- x = "go" | x = "stay";
-  options noise(x) :- x = "a" | x = "b" | x = "c";
-  state +visited :- pick("go");
-  target TP :- pick("go");
-  target HP :- pick("stay");
-}
-
-page TP {
-}
-
-home HP;
-error ERR;
-)";
-
-TEST(CommutingPruning, VerdictsIdenticalAndPruningFires) {
-  auto ws = ParseServiceSpec(kNoisySpec);
-  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
-  Instance db;
-  Status st = db.AddFact("user", {V("alice")});
-  ASSERT_TRUE(st.ok());
-
-  for (const char* formula : {"G(!TP)", "F(TP)", "G(!visited)", "G(HP)"}) {
-    SCOPED_TRACE(formula);
-    auto p = ParseTemporalProperty(formula, &ws->vocab());
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-
-    LtlVerifyOptions plain;
-    auto r_plain = LtlVerifier(&*ws, plain).VerifyOnDatabase(*p, db);
-    ASSERT_TRUE(r_plain.ok()) << r_plain.status().ToString();
-
-    LtlVerifyOptions pruned = plain;
-    pruned.search.prune_commuting = true;
-    obs::ResetMetrics();
-    auto r_pruned = LtlVerifier(&*ws, pruned).VerifyOnDatabase(*p, db);
-    ASSERT_TRUE(r_pruned.ok()) << r_pruned.status().ToString();
-    EXPECT_GT(obs::SnapshotMetrics().CounterValue("search/pruned_successors"),
-              0u);
-
-    EXPECT_EQ(r_pruned->holds, r_plain->holds);
-    EXPECT_EQ(r_pruned->complete_within_bounds,
-              r_plain->complete_within_bounds);
-    if (!r_pruned->holds) {
-      ASSERT_TRUE(r_pruned->counterexample.has_value());
-      Status witness = ValidateWitness(*ws, *p, *r_pruned->counterexample);
-      EXPECT_TRUE(witness.ok()) << witness.ToString();
-    }
-  }
-}
-
-TEST(CommutingPruning, ObservedInputsAreNeverPruned) {
-  // `pick` drives navigation, so it must stay visible: with only `pick`
-  // declared, pruning must be a no-op (no invisible inputs).
-  auto ws = BuildLoginService();
-  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
-  Instance db = LoginDatabase();
-  auto p = ParseTemporalProperty("G(!MP)", &ws->vocab());
-  ASSERT_TRUE(p.ok());
-  LtlVerifyOptions options;
-  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
-  options.search.prune_commuting = true;
-  obs::ResetMetrics();
-  auto r = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r->holds);
-  // Every login input is read by some rule, so nothing is prunable.
-  EXPECT_EQ(obs::SnapshotMetrics().CounterValue("search/pruned_successors"),
-            0u);
 }
 
 // --- strategy factory --------------------------------------------------

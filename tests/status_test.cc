@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "common/env.h"
 #include "common/str_util.h"
 
 namespace wsv {
@@ -95,6 +98,23 @@ TEST(StrUtilTest, QuoteString) {
   EXPECT_EQ(QuoteString("ab"), "\"ab\"");
   EXPECT_EQ(QuoteString("a\"b"), "\"a\\\"b\"");
   EXPECT_EQ(QuoteString("a\nb"), "\"a\\nb\"");
+}
+
+// The one rule every WSV_DISABLE_* switch follows: set, non-empty and
+// not "0".
+TEST(EnvTest, FlagSetOnlyForNonEmptyValuesOtherThanZero) {
+  constexpr char kName[] = "WSV_TEST_ENV_FLAG";
+  ::unsetenv(kName);
+  EXPECT_FALSE(EnvFlagSet(kName));
+  for (const char* off : {"", "0"}) {
+    ::setenv(kName, off, 1);
+    EXPECT_FALSE(EnvFlagSet(kName)) << "'" << off << "'";
+  }
+  for (const char* on : {"1", "yes", "00", "true", " "}) {
+    ::setenv(kName, on, 1);
+    EXPECT_TRUE(EnvFlagSet(kName)) << "'" << on << "'";
+  }
+  ::unsetenv(kName);
 }
 
 }  // namespace

@@ -5,12 +5,11 @@
 // products are identical, so the verdict is class-invariant. These
 // tests pin the load-bearing properties: the collapsed sweep reports
 // exactly the naive sweep's verdict and lowest-index counterexample on
-// the gallery services (WSV_DISABLE_CLASS_COLLAPSE forces the naive
-// sweep), the class accounting adds up, shard splits at higher job
+// the gallery services (LtlVerifyOptions::class_collapse = false forces
+// the naive sweep), the class accounting adds up, shard splits at higher job
 // counts keep the totals consistent, and the db_enum fresh-value
 // symmetry pruning never drops an orbit.
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -35,14 +34,11 @@ constexpr bool kInstrumented = false;
 constexpr bool kInstrumented = true;
 #endif
 
-// Forces the naive one-product-per-valuation sweep for its lifetime.
-// Only flipped between verifications (never while worker threads run),
-// so the getenv in ClassCollapseEnabled is race-free.
-class ScopedNaiveSweep {
- public:
-  ScopedNaiveSweep() { setenv("WSV_DISABLE_CLASS_COLLAPSE", "1", 1); }
-  ~ScopedNaiveSweep() { unsetenv("WSV_DISABLE_CLASS_COLLAPSE"); }
-};
+// `options` with the naive one-product-per-valuation sweep forced.
+LtlVerifyOptions Naive(LtlVerifyOptions options) {
+  options.class_collapse = false;
+  return options;
+}
 
 struct SweepRun {
   bool holds = true;
@@ -119,11 +115,7 @@ class LoginCollapseTest : public ::testing::Test {
 TEST_F(LoginCollapseTest, ViolatedClosurePropertyMatchesNaive) {
   const std::string prop = "forall m . G(!error(m))";
   SweepRun collapsed = RunSweep(service_, options_, prop, &db_, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(service_, options_, prop, &db_, 1);
-  }
+  SweepRun naive = RunSweep(service_, Naive(options_), prop, &db_, 1);
   ExpectCollapseTransparent(collapsed, naive);
   // The known witness: the faithfulness check must keep rejecting the
   // spurious pool valuations on cached violating classes too.
@@ -138,11 +130,7 @@ TEST_F(LoginCollapseTest, HoldingClosurePropertyCollapses) {
   // columns except the ones binding m to values a run can produce.
   const std::string prop = "forall m . G(!CP | logged_in)";
   SweepRun collapsed = RunSweep(service_, options_, prop, &db_, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(service_, options_, prop, &db_, 1);
-  }
+  SweepRun naive = RunSweep(service_, Naive(options_), prop, &db_, 1);
   ExpectCollapseTransparent(collapsed, naive);
   EXPECT_TRUE(collapsed.holds);
   if (kInstrumented) {
@@ -169,11 +157,7 @@ TEST(EcommerceCollapseTest, PayBeforeShipMatchesNaive) {
       "B !(conf(name, price) & ship(name, pid)))";
 
   SweepRun collapsed = RunSweep(*ws, options, prop, &db, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(*ws, options, prop, &db, 1);
-  }
+  SweepRun naive = RunSweep(*ws, Naive(options), prop, &db, 1);
   ExpectCollapseTransparent(collapsed, naive);
   EXPECT_TRUE(collapsed.holds);
   if (kInstrumented) {
@@ -195,11 +179,7 @@ TEST(EcommerceCollapseTest, ViolatedEventualityMatchesNaive) {
   const std::string prop = "G(!PIP) | F(PIP & F(CC))";
 
   SweepRun collapsed = RunSweep(*ws, options, prop, &db, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(*ws, options, prop, &db, 1);
-  }
+  SweepRun naive = RunSweep(*ws, Naive(options), prop, &db, 1);
   ExpectCollapseTransparent(collapsed, naive);
   EXPECT_FALSE(collapsed.holds);
 }
@@ -214,11 +194,7 @@ TEST(ClearLoopCollapseTest, ClosureSweepMatchesNaive) {
   options.graph.constant_pool = {V("alice"), V("pw")};
   for (const char* prop : {"forall m . G(!error(m))", "G(!CP | logged_in)"}) {
     SweepRun collapsed = RunSweep(*ws, options, prop, &db, 1);
-    SweepRun naive;
-    {
-      ScopedNaiveSweep naive_mode;
-      naive = RunSweep(*ws, options, prop, &db, 1);
-    }
+    SweepRun naive = RunSweep(*ws, Naive(options), prop, &db, 1);
     ExpectCollapseTransparent(collapsed, naive);
   }
 }

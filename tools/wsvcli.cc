@@ -54,17 +54,19 @@
 //       verifies and publishes the verdict to DIR. --label NAME sets the
 //       edit-chain identity used for incremental invalidation (default:
 //       the spec path). WSV_DISABLE_VERIFY_CACHE=1 bypasses the cache.
-//       --no-slice disables the property-directed cone slicer (see
-//       `deps` below and DESIGN.md §10): every sweep then runs the full
-//       spec directly instead of probing the reduced one first. Verdict
-//       and witness are identical either way; the flag exists for A/B
-//       runs and debugging. WSV_DISABLE_SLICE=1 is the env equivalent.
+//       --no-slice disables the property-directed cone slicer for this
+//       verification (see `deps` below and DESIGN.md §10): every sweep
+//       then runs the full spec directly instead of probing the reduced
+//       one first. Verdict and witness are identical either way; the
+//       flag exists for A/B runs and debugging. WSV_DISABLE_SLICE=1
+//       changes the default the same way.
 //       --search NAME picks the accepting-lasso search strategy
 //       (automata/search_strategy.h): dfs (default, the CVWY nested
 //       DFS) or directed (greedy best-first on the Büchi accepting-
-//       distance heuristic). --search-prune skips commuting
-//       interleavings of provably unobserved inputs. Verdicts are
-//       identical under every strategy; see DESIGN.md §11.
+//       distance heuristic). Verdicts are identical under every
+//       strategy; see DESIGN.md §11.
+//       The WSV_DISABLE_* variables share one rule: set to a non-empty
+//       value other than "0" turns the feature off.
 //   wsvcli deps <spec.wsv> [--property P] [--format=dot|json]
 //       Dump the whole-spec dependence graph (src/analysis/depgraph.h):
 //       relations, constants, and rules as nodes, reads-edges between
@@ -115,7 +117,6 @@
 #include "analysis/depgraph.h"
 #include "analysis/lints.h"
 #include "analysis/render.h"
-#include "analysis/slice.h"
 #include "cache/replay.h"
 #include "cache/verify_cache.h"
 #include "common/file_util.h"
@@ -159,7 +160,7 @@ int Usage() {
       "[--stats] [--stats-json FILE] [--trace-out FILE] [--progress] "
       "[--log-json FILE] [--heartbeat SECS] [--watchdog-deadline SECS] "
       "[--step-budget N] [--cache-dir DIR] [--label NAME] [--no-slice]\n"
-      "      [--search dfs|directed] [--search-prune]\n"
+      "      [--search dfs|directed]\n"
       "  wsvcli deps <spec.wsv> [--property P] [--format=dot|json]\n"
       "  wsvcli replay <jobs.jsonl> [--cache-dir DIR] [--jobs N] "
       "[--quiet] [--bench-json FILE] [--stats] "
@@ -224,15 +225,13 @@ struct Flags {
   std::string format = "text";
   /// Lint: treat warnings as errors (exit 1 when any warning fires).
   bool werror = false;
-  /// Verify: disable the property-directed cone slicer for the process.
+  /// Verify: disable the property-directed cone slicer.
   bool no_slice = false;
   /// Deps: property whose cone of influence to highlight; empty = none.
   std::string property;
   /// Verify: accepting-lasso search strategy ("dfs", "directed");
   /// empty = the verifier default (dfs).
   std::string search;
-  /// Verify: enable commuting-input successor pruning.
-  bool search_prune = false;
 };
 
 // A numeric flag value: the whole token must be one number in [lo, hi]
@@ -310,8 +309,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       WSV_ASSIGN_OR_RETURN(flags.search, next());
     } else if (StartsWith(arg, "--search=")) {
       flags.search = arg.substr(std::strlen("--search="));
-    } else if (arg == "--search-prune") {
-      flags.search_prune = true;
     } else if (arg == "--property") {
       WSV_ASSIGN_OR_RETURN(flags.property, next());
     } else if (arg == "--format") {
@@ -604,7 +601,7 @@ int CmdVerify(const Flags& flags) {
   options.db.fresh_values = flags.fresh;
   options.require_input_bounded = !flags.unchecked;
   if (!flags.search.empty()) options.search.strategy = flags.search;
-  options.search.prune_commuting = flags.search_prune;
+  if (flags.no_slice) options.enable_slice = false;
   // Before the cache: a hit must not mask an unknown strategy.
   if (Status st = ValidateVerifyOptions(options); !st.ok()) {
     finish(st, "ERROR");
@@ -861,7 +858,6 @@ int Main(int argc, char** argv) {
   auto flags = ParseFlags(argc, argv);
   if (!flags.ok()) return Fail(flags.status());
   if (flags->no_fo_bytecode) fobc::SetBytecodeEnabled(false);
-  if (flags->no_slice) analysis::SetSliceEnabled(false);
   if (flags->step_budget >= 0) {
     fobc::SetStepBudget(static_cast<uint64_t>(flags->step_budget));
   }
