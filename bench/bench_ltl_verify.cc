@@ -73,6 +73,7 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_slice_lasso_bailouts", "slice/lasso_bailouts");
   // Search strategies: heuristic evaluations spent.
   put("obs_search_heuristic_evals", "search/heuristic_evals");
+  put("obs_name_lookups", "relational/name_lookups");
   uint64_t cone = snap.CounterValue("slice/cone_size");
   uint64_t dropped = snap.CounterValue("slice/relations_dropped");
   if (cone + dropped > 0) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/str_util.h"
 #include "fo/plan.h"
 #include "fo/rewrite.h"
 #include "obs/metrics.h"
@@ -138,33 +139,6 @@ std::string SymbolKindTag(SymbolKind kind) {
       return "page";
   }
   return "unknown";
-}
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          *out += buf;
-        } else {
-          *out += ch;
-        }
-    }
-  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/str_util.h"
+
 namespace wsv {
 namespace analysis {
 
@@ -25,36 +27,6 @@ std::vector<std::string> SplitLines(const std::string& source) {
   }
   lines.push_back(std::move(current));
   return lines;
-}
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 std::string JsonString(const std::string& s) {

@@ -184,21 +184,6 @@ class LineParser {
   size_t pos_ = 0;
 };
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 uint64_t PercentileNs(std::vector<uint64_t> latencies, double p) {
   if (latencies.empty()) return 0;
   std::sort(latencies.begin(), latencies.end());

@@ -154,6 +154,10 @@ VerifyCache::VerifyCache(Config config) : config_(std::move(config)) {
 }
 
 VerifyCache::~VerifyCache() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    PersistLabelsLocked();
+  }
   WSV_GAUGE_SUB("mem/verify_cache_entries", entries_.size());
   WSV_GAUGE_SUB("mem/verify_cache_bytes", entry_bytes_);
 }
@@ -259,10 +263,12 @@ void VerifyCache::PersistLocked(const Fingerprint& combined,
   if (config_.dir.empty()) return;
   WriteRecordFile(VerdictPath(combined), kKindVerdict,
                   EncodeVerdict(verdict));
+  PersistLabelsLocked();
 }
 
 void VerifyCache::PersistLabelsLocked() {
-  if (config_.dir.empty()) return;
+  if (config_.dir.empty() || !labels_dirty_) return;
+  labels_dirty_ = false;
   ByteWriter w;
   w.U64(label_spec_.size());
   for (const auto& [label, fp] : label_spec_) {
@@ -389,14 +395,14 @@ VerifyCache::LookupResult VerifyCache::Lookup(
     auto reg = label_spec_.find(label);
     if (reg == label_spec_.end()) {
       label_spec_.emplace(label, key.spec);
-      PersistLabelsLocked();
+      labels_dirty_ = true;
     } else if (reg->second != key.spec) {
       WSV_COUNT1("cache/spec_edits");
       // First parent wins: a fingerprint's diff ancestry is fixed by
       // the first edit that produced it.
       edit_parent_.emplace(key.spec, reg->second);
       reg->second = key.spec;
-      PersistLabelsLocked();
+      labels_dirty_ = true;
     }
   }
   (void)service;

@@ -165,6 +165,9 @@ class VerifyCache {
   bool LoadFromDiskLocked(const Fingerprint& combined, CachedVerdict* out);
   void PersistLocked(const Fingerprint& combined,
                      const CachedVerdict& verdict);
+  /// Writes labels.bin if the registry changed since the last write.
+  /// Called with every verdict write and on destruction, not on the
+  /// lookup that changed it, so a hit after an edit does no disk write.
   void PersistLabelsLocked();
   void LoadLabelsLocked();
   /// Parses (and memoizes) the service stored for `fp`; null when the
@@ -193,6 +196,7 @@ class VerifyCache {
   // Edit-chain state.
   std::map<std::string, Fingerprint> label_spec_;       // label -> newest fp
   std::map<Fingerprint, Fingerprint> edit_parent_;      // newer -> older
+  bool labels_dirty_ = false;  // registry changed since labels.bin
   std::map<Fingerprint, std::string> spec_texts_;
   std::map<Fingerprint, std::unique_ptr<WebService>> parsed_specs_;
   std::map<std::pair<Fingerprint, Fingerprint>, SpecDelta> delta_memo_;

@@ -1,6 +1,7 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace wsv {
 
@@ -72,6 +73,36 @@ std::string QuoteString(std::string_view s) {
   }
   out.push_back('"');
   return out;
+}
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
 }
 
 }  // namespace wsv

@@ -29,6 +29,11 @@ bool IsIdentifier(std::string_view s);
 /// backslash, quote, and newline characters.
 std::string QuoteString(std::string_view s);
 
+/// Appends `s` to `*out` escaped for a JSON string body (no surrounding
+/// quotes): quote, backslash, newline, tab and carriage return take their
+/// short escapes, every other control character \u00XX.
+void AppendJsonEscaped(std::string_view s, std::string* out);
+
 }  // namespace wsv
 
 #endif  // WSV_COMMON_STR_UTIL_H_

@@ -74,21 +74,19 @@ Fingerprint QueryFp(const Formula& f,
 }
 
 // Estimated heap footprint of a compiled program: the flat arrays plus
-// per-slot string storage. Deliberately coarse (no allocator rounding).
+// per-variable string storage. Deliberately coarse (no allocator rounding).
 uint64_t ApproxProgramBytes(const Program& prog) {
   uint64_t bytes = sizeof(Program);
   bytes += prog.code.capacity() * sizeof(Instr);
   bytes += prog.pool.capacity() * sizeof(uint32_t);
-  for (const ConstSlot& c : prog.consts) {
-    bytes += sizeof(ConstSlot) + c.name.capacity();
-  }
-  for (const RelSlot& r : prog.rels) bytes += sizeof(RelSlot) + r.name.capacity();
+  bytes += prog.consts.size() * sizeof(ConstSlot);
+  bytes += prog.rels.size() * sizeof(RelSlot);
   for (const std::string& s : prog.reg_names) bytes += sizeof(std::string) + s.capacity();
   for (const auto& [name, reg] : prog.free_vars) {
     bytes += sizeof(std::string) + sizeof(uint32_t) + name.capacity();
   }
   for (const std::string& s : prog.head_vars) bytes += sizeof(std::string) + s.capacity();
-  for (const std::string& s : prog.constant_symbols) bytes += 48 + s.capacity();
+  bytes += prog.constant_symbols.capacity() * sizeof(NameId);
   bytes += prog.literals.size() * 48;
   return bytes;
 }

@@ -92,7 +92,6 @@ class Compiler {
       if (it != literal_slots_.end()) return it->second;
       ConstSlot slot;
       slot.is_symbol = false;
-      slot.name = t.name();
       slot.literal = t.literal();
       consts_.push_back(std::move(slot));
       uint32_t idx = static_cast<uint32_t>(consts_.size() - 1);
@@ -103,7 +102,7 @@ class Compiler {
     if (it != symbol_slots_.end()) return it->second;
     ConstSlot slot;
     slot.is_symbol = true;
-    slot.name = t.name();
+    slot.symbol = t.symbol();
     consts_.push_back(std::move(slot));
     uint32_t idx = static_cast<uint32_t>(consts_.size() - 1);
     symbol_slots_[t.name()] = idx;
@@ -115,7 +114,7 @@ class Compiler {
     auto it = rel_slots_.find(key);
     if (it != rel_slots_.end()) return it->second;
     RelSlot slot;
-    slot.name = atom.relation;
+    slot.relation = atom.relation_id;
     slot.prev = atom.prev;
     rels_.push_back(std::move(slot));
     uint32_t idx = static_cast<uint32_t>(rels_.size() - 1);
@@ -421,7 +420,9 @@ class Compiler {
     prog_->free_vars = std::move(free_vars_);
     prog_->max_frames = max_depth_;
     prog_->uses_domain = uses_domain_;
-    prog_->constant_symbols = f->ConstantSymbols();
+    for (const std::string& c : f->ConstantSymbols()) {
+      prog_->constant_symbols.push_back(InternName(c));
+    }
     prog_->literals = f->Literals();
     return std::shared_ptr<const Program>(std::move(prog_));
   }

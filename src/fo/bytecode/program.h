@@ -108,17 +108,22 @@ inline constexpr uint32_t OperandIndexOf(uint32_t operand) {
 }
 
 /// A constant-table slot: a literal (resolved at compile time) or a
-/// constant symbol (resolved against the EvalContext once per Execute).
+/// constant symbol (resolved by id against the EvalContext once per
+/// Execute).
 struct ConstSlot {
   bool is_symbol = false;
-  std::string name;  // symbol name; literal's name for diagnostics
-  Value literal;     // valid iff !is_symbol
+  NameId symbol = kNoName;  // valid iff is_symbol
+  Value literal;            // valid iff !is_symbol
+  /// The symbol's or literal's name, for diagnostics.
+  const std::string& name() const {
+    return is_symbol ? NameOf(symbol) : literal.name();
+  }
 };
 
-/// A relation-table slot, resolved via EvalContext::ResolveRelation once
-/// per Execute.
+/// A relation-table slot, resolved by id via EvalContext::ResolveRelation
+/// once per Execute.
 struct RelSlot {
-  std::string name;
+  NameId relation = kNoName;
   bool prev = false;
 };
 
@@ -146,7 +151,7 @@ struct Program {
 
   /// Precomputed analyses of the source formula, so per-step call sites
   /// (ltl/run_semantics) stop re-deriving them on every evaluation.
-  std::set<std::string> constant_symbols;
+  std::vector<NameId> constant_symbols;  // interned, in name order
   std::set<Value> literals;
 };
 

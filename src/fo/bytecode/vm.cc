@@ -71,14 +71,14 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
       // Lazily *checked*: an unbound symbol is an error only when an
       // instruction actually reads the slot, preserving the
       // tree-walker's short-circuit behavior.
-      s.consts.push_back(ctx.ResolveConstant(slot.name).value_or(Value()));
+      s.consts.push_back(ctx.ResolveConstant(slot.symbol).value_or(Value()));
     } else {
       s.consts.push_back(slot.literal);
     }
   }
   s.rels.clear();
   for (const RelSlot& slot : p.rels) {
-    s.rels.push_back(ctx.ResolveRelation(slot.name, slot.prev));
+    s.rels.push_back(ctx.ResolveRelation(slot.relation, slot.prev));
   }
   s.frames.clear();
   s.frames.reserve(p.max_frames);
@@ -141,7 +141,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
             Value v = s.consts[idx];
             if (!v.valid()) {
               return Status::Internal("unbound constant symbol: " +
-                                      p.consts[idx].name);
+                                      p.consts[idx].name());
             }
             match = v == t[i];
             break;
@@ -169,7 +169,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
     Value v = s.consts[idx];
     if (!v.valid()) {
       return Status::Internal("unbound constant symbol: " +
-                              p.consts[idx].name);
+                              p.consts[idx].name());
     }
     *out = v;
     return Status::OK();

@@ -109,7 +109,7 @@ StatusOr<Value> ResolveEtcTerm(const Term& t, const EvalContext& ctx,
       return it->second;
     }
     case Term::Kind::kConstantSymbol: {
-      std::optional<Value> v = ctx.ResolveConstant(t.name());
+      std::optional<Value> v = ctx.ResolveConstant(t.symbol());
       if (!v.has_value()) {
         return Status::Internal("unbound constant in E+TC term: " + t.name());
       }

@@ -1,6 +1,7 @@
 #include "fo/evaluator.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "fo/plan.h"
@@ -10,55 +11,59 @@
 namespace wsv {
 
 void EvalContext::AddLayer(const Instance* instance) {
-  layers_.push_back(instance);
+  if (num_layers_ == kMaxLayers) std::abort();  // a caller bug
+  layers_[num_layers_++] = instance;
+  domain_valid_ = false;
+}
+
+void EvalContext::SetConstant(NameId name, Value v) {
+  constant_overrides_.Set(name, v);
   domain_valid_ = false;
 }
 
 void EvalContext::SetConstant(const std::string& name, Value v) {
-  constant_overrides_[name] = v;
-  domain_valid_ = false;
+  CountNameLookup();
+  SetConstant(InternName(name), v);
 }
 
 const Relation* EvalContext::ResolveRelation(const std::string& name,
                                              bool prev) const {
-  if (prev) {
-    if (prev_layer_ == nullptr) return nullptr;
-    return prev_layer_->FindRelation(name);
+  CountNameLookup();
+  const NameId id = FindName(name);
+  return id == kNoName ? nullptr : ResolveRelation(id, prev);
+}
+
+std::optional<Value> EvalContext::ResolveConstant(NameId name) const {
+  if (const Value* v = constant_overrides_.Find(name)) return *v;
+  if (constant_layer_ != nullptr) {
+    if (const Value* v = constant_layer_->Find(name)) return *v;
   }
-  for (const Instance* layer : layers_) {
-    const Relation* rel = layer->FindRelation(name);
-    if (rel != nullptr) return rel;
+  for (size_t i = 0; i < num_layers_; ++i) {
+    if (const Value* v = layers_[i]->constants().Find(name)) return *v;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 std::optional<Value> EvalContext::ResolveConstant(
     const std::string& name) const {
-  auto it = constant_overrides_.find(name);
-  if (it != constant_overrides_.end()) return it->second;
-  if (constant_layer_ != nullptr) {
-    auto layer_it = constant_layer_->find(name);
-    if (layer_it != constant_layer_->end()) return layer_it->second;
-  }
-  for (const Instance* layer : layers_) {
-    std::optional<Value> v = layer->FindConstant(name);
-    if (v.has_value()) return v;
-  }
-  return std::nullopt;
+  CountNameLookup();
+  const NameId id = FindName(name);
+  if (id == kNoName) return std::nullopt;
+  return ResolveConstant(id);
 }
 
 const std::vector<Value>& EvalContext::ActiveDomain() const {
   if (!domain_valid_) {
     std::set<Value> dom = extra_domain_;
-    for (const Instance* layer : layers_) {
-      dom.insert(layer->domain().begin(), layer->domain().end());
+    for (size_t i = 0; i < num_layers_; ++i) {
+      dom.insert(layers_[i]->domain().begin(), layers_[i]->domain().end());
     }
     if (prev_layer_ != nullptr) {
       dom.insert(prev_layer_->domain().begin(), prev_layer_->domain().end());
     }
-    for (const auto& [name, v] : constant_overrides_) dom.insert(v);
+    for (const auto& [name, v] : constant_overrides_.entries()) dom.insert(v);
     if (constant_layer_ != nullptr) {
-      for (const auto& [name, v] : *constant_layer_) dom.insert(v);
+      for (const auto& [name, v] : constant_layer_->entries()) dom.insert(v);
     }
     domain_cache_.assign(dom.begin(), dom.end());
     domain_valid_ = true;
@@ -68,17 +73,17 @@ const std::vector<Value>& EvalContext::ActiveDomain() const {
 
 bool EvalContext::InActiveDomain(Value v) const {
   if (extra_domain_.count(v) > 0) return true;
-  for (const Instance* layer : layers_) {
-    if (layer->domain().count(v) > 0) return true;
+  for (size_t i = 0; i < num_layers_; ++i) {
+    if (layers_[i]->domain().count(v) > 0) return true;
   }
   if (prev_layer_ != nullptr && prev_layer_->domain().count(v) > 0) {
     return true;
   }
-  for (const auto& [name, c] : constant_overrides_) {
+  for (const auto& [name, c] : constant_overrides_.entries()) {
     if (c == v) return true;
   }
   if (constant_layer_ != nullptr) {
-    for (const auto& [name, c] : *constant_layer_) {
+    for (const auto& [name, c] : constant_layer_->entries()) {
       if (c == v) return true;
     }
   }
@@ -155,7 +160,7 @@ class Evaluator {
         return *v;
       }
       case Term::Kind::kConstantSymbol: {
-        std::optional<Value> v = ctx_.ResolveConstant(t.name());
+        std::optional<Value> v = ctx_.ResolveConstant(t.symbol());
         if (!v.has_value()) {
           return Status::Internal("unbound constant symbol: " + t.name());
         }
@@ -173,7 +178,7 @@ class Evaluator {
         return false;
       case Formula::Kind::kAtom: {
         const Atom& atom = f.atom();
-        const Relation* rel = ctx_.ResolveRelation(atom.relation, atom.prev);
+        const Relation* rel = ctx_.ResolveRelation(atom.relation_id, atom.prev);
         if (rel == nullptr || rel->empty()) return false;
         Tuple t;
         t.reserve(atom.terms.size());
@@ -292,7 +297,7 @@ class Evaluator {
     const Formula* guard = FindGuard(conjuncts, vars);
     if (guard != nullptr) {
       const Atom& atom = guard->atom();
-      const Relation* rel = ctx_.ResolveRelation(atom.relation, atom.prev);
+      const Relation* rel = ctx_.ResolveRelation(atom.relation_id, atom.prev);
       if (rel == nullptr || rel->empty()) return false;  // guard unmatchable
       std::vector<const Formula*> rest;
       rest.reserve(conjuncts.size());
@@ -411,7 +416,7 @@ class QueryEnumerator {
     const Formula* guard = FindGuard(conjuncts, unbound);
     if (guard != nullptr) {
       const Atom& atom = guard->atom();
-      const Relation* rel = ctx_.ResolveRelation(atom.relation, atom.prev);
+      const Relation* rel = ctx_.ResolveRelation(atom.relation_id, atom.prev);
       if (rel == nullptr) return Status::OK();
       for (const Tuple& tuple : rel->tuples()) {
         std::vector<std::string> newly_bound;

@@ -9,6 +9,7 @@
 #ifndef WSV_FO_EVALUATOR_H_
 #define WSV_FO_EVALUATOR_H_
 
+#include <array>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,12 +25,20 @@ namespace wsv {
 /// The structure a formula is evaluated against: an ordered stack of
 /// instance layers (earlier layers shadow later ones for relation lookup),
 /// a dedicated layer for Prev_I atoms, and constant overrides (used for
-/// the run's accumulating input-constant interpretation).
+/// the run's accumulating input-constant interpretation). Relations and
+/// constants resolve by interned name id (relational/name.h); the
+/// string-keyed overloads are for tests and count as name lookups. The
+/// layers sit in a fixed array, so building or copying a context
+/// allocates nothing for them.
 class EvalContext {
  public:
+  /// The most layers a context holds (a step's structure uses five).
+  static constexpr size_t kMaxLayers = 6;
+
   EvalContext() = default;
 
-  /// Adds an instance layer. Lookup order is addition order.
+  /// Adds an instance layer. Lookup order is addition order. At most
+  /// kMaxLayers layers.
   void AddLayer(const Instance* instance);
 
   /// Sets the instance used to resolve prev.I atoms (relation names in it
@@ -40,13 +49,14 @@ class EvalContext {
   }
 
   /// Binds a constant symbol, overriding any layer's binding.
+  void SetConstant(NameId name, Value v);
   void SetConstant(const std::string& name, Value v);
 
   /// Binds every constant symbol of `*constants`, read through the
   /// pointer rather than copied: after SetConstant's overrides, before
   /// any layer's binding. The map must outlive the context; the run's
   /// input-constant interpretation kappa is bound this way.
-  void SetConstantLayer(const std::map<std::string, Value>* constants) {
+  void SetConstantLayer(const NameMap<Value>* constants) {
     constant_layer_ = constants;
     domain_valid_ = false;
   }
@@ -58,9 +68,20 @@ class EvalContext {
   }
 
   /// Resolves a relation; nullptr means the relation is empty/absent.
+  const Relation* ResolveRelation(NameId name, bool prev) const {
+    if (prev) {
+      return prev_layer_ == nullptr ? nullptr
+                                    : prev_layer_->FindRelation(name);
+    }
+    for (size_t i = 0; i < num_layers_; ++i) {
+      if (const Relation* rel = layers_[i]->FindRelation(name)) return rel;
+    }
+    return nullptr;
+  }
   const Relation* ResolveRelation(const std::string& name, bool prev) const;
 
   /// Resolves a constant symbol; nullopt if no layer or override binds it.
+  std::optional<Value> ResolveConstant(NameId name) const;
   std::optional<Value> ResolveConstant(const std::string& name) const;
 
   /// The active domain: union of all layer domains, constant overrides,
@@ -80,10 +101,11 @@ class EvalContext {
   bool InActiveDomain(Value v) const;
 
  private:
-  std::vector<const Instance*> layers_;
+  std::array<const Instance*, kMaxLayers> layers_{};
+  size_t num_layers_ = 0;
   const Instance* prev_layer_ = nullptr;
-  std::map<std::string, Value> constant_overrides_;
-  const std::map<std::string, Value>* constant_layer_ = nullptr;
+  NameMap<Value> constant_overrides_;
+  const NameMap<Value>* constant_layer_ = nullptr;
   std::set<Value> extra_domain_;
   mutable std::vector<Value> domain_cache_;
   mutable bool domain_valid_ = false;

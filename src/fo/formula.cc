@@ -56,6 +56,12 @@ FormulaPtr Formula::False() {
 
 FormulaPtr Formula::MakeAtom(Atom atom) {
   FormulaPtr f = MakeNode(Kind::kAtom);
+  // Rewrites copy atoms whose id is already resolved; NameOf is
+  // lock-free, so only a new or renamed atom pays for interning.
+  if (atom.relation_id == kNoName ||
+      NameOf(atom.relation_id) != atom.relation) {
+    atom.relation_id = InternName(atom.relation);
+  }
   Mutable(f)->atom_ = std::move(atom);
   return f;
 }

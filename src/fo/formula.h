@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/span.h"
+#include "relational/name.h"
 #include "relational/schema.h"
 #include "relational/value.h"
 
@@ -33,7 +34,9 @@ class Term {
     return Term(Kind::kVariable, std::move(name), Value());
   }
   static Term ConstantSymbol(std::string name) {
-    return Term(Kind::kConstantSymbol, std::move(name), Value());
+    Term t(Kind::kConstantSymbol, std::move(name), Value());
+    t.symbol_ = InternName(t.name_);
+    return t;
   }
   static Term Literal(Value v) { return Term(Kind::kLiteral, v.name(), v); }
 
@@ -51,6 +54,9 @@ class Term {
   const std::string& name() const { return name_; }
   /// The literal's value; valid only when is_literal().
   Value literal() const { return literal_; }
+  /// The constant symbol's interned name; valid only when
+  /// is_constant_symbol().
+  NameId symbol() const { return symbol_; }
 
   std::string ToString() const;
 
@@ -70,6 +76,7 @@ class Term {
   Kind kind_;
   std::string name_;
   Value literal_;
+  NameId symbol_ = kNoName;
   Span span_;
 };
 
@@ -83,6 +90,9 @@ struct Atom {
   std::vector<Term> terms;
   /// Location of the relation-name token (invalid when built in code).
   Span span;
+  /// `relation` interned; Formula::MakeAtom sets it, so every atom of a
+  /// formula resolves its relation by id.
+  NameId relation_id = kNoName;
 
   std::string ToString() const;
 };

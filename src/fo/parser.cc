@@ -55,11 +55,13 @@ class FoParser {
         WSV_RETURN_IF_ERROR(ts_.Expect(TokenKind::kRParen, "')'"));
       }
     }
+    Atom atom;
     if (vocab_ != nullptr) {
       const RelationSymbol* sym = vocab_->FindRelation(relation);
       if (sym == nullptr) {
         return Status::ParseError("unknown relation symbol: " + relation);
       }
+      atom.relation_id = sym->id;
       if (sym->arity != static_cast<int>(terms.size())) {
         return Status::ParseError(
             "arity mismatch for " + relation + ": declared " +
@@ -71,7 +73,6 @@ class FoParser {
                                   relation);
       }
     }
-    Atom atom;
     atom.relation = std::move(relation);
     atom.prev = prev;
     atom.terms = std::move(terms);

@@ -21,41 +21,40 @@ std::string LassoRun::ToString() const {
 PagePropositions::PagePropositions(const WebService& service) {
   const std::vector<RelationSymbol> page_syms =
       service.vocab().RelationsOfKind(SymbolKind::kPage);
+  std::vector<NameId> ids;
   for (const RelationSymbol& sym : page_syms) {
-    (void)none_.EnsureRelation(sym.name, 0);
+    ids.push_back(sym.id);
+    (void)none_.EnsureRelation(ids.back(), 0);
   }
-  for (const RelationSymbol& sym : page_syms) {
-    Instance& pages = by_page_[sym.name];
-    pages = none_;
-    pages.MutableRelation(sym.name)->SetBool(true);
+  for (NameId id : ids) {
+    Instance& pages = pages_.emplace_back(none_);
+    pages.MutableRelation(id)->SetBool(true);
+    const size_t i = static_cast<size_t>(id);
+    if (by_id_.size() <= i) by_id_.resize(i + 1, nullptr);
+    by_id_[i] = &pages;
   }
-}
-
-const Instance& PagePropositions::For(const std::string& page) const {
-  auto it = by_page_.find(page);
-  return it == by_page_.end() ? none_ : it->second;
 }
 
 StepContext::StepContext(const TraceView& step, const Instance& database,
                          const WebService& service,
                          const PagePropositions& pages)
-    : service_(service), kappa_(*step.kappa) {
+    : service_(service), kappa_(step.kappa) {
   ctx_.AddLayer(step.inputs);
   ctx_.AddLayer(step.state);
   ctx_.AddLayer(step.actions);
-  ctx_.AddLayer(&pages.For(*step.page));
+  ctx_.AddLayer(&pages.For(
+      step.page_id != kNoName ? step.page_id : InternName(*step.page)));
   ctx_.AddLayer(&database);
   ctx_.SetPrevLayer(step.prev_inputs);
-  ctx_.SetConstantLayer(&kappa_);
+  ctx_.SetConstantLayer(kappa_);
 }
 
 namespace {
 
-bool ConstantsProvided(const WebService& service,
-                       const std::map<std::string, Value>& kappa,
-                       const std::set<std::string>& csyms) {
-  for (const std::string& c : csyms) {
-    if (service.vocab().IsInputConstant(c) && kappa.count(c) == 0) {
+bool ConstantsProvided(const WebService& service, const Kappa& kappa,
+                       const std::vector<NameId>& csyms) {
+  for (NameId c : csyms) {
+    if (service.vocab().IsInputConstant(c) && !kappa.Contains(c)) {
       return false;
     }
   }
@@ -66,9 +65,9 @@ bool ConstantsProvided(const WebService& service,
 // program when there is one (so the hot path re-derives neither), else
 // computed into the fallback buffers.
 struct LeafAnalyses {
-  const std::set<std::string>* csyms;
+  const std::vector<NameId>* csyms;
   const std::set<Value>* lits;
-  std::set<std::string> csyms_fallback;
+  std::vector<NameId> csyms_fallback;
   std::set<Value> lits_fallback;
 
   LeafAnalyses(const Formula& leaf, const fobc::Program* prog) {
@@ -76,7 +75,9 @@ struct LeafAnalyses {
       csyms = &prog->constant_symbols;
       lits = &prog->literals;
     } else {
-      csyms_fallback = leaf.ConstantSymbols();
+      for (const std::string& c : leaf.ConstantSymbols()) {
+        csyms_fallback.push_back(InternName(c));
+      }
       lits_fallback = leaf.Literals();
       csyms = &csyms_fallback;
       lits = &lits_fallback;
@@ -93,8 +94,8 @@ bool ReadsDomain(const fobc::Program* prog) {
 }  // namespace
 
 bool StepContext::InputConstantsProvided(
-    const std::set<std::string>& csyms) const {
-  return ConstantsProvided(service_, kappa_, csyms);
+    const std::vector<NameId>& csyms) const {
+  return ConstantsProvided(service_, *kappa_, csyms);
 }
 
 StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
@@ -156,7 +157,11 @@ class LassoEvaluator {
         service_(service),
         pages_(pages),
         valuation_(valuation),
-        engine_(engine) {}
+        engine_(engine) {
+    for (const TraceStep& step : run_.steps) {
+      page_ids_.push_back(InternName(step.page));
+    }
+  }
 
   StatusOr<std::vector<char>> Truth(const TFormula& f) {
     const size_t n = run_.steps.size();
@@ -171,6 +176,7 @@ class LassoEvaluator {
           const TraceStep& step = run_.steps[i];
           TraceView view;
           view.page = &step.page;
+          view.page_id = page_ids_[i];
           view.state = &step.state;
           view.inputs = &step.inputs;
           view.prev_inputs = &step.prev_inputs;
@@ -245,6 +251,7 @@ class LassoEvaluator {
   const PagePropositions& pages_;
   const Valuation& valuation_;
   const FoEngine engine_;
+  std::vector<NameId> page_ids_;  // per step, its page interned
 };
 
 // The run's active domain for closure-variable valuations.

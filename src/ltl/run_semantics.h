@@ -16,7 +16,7 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "common/status.h"
@@ -41,18 +41,21 @@ struct LassoRun {
 /// through views to avoid materializing instances per edge.
 struct TraceView {
   const std::string* page = nullptr;
+  /// `page` interned; kNoName makes the step context intern it.
+  NameId page_id = kNoName;
   const Instance* state = nullptr;
   const Instance* inputs = nullptr;
   const Instance* prev_inputs = nullptr;
   const Instance* actions = nullptr;
-  const std::map<std::string, Value>* kappa = nullptr;
+  const Kappa* kappa = nullptr;
 };
 
 /// The page propositions of every page of a service: for page V, the
 /// instance with V's proposition true and every other page's false. An
 /// FO structure at a step reads its page's instance from here instead of
-/// building one per step. Immutable after construction, so concurrent
-/// sweeps share one table; it must outlive the contexts that read it.
+/// building one per step, indexed by the page's interned name.
+/// Immutable after construction, so concurrent sweeps share one table;
+/// it must outlive the contexts that read it.
 class PagePropositions {
  public:
   explicit PagePropositions(const WebService& service);
@@ -61,10 +64,17 @@ class PagePropositions {
 
   /// The instance for `page`; every proposition false for a name that
   /// is not a page of the service.
-  const Instance& For(const std::string& page) const;
+  const Instance& For(NameId page) const {
+    const size_t i = static_cast<size_t>(page);
+    return page >= 0 && i < by_id_.size() && by_id_[i] != nullptr
+               ? *by_id_[i]
+               : none_;
+  }
 
  private:
-  std::unordered_map<std::string, Instance> by_page_;
+  std::deque<Instance> pages_;
+  /// Interned page name -> its instance in pages_; null for other names.
+  std::vector<const Instance*> by_id_;
   Instance none_;
 };
 
@@ -82,8 +92,9 @@ class StepContext {
   StepContext(const StepContext&) = delete;
   StepContext& operator=(const StepContext&) = delete;
 
-  /// Condition (a): every input constant among `csyms` is in kappa_i.
-  bool InputConstantsProvided(const std::set<std::string>& csyms) const;
+  /// Condition (a): every input constant among `csyms` (interned
+  /// constant symbols) is in kappa_i.
+  bool InputConstantsProvided(const std::vector<NameId>& csyms) const;
 
   const EvalContext& context() const { return ctx_; }
 
@@ -99,7 +110,7 @@ class StepContext {
                                      const Valuation& valuation);
 
   const WebService& service_;
-  const std::map<std::string, Value>& kappa_;
+  const Kappa* kappa_;
   EvalContext ctx_;
 };
 

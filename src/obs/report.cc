@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <string>
 
+#include "common/str_util.h"
+
 namespace wsv {
 namespace obs {
 
@@ -12,30 +14,6 @@ std::string FormatRate(double rate) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f%%", rate * 100.0);
   return buf;
-}
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 }  // namespace

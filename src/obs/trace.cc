@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 
+#include "common/str_util.h"
+
 namespace wsv {
 namespace obs {
 
@@ -171,33 +173,6 @@ class OpenSpanRegistry {
   std::vector<std::shared_ptr<OpenSpanStack>> stacks_;
 };
 
-void AppendJsonEscaped(const std::string& s, std::ostream& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 void StartTracing() {
@@ -266,9 +241,9 @@ void WriteChromeTrace(std::ostream& out) {
          "\"args\":{\"name\":\"wsv-verifier\"}}";
   char buf[64];
   for (const TraceEvent& e : events) {
-    out << ",\n{\"name\":\"";
-    AppendJsonEscaped(e.name, out);
-    out << "\",\"cat\":\"wsv\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid;
+    std::string name;
+    AppendJsonEscaped(e.name, &name);
+    out << ",\n{\"name\":\"" << name << "\",\"cat\":\"wsv\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid;
     // Microsecond timestamps relative to the first span, 3 decimals.
     std::snprintf(buf, sizeof(buf), "%.3f",
                   double(e.start_ns - epoch) / 1000.0);

@@ -51,59 +51,61 @@ size_t Relation::ApproxBytes() const {
   return bytes;
 }
 
-Status Instance::EnsureRelation(const std::string& name, int arity) {
-  auto it = relations_.find(name);
-  if (it != relations_.end()) {
-    if (it->second.arity() != arity) {
-      return Status::InvalidArgument(
-          "relation " + name + " already exists with arity " +
-          std::to_string(it->second.arity()));
-    }
-    return Status::OK();
+Status Instance::EnsureRelation(NameId name, int arity) {
+  bool added = false;
+  Relation& rel = relations_.FindOrInsert(name, Relation(arity), &added);
+  if (!added && rel.arity() != arity) {
+    return Status::InvalidArgument("relation " + NameOf(name) +
+                                   " already exists with arity " +
+                                   std::to_string(rel.arity()));
   }
-  relations_.emplace(name, Relation(arity));
   return Status::OK();
 }
 
-const Relation* Instance::FindRelation(const std::string& name) const {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return nullptr;
-  return &it->second;
+Status Instance::EnsureRelation(const std::string& name, int arity) {
+  CountNameLookup();
+  return EnsureRelation(InternName(name), arity);
 }
 
 Relation* Instance::MutableRelation(const std::string& name) {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return nullptr;
-  return &it->second;
+  CountNameLookup();
+  const NameId id = FindName(name);
+  return id == kNoName ? nullptr : relations_.Find(id);
 }
 
 Status Instance::AddFact(const std::string& name, const Tuple& t) {
-  WSV_RETURN_IF_ERROR(EnsureRelation(name, static_cast<int>(t.size())));
-  relations_.at(name).Insert(t);
+  CountNameLookup();
+  const NameId id = InternName(name);
+  WSV_RETURN_IF_ERROR(EnsureRelation(id, static_cast<int>(t.size())));
+  relations_.Find(id)->Insert(t);
   for (Value v : t) domain_.insert(v);
   return Status::OK();
 }
 
-void Instance::SetConstant(const std::string& name, Value v) {
-  constants_[name] = v;
+void Instance::SetConstant(NameId name, Value v) {
+  constants_.Set(name, v);
   domain_.insert(v);
 }
 
+void Instance::SetConstant(const std::string& name, Value v) {
+  CountNameLookup();
+  SetConstant(InternName(name), v);
+}
+
 std::optional<Value> Instance::FindConstant(const std::string& name) const {
-  auto it = constants_.find(name);
-  if (it == constants_.end()) return std::nullopt;
-  return it->second;
+  const Value* v = constants_.Find(name);
+  if (v == nullptr) return std::nullopt;
+  return *v;
 }
 
 size_t Instance::Hash() const {
-  std::hash<std::string> str_hash;
   size_t h = 0;
-  for (const auto& [name, rel] : relations_) {
-    h = HashCombine(h, str_hash(name));
+  for (const auto& [name, rel] : relations_.entries()) {
+    h = HashCombine(h, NameHash(name));
     h = HashCombine(h, rel.Hash());
   }
-  for (const auto& [name, v] : constants_) {
-    h = HashCombine(h, str_hash(name));
+  for (const auto& [name, v] : constants_.entries()) {
+    h = HashCombine(h, NameHash(name));
     h = HashCombine(h, ValueHash()(v));
   }
   return HashRange(domain_.begin(), domain_.end(), h);
@@ -111,14 +113,11 @@ size_t Instance::Hash() const {
 
 size_t Instance::ApproxBytes() const {
   size_t bytes = sizeof(Instance);
-  for (const auto& [name, rel] : relations_) {
-    bytes += kTreeNodeBytes + sizeof(std::string) + name.capacity() +
+  for (const auto& [name, rel] : relations_.entries()) {
+    bytes += sizeof(NameMap<Relation>::Entry) - sizeof(Relation) +
              rel.ApproxBytes();
   }
-  for (const auto& [name, v] : constants_) {
-    bytes += kTreeNodeBytes + sizeof(std::string) + name.capacity() +
-             sizeof(Value);
-  }
+  bytes += constants_.size() * sizeof(NameMap<Value>::Entry);
   bytes += domain_.size() * (kTreeNodeBytes + sizeof(Value));
   return bytes;
 }

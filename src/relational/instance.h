@@ -10,13 +10,13 @@
 #ifndef WSV_RELATIONAL_INSTANCE_H_
 #define WSV_RELATIONAL_INSTANCE_H_
 
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "relational/name.h"
 #include "relational/value.h"
 
 namespace wsv {
@@ -71,16 +71,31 @@ class Relation {
 /// an explicit domain. The domain always contains every value occurring in
 /// a relation or constant interpretation, and may contain extra elements
 /// (the paper's Dom may be a superset of the values actually used).
+///
+/// Relations and constants are keyed by interned name id
+/// (relational/name.h) and kept in name order, so iteration, printing,
+/// comparison and hashing are exactly those of name-keyed maps while the
+/// hot paths look up by id. An absent relation (FindRelation is null) is
+/// distinct from a present, empty one: state and prev bookkeeping rely
+/// on it. The string-keyed overloads serve the parse, print and test
+/// boundaries and count as name lookups.
 class Instance {
  public:
   Instance() = default;
 
-  /// Creates (or returns) the relation named `name` with the given arity.
+  /// Creates (or returns) the relation `name` with the given arity.
   /// Fails if the name exists with a different arity.
+  Status EnsureRelation(NameId name, int arity);
   Status EnsureRelation(const std::string& name, int arity);
 
-  /// The relation named `name`; nullptr if absent.
-  const Relation* FindRelation(const std::string& name) const;
+  /// The relation `name`; nullptr if absent.
+  const Relation* FindRelation(NameId name) const {
+    return relations_.Find(name);
+  }
+  Relation* MutableRelation(NameId name) { return relations_.Find(name); }
+  const Relation* FindRelation(const std::string& name) const {
+    return relations_.Find(name);
+  }
   Relation* MutableRelation(const std::string& name);
 
   /// Inserts a fact R(t), creating R with t's arity if needed. Values in t
@@ -88,6 +103,7 @@ class Instance {
   Status AddFact(const std::string& name, const Tuple& t);
 
   /// Sets the interpretation of a constant symbol; adds to the domain.
+  void SetConstant(NameId name, Value v);
   void SetConstant(const std::string& name, Value v);
   std::optional<Value> FindConstant(const std::string& name) const;
 
@@ -95,10 +111,10 @@ class Instance {
   void AddDomainValue(Value v) { domain_.insert(v); }
 
   const std::set<Value>& domain() const { return domain_; }
-  const std::map<std::string, Relation>& relations() const {
-    return relations_;
-  }
-  const std::map<std::string, Value>& constants() const { return constants_; }
+  /// Relations and constants in name order; iterating yields
+  /// (name, relation) and (name, value) pairs.
+  const NameMap<Relation>& relations() const { return relations_; }
+  const NameMap<Value>& constants() const { return constants_; }
 
   friend bool operator==(const Instance& a, const Instance& b) {
     return a.relations_ == b.relations_ && a.constants_ == b.constants_ &&
@@ -110,8 +126,9 @@ class Instance {
     return a.domain_ < b.domain_;
   }
 
-  /// Structural hash, consistent with operator== (all members are ordered
-  /// containers, so iteration order is canonical).
+  /// Structural hash, consistent with operator==. Folds each name's
+  /// string hash (NameHash), so the value equals that of the name-keyed
+  /// maps this class replaced.
   size_t Hash() const;
 
   /// Estimated heap footprint across relations, constants, and domain.
@@ -120,8 +137,8 @@ class Instance {
   std::string ToString() const;
 
  private:
-  std::map<std::string, Relation> relations_;
-  std::map<std::string, Value> constants_;
+  NameMap<Relation> relations_;
+  NameMap<Value> constants_;
   std::set<Value> domain_;
 };
 

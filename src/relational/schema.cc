@@ -36,7 +36,8 @@ Status Vocabulary::AddRelation(const std::string& name, int arity,
     return Status::InvalidArgument("name already used by a constant: " + name);
   }
   relation_index_[name] = relations_.size();
-  relations_.push_back(RelationSymbol{name, arity, kind, span});
+  relations_.push_back(RelationSymbol{name, arity, kind, span,
+                                      InternName(name)});
   return Status::OK();
 }
 
@@ -55,6 +56,7 @@ Status Vocabulary::AddConstant(const std::string& name,
   constant_is_input_[name] = is_input_constant;
   constant_span_[name] = span;
   constants_.push_back(name);
+  if (is_input_constant) input_constant_ids_.push_back(InternName(name));
   return Status::OK();
 }
 

@@ -13,6 +13,7 @@
 #ifndef WSV_RELATIONAL_SCHEMA_H_
 #define WSV_RELATIONAL_SCHEMA_H_
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "common/span.h"
 #include "common/status.h"
+#include "relational/name.h"
 
 namespace wsv {
 
@@ -42,6 +44,8 @@ struct RelationSymbol {
   SymbolKind kind = SymbolKind::kDatabase;
   /// Declaration site in the .wsv source (invalid when built in code).
   Span span;
+  /// `name` interned; set by Vocabulary::AddRelation.
+  NameId id = kNoName;
 
   bool IsProposition() const { return arity == 0; }
 };
@@ -71,6 +75,11 @@ class Vocabulary {
 
   /// True iff `name` is a registered input constant (member of const(I)).
   bool IsInputConstant(const std::string& name) const;
+  /// The same by interned name id, without string work.
+  bool IsInputConstant(NameId name) const {
+    return std::find(input_constant_ids_.begin(), input_constant_ids_.end(),
+                     name) != input_constant_ids_.end();
+  }
 
   /// All relation symbols, in registration order.
   const std::vector<RelationSymbol>& relations() const { return relations_; }
@@ -93,6 +102,8 @@ class Vocabulary {
   std::vector<std::string> constants_;
   std::map<std::string, bool> constant_is_input_;
   std::map<std::string, Span> constant_span_;
+  /// The input constants, interned.
+  std::vector<NameId> input_constant_ids_;
 };
 
 }  // namespace wsv

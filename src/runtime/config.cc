@@ -4,7 +4,7 @@ namespace wsv {
 
 namespace {
 
-std::string ConstantsToString(const std::map<std::string, Value>& consts) {
+std::string ConstantsToString(const Kappa& consts) {
   std::string out = "{";
   bool first = true;
   for (const auto& [name, v] : consts) {

@@ -24,8 +24,9 @@
 
 namespace wsv {
 
-/// An input-constant interpretation kappa: constant name -> value.
-using Kappa = std::map<std::string, Value>;
+/// An input-constant interpretation kappa: constant name -> value, keyed
+/// by interned name id and iterated in name order (relational/name.h).
+using Kappa = NameMap<Value>;
 
 struct ConfigView;
 

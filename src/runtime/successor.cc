@@ -17,7 +17,7 @@ Instance EmptyInstanceOfKind(const WebService& service, SymbolKind kind,
   for (const RelationSymbol& sym : service.vocab().RelationsOfKind(kind)) {
     if (only.has_value() && only->count(sym.name) == 0) continue;
     // EnsureRelation only fails on arity conflicts, impossible here.
-    (void)out.EnsureRelation(sym.name, sym.arity);
+    (void)out.EnsureRelation(sym.id, sym.arity);
   }
   return out;
 }
@@ -43,35 +43,74 @@ StatusOr<std::set<Tuple>> RunRuleQuery(const Formula& body,
   return EvaluateQuery(body, heads, ctx);
 }
 
+// The distinct names of `names` in name order, and each element's index
+// into them.
+std::vector<NameId> SlotsInNameOrder(const std::vector<NameId>& names,
+                                     std::vector<size_t>* slot_of) {
+  std::vector<NameId> distinct = names;
+  std::sort(distinct.begin(), distinct.end(), NameLess);
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  slot_of->clear();
+  for (NameId n : names) {
+    slot_of->push_back(static_cast<size_t>(
+        std::find(distinct.begin(), distinct.end(), n) - distinct.begin()));
+  }
+  return distinct;
+}
+
 }  // namespace
 
 Stepper::Stepper(const WebService* service, const Instance* database)
     : service_(service), database_(database) {
-  rule_constants_.reserve(service_->pages().size());
-  programs_.reserve(service_->pages().size());
+  home_page_id_ = InternName(service_->home_page());
+  error_page_id_ = InternName(service_->error_page());
+  tables_.reserve(service_->pages().size());
   for (const PageSchema& page : service_->pages()) {
-    PagePrograms& progs = programs_.emplace_back();
+    PageTables& t = tables_.emplace_back();
+    t.name = InternName(page.name);
+    for (const std::string& in : page.inputs) {
+      t.inputs.push_back(InternName(in));
+      const RelationSymbol* sym = service_->vocab().FindRelation(in);
+      if (sym != nullptr && sym->arity == 0) {
+        t.propositions.push_back(t.inputs.back());
+      }
+    }
+    for (const std::string& c : page.input_constants) {
+      t.input_constants.push_back(InternName(c));
+    }
+    std::vector<NameId> rule_inputs, rule_states;
+    PagePrograms& progs = t.programs;
     for (const InputRule& r : page.input_rules) {
       progs.input.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+      rule_inputs.push_back(InternName(r.input));
     }
     for (const StateRule& r : page.state_rules) {
       progs.state.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+      rule_states.push_back(InternName(r.state));
     }
     for (const ActionRule& r : page.action_rules) {
       progs.action.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+      t.action_rule_relation.push_back(InternName(r.action));
     }
     for (const TargetRule& r : page.target_rules) {
       progs.target.push_back(fobc::ResolveBool(r.body));
+      t.target_rule_page.push_back(InternName(r.target));
     }
-    std::vector<RuleConstants>& table = rule_constants_.emplace_back();
+    t.option_relations = SlotsInNameOrder(rule_inputs, &t.input_rule_slot);
+    t.updated_states = SlotsInNameOrder(rule_states, &t.state_rule_slot);
     auto collect = [&](const FormulaPtr& body, RuleConstants::Kind kind,
                        size_t rule) {
       for (Value v : body->Literals()) rule_literals_.AddDomainValue(v);
       RuleConstants entry{kind, rule, {}};
       for (const std::string& c : body->ConstantSymbols()) {
-        if (service_->vocab().IsInputConstant(c)) entry.constants.push_back(c);
+        if (service_->vocab().IsInputConstant(c)) {
+          entry.constants.push_back(InternName(c));
+        }
       }
-      if (!entry.constants.empty()) table.push_back(std::move(entry));
+      if (!entry.constants.empty()) {
+        t.rule_constants.push_back(std::move(entry));
+      }
     };
     using Kind = RuleConstants::Kind;
     for (size_t i = 0; i < page.input_rules.size(); ++i) {
@@ -91,6 +130,13 @@ Stepper::Stepper(const WebService* service, const Instance* database)
   empty_inputs_ = EmptyInstanceOfKind(*service_, SymbolKind::kInput, {});
   empty_actions_ = EmptyInstanceOfKind(*service_, SymbolKind::kAction, {});
   empty_prev_ = empty_inputs_;
+}
+
+const PageSchema* Stepper::FindPage(NameId page) const {
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    if (tables_[i].name == page) return &service_->pages()[i];
+  }
+  return nullptr;
 }
 
 void Stepper::SetTrackedPrev(std::set<std::string> tracked_prev) {
@@ -139,38 +185,49 @@ std::optional<std::string> Stepper::StaticError(const ConfigView& node) const {
   if (*node.page == service_->error_page()) return std::nullopt;
   const PageSchema* page = service_->FindPage(*node.page);
   if (page == nullptr) return "unknown page " + *node.page;
+  return StaticError(node, *page);
+}
+
+std::optional<std::string> Stepper::StaticError(const ConfigView& node,
+                                                const PageSchema& page) const {
   const Kappa& provided = *node.kappa;
+  const PageTables& tables = TablesOf(page);
 
   // Condition (ii): the page requests a constant already provided.
-  for (const std::string& c : page->input_constants) {
-    if (provided.count(c) > 0) {
-      return "input constant '" + c + "' requested again (condition ii)";
+  for (NameId c : tables.input_constants) {
+    if (provided.Contains(c)) {
+      return "input constant '" + NameOf(c) +
+             "' requested again (condition ii)";
     }
   }
 
   // Condition (i): some rule formula uses an input constant outside
   // kappa_i = provided ∪ requested-now. The message is built only here,
   // on the failing branch.
-  const size_t index = static_cast<size_t>(page - service_->pages().data());
-  for (const RuleConstants& entry : rule_constants_[index]) {
-    for (const std::string& c : entry.constants) {
-      if (provided.count(c) > 0 || page->HasInputConstant(c)) continue;
+  for (const RuleConstants& entry : tables.rule_constants) {
+    for (NameId c : entry.constants) {
+      if (provided.Contains(c) ||
+          std::find(tables.input_constants.begin(),
+                    tables.input_constants.end(),
+                    c) != tables.input_constants.end()) {
+        continue;
+      }
       std::string rule;
       switch (entry.kind) {
         case RuleConstants::Kind::kInput:
-          rule = page->input_rules[entry.rule].ToString();
+          rule = page.input_rules[entry.rule].ToString();
           break;
         case RuleConstants::Kind::kState:
-          rule = page->state_rules[entry.rule].ToString();
+          rule = page.state_rules[entry.rule].ToString();
           break;
         case RuleConstants::Kind::kAction:
-          rule = page->action_rules[entry.rule].ToString();
+          rule = page.action_rules[entry.rule].ToString();
           break;
         case RuleConstants::Kind::kTarget:
-          rule = page->target_rules[entry.rule].ToString();
+          rule = page.target_rules[entry.rule].ToString();
           break;
       }
-      return "rule [" + rule + "] uses input constant '" + c +
+      return "rule [" + rule + "] uses input constant '" + NameOf(c) +
              "' before it was provided (condition i)";
     }
   }
@@ -181,7 +238,7 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::ComputeOptions(
     const ConfigView& node,
     const std::map<std::string, Value>& new_constants) const {
   Kappa kappa = *node.kappa;
-  for (const auto& [name, v] : new_constants) kappa[name] = v;
+  for (const auto& [name, v] : new_constants) kappa.Set(InternName(name), v);
   return OptionsUnder(node, kappa);
 }
 
@@ -191,15 +248,30 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::OptionsUnder(
   if (page == nullptr) {
     return Status::NotFound("unknown page " + *node.page);
   }
+  WSV_ASSIGN_OR_RETURN(InputOptions options,
+                       OptionsOn(node, *page, kappa));
+  std::map<std::string, std::set<Tuple>> out;
+  for (auto& [rel, tuples] : options) out[NameOf(rel)] = std::move(tuples);
+  return out;
+}
+
+StatusOr<InputOptions> Stepper::OptionsOn(const ConfigView& node,
+                                          const PageSchema& page,
+                                          const Kappa& kappa) const {
   EvalContext ctx = MakeContext(node, kappa, /*current_inputs=*/nullptr);
-  const PagePrograms& progs = ProgramsOf(*page);
-  std::map<std::string, std::set<Tuple>> options;
-  for (size_t i = 0; i < page->input_rules.size(); ++i) {
-    const InputRule& rule = page->input_rules[i];
+  const PageTables& tables = TablesOf(page);
+  InputOptions options;
+  options.reserve(tables.option_relations.size());
+  for (NameId rel : tables.option_relations) {
+    options.emplace_back(rel, std::set<Tuple>());
+  }
+  for (size_t i = 0; i < page.input_rules.size(); ++i) {
+    const InputRule& rule = page.input_rules[i];
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
-        RunRuleQuery(*rule.body, rule.head_vars, progs.input[i].get(), ctx));
-    options[rule.input] = std::move(tuples);
+        RunRuleQuery(*rule.body, rule.head_vars,
+                     tables.programs.input[i].get(), ctx));
+    options[tables.input_rule_slot[i]].second = std::move(tuples);
   }
   return options;
 }
@@ -207,6 +279,7 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::OptionsUnder(
 Successor Stepper::ErrorPageLoop(const ConfigView& node) const {
   Successor out;
   out.page = node.page;
+  out.page_id = error_page_id_;
   out.state = Part::Source(node.state);
   out.prev_inputs = Part::Prototype(&empty_prev_);
   out.actions = Part::Prototype(&empty_actions_);
@@ -221,6 +294,7 @@ Successor Stepper::ToErrorPage(const ConfigView& node, const Kappa* kappa,
   out.to_error = true;
   out.error_reason = std::move(reason);
   out.page = &service_->error_page();
+  out.page_id = error_page_id_;
   out.state = Part::Source(node.state);  // carried unchanged
   out.prev_inputs = Part::Prototype(&empty_prev_);
   out.actions = Part::Prototype(&empty_actions_);
@@ -282,7 +356,7 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
       return Status::InvalidArgument("no value provided for input constant " +
                                      c);
     }
-    kappa[c] = it->second;
+    kappa.Set(InternName(c), it->second);
   }
 
   // Validate the relation picks against the options and the
@@ -339,30 +413,48 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
                                          const PageSchema& page,
                                          const Kappa* kappa,
                                          const UserChoice& choice) const {
+  ResolvedChoice resolved;
+  for (const auto& [rel, pick] : choice.relation_choices) {
+    CountNameLookup();
+    resolved.relations.emplace_back(InternName(rel),
+                                    pick.has_value() ? &*pick : nullptr);
+  }
+  for (const auto& [prop, truth] : choice.proposition_choices) {
+    CountNameLookup();
+    resolved.propositions.emplace_back(InternName(prop), truth);
+  }
+  return ApplyChoice(node, page, kappa, resolved);
+}
+
+StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
+                                         const PageSchema& page,
+                                         const Kappa* kappa,
+                                         const ResolvedChoice& choice) const {
+  const PageTables& tables = TablesOf(page);
   Successor out;
   // Assemble the input instance I_i; it is the empty prototype unless
   // something is picked, some proposition is true, or the page records a
   // constant in it.
-  bool any_input = !page.input_constants.empty();
-  for (const auto& [rel, pick] : choice.relation_choices) {
-    any_input = any_input || pick.has_value();
+  bool any_input = !tables.input_constants.empty();
+  for (const auto& [rel, pick] : choice.relations) {
+    any_input = any_input || pick != nullptr;
   }
-  for (const auto& [prop, truth] : choice.proposition_choices) {
+  for (const auto& [prop, truth] : choice.propositions) {
     any_input = any_input || truth;
   }
   if (any_input) {
     Instance built = empty_inputs_;
-    for (const auto& [rel, pick] : choice.relation_choices) {
-      if (!pick.has_value()) continue;
+    for (const auto& [rel, pick] : choice.relations) {
+      if (pick == nullptr) continue;
       built.MutableRelation(rel)->Insert(*pick);
       for (Value v : *pick) built.AddDomainValue(v);
     }
-    for (const auto& [prop, truth] : choice.proposition_choices) {
+    for (const auto& [prop, truth] : choice.propositions) {
       built.MutableRelation(prop)->SetBool(truth);
     }
     // Record the constants provided at this step in I_i for the trace.
-    for (const std::string& c : page.input_constants) {
-      built.SetConstant(c, kappa->at(c));
+    for (NameId c : tables.input_constants) {
+      built.SetConstant(c, *kappa->Find(c));
     }
     out.inputs = Part::Built(std::move(built));
   } else {
@@ -371,41 +463,51 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   const Instance& inputs = out.inputs.get();
 
   EvalContext ctx = MakeContext(node, *kappa, &inputs);
-  const PagePrograms& progs = ProgramsOf(page);
+  const PagePrograms& progs = tables.programs;
 
   // Target rules; condition (iii) fires on ambiguity.
-  std::vector<const std::string*> true_targets;
+  std::vector<size_t> true_targets;
   for (size_t i = 0; i < page.target_rules.size(); ++i) {
     const TargetRule& rule = page.target_rules[i];
     WSV_ASSIGN_OR_RETURN(bool fired,
                          RunRule(*rule.body, progs.target[i].get(), ctx));
-    if (fired) true_targets.push_back(&rule.target);
+    if (fired) true_targets.push_back(i);
   }
   if (true_targets.size() > 1) {
     return ToErrorPage(node, kappa,
-                       "ambiguous targets: " + *true_targets[0] + " and " +
-                           *true_targets[1] + " (condition iii)");
+                       "ambiguous targets: " +
+                           page.target_rules[true_targets[0]].target +
+                           " and " + page.target_rules[true_targets[1]].target +
+                           " (condition iii)");
   }
 
-  out.page = true_targets.empty() ? node.page : true_targets.front();
+  if (true_targets.empty()) {
+    out.page = node.page;
+    out.page_id = tables.name;
+  } else {
+    out.page = &page.target_rules[true_targets.front()].target;
+    out.page_id = tables.target_rule_page[true_targets.front()];
+  }
   out.kappa = kappa;
 
   // State update: S' = (ins \ del) ∪ (S ∩ ins ∩ del) ∪ (S \ (ins ∪ del)),
   // per state relation with rules on this page; others carry unchanged.
   // The source state is copied only once some relation actually changes.
-  std::map<std::string, std::pair<std::set<Tuple>, std::set<Tuple>>> updates;
+  std::vector<std::pair<std::set<Tuple>, std::set<Tuple>>> updates(
+      tables.updated_states.size());
   for (size_t i = 0; i < page.state_rules.size(); ++i) {
     const StateRule& rule = page.state_rules[i];
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
         RunRuleQuery(*rule.body, rule.head_vars, progs.state[i].get(), ctx));
-    auto& [ins, del] = updates[rule.state];
+    auto& [ins, del] = updates[tables.state_rule_slot[i]];
     (rule.insert ? ins : del) = std::move(tuples);
   }
   Instance state;
   bool state_changed = false;
-  for (const auto& [state_name, insdel] : updates) {
-    const auto& [ins, del] = insdel;
+  for (size_t k = 0; k < updates.size(); ++k) {
+    const NameId state_name = tables.updated_states[k];
+    const auto& [ins, del] = updates[k];
     const Relation* old = node.state->FindRelation(state_name);
     if (old == nullptr) continue;  // every state relation is materialized
     Relation updated(old->arity());
@@ -447,7 +549,7 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
       actions = empty_actions_;
       any_action = true;
     }
-    Relation* rel = actions.MutableRelation(rule.action);
+    Relation* rel = actions.MutableRelation(tables.action_rule_relation[i]);
     for (const Tuple& t : tuples) {
       rel->Insert(t);
       for (Value v : t) actions.AddDomainValue(v);
@@ -462,7 +564,7 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   const Instance& prev_base = lossless_input_ ? *node.prev_inputs : empty_prev_;
   Instance prev;
   bool prev_changed = false;
-  for (const std::string& in : page.inputs) {
+  for (NameId in : tables.inputs) {
     const Relation* cur = inputs.FindRelation(in);
     const Relation* before = prev_base.FindRelation(in);
     if (cur == nullptr || before == nullptr) continue;  // untracked Prev_I

@@ -52,8 +52,10 @@ struct StepOutcome {
 
 /// One instance part of a successor node as the apply core produced it:
 /// the source node's own instance, one of the stepper's empty prototypes,
-/// or a newly built instance. Only a built part owns its instance; the
-/// other two point at instances that outlive the successor. The
+/// or a newly built instance. Only a built part owns its instance (held
+/// in an optional, so moving or destroying the other two touches no
+/// instance); the other two point at instances that outlive the
+/// successor. The
 /// configuration graph interns a part by its origin (DESIGN.md §6h).
 class Part {
  public:
@@ -68,18 +70,18 @@ class Part {
   }
   static Part Built(Instance inst) {
     Part part(Origin::kBuilt, nullptr);
-    part.built_ = std::move(inst);
+    part.built_.emplace(std::move(inst));
     return part;
   }
 
   Origin origin() const { return origin_; }
   const Instance& get() const {
-    return origin_ == Origin::kBuilt ? built_ : *ref_;
+    return origin_ == Origin::kBuilt ? *built_ : *ref_;
   }
   /// The instance as an owning value: moved out of a built part, copied
   /// otherwise. The part must not be read afterwards.
   Instance Release() {
-    return origin_ == Origin::kBuilt ? std::move(built_) : *ref_;
+    return origin_ == Origin::kBuilt ? std::move(*built_) : *ref_;
   }
 
  private:
@@ -87,7 +89,7 @@ class Part {
 
   Origin origin_ = Origin::kPrototype;
   const Instance* ref_ = nullptr;
-  Instance built_;
+  std::optional<Instance> built_;
 };
 
 /// One successor as the apply core builds it: the successor node's parts
@@ -98,6 +100,8 @@ class Part {
 /// owns, or the kappa the caller passed in.
 struct Successor {
   const std::string* page = nullptr;
+  /// `page` interned.
+  NameId page_id = kNoName;
   Part state;
   Part prev_inputs;
   Part actions;
@@ -106,6 +110,21 @@ struct Successor {
   bool to_error = false;
   std::string error_reason;
 };
+
+/// A user choice with its relation and proposition names resolved to
+/// ids: the form the apply core reads. `relations` holds one entry per
+/// offered relation with its pick (nullptr: no pick), `propositions` one
+/// per propositional input with its truth value. The picked tuples are
+/// the caller's and must outlive the ApplyChoice call.
+struct ResolvedChoice {
+  std::vector<std::pair<NameId, const Tuple*>> relations;
+  std::vector<std::pair<NameId, bool>> propositions;
+};
+
+/// The options of a page's positive-arity input relations under one
+/// kappa: per input relation with rules on the page, in name order, the
+/// tuples its rules offer (the last rule of a relation wins).
+using InputOptions = std::vector<std::pair<NameId, std::set<Tuple>>>;
 
 class Stepper {
  public:
@@ -142,6 +161,9 @@ class Stepper {
   /// regardless of the user's choice (conditions (i) and (ii)); nullopt
   /// otherwise. Always nullopt on the error page itself.
   std::optional<std::string> StaticError(const ConfigView& node) const;
+  /// The same for a node known to be on `page`, one of service().pages().
+  std::optional<std::string> StaticError(const ConfigView& node,
+                                         const PageSchema& page) const;
 
   /// Options for each positive-arity input relation offered by the
   /// current page, computed over D, S_i, P_i, and kappa_i (which includes
@@ -154,6 +176,11 @@ class Stepper {
   /// for each constant the page requests.
   StatusOr<std::map<std::string, std::set<Tuple>>> OptionsUnder(
       const ConfigView& node, const Kappa& kappa) const;
+  /// OptionsUnder for a node known to be on `page`, one of
+  /// service().pages(), keyed by id.
+  StatusOr<InputOptions> OptionsOn(const ConfigView& node,
+                                   const PageSchema& page,
+                                   const Kappa& kappa) const;
 
   /// Applies one step. The choice must supply a value for exactly the
   /// input constants the page requests, and relation picks must be among
@@ -188,10 +215,29 @@ class Stepper {
   /// would return; its parts may point into `node` and at `*kappa`.
   StatusOr<Successor> ApplyChoice(const ConfigView& node,
                                   const PageSchema& page, const Kappa* kappa,
+                                  const ResolvedChoice& choice) const;
+  /// The same with the choice given by names, resolved first.
+  StatusOr<Successor> ApplyChoice(const ConfigView& node,
+                                  const PageSchema& page, const Kappa* kappa,
                                   const UserChoice& choice) const;
 
   const WebService& service() const { return *service_; }
   const Instance& database() const { return *database_; }
+
+  /// The page schema with interned name `page`; nullptr for the error
+  /// page or an unknown name.
+  const PageSchema* FindPage(NameId page) const;
+  /// Interned names of the home and error pages.
+  NameId home_page_id() const { return home_page_id_; }
+  NameId error_page_id() const { return error_page_id_; }
+  /// The input constants `page` requests and its propositional inputs,
+  /// interned, in the page's declaration order.
+  const std::vector<NameId>& InputConstantIds(const PageSchema& page) const {
+    return TablesOf(page).input_constants;
+  }
+  const std::vector<NameId>& PropositionIds(const PageSchema& page) const {
+    return TablesOf(page).propositions;
+  }
 
  private:
   /// A rule whose body mentions input constants, and those constants in
@@ -200,7 +246,7 @@ class Stepper {
     enum class Kind { kInput, kState, kAction, kTarget };
     Kind kind;
     size_t rule;  // index into the page's rules of `kind`
-    std::vector<std::string> constants;
+    std::vector<NameId> constants;
   };
 
   /// Each rule body's compiled program, parallel to the page's rules of
@@ -211,14 +257,37 @@ class Stepper {
         target;
   };
 
+  /// One page's names resolved to ids once, at construction: what the
+  /// apply core and the node-level checks read instead of the page's
+  /// name strings.
+  struct PageTables {
+    NameId name = kNoName;
+    std::vector<NameId> inputs;           // page.inputs
+    std::vector<NameId> input_constants;  // page.input_constants
+    std::vector<NameId> propositions;     // arity-0 inputs, page order
+    /// Input relations with rules, in name order, and each input rule's
+    /// index into them.
+    std::vector<NameId> option_relations;
+    std::vector<size_t> input_rule_slot;
+    /// State relations with rules, in name order, and each state rule's
+    /// index into them.
+    std::vector<NameId> updated_states;
+    std::vector<size_t> state_rule_slot;
+    std::vector<NameId> action_rule_relation;  // per action rule
+    std::vector<NameId> target_rule_page;      // per target rule
+    /// Condition (i)'s rules, in the order it checks them.
+    std::vector<RuleConstants> rule_constants;
+    PagePrograms programs;
+  };
+
   /// EvalContext over D, S_i, P_i, kappa; optionally the current inputs.
   /// `kappa` is bound by pointer and must outlive the context.
   EvalContext MakeContext(const ConfigView& node, const Kappa& kappa,
                           const Instance* current_inputs) const;
 
-  /// The programs of `page`, which must be one of service().pages().
-  const PagePrograms& ProgramsOf(const PageSchema& page) const {
-    return programs_[static_cast<size_t>(&page - service_->pages().data())];
+  /// The tables of `page`, which must be one of service().pages().
+  const PageTables& TablesOf(const PageSchema& page) const {
+    return tables_[static_cast<size_t>(&page - service_->pages().data())];
   }
 
   /// Wraps a successor of `config` into the StepOutcome Step returns.
@@ -231,11 +300,10 @@ class Stepper {
   /// Held as the domain of an instance without relations or constants,
   /// so a context adds them as one layer instead of value by value.
   Instance rule_literals_;
-  /// Per page, parallel to service().pages(), in the order condition (i)
-  /// checks rules: input, state, action, then target rules.
-  std::vector<std::vector<RuleConstants>> rule_constants_;
   /// Per page, parallel to service().pages().
-  std::vector<PagePrograms> programs_;
+  std::vector<PageTables> tables_;
+  NameId home_page_id_ = kNoName;
+  NameId error_page_id_ = kNoName;
   /// Input relations whose previous value is kept in configurations;
   /// nullopt means all.
   std::optional<std::set<std::string>> tracked_prev_;

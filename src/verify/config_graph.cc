@@ -25,18 +25,13 @@ struct EdgeKeyHash {
 constexpr uint64_t kIndexEntryBytes = 4 * sizeof(void*);
 
 uint64_t KappaBytes(const Kappa& kappa) {
-  uint64_t bytes = sizeof(Kappa);
-  for (const auto& [name, v] : kappa) {
-    bytes += kIndexEntryBytes + sizeof(std::string) + name.capacity() +
-             sizeof(Value);
-  }
-  return bytes;
+  return sizeof(Kappa) + kappa.size() * sizeof(Kappa::Entry);
 }
 
 size_t KappaHash(const Kappa& kappa) {
   size_t h = 0;
-  for (const auto& [name, v] : kappa) {
-    h = HashCombine(h, std::hash<std::string>()(name));
+  for (const auto& [name, v] : kappa.entries()) {
+    h = HashCombine(h, NameHash(name));
     h = HashCombine(h, ValueHash()(v));
   }
   return h;
@@ -93,10 +88,22 @@ const Kappa* ConfigStore::Intern(Kappa kappa) {
   return stored;
 }
 
-const std::string* ConfigStore::InternPage(const std::string& page) {
+const std::string* ConfigStore::InternPage(NameId page) {
+  for (const auto& [id, stored] : pages_) {
+    if (id == page) return stored;
+  }
+  const std::string* stored = &page_names_.emplace_back(NameOf(page));
+  pages_.emplace_back(page, stored);
+  bytes_ += sizeof(std::string) + stored->capacity() + kIndexEntryBytes;
+  return stored;
+}
+
+const std::string* ConfigStore::InternReason(std::string reason) {
+  static const std::string* const kNoReason = new std::string();
+  if (reason.empty()) return kNoReason;
+  const size_t hash = std::hash<std::string>()(reason);
   bool added = false;
-  const std::string* stored =
-      pages_.Intern(page, std::hash<std::string>()(page), &added);
+  const std::string* stored = reasons_.Intern(std::move(reason), hash, &added);
   if (added) {
     bytes_ += sizeof(std::string) + stored->capacity() + kIndexEntryBytes;
   }
@@ -108,6 +115,7 @@ TraceView ConfigGraph::View(int e) const {
   const ConfigView& from = nodes[static_cast<size_t>(edge.from)];
   TraceView view;
   view.page = from.page;
+  view.page_id = page_ids[static_cast<size_t>(edge.from)];
   view.state = from.state;
   view.inputs = edge.inputs;
   view.prev_inputs = from.prev_inputs;
@@ -167,33 +175,30 @@ class SuccessorEnumerator {
         store_(store),
         node_(node),
         page_(page),
+        constants_(stepper.InputConstantIds(page)),
         constant_pool_(constant_pool),
         emit_(std::move(emit)) {
-    for (const std::string& in : page.inputs) {
-      const RelationSymbol* sym = stepper.service().vocab().FindRelation(in);
-      if (sym != nullptr && sym->arity == 0) props_.push_back(in);
+    for (NameId prop : stepper.PropositionIds(page)) {
+      choice_.propositions.emplace_back(prop, false);
     }
   }
 
   Status Run() {
-    std::map<std::string, Value> chosen;
-    return EnumerateConstants(0, chosen);
+    chosen_.resize(constants_.size());
+    return EnumerateConstants(0);
   }
 
  private:
-  using Alternatives =
-      std::vector<std::pair<std::string, std::vector<std::optional<Tuple>>>>;
-
-  Status EnumerateConstants(size_t idx, std::map<std::string, Value>& chosen) {
-    if (idx < page_.input_constants.size()) {
+  Status EnumerateConstants(size_t idx) {
+    if (idx < constants_.size()) {
       if (constant_pool_.empty()) {
         return Status::InvalidArgument(
             "page " + page_.name + " requests input constants but the "
             "candidate constant pool is empty");
       }
       for (Value v : constant_pool_) {
-        chosen[page_.input_constants[idx]] = v;
-        WSV_RETURN_IF_ERROR(EnumerateConstants(idx + 1, chosen));
+        chosen_[idx] = v;
+        WSV_RETURN_IF_ERROR(EnumerateConstants(idx + 1));
       }
       return Status::OK();
     }
@@ -201,47 +206,48 @@ class SuccessorEnumerator {
     // none, else one interned map per binding. Compute options once, then
     // enumerate relation picks and proposition values.
     const Kappa* kappa = node_.kappa;
-    if (!chosen.empty()) {
+    if (!constants_.empty()) {
       Kappa extended = *node_.kappa;
-      for (const auto& [name, v] : chosen) extended[name] = v;
+      for (size_t i = 0; i < constants_.size(); ++i) {
+        extended.Set(constants_[i], chosen_[i]);
+      }
       kappa = store_.Intern(std::move(extended));
     }
-    WSV_ASSIGN_OR_RETURN(auto options, stepper_.OptionsUnder(node_, *kappa));
-    UserChoice choice;
-    Alternatives rel_alternatives;
+    WSV_ASSIGN_OR_RETURN(InputOptions options,
+                         stepper_.OptionsOn(node_, page_, *kappa));
+    choice_.relations.clear();
     for (const auto& [rel, tuples] : options) {
-      std::vector<std::optional<Tuple>> alts;
-      alts.reserve(tuples.size() + 1);
-      alts.push_back(std::nullopt);
-      for (const Tuple& t : tuples) alts.push_back(t);
-      rel_alternatives.emplace_back(rel, std::move(alts));
+      choice_.relations.emplace_back(rel, nullptr);
     }
-    return EnumeratePicks(rel_alternatives, 0, 0, kappa, choice);
+    return EnumeratePicks(options, 0, 0, kappa);
   }
 
-  Status EnumeratePicks(const Alternatives& rels, size_t rel_idx,
-                        size_t prop_idx, const Kappa* kappa,
-                        UserChoice& choice) {
-    if (rel_idx < rels.size()) {
-      for (const std::optional<Tuple>& alt : rels[rel_idx].second) {
-        choice.relation_choices[rels[rel_idx].first] = alt;
+  // Per offered relation no pick, then each option; then per
+  // proposition false, then true.
+  Status EnumeratePicks(const InputOptions& options, size_t rel_idx,
+                        size_t prop_idx, const Kappa* kappa) {
+    if (rel_idx < options.size()) {
+      const Tuple*& pick = choice_.relations[rel_idx].second;
+      pick = nullptr;
+      WSV_RETURN_IF_ERROR(
+          EnumeratePicks(options, rel_idx + 1, prop_idx, kappa));
+      for (const Tuple& t : options[rel_idx].second) {
+        pick = &t;
         WSV_RETURN_IF_ERROR(
-            EnumeratePicks(rels, rel_idx + 1, prop_idx, kappa, choice));
+            EnumeratePicks(options, rel_idx + 1, prop_idx, kappa));
       }
-      choice.relation_choices.erase(rels[rel_idx].first);
       return Status::OK();
     }
-    if (prop_idx < props_.size()) {
+    if (prop_idx < choice_.propositions.size()) {
       for (bool b : {false, true}) {
-        choice.proposition_choices[props_[prop_idx]] = b;
+        choice_.propositions[prop_idx].second = b;
         WSV_RETURN_IF_ERROR(
-            EnumeratePicks(rels, rel_idx, prop_idx + 1, kappa, choice));
+            EnumeratePicks(options, rel_idx, prop_idx + 1, kappa));
       }
-      choice.proposition_choices.erase(props_[prop_idx]);
       return Status::OK();
     }
     WSV_ASSIGN_OR_RETURN(Successor succ,
-                         stepper_.ApplyChoice(node_, page_, kappa, choice));
+                         stepper_.ApplyChoice(node_, page_, kappa, choice_));
     return emit_(succ);
   }
 
@@ -249,9 +255,11 @@ class SuccessorEnumerator {
   ConfigStore& store_;
   const ConfigView node_;
   const PageSchema& page_;
+  const std::vector<NameId>& constants_;  // the page's input constants
   const std::vector<Value>& constant_pool_;
   const Emit emit_;
-  std::vector<std::string> props_;  // the page's propositional inputs
+  std::vector<Value> chosen_;  // a value per input constant
+  ResolvedChoice choice_;      // the choice being enumerated
 };
 
 }  // namespace
@@ -270,12 +278,13 @@ LazyConfigGraph::LazyConfigGraph(const Stepper* stepper,
   // empty kappa; they are interned like any other part.
   const ConfigView initial = stepper_->InitialView();
   ConfigStore& store = *graph_.store;
-  graph_.initial = InternView(ConfigView(
-      store.InternPage(*initial.page),
-      store.Intern(Part::Prototype(initial.state)),
-      store.Intern(Part::Prototype(initial.prev_inputs)),
-      store.Intern(Part::Prototype(initial.actions)),
-      store.Intern(*initial.kappa)));
+  graph_.initial = InternView(
+      ConfigView(store.InternPage(stepper_->home_page_id()),
+                 store.Intern(Part::Prototype(initial.state)),
+                 store.Intern(Part::Prototype(initial.prev_inputs)),
+                 store.Intern(Part::Prototype(initial.actions)),
+                 store.Intern(*initial.kappa)),
+      stepper_->home_page_id());
 }
 
 LazyConfigGraph::~LazyConfigGraph() {
@@ -300,17 +309,20 @@ void LazyConfigGraph::AccountBytes(uint64_t fixed_bytes) {
 
 int LazyConfigGraph::InternNode(Successor& succ, const ConfigView& source) {
   ConfigStore& store = *graph_.store;
-  return InternView(ConfigView(
-      succ.page == source.page ? source.page : store.InternPage(*succ.page),
-      store.Intern(std::move(succ.state)),
-      store.Intern(std::move(succ.prev_inputs)),
-      store.Intern(std::move(succ.actions)),
-      // A successor's kappa is the source's or a per-binding map the
-      // enumerator interned.
-      succ.kappa));
+  return InternView(
+      ConfigView(
+          succ.page == source.page ? source.page
+                                   : store.InternPage(succ.page_id),
+          store.Intern(std::move(succ.state)),
+          store.Intern(std::move(succ.prev_inputs)),
+          store.Intern(std::move(succ.actions)),
+          // A successor's kappa is the source's or a per-binding map the
+          // enumerator interned.
+          succ.kappa),
+      succ.page_id);
 }
 
-int LazyConfigGraph::InternView(const ConfigView& node) {
+int LazyConfigGraph::InternView(const ConfigView& node, NameId page_id) {
   auto [it, added] =
       node_index_.try_emplace(node, static_cast<int>(graph_.nodes.size()));
   if (!added) {
@@ -319,11 +331,13 @@ int LazyConfigGraph::InternView(const ConfigView& node) {
   }
   WSV_COUNT1("config_graph/nodes");
   graph_.nodes.push_back(node);
+  graph_.page_ids.push_back(page_id);
   graph_.out_edges.emplace_back();
   expanded_.push_back(0);
-  // The node's pointers, its out-edge list, expansion flag and index entry.
-  AccountBytes(sizeof(ConfigView) + sizeof(std::vector<int>) + sizeof(char) +
-               kIndexEntryBytes);
+  // The node's pointers and page, its out-edge list, expansion flag and
+  // index entry.
+  AccountBytes(sizeof(ConfigView) + sizeof(NameId) + sizeof(std::vector<int>) +
+               sizeof(char) + kIndexEntryBytes);
   return it->second;
 }
 
@@ -362,27 +376,28 @@ Status LazyConfigGraph::ExpandNode(int v) {
     edge.to = to;
     edge.inputs = inputs;
     edge.to_error = succ.to_error;
-    edge.error_reason = std::move(succ.error_reason);
+    edge.error_reason =
+        graph_.store->InternReason(std::move(succ.error_reason));
     graph_.out_edges[static_cast<size_t>(v)].push_back(
         static_cast<int>(graph_.edges.size() - 1));
-    // The edge, its reason text and its out-edge list slot.
-    AccountBytes(sizeof(ConfigGraph::Edge) + edge.error_reason.capacity() +
-                 sizeof(int));
+    // The edge and its out-edge list slot (the reason text is the store's).
+    AccountBytes(sizeof(ConfigGraph::Edge) + sizeof(int));
     return Status::OK();
   };
 
-  const WebService& service = stepper_->service();
-  if (*current.page == service.error_page()) {
+  const NameId page_id = graph_.page_ids[static_cast<size_t>(v)];
+  if (page_id == stepper_->error_page_id()) {
     Successor loop = stepper_->ErrorPageLoop(current);
     return add_edge(loop);
   }
-  const PageSchema* page = service.FindPage(*current.page);
+  const PageSchema* page = stepper_->FindPage(page_id);
   if (page == nullptr) {
     return Status::NotFound("unknown page " + *current.page);
   }
   // Conditions (i) and (ii) are checked once per node: exactly one
   // successor, the choice ignored.
-  if (std::optional<std::string> err = stepper_->StaticError(current)) {
+  if (std::optional<std::string> err =
+          stepper_->StaticError(current, *page)) {
     Successor to_error =
         stepper_->ToErrorPage(current, current.kappa, std::move(*err));
     return add_edge(to_error);

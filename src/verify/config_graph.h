@@ -46,8 +46,9 @@ struct ConfigGraphOptions {
 };
 
 /// The hash-consed store of one configuration graph (DESIGN.md §6h): every
-/// distinct instance (state, prev, actions or edge inputs), kappa map and
-/// page name the graph's nodes and edges refer to, held once. Interning
+/// distinct instance (state, prev, actions or edge inputs), kappa map,
+/// page name and error reason the graph's nodes and edges refer to, held
+/// once. Interning
 /// returns the stored copy's address, so equal parts have equal addresses
 /// and nodes hash and compare as pointers. Nothing stored moves or dies
 /// before the store: entries live in deques, and a graph holds its store
@@ -65,7 +66,11 @@ class ConfigStore {
   /// stored only if new.
   const Instance* Intern(Part part);
   const Kappa* Intern(Kappa kappa);
-  const std::string* InternPage(const std::string& page);
+  /// The stored name of the page interned as `page`.
+  const std::string* InternPage(NameId page);
+  /// The stored copy of an error reason; "" for an edge that does not
+  /// enter the error page.
+  const std::string* InternReason(std::string reason);
 
   /// Estimated heap bytes of everything stored, each part counted once.
   uint64_t bytes() const { return bytes_; }
@@ -89,7 +94,10 @@ class ConfigStore {
 
   Pool<Instance> instances_;
   Pool<Kappa> kappas_;
-  Pool<std::string> pages_;
+  Pool<std::string> reasons_;
+  /// Stored page names, few per graph: interned name -> stored copy.
+  std::deque<std::string> page_names_;
+  std::vector<std::pair<NameId, const std::string*>> pages_;
   /// Stepper prototypes already interned: prototype address -> stored copy.
   std::vector<std::pair<const Instance*, const Instance*>> prototypes_;
   uint64_t bytes_ = 0;
@@ -105,13 +113,17 @@ struct ConfigGraph {
     int to = 0;
     const Instance* inputs = nullptr;
     bool to_error = false;
-    std::string error_reason;
+    /// Why the edge enters the error page, stored once in the store
+    /// (never null; "" when !to_error).
+    const std::string* error_reason = nullptr;
   };
 
   /// The store every node and edge points into.
   std::unique_ptr<ConfigStore> store = std::make_unique<ConfigStore>();
   /// Node v's parts; structurally distinct nodes have distinct views.
   std::vector<ConfigView> nodes;
+  /// Node v's page, interned; parallel to `nodes`.
+  std::vector<NameId> page_ids;
   std::vector<Edge> edges;
   /// out_edges[v] indexes into `edges`.
   std::vector<std::vector<int>> out_edges;
@@ -190,8 +202,9 @@ class LazyConfigGraph {
   /// the node to graph_.nodes if new. `source` is the node the successor
   /// was stepped from (its parts are stored already).
   int InternNode(Successor& succ, const ConfigView& source);
-  /// The id of `node`, whose parts are stored, appending it if new.
-  int InternView(const ConfigView& node);
+  /// The id of `node`, whose parts are stored and whose page is interned
+  /// as `page_id`, appending it if new.
+  int InternView(const ConfigView& node, NameId page_id);
   Status ExpandNode(int v);
   void MarkTruncated();
   /// Adds `fixed_bytes` of node or edge size to the footprint and

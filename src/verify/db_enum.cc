@@ -45,7 +45,9 @@ class DbEnumerator {
     domain_.assign(dom.begin(), dom.end());
     relations_ = service.vocab().RelationsOfKind(SymbolKind::kDatabase);
     for (const std::string& c : service.vocab().constants()) {
-      if (!service.vocab().IsInputConstant(c)) db_constants_.push_back(c);
+      if (!service.vocab().IsInputConstant(c)) {
+        db_constants_.push_back(InternName(c));
+      }
     }
   }
 
@@ -82,9 +84,9 @@ class DbEnumerator {
   StatusOr<bool> FillRelation(size_t rel_idx, Instance& current) {
     if (rel_idx == relations_.size()) return FillConstant(0, current);
     const RelationSymbol& sym = relations_[rel_idx];
-    WSV_RETURN_IF_ERROR(current.EnsureRelation(sym.name, sym.arity));
+    WSV_RETURN_IF_ERROR(current.EnsureRelation(sym.id, sym.arity));
     std::vector<Tuple> tuples = AllTuples(sym.arity);
-    Relation* rel = current.MutableRelation(sym.name);
+    Relation* rel = current.MutableRelation(sym.id);
     // Enumerate subsets up to the cap via choose-k recursion.
     std::vector<size_t> chosen;
     size_t cap = options_.max_tuples_per_relation < 0
@@ -145,7 +147,7 @@ class DbEnumerator {
     };
     Instance relabeled;
     for (Value v : current.domain()) relabeled.AddDomainValue(v);
-    for (const auto& [name, rel] : current.relations()) {
+    for (const auto& [name, rel] : current.relations().entries()) {
       (void)relabeled.EnsureRelation(name, rel.arity());
       Relation* out = relabeled.MutableRelation(name);
       Tuple mapped;
@@ -155,7 +157,7 @@ class DbEnumerator {
         out->Insert(mapped);
       }
     }
-    for (const auto& [name, v] : current.constants()) {
+    for (const auto& [name, v] : current.constants().entries()) {
       relabeled.SetConstant(name, map_value(v));
     }
     // Lexicographic instance order: relations (name-sorted maps compare
@@ -196,7 +198,7 @@ class DbEnumerator {
   /// The interchangeable anonymous values, in d0..dn order.
   std::vector<Value> fresh_;
   std::vector<RelationSymbol> relations_;
-  std::vector<std::string> db_constants_;
+  std::vector<NameId> db_constants_;
   uint64_t visited_ = 0;
 };
 

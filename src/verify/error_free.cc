@@ -64,7 +64,7 @@ StatusOr<bool> CheckOne(const WebService& service, const Instance& database,
 
   ErrorWitness witness;
   witness.database = database;
-  witness.reason = graph.edges[error_edge].error_reason;
+  witness.reason = *graph.edges[error_edge].error_reason;
   std::vector<int> edges{error_edge};
   for (int v = graph.edges[error_edge].from; in_edge[v] >= 0;
        v = graph.edges[in_edge[v]].from) {

@@ -388,7 +388,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   // parts never move, so it stays valid however the graph grows.
   struct {
     size_t edge = 0;
-    std::unique_ptr<StepContext> ctx;
+    std::optional<StepContext> ctx;
   } step_cache;
   std::vector<Value> rows;  // query answer scratch
 
@@ -399,9 +399,9 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     for (size_t e = from; e < n; ++e) {
       if (table.queried.Test(e)) continue;
       WSV_TIMER("ltl/leaf_eval_ns");
-      if (step_cache.ctx == nullptr || step_cache.edge != e) {
-        step_cache.ctx = std::make_unique<StepContext>(
-            graph.View(static_cast<int>(e)), *database_, *service_, *pages_);
+      if (!step_cache.ctx.has_value() || step_cache.edge != e) {
+        step_cache.ctx.emplace(graph.View(static_cast<int>(e)), *database_,
+                               *service_, *pages_);
         step_cache.edge = e;
       }
       WSV_ASSIGN_OR_RETURN(

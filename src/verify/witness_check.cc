@@ -19,7 +19,7 @@ Status StepMismatch(size_t i, const std::string& what,
       " mismatch\n  recorded: " + expect + "\n  replayed: " + got);
 }
 
-std::string KappaToString(const std::map<std::string, Value>& kappa) {
+std::string KappaToString(const Kappa& kappa) {
   std::string out = "{";
   for (const auto& [name, v] : kappa) {
     if (out.size() > 1) out += ", ";
@@ -47,14 +47,14 @@ StatusOr<UserChoice> ReconstructChoice(const Stepper& stepper,
                                    ": unknown page " + config.page);
   }
   for (const std::string& name : page->input_constants) {
-    auto it = step.kappa.find(name);
-    if (it == step.kappa.end()) {
+    const Value* v = step.kappa.Find(name);
+    if (v == nullptr) {
       return Status::InvalidArgument(
           "witness step " + std::to_string(i) + ": page " + page->name +
           " requests input constant " + name +
           " but the step's kappa does not provide it");
     }
-    choice.constant_values[name] = it->second;
+    choice.constant_values[name] = *v;
   }
   for (const std::string& in : page->inputs) {
     const RelationSymbol* sym = service.vocab().FindRelation(in);

@@ -522,6 +522,29 @@ TEST(VerifyCacheTest, KeyCoversSlicingAndSearchOptions) {
             slicing ? Outcome::kMiss : Outcome::kHit);
 }
 
+// Keys written by earlier builds must still hit: the request key and an
+// instance fingerprint with several relations and constants are pinned
+// to the values the name-keyed data layer computed, so a change to how
+// instances store or order their names cannot silently orphan on-disk
+// records.
+TEST(VerifyCacheTest, KeysMatchRecordsOfEarlierBuilds) {
+  Request r = MakeRequest(kSpec, "G(!CP | logged_in)");
+  r.options.enable_slice = true;
+  const RequestKey key =
+      MakeRequestKey(r.service, r.property, &r.db, r.options, /*jobs=*/1);
+  EXPECT_EQ(key.combined.ToHex(), "faef44e7b76b825d24e21639f22ec913");
+
+  Instance inst;
+  ASSERT_TRUE(inst.AddFact("zeta", {Value::Intern("z1")}).ok());
+  ASSERT_TRUE(
+      inst.AddFact("alpha", {Value::Intern("a1"), Value::Intern("a2")}).ok());
+  ASSERT_TRUE(inst.AddFact("mid", {}).ok());
+  inst.SetConstant("omega", Value::Intern("o"));
+  inst.SetConstant("beta", Value::Intern("b"));
+  EXPECT_EQ(FingerprintInstance(inst).ToHex(),
+            "97a5d546e42504aa894ed308f37f4118");
+}
+
 TEST(VerifyCacheTest, EditMigratesUnaffectedAndEvictsAffected) {
   VerifyCache cache(VerifyCache::Config{});
   Request un0 = MakeRequest(kSpec, "G(!CP | logged_in)");

@@ -137,15 +137,15 @@ TEST_F(FoEvalTest, GroundAtoms) {
 // A constant layer is read through its pointer: later changes to the map
 // show, SetConstant still overrides it, and its values join the domain.
 TEST_F(FoEvalTest, ConstantLayerIsReadThroughThePointer) {
-  std::map<std::string, Value> kappa = {{"name", Value::Intern("ann")},
-                                        {"password", Value::Intern("pw1")}};
+  NameMap<Value> kappa = {{"name", Value::Intern("ann")},
+                          {"password", Value::Intern("pw1")}};
   ctx_.SetConstantLayer(&kappa);
   EXPECT_TRUE(*Eval("user(name, password)"));
   ctx_.SetConstant("password", Value::Intern("wrong"));
   EXPECT_FALSE(*Eval("user(name, password)"));
   EvalContext layered;
   layered.AddLayer(&db_);
-  kappa["password"] = Value::Intern("fresh");
+  kappa.Set(InternName("password"), Value::Intern("fresh"));
   layered.SetConstantLayer(&kappa);
   EXPECT_EQ(layered.ResolveConstant("password"), Value::Intern("fresh"));
   const std::vector<Value>& dom = layered.ActiveDomain();
@@ -264,7 +264,7 @@ TEST(EvalContextTest, InActiveDomainMatchesActiveDomain) {
   state.AddDomainValue(val("st"));
   Instance prev;
   ASSERT_TRUE(prev.AddFact("button", {val("login")}).ok());
-  std::map<std::string, Value> kappa = {{"name", val("kap")}};
+  NameMap<Value> kappa = {{"name", val("kap")}};
   const std::vector<Value> probes = {val("ann"), val("pw1"),   val("st"),
                                      val("login"), val("kap"), val("ovr"),
                                      val("extra"), val("absent")};

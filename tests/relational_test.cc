@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "relational/instance.h"
+#include "relational/name.h"
 #include "relational/schema.h"
 #include "relational/value.h"
 
@@ -98,6 +105,86 @@ TEST(InstanceTest, StructuralComparison) {
   ASSERT_TRUE(b.AddFact("r", {Value::Intern("2")}).ok());
   EXPECT_FALSE(a == b);
   EXPECT_TRUE(a < b || b < a);
+}
+
+TEST(NameTest, InternFindAndHash) {
+  const NameId a = InternName("name_test_alpha");
+  EXPECT_EQ(InternName("name_test_alpha"), a);
+  EXPECT_EQ(FindName("name_test_alpha"), a);
+  EXPECT_EQ(FindName("name_test_never_interned"), kNoName);
+  EXPECT_EQ(NameOf(a), "name_test_alpha");
+  EXPECT_EQ(NameHash(a), std::hash<std::string>()("name_test_alpha"));
+}
+
+// A NameMap iterates, compares and orders exactly like the name-keyed
+// std::map it stands in for, whatever order names were interned in.
+TEST(NameTest, NameMapFollowsNameOrder) {
+  InternName("name_test_z");  // interned before "name_test_a"
+  NameMap<int> m = {{"name_test_z", 1}, {"name_test_a", 2},
+                    {"name_test_m", 3}};
+  std::map<std::string, int> ref = {
+      {"name_test_z", 1}, {"name_test_a", 2}, {"name_test_m", 3}};
+  std::vector<std::pair<std::string, int>> got, want(ref.begin(), ref.end());
+  for (const auto& [name, v] : m) got.emplace_back(name, v);
+  EXPECT_EQ(got, want);
+
+  NameMap<int> n = m;
+  n.Set(InternName("name_test_m"), 4);
+  std::map<std::string, int> ref_n = ref;
+  ref_n["name_test_m"] = 4;
+  EXPECT_FALSE(m == n);
+  EXPECT_EQ(m < n, ref < ref_n);
+  EXPECT_EQ(n < m, ref_n < ref);
+  NameMap<int> shorter = {{"name_test_a", 2}};
+  std::map<std::string, int> ref_shorter = {{"name_test_a", 2}};
+  EXPECT_EQ(shorter < m, ref_shorter < ref);
+  EXPECT_EQ(*m.Find(InternName("name_test_a")), 2);
+  EXPECT_EQ(m.Find(InternName("name_test_b")), nullptr);
+}
+
+// Absent and present-but-empty relations stay distinct.
+TEST(InstanceTest, AbsentRelationIsNotEmptyRelation) {
+  Instance inst;
+  ASSERT_TRUE(inst.EnsureRelation(InternName("r_empty"), 1).ok());
+  ASSERT_NE(inst.FindRelation(InternName("r_empty")), nullptr);
+  EXPECT_TRUE(inst.FindRelation(InternName("r_empty"))->empty());
+  EXPECT_EQ(inst.FindRelation(InternName("r_absent")), nullptr);
+  Instance other;
+  EXPECT_FALSE(inst == other);
+}
+
+// Concurrent sweeps intern and read names from several threads; every
+// thread must see one id per name and the name behind every id. Runs
+// under `ctest -L tsan`; the names cross a storage chunk boundary.
+TEST(NameTest, ConcurrentInterningAgrees) {
+  constexpr int kThreads = 4;
+  constexpr int kNames = 1500;
+  std::vector<std::vector<NameId>> ids(
+      kThreads, std::vector<NameId>(kNames, kNoName));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &ids] {
+      for (int i = 0; i < kNames; ++i) {
+        // Each thread starts at a different name.
+        const int k = (i + t * kNames / kThreads) % kNames;
+        const std::string name = "name_test_c" + std::to_string(k);
+        const NameId id = InternName(name);
+        ids[static_cast<size_t>(t)][static_cast<size_t>(k)] = id;
+        if (NameOf(id) != name) ADD_FAILURE() << name;
+        if (NameHash(id) != std::hash<std::string>()(name)) {
+          ADD_FAILURE() << name;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int k = 0; k < kNames; ++k) {
+    const NameId id = FindName("name_test_c" + std::to_string(k));
+    ASSERT_NE(id, kNoName);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(ids[static_cast<size_t>(t)][static_cast<size_t>(k)], id);
+    }
+  }
 }
 
 TEST(VocabularyTest, AddAndFind) {

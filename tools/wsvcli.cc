@@ -97,6 +97,7 @@
 // Parse and validation failures exit non-zero on every subcommand, with
 // annotated diagnostics on stderr rendered by the same engine as lint.
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <climits>
@@ -107,6 +108,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -232,7 +234,58 @@ struct Flags {
   /// Verify: accepting-lasso search strategy ("dfs", "directed");
   /// empty = the verifier default (dfs).
   std::string search;
+  /// Every flag given, by its name ("--search" also for "--search=X"),
+  /// in command-line order; checked against the subcommand's set.
+  std::vector<std::string> given;
 };
+
+// The flags each subcommand reads. A known flag given to a subcommand
+// that ignores it is a usage error, never a silent default. The FO
+// engine flags (--no-fo-bytecode, --step-budget) apply to every
+// subcommand that evaluates rules or properties.
+const std::vector<std::string>* AcceptedFlags(const std::string& cmd) {
+  static const auto* const kAccepted =
+      new std::map<std::string, std::vector<std::string>>{
+          {"validate", {}},
+          {"print", {}},
+          {"classify", {}},
+          {"run",
+           {"--steps", "--seed", "--pool", "--no-fo-bytecode",
+            "--step-budget"}},
+          {"check-errors",
+           {"--pool", "--fresh", "--no-fo-bytecode", "--step-budget"}},
+          {"verify",
+           {"--pool", "--fresh", "--unchecked", "--jobs", "--no-fo-bytecode",
+            "--stats", "--stats-json", "--trace-out", "--progress",
+            "--log-json", "--heartbeat", "--watchdog-deadline",
+            "--step-budget", "--cache-dir", "--label", "--no-slice",
+            "--search"}},
+          {"deps", {"--property", "--format"}},
+          {"replay",
+           {"--cache-dir", "--jobs", "--quiet", "--bench-json", "--stats",
+            "--stats-json", "--log-json", "--trace-out", "--no-fo-bytecode",
+            "--step-budget"}},
+          {"verify-ctl",
+           {"--pool", "--unchecked", "--no-fo-bytecode", "--step-budget"}},
+          {"lint", {"--format", "--werror"}},
+      };
+  auto it = kAccepted->find(cmd);
+  return it == kAccepted->end() ? nullptr : &it->second;
+}
+
+// Fails on the first given flag `cmd` does not read.
+Status CheckFlagsAccepted(const std::string& cmd, const Flags& flags) {
+  const std::vector<std::string>* accepted = AcceptedFlags(cmd);
+  if (accepted == nullptr) return Status::OK();  // unknown subcommand
+  for (const std::string& flag : flags.given) {
+    if (std::find(accepted->begin(), accepted->end(), flag) ==
+        accepted->end()) {
+      return Status::InvalidArgument("flag " + flag +
+                                     " is not accepted by " + cmd);
+    }
+  }
+  return Status::OK();
+}
 
 // A numeric flag value: the whole token must be one number in [lo, hi]
 // (no sign for unsigned flags, no leading blanks, no trailing garbage);
@@ -264,6 +317,9 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       WSV_ASSIGN_OR_RETURN(std::string v, next());
       return ParseNumberFlag(arg, v, lo, hi);
     };
+    if (StartsWith(arg, "--")) {
+      flags.given.push_back(arg.substr(0, arg.find('=')));
+    }
     if (arg == "--steps") {
       WSV_ASSIGN_OR_RETURN(flags.steps, number(0, INT_MAX));
     } else if (arg == "--seed") {
@@ -857,11 +913,13 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   auto flags = ParseFlags(argc, argv);
   if (!flags.ok()) return Fail(flags.status());
+  const std::string cmd = argv[1];
+  Status accepted = CheckFlagsAccepted(cmd, *flags);
+  if (!accepted.ok()) return Fail(accepted);
   if (flags->no_fo_bytecode) fobc::SetBytecodeEnabled(false);
   if (flags->step_budget >= 0) {
     fobc::SetStepBudget(static_cast<uint64_t>(flags->step_budget));
   }
-  std::string cmd = argv[1];
   if (cmd == "validate") return CmdValidate(*flags);
   if (cmd == "print") return CmdPrint(*flags);
   if (cmd == "classify") return CmdClassify(*flags);
