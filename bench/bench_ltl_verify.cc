@@ -11,9 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
-
 #include "gallery/gallery.h"
-#include "ws/spec_parser.h"
 #include "ltl/ltl_parser.h"
 #include "obs/report.h"
 #include "verify/error_free.h"
@@ -71,8 +69,6 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_slice_inputs_dropped", "slice/inputs_dropped");
   put("obs_slice_sliced", "slice/sliced");
   put("obs_slice_lasso_bailouts", "slice/lasso_bailouts");
-  // Search strategies: heuristic evaluations spent.
-  put("obs_search_heuristic_evals", "search/heuristic_evals");
   put("obs_name_lookups", "relational/name_lookups");
   uint64_t cone = snap.CounterValue("slice/cone_size");
   uint64_t dropped = snap.CounterValue("slice/relations_dropped");
@@ -116,18 +112,14 @@ void MergeObsCounters(benchmark::State& state) {
 
 // The _NoSlice row is the baseline for the cone-of-influence slicer: on
 // this VIOLATED property the sliced probe is pure overhead (the first
-// valuation already has a lasso), so the row bounds that overhead. The
-// _Directed row swaps the CVWY nested DFS for the Büchi-distance
-// best-first hunter — the A/B pair for the directed-search guard rule.
-void RunProperty1(benchmark::State& state, bool slice = true,
-                  const char* strategy = "dfs") {
+// valuation already has a lasso), so the row bounds that overhead.
+void RunProperty1(benchmark::State& state, bool slice = true) {
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();
   LtlVerifyOptions options;
   options.enable_slice = slice;
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
-  options.search.strategy = strategy;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))",
                                     &service.vocab());
@@ -153,86 +145,11 @@ void BM_Property1_Ecommerce_NoSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_Property1_Ecommerce_NoSlice)->Unit(benchmark::kMillisecond);
 
-void BM_Property1_Directed(benchmark::State& state) {
-  RunProperty1(state, /*slice=*/true, "directed");
-}
-BENCHMARK(BM_Property1_Directed)->Unit(benchmark::kMillisecond);
-
-// --- E2c: deep-lasso counterexample hunting. ---------------------------
-//
-// A decoy service built for the strategy A/B: the home page offers a
-// fan of "go" buttons leading into a long violation-free page chain,
-// plus one late-ordered "zz_bug" button leading to the violating sink.
-// CVWY explores successors in order, so it sweeps the whole decoy chain
-// before trying the bug button; the directed hunter pops the accepting
-// product state (Büchi distance 0) the moment it is discovered and
-// never walks the chain. The two rows are the A/B pair for the
-// directed-search budget rule.
-std::string DeepDecoySpecText(int fanout, int chain) {
-  std::string s =
-      "service DeepDecoy;\n\n"
-      "database user(uname);\n"
-      "input button(label);\n\n"
-      "page HP {\n  options button(x) :- ";
-  for (int i = 0; i < fanout; ++i) {
-    s += "x = \"go" + std::to_string(i) + "\" | ";
-  }
-  s += "x = \"zz_bug\";\n  target D0 :- ";
-  for (int i = 0; i < fanout; ++i) {
-    if (i > 0) s += " | ";
-    s += "button(\"go" + std::to_string(i) + "\")";
-  }
-  s += ";\n  target MP :- button(\"zz_bug\");\n}\n\n";
-  for (int j = 0; j < chain; ++j) {
-    s += "page D" + std::to_string(j) +
-         " {\n  options button(x) :- x = \"next\";\n  target D" +
-         std::to_string(j + 1) + " :- button(\"next\");\n}\n";
-  }
-  s += "page D" + std::to_string(chain) + " {\n}\n";
-  s += "page MP {\n}\n\nhome HP;\nerror ERR;\n";
-  return s;
-}
-
-void RunDeepLasso(benchmark::State& state, const char* strategy) {
-  WebService service =
-      std::move(ParseServiceSpec(DeepDecoySpecText(/*fanout=*/4,
-                                                   /*chain=*/40)))
-          .value();
-  Instance db;
-  Status st = db.AddFact("user", {V("alice")});
-  (void)st;
-  LtlVerifyOptions options;
-  options.search.strategy = strategy;
-  LtlVerifier verifier(&service, options);
-  auto prop = ParseTemporalProperty("G(!MP)", &service.vocab());
-  obs::ResetMetrics();
-  for (auto _ : state) {
-    auto r = verifier.VerifyOnDatabase(*prop, db);
-    if (!r.ok() || r->holds) {
-      state.SkipWithError("expected a violation");
-      return;
-    }
-  }
-  MergeObsCounters(state);
-  state.SetLabel("VIOLATED (bug button ordered after the decoy chain)");
-}
-
-void BM_DeepLasso_Dfs(benchmark::State& state) {
-  RunDeepLasso(state, "dfs");
-}
-BENCHMARK(BM_DeepLasso_Dfs)->Unit(benchmark::kMillisecond);
-
-void BM_DeepLasso_Directed(benchmark::State& state) {
-  RunDeepLasso(state, "directed");
-}
-BENCHMARK(BM_DeepLasso_Directed)->Unit(benchmark::kMillisecond);
-
 // Property 4 holds, so slicing pays off in full: the sliced graph alone
 // proves the absence of accepting lassos and the unsliced product is
 // never built. The _NoSlice row is the A/B baseline for the guard's
 // cone-reduction compare rules.
-void RunProperty4(benchmark::State& state, bool slice = true,
-                  const char* strategy = "dfs") {
+void RunProperty4(benchmark::State& state, bool slice = true) {
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();
   LtlVerifyOptions options;
@@ -240,7 +157,6 @@ void RunProperty4(benchmark::State& state, bool slice = true,
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.closure_candidates = {V("p1"), V("100"), V("alice")};
-  options.search.strategy = strategy;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty(
       "forall pid, price . ((UPP & payamount(price) & button(\"submit\") "
@@ -273,15 +189,6 @@ void BM_Property4_PayBeforeShip_NoSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_Property4_PayBeforeShip_NoSlice)->Unit(benchmark::kMillisecond);
 
-// Anti-inversion row: a HOLDS sweep has no lasso to hunt, so the
-// directed strategy must cost no extra product states over CVWY (both
-// exhaust the same product). Guarded at ratio <= 1.0.
-void BM_Property4_PayBeforeShip_Directed(benchmark::State& state) {
-  RunProperty4(state, /*slice=*/true, "directed");
-}
-BENCHMARK(BM_Property4_PayBeforeShip_Directed)
-    ->Unit(benchmark::kMillisecond);
-
 // --- E2b: the parallel engine, /jobs:1 vs /jobs:N. ---------------------
 //
 // The jobs:1 rows run the serial verifier (the parallel front end
@@ -290,8 +197,9 @@ BENCHMARK(BM_Property4_PayBeforeShip_Directed)
 // single-core host the rows coincide (modulo pool overhead).
 
 // Pay-before-ship on the fixed small database: 2 closure variables x 3
-// candidates = 9 valuations, chunked across workers over one shared
-// configuration graph. Also exercises the FO-leaf memo.
+// candidates = 9 valuations, chunked across workers; every chunk's
+// CheckValuations call builds its own configuration graph. Also
+// exercises the FO-leaf memo.
 void BM_Property4_PayBeforeShip_Jobs(benchmark::State& state) {
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();

@@ -1,39 +1,6 @@
 #include "automata/buchi.h"
 
-#include <queue>
-
 namespace wsv {
-
-std::vector<int> BuchiAutomaton::AcceptingDistance() const {
-  const int n = static_cast<int>(states.size());
-  if (accepting_sets.empty()) return std::vector<int>(n, 0);
-
-  std::vector<std::vector<int>> pred(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    for (int t : succ[static_cast<size_t>(s)]) {
-      pred[static_cast<size_t>(t)].push_back(s);
-    }
-  }
-  std::vector<int> dist(static_cast<size_t>(n), -1);
-  std::queue<int> q;
-  for (int s : accepting_sets.front()) {
-    if (s >= 0 && s < n && dist[static_cast<size_t>(s)] == -1) {
-      dist[static_cast<size_t>(s)] = 0;
-      q.push(s);
-    }
-  }
-  while (!q.empty()) {
-    int s = q.front();
-    q.pop();
-    for (int p : pred[static_cast<size_t>(s)]) {
-      if (dist[static_cast<size_t>(p)] == -1) {
-        dist[static_cast<size_t>(p)] = dist[static_cast<size_t>(s)] + 1;
-        q.push(p);
-      }
-    }
-  }
-  return dist;
-}
 
 BuchiAutomaton BuchiAutomaton::Degeneralize() const {
   BuchiAutomaton out;

@@ -43,19 +43,6 @@ class BuchiAutomaton {
   /// with exactly one accepting set.
   BuchiAutomaton Degeneralize() const;
 
-  /// Per state: length of the shortest transition path to a state of
-  /// accepting_sets.front() (0 for accepting states themselves), or -1
-  /// when no accepting state is reachable. Computed by one backward BFS
-  /// over the reversed transition relation. An empty accepting_sets
-  /// means "all runs accept", so every state gets distance 0.
-  ///
-  /// On the degeneralized automata the verifier searches, dist[q] is a
-  /// lower bound on the number of product steps any run from a product
-  /// vertex at q needs before reaching an accepting product vertex —
-  /// the admissible heuristic behind the "directed" search strategy —
-  /// and dist[q] == -1 states can never lie on an accepting lasso.
-  std::vector<int> AcceptingDistance() const;
-
   std::string ToString() const;
 };
 

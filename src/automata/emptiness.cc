@@ -45,7 +45,162 @@ std::vector<int> BfsPath(const std::vector<std::vector<int>>& succ,
   return {};
 }
 
+// Cooperative cancellation: polls `stop` once per
+// kCancellationPollInterval expansions.
+class CancelPoller {
+ public:
+  explicit CancelPoller(const std::function<bool()>& stop) : stop_(stop) {}
+  bool Cancelled() {
+    return stop_ && (++ops_ % kCancellationPollInterval) == 0 && stop_();
+  }
+
+ private:
+  const std::function<bool()>& stop_;
+  uint64_t ops_ = 0;
+};
+
+// CVWY nested DFS (FindLassoNestedDfs).
+class CvwyRun {
+ public:
+  CvwyRun(const SearchProblem& p, SearchStats& st)
+      : p_(p), st_(st), poll_(p.stop) {}
+
+  StatusOr<std::optional<Lasso>> Run() {
+    for (int root : p_.initial) {
+      Ensure(root);
+      if (color_[root] != kWhite) continue;
+      color_[root] = kCyan;
+      blue_stack_.push_back(root);
+      stack_pos_[root] = 0;
+      WSV_ASSIGN_OR_RETURN(const std::vector<int>* root_succs,
+                           p_.succ(root));
+      blue_.assign(1, Frame{root, root_succs, 0});
+      Visit();
+
+      while (!blue_.empty()) {
+        Frame& f = blue_.back();
+        if (f.child < f.succs->size()) {
+          int w = (*f.succs)[f.child++];
+          Ensure(w);
+          if (color_[w] != kWhite) continue;
+          if (poll_.Cancelled()) {
+            return Status::Cancelled("emptiness search cancelled");
+          }
+          color_[w] = kCyan;
+          stack_pos_[w] = static_cast<int>(blue_stack_.size());
+          blue_stack_.push_back(w);
+          WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, p_.succ(w));
+          blue_.push_back(Frame{w, w_succs, 0});
+          Visit();
+        } else {
+          // Post-order of v: accepting vertices seed the inner search
+          // while still cyan (the seed itself closing the cycle is the
+          // w == s case).
+          const int v = f.v;
+          if (p_.accepting(v)) {
+            WSV_ASSIGN_OR_RETURN(int w, RedDfs(v));
+            if (w != -1) return std::optional<Lasso>(Assemble(w));
+          }
+          color_[v] = p_.accepting(v) ? kRed : kBlue;
+          stack_pos_[v] = -1;
+          blue_stack_.pop_back();
+          blue_.pop_back();
+        }
+      }
+    }
+    return std::optional<Lasso>(std::nullopt);
+  }
+
+ private:
+  // CVWY colors. Invariants: cyan vertices are exactly the blue-DFS
+  // stack; blue vertices are fully explored and accepting-cycle-free so
+  // far; red vertices have been swept by some inner (red) DFS and never
+  // need re-sweeping — the red set persists across seeds, which is what
+  // makes the nested search linear.
+  enum : char { kWhite = 0, kCyan = 1, kBlue = 2, kRed = 3 };
+
+  struct Frame {
+    int v;
+    const std::vector<int>* succs;
+    size_t child;
+  };
+
+  void Ensure(int v) {
+    if (static_cast<size_t>(v) >= color_.size()) {
+      color_.resize(static_cast<size_t>(v) + 1, kWhite);
+      stack_pos_.resize(static_cast<size_t>(v) + 1, -1);
+    }
+  }
+
+  void Visit() {
+    st_.max_depth = std::max<uint64_t>(st_.max_depth, blue_stack_.size());
+  }
+
+  // The cycle was detected with the red DFS (frames in `red_`, seed on
+  // top of `blue_stack_`) reaching the cyan vertex `w`: assemble
+  //   prefix = blue stack (initial root .. seed s)
+  //   cycle  = s, red path minus its endpoints' duplicates, then the
+  //            blue-stack segment from w up to just below s.
+  Lasso Assemble(int w) {
+    Lasso lasso;
+    lasso.prefix = blue_stack_;
+    const int top = static_cast<int>(blue_stack_.size()) - 1;  // seed s
+    for (size_t i = 0; i < red_.size(); ++i) lasso.cycle.push_back(red_[i].v);
+    const int j = stack_pos_[w];
+    for (int i = j; i < top; ++i) lasso.cycle.push_back(blue_stack_[i]);
+    WSV_COUNT1("automata/lassos_found");
+    return lasso;
+  }
+
+  // Inner (red) DFS from the accepting seed on top of the blue stack.
+  // Returns the closing cyan vertex, -1 if no accepting cycle through
+  // the seed, or an error (cancellation / implicit-graph failure).
+  StatusOr<int> RedDfs(int s) {
+    WSV_ASSIGN_OR_RETURN(const std::vector<int>* s_succs, p_.succ(s));
+    red_.assign(1, Frame{s, s_succs, 0});
+    while (!red_.empty()) {
+      Frame& f = red_.back();
+      if (f.child < f.succs->size()) {
+        int w = (*f.succs)[f.child++];
+        Ensure(w);
+        if (color_[w] == kCyan) return w;  // cycle back into the blue stack
+        if (color_[w] == kRed) continue;
+        if (poll_.Cancelled()) {
+          return Status::Cancelled("emptiness search cancelled");
+        }
+        color_[w] = kRed;
+        WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, p_.succ(w));
+        red_.push_back(Frame{w, w_succs, 0});
+      } else {
+        red_.pop_back();
+      }
+    }
+    return -1;
+  }
+
+  const SearchProblem& p_;
+  SearchStats& st_;
+  CancelPoller poll_;
+
+  std::vector<char> color_;
+  // Position on the blue stack while cyan (-1 otherwise): turns the
+  // cycle-closing lookup at detection time into O(1).
+  std::vector<int> stack_pos_;
+  std::vector<int> blue_stack_;
+  std::vector<Frame> blue_;
+  std::vector<Frame> red_;
+};
+
 }  // namespace
+
+StatusOr<std::optional<Lasso>> FindLassoNestedDfs(const SearchProblem& problem,
+                                                  SearchStats* stats) {
+  WSV_SPAN("automata/emptiness");
+  WSV_TIMER("automata/emptiness_ns");
+  WSV_COUNT1("automata/emptiness_searches");
+  SearchStats local;
+  return CvwyRun(problem, stats != nullptr ? *stats : local).Run();
+}
 
 std::optional<Lasso> FindAcceptingLasso(
     const std::vector<std::vector<int>>& succ,

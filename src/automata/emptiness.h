@@ -1,18 +1,28 @@
-// Accepting-lasso search on explicit graphs, and the lasso contract the
-// on-the-fly strategies (automata/search_strategy.h) share.
+// Accepting-lasso search: the lasso contract, the CVWY nested DFS the
+// verifier runs over an implicit product graph, and an eager search
+// over explicit graphs.
+//
+// FindLassoNestedDfs is the CVWY nested DFS (Courcoubetis–Vardi–
+// Wolper–Yannakakis, the SPIN algorithm) over a graph whose vertices
+// the caller discovers lazily: first lasso in DFS order, linear time.
+// A red DFS from each accepting vertex's post-order hunts a cycle back
+// onto the blue stack. The on-the-fly verifier (verify/ltl_verifier.cc)
+// calls it once per product search.
 //
 // FindAcceptingLasso is eager, SCC-based (iterative Tarjan) over a fully
 // materialized graph: a Büchi-accepting run exists iff some SCC
 // reachable from an initial vertex contains an accepting vertex and a
-// cycle. A concrete lasso (prefix + cycle) is returned for
-// counterexample reporting. The verifier itself searches lazily
-// (search_strategy.h); this explicit-graph search backs the test-only
-// reference checker.
+// cycle. It backs the test-only reference checker.
+//
+// Both are sound and complete for lasso *existence* — they return a
+// lasso iff the reachable Büchi language is non-empty — which is all
+// Theorem 3.5 asks (DESIGN.md §6e).
 
 #ifndef WSV_AUTOMATA_EMPTINESS_H_
 #define WSV_AUTOMATA_EMPTINESS_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -20,10 +30,8 @@
 
 namespace wsv {
 
-/// How often cooperative cancellation is polled: every strategy that
-/// searches an implicit graph (automata/search_strategy.h) checks its
-/// `stop` hook once per this many vertex expansions. Shared so the
-/// cancellation-drain latency is uniform across strategies.
+/// How often cooperative cancellation is polled: FindLassoNestedDfs
+/// checks its `stop` hook once per this many vertex expansions.
 inline constexpr uint64_t kCancellationPollInterval = 64;
 
 /// A witness for non-emptiness: `prefix` leads from an initial vertex to
@@ -33,6 +41,34 @@ struct Lasso {
   std::vector<int> prefix;
   std::vector<int> cycle;
 };
+
+/// One emptiness query over an implicit graph whose vertex ids the
+/// caller assigns (typically by interning product states on first
+/// discovery). `succ(v)` must be memoizing (the search asks for a
+/// vertex's successors more than once) and the returned pointers must
+/// stay valid until the search ends; its errors (e.g. cancellation from
+/// a lazily expanded graph) abort the search. `stop` may be null.
+struct SearchProblem {
+  std::vector<int> initial;
+  std::function<StatusOr<const std::vector<int>*>(int)> succ;
+  std::function<bool(int)> accepting;
+  /// Cooperative cancellation, polled about every
+  /// kCancellationPollInterval expansions.
+  std::function<bool()> stop;
+};
+
+/// Work accounting for one search.
+struct SearchStats {
+  /// Deepest blue-DFS stack the search reached.
+  uint64_t max_depth = 0;
+};
+
+/// The CVWY nested DFS over `problem`: returns the first accepting lasso
+/// in DFS order (satisfying the Lasso contract), nullopt if the
+/// reachable language is empty, or Status::Cancelled when `stop` fires.
+/// `stats` may be null.
+StatusOr<std::optional<Lasso>> FindLassoNestedDfs(const SearchProblem& problem,
+                                                  SearchStats* stats);
 
 /// Finds an accepting lasso in the graph, or nullopt if the Büchi
 /// language is empty. `succ[v]` lists v's successors; `initial` and

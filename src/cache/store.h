@@ -1,7 +1,7 @@
 // Versioned binary records for the on-disk verification cache.
 //
-// Every artifact the cache persists — verdicts, spec snapshots, leaf
-// columns, the label registry — is one file holding one record:
+// Every artifact the cache persists — verdicts, spec snapshots, the
+// label registry — is one file holding one record:
 //
 //   "WSVCACHE"            8-byte magic
 //   u32 version           format version (kStoreVersion)

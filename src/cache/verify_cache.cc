@@ -111,8 +111,7 @@ RequestKey MakeRequestKey(const WebService& service,
   }
   // Everything that can change the *output* of a request: bounds,
   // pools, closure candidates, and the execution shape — class
-  // collapsing, parallelism, slicing and the search strategy shift the
-  // reported statistics and, for a ground property, the witness lasso
+  // collapsing, parallelism and slicing shift the reported statistics
   // even when verdicts agree. Bytecode on/off is deliberately absent —
   // it changes no observable number.
   FingerprintBuilder b;
@@ -130,7 +129,10 @@ RequestKey MakeRequestKey(const WebService& service,
   b.AbsorbU64(options.class_collapse ? 1 : 0);
   b.AbsorbU64(static_cast<uint64_t>(jobs));
   b.AbsorbU64(options.enable_slice ? 1 : 0);
-  b.AbsorbString(options.search.strategy);
+  // Earlier builds absorbed the search strategy's name here. "dfs" is
+  // the one search left, so absorbing the literal keeps the keys of
+  // their default-strategy entries valid.
+  b.AbsorbString("dfs");
   key.options = b.Finish();
   key.combined = CombineKey(key.spec, key.property, key.database,
                             key.options);

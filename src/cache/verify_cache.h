@@ -93,10 +93,9 @@ struct RequestKey {
 
 /// Builds the key for a request. `database` may be null (enumerated
 /// database space — fingerprinted from the enumeration options
-/// instead). `jobs`, `options.enable_slice`, `options.class_collapse`
-/// and the search strategy participate because they can change the
-/// reported statistics (and, for the strategy, a ground property's
-/// witness) while the verdict stays the same.
+/// instead). `jobs`, `options.enable_slice` and `options.class_collapse`
+/// participate because they can change the reported statistics while
+/// the verdict stays the same.
 RequestKey MakeRequestKey(const WebService& service,
                           const TemporalProperty& property,
                           const Instance* database,

@@ -26,10 +26,10 @@
 //
 // Naming: "search" here is the paper's *input-driven search* service
 // class (the user searching a category hierarchy), not graph search.
-// Accepting-lasso search strategies — the one search abstraction every
-// emptiness check goes through — live in automata/search_strategy.h;
-// this module's Kripke model checking rides on the same
-// automata/emptiness.h primitives through ctl/ctl_star_check.h.
+// The linear-time verifier's accepting-lasso search lives in
+// automata/emptiness.h; this module's Kripke model checking goes
+// through ctl/ctl_star_check.h, which runs its own accepting-cycle
+// reachability over an explicit product.
 
 #ifndef WSV_VERIFY_INPUT_SEARCH_VERIFIER_H_
 #define WSV_VERIFY_INPUT_SEARCH_VERIFIER_H_

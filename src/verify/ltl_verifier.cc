@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "analysis/slice.h"
+#include "automata/emptiness.h"
 #include "automata/ltl_to_buchi.h"
 #include "common/env.h"
 #include "common/hash.h"
@@ -77,7 +78,7 @@ Status ValidateVerifyOptions(const LtlVerifyOptions& options) {
     return Status::InvalidArgument(
         "force_eager: the eager verification engine was removed");
   }
-  return MakeSearchStrategy(options.search).status();
+  return Status::OK();
 }
 
 std::vector<Value> ResolveConstantPool(const WebService& service,
@@ -189,13 +190,6 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
 
   check.abort_on_lasso_ = abort_on_lasso;
   check.class_collapse_ = options.class_collapse;
-
-  // Search-strategy plumbing. The accepting-distance table feeds the
-  // "directed" evaluator.
-  check.search_options_ = options.search;
-  if (options.search.strategy == "directed") {
-    check.accept_dist_ = automaton->AcceptingDistance();
-  }
 
   // Valuation candidates for the universal closure variables: everything
   // that can occur in a run's active domain — the database, rule and
@@ -494,22 +488,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   std::vector<char> q_acc(automaton_->size(), 0);
   for (int q : acc_set) q_acc[static_cast<size_t>(q)] = 1;
 
-  // Strategy resolution for this sweep (DESIGN.md §11). Phases whose
-  // verdict depends on *which* lasso is found — the faithfulness-checked
-  // sweep of a property with universal closure variables — pin the
-  // canonical DFS, so verdicts stay bit-identical across strategies.
-  // Phases that only need lasso *existence* (ground properties, where
-  // any lasso is already a faithful witness, and the abort-on-lasso
-  // slice probe, which discards the lasso and returns an index) are free
-  // to hunt with whatever strategy was selected.
-  const bool lasso_choice_invariant = vars.empty() || abort_on_lasso_;
-  SearchOptions search_opts = search_options_;
-  if (!lasso_choice_invariant) search_opts.strategy = "dfs";
-  WSV_ASSIGN_OR_RETURN(std::unique_ptr<SearchStrategy> strategy,
-                       MakeSearchStrategy(search_opts));
-  obs::GetCounter(std::string("search/strategy_") + strategy->name())
-      .Increment();
-
   std::vector<int32_t> digits(vars.size(), 0);
   std::vector<LeafCol*> val_cols(num_leaves, nullptr);
   std::vector<int32_t> memo_key;
@@ -725,16 +703,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                      verts[static_cast<size_t>(v)].second)] != 0;
         };
         problem.stop = [&]() { return stop && stop(current_index); };
-        if (!accept_dist_.empty()) {
-          // Admissible product heuristic: the automaton component's
-          // distance to the accepting set lower-bounds any run's
-          // remaining steps; kInfiniteDistance states prune.
-          problem.evaluate = [&](int v) {
-            return accept_dist_[static_cast<size_t>(
-                verts[static_cast<size_t>(v)].second)];
-          };
-        }
-        auto lasso_or = strategy->FindLasso(problem, &search_stats);
+        auto lasso_or = FindLassoNestedDfs(problem, &search_stats);
         if (lasso_or.ok()) {
           lasso = std::move(*lasso_or);
         } else {
@@ -755,9 +724,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       WSV_COUNT("ltl/otf_states_created", nv);
       WSV_HIST("ltl/peak_product_states", nv);
       WSV_HIST("ltl/otf_dfs_depth", search_stats.max_depth);
-      if (search_stats.heuristic_evals > 0) {
-        WSV_COUNT("search/heuristic_evals", search_stats.heuristic_evals);
-      }
 
       if (lasso.has_value()) {
         WSV_COUNT1("ltl/otf_early_exits");

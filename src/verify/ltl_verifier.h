@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "automata/buchi.h"
-#include "automata/search_strategy.h"
 #include "common/bitset.h"
 #include "common/status.h"
 #include "ltl/run_semantics.h"
@@ -89,14 +88,6 @@ struct LtlVerifyOptions {
   /// tests and A/B runs; verdicts and counterexamples are identical
   /// either way, the ltl/* counters are not.
   bool class_collapse = true;
-  /// Accepting-lasso search strategy (automata/search_strategy.h):
-  /// "dfs" (default) or "directed". A non-default strategy runs only in
-  /// phases whose verdict is provably lasso-choice-invariant —
-  /// abort-on-lasso probes and properties without universal closure
-  /// variables; the faithfulness-sensitive sweep of a quantified
-  /// property pins the canonical DFS lasso so verdicts stay
-  /// bit-identical across strategies (DESIGN.md §11).
-  SearchOptions search;
   /// Compile shims read only by perfbench/driver.cc; ignored.
   LeafColumnStore* leaf_store = nullptr;
   std::string leaf_store_context;
@@ -291,14 +282,6 @@ class LtlDatabaseCheck {
   bool abort_on_lasso_ = false;
   /// Copied from LtlVerifyOptions::class_collapse.
   bool class_collapse_ = true;
-  /// Copied from LtlVerifyOptions::search; dispatched per class search
-  /// in CheckValuations.
-  SearchOptions search_options_;
-  /// Per automaton state: distance to the accepting set
-  /// (BuchiAutomaton::AcceptingDistance), the "directed" strategy's
-  /// evaluator. Built at Create only when "directed" is selected; empty
-  /// otherwise.
-  std::vector<int> accept_dist_;
 };
 
 /// The Theorem 3.5 procedure end to end. Each Verify/VerifyOnDatabase
@@ -350,8 +333,7 @@ class LtlVerifier {
 bool OnTheFlyEnabled();
 
 /// Rejects option values no engine supports: a set `force_eager`
-/// (InvalidArgument) and an unknown `search.strategy`. LtlVerifier
-/// checks this before any work.
+/// (InvalidArgument). LtlVerifier checks this before any work.
 Status ValidateVerifyOptions(const LtlVerifyOptions& options);
 
 /// The resolved input-constant candidate pool for one (service,

@@ -479,13 +479,12 @@ TEST(VerifyCacheTest, CachedVerdictsMatchColdRunsBitForBit) {
   }
 }
 
-// Slicing, class collapsing and the search strategy change what a
-// request reports (graph and product counts; for the strategy, a ground
-// property's witness), so the key must tell them apart: a verdict
+// Slicing and class collapsing change what a request reports (graph
+// and product counts), so the key must tell them apart: a verdict
 // computed under one setting is never served under another. Under
 // WSV_DISABLE_SLICE (the cache_test_noslice rerun) the default options
 // are already unsliced, so the first two settings are one.
-TEST(VerifyCacheTest, KeyCoversSlicingAndSearchOptions) {
+TEST(VerifyCacheTest, KeyCoversSlicingAndCollapseOptions) {
   const bool slicing = LtlVerifyOptions{}.enable_slice;
   Request sliced = MakeRequest(kSpec, "G(!CP | logged_in)");
   auto key_with = [&](void (*edit)(LtlVerifyOptions&)) {
@@ -498,7 +497,6 @@ TEST(VerifyCacheTest, KeyCoversSlicingAndSearchOptions) {
   const std::vector<Fingerprint> keys = {
       sliced.key.combined,
       key_with([](LtlVerifyOptions& o) { o.enable_slice = false; }),
-      key_with([](LtlVerifyOptions& o) { o.search.strategy = "directed"; }),
       key_with([](LtlVerifyOptions& o) { o.class_collapse = false; }),
   };
   for (size_t i = 0; i < keys.size(); ++i) {

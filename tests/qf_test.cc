@@ -139,8 +139,12 @@ TEST_P(QfRandomTest, AgreementOnRandomInstances) {
   for (int iter = 0; iter < 20; ++iter) {
     Instance db;
     for (int i = 0; i < 3; ++i) {
-      if (rng() % 2) ASSERT_TRUE(db.AddFact("R", {pick()}).ok());
-      if (rng() % 2) ASSERT_TRUE(db.AddFact("T", {pick(), pick()}).ok());
+      if (rng() % 2) {
+        ASSERT_TRUE(db.AddFact("R", {pick()}).ok());
+      }
+      if (rng() % 2) {
+        ASSERT_TRUE(db.AddFact("T", {pick(), pick()}).ok());
+      }
     }
     (void)db.EnsureRelation("R", 1);
     (void)db.EnsureRelation("T", 2);
@@ -148,16 +152,24 @@ TEST_P(QfRandomTest, AgreementOnRandomInstances) {
     (void)state.EnsureRelation("s", 0);
     state.MutableRelation("s")->SetBool(rng() % 2 == 0);
     (void)state.EnsureRelation("W", 1);
-    if (rng() % 2) ASSERT_TRUE(state.AddFact("W", {pick()}).ok());
+    if (rng() % 2) {
+      ASSERT_TRUE(state.AddFact("W", {pick()}).ok());
+    }
     Instance inputs;
     (void)inputs.EnsureRelation("I", 2);
     (void)inputs.EnsureRelation("J", 1);
-    if (rng() % 2) ASSERT_TRUE(inputs.AddFact("I", {pick(), pick()}).ok());
-    if (rng() % 2) ASSERT_TRUE(inputs.AddFact("J", {pick()}).ok());
+    if (rng() % 2) {
+      ASSERT_TRUE(inputs.AddFact("I", {pick(), pick()}).ok());
+    }
+    if (rng() % 2) {
+      ASSERT_TRUE(inputs.AddFact("J", {pick()}).ok());
+    }
     Instance prev;
     (void)prev.EnsureRelation("I", 2);
     (void)prev.EnsureRelation("J", 1);
-    if (rng() % 2) ASSERT_TRUE(prev.AddFact("J", {pick()}).ok());
+    if (rng() % 2) {
+      ASSERT_TRUE(prev.AddFact("J", {pick()}).ok());
+    }
 
     const char* formulas[] = {
         "exists x, y . I(x, y) & T(x, y)",

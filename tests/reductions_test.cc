@@ -243,7 +243,9 @@ TEST_P(FoValidityTest, ServiceRouteAgreesWithDirectEvaluation) {
     (void)db.EnsureRelation("Rel", 2);
     for (Value d1 : dom) {
       for (Value d2 : dom) {
-        if (rng() % 2) ASSERT_TRUE(db.AddFact("Rel", {d1, d2}).ok());
+        if (rng() % 2) {
+          ASSERT_TRUE(db.AddFact("Rel", {d1, d2}).ok());
+        }
       }
     }
     for (const char* psi : matrices) {

@@ -1,15 +1,16 @@
-// Pluggable accepting-lasso search strategies (`ctest -L search`).
+// The accepting-lasso search against the reference oracle
+// (`ctest -L search`).
 //
-// The reference checker (reference_checker.h) is the oracle: both
-// strategies ("dfs" and "directed") must agree with it on every verdict,
-// pick the witness at the same (lowest) valuation index, and produce
-// only witnesses that survive the standalone replay validator. Which
-// *lasso* is returned may differ per strategy — that freedom is exactly
-// what the strategies exploit.
+// The reference checker (reference_checker.h) is the oracle: the
+// verifier's CVWY nested DFS (automata/emptiness.h), serial and in the
+// chunked jobs=2 sweep, must agree with it on every verdict, pick the
+// witness at the same (lowest) valuation index, and produce only
+// witnesses that survive the standalone replay validator. Which *lasso*
+// is returned may differ from the oracle's SCC-based search; only lasso
+// existence decides a verdict.
 //
-// Also here: the strategy factory's error path, and cancellation drain
-// of the chunked strategies under jobs=4 (the suite is in the tsan label
-// for that reason).
+// Also here: cancellation drain of the chunked sweep under jobs=4 (the
+// suite is in the tsan label for that reason).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
-#include "obs/metrics.h"
 #include "reference_checker.h"
 #include "verify/ltl_verifier.h"
 #include "verify/witness_check.h"
@@ -35,31 +35,22 @@ struct EngineResult {
 };
 
 // Runs one (service, property, database) through the reference oracle,
-// the serial sweep under each strategy, and the parallel sweep under
-// "directed", then cross-checks them. Witness *runs* are not compared
-// (strategies legitimately find different lassos); verdict,
-// completeness, witness valuation, and witness validity are.
+// the serial sweep and the chunked sweep at jobs=2, then cross-checks
+// them. Witness *runs* are not compared with the oracle's (its search
+// legitimately finds different lassos); verdict, completeness, witness
+// valuation, and witness validity are.
 void ExpectStrategiesAgree(const WebService& service,
                            const TemporalProperty& property,
-                           const Instance& db, LtlVerifyOptions options,
+                           const Instance& db, const LtlVerifyOptions& options,
                            const std::string& what) {
   std::vector<EngineResult> results;
 
   results.push_back(
       {"reference", ReferenceVerifyOnDatabase(service, property, db, options)});
-  for (const char* name : {"dfs", "directed"}) {
-    LtlVerifyOptions opt = options;
-    opt.search.strategy = name;
+  for (int jobs : {1, 2}) {
     results.push_back(
-        {name, LtlVerifier(&service, opt).VerifyOnDatabase(property, db)});
-  }
-  {
-    // The chunked parallel sweep under the non-default strategy.
-    LtlVerifyOptions opt = options;
-    opt.search.strategy = "directed";
-    LtlVerifier verifier(&service, opt, /*jobs=*/2);
-    results.push_back(
-        {"directed jobs=2", verifier.VerifyOnDatabase(property, db)});
+        {"jobs=" + std::to_string(jobs),
+         LtlVerifier(&service, options, jobs).VerifyOnDatabase(property, db)});
   }
 
   const EngineResult& oracle = results.front();
@@ -186,10 +177,8 @@ TEST(StrategyEcommerce, Property1AgreesAcrossStrategies) {
 }
 
 TEST(StrategyEcommerce, QuantifiedClosureAgreesAcrossStrategies) {
-  // Universal closure variables make faithfulness lasso-dependent, so
-  // the verifier pins the canonical DFS for the full-spec sweep no
-  // matter the selected strategy (DESIGN.md §11); this must come out as
-  // agreement on verdict *and* witness valuation.
+  // Universal closure variables make faithfulness lasso-dependent: the
+  // sweep must agree with the oracle on verdict *and* witness valuation.
   auto ws = BuildLoginService();
   ASSERT_TRUE(ws.ok()) << ws.status().ToString();
   LtlVerifyOptions options;
@@ -200,76 +189,12 @@ TEST(StrategyEcommerce, QuantifiedClosureAgreesAcrossStrategies) {
                         "login quantified");
 }
 
-// --- directed heuristic telemetry --------------------------------------
-
-TEST(DirectedStrategy, HeuristicEvaluationsAreCounted) {
-  auto ws = BuildLoginService();
-  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
-  Instance db = LoginDatabase();
-  auto p = ParseTemporalProperty("G(!MP)", &ws->vocab());
-  ASSERT_TRUE(p.ok());
-  LtlVerifyOptions options;
-  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
-  options.search.strategy = "directed";
-  obs::ResetMetrics();
-  auto r = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r->holds);
-  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
-  EXPECT_GT(snap.CounterValue("search/heuristic_evals"), 0u);
-  EXPECT_GT(snap.CounterValue("search/strategy_directed"), 0u);
-}
-
-// --- strategy factory --------------------------------------------------
-
-TEST(StrategyRegistry, BuiltinsRegisteredAndUnknownNamesRejected) {
-  for (const char* name : {"dfs", "directed"}) {
-    SearchOptions options;
-    options.strategy = name;
-    auto made = MakeSearchStrategy(options);
-    ASSERT_TRUE(made.ok()) << name;
-    EXPECT_STREQ((*made)->name(), name);
-  }
-  // Removed and made-up names fail closed, naming the known strategies —
-  // through the factory and through both verifiers.
-  auto ws = BuildLoginService();
-  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
-  auto p = ParseTemporalProperty("G(!MP)", &ws->vocab());
-  ASSERT_TRUE(p.ok());
-  for (const char* name : {"restart", "portfolio", "simulated-annealing"}) {
-    SearchOptions bogus;
-    bogus.strategy = name;
-    auto made = MakeSearchStrategy(bogus);
-    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << name;
-    EXPECT_EQ(made.status().message(),
-              std::string("unknown search strategy '") + name +
-                  "' (known: dfs, directed)");
-    LtlVerifyOptions options;
-    options.search = bogus;
-    EXPECT_EQ(LtlVerifier(&*ws, options)
-                  .VerifyOnDatabase(*p, LoginDatabase())
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << name;
-    EXPECT_EQ(LtlVerifier(&*ws, options, /*jobs=*/4)
-                  .VerifyOnDatabase(*p, LoginDatabase())
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << name;
-  }
-}
-
 // --- cancellation drain under jobs=4 (tsan) ----------------------------
 
-class StrategyCancellationTest
-    : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(StrategyCancellationTest, EarlyExitDrainsCleanly) {
-  // A quantified violated property at jobs=4: the sliced probe runs the
-  // selected strategy across racing chunks, the first marker cancels the
-  // rest, and the full-spec phase must still land on the serial witness.
+TEST(StrategyCancellationTest, EarlyExitDrainsCleanly) {
+  // A quantified violated property at jobs=4: the sliced probe searches
+  // racing chunks, the first marker cancels the rest, and the full-spec
+  // phase must still land on the serial witness.
   // TSan (this suite carries the tsan label) checks the drain for races.
   auto ws = BuildLoginService();
   ASSERT_TRUE(ws.ok()) << ws.status().ToString();
@@ -288,7 +213,6 @@ TEST_P(StrategyCancellationTest, EarlyExitDrainsCleanly) {
     serial_cex = r->counterexample->ToString();
   }
 
-  options.search.strategy = GetParam();
   LtlVerifier verifier(&*ws, options, /*jobs=*/4);
   auto r = verifier.VerifyOnDatabase(*p, db);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -296,13 +220,10 @@ TEST_P(StrategyCancellationTest, EarlyExitDrainsCleanly) {
   ASSERT_TRUE(r->counterexample.has_value());
   EXPECT_EQ(r->counterexample->valuation.begin()->second,
             V("failed login"));
+  EXPECT_EQ(r->counterexample->ToString(), serial_cex);
   Status witness = ValidateWitness(*ws, *p, *r->counterexample);
   EXPECT_TRUE(witness.ok()) << witness.ToString();
-  (void)serial_cex;
 }
-
-INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyCancellationTest,
-                         ::testing::Values("dfs", "directed"));
 
 }  // namespace
 }  // namespace wsv

@@ -1,10 +1,10 @@
 # ctest script for the cache-served output check (label: cli). For each
-# flag set in {default, --no-slice, --search directed}, runs
+# flag set in {default, --no-slice}, runs
 #
 #   wsvcli verify <SPEC> <PROP> <DB> --unchecked --pool <POOL> <flags>
 #
 # once without a cache, then twice with --cache-dir <CACHE_DIR>: the
-# first cached run finds the entries the earlier flag sets left, the
+# first cached run finds the entries the earlier flag set left, the
 # second is a warm hit. Both must print byte-for-byte what the cold run
 # prints — a verdict computed under one setting must never be served
 # under another. Invoked as
@@ -33,7 +33,7 @@ function(run_verify out_var)
   set(${out_var} "exit ${rc}\n${out}" PARENT_SCOPE)
 endfunction()
 
-foreach(flags IN ITEMS "" "--no-slice" "--search directed")
+foreach(flags IN ITEMS "" "--no-slice")
   separate_arguments(args UNIX_COMMAND "${flags}")
   run_verify(cold ${args})
   foreach(pass 1 2)

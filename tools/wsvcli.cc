@@ -60,11 +60,6 @@
 //       one first. Verdict and witness are identical either way; the
 //       flag exists for A/B runs and debugging. WSV_DISABLE_SLICE=1
 //       changes the default the same way.
-//       --search NAME picks the accepting-lasso search strategy
-//       (automata/search_strategy.h): dfs (default, the CVWY nested
-//       DFS) or directed (greedy best-first on the Büchi accepting-
-//       distance heuristic). Verdicts are identical under every
-//       strategy; see DESIGN.md §11.
 //       The WSV_DISABLE_* variables share one rule: set to a non-empty
 //       value other than "0" turns the feature off.
 //   wsvcli deps <spec.wsv> [--property P] [--format=dot|json]
@@ -162,7 +157,6 @@ int Usage() {
       "[--stats] [--stats-json FILE] [--trace-out FILE] [--progress] "
       "[--log-json FILE] [--heartbeat SECS] [--watchdog-deadline SECS] "
       "[--step-budget N] [--cache-dir DIR] [--label NAME] [--no-slice]\n"
-      "      [--search dfs|directed]\n"
       "  wsvcli deps <spec.wsv> [--property P] [--format=dot|json]\n"
       "  wsvcli replay <jobs.jsonl> [--cache-dir DIR] [--jobs N] "
       "[--quiet] [--bench-json FILE] [--stats] "
@@ -231,10 +225,7 @@ struct Flags {
   bool no_slice = false;
   /// Deps: property whose cone of influence to highlight; empty = none.
   std::string property;
-  /// Verify: accepting-lasso search strategy ("dfs", "directed");
-  /// empty = the verifier default (dfs).
-  std::string search;
-  /// Every flag given, by its name ("--search" also for "--search=X"),
+  /// Every flag given, by its name ("--format" also for "--format=X"),
   /// in command-line order; checked against the subcommand's set.
   std::vector<std::string> given;
 };
@@ -258,8 +249,7 @@ const std::vector<std::string>* AcceptedFlags(const std::string& cmd) {
            {"--pool", "--fresh", "--unchecked", "--jobs", "--no-fo-bytecode",
             "--stats", "--stats-json", "--trace-out", "--progress",
             "--log-json", "--heartbeat", "--watchdog-deadline",
-            "--step-budget", "--cache-dir", "--label", "--no-slice",
-            "--search"}},
+            "--step-budget", "--cache-dir", "--label", "--no-slice"}},
           {"deps", {"--property", "--format"}},
           {"replay",
            {"--cache-dir", "--jobs", "--quiet", "--bench-json", "--stats",
@@ -361,10 +351,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       flags.werror = true;
     } else if (arg == "--no-slice") {
       flags.no_slice = true;
-    } else if (arg == "--search") {
-      WSV_ASSIGN_OR_RETURN(flags.search, next());
-    } else if (StartsWith(arg, "--search=")) {
-      flags.search = arg.substr(std::strlen("--search="));
     } else if (arg == "--property") {
       WSV_ASSIGN_OR_RETURN(flags.property, next());
     } else if (arg == "--format") {
@@ -656,13 +642,7 @@ int CmdVerify(const Flags& flags) {
   options.graph.constant_pool = flags.pool;
   options.db.fresh_values = flags.fresh;
   options.require_input_bounded = !flags.unchecked;
-  if (!flags.search.empty()) options.search.strategy = flags.search;
   if (flags.no_slice) options.enable_slice = false;
-  // Before the cache: a hit must not mask an unknown strategy.
-  if (Status st = ValidateVerifyOptions(options); !st.ok()) {
-    finish(st, "ERROR");
-    return Fail(st);
-  }
 
   std::optional<Instance> db;
   if (flags.positional.size() >= 3) {
