@@ -60,7 +60,7 @@ std::string RenderText(const std::vector<Diagnostic>& diagnostics,
         break;
     }
     out += path;
-    if (d.span.IsValid()) out += ":" + d.span.ToString();
+    if (d.span.IsValid()) out += StrCat({":", d.span.ToString()});
     out += ": ";
     out += SeverityToString(d.severity);
     out += ": ";

@@ -3,11 +3,17 @@
 #ifndef WSV_COMMON_STR_UTIL_H_
 #define WSV_COMMON_STR_UTIL_H_
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace wsv {
+
+/// The concatenation of `parts`, built by appending into one buffer.
+/// Prefer it to `"literal" + std::string` chains, which GCC 12 flags
+/// with a false -Wrestrict in optimized builds.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Joins the elements of `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

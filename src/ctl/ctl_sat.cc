@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "common/str_util.h"
+
 namespace wsv {
 
 namespace {
@@ -134,7 +136,7 @@ class SatTableau {
         for (const FormulaPtr& c : fo.children()) {
           WSV_ASSIGN_OR_RETURN(int ci, FlattenFo(*c));
           n.children.push_back(ci);
-          key += "#" + std::to_string(ci);
+          key += StrCat({"#", std::to_string(ci)});
         }
         return AddNode(std::move(n), key);
       }
@@ -163,7 +165,7 @@ class SatTableau {
         for (const TFormulaPtr& c : f.children()) {
           WSV_ASSIGN_OR_RETURN(int ci, Flatten(*c));
           n.children.push_back(ci);
-          key += "#" + std::to_string(ci);
+          key += StrCat({"#", std::to_string(ci)});
         }
         return AddNode(std::move(n), key);
       }

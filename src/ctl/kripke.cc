@@ -1,5 +1,7 @@
 #include "ctl/kripke.h"
 
+#include "common/str_util.h"
+
 namespace wsv {
 
 int Kripke::InternProp(const std::string& name) {
@@ -60,7 +62,7 @@ std::string Kripke::ToString() const {
       out += props_[static_cast<size_t>(p)];
     }
     out += "} ->";
-    for (int t : succ_[s]) out += " " + std::to_string(t);
+    for (int t : succ_[s]) out += StrCat({" ", std::to_string(t)});
     out += "\n";
   }
   return out;

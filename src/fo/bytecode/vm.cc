@@ -175,6 +175,24 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
     return Status::OK();
   };
 
+  // Reports the fact the kAtom `in` probes, or its whole relation when
+  // an operand is unbound.
+  auto log_atom = [&](const Instr& in, ProbeLog* probes) {
+    Tuple fact;
+    for (uint32_t i = 0; i < in.count; ++i) {
+      const uint32_t operand = p.pool[in.b + i];
+      const uint32_t idx = OperandIndexOf(operand);
+      const Value v = OperandTagOf(operand) == kOperandReg ? s.regs[idx]
+                                                           : s.consts[idx];
+      if (!v.valid()) {
+        probes->Relation(p.rels[in.a].relation);
+        return;
+      }
+      fact.push_back(v);
+    }
+    probes->Fact(p.rels[in.a].relation, fact);
+  };
+
   for (;;) {
     if (++steps > budget) return budget_error();
     const Instr& in = p.code[pc];
@@ -197,6 +215,9 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
         break;
       case Op::kAtom: {
         const Relation* rel = s.rels[in.a];
+        if (ProbeLog* probes = ctx.probes(); probes != nullptr) {
+          log_atom(in, probes);
+        }
         if (rel == nullptr || rel->empty()) {
           // Before resolving terms, like the tree-walker's early-out.
           flag = false;
@@ -220,6 +241,9 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
       }
       case Op::kScanBegin: {
         const Relation* rel = s.rels[in.a];
+        if (ctx.probes() != nullptr) {
+          ctx.probes()->Relation(p.rels[in.a].relation);
+        }
         if (rel == nullptr || rel->empty()) {
           flag = false;
           next = in.c;

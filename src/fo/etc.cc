@@ -305,7 +305,7 @@ StatusOr<std::optional<Instance>> BoundedSatisfiable(
   for (int n = 0; n <= max_domain; ++n) {
     std::vector<Value> domain;
     for (int i = 0; i < n; ++i) {
-      domain.push_back(Value::Intern("e" + std::to_string(i)));
+      domain.push_back(Value::Intern(StrCat({"e", std::to_string(i)})));
     }
     Instance current;
     for (Value v : domain) current.AddDomainValue(v);

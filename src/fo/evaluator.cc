@@ -34,6 +34,7 @@ const Relation* EvalContext::ResolveRelation(const std::string& name,
 }
 
 std::optional<Value> EvalContext::ResolveConstant(NameId name) const {
+  if (probes_ != nullptr) probes_->Constant(name);
   if (const Value* v = constant_overrides_.Find(name)) return *v;
   if (constant_layer_ != nullptr) {
     if (const Value* v = constant_layer_->Find(name)) return *v;
@@ -179,6 +180,7 @@ class Evaluator {
       case Formula::Kind::kAtom: {
         const Atom& atom = f.atom();
         const Relation* rel = ctx_.ResolveRelation(atom.relation_id, atom.prev);
+        if (ctx_.probes() != nullptr) LogAtom(atom, valuation);
         if (rel == nullptr || rel->empty()) return false;
         Tuple t;
         t.reserve(atom.terms.size());
@@ -241,6 +243,22 @@ class Evaluator {
     return Status::Internal("bad formula kind");
   }
 
+  // Reports the fact `atom` probes under `valuation`, or its whole
+  // relation when a term does not resolve.
+  void LogAtom(const Atom& atom, const Bindings& valuation) {
+    Tuple t;
+    t.reserve(atom.terms.size());
+    for (const Term& term : atom.terms) {
+      StatusOr<Value> v = ResolveTerm(term, valuation);
+      if (!v.ok()) {
+        ctx_.probes()->Relation(atom.relation_id);
+        return;
+      }
+      t.push_back(*v);
+    }
+    ctx_.probes()->Fact(atom.relation_id, t);
+  }
+
   // Existential evaluation over the variable set `vars`.
   StatusOr<bool> EvalExists(std::set<std::string> vars, const Formula& body,
                             Bindings& valuation) {
@@ -298,6 +316,7 @@ class Evaluator {
     if (guard != nullptr) {
       const Atom& atom = guard->atom();
       const Relation* rel = ctx_.ResolveRelation(atom.relation_id, atom.prev);
+      if (ctx_.probes() != nullptr) ctx_.probes()->Relation(atom.relation_id);
       if (rel == nullptr || rel->empty()) return false;  // guard unmatchable
       std::vector<const Formula*> rest;
       rest.reserve(conjuncts.size());
@@ -417,6 +436,7 @@ class QueryEnumerator {
     if (guard != nullptr) {
       const Atom& atom = guard->atom();
       const Relation* rel = ctx_.ResolveRelation(atom.relation_id, atom.prev);
+      if (ctx_.probes() != nullptr) ctx_.probes()->Relation(atom.relation_id);
       if (rel == nullptr) return Status::OK();
       for (const Tuple& tuple : rel->tuples()) {
         std::vector<std::string> newly_bound;

@@ -18,6 +18,7 @@
 
 #include "common/status.h"
 #include "fo/formula.h"
+#include "relational/decided.h"
 #include "relational/instance.h"
 
 namespace wsv {
@@ -60,6 +61,13 @@ class EvalContext {
     constant_layer_ = constants;
     domain_valid_ = false;
   }
+
+  /// Attaches a log of database probes (relational/decided.h): every
+  /// constant this context resolves is reported to it, and the
+  /// evaluators report each database atom and relation scan before any
+  /// short cut. Null (the default) logs nothing.
+  void SetProbeLog(ProbeLog* probes) { probes_ = probes; }
+  ProbeLog* probes() const { return probes_; }
 
   /// Adds extra elements to the active domain beyond the layers' domains.
   void AddDomainValue(Value v) {
@@ -107,6 +115,7 @@ class EvalContext {
   NameMap<Value> constant_overrides_;
   const NameMap<Value>* constant_layer_ = nullptr;
   std::set<Value> extra_domain_;
+  ProbeLog* probes_ = nullptr;
   mutable std::vector<Value> domain_cache_;
   mutable bool domain_valid_ = false;
 };

@@ -265,14 +265,14 @@ std::string TFormula::ToString() const {
       if (IsTrueLeaf(*children_[0])) {
         return "F(" + children_[1]->ToString() + ")";
       }
-      return "(" + children_[0]->ToString() + " U " +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " U ",
+                     children_[1]->ToString(), ")"});
     case Kind::kB:
       if (IsFalseLeaf(*children_[0])) {
         return "G(" + children_[1]->ToString() + ")";
       }
-      return "(" + children_[0]->ToString() + " B " +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " B ",
+                     children_[1]->ToString(), ")"});
     case Kind::kE:
       return "E " + children_[0]->ToString();
     case Kind::kA:

@@ -44,7 +44,7 @@ std::string ProjectionBody(int arity, const std::vector<int>& cols,
                            const std::vector<std::string>& head_vars) {
   std::vector<std::string> args(arity);
   for (int c = 0; c < arity; ++c) {
-    args[c] = "o" + std::to_string(c);
+    args[c] = StrCat({"o", std::to_string(c)});
   }
   std::vector<std::string> equalities;
   std::set<int> projected;
@@ -119,7 +119,7 @@ StatusOr<FdidReduction> BuildFdidReduction(const FdidInstance& instance) {
     const Ind& ind = instance.inds[i];
     std::string si = std::to_string(i);
     std::vector<std::string> xs = Vars("x", static_cast<int>(ind.lhs.size()));
-    std::string head = "(" + Join(xs, ", ") + ")";
+    std::string head = StrCat({"(", Join(xs, ", "), ")"});
     page.Insert("IX" + si + head, ProjectionBody(k, ind.lhs, xs));
     page.Insert("IY" + si + head, ProjectionBody(k, ind.rhs, xs));
     page.Insert("IBar" + si + head, "IX" + si + head + " & !IY" + si + head +

@@ -3,6 +3,7 @@
 #include <map>
 #include <random>
 
+#include "common/str_util.h"
 #include "ws/builder.h"
 
 namespace wsv {
@@ -65,13 +66,13 @@ std::string Qbf::ToString() const {
     case Kind::kVar:
       return var_;
     case Kind::kNot:
-      return "!" + children_[0]->ToString();
+      return StrCat({"!", children_[0]->ToString()});
     case Kind::kAnd:
-      return "(" + children_[0]->ToString() + " & " +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " & ",
+                     children_[1]->ToString(), ")"});
     case Kind::kOr:
-      return "(" + children_[0]->ToString() + " | " +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " | ",
+                     children_[1]->ToString(), ")"});
     case Kind::kExists:
       return "E" + var_ + "." + children_[0]->ToString();
     case Kind::kForall:
@@ -132,15 +133,15 @@ StatusOr<bool> EvalQbf(const Qbf& f, std::map<std::string, bool>& env) {
 std::string Translate(const Qbf& f) {
   switch (f.kind()) {
     case Qbf::Kind::kVar:
-      return "(" + f.var() + " = \"1\")";
+      return StrCat({"(", f.var(), " = \"1\")"});
     case Qbf::Kind::kNot:
-      return "!" + Translate(*f.children()[0]);
+      return StrCat({"!", Translate(*f.children()[0])});
     case Qbf::Kind::kAnd:
-      return "(" + Translate(*f.children()[0]) + " & " +
-             Translate(*f.children()[1]) + ")";
+      return StrCat({"(", Translate(*f.children()[0]), " & ",
+                     Translate(*f.children()[1]), ")"});
     case Qbf::Kind::kOr:
-      return "(" + Translate(*f.children()[0]) + " | " +
-             Translate(*f.children()[1]) + ")";
+      return StrCat({"(", Translate(*f.children()[0]), " | ",
+                     Translate(*f.children()[1]), ")"});
     case Qbf::Kind::kExists: {
       std::string body = Translate(*f.children()[0]);
       return "((exists " + f.var() + " . I0(" + f.var() + ") & " + body +
@@ -186,7 +187,9 @@ StatusOr<WebService> BuildQbfService(const Qbf& f) {
 QbfPtr RandomQbf(int vars, int clauses, uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::vector<std::string> names;
-  for (int i = 0; i < vars; ++i) names.push_back("v" + std::to_string(i));
+  for (int i = 0; i < vars; ++i) {
+    names.push_back(StrCat({"v", std::to_string(i)}));
+  }
   // Random 3-literal clauses over the variables.
   QbfPtr matrix;
   for (int c = 0; c < clauses; ++c) {

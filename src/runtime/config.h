@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 
+#include "relational/decided.h"
 #include "relational/instance.h"
 
 namespace wsv {
@@ -59,11 +60,12 @@ struct Config {
   std::string ToString() const;
 };
 
-/// A non-owning view of a node: one pointer per part of a Config. The
-/// configuration graph holds its nodes this way, every pointer leading
-/// into the graph's hash-consed store, so two of its nodes are equal iff
-/// their views are pointer-equal. Like std::string_view, a view taken of
-/// a Config is valid only while that Config is alive and unmodified.
+/// A non-owning view of a node: one pointer per part of a Config, plus
+/// the database the node's run is on. The configuration graph holds its
+/// nodes this way, every pointer leading into the graph's hash-consed
+/// store, so two of its nodes are equal iff their views are
+/// pointer-equal. Like std::string_view, a view taken of a Config is
+/// valid only while that Config is alive and unmodified.
 struct ConfigView {
   const std::string* page = nullptr;
   const Instance* state = nullptr;
@@ -71,16 +73,21 @@ struct ConfigView {
   const Instance* actions = nullptr;
   /// kappa_{i-1}, the Config's provided_constants.
   const Kappa* kappa = nullptr;
+  /// The database as far as the run has decided it (DESIGN.md §6j);
+  /// null means the stepper's own database. A Config has no such part:
+  /// its view runs on the stepper's database.
+  const DecidedDatabase* database = nullptr;
 
   ConfigView() = default;
   ConfigView(const std::string* page_, const Instance* state_,
              const Instance* prev_inputs_, const Instance* actions_,
-             const Kappa* kappa_)
+             const Kappa* kappa_, const DecidedDatabase* database_ = nullptr)
       : page(page_),
         state(state_),
         prev_inputs(prev_inputs_),
         actions(actions_),
-        kappa(kappa_) {}
+        kappa(kappa_),
+        database(database_) {}
   // Implicit, like string_view, so Config callers of the view-based API
   // stay unchanged.
   ConfigView(const Config& c)  // NOLINT(runtime/explicit)
@@ -95,7 +102,7 @@ struct ConfigView {
   friend bool operator==(const ConfigView& a, const ConfigView& b) {
     return a.page == b.page && a.state == b.state &&
            a.prev_inputs == b.prev_inputs && a.actions == b.actions &&
-           a.kappa == b.kappa;
+           a.kappa == b.kappa && a.database == b.database;
   }
 };
 

@@ -170,11 +170,14 @@ ConfigView Stepper::InitialView() const {
 }
 
 EvalContext Stepper::MakeContext(const ConfigView& node, const Kappa& kappa,
-                                 const Instance* current_inputs) const {
+                                 const Instance* current_inputs,
+                                 ProbeLog* probes) const {
   EvalContext ctx;
   if (current_inputs != nullptr) ctx.AddLayer(current_inputs);
   ctx.AddLayer(node.state);
-  ctx.AddLayer(database_);
+  ctx.AddLayer(node.database != nullptr ? &node.database->facts()
+                                        : database_);
+  ctx.SetProbeLog(probes);
   ctx.SetPrevLayer(node.prev_inputs);
   ctx.AddLayer(&rule_literals_);
   ctx.SetConstantLayer(&kappa);
@@ -257,8 +260,10 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::OptionsUnder(
 
 StatusOr<InputOptions> Stepper::OptionsOn(const ConfigView& node,
                                           const PageSchema& page,
-                                          const Kappa& kappa) const {
-  EvalContext ctx = MakeContext(node, kappa, /*current_inputs=*/nullptr);
+                                          const Kappa& kappa,
+                                          ProbeLog* probes) const {
+  EvalContext ctx =
+      MakeContext(node, kappa, /*current_inputs=*/nullptr, probes);
   const PageTables& tables = TablesOf(page);
   InputOptions options;
   options.reserve(tables.option_relations.size());
@@ -284,6 +289,7 @@ Successor Stepper::ErrorPageLoop(const ConfigView& node) const {
   out.prev_inputs = Part::Prototype(&empty_prev_);
   out.actions = Part::Prototype(&empty_actions_);
   out.kappa = node.kappa;
+  out.database = node.database;
   out.inputs = Part::Prototype(&empty_inputs_);
   return out;
 }
@@ -299,6 +305,7 @@ Successor Stepper::ToErrorPage(const ConfigView& node, const Kappa* kappa,
   out.prev_inputs = Part::Prototype(&empty_prev_);
   out.actions = Part::Prototype(&empty_actions_);
   out.kappa = kappa;
+  out.database = node.database;
   out.inputs = Part::Prototype(&empty_inputs_);
   return out;
 }
@@ -429,9 +436,11 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
 StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
                                          const PageSchema& page,
                                          const Kappa* kappa,
-                                         const ResolvedChoice& choice) const {
+                                         const ResolvedChoice& choice,
+                                         ProbeLog* probes) const {
   const PageTables& tables = TablesOf(page);
   Successor out;
+  out.database = node.database;
   // Assemble the input instance I_i; it is the empty prototype unless
   // something is picked, some proposition is true, or the page records a
   // constant in it.
@@ -462,7 +471,7 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   }
   const Instance& inputs = out.inputs.get();
 
-  EvalContext ctx = MakeContext(node, *kappa, &inputs);
+  EvalContext ctx = MakeContext(node, *kappa, &inputs, probes);
   const PagePrograms& progs = tables.programs;
 
   // Target rules; condition (iii) fires on ambiguity.

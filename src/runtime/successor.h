@@ -106,6 +106,9 @@ struct Successor {
   Part prev_inputs;
   Part actions;
   const Kappa* kappa = nullptr;
+  /// The source node's database: the successor runs on the database the
+  /// step was computed under.
+  const DecidedDatabase* database = nullptr;
   Part inputs;
   bool to_error = false;
   std::string error_reason;
@@ -177,10 +180,12 @@ class Stepper {
   StatusOr<std::map<std::string, std::set<Tuple>>> OptionsUnder(
       const ConfigView& node, const Kappa& kappa) const;
   /// OptionsUnder for a node known to be on `page`, one of
-  /// service().pages(), keyed by id.
+  /// service().pages(), keyed by id. The rules read node.database's
+  /// completion when it is set; `probes` (optional) logs what they probe
+  /// of it (relational/decided.h).
   StatusOr<InputOptions> OptionsOn(const ConfigView& node,
-                                   const PageSchema& page,
-                                   const Kappa& kappa) const;
+                                   const PageSchema& page, const Kappa& kappa,
+                                   ProbeLog* probes = nullptr) const;
 
   /// Applies one step. The choice must supply a value for exactly the
   /// input constants the page requests, and relation picks must be among
@@ -213,9 +218,11 @@ class Stepper {
   /// pick of `choice` is among OptionsUnder(node, *kappa) and every
   /// proposition is one the page offers. Returns the successor Step
   /// would return; its parts may point into `node` and at `*kappa`.
+  /// The database and `probes` are as for OptionsOn.
   StatusOr<Successor> ApplyChoice(const ConfigView& node,
                                   const PageSchema& page, const Kappa* kappa,
-                                  const ResolvedChoice& choice) const;
+                                  const ResolvedChoice& choice,
+                                  ProbeLog* probes = nullptr) const;
   /// The same with the choice given by names, resolved first.
   StatusOr<Successor> ApplyChoice(const ConfigView& node,
                                   const PageSchema& page, const Kappa* kappa,
@@ -281,9 +288,12 @@ class Stepper {
   };
 
   /// EvalContext over D, S_i, P_i, kappa; optionally the current inputs.
-  /// `kappa` is bound by pointer and must outlive the context.
+  /// D is node.database's completion when set, else the stepper's
+  /// database. `kappa` is bound by pointer and must outlive the context;
+  /// `probes` (optional) is attached to it.
   EvalContext MakeContext(const ConfigView& node, const Kappa& kappa,
-                          const Instance* current_inputs) const;
+                          const Instance* current_inputs,
+                          ProbeLog* probes) const;
 
   /// The tables of `page`, which must be one of service().pages().
   const PageTables& TablesOf(const PageSchema& page) const {

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "common/str_util.h"
 #include "fo/rewrite.h"
 #include "verify/db_enum.h"
 #include "ws/classify.h"
@@ -81,7 +82,7 @@ StatusOr<Kripke> BuildPropositionalKripke(const WebService& service,
     std::set<Value> pool(database.domain().begin(), database.domain().end());
     for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
     for (int i = 0; i < options.extra_constant_values; ++i) {
-      pool.insert(Value::Intern("u" + std::to_string(i)));
+      pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
     }
     graph_options.constant_pool.assign(pool.begin(), pool.end());
   }
@@ -136,7 +137,7 @@ StatusOr<Kripke> BuildUnmergedKripke(const WebService& service,
     std::set<Value> pool(database.domain().begin(), database.domain().end());
     for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
     for (int i = 0; i < options.extra_constant_values; ++i) {
-      pool.insert(Value::Intern("u" + std::to_string(i)));
+      pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
     }
     graph_options.constant_pool.assign(pool.begin(), pool.end());
   }

@@ -1,5 +1,6 @@
 #include "verify/config_graph.h"
 
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -88,6 +89,18 @@ const Kappa* ConfigStore::Intern(Kappa kappa) {
   return stored;
 }
 
+const DecidedDatabase* ConfigStore::Intern(DecidedDatabase database) {
+  const size_t hash = database.Hash();
+  bool added = false;
+  const DecidedDatabase* stored =
+      databases_.Intern(std::move(database), hash, &added);
+  if (added) {
+    bytes_ += sizeof(DecidedDatabase) + stored->ApproxBytes() +
+              kIndexEntryBytes;
+  }
+  return stored;
+}
+
 const std::string* ConfigStore::InternPage(NameId page) {
   for (const auto& [id, stored] : pages_) {
     if (id == page) return stored;
@@ -154,25 +167,147 @@ std::string ConfigGraph::Stats() const {
 
 namespace {
 
+// Settles the open database probes of one node's expansion (DESIGN.md
+// §6j). A step computed under a database decided in part reports the
+// first open part it probed; the step is then redone under each decision
+// of that part, in decision order, until it probes nothing open. Every
+// refined database is stored. Once the graph is truncated no edge can be
+// added any more, so the remaining decisions are skipped.
+class Decider {
+ public:
+  Decider(ConfigStore& store, const bool& truncated)
+      : store_(store), truncated_(truncated) {}
+
+  // Runs `attempt(node, log)`, a step under node.database, and hands
+  // its result to `cont(refined node, result)` once per refinement of
+  // the database that leaves nothing the step probed open. Under a
+  // fully decided database this is one attempt, with no log.
+  template <typename T, typename Attempt, typename Cont>
+  Status Refine(const ConfigView& node, const Attempt& attempt,
+                const Cont& cont) {
+    std::optional<ProbeLog> log;
+    if (!node.database->complete()) log.emplace(node.database);
+    StatusOr<T> result = attempt(node, log.has_value() ? &*log : nullptr);
+    if (!log.has_value() || !log->first().has_value()) {
+      if (!result.ok()) return result.status();
+      return cont(node, *result);
+    }
+    // Whatever the attempt returned, an error included, read an open
+    // part: only the redone steps count.
+    const DbProbe probe = *log->first();
+    return ForEachDecision(node, probe, [&](const ConfigView& refined) {
+      return Refine<T>(refined, attempt, cont);
+    });
+  }
+
+  // Calls `fn(node)` once per refinement of node.database that decides
+  // every part `probes` names.
+  template <typename Fn>
+  Status DecideFirst(const ConfigView& node, const std::vector<DbProbe>& probes,
+                     const Fn& fn) {
+    for (const DbProbe& probe : probes) {
+      if (!node.database->IsOpen(probe)) continue;
+      return ForEachDecision(node, probe, [&](const ConfigView& refined) {
+        return DecideFirst(refined, probes, fn);
+      });
+    }
+    return fn(node);
+  }
+
+ private:
+  // Calls `fn` with `node` on each refinement of its database by one
+  // decision of `probe`: a fact false, then true; a database constant
+  // each domain value in order; a relation each consistent set of facts
+  // within the bound, in EnumerateDatabases order.
+  template <typename Fn>
+  Status ForEachDecision(const ConfigView& node, const DbProbe& probe,
+                         const Fn& fn) {
+    const DecidedDatabase& db = *node.database;
+    const DatabaseBounds& bounds = *db.bounds();
+    auto visit = [&](DecidedDatabase refined,
+                     std::optional<Instance> facts) -> Status {
+      if (facts.has_value()) {
+        refined.SetFacts(store_.Intern(Part::Built(std::move(*facts))));
+      }
+      ConfigView next = node;
+      next.database = store_.Intern(std::move(refined));
+      return fn(next);
+    };
+    switch (probe.kind) {
+      case DbProbe::Kind::kFact: {
+        WSV_RETURN_IF_ERROR(
+            visit(db.WithFalse(probe.symbol, probe.tuple), std::nullopt));
+        if (truncated_) return Status::OK();
+        Instance facts;
+        DecidedDatabase refined = db.WithTrue(probe.symbol, probe.tuple, &facts);
+        return visit(std::move(refined), std::move(facts));
+      }
+      case DbProbe::Kind::kConstant:
+        for (Value v : bounds.domain) {
+          if (truncated_) break;
+          Instance facts;
+          DecidedDatabase refined = db.WithConstant(probe.symbol, v, &facts);
+          WSV_RETURN_IF_ERROR(visit(std::move(refined), std::move(facts)));
+        }
+        return Status::OK();
+      case DbProbe::Kind::kRelation: {
+        const Relation& decided = *db.facts().FindRelation(probe.symbol);
+        const std::vector<Tuple> all = AllFacts(bounds.domain, decided.arity());
+        std::vector<char> fixed(all.size(), 0);
+        for (size_t i = 0; i < all.size(); ++i) {
+          if (decided.Contains(all[i])) {
+            fixed[i] = 1;
+          } else if (!db.IsOpenFact(probe.symbol, all[i])) {
+            fixed[i] = 2;  // decided false
+          }
+        }
+        std::vector<Tuple> chosen;
+        return ForEachFactSubset(
+                   all, bounds.max_tuples_per_relation, fixed,
+                   [&](const std::vector<size_t>& subset) -> StatusOr<bool> {
+                     if (truncated_) return true;
+                     chosen.clear();
+                     for (size_t i : subset) chosen.push_back(all[i]);
+                     Instance facts;
+                     DecidedDatabase refined =
+                         db.WithRelation(probe.symbol, chosen, &facts);
+                     WSV_RETURN_IF_ERROR(
+                         visit(std::move(refined), std::move(facts)));
+                     return false;
+                   })
+            .status();
+      }
+    }
+    return Status::Internal("bad database probe kind");
+  }
+
+  ConfigStore& store_;
+  const bool& truncated_;
+};
+
 // Enumerates the successors of `node`, which is neither on the error
 // page nor statically erroneous, one per user choice, in the canonical
 // choice order: constant values odometer-style over the pool (first
 // requested constant slowest); then per offered relation no pick followed
 // by each option; then each proposition false, then true. Each constant
-// binding's kappa is interned once and its options are computed once;
-// each choice goes straight to the stepper's apply core: the choices are
-// valid by construction, so the checks Step would repeat are skipped.
-// Each successor is handed to `emit` as soon as it is built. The node's
-// parts are stored, so `node` stays valid while `emit` grows the graph.
+// binding's kappa is interned once and its options are computed once per
+// refinement of the node's database; each choice goes straight to the
+// stepper's apply core, once per refinement of the database the options
+// were computed under: the choices are valid by construction, so the
+// checks Step would repeat are skipped. Each successor is handed to
+// `emit` as soon as it is built. The node's parts are stored, so `node`
+// stays valid while `emit` grows the graph.
 class SuccessorEnumerator {
  public:
   using Emit = std::function<Status(Successor&)>;
 
   SuccessorEnumerator(const Stepper& stepper, ConfigStore& store,
-                      const ConfigView& node, const PageSchema& page,
+                      Decider& decider, const ConfigView& node,
+                      const PageSchema& page,
                       const std::vector<Value>& constant_pool, Emit emit)
       : stepper_(stepper),
         store_(store),
+        decider_(decider),
         node_(node),
         page_(page),
         constants_(stepper.InputConstantIds(page)),
@@ -203,7 +338,7 @@ class SuccessorEnumerator {
       return Status::OK();
     }
     // Constants fixed: kappa_i is the node's kappa when the page requests
-    // none, else one interned map per binding. Compute options once, then
+    // none, else one interned map per binding. Compute options, then
     // enumerate relation picks and proposition values.
     const Kappa* kappa = node_.kappa;
     if (!constants_.empty()) {
@@ -213,28 +348,33 @@ class SuccessorEnumerator {
       }
       kappa = store_.Intern(std::move(extended));
     }
-    WSV_ASSIGN_OR_RETURN(InputOptions options,
-                         stepper_.OptionsOn(node_, page_, *kappa));
-    choice_.relations.clear();
-    for (const auto& [rel, tuples] : options) {
-      choice_.relations.emplace_back(rel, nullptr);
-    }
-    return EnumeratePicks(options, 0, 0, kappa);
+    return decider_.Refine<InputOptions>(
+        node_,
+        [&](const ConfigView& node, ProbeLog* probes) {
+          return stepper_.OptionsOn(node, page_, *kappa, probes);
+        },
+        [&](const ConfigView& node, InputOptions& options) {
+          choice_.relations.clear();
+          for (const auto& [rel, tuples] : options) {
+            choice_.relations.emplace_back(rel, nullptr);
+          }
+          return EnumeratePicks(node, options, 0, 0, kappa);
+        });
   }
 
   // Per offered relation no pick, then each option; then per
   // proposition false, then true.
-  Status EnumeratePicks(const InputOptions& options, size_t rel_idx,
-                        size_t prop_idx, const Kappa* kappa) {
+  Status EnumeratePicks(const ConfigView& node, const InputOptions& options,
+                        size_t rel_idx, size_t prop_idx, const Kappa* kappa) {
     if (rel_idx < options.size()) {
       const Tuple*& pick = choice_.relations[rel_idx].second;
       pick = nullptr;
       WSV_RETURN_IF_ERROR(
-          EnumeratePicks(options, rel_idx + 1, prop_idx, kappa));
+          EnumeratePicks(node, options, rel_idx + 1, prop_idx, kappa));
       for (const Tuple& t : options[rel_idx].second) {
         pick = &t;
         WSV_RETURN_IF_ERROR(
-            EnumeratePicks(options, rel_idx + 1, prop_idx, kappa));
+            EnumeratePicks(node, options, rel_idx + 1, prop_idx, kappa));
       }
       return Status::OK();
     }
@@ -242,17 +382,21 @@ class SuccessorEnumerator {
       for (bool b : {false, true}) {
         choice_.propositions[prop_idx].second = b;
         WSV_RETURN_IF_ERROR(
-            EnumeratePicks(options, rel_idx, prop_idx + 1, kappa));
+            EnumeratePicks(node, options, rel_idx, prop_idx + 1, kappa));
       }
       return Status::OK();
     }
-    WSV_ASSIGN_OR_RETURN(Successor succ,
-                         stepper_.ApplyChoice(node_, page_, kappa, choice_));
-    return emit_(succ);
+    return decider_.Refine<Successor>(
+        node,
+        [&](const ConfigView& refined, ProbeLog* probes) {
+          return stepper_.ApplyChoice(refined, page_, kappa, choice_, probes);
+        },
+        [&](const ConfigView&, Successor& succ) { return emit_(succ); });
   }
 
   const Stepper& stepper_;
   ConfigStore& store_;
+  Decider& decider_;
   const ConfigView node_;
   const PageSchema& page_;
   const std::vector<NameId>& constants_;  // the page's input constants
@@ -275,15 +419,24 @@ LazyConfigGraph::LazyConfigGraph(const Stepper* stepper,
     pool_.assign(p.begin(), p.end());
   }
   // The initial node's parts are the stepper's prototypes and its own
-  // empty kappa; they are interned like any other part.
+  // empty kappa; they are interned like any other part. A fully decided
+  // database's facts stay where they are; the facts of one decided in
+  // part are stored like the facts its refinements build.
   const ConfigView initial = stepper_->InitialView();
   ConfigStore& store = *graph_.store;
+  DecidedDatabase database = options_.database != nullptr
+                                 ? *options_.database
+                                 : DecidedDatabase(&stepper_->database());
+  if (!database.complete()) {
+    database.SetFacts(store.Intern(Part::Prototype(&database.facts())));
+  }
   graph_.initial = InternView(
       ConfigView(store.InternPage(stepper_->home_page_id()),
                  store.Intern(Part::Prototype(initial.state)),
                  store.Intern(Part::Prototype(initial.prev_inputs)),
                  store.Intern(Part::Prototype(initial.actions)),
-                 store.Intern(*initial.kappa)),
+                 store.Intern(*initial.kappa),
+                 store.Intern(std::move(database))),
       stepper_->home_page_id());
 }
 
@@ -297,7 +450,8 @@ size_t LazyConfigGraph::NodeHash::operator()(const ConfigView& n) const {
   seed = HashCombine(seed, h(n.state));
   seed = HashCombine(seed, h(n.prev_inputs));
   seed = HashCombine(seed, h(n.actions));
-  return HashCombine(seed, h(n.kappa));
+  seed = HashCombine(seed, h(n.kappa));
+  return HashCombine(seed, h(n.database));
 }
 
 void LazyConfigGraph::AccountBytes(uint64_t fixed_bytes) {
@@ -317,8 +471,9 @@ int LazyConfigGraph::InternNode(Successor& succ, const ConfigView& source) {
           store.Intern(std::move(succ.prev_inputs)),
           store.Intern(std::move(succ.actions)),
           // A successor's kappa is the source's or a per-binding map the
-          // enumerator interned.
-          succ.kappa),
+          // enumerator interned, and its database the source's or a
+          // refinement the expansion stored.
+          succ.kappa, succ.database),
       succ.page_id);
 }
 
@@ -375,7 +530,6 @@ Status LazyConfigGraph::ExpandNode(int v) {
     edge.from = v;
     edge.to = to;
     edge.inputs = inputs;
-    edge.to_error = succ.to_error;
     edge.error_reason =
         graph_.store->InternReason(std::move(succ.error_reason));
     graph_.out_edges[static_cast<size_t>(v)].push_back(
@@ -386,25 +540,31 @@ Status LazyConfigGraph::ExpandNode(int v) {
   };
 
   const NameId page_id = graph_.page_ids[static_cast<size_t>(v)];
-  if (page_id == stepper_->error_page_id()) {
-    Successor loop = stepper_->ErrorPageLoop(current);
-    return add_edge(loop);
-  }
-  const PageSchema* page = stepper_->FindPage(page_id);
-  if (page == nullptr) {
-    return Status::NotFound("unknown page " + *current.page);
-  }
-  // Conditions (i) and (ii) are checked once per node: exactly one
-  // successor, the choice ignored.
-  if (std::optional<std::string> err =
-          stepper_->StaticError(current, *page)) {
-    Successor to_error =
-        stepper_->ToErrorPage(current, current.kappa, std::move(*err));
-    return add_edge(to_error);
-  }
-  return SuccessorEnumerator(*stepper_, *graph_.store, current, *page, pool_,
-                             add_edge)
-      .Run();
+  Decider decider(*graph_.store, graph_.truncated);
+  // What the property reads is decided before the node's steps, so
+  // every edge out of it is labelled on a database that decides it.
+  return decider.DecideFirst(
+      current, options_.decide_first, [&](const ConfigView& node) -> Status {
+        if (page_id == stepper_->error_page_id()) {
+          Successor loop = stepper_->ErrorPageLoop(node);
+          return add_edge(loop);
+        }
+        const PageSchema* page = stepper_->FindPage(page_id);
+        if (page == nullptr) {
+          return Status::NotFound("unknown page " + *node.page);
+        }
+        // Conditions (i) and (ii) are checked once per node: exactly one
+        // successor, the choice ignored.
+        if (std::optional<std::string> err =
+                stepper_->StaticError(node, *page)) {
+          Successor to_error =
+              stepper_->ToErrorPage(node, node.kappa, std::move(*err));
+          return add_edge(to_error);
+        }
+        return SuccessorEnumerator(*stepper_, *graph_.store, decider, node,
+                                   *page, pool_, add_edge)
+            .Run();
+      });
 }
 
 StatusOr<bool> LazyConfigGraph::EnsureExpanded(int v) {

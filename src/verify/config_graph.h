@@ -12,6 +12,12 @@
 // the finite pool. It can still be large; budgets cap the exploration and
 // report truncation so callers can distinguish "verified within bounds"
 // from "gave up".
+//
+// The database can also be left open and decided during the expansion
+// (DESIGN.md §6j): every node then carries the database as far as its
+// run has decided it, and a step that probes an open fact is redone once
+// per decision. Every path is then a run on the database its nodes
+// decide, and every run on a database within the bounds is a path.
 
 #ifndef WSV_VERIFY_CONFIG_GRAPH_H_
 #define WSV_VERIFY_CONFIG_GRAPH_H_
@@ -43,6 +49,16 @@ struct ConfigGraphOptions {
   /// longer win stop mid-build instead of finishing a large graph nobody
   /// will read.
   std::function<bool()> cancel_check;
+  /// The database the runs are on; null is the stepper's database,
+  /// fully decided. One decided in part (relational/decided.h) is
+  /// decided during the expansion: an open part a step probes is
+  /// settled by redoing the step once per decision. Must outlive the
+  /// graph.
+  const DecidedDatabase* database = nullptr;
+  /// Database facts, relations and constants decided before a node's
+  /// first step: what the property's FO leaves read, so every edge's
+  /// label is evaluated on a database that decides it.
+  std::vector<DbProbe> decide_first;
 };
 
 /// The hash-consed store of one configuration graph (DESIGN.md §6h): every
@@ -66,6 +82,9 @@ class ConfigStore {
   /// stored only if new.
   const Instance* Intern(Part part);
   const Kappa* Intern(Kappa kappa);
+  /// The stored copy of a decided database, whose facts are stored
+  /// already or outlive the store.
+  const DecidedDatabase* Intern(DecidedDatabase database);
   /// The stored name of the page interned as `page`.
   const std::string* InternPage(NameId page);
   /// The stored copy of an error reason; "" for an edge that does not
@@ -94,6 +113,7 @@ class ConfigStore {
 
   Pool<Instance> instances_;
   Pool<Kappa> kappas_;
+  Pool<DecidedDatabase> databases_;
   Pool<std::string> reasons_;
   /// Stored page names, few per graph: interned name -> stored copy.
   std::deque<std::string> page_names_;
@@ -112,10 +132,12 @@ struct ConfigGraph {
     int from = 0;
     int to = 0;
     const Instance* inputs = nullptr;
-    bool to_error = false;
     /// Why the edge enters the error page, stored once in the store
-    /// (never null; "" when !to_error).
+    /// (never null; "" for an edge that does not enter it, and every
+    /// step that enters it gives a reason).
     const std::string* error_reason = nullptr;
+
+    bool to_error() const { return !error_reason->empty(); }
   };
 
   /// The store every node and edge points into.
@@ -136,8 +158,15 @@ struct ConfigGraph {
   TraceView View(int e) const;
   /// An owning copy of the trace element of edge `e`.
   TraceStep Materialize(int e) const;
-  /// An owning copy of node `v`.
+  /// An owning copy of node `v`, without its database.
   Config MaterializeNode(int v) const;
+  /// The database edge `e` is taken on: its target's (the step that
+  /// made the edge decided it that far). Its completion is what an FO
+  /// leaf reads at the edge.
+  const DecidedDatabase& EdgeDatabase(int e) const {
+    return *nodes[static_cast<size_t>(edges[static_cast<size_t>(e)].to)]
+                .database;
+  }
 
   std::string Stats() const;
 };
@@ -159,8 +188,8 @@ StatusOr<ConfigGraph> BuildConfigGraph(const Stepper& stepper,
 class LazyConfigGraph {
  public:
   /// `stepper` must outlive the LazyConfigGraph. An empty
-  /// options.constant_pool resolves to the database's active domain plus
-  /// the service's rule literals, as in BuildConfigGraph.
+  /// options.constant_pool resolves to the stepper database's active
+  /// domain plus the service's rule literals, as in BuildConfigGraph.
   LazyConfigGraph(const Stepper* stepper, ConfigGraphOptions options);
 
   LazyConfigGraph(const LazyConfigGraph&) = delete;

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 
+#include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -26,29 +27,87 @@ std::vector<Value> ServiceRuleLiterals(const WebService& service) {
 
 namespace {
 
-// Enumerates subsets of `tuples` of size <= max_tuples (or all subsets if
-// max_tuples < 0) into the relation named `name`, recursing into `next`.
+// The enumeration domain, and the fresh values in it that no rule or
+// property literal collides with (in d0..dn order).
+std::vector<Value> EnumerationDomain(const WebService& service,
+                                     const DbEnumOptions& options,
+                                     std::vector<Value>* fresh) {
+  std::set<Value> dom;
+  for (Value v : ServiceRuleLiterals(service)) dom.insert(v);
+  for (Value v : options.base_values) dom.insert(v);
+  for (int i = 0; i < options.fresh_values; ++i) {
+    Value v = Value::Intern(StrCat({"d", std::to_string(i)}));
+    // Only values the rules/property cannot name are interchangeable;
+    // a "fresh" value that collides with a literal is pinned.
+    if (dom.insert(v).second && fresh != nullptr) fresh->push_back(v);
+  }
+  return std::vector<Value>(dom.begin(), dom.end());
+}
+
+// The choose-k walk behind ForEachFactSubset.
+class SubsetWalker {
+ public:
+  SubsetWalker(
+      const std::vector<Tuple>& facts, int cap, const std::vector<char>& fixed,
+      const std::function<StatusOr<bool>(const std::vector<size_t>&)>& visit)
+      : facts_(facts),
+        cap_(cap < 0 ? facts.size() : static_cast<size_t>(cap)),
+        fixed_(fixed),
+        visit_(visit) {
+    for (char f : fixed) required_ += f == 1 ? 1 : 0;
+  }
+
+  // Visits the current subset if it holds every required fact, then its
+  // extensions by facts from `start` on.
+  StatusOr<bool> Walk(size_t start) {
+    if (required_ - required_chosen_ > cap_ - chosen_.size()) return false;
+    if (required_chosen_ == required_) {
+      WSV_ASSIGN_OR_RETURN(bool stop, visit_(chosen_));
+      if (stop) return true;
+    }
+    if (chosen_.size() >= cap_) return false;
+    for (size_t i = start; i < facts_.size(); ++i) {
+      if (fixed_[i] == 2) continue;
+      chosen_.push_back(i);
+      if (fixed_[i] == 1) ++required_chosen_;
+      WSV_ASSIGN_OR_RETURN(bool stop, Walk(i + 1));
+      chosen_.pop_back();
+      if (fixed_[i] == 1) --required_chosen_;
+      if (stop) return true;
+      // Every later subset would lack this required fact.
+      if (fixed_[i] == 1) break;
+    }
+    return false;
+  }
+
+ private:
+  const std::vector<Tuple>& facts_;
+  const size_t cap_;
+  const std::vector<char>& fixed_;
+  const std::function<StatusOr<bool>(const std::vector<size_t>&)>& visit_;
+  size_t required_ = 0;
+  size_t required_chosen_ = 0;
+  std::vector<size_t> chosen_;
+};
+
+// a * b and a + b, saturating at UINT64_MAX.
+uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
+}
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+}
+
+// Walks the database space relation by relation, then constant by
+// constant, visiting each complete instance.
 class DbEnumerator {
  public:
   DbEnumerator(const WebService& service, const DbEnumOptions& options,
                const std::function<StatusOr<bool>(const Instance&)>& visit)
       : options_(options), visit_(visit) {
-    std::set<Value> dom;
-    for (Value v : ServiceRuleLiterals(service)) dom.insert(v);
-    for (Value v : options.base_values) dom.insert(v);
-    for (int i = 0; i < options.fresh_values; ++i) {
-      Value v = Value::Intern("d" + std::to_string(i));
-      // Only values the rules/property cannot name are interchangeable;
-      // a "fresh" value that collides with a literal is pinned.
-      if (dom.insert(v).second) fresh_.push_back(v);
-    }
-    domain_.assign(dom.begin(), dom.end());
+    domain_ = EnumerationDomain(service, options, &fresh_);
     relations_ = service.vocab().RelationsOfKind(SymbolKind::kDatabase);
-    for (const std::string& c : service.vocab().constants()) {
-      if (!service.vocab().IsInputConstant(c)) {
-        db_constants_.push_back(InternName(c));
-      }
-    }
+    db_constants_ = EnumerationBounds(service, options).constants;
   }
 
   StatusOr<bool> Run() {
@@ -58,65 +117,21 @@ class DbEnumerator {
   }
 
  private:
-  std::vector<Tuple> AllTuples(int arity) const {
-    std::vector<Tuple> out;
-    if (arity == 0) {
-      out.push_back(Tuple{});
-      return out;
-    }
-    if (domain_.empty()) return out;
-    std::vector<size_t> idx(arity, 0);
-    while (true) {
-      Tuple t(arity);
-      for (int i = 0; i < arity; ++i) t[i] = domain_[idx[i]];
-      out.push_back(std::move(t));
-      int k = 0;
-      while (k < arity) {
-        if (++idx[k] < domain_.size()) break;
-        idx[k] = 0;
-        ++k;
-      }
-      if (k == arity) break;
-    }
-    return out;
-  }
-
   StatusOr<bool> FillRelation(size_t rel_idx, Instance& current) {
     if (rel_idx == relations_.size()) return FillConstant(0, current);
     const RelationSymbol& sym = relations_[rel_idx];
     WSV_RETURN_IF_ERROR(current.EnsureRelation(sym.id, sym.arity));
-    std::vector<Tuple> tuples = AllTuples(sym.arity);
-    Relation* rel = current.MutableRelation(sym.id);
-    // Enumerate subsets up to the cap via choose-k recursion.
-    std::vector<size_t> chosen;
-    size_t cap = options_.max_tuples_per_relation < 0
-                     ? tuples.size()
-                     : static_cast<size_t>(options_.max_tuples_per_relation);
-    return ChooseTuples(rel_idx, current, rel, tuples, chosen, 0, cap);
-  }
-
-  StatusOr<bool> ChooseTuples(size_t rel_idx, Instance& current,
-                              Relation* rel,
-                              const std::vector<Tuple>& tuples,
-                              std::vector<size_t>& chosen, size_t start,
-                              size_t cap) {
-    // Visit the current subset, then try extending it.
-    {
-      rel->Clear();
-      for (size_t i : chosen) rel->Insert(tuples[i]);
-      WSV_ASSIGN_OR_RETURN(bool stop, FillRelation(rel_idx + 1, current));
-      if (stop) return true;
-    }
-    if (chosen.size() >= cap) return false;
-    for (size_t i = start; i < tuples.size(); ++i) {
-      chosen.push_back(i);
-      WSV_ASSIGN_OR_RETURN(
-          bool stop,
-          ChooseTuples(rel_idx, current, rel, tuples, chosen, i + 1, cap));
-      chosen.pop_back();
-      if (stop) return true;
-    }
-    return false;
+    const std::vector<Tuple> facts = AllFacts(domain_, sym.arity);
+    return ForEachFactSubset(
+        facts, options_.max_tuples_per_relation,
+        std::vector<char>(facts.size(), 0),
+        [&](const std::vector<size_t>& chosen) -> StatusOr<bool> {
+          // Looked up per subset: filling later relations may move it.
+          Relation* rel = current.MutableRelation(sym.id);
+          rel->Clear();
+          for (size_t i : chosen) rel->Insert(facts[i]);
+          return FillRelation(rel_idx + 1, current);
+        });
   }
 
   // Nothing in the service, the property, or the run semantics can name
@@ -203,6 +218,93 @@ class DbEnumerator {
 };
 
 }  // namespace
+
+DatabaseBounds EnumerationBounds(const WebService& service,
+                                 const DbEnumOptions& options) {
+  DatabaseBounds bounds;
+  bounds.domain = EnumerationDomain(service, options, nullptr);
+  bounds.max_tuples_per_relation = options.max_tuples_per_relation;
+  for (const std::string& c : service.vocab().constants()) {
+    if (!service.vocab().IsInputConstant(c)) {
+      bounds.constants.push_back(InternName(c));
+    }
+  }
+  return bounds;
+}
+
+Instance UndecidedDatabase(const WebService& service,
+                           const DatabaseBounds& bounds) {
+  Instance db;
+  for (Value v : bounds.domain) db.AddDomainValue(v);
+  for (const RelationSymbol& sym :
+       service.vocab().RelationsOfKind(SymbolKind::kDatabase)) {
+    // Only an arity conflict fails, impossible for a vocabulary.
+    (void)db.EnsureRelation(sym.id, sym.arity);
+  }
+  return db;
+}
+
+uint64_t CountDatabases(const WebService& service,
+                        const DbEnumOptions& options) {
+  const DatabaseBounds bounds = EnumerationBounds(service, options);
+  const uint64_t d = bounds.domain.size();
+  uint64_t total = 1;
+  for (const RelationSymbol& sym :
+       service.vocab().RelationsOfKind(SymbolKind::kDatabase)) {
+    uint64_t facts = 1;
+    for (int i = 0; i < sym.arity; ++i) facts = SaturatingMul(facts, d);
+    const uint64_t cap =
+        options.max_tuples_per_relation < 0
+            ? facts
+            : std::min<uint64_t>(
+                  facts,
+                  static_cast<uint64_t>(options.max_tuples_per_relation));
+    // sum over k <= cap of C(facts, k), each term exact until it
+    // saturates (C(n, k) = C(n, k - 1) * (n - k + 1) / k).
+    uint64_t subsets = 1;
+    unsigned __int128 term = 1;
+    for (uint64_t k = 1; k <= cap && subsets != UINT64_MAX; ++k) {
+      term = term * (facts - k + 1) / k;
+      subsets = term > UINT64_MAX
+                    ? UINT64_MAX
+                    : SaturatingAdd(subsets, static_cast<uint64_t>(term));
+    }
+    total = SaturatingMul(total, subsets);
+  }
+  for (size_t i = 0; i < bounds.constants.size(); ++i) {
+    total = SaturatingMul(total, d);
+  }
+  return total;
+}
+
+std::vector<Tuple> AllFacts(const std::vector<Value>& domain, int arity) {
+  std::vector<Tuple> out;
+  if (arity == 0) {
+    out.push_back(Tuple{});
+    return out;
+  }
+  if (domain.empty()) return out;
+  std::vector<size_t> idx(static_cast<size_t>(arity), 0);
+  while (true) {
+    Tuple t(static_cast<size_t>(arity));
+    for (size_t i = 0; i < idx.size(); ++i) t[i] = domain[idx[i]];
+    out.push_back(std::move(t));
+    size_t k = 0;
+    while (k < idx.size()) {
+      if (++idx[k] < domain.size()) break;
+      idx[k] = 0;
+      ++k;
+    }
+    if (k == idx.size()) break;
+  }
+  return out;
+}
+
+StatusOr<bool> ForEachFactSubset(
+    const std::vector<Tuple>& facts, int cap, const std::vector<char>& fixed,
+    const std::function<StatusOr<bool>(const std::vector<size_t>&)>& visit) {
+  return SubsetWalker(facts, cap, fixed, visit).Walk(0);
+}
 
 StatusOr<bool> EnumerateDatabases(
     const WebService& service, const DbEnumOptions& options,

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "relational/decided.h"
 #include "relational/instance.h"
 #include "ws/service.h"
 
@@ -37,7 +38,9 @@ struct DbEnumOptions {
   /// Maximum number of tuples per database relation (-1: all subsets of
   /// the full cross product — beware, explodes quickly).
   int max_tuples_per_relation = 2;
-  /// Safety cap on the number of instances visited.
+  /// Safety cap on the number of instances EnumerateDatabases visits.
+  /// The LTL verifier enumerates no databases (it decides facts during
+  /// the search, DESIGN.md §6j) and does not read it.
   uint64_t max_instances = 1u << 22;
 };
 
@@ -50,6 +53,38 @@ StatusOr<bool> EnumerateDatabases(
 
 /// The literal values appearing in any rule of the service.
 std::vector<Value> ServiceRuleLiterals(const WebService& service);
+
+/// The bounds EnumerateDatabases enumerates within: its domain (rule
+/// literals, `base_values` and the fresh values), the tuple cap and the
+/// database constants.
+DatabaseBounds EnumerationBounds(const WebService& service,
+                                 const DbEnumOptions& options);
+
+/// The database with nothing decided within `bounds`: every database
+/// relation of the service present and empty, no constant bound, and
+/// the whole domain.
+Instance UndecidedDatabase(const WebService& service,
+                           const DatabaseBounds& bounds);
+
+/// The number of databases within the bounds, without fresh-value
+/// symmetry reduction (EnumerateDatabases visits one per orbit);
+/// saturates at UINT64_MAX.
+uint64_t CountDatabases(const WebService& service,
+                        const DbEnumOptions& options);
+
+/// Every fact of a relation of `arity` over `domain`, in enumeration
+/// order (odometer, first position fastest).
+std::vector<Tuple> AllFacts(const std::vector<Value>& domain, int arity);
+
+/// Calls `visit` on each subset of `facts` of at most `cap` elements
+/// (every subset when cap < 0), as indices into `facts`, in
+/// EnumerateDatabases order: depth-first, each subset before its
+/// extensions by a larger index. `fixed[i]` restricts fact i: 0 free, 1
+/// in every subset, 2 in none. Stops when `visit` returns true, and
+/// returns true then.
+StatusOr<bool> ForEachFactSubset(
+    const std::vector<Tuple>& facts, int cap, const std::vector<char>& fixed,
+    const std::function<StatusOr<bool>(const std::vector<size_t>&)>& visit);
 
 }  // namespace wsv
 

@@ -4,6 +4,8 @@
 #include <queue>
 #include <set>
 
+#include "common/str_util.h"
+
 namespace wsv {
 
 std::string ErrorWitness::ToString() const {
@@ -28,7 +30,7 @@ StatusOr<bool> CheckOne(const WebService& service, const Instance& database,
     std::set<Value> pool(database.domain().begin(), database.domain().end());
     for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
     for (int i = 0; i < options.extra_constant_values; ++i) {
-      pool.insert(Value::Intern("u" + std::to_string(i)));
+      pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
     }
     graph_options.constant_pool.assign(pool.begin(), pool.end());
   }
@@ -48,7 +50,7 @@ StatusOr<bool> CheckOne(const WebService& service, const Instance& database,
     int v = q.front();
     q.pop();
     for (int e : graph.out_edges[v]) {
-      if (graph.edges[e].to_error) {
+      if (graph.edges[e].to_error()) {
         error_edge = e;
         break;
       }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <set>
 #include <unordered_map>
@@ -14,6 +14,7 @@
 #include "automata/ltl_to_buchi.h"
 #include "common/env.h"
 #include "common/hash.h"
+#include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "fo/bytecode/cache.h"
 #include "fo/input_bounded.h"
@@ -64,6 +65,52 @@ struct VectorKeyHash {
 // Matching-state list for edge labels no automaton state carries.
 const std::vector<int> kNoMatchingStates;
 
+// What the automaton's FO leaves read of the database, to be decided
+// before any step (DESIGN.md §6j): a relation the leaves read only
+// through ground atoms, fact by fact; any other relation, and every
+// database constant, whole.
+std::vector<DbProbe> LeafProbes(const WebService& service,
+                                const BuchiAutomaton& automaton) {
+  std::map<std::string, std::set<Tuple>> ground;  // relation -> facts
+  std::set<std::string> whole;
+  const Vocabulary& vocab = service.vocab();
+  for (const FormulaPtr& leaf : automaton.leaves) {
+    for (const Atom& atom : leaf->Atoms()) {
+      const RelationSymbol* sym = vocab.FindRelation(atom.relation);
+      if (atom.prev || sym == nullptr || sym->kind != SymbolKind::kDatabase) {
+        continue;
+      }
+      Tuple fact;
+      for (const Term& term : atom.terms) {
+        if (term.is_literal()) fact.push_back(term.literal());
+      }
+      if (fact.size() == atom.terms.size()) {
+        ground[atom.relation].insert(std::move(fact));
+      } else {
+        whole.insert(atom.relation);
+      }
+    }
+    for (const std::string& c : leaf->ConstantSymbols()) {
+      if (!vocab.IsInputConstant(c)) whole.insert(c);
+    }
+  }
+  std::vector<DbProbe> probes;
+  for (const std::string& name : whole) {
+    probes.push_back(DbProbe{vocab.FindRelation(name) != nullptr
+                                 ? DbProbe::Kind::kRelation
+                                 : DbProbe::Kind::kConstant,
+                             InternName(name),
+                             {}});
+  }
+  for (const auto& [name, facts] : ground) {
+    if (whole.count(name) > 0) continue;
+    for (const Tuple& fact : facts) {
+      probes.push_back(DbProbe{DbProbe::Kind::kFact, InternName(name), fact});
+    }
+  }
+  return probes;
+}
+
 }  // namespace
 
 bool SliceByDefault() {
@@ -92,7 +139,7 @@ std::vector<Value> ResolveConstantPool(const WebService& service,
   for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
   for (Value v : property.formula->Literals()) pool.insert(v);
   for (int i = 0; i < options.extra_constant_values; ++i) {
-    pool.insert(Value::Intern("u" + std::to_string(i)));
+    pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
   }
   return std::vector<Value>(pool.begin(), pool.end());
 }
@@ -166,18 +213,40 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
     const WebService* service, const LtlVerifyOptions& options,
     const TemporalProperty* property, const BuchiAutomaton* automaton,
     const Instance& database, bool abort_on_lasso) {
+  auto owned = std::make_unique<Instance>(database);
+  const DecidedDatabase decided(owned.get());
+  return Build(service, options, property, automaton, decided,
+               abort_on_lasso, std::move(owned));
+}
+
+StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
+    const WebService* service, const LtlVerifyOptions& options,
+    const TemporalProperty* property, const BuchiAutomaton* automaton,
+    const DecidedDatabase& database, bool abort_on_lasso) {
+  return Build(service, options, property, automaton, database,
+               abort_on_lasso, nullptr);
+}
+
+StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Build(
+    const WebService* service, const LtlVerifyOptions& options,
+    const TemporalProperty* property, const BuchiAutomaton* automaton,
+    const DecidedDatabase& database, bool abort_on_lasso,
+    std::unique_ptr<Instance> owned) {
   WSV_SPAN("verify/db_check_create");
   WSV_COUNT1("verify/databases");
   LtlDatabaseCheck check;
   check.service_ = service;
   check.property_ = property;
   check.automaton_ = automaton;
-  check.database_ = std::make_unique<Instance>(database);
-  const Instance& db = *check.database_;
+  check.owned_database_ = std::move(owned);
+  check.database_ = std::make_unique<DecidedDatabase>(database);
+  // Every database the check can decide has this domain, so the pool and
+  // the candidates resolve alike on all of them.
+  const Instance& db = database.facts();
 
   // The stepper is owned by the context: sweeps generate successors
   // long after Create returns.
-  check.stepper_ = std::make_unique<Stepper>(service, check.database_.get());
+  check.stepper_ = std::make_unique<Stepper>(service, &db);
   check.stepper_->SetTrackedPrev(TrackedPrevRelations(*service, *property));
   check.pages_ = std::make_unique<const PagePropositions>(*service);
 
@@ -186,6 +255,10 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   ConfigGraphOptions graph_options = options.graph;
   graph_options.constant_pool =
       ResolveConstantPool(*service, *property, db, options);
+  graph_options.database = check.database_.get();
+  if (!database.complete()) {
+    graph_options.decide_first = LeafProbes(*service, *automaton);
+  }
   check.graph_options_ = graph_options;
 
   check.abort_on_lasso_ = abort_on_lasso;
@@ -394,8 +467,10 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       if (table.queried.Test(e)) continue;
       WSV_TIMER("ltl/leaf_eval_ns");
       if (!step_cache.ctx.has_value() || step_cache.edge != e) {
-        step_cache.ctx.emplace(graph.View(static_cast<int>(e)), *database_,
-                               *service_, *pages_);
+        step_cache.ctx.emplace(
+            graph.View(static_cast<int>(e)),
+            graph.EdgeDatabase(static_cast<int>(e)).facts(), *service_,
+            *pages_);
         step_cache.edge = e;
       }
       WSV_ASSIGN_OR_RETURN(
@@ -449,11 +524,11 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
     for (size_t e = col->upto; e < n; ++e) {
       TraceView view = graph.View(static_cast<int>(e));
-      WSV_ASSIGN_OR_RETURN(bool b,
-                           EvalFoAtStep(*automaton_->leaves[k],
-                                        leaf_progs_[k].get(), view,
-                                        *database_, *service_, *pages_,
-                                        col->val));
+      WSV_ASSIGN_OR_RETURN(
+          bool b, EvalFoAtStep(*automaton_->leaves[k], leaf_progs_[k].get(),
+                               view,
+                               graph.EdgeDatabase(static_cast<int>(e)).facts(),
+                               *service_, *pages_, col->val));
       col->bits.Set(e, b);
     }
     WSV_COUNT("ltl/fo_leaf_evals", n - col->upto);
@@ -480,6 +555,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     bool violating = false;
     LassoRun run;
     std::set<Value> dom;
+    /// The database the lasso runs on: its cycle's, constant along it.
+    const DecidedDatabase* database = nullptr;
   };
   std::deque<OtfClass> classes;  // deque: outcome pointers stay stable
 
@@ -738,7 +815,9 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
               verts[static_cast<size_t>(lasso->cycle[j])].first));
         }
         local.violating = true;
-        local.dom = LassoDomain(run, *database_);
+        local.database = &graph.EdgeDatabase(
+            verts[static_cast<size_t>(lasso->prefix.back())].first);
+        local.dom = LassoDomain(run, database_->facts());
         std::set<Value> lits = property_->formula->Literals();
         local.dom.insert(lits.begin(), lits.end());
         local.run = std::move(run);
@@ -786,7 +865,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     ensure_valuation();
     IndexedCounterExample found;
     found.valuation_index = i;
-    found.cex.database = *database_;
+    found.cex.database = outcome->database->Completion();
     found.cex.run = outcome->run;
     found.cex.valuation = std::move(valuation);
     return std::optional<IndexedCounterExample>(std::move(found));
@@ -797,7 +876,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
 namespace {
 
 // What the front end computes once per Verify/VerifyOnDatabase call;
-// every database's check reads it.
+// both phases of the check read it.
 struct Plan {
   const TemporalProperty* property = nullptr;
   BuchiAutomaton automaton;
@@ -830,24 +909,26 @@ void AddGraphTotals(const LtlDatabaseCheck& check, LtlVerifyResult* totals) {
   if (check.truncated()) totals->complete_within_bounds = false;
 }
 
-// The two-phase check of one database (DESIGN.md §10). Phase 1 sweeps
-// the sliced spec in abort-on-lasso mode: a range with no accepting
-// lasso on the sliced graph has none on the full graph either (the
-// sliced graph is its quotient), so a lasso-free probe decides the
-// database outright. Otherwise the full-spec sweep resumes at the first
-// lasso index. Returns the full sweep's event; graph, product and
-// truncation accounting of both phases lands in `totals`.
+// The two-phase check (DESIGN.md §10) on `database`, fixed or decided
+// during the search. Phase 1 sweeps the sliced spec in abort-on-lasso
+// mode: a range with no accepting lasso on the sliced graph has none on
+// the full graph either (the sliced graph is its quotient), so a
+// lasso-free probe decides the check outright. Otherwise the full-spec
+// sweep resumes at the first lasso index. Returns the full sweep's
+// event; graph, product and truncation accounting of both phases lands
+// in `totals`.
 StatusOr<std::optional<IndexedCounterExample>> CheckDatabase(
     const WebService& service, const LtlVerifyOptions& options,
-    const Plan& plan, const Instance& database, const ValuationSweep& sweep,
-    LtlVerifyResult* totals) {
+    const Plan& plan, const DecidedDatabase& database,
+    const ValuationSweep& sweep, LtlVerifyResult* totals) {
   uint64_t from = 0;
   if (plan.sliced != nullptr) {
     WSV_ASSIGN_OR_RETURN(
         LtlDatabaseCheck probe,
         LtlDatabaseCheck::Create(
             plan.sliced.get(),
-            SlicedCheckOptions(options, service, *plan.property, database),
+            SlicedCheckOptions(options, service, *plan.property,
+                               database.facts()),
             plan.property, &plan.automaton, database,
             /*abort_on_lasso=*/true));
     auto marker = sweep(probe, 0, &totals->total_product_states);
@@ -865,11 +946,11 @@ StatusOr<std::optional<IndexedCounterExample>> CheckDatabase(
   return found;
 }
 
-// The winning event of a sweep whose tasks are keyed by an index
-// (database, or first valuation of a chunk): the lowest-keyed
-// counterexample or error offered so far. `best_` doubles as the
-// cancellation signal workers poll (UINT64_MAX: no event yet); the
-// outcome is only touched under `mu_`.
+// The winning event of a sweep whose tasks are keyed by an index (the
+// first valuation of a chunk): the lowest-keyed counterexample or error
+// offered so far. `best_` doubles as the cancellation signal workers
+// poll (UINT64_MAX: no event yet); the outcome is only touched under
+// `mu_`.
 class EventBoard {
  public:
   // Whether an event keyed below `key` has landed: work at `key` can no
@@ -885,7 +966,7 @@ class EventBoard {
   // nothing. Returns true if the outcome is the new winner; the caller
   // then cancels the work that can no longer win.
   bool Offer(uint64_t key,
-             StatusOr<std::optional<IndexedCounterExample>> outcome) {
+             StatusOr<std::optional<IndexedCounterExample>>&& outcome) {
     if (outcome.ok() ? !outcome->has_value()
                      : outcome.status().code() == StatusCode::kCancelled &&
                            Beaten(key)) {
@@ -1003,114 +1084,43 @@ StatusOr<LtlVerifyResult> LtlVerifier::Run(const TemporalProperty& property,
     plan.sliced = analysis::SlicePropertyCone(*service_, property).service;
   }
 
-  LtlVerifyResult result;
-  EventBoard board;
-  uint64_t num_dbs = 0;
-  StatusOr<bool> enumerated = false;
-  if (database != nullptr) {
-    // One database: at jobs > 1 each phase's valuations are chunked.
-    const ValuationSweep sweep =
-        jobs_ == 1 ? WholeSweep(nullptr)
-                   : ValuationSweep([&](const LtlDatabaseCheck& check,
-                                        uint64_t from, uint64_t* states) {
-                       return ChunkedSweep(check, from, jobs_,
-                                           options_.class_collapse, start,
-                                           states);
-                     });
-    board.Offer(num_dbs++, CheckDatabase(*service_, options_, plan,
-                                         *database, sweep, &result));
-  } else {
-    DbEnumOptions db_options = options_.db;
-    for (Value v : property.formula->Literals()) {
-      db_options.base_values.push_back(v);
-    }
-    // jobs > 1: one pool task per database. Backpressure caps the
-    // submitted-but-unfinished tasks (each holds a database copy), since
-    // the enumerator runs far ahead of the workers.
-    std::optional<ThreadPool> pool;
-    if (jobs_ > 1) pool.emplace(jobs_);
-    std::mutex mu;  // guards `result` and `outstanding`
-    std::condition_variable slot_cv;
-    uint64_t outstanding = 0;
-    const uint64_t max_outstanding = static_cast<uint64_t>(jobs_) * 2;
-    enumerated = EnumerateDatabases(
-        *service_, db_options, [&](const Instance& db) -> StatusOr<bool> {
-          const uint64_t d = num_dbs++;
-          if (!pool.has_value()) {
-            board.Offer(d, CheckDatabase(*service_, options_, plan, db,
-                                         WholeSweep(nullptr), &result));
-            return board.Settled();
-          }
-          if (board.Beaten(d)) {
-            WSV_COUNT1("verify/dbs_pruned_by_cancel");
-            return true;  // stop enumerating
-          }
-          {
-            std::unique_lock<std::mutex> lock(mu);
-            slot_cv.wait(lock, [&] {
-              return outstanding < max_outstanding || board.Settled();
-            });
-            if (board.Beaten(d)) return true;
-            ++outstanding;
-          }
-          // The enumerator reuses its instance buffer: the task gets a
-          // copy.
-          auto db_copy = std::make_shared<Instance>(db);
-          pool->Submit([&, d, db_copy] {
-            LtlVerifyResult totals;
-            // Releases the slot on every exit path.
-            struct Release {
-              std::mutex& mu;
-              std::condition_variable& cv;
-              uint64_t& outstanding;
-              LtlVerifyResult& totals;
-              LtlVerifyResult& result;
-              ~Release() {
-                {
-                  std::lock_guard<std::mutex> lock(mu);
-                  --outstanding;
-                  result.total_graph_nodes += totals.total_graph_nodes;
-                  result.total_product_states += totals.total_product_states;
-                  if (!totals.complete_within_bounds) {
-                    result.complete_within_bounds = false;
-                  }
-                }
-                cv.notify_all();
-              }
-            } release{mu, slot_cv, outstanding, totals, result};
-            if (board.Beaten(d)) return;
-            auto found = CheckDatabase(
-                *service_, options_, plan, *db_copy,
-                WholeSweep([&board, d](uint64_t) { return board.Beaten(d); }),
-                &totals);
-            if (board.Offer(d, std::move(found))) {
-              WSV_COUNT1("verify/cancellations_signalled");
-              const size_t dropped = pool->CancelPending();
-              std::lock_guard<std::mutex> lock(mu);
-              outstanding -= dropped;
-            }
-          });
-          return false;
-        });
-    if (pool.has_value()) {
-      pool->Wait();
-      board.RecordTiming(start);
-    }
+  // The database: the given one, fully decided, or every database
+  // within options_.db, decided during the search (DESIGN.md §6j).
+  DbEnumOptions db_options = options_.db;
+  for (Value v : property.formula->Literals()) {
+    db_options.base_values.push_back(v);
+  }
+  DatabaseBounds bounds;
+  Instance undecided;
+  DecidedDatabase decided(database);
+  if (database == nullptr) {
+    bounds = EnumerationBounds(*service_, db_options);
+    undecided = UndecidedDatabase(*service_, bounds);
+    decided = DecidedDatabase(&undecided, &bounds);
   }
 
-  auto winner = board.Take();
-  if (!winner.ok()) return winner.status();
-  if (winner->has_value()) {
+  // At jobs > 1 each phase's valuations are chunked.
+  const ValuationSweep sweep =
+      jobs_ == 1 ? WholeSweep(nullptr)
+                 : ValuationSweep([&](const LtlDatabaseCheck& check,
+                                      uint64_t from, uint64_t* states) {
+                     return ChunkedSweep(check, from, jobs_,
+                                         options_.class_collapse, start,
+                                         states);
+                   });
+  LtlVerifyResult result;
+  WSV_ASSIGN_OR_RETURN(
+      std::optional<IndexedCounterExample> found,
+      CheckDatabase(*service_, options_, plan, decided, sweep, &result));
+  if (found.has_value()) {
     result.holds = false;
-    result.counterexample = std::move((**winner).cex);
-    // What an inline sweep visits before stopping.
-    result.databases_checked = board.best() + 1;
+    result.counterexample = std::move(found->cex);
+    // The witness names one database.
+    result.databases_checked = 1;
     return result;
   }
-  // No event anywhere: an enumerator failure (e.g. the instance cap) is
-  // the outcome.
-  if (!enumerated.ok()) return enumerated.status();
-  result.databases_checked = num_dbs;
+  result.databases_checked =
+      database != nullptr ? 1 : CountDatabases(*service_, db_options);
   return result;
 }
 

@@ -4,8 +4,10 @@
 // The procedure is the automata-theoretic one: negate the property,
 // translate to a Büchi automaton over its FO leaves, and search the
 // product of the configuration graph with the automaton for an accepting
-// lasso — per candidate database and per valuation of the property's
-// universal closure variables.
+// lasso — per valuation of the property's universal closure variables,
+// on a fixed database or on every database within the bounds, whose
+// facts the configuration graph decides as runs probe them (DESIGN.md
+// §6j).
 //
 // Relation to the paper's proof: Theorem 3.5's upper bound reduces the
 // existence of a violating run to finite satisfiability of an E+TC
@@ -18,13 +20,13 @@
 // constant pool), which is complete once the bounds reach the paper's
 // small-model sizes.
 //
-// The per-database work is packaged as LtlDatabaseCheck: one context per
-// candidate database, built once, then a sweep over a range of
-// closure-valuation indices. Contexts are immutable after Create, so
-// concurrent CheckValuations calls on one context are safe. LtlVerifier
-// (below) drives it: one front end per call, one two-phase check per
-// database, and a `jobs` parameter that picks only how databases and
-// valuation ranges are dispatched.
+// The work is packaged as LtlDatabaseCheck: one context per database
+// (fixed, or decided during the search), built once, then a sweep over a
+// range of closure-valuation indices. Contexts are immutable after
+// Create, so concurrent CheckValuations calls on one context are safe.
+// LtlVerifier (below) drives it: one front end per call, one two-phase
+// check, and a `jobs` parameter that picks only how valuation ranges are
+// dispatched.
 
 #ifndef WSV_VERIFY_LTL_VERIFIER_H_
 #define WSV_VERIFY_LTL_VERIFIER_H_
@@ -108,6 +110,10 @@ struct LtlVerifyResult {
   /// True iff no violating run was found within the bounds.
   bool holds = true;
   std::optional<CounterExample> counterexample;
+  /// The databases the verdict covers: 1 for a fixed database and for a
+  /// counterexample (it names one database); for a HOLDS verdict over
+  /// every database, how many lie within the bounds (no symmetry
+  /// reduction; saturating, see CountDatabases).
   uint64_t databases_checked = 0;
   uint64_t total_graph_nodes = 0;
   uint64_t total_product_states = 0;
@@ -127,9 +133,10 @@ struct IndexedCounterExample {
   bool lasso_only = false;
 };
 
-/// The per-database half of the Theorem 3.5 procedure: the stepper over
-/// one candidate database, the closure-valuation candidate list, and the
-/// per-leaf and per-automaton tables the on-the-fly sweep reads.
+/// One database's half of the Theorem 3.5 procedure: the stepper over
+/// the database (fixed, or decided during the search), the
+/// closure-valuation candidate list, and the per-leaf and per-automaton
+/// tables the on-the-fly sweep reads.
 ///
 /// Valuations are addressed by index in [0, NumValuations()): index i
 /// denotes the valuation whose k-th variable takes candidate number
@@ -159,13 +166,21 @@ class LtlDatabaseCheck {
                                            const BuchiAutomaton* automaton,
                                            const Instance& database,
                                            bool abort_on_lasso);
+  /// The same on a database decided in part (DESIGN.md §6j): every
+  /// database within its bounds, decided during the search. Its facts
+  /// and bounds are not copied and must outlive the context (a fully
+  /// decided one works too, as a fixed database that is not copied).
+  static StatusOr<LtlDatabaseCheck> Create(const WebService* service,
+                                           const LtlVerifyOptions& options,
+                                           const TemporalProperty* property,
+                                           const BuchiAutomaton* automaton,
+                                           const DecidedDatabase& database,
+                                           bool abort_on_lasso);
 
   /// Number of closure valuations to sweep. 1 when the property has no
   /// universal variables; 0 when it has variables but no candidates
   /// (vacuously no violation).
   uint64_t NumValuations() const { return num_valuations_; }
-
-  const Instance& database() const { return *database_; }
 
   /// Configuration-graph size and truncation, aggregated over the lazily
   /// expanded per-sweep graphs: read them *after* the CheckValuations
@@ -183,10 +198,12 @@ class LtlDatabaseCheck {
   ///
   /// Sweeps valuation indices [begin, end) in increasing order and
   /// returns the lowest-index counterexample in the range, or nullopt if
-  /// the range is violation-free. `stop` (optional) is polled with the
-  /// upcoming index before each valuation: once it returns true the
-  /// sweep aborts — with the counterexample found so far if any (later
-  /// indices cannot beat it), else with Status::Cancelled.
+  /// the range is violation-free. A counterexample's database is the
+  /// completion of the database its lasso's cycle decides. `stop`
+  /// (optional) is polled with the upcoming index before each
+  /// valuation: once it returns true the sweep aborts — with the
+  /// counterexample found so far if any (later indices cannot beat it),
+  /// else with Status::Cancelled.
   /// `product_states` (optional) accumulates product automaton sizes
   /// (of the products actually built — see
   /// LtlVerifyOptions::class_collapse).
@@ -206,10 +223,21 @@ class LtlDatabaseCheck {
  private:
   LtlDatabaseCheck() = default;
 
+  /// Both Creates; `owned`, if set, is kept alive with the context.
+  static StatusOr<LtlDatabaseCheck> Build(
+      const WebService* service, const LtlVerifyOptions& options,
+      const TemporalProperty* property, const BuchiAutomaton* automaton,
+      const DecidedDatabase& database, bool abort_on_lasso,
+      std::unique_ptr<Instance> owned);
+
   const WebService* service_ = nullptr;
   const TemporalProperty* property_ = nullptr;
   const BuchiAutomaton* automaton_ = nullptr;
-  std::unique_ptr<Instance> database_;  // owned; address stable
+  /// Create's copy of a fixed database, if it made one; address stable.
+  std::unique_ptr<Instance> owned_database_;
+  /// The database every lazy per-sweep graph starts from; address
+  /// stable, as the graph options point at it.
+  std::unique_ptr<DecidedDatabase> database_;
   /// The bound stepper; owned so sweeps can generate successors after
   /// Create returns (address stable across moves).
   std::unique_ptr<Stepper> stepper_;
@@ -287,32 +315,33 @@ class LtlDatabaseCheck {
 /// The Theorem 3.5 procedure end to end. Each Verify/VerifyOnDatabase
 /// call runs one front end — validate the options, build the negated
 /// automaton, and slice when `options.enable_slice` says so — then one
-/// two-phase check per candidate database (DESIGN.md §10): a sliced
-/// abort-on-lasso probe, then the full-spec sweep from the probe's
-/// marker index.
+/// two-phase check (DESIGN.md §10): a sliced abort-on-lasso probe, then
+/// the full-spec sweep from the probe's marker index. VerifyOnDatabase
+/// checks the given database; Verify checks every database within
+/// `options.db` at once, as one database decided during the search
+/// (DESIGN.md §6j).
 ///
 /// `jobs` (<= 0: one worker per hardware thread) chooses only how that
 /// work is dispatched:
 ///   * jobs == 1: everything runs inline on the calling thread — no
 ///     pool, no thread.
-///   * jobs > 1: Verify runs one pool task per enumerated database
-///     (with backpressure); VerifyOnDatabase cuts each phase's
-///     valuation range into chunks run on a pool.
+///   * jobs > 1: each phase's valuation range is cut into chunks run on
+///     a pool.
 ///
 /// Determinism: every job count reports the verdict and witness of the
-/// inline run. Counterexamples and errors are events keyed by database
-/// (resp. chunk) index and the lowest index wins; cancellation only
-/// stops work at indices above the current best, so every index below
-/// the winner has been swept violation-free. Cancellation is
-/// three-layered: the enumerator stops producing, the pool drops its
-/// queued backlog, and in-flight sweeps poll the best index per
-/// valuation and per expanded configuration-graph node.
+/// inline run. Counterexamples and errors are events keyed by chunk
+/// index and the lowest index wins; cancellation only stops work at
+/// indices above the current best, so every index below the winner has
+/// been swept violation-free. Cancellation is two-layered: the pool
+/// drops its queued backlog, and in-flight sweeps poll the best index
+/// per valuation and per expanded configuration-graph node.
 class LtlVerifier {
  public:
   LtlVerifier(const WebService* service, LtlVerifyOptions options,
               int jobs = 1);
 
-  /// Verifies over all databases within the enumeration bounds.
+  /// Verifies over all databases within the enumeration bounds
+  /// (options.db), deciding their facts during the search.
   StatusOr<LtlVerifyResult> Verify(const TemporalProperty& property);
 
   /// Verifies over one fixed database.
@@ -320,7 +349,7 @@ class LtlVerifier {
                                              const Instance& database);
 
  private:
-  /// Both entry points: `database` null enumerates.
+  /// Both entry points: `database` null checks every database.
   StatusOr<LtlVerifyResult> Run(const TemporalProperty& property,
                                 const Instance* database);
 

@@ -54,9 +54,9 @@ std::string WebService::ToString() const {
     if (sym.arity > 0) {
       std::vector<std::string> attrs;
       for (int i = 0; i < sym.arity; ++i) {
-        attrs.push_back("a" + std::to_string(i));
+        attrs.push_back(StrCat({"a", std::to_string(i)}));
       }
-      entry += "(" + Join(attrs, ", ") + ")";
+      entry += StrCat({"(", Join(attrs, ", "), ")"});
     }
     return entry;
   };
@@ -66,7 +66,7 @@ std::string WebService::ToString() const {
       items.push_back(decl(sym));
     }
     if (!items.empty()) {
-      out += std::string(label) + " " + Join(items, ", ") + ";\n";
+      out += StrCat({label, " ", Join(items, ", "), ";\n"});
     }
   };
   list_kind(SymbolKind::kDatabase, "database");

@@ -207,7 +207,7 @@ void ExpectSameGraph(const ConfigGraph& got, const ReferenceGraph& want,
     ASSERT_EQ(a.to, b.to) << "edge " << e;
     ASSERT_EQ(a.inputs->ToString(), b.inputs.ToString()) << "edge " << e;
     ASSERT_TRUE(*a.inputs == b.inputs) << "edge " << e;
-    ASSERT_EQ(a.to_error, b.to_error) << "edge " << e;
+    ASSERT_EQ(a.to_error(), b.to_error) << "edge " << e;
     ASSERT_EQ(*a.error_reason, b.error_reason) << "edge " << e;
   }
 }

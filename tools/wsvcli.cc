@@ -19,11 +19,13 @@
 //                 [--heartbeat SECS] [--watchdog-deadline SECS]
 //                 [--step-budget N]
 //       Verify an LTL-FO property (Theorem 3.5); --unchecked skips the
-//       input-boundedness gate. The product is searched on-the-fly
+//       input-boundedness gate. Without a database, every database up
+//       to the --fresh bound is checked by deciding its facts as runs
+//       probe them. The product is searched on-the-fly
 //       (configurations expanded only as the nested DFS reaches them,
 //       stopping at the first accepting cycle). --jobs N fans the
-//       database/valuation sweep over N worker threads (default: one
-//       per hardware thread; 1 = serial). Verdict and witness are
+//       valuation sweep over N worker threads (default: one per
+//       hardware thread; 1 = serial). Verdict and witness are
 //       identical at any job count.
 //       --no-fo-bytecode evaluates FO formulas with the tree-walking
 //       interpreter instead of the compiled bytecode engine (same
@@ -33,8 +35,8 @@
 //       --trace-out writes a Chrome/Perfetto trace-event file of the
 //       pipeline spans, and --progress prints a once-a-second heartbeat
 //       for long sweeps. --log-json streams a wide-event JSONL log (one
-//       self-contained event per request phase — parse, lint, db_enum,
-//       product, emptiness, witness_check — plus a terminal "request"
+//       self-contained event per request phase — parse, lint,
+//       db_check_create, product, emptiness, witness_check — plus a terminal "request"
 //       event with the verdict, outcome, and the exact counter delta
 //       attributed to this request; see src/obs/events.h). --heartbeat S
 //       prints watchdog progress lines every S seconds;
@@ -511,7 +513,7 @@ class ProgressHeartbeat {
       obs::MetricsSnapshot snap = obs::SnapshotMetrics();
       std::fprintf(
           stderr,
-          "progress[%s]: dbs=%llu graph_nodes=%llu valuations=%llu "
+          "progress[%s]: checks=%llu graph_nodes=%llu valuations=%llu "
           "product_states=%llu cex=%llu\n",
           obs::FormatDurationNs(obs::MonotonicNowNs() - start_ns_).c_str(),
           static_cast<unsigned long long>(
