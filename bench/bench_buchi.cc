@@ -7,6 +7,7 @@
 #include <string>
 
 #include "automata/ltl_to_buchi.h"
+#include "common/str_util.h"
 #include "ltl/ltl_parser.h"
 
 namespace wsv {
@@ -14,9 +15,9 @@ namespace {
 
 // Nested untils: (p0 U (p1 U (... U pn))).
 std::string NestedUntil(int n) {
-  std::string text = "p" + std::to_string(n);
+  std::string text = StrCat({"p", std::to_string(n)});
   for (int i = n - 1; i >= 0; --i) {
-    text = "p" + std::to_string(i) + " U (" + text + ")";
+    text = StrCat({"p", std::to_string(i), " U (", text, ")"});
   }
   return text;
 }
@@ -26,8 +27,8 @@ std::string Responses(int n) {
   std::string text;
   for (int i = 0; i < n; ++i) {
     if (i > 0) text += " & ";
-    text += "G(p" + std::to_string(i) + " -> F(q" + std::to_string(i) +
-            "))";
+    const std::string si = std::to_string(i);
+    text += StrCat({"G(p", si, " -> F(q", si, "))"});
   }
   return text;
 }

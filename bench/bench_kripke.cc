@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "common/str_util.h"
 #include "verify/abstraction.h"
 #include "ws/builder.h"
 
@@ -20,24 +21,25 @@ StatusOr<WebService> RingService(int pages, int bits) {
   ServiceBuilder b("Ring");
   b.Input("act", 1);
   for (int i = 0; i < bits; ++i) {
-    b.State("s" + std::to_string(i), 0);
+    b.State(StrCat({"s", std::to_string(i)}), 0);
   }
   for (int p = 0; p < pages; ++p) {
-    PageBuilder page = b.Page("P" + std::to_string(p));
+    PageBuilder page = b.Page(StrCat({"P", std::to_string(p)}));
     std::string options;
     for (int i = 0; i < bits; ++i) {
       if (i > 0) options += " | ";
-      options += "x = \"set" + std::to_string(i) + "\" | x = \"clr" +
-                 std::to_string(i) + "\"";
+      const std::string si = std::to_string(i);
+      options += StrCat({"x = \"set", si, "\" | x = \"clr", si, "\""});
     }
     options += " | x = \"go\"";
     page.Options("act(x)", options);
     for (int i = 0; i < bits; ++i) {
       std::string si = std::to_string(i);
-      page.Insert("s" + si, "act(\"set" + si + "\")");
-      page.Delete("s" + si, "act(\"clr" + si + "\")");
+      page.Insert(StrCat({"s", si}), StrCat({"act(\"set", si, "\")"}));
+      page.Delete(StrCat({"s", si}), StrCat({"act(\"clr", si, "\")"}));
     }
-    page.Target("P" + std::to_string((p + 1) % pages), "act(\"go\")");
+    page.Target(StrCat({"P", std::to_string((p + 1) % pages)}),
+                "act(\"go\")");
   }
   b.Home("P0").Error("ERR");
   return b.Build();

@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/str_util.h"
 #include "reductions/turing.h"
 #include "verify/ltl_verifier.h"
 
@@ -17,11 +18,11 @@ namespace {
 TuringMachine CountingMachine(int k) {
   TuringMachine tm;
   for (int i = 0; i < k; ++i) {
-    tm.moves.push_back({"q" + std::to_string(i), "b", "1",
-                        "q" + std::to_string(i + 1),
+    tm.moves.push_back({StrCat({"q", std::to_string(i)}), "b", "1",
+                        StrCat({"q", std::to_string(i + 1)}),
                         TuringMachine::Dir::kRight});
   }
-  tm.moves.push_back({"q" + std::to_string(k), "b", "b", "qH",
+  tm.moves.push_back({StrCat({"q", std::to_string(k)}), "b", "b", "qH",
                       TuringMachine::Dir::kStay});
   return tm;
 }

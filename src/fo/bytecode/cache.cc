@@ -5,7 +5,6 @@
 #include <shared_mutex>
 #include <unordered_map>
 
-#include "common/env.h"
 #include "common/fingerprint.h"
 #include "fo/bytecode/compiler.h"
 #include "obs/metrics.h"
@@ -14,22 +13,15 @@ namespace wsv {
 namespace fobc {
 namespace {
 
-std::atomic<bool> g_enabled{true};
-
-bool DisabledByEnv() {
-  static const bool disabled = EnvFlagSet("WSV_DISABLE_FO_BYTECODE");
-  return disabled;
-}
-
 std::atomic<bool> g_force_fp_collisions{false};
 
-// One distinct structure: the compiled program (nullptr when
-// compilation failed, so a bad formula compiles only once) plus the
-// exemplar formula it was compiled from, which confirms fingerprint
-// matches by deep comparison. Query entries also carry the head list
-// baked into the code.
+// One distinct structure: the compiled program, or the compile's error
+// (so a bad formula compiles only once), plus the exemplar formula it
+// was compiled from, which confirms fingerprint matches by deep
+// comparison. Query entries also carry the head list baked into the
+// code.
 struct Entry {
-  std::shared_ptr<const Program> prog;
+  StatusOr<std::shared_ptr<const Program>> prog;
   FormulaPtr exemplar;
   std::vector<std::string> head_vars;
 };
@@ -124,7 +116,7 @@ const Entry* FindLocked(const std::vector<Entry>& bucket, const Formula& f,
 // costs time linear in the formula: owners look a formula up once, when
 // they are built, never per evaluation.
 template <typename CompileFn>
-std::shared_ptr<const Program> GetOrCompile(
+StatusOr<std::shared_ptr<const Program>> GetOrCompile(
     Table& table, const Fingerprint& fp, const FormulaPtr& f,
     const std::vector<std::string>& head_vars, CompileFn compile) {
   Cache& cache = GetCache();
@@ -139,9 +131,7 @@ std::shared_ptr<const Program> GetOrCompile(
     }
   }
   WSV_COUNT1("fo/bytecode_compiles");
-  auto compiled = compile();
-  std::shared_ptr<const Program> prog =
-      compiled.ok() ? std::move(compiled).value() : nullptr;
+  StatusOr<std::shared_ptr<const Program>> prog = compile();
   std::unique_lock<std::shared_mutex> lock(cache.mu);
   std::vector<Entry>& bucket = table[fp];
   // Another thread may have compiled the same structure meanwhile; the
@@ -152,7 +142,7 @@ std::shared_ptr<const Program> GetOrCompile(
   if (!bucket.empty()) WSV_COUNT1("fo/bytecode_fp_collisions");
   bucket.push_back(Entry{prog, f, head_vars});
   const uint64_t prog_bytes =
-      prog == nullptr ? sizeof(void*) : ApproxProgramBytes(*prog);
+      prog.ok() ? ApproxProgramBytes(**prog) : sizeof(void*);
   const uint64_t formula_bytes = ApproxFormulaBytes(*f);
   cache.entries += 1;
   cache.program_bytes += prog_bytes;
@@ -165,38 +155,22 @@ std::shared_ptr<const Program> GetOrCompile(
 
 }  // namespace
 
-bool BytecodeEnabled() {
-  return !DisabledByEnv() && g_enabled.load(std::memory_order_relaxed);
-}
-
-void SetBytecodeEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 void ForceFingerprintCollisionsForTest(bool force) {
   g_force_fp_collisions.store(force, std::memory_order_relaxed);
 }
 
-std::shared_ptr<const Program> GetOrCompileBool(const FormulaPtr& f) {
-  if (f == nullptr) return nullptr;
+StatusOr<std::shared_ptr<const Program>> GetOrCompileBool(
+    const FormulaPtr& f) {
+  if (f == nullptr) return Status::InvalidArgument("null formula");
   return GetOrCompile(GetCache().bools, FormulaFp(*f), f, {},
                       [&] { return CompileBool(f); });
 }
 
-std::shared_ptr<const Program> GetOrCompileQuery(
+StatusOr<std::shared_ptr<const Program>> GetOrCompileQuery(
     const FormulaPtr& f, const std::vector<std::string>& head_vars) {
-  if (f == nullptr) return nullptr;
+  if (f == nullptr) return Status::InvalidArgument("null formula");
   return GetOrCompile(GetCache().queries, QueryFp(*f, head_vars), f,
                       head_vars, [&] { return CompileQuery(f, head_vars); });
-}
-
-std::shared_ptr<const Program> ResolveBool(const FormulaPtr& f) {
-  return BytecodeEnabled() ? GetOrCompileBool(f) : nullptr;
-}
-
-std::shared_ptr<const Program> ResolveQuery(
-    const FormulaPtr& f, const std::vector<std::string>& head_vars) {
-  return BytecodeEnabled() ? GetOrCompileQuery(f, head_vars) : nullptr;
 }
 
 CacheStats ProgramCacheStats() {

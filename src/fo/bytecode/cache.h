@@ -1,4 +1,5 @@
-// Program cache and gating for the FO bytecode engine.
+// Program cache for the FO bytecode engine, the one FO evaluator of
+// every verification path.
 //
 // Each FO leaf, input-option formula and update rule is compiled once
 // per process per distinct structure. The cache is keyed by structure
@@ -12,25 +13,13 @@
 // per distinct structure however many formula objects were looked up.
 //
 // A lookup fingerprints the formula, so it is not for hot paths. The
-// owners of formulas resolve their programs once, when they are built
+// owners of formulas compile their programs once, when they are built
 // (runtime/successor's Stepper, verify/ltl_verifier's database check,
 // ltl/run_semantics' lasso evaluator), hold them, and run them through
-// fo/bytecode/vm.h.
-//
-// The engine is on by default. It is one process-wide value, fixed
-// before any work starts, and either of two switches turns it off for
-// the whole process; the tree-walking interpreter then runs instead:
-//
-//   * environment: WSV_DISABLE_FO_BYTECODE=1 (read once per process,
-//     common/env.h's rule),
-//   * SetBytecodeEnabled(false) (the CLI's --no-fo-bytecode flag).
-//
-// Owners decide at resolution time: ResolveBool and ResolveQuery return
-// nullptr while the engine is off, and an owner runs the programs it
-// holds without asking again. A caller that needs the interpreter for
-// one evaluation (witness validation, the independent oracle) asks for
-// it explicitly (ltl/run_semantics.h's FoEngine). The program cache key
-// omits the setting: it changes no observable number.
+// fo/bytecode/vm.h. A formula that does not compile fails its owner's
+// construction with the compile's Status. Only witness validation and
+// the tests evaluate without a program, on the plan-free oracle of
+// fo/evaluator.h.
 
 #ifndef WSV_FO_BYTECODE_CACHE_H_
 #define WSV_FO_BYTECODE_CACHE_H_
@@ -39,18 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "fo/bytecode/program.h"
 #include "fo/formula.h"
 
 namespace wsv {
 namespace fobc {
-
-/// True iff owners resolve compiled programs (the process value).
-bool BytecodeEnabled();
-
-/// Process-wide switch (the env var still wins when set). Set it before
-/// any owner resolves programs.
-void SetBytecodeEnabled(bool enabled);
 
 /// Occupancy of the process-wide program cache, for --stats and the
 /// mem/fo_* gauges. Byte figures are footprint estimates (vector
@@ -62,21 +45,16 @@ struct CacheStats {
 };
 CacheStats ProgramCacheStats();
 
-/// Returns the program for `f`'s structure, compiling on first use.
-/// nullptr when compilation failed (callers fall back to the
-/// interpreter). Thread-safe.
-std::shared_ptr<const Program> GetOrCompileBool(const FormulaPtr& f);
+/// Returns the program for `f`'s structure, compiling on first use; the
+/// compile's error when it failed (every later lookup returns the same
+/// error). Never a null program. Thread-safe.
+StatusOr<std::shared_ptr<const Program>> GetOrCompileBool(
+    const FormulaPtr& f);
 
 /// Same for query programs with head variables `head_vars`; the head
 /// list is part of the key. A compiled query assumes its heads are
 /// unbound on entry.
-std::shared_ptr<const Program> GetOrCompileQuery(
-    const FormulaPtr& f, const std::vector<std::string>& head_vars);
-
-/// GetOrCompileBool / GetOrCompileQuery when BytecodeEnabled(), else
-/// nullptr: what an owner holds for a formula it evaluates.
-std::shared_ptr<const Program> ResolveBool(const FormulaPtr& f);
-std::shared_ptr<const Program> ResolveQuery(
+StatusOr<std::shared_ptr<const Program>> GetOrCompileQuery(
     const FormulaPtr& f, const std::vector<std::string>& head_vars);
 
 /// Test hook: when forced, every formula reports the same fingerprint,

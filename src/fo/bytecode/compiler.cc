@@ -211,8 +211,8 @@ class Compiler {
     return Status::Internal("bad formula kind");
   }
 
-  /// Conjunction of an already-flattened conjunct list (the tail the
-  /// tree-walker evaluates via Eval(And(rest))).
+  /// Conjunction of an already-flattened conjunct list, left to right
+  /// with short-circuiting.
   Status CompileConjunction(const std::vector<const Formula*>& conjuncts) {
     if (conjuncts.empty()) {
       Emit(Op::kFlagSet, 1);
@@ -300,8 +300,7 @@ class Compiler {
         vars.erase(n);
       } else {
         // Already-bound quantified var, outer binding, or free variable
-        // (an unbound free variable rejects the tuple, like the
-        // tree-walker's unmatched-guard-position rule).
+        // (an unbound free variable rejects the tuple).
         pool_.push_back(MakeOperand(kOperandCheck, VarReg(n)));
       }
     }
@@ -400,7 +399,7 @@ class Compiler {
                          static_cast<uint16_t>(atom.terms.size()));
     EnterLoop();
     // Recurse on the *full* body: the emit point re-checks every
-    // conjunct, exactly like the tree-walking enumerator.
+    // conjunct of the branch.
     WSV_RETURN_IF_ERROR(CompileEnumerate(std::move(rest), body));
     Emit(Op::kScanNext, scan);
     LeaveLoop();

@@ -1,15 +1,15 @@
 // One-shot compiler from fo::Formula to register bytecode.
 //
-// Compilation mirrors the tree-walker's evaluation strategy instruction
-// for instruction: existential quantifiers become relation scans over
-// the first positive atom conjunct that binds a quantified variable
-// (guard-driven join), with an active-domain loop as the fallback;
-// universal quantifiers compile as the negated existential of the NNF'd
-// negated body; query enumeration compiles the query enumerator's
-// guard/branch recursion with an explicit emit instruction. Variable
-// bind order, term resolution order, short-circuiting, and every error
-// message are preserved so compiled verdicts are bit-identical to the
-// interpreter's.
+// Compilation follows the join plan of fo/plan.h: existential
+// quantifiers become relation scans over the first positive atom
+// conjunct that binds a quantified variable (guard-driven join), then an
+// equality pin, with an active-domain loop as the fallback; universal
+// quantifiers compile as the negated existential of the NNF'd negated
+// body; a query enumerates each disjunct by the same plan over its head
+// variables and re-checks the whole branch at an explicit emit
+// instruction. Conjuncts evaluate left to right with short-circuiting,
+// and a term is resolved (and can fail as unbound) only when an
+// instruction reads it.
 
 #ifndef WSV_FO_BYTECODE_COMPILER_H_
 #define WSV_FO_BYTECODE_COMPILER_H_
@@ -32,7 +32,7 @@ StatusOr<std::shared_ptr<const Program>> CompileBool(const FormulaPtr& f);
 /// Compiles `f` as a query with head variables `head_vars` (must be
 /// distinct): ExecuteQuery() returns the satisfying head tuples. The
 /// compiled program assumes no head variable is bound by the entry
-/// valuation; callers with pre-bound heads must use the interpreter.
+/// valuation.
 StatusOr<std::shared_ptr<const Program>> CompileQuery(
     const FormulaPtr& f, const std::vector<std::string>& head_vars);
 

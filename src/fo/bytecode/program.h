@@ -1,6 +1,5 @@
-// Register bytecode for the FO hot path (ROADMAP item: compile the
-// tree-walking evaluator's guard-driven join strategy into a flat
-// instruction sequence).
+// Register bytecode for FO evaluation: the guard-driven join strategy of
+// fo/plan.h compiled into a flat instruction sequence.
 //
 // A Program is the one-shot compilation of one fo::Formula (either as a
 // sentence, yielding a boolean, or as a query with a fixed head-variable
@@ -11,10 +10,9 @@
 // state (see fo/bytecode/vm.h for the execution model and DESIGN.md §8
 // for the ISA rationale).
 //
-// The compiled code mirrors the tree-walker (fo/evaluator.cc) *exactly*,
-// including its evaluation order and error behavior — the tree-walker
-// stays in the build as the differential-testing oracle, and the fuzz
-// suite asserts bit-identical verdicts, tuple sets, and error messages.
+// The VM is the one FO engine of every verification path. The plan-free
+// oracle (fo/evaluator.h) checks it: the fuzz suite asserts identical
+// verdicts and tuple sets wherever both return a value.
 
 #ifndef WSV_FO_BYTECODE_PROGRAM_H_
 #define WSV_FO_BYTECODE_PROGRAM_H_
@@ -41,8 +39,8 @@ enum class Op : uint8_t {
   kJumpIfFalse,  // if (!flag) pc = a
   kJumpIfTrue,   // if (flag) pc = a
   kAtom,       // flag = rels[a] contains the tuple built from pool[b..b+count)
-               // (empty/absent relation => false *before* resolving terms,
-               // mirroring the tree-walker's early-out)
+               // (empty/absent relation => false *before* resolving
+               // terms, so no unbound-term error)
   kEq,         // flag = (resolve(a) == resolve(b)), left operand first
   kScanBegin,  // iterate rels[a]; operands pool[b..b+count) bind/check
                // positions; on no matching tuple: flag = false, pc = c
@@ -81,10 +79,10 @@ struct Instr {
 /// slot (error "unbound constant symbol" when the symbol had no binding).
 ///
 /// In *scan* position (kScanBegin / kScanNext): kBind writes the tuple
-/// component into a register; kCheck compares (an invalid register
-/// rejects the tuple, mirroring the tree-walker's unbound-free-variable
-/// guard behavior); kCheckSoft compares only when the register is bound
-/// (the query enumerator's skip-constraint rule for free variables);
+/// component into a register; kCheck compares (an invalid register,
+/// an unbound free variable, rejects the tuple); kCheckSoft compares
+/// only when the register is bound (a query's guard leaves a variable
+/// quantified deeper unconstrained);
 /// kConst resolves and compares (unbound symbol => error, lazily, only
 /// when a tuple actually reaches the position).
 enum OperandTag : uint32_t {

@@ -69,8 +69,8 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
   for (const ConstSlot& slot : p.consts) {
     if (slot.is_symbol) {
       // Lazily *checked*: an unbound symbol is an error only when an
-      // instruction actually reads the slot, preserving the
-      // tree-walker's short-circuit behavior.
+      // instruction actually reads the slot, so a short-circuited
+      // conjunct never fails.
       s.consts.push_back(ctx.ResolveConstant(slot.symbol).value_or(Value()));
     } else {
       s.consts.push_back(slot.literal);
@@ -115,8 +115,8 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
   };
 
   // Advances `fr` (starting at its current tuple) to the next tuple
-  // matching the scan operands of the kScanBegin at `begin`. Tags mirror
-  // the tree-walker's guard rules; see program.h.
+  // matching the scan operands of the kScanBegin at `begin`. Tags are
+  // documented in program.h.
   auto scan_advance = [&](Frame& fr,
                           const Instr& begin) -> StatusOr<ScanResult> {
     const uint32_t n = begin.count;
@@ -219,7 +219,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
           log_atom(in, probes);
         }
         if (rel == nullptr || rel->empty()) {
-          // Before resolving terms, like the tree-walker's early-out.
+          // Before resolving terms: no unbound-term error.
           flag = false;
           break;
         }

@@ -35,14 +35,13 @@ uint64_t GetStepBudget();
 void SetStepBudget(uint64_t budget);
 
 /// Runs a boolean program. `valuation` binds the program's free
-/// variables (missing bindings surface as the tree-walker's "unbound
-/// variable" error if and only if the variable is actually used).
+/// variables (a missing binding fails with Internal "unbound variable"
+/// if and only if the variable is actually used).
 StatusOr<bool> Execute(const Program& program, const EvalContext& ctx,
                        const Valuation& valuation = {});
 
 /// Runs a query program, returning the satisfying head tuples. The
-/// entry valuation must not bind any head variable (callers check and
-/// fall back to the interpreter; see cache.h).
+/// entry valuation must not bind any head variable.
 StatusOr<std::set<Tuple>> ExecuteQuery(const Program& program,
                                        const EvalContext& ctx,
                                        const Valuation& valuation = {});

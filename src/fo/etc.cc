@@ -158,7 +158,7 @@ StatusOr<bool> EvalNode(const EtcFormula& f, const EvalContext& ctx,
                         Valuation& valuation) {
   switch (f.kind()) {
     case EtcFormula::Kind::kFo:
-      return Evaluate(*f.fo(), ctx, valuation);
+      return OracleEvaluate(*f.fo(), ctx, valuation);
     case EtcFormula::Kind::kAnd:
       for (const EtcPtr& c : f.children()) {
         WSV_ASSIGN_OR_RETURN(bool sub, EvalNode(*c, ctx, valuation));

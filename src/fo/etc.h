@@ -76,7 +76,9 @@ class EtcFormula {
 };
 
 /// Model-checks an E+TC formula over the given context. TC is evaluated
-/// as a reachability fixpoint over k-tuples of the active domain.
+/// as a reachability fixpoint over k-tuples of the active domain; FO
+/// subformulas run on the plan-free oracle (fo/evaluator.h), so this is
+/// a reference evaluator for tests, not an engine.
 StatusOr<bool> EvaluateEtc(const EtcFormula& f, const EvalContext& ctx,
                            const Valuation& valuation = {});
 

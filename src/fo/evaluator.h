@@ -1,10 +1,15 @@
-// Active-domain evaluation of FO formulas (Section 2).
+// Active-domain evaluation of FO formulas (Section 2): the structure a
+// formula is evaluated against, and the plan-free oracle.
 //
 // Rule formulas are evaluated over a layered structure combining the fixed
 // database D, the current state S, the current inputs I, the previous
 // inputs Prev_I, and the interpretation of the input constants provided so
 // far. Quantifiers range over the active domain of the combined structure,
 // as is standard in database theory.
+//
+// The engine is the bytecode VM (fo/bytecode/): every verification path
+// compiles its formulas and runs them there. The oracle below follows the
+// textbook definition and nothing else, for witness validation and tests.
 
 #ifndef WSV_FO_EVALUATOR_H_
 #define WSV_FO_EVALUATOR_H_
@@ -63,9 +68,9 @@ class EvalContext {
   }
 
   /// Attaches a log of database probes (relational/decided.h): every
-  /// constant this context resolves is reported to it, and the
-  /// evaluators report each database atom and relation scan before any
-  /// short cut. Null (the default) logs nothing.
+  /// constant this context resolves is reported to it, and the VM
+  /// reports each database atom and relation scan before any short cut.
+  /// Null (the default) logs nothing.
   void SetProbeLog(ProbeLog* probes) { probes_ = probes; }
   ProbeLog* probes() const { return probes_; }
 
@@ -94,8 +99,9 @@ class EvalContext {
 
   /// The active domain: union of all layer domains, constant overrides,
   /// the constant layer's values and extra values, in Value order.
-  /// Built only by evaluations that loop over it (a variable that no
-  /// guard atom and no equality pin binds; fo/plan.h). Memoized until the
+  /// Built only by evaluations that loop over it (in the VM, a variable
+  /// that no guard atom and no equality pin binds; fo/plan.h; the oracle
+  /// loops over it for every quantifier). Memoized until the
   /// next mutator call; the lazy const materialization is not
   /// synchronized, so a context must not see its first ActiveDomain()
   /// call from two threads at once (contexts are built per evaluation
@@ -123,36 +129,26 @@ class EvalContext {
 /// A variable assignment.
 using Valuation = std::map<std::string, Value>;
 
-/// Evaluates a formula (all free variables must be bound by `valuation`).
-/// Fails with Internal if a variable or constant symbol is unbound — the
-/// runtime checks the paper's error conditions before evaluating.
-StatusOr<bool> Evaluate(const Formula& formula, const EvalContext& ctx,
-                        const Valuation& valuation = {});
+/// The plan-free oracle: FO evaluation by the textbook definition.
+/// Every quantifier and every query head ranges over ctx.ActiveDomain();
+/// there are no guard scans, no equality pins, no NNF rewriting of
+/// universals and no probe log. It shares no planning with the bytecode
+/// compiler (fo/plan.h), so a planning bug shows as a disagreement with
+/// it. It is for witness validation (verify/witness_check.h) and tests,
+/// never for a verification path; each call counts fo/interp_evals.
+///
+/// Whenever both the oracle and the VM return a value, the values agree.
+/// The VM's plan skips evaluations, so it may succeed where the oracle
+/// fails with Internal on an unbound variable or constant symbol.
+StatusOr<bool> OracleEvaluate(const Formula& formula, const EvalContext& ctx,
+                              const Valuation& valuation = {});
 
-/// Evaluates a formula with free variables `vars` as a query: returns the
-/// set of tuples (in `vars` order, over the active domain) satisfying it.
-/// Head variables are bound by the plan of fo/plan.h: a disjunction
-/// enumerates each branch; a guard atom scans its relation; an equality
-/// conjunct x = t (t a literal, a constant symbol or an already-bound
-/// variable) binds x to t's value when that value is in the active
-/// domain and yields nothing from the branch otherwise; any other head
-/// variable loops over the active domain. Every candidate tuple is
-/// re-checked against the whole branch before it is emitted.
-StatusOr<std::set<Tuple>> EvaluateQuery(const Formula& formula,
-                                        const std::vector<std::string>& vars,
-                                        const EvalContext& ctx,
-                                        const Valuation& valuation = {});
-
-/// The query enumeration plan's cost in active-domain loops: how many of
-/// `vars` EvaluateQuery (and the compiled query, which follows the same
-/// plan) binds by iterating the whole active domain rather than scanning
-/// a positive guard atom or pinning it by an equality, on the costliest
-/// disjunct. 0 means the answer is produced by relation scans and
-/// membership tests alone. A pin is priced 0 even though it falls back
-/// to a domain loop when its value does not resolve at run time (an
-/// unbound constant symbol or free variable).
-int QueryDomainLoops(const Formula& formula,
-                     const std::vector<std::string>& vars);
+/// The oracle as a query: every tuple over the active domain (in `vars`
+/// order, which must be distinct) under which `formula` holds;
+/// `valuation` binds the other free variables.
+StatusOr<std::set<Tuple>> OracleEvaluateQuery(
+    const Formula& formula, const std::vector<std::string>& vars,
+    const EvalContext& ctx, const Valuation& valuation = {});
 
 }  // namespace wsv
 

@@ -1,5 +1,7 @@
 #include "fo/plan.h"
 
+#include <algorithm>
+
 namespace wsv {
 
 // NOLINTNEXTLINE(misc-no-recursion)
@@ -35,6 +37,45 @@ Pin FindPin(const std::vector<const Formula*>& conjuncts,
     if (planned(rhs) && !planned(lhs)) return Pin{&rhs, &lhs};
   }
   return Pin{};
+}
+
+namespace {
+
+// The query plan without the data: a disjunction costs its costliest
+// branch, a guard atom binds its unbound variables and a pin its
+// variable for free, and otherwise one variable takes a domain loop.
+// NOLINTNEXTLINE(misc-no-recursion)
+int DomainLoops(const Formula& body, std::set<std::string> unbound) {
+  if (unbound.empty()) return 0;
+  if (body.kind() == Formula::Kind::kOr) {
+    int worst = 0;
+    for (const FormulaPtr& c : body.children()) {
+      worst = std::max(worst, DomainLoops(*c, unbound));
+    }
+    return worst;
+  }
+  std::vector<const Formula*> conjuncts;
+  FlattenAnd(body, &conjuncts);
+  if (const Formula* guard = FindGuard(conjuncts, unbound)) {
+    for (const Term& t : guard->atom().terms) {
+      if (t.is_variable()) unbound.erase(t.name());
+    }
+    return DomainLoops(body, std::move(unbound));
+  }
+  const Pin pin = FindPin(conjuncts, unbound);
+  if (pin.var != nullptr) {
+    unbound.erase(pin.var->name());
+    return DomainLoops(body, std::move(unbound));
+  }
+  unbound.erase(unbound.begin());
+  return 1 + DomainLoops(body, std::move(unbound));
+}
+
+}  // namespace
+
+int QueryDomainLoops(const Formula& formula,
+                     const std::vector<std::string>& vars) {
+  return DomainLoops(formula, std::set<std::string>(vars.begin(), vars.end()));
 }
 
 }  // namespace wsv

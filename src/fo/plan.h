@@ -1,7 +1,7 @@
-// The join plan shared by both FO evaluators: the tree-walker
-// (fo/evaluator.cc) and the bytecode compiler (fo/bytecode/compiler.cc)
-// choose how to bind a quantifier's or query head's variables with these
-// functions, so the two cannot drift apart.
+// The join plan of the FO engine: the bytecode compiler
+// (fo/bytecode/compiler.cc) chooses how to bind a quantifier's or query
+// head's variables with these functions, and QueryDomainLoops prices the
+// plan it follows.
 //
 // One planning step, over the flattened conjuncts of a body and the set
 // of still-unbound variables:
@@ -47,6 +47,17 @@ struct Pin {
 /// there is none.
 Pin FindPin(const std::vector<const Formula*>& conjuncts,
             const std::set<std::string>& vars);
+
+/// The query enumeration plan's cost in active-domain loops: how many of
+/// `vars` the compiled query binds by iterating the whole active domain
+/// rather than scanning a positive guard atom or pinning it by an
+/// equality, on the costliest disjunct (a disjunction enumerates each
+/// branch). 0 means the answer is produced by relation scans and
+/// membership tests alone. A pin is priced 0 even though it falls back
+/// to a domain loop when its value does not resolve at run time (an
+/// unbound constant symbol or free variable).
+int QueryDomainLoops(const Formula& formula,
+                     const std::vector<std::string>& vars);
 
 }  // namespace wsv
 

@@ -63,7 +63,7 @@ bool ConstantsProvided(const WebService& service, const Kappa& kappa,
 
 // The leaf's constant-symbol and literal analyses: from the compiled
 // program when there is one (so the hot path re-derives neither), else
-// computed into the fallback buffers.
+// (for the oracle) computed into the fallback buffers.
 struct LeafAnalyses {
   const std::vector<NameId>* csyms;
   const std::set<Value>* lits;
@@ -86,7 +86,8 @@ struct LeafAnalyses {
 };
 
 // Only domain loops read the active domain, so a compiled program
-// without any skips extending it.
+// without any skips extending it; the oracle (no program) reads it for
+// every quantifier.
 bool ReadsDomain(const fobc::Program* prog) {
   return prog == nullptr || prog->uses_domain;
 }
@@ -98,26 +99,18 @@ bool StepContext::InputConstantsProvided(
   return ConstantsProvided(service_, *kappa_, csyms);
 }
 
-StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
-                             const std::vector<std::string>& head_vars,
+StatusOr<bool> QueryFoAtStep(const fobc::Program& prog,
                              const StepContext& step,
                              const std::vector<Value>& extra_domain,
                              std::vector<Value>* rows) {
   rows->clear();
-  const LeafAnalyses an(leaf, prog);
-  if (!step.InputConstantsProvided(*an.csyms)) return false;
+  if (!step.InputConstantsProvided(prog.constant_symbols)) return false;
   EvalContext ctx = step.context();
-  if (ReadsDomain(prog)) {
-    for (Value v : *an.lits) ctx.AddDomainValue(v);
+  if (prog.uses_domain) {
+    for (Value v : prog.literals) ctx.AddDomainValue(v);
     for (Value v : extra_domain) ctx.AddDomainValue(v);
   }
-  if (prog != nullptr) {
-    WSV_RETURN_IF_ERROR(fobc::ExecuteQuery(*prog, ctx, rows));
-    return true;
-  }
-  WSV_ASSIGN_OR_RETURN(std::set<Tuple> tuples,
-                       EvaluateQuery(leaf, head_vars, ctx));
-  for (const Tuple& t : tuples) rows->insert(rows->end(), t.begin(), t.end());
+  WSV_RETURN_IF_ERROR(fobc::ExecuteQuery(prog, ctx, rows));
   return true;
 }
 
@@ -138,7 +131,7 @@ StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
     for (const auto& [var, v] : valuation) ctx.AddDomainValue(v);
   }
   if (prog != nullptr) return fobc::Execute(*prog, ctx, valuation);
-  return Evaluate(leaf, ctx, valuation);
+  return OracleEvaluate(leaf, ctx, valuation);
 }
 
 namespace {
@@ -167,10 +160,12 @@ class LassoEvaluator {
     const size_t n = run_.steps.size();
     switch (f.kind()) {
       case TFormula::Kind::kFo: {
-        // The leaf's program is resolved once for all steps.
-        const std::shared_ptr<const fobc::Program> prog =
-            engine_ == FoEngine::kInterpreter ? nullptr
-                                              : fobc::ResolveBool(f.fo());
+        // The leaf's program is compiled once for all steps; the oracle
+        // runs without one.
+        std::shared_ptr<const fobc::Program> prog;
+        if (engine_ == FoEngine::kCompiled) {
+          WSV_ASSIGN_OR_RETURN(prog, fobc::GetOrCompileBool(f.fo()));
+        }
         std::vector<char> v(n);
         for (size_t i = 0; i < n; ++i) {
           const TraceStep& step = run_.steps[i];
@@ -310,7 +305,7 @@ StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
   const PagePropositions pages(service);
   if (vars.empty()) {
     return EvaluateOnLasso(*prop.formula, run, database, service, pages, {},
-                           FoEngine::kResolved);
+                           FoEngine::kCompiled);
   }
   if (domain.empty()) return true;  // no valuations to check
   std::vector<size_t> idx(vars.size(), 0);
@@ -319,7 +314,7 @@ StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
     for (size_t i = 0; i < vars.size(); ++i) val[vars[i]] = domain[idx[i]];
     WSV_ASSIGN_OR_RETURN(
         bool holds, EvaluateOnLasso(*prop.formula, run, database, service,
-                                    pages, val, FoEngine::kResolved));
+                                    pages, val, FoEngine::kCompiled));
     if (!holds) return false;
     size_t k = 0;
     while (k < idx.size()) {

@@ -116,8 +116,10 @@ class StepContext {
 
 /// Evaluates one FO leaf at one trace step under `valuation` (bindings
 /// for the property's universal closure variables). `prog` is the
-/// leaf's program as its owner resolved it once (fobc::ResolveBool); the
-/// interpreter runs when it is nullptr. `pages` is the service's
+/// leaf's program as its owner compiled it once
+/// (fobc::GetOrCompileBool); nullptr runs the plan-free oracle
+/// (fo/evaluator.h) instead, which only witness validation asks for.
+/// `pages` is the service's
 /// page-proposition table. Timed under ltl/leaf_eval_ns.
 StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
                             const TraceView& step, const Instance& database,
@@ -126,11 +128,10 @@ StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
                             const Valuation& valuation);
 
 /// Set-at-a-time counterpart of EvalFoAtStep: replaces `rows` with the
-/// tuples of values for `head_vars` (distinct variables free in `leaf`)
-/// under which the leaf's FO structure satisfies it, flattened
-/// head_vars.size() values per tuple; a tuple may repeat. `prog` is the
-/// leaf's query program for `head_vars` (fobc::ResolveQuery), dispatched
-/// as in EvalFoAtStep. The active domain is the step's plus the leaf's
+/// tuples of values for the head variables of `prog` (a leaf's query
+/// program, fobc::GetOrCompileQuery) under which the leaf's FO structure
+/// satisfies it, flattened prog.head_vars.size() values per tuple; a
+/// tuple may repeat. The active domain is the step's plus the leaf's
 /// literals plus `extra_domain`; head variables range over it, so a
 /// caller reading the answer at a binding must have that binding's
 /// values in the domain, and the answer agrees with EvalFoAtStep at a
@@ -138,8 +139,7 @@ StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
 /// a quantifier-free leaf). Returns false, with `rows` empty, when
 /// condition (a) fails — the leaf is then false at every binding,
 /// whatever it says. Untimed.
-StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
-                             const std::vector<std::string>& head_vars,
+StatusOr<bool> QueryFoAtStep(const fobc::Program& prog,
                              const StepContext& step,
                              const std::vector<Value>& extra_domain,
                              std::vector<Value>* rows);
@@ -148,7 +148,7 @@ StatusOr<bool> QueryFoAtStep(const Formula& leaf, const fobc::Program* prog,
 /// satisfies the universal closure, with the closure variables ranging
 /// over the run's active domain (database, all step instances, provided
 /// constants, and the property's literals). The leaves run on
-/// FoEngine::kResolved. Fails with InvalidArgument if the property
+/// FoEngine::kCompiled. Fails with InvalidArgument if the property
 /// contains path quantifiers.
 StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
                                   const LassoRun& run,
@@ -157,12 +157,12 @@ StatusOr<bool> EvaluateLtlOnLasso(const TemporalProperty& prop,
 
 /// Which FO evaluator a lasso evaluation runs on its leaves.
 enum class FoEngine {
-  /// The leaves' resolved programs (fobc::ResolveBool): bytecode unless
-  /// the process turned the engine off, then the interpreter.
-  kResolved,
-  /// The tree-walking interpreter alone: the independent oracle witness
-  /// validation re-checks verdicts with.
-  kInterpreter,
+  /// The leaves' compiled programs (fobc::GetOrCompileBool), run on the
+  /// VM.
+  kCompiled,
+  /// The plan-free oracle (fo/evaluator.h): the independent check
+  /// witness validation re-evaluates verdicts with.
+  kOracle,
 };
 
 /// Evaluates the (closed) temporal formula on the lasso for one fixed

@@ -40,8 +40,9 @@ double LeafMemoHitRate(const MetricsSnapshot& snap);
 double ValuationCollapseRate(const MetricsSnapshot& snap);
 
 /// bytecode_execs / (bytecode_execs + interp_evals) — the share of FO
-/// evaluations served by the compiled bytecode engine instead of the
-/// tree-walking interpreter. -1 when no FO evaluation ran.
+/// evaluations served by the bytecode VM rather than the plan-free
+/// oracle (fo/evaluator.h; witness validation). -1 when no FO evaluation
+/// ran.
 double BytecodeCompiledShare(const MetricsSnapshot& snap);
 
 /// cache_hits / (cache_hits + compiles) of the FO program cache, or -1

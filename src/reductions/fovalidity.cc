@@ -1,6 +1,7 @@
 #include "reductions/fovalidity.h"
 
 #include "ctl/ctl_check.h"
+#include "fo/evaluator.h"
 #include "fo/parser.h"
 #include "ltl/ltl_parser.h"
 #include "ws/builder.h"
@@ -76,7 +77,7 @@ StatusOr<bool> ExistsForallDirect(const std::string& psi_text,
                    &vocab));
   EvalContext ctx;
   ctx.AddLayer(&database);
-  return Evaluate(*f, ctx);
+  return OracleEvaluate(*f, ctx);
 }
 
 }  // namespace wsv

@@ -51,7 +51,8 @@ StatusOr<bool> ExistsForallViaService(const FoValidityReduction& reduction,
                                       const Instance& database);
 
 /// Ground truth: direct active-domain evaluation of
-/// exists x (Dom(x) & forall y (Dom(y) -> psi)).
+/// exists x (Dom(x) & forall y (Dom(y) -> psi)) on the plan-free oracle
+/// (fo/evaluator.h).
 StatusOr<bool> ExistsForallDirect(const std::string& psi_text,
                                   const Instance& database);
 

@@ -22,27 +22,6 @@ Instance EmptyInstanceOfKind(const WebService& service, SymbolKind kind,
   return out;
 }
 
-// A rule body as a sentence: its program when one was resolved, else
-// the interpreter.
-StatusOr<bool> RunRule(const Formula& body, const fobc::Program* prog,
-                       const EvalContext& ctx) {
-  if (prog != nullptr) {
-    return fobc::Execute(*prog, ctx);
-  }
-  return Evaluate(body, ctx);
-}
-
-// A rule body as a query over its head variables; same dispatch.
-StatusOr<std::set<Tuple>> RunRuleQuery(const Formula& body,
-                                       const std::vector<std::string>& heads,
-                                       const fobc::Program* prog,
-                                       const EvalContext& ctx) {
-  if (prog != nullptr) {
-    return fobc::ExecuteQuery(*prog, ctx);
-  }
-  return EvaluateQuery(body, heads, ctx);
-}
-
 // The distinct names of `names` in name order, and each element's index
 // into them.
 std::vector<NameId> SlotsInNameOrder(const std::vector<NameId>& names,
@@ -81,20 +60,26 @@ Stepper::Stepper(const WebService* service, const Instance* database)
     }
     std::vector<NameId> rule_inputs, rule_states;
     PagePrograms& progs = t.programs;
+    // Keeps a compiled program, or the first compile error as status_.
+    auto keep = [&](StatusOr<std::shared_ptr<const fobc::Program>> prog,
+                    std::vector<std::shared_ptr<const fobc::Program>>* out) {
+      if (!prog.ok() && status_.ok()) status_ = prog.status();
+      out->push_back(prog.ok() ? std::move(prog).value() : nullptr);
+    };
     for (const InputRule& r : page.input_rules) {
-      progs.input.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+      keep(fobc::GetOrCompileQuery(r.body, r.head_vars), &progs.input);
       rule_inputs.push_back(InternName(r.input));
     }
     for (const StateRule& r : page.state_rules) {
-      progs.state.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+      keep(fobc::GetOrCompileQuery(r.body, r.head_vars), &progs.state);
       rule_states.push_back(InternName(r.state));
     }
     for (const ActionRule& r : page.action_rules) {
-      progs.action.push_back(fobc::ResolveQuery(r.body, r.head_vars));
+      keep(fobc::GetOrCompileQuery(r.body, r.head_vars), &progs.action);
       t.action_rule_relation.push_back(InternName(r.action));
     }
     for (const TargetRule& r : page.target_rules) {
-      progs.target.push_back(fobc::ResolveBool(r.body));
+      keep(fobc::GetOrCompileBool(r.body), &progs.target);
       t.target_rule_page.push_back(InternName(r.target));
     }
     t.option_relations = SlotsInNameOrder(rule_inputs, &t.input_rule_slot);
@@ -262,6 +247,7 @@ StatusOr<InputOptions> Stepper::OptionsOn(const ConfigView& node,
                                           const PageSchema& page,
                                           const Kappa& kappa,
                                           ProbeLog* probes) const {
+  if (!status_.ok()) return status_;
   EvalContext ctx =
       MakeContext(node, kappa, /*current_inputs=*/nullptr, probes);
   const PageTables& tables = TablesOf(page);
@@ -271,11 +257,9 @@ StatusOr<InputOptions> Stepper::OptionsOn(const ConfigView& node,
     options.emplace_back(rel, std::set<Tuple>());
   }
   for (size_t i = 0; i < page.input_rules.size(); ++i) {
-    const InputRule& rule = page.input_rules[i];
     WSV_ASSIGN_OR_RETURN(
         std::set<Tuple> tuples,
-        RunRuleQuery(*rule.body, rule.head_vars,
-                     tables.programs.input[i].get(), ctx));
+        fobc::ExecuteQuery(*tables.programs.input[i], ctx));
     options[tables.input_rule_slot[i]].second = std::move(tuples);
   }
   return options;
@@ -438,6 +422,7 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
                                          const Kappa* kappa,
                                          const ResolvedChoice& choice,
                                          ProbeLog* probes) const {
+  if (!status_.ok()) return status_;
   const PageTables& tables = TablesOf(page);
   Successor out;
   out.database = node.database;
@@ -477,9 +462,7 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   // Target rules; condition (iii) fires on ambiguity.
   std::vector<size_t> true_targets;
   for (size_t i = 0; i < page.target_rules.size(); ++i) {
-    const TargetRule& rule = page.target_rules[i];
-    WSV_ASSIGN_OR_RETURN(bool fired,
-                         RunRule(*rule.body, progs.target[i].get(), ctx));
+    WSV_ASSIGN_OR_RETURN(bool fired, fobc::Execute(*progs.target[i], ctx));
     if (fired) true_targets.push_back(i);
   }
   if (true_targets.size() > 1) {
@@ -506,9 +489,8 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
       tables.updated_states.size());
   for (size_t i = 0; i < page.state_rules.size(); ++i) {
     const StateRule& rule = page.state_rules[i];
-    WSV_ASSIGN_OR_RETURN(
-        std::set<Tuple> tuples,
-        RunRuleQuery(*rule.body, rule.head_vars, progs.state[i].get(), ctx));
+    WSV_ASSIGN_OR_RETURN(std::set<Tuple> tuples,
+                         fobc::ExecuteQuery(*progs.state[i], ctx));
     auto& [ins, del] = updates[tables.state_rule_slot[i]];
     (rule.insert ? ins : del) = std::move(tuples);
   }
@@ -549,10 +531,8 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   Instance actions;
   bool any_action = false;
   for (size_t i = 0; i < page.action_rules.size(); ++i) {
-    const ActionRule& rule = page.action_rules[i];
-    WSV_ASSIGN_OR_RETURN(
-        std::set<Tuple> tuples,
-        RunRuleQuery(*rule.body, rule.head_vars, progs.action[i].get(), ctx));
+    WSV_ASSIGN_OR_RETURN(std::set<Tuple> tuples,
+                         fobc::ExecuteQuery(*progs.action[i], ctx));
     if (tuples.empty()) continue;
     if (!any_action) {
       actions = empty_actions_;

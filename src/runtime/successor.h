@@ -133,8 +133,13 @@ class Stepper {
  public:
   /// `service` and `database` must outlive the Stepper. By default every
   /// input relation's previous value is tracked in configurations;
-  /// restrict with `tracked_prev` (see SetTrackedPrev).
+  /// restrict with `tracked_prev` (see SetTrackedPrev). Compiles every
+  /// rule body (fo/bytecode/cache.h); see status().
   Stepper(const WebService* service, const Instance* database);
+
+  /// OK, or the error of the first rule body that did not compile. The
+  /// owner checks it once built; every step then fails with it.
+  const Status& status() const { return status_; }
 
   /// Restricts Prev_I bookkeeping to the given input relations. The
   /// verifiers call this with the relations actually mentioned in prev
@@ -257,8 +262,8 @@ class Stepper {
   };
 
   /// Each rule body's compiled program, parallel to the page's rules of
-  /// that kind; nullptr runs the interpreter (the engine was disabled
-  /// when the stepper was built, or the body did not compile).
+  /// that kind; nullptr only for a body that did not compile (status()
+  /// is then its error).
   struct PagePrograms {
     std::vector<std::shared_ptr<const fobc::Program>> input, state, action,
         target;
@@ -312,6 +317,8 @@ class Stepper {
   Instance rule_literals_;
   /// Per page, parallel to service().pages().
   std::vector<PageTables> tables_;
+  /// See status().
+  Status status_;
   NameId home_page_id_ = kNoName;
   NameId error_page_id_ = kNoName;
   /// Input relations whose previous value is kept in configurations;

@@ -76,6 +76,7 @@ StatusOr<Kripke> BuildPropositionalKripke(const WebService& service,
   }
 
   Stepper stepper(&service, &database);
+  WSV_RETURN_IF_ERROR(stepper.status());
   stepper.SetTrackedPrev(Stepper::PrevRelationsInRules(service));
   ConfigGraphOptions graph_options = options.graph;
   if (graph_options.constant_pool.empty()) {
@@ -131,6 +132,7 @@ StatusOr<Kripke> BuildUnmergedKripke(const WebService& service,
                                      const Instance& database,
                                      const KripkeBuildOptions& options) {
   Stepper stepper(&service, &database);
+  WSV_RETURN_IF_ERROR(stepper.status());
   stepper.SetTrackedPrev(Stepper::PrevRelationsInRules(service));
   ConfigGraphOptions graph_options = options.graph;
   if (graph_options.constant_pool.empty()) {

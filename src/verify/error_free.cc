@@ -24,6 +24,7 @@ StatusOr<bool> CheckOne(const WebService& service, const Instance& database,
                         const ErrorFreeOptions& options,
                         ErrorFreeResult* result) {
   Stepper stepper(&service, &database);
+  WSV_RETURN_IF_ERROR(stepper.status());
   stepper.SetTrackedPrev(Stepper::PrevRelationsInRules(service));
   ConfigGraphOptions graph_options = options.graph;
   if (graph_options.constant_pool.empty()) {

@@ -18,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "fo/bytecode/cache.h"
 #include "fo/input_bounded.h"
+#include "fo/plan.h"
 #include "fo/rewrite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -247,6 +248,7 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Build(
   // The stepper is owned by the context: sweeps generate successors
   // long after Create returns.
   check.stepper_ = std::make_unique<Stepper>(service, &db);
+  WSV_RETURN_IF_ERROR(check.stepper_->status());
   check.stepper_->SetTrackedPrev(TrackedPrevRelations(*service, *property));
   check.pages_ = std::make_unique<const PagePropositions>(*service);
 
@@ -307,12 +309,12 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Build(
   }
   const bool distinct_cands = check.cand_pos_.size() == check.cand_.size();
   check.leaf_heads_.resize(num_leaves);
-  check.leaf_query_.resize(num_leaves);
   check.leaf_complement_.resize(num_leaves, 0);
   check.leaf_progs_.resize(num_leaves);
   check.leaf_query_progs_.resize(num_leaves);
   for (size_t k = 0; k < num_leaves; ++k) {
-    check.leaf_progs_[k] = fobc::ResolveBool(automaton->leaves[k]);
+    WSV_ASSIGN_OR_RETURN(check.leaf_progs_[k],
+                         fobc::GetOrCompileBool(automaton->leaves[k]));
     std::set<std::string> free = automaton->leaves[k]->FreeVariables();
     check.leaf_vars_[k].reserve(vars.size());
     for (size_t p = 0; p < vars.size(); ++p) {
@@ -329,10 +331,10 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Build(
       FormulaPtr negated = ToNNF(*Formula::Not(leaf));
       const bool complement = QueryDomainLoops(*negated, heads) <
                               QueryDomainLoops(*leaf, heads);
-      check.leaf_query_[k] = complement ? std::move(negated) : leaf;
       check.leaf_complement_[k] = complement ? 1 : 0;
-      check.leaf_query_progs_[k] =
-          fobc::ResolveQuery(check.leaf_query_[k], heads);
+      WSV_ASSIGN_OR_RETURN(
+          check.leaf_query_progs_[k],
+          fobc::GetOrCompileQuery(complement ? negated : leaf, heads));
       check.leaf_heads_[k] = std::move(heads);
     }
     // A candidate value can influence this leaf through the active
@@ -475,8 +477,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       }
       WSV_ASSIGN_OR_RETURN(
           bool provided,
-          QueryFoAtStep(*leaf_query_[k], leaf_query_progs_[k].get(),
-                        leaf_heads_[k], *step_cache.ctx,
+          QueryFoAtStep(*leaf_query_progs_[k], *step_cache.ctx,
                         leaf_qfree_[k] ? cand_ : no_values, &rows));
       WSV_COUNT1("ltl/fo_leaf_queries");
       table.queried.Set(e);

@@ -275,16 +275,15 @@ class LtlDatabaseCheck {
   /// the candidate list repeats a value (answers are mapped back to
   /// bindings by value).
   std::vector<std::vector<std::string>> leaf_heads_;
-  /// Per leaf with a head: the formula that query runs — the leaf, or the
-  /// negation normal form of its negation when that needs fewer
-  /// active-domain loops (fo/evaluator.h QueryDomainLoops; e.g. a leaf
-  /// !R(x) | S(x) becomes R(x) & !S(x), a scan of R) — and whether the
-  /// answer is therefore the leaf's complement.
-  std::vector<FormulaPtr> leaf_query_;
+  /// Per leaf with a head: whether its query runs the negation normal
+  /// form of the leaf's negation instead of the leaf, because that needs
+  /// fewer active-domain loops (fo/plan.h QueryDomainLoops; e.g. a leaf
+  /// !R(x) | S(x) becomes R(x) & !S(x), a scan of R), so that the answer
+  /// is the leaf's complement.
   std::vector<char> leaf_complement_;
   /// Per leaf: the compiled program of the leaf (per-binding
-  /// evaluation) and of leaf_query_ under leaf_heads_ (the per-edge
-  /// query), resolved once here; nullptr runs the interpreter.
+  /// evaluation) and, for a leaf with a head, of its query under
+  /// leaf_heads_ (the per-edge query), compiled once here.
   std::vector<std::shared_ptr<const fobc::Program>> leaf_progs_;
   std::vector<std::shared_ptr<const fobc::Program>> leaf_query_progs_;
   /// Candidate value -> index into cand_ (distinct candidates only).

@@ -100,6 +100,7 @@ Status ValidateWitness(const WebService& service,
   }
 
   Stepper stepper(&service, &cex.database);
+  WSV_RETURN_IF_ERROR(stepper.status());
   stepper.SetTrackedPrev(TrackedPrevRelations(service, property));
 
   // Replay: each recorded step must (a) start at the configuration the
@@ -151,12 +152,12 @@ Status ValidateWitness(const WebService& service,
   // Violation: under the witness valuation the property fails on this
   // run. (The verifier's faithfulness filter already checked the
   // valuation ranges over Dom(rho); semantic falsity subsumes what we
-  // need here.) Re-checked with the tree-walking interpreter so the
-  // validation stays an independent oracle for the bytecode engine.
+  // need here.) Re-checked with the plan-free oracle (fo/evaluator.h)
+  // so the validation stays independent of the bytecode engine.
   WSV_ASSIGN_OR_RETURN(
       bool sat, EvaluateLtlOnLassoWithValuation(
                     *property.formula, run, cex.database, service,
-                    cex.valuation, FoEngine::kInterpreter));
+                    cex.valuation, FoEngine::kOracle));
   if (sat) {
     return Status::InvalidArgument(
         "witness run satisfies the property under the witness valuation; "

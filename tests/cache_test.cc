@@ -837,9 +837,7 @@ TEST(BytecodeFingerprintTest, ForcedCollisionsStayCorrect) {
   EXPECT_FALSE(violated.holds);
   EXPECT_FALSE(violated.witness_text.empty());
 #ifndef WSV_OBS_DISABLED
-  if (fobc::BytecodeEnabled()) {
-    EXPECT_GT(CounterDelta(before, after, "fo/bytecode_fp_collisions"), 0u);
-  }
+  EXPECT_GT(CounterDelta(before, after, "fo/bytecode_fp_collisions"), 0u);
 #endif
 
   // And the collided verdicts agree with unforced runs.

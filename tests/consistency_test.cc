@@ -204,7 +204,7 @@ TEST(CounterexampleValidityTest, EveryCounterexampleReEvaluatesFalse) {
     // to the counterexample's valuation.
     auto again = EvaluateLtlOnLassoWithValuation(
         *prop->formula, r->counterexample->run, r->counterexample->database,
-        service, r->counterexample->valuation, FoEngine::kResolved);
+        service, r->counterexample->valuation, FoEngine::kCompiled);
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     EXPECT_FALSE(*again);
   }

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 
+#include "fo/bytecode/compiler.h"
+#include "fo/bytecode/vm.h"
 #include "fo/evaluator.h"
 #include "fo/formula.h"
 #include "fo/input_bounded.h"
 #include "fo/parser.h"
+#include "fo/plan.h"
 #include "fo/rewrite.h"
 #include "ws/builder.h"
 
@@ -113,11 +116,24 @@ class FoEvalTest : public ::testing::Test {
     ctx_.AddLayer(&db_);
   }
 
+  // Runs `text` on the VM and on the oracle; where both return a
+  // verdict they must agree. Returns the VM's.
   StatusOr<bool> Eval(const std::string& text, Valuation val = {}) {
     Vocabulary v = DemoVocab();
     auto f = ParseFormula(text, &v);
     if (!f.ok()) return f.status();
-    return Evaluate(**f, ctx_, val);
+    return EvalBoth(*f, ctx_, val);
+  }
+
+  static StatusOr<bool> EvalBoth(const FormulaPtr& f, const EvalContext& ctx,
+                                 const Valuation& val = {}) {
+    WSV_ASSIGN_OR_RETURN(auto prog, fobc::CompileBool(f));
+    StatusOr<bool> vm = fobc::Execute(*prog, ctx, val);
+    StatusOr<bool> oracle = OracleEvaluate(*f, ctx, val);
+    if (vm.ok() && oracle.ok()) {
+      EXPECT_EQ(*vm, *oracle) << "oracle disagrees on " << f->ToString();
+    }
+    return vm;
   }
 
   Instance db_;
@@ -183,12 +199,19 @@ TEST_F(FoEvalTest, QueryEnumeration) {
   Vocabulary v = DemoVocab();
   auto f = ParseFormula("user(x, y)", &v);
   ASSERT_TRUE(f.ok());
-  auto tuples = EvaluateQuery(**f, {"x", "y"}, ctx_);
+  auto prog = fobc::CompileQuery(*f, {"x", "y"});
+  ASSERT_TRUE(prog.ok());
+  auto tuples = fobc::ExecuteQuery(**prog, ctx_);
   ASSERT_TRUE(tuples.ok());
   EXPECT_EQ(tuples->size(), 2u);
+  auto oracle = OracleEvaluateQuery(**f, {"x", "y"}, ctx_);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(*tuples, *oracle);
   // With only x in the head, y stays unbound during evaluation: error.
-  auto proj = EvaluateQuery(**f, {"x"}, ctx_);
-  EXPECT_FALSE(proj.ok());
+  auto proj = fobc::CompileQuery(*f, {"x"});
+  ASSERT_TRUE(proj.ok());
+  EXPECT_FALSE(fobc::ExecuteQuery(**proj, ctx_).ok());
+  EXPECT_FALSE(OracleEvaluateQuery(**f, {"x"}, ctx_).ok());
 }
 
 TEST_F(FoEvalTest, EmptyDomainSemantics) {
@@ -197,7 +220,7 @@ TEST_F(FoEvalTest, EmptyDomainSemantics) {
   ctx.AddLayer(&empty);
   auto exists = ParseFormula("exists x . p(x) & true");
   ASSERT_TRUE(exists.ok());
-  auto r = Evaluate(**exists, ctx);
+  auto r = EvalBoth(*exists, ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(*r);
 }

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fo/bytecode/cache.h"
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "reference_checker.h"
@@ -178,7 +177,7 @@ bool HoldsOnEveryDatabase(const Case& c, const TemporalProperty& property) {
 
 // Runs every case against the per-database reference; both verdicts
 // must be exercised, or the comparison says little.
-void ExpectVerdictsMatchReference() {
+TEST(LazyDatabase, VerdictsMatchThePerDatabaseReference) {
   int holds = 0;
   int violated = 0;
   for (const Case& c : Cases()) {
@@ -213,19 +212,6 @@ void ExpectVerdictsMatchReference() {
   }
   EXPECT_GE(holds, 10);
   EXPECT_GE(violated, 10);
-}
-
-TEST(LazyDatabase, VerdictsMatchThePerDatabaseReference) {
-  ExpectVerdictsMatchReference();
-}
-
-// The same with the rules on the tree-walking interpreter, whose atoms
-// and guard loops log their probes separately from the VM's.
-TEST(LazyDatabase, InterpreterProbesMatchThePerDatabaseReference) {
-  const bool was = fobc::BytecodeEnabled();
-  fobc::SetBytecodeEnabled(false);
-  ExpectVerdictsMatchReference();
-  fobc::SetBytecodeEnabled(was);
 }
 
 // The verdict, the witness text and databases_checked do not depend on

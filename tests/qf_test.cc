@@ -2,6 +2,8 @@
 
 #include <random>
 
+#include "fo/bytecode/compiler.h"
+#include "fo/bytecode/vm.h"
 #include "fo/evaluator.h"
 #include "fo/parser.h"
 #include "fo/qf.h"
@@ -10,6 +12,19 @@ namespace wsv {
 namespace {
 
 Value V(const std::string& s) { return Value::Intern(s); }
+
+// Runs `f` on the VM and on the oracle; where both return a verdict they
+// must agree. Returns the VM's.
+StatusOr<bool> EvalBoth(const FormulaPtr& f, const EvalContext& ctx,
+                        const Valuation& val = {}) {
+  WSV_ASSIGN_OR_RETURN(auto prog, fobc::CompileBool(f));
+  StatusOr<bool> vm = fobc::Execute(*prog, ctx, val);
+  StatusOr<bool> oracle = OracleEvaluate(*f, ctx, val);
+  if (vm.ok() && oracle.ok()) {
+    EXPECT_EQ(*vm, *oracle) << "oracle disagrees on " << f->ToString();
+  }
+  return vm;
+}
 
 class QfTest : public ::testing::Test {
  protected:
@@ -35,7 +50,7 @@ class QfTest : public ::testing::Test {
     direct.AddLayer(&state);
     direct.AddLayer(&db);
     direct.SetPrevLayer(&prev);
-    auto expect = Evaluate(**parsed, direct);
+    auto expect = EvalBoth(*parsed, direct);
     ASSERT_TRUE(expect.ok()) << expect.status().ToString();
 
     auto qf = InputBoundedToQuantifierFree(**parsed, vocab_);
@@ -65,7 +80,7 @@ class QfTest : public ::testing::Test {
     qf_ctx.AddLayer(&presence);
     qf_ctx.AddLayer(&state);
     qf_ctx.AddLayer(&db);
-    auto got = Evaluate(**qf, qf_ctx, valuation);
+    auto got = EvalBoth(*qf, qf_ctx, valuation);
     ASSERT_TRUE(got.ok())
         << got.status().ToString() << "\nqf: " << (*qf)->ToString();
     EXPECT_EQ(*expect, *got)

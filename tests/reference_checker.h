@@ -52,7 +52,9 @@ inline StatusOr<LtlVerifyResult> ReferenceVerifyOnDatabase(
   const PagePropositions pages(service);
   std::vector<std::shared_ptr<const fobc::Program>> progs;
   for (const FormulaPtr& leaf : automaton.leaves) {
-    progs.push_back(fobc::ResolveBool(leaf));
+    WSV_ASSIGN_OR_RETURN(std::shared_ptr<const fobc::Program> prog,
+                         fobc::GetOrCompileBool(leaf));
+    progs.push_back(std::move(prog));
   }
   const size_t num_edges = graph.edges.size();
   const size_t num_states = automaton.size();

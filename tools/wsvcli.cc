@@ -14,7 +14,7 @@
 //       the bound.
 //   wsvcli verify <spec.wsv> <property> [db.wsd] [--pool a,b,c]
 //                 [--fresh N] [--unchecked] [--jobs N]
-//                 [--no-fo-bytecode] [--stats] [--stats-json FILE]
+//                 [--stats] [--stats-json FILE]
 //                 [--trace-out FILE] [--progress] [--log-json FILE]
 //                 [--heartbeat SECS] [--watchdog-deadline SECS]
 //                 [--step-budget N]
@@ -26,10 +26,9 @@
 //       stopping at the first accepting cycle). --jobs N fans the
 //       valuation sweep over N worker threads (default: one per
 //       hardware thread; 1 = serial). Verdict and witness are
-//       identical at any job count.
-//       --no-fo-bytecode evaluates FO formulas with the tree-walking
-//       interpreter instead of the compiled bytecode engine (same
-//       verdicts, slower; for debugging and A/B runs).
+//       identical at any job count. FO formulas run on the bytecode
+//       VM (src/fo/bytecode/); witness validation re-checks a
+//       counterexample with the plan-free oracle (src/fo/evaluator.h).
 //       Telemetry: --stats prints the phase/counter/memory table to
 //       stderr, --stats-json writes the counter snapshot as JSON,
 //       --trace-out writes a Chrome/Perfetto trace-event file of the
@@ -122,7 +121,6 @@
 #include "common/str_util.h"
 #include "ctl/ctl_check.h"
 #include "ctl/ctl_star_check.h"
-#include "fo/bytecode/cache.h"
 #include "fo/bytecode/vm.h"
 #include "ltl/ltl_parser.h"
 #include "obs/events.h"
@@ -155,7 +153,7 @@ int Usage() {
       "  wsvcli check-errors <spec.wsv> [db.wsd] [--pool a,b,c] "
       "[--fresh N]\n"
       "  wsvcli verify <spec.wsv> <property> [db.wsd] [--pool a,b,c] "
-      "[--fresh N] [--unchecked] [--jobs N] [--no-fo-bytecode] "
+      "[--fresh N] [--unchecked] [--jobs N] "
       "[--stats] [--stats-json FILE] [--trace-out FILE] [--progress] "
       "[--log-json FILE] [--heartbeat SECS] [--watchdog-deadline SECS] "
       "[--step-budget N] [--cache-dir DIR] [--label NAME] [--no-slice]\n"
@@ -190,10 +188,6 @@ struct Flags {
   bool unchecked = false;
   /// Worker threads for `verify`; 0 = one per hardware thread.
   int jobs = 0;
-  /// Evaluate FO formulas with the tree-walking interpreter instead of
-  /// the compiled bytecode engine (same verdicts, slower; for debugging
-  /// and differential runs).
-  bool no_fo_bytecode = false;
   std::vector<Value> pool;
   /// Observability surface (verify): human table, JSON snapshot, Chrome
   /// trace file, heartbeat.
@@ -234,31 +228,26 @@ struct Flags {
 
 // The flags each subcommand reads. A known flag given to a subcommand
 // that ignores it is a usage error, never a silent default. The FO
-// engine flags (--no-fo-bytecode, --step-budget) apply to every
-// subcommand that evaluates rules or properties.
+// engine flag --step-budget applies to every subcommand that evaluates
+// rules or properties.
 const std::vector<std::string>* AcceptedFlags(const std::string& cmd) {
   static const auto* const kAccepted =
       new std::map<std::string, std::vector<std::string>>{
           {"validate", {}},
           {"print", {}},
           {"classify", {}},
-          {"run",
-           {"--steps", "--seed", "--pool", "--no-fo-bytecode",
-            "--step-budget"}},
-          {"check-errors",
-           {"--pool", "--fresh", "--no-fo-bytecode", "--step-budget"}},
+          {"run", {"--steps", "--seed", "--pool", "--step-budget"}},
+          {"check-errors", {"--pool", "--fresh", "--step-budget"}},
           {"verify",
-           {"--pool", "--fresh", "--unchecked", "--jobs", "--no-fo-bytecode",
-            "--stats", "--stats-json", "--trace-out", "--progress",
-            "--log-json", "--heartbeat", "--watchdog-deadline",
-            "--step-budget", "--cache-dir", "--label", "--no-slice"}},
+           {"--pool", "--fresh", "--unchecked", "--jobs", "--stats",
+            "--stats-json", "--trace-out", "--progress", "--log-json",
+            "--heartbeat", "--watchdog-deadline", "--step-budget",
+            "--cache-dir", "--label", "--no-slice"}},
           {"deps", {"--property", "--format"}},
           {"replay",
            {"--cache-dir", "--jobs", "--quiet", "--bench-json", "--stats",
-            "--stats-json", "--log-json", "--trace-out", "--no-fo-bytecode",
-            "--step-budget"}},
-          {"verify-ctl",
-           {"--pool", "--unchecked", "--no-fo-bytecode", "--step-budget"}},
+            "--stats-json", "--log-json", "--trace-out", "--step-budget"}},
+          {"verify-ctl", {"--pool", "--unchecked", "--step-budget"}},
           {"lint", {"--format", "--werror"}},
       };
   auto it = kAccepted->find(cmd);
@@ -322,8 +311,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       flags.unchecked = true;
     } else if (arg == "--jobs") {
       WSV_ASSIGN_OR_RETURN(flags.jobs, number(0, INT_MAX));
-    } else if (arg == "--no-fo-bytecode") {
-      flags.no_fo_bytecode = true;
     } else if (arg == "--stats") {
       flags.stats = true;
     } else if (arg == "--stats-json") {
@@ -898,7 +885,6 @@ int Main(int argc, char** argv) {
   const std::string cmd = argv[1];
   Status accepted = CheckFlagsAccepted(cmd, *flags);
   if (!accepted.ok()) return Fail(accepted);
-  if (flags->no_fo_bytecode) fobc::SetBytecodeEnabled(false);
   if (flags->step_budget >= 0) {
     fobc::SetStepBudget(static_cast<uint64_t>(flags->step_budget));
   }
