@@ -104,11 +104,11 @@ void AbsorbInstance(FingerprintBuilder& b, const Instance& instance) {
     b.AbsorbU64(kTagRelation);
     b.AbsorbString(name);
     b.AbsorbU64(static_cast<uint64_t>(rel.arity()));
-    // std::set<Tuple> orders by Value interning id, which is not stable
+    // Rows are ordered by Value interning id, which is not stable
     // across processes; canonicalize by sorting the rendered names.
     std::vector<std::string> rows;
-    rows.reserve(rel.tuples().size());
-    for (const Tuple& t : rel.tuples()) {
+    rows.reserve(rel.size());
+    for (Row t : rel.rows()) {
       std::string row;
       for (const Value& v : t) {
         row += v.name();

@@ -12,12 +12,13 @@ namespace {
 
 std::atomic<uint64_t> g_step_budget{kDefaultStepBudget};
 
-/// One open quantifier loop: a relation scan, an active-domain walk, or
-/// the single pass of an equality pin.
+/// One open quantifier loop: a relation scan (over the relation's rows
+/// by index), an active-domain walk, or the single pass of an equality
+/// pin.
 struct Frame {
   uint32_t begin_ip = 0;
-  std::set<Tuple>::const_iterator it;
-  std::set<Tuple>::const_iterator end;
+  const Relation* rel = nullptr;
+  size_t row = 0;
   size_t dom_idx = 0;
   bool pinned = false;
 };
@@ -30,7 +31,8 @@ struct Scratch {
   std::vector<const Relation*> rels;
   std::vector<Frame> frames;
   Tuple tup;
-  const std::vector<Value>* domain = nullptr;
+  Row domain;
+  bool domain_set = false;
   // Capacity bytes already published to the mem/vm_arena_bytes gauge.
   // Capacities persist across executions, so the figure only grows until
   // thread exit returns the whole arena.
@@ -52,11 +54,11 @@ thread_local Scratch t_scratch;
 /// Outcome of advancing a scan to its next matching tuple.
 enum class ScanResult { kMatch, kEnd };
 
-/// Where a query program's emitted head tuples go: a deduplicating set,
-/// or a flat value buffer (tuples back to back, repeats kept). Boolean
-/// programs pass neither.
+/// Where a query program's emitted head tuples go: a relation (sorted,
+/// deduplicated), or a flat value buffer (tuples back to back, repeats
+/// kept). Boolean programs pass neither.
 struct QuerySink {
-  std::set<Tuple>* set = nullptr;
+  Relation* rel = nullptr;
   std::vector<Value>* flat = nullptr;
 };
 
@@ -82,7 +84,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
   }
   s.frames.clear();
   s.frames.reserve(p.max_frames);
-  s.domain = nullptr;
+  s.domain_set = false;
   for (const auto& [name, reg] : p.free_vars) {
     auto it = valuation.find(name);
     if (it != valuation.end()) s.regs[reg] = it->second;
@@ -120,9 +122,10 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
   auto scan_advance = [&](Frame& fr,
                           const Instr& begin) -> StatusOr<ScanResult> {
     const uint32_t n = begin.count;
-    for (; fr.it != fr.end; ++fr.it) {
+    const Relation::Rows rows = fr.rel->rows();
+    for (; fr.row < rows.size(); ++fr.row) {
       if (++steps > budget) return budget_error();
-      const Tuple& t = *fr.it;
+      const Row t = rows[fr.row];
       bool match = n <= t.size();
       for (uint32_t i = 0; i < n && match; ++i) {
         const uint32_t operand = p.pool[begin.b + i];
@@ -178,7 +181,8 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
   // Reports the fact the kAtom `in` probes, or its whole relation when
   // an operand is unbound.
   auto log_atom = [&](const Instr& in, ProbeLog* probes) {
-    Tuple fact;
+    Tuple& fact = s.tup;
+    fact.clear();
     for (uint32_t i = 0; i < in.count; ++i) {
       const uint32_t operand = p.pool[in.b + i];
       const uint32_t idx = OperandIndexOf(operand);
@@ -249,8 +253,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
           next = in.c;
           break;
         }
-        s.frames.push_back(Frame{pc, rel->tuples().begin(),
-                                 rel->tuples().end(), 0});
+        s.frames.push_back(Frame{pc, rel, 0, 0, false});
         WSV_ASSIGN_OR_RETURN(ScanResult r,
                              scan_advance(s.frames.back(), in));
         if (r == ScanResult::kEnd) {
@@ -263,7 +266,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
       case Op::kScanNext: {
         Frame& fr = s.frames.back();
         const Instr& begin = p.code[in.a];
-        ++fr.it;
+        ++fr.row;
         WSV_ASSIGN_OR_RETURN(ScanResult r, scan_advance(fr, begin));
         if (r == ScanResult::kMatch) {
           next = in.a + 1;
@@ -295,8 +298,11 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
         [[fallthrough]];
       }
       case Op::kDomBegin: {
-        if (s.domain == nullptr) s.domain = &ctx.ActiveDomain();
-        if (s.domain->empty()) {
+        if (!s.domain_set) {
+          s.domain = ctx.ActiveDomain();
+          s.domain_set = true;
+        }
+        if (s.domain.empty()) {
           flag = false;
           next = in.c;
           break;
@@ -304,14 +310,14 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
         Frame fr;
         fr.begin_ip = pc;
         s.frames.push_back(fr);
-        s.regs[in.a] = (*s.domain)[0];
+        s.regs[in.a] = s.domain[0];
         break;
       }
       case Op::kDomNext: {
         Frame& fr = s.frames.back();
         const Instr& begin = p.code[in.a];
-        if (!fr.pinned && ++fr.dom_idx < s.domain->size()) {
-          s.regs[begin.a] = (*s.domain)[fr.dom_idx];
+        if (!fr.pinned && ++fr.dom_idx < s.domain.size()) {
+          s.regs[begin.a] = s.domain[fr.dom_idx];
           next = in.a + 1;
         } else {
           s.frames.pop_back();
@@ -335,7 +341,7 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
           }
           s.tup.push_back(v);
         }
-        if (sink.set != nullptr) sink.set->insert(s.tup);
+        if (sink.rel != nullptr) sink.rel->Insert(s.tup);
         if (sink.flat != nullptr) {
           sink.flat->insert(sink.flat->end(), s.tup.begin(), s.tup.end());
         }
@@ -364,10 +370,10 @@ StatusOr<bool> Execute(const Program& program, const EvalContext& ctx,
   return Run(program, ctx, valuation, QuerySink{});
 }
 
-StatusOr<std::set<Tuple>> ExecuteQuery(const Program& program,
-                                       const EvalContext& ctx,
-                                       const Valuation& valuation) {
-  std::set<Tuple> out;
+StatusOr<Relation> ExecuteQuery(const Program& program,
+                                const EvalContext& ctx,
+                                const Valuation& valuation) {
+  Relation out(static_cast<int>(program.head_vars.size()));
   WSV_RETURN_IF_ERROR(
       Run(program, ctx, valuation, QuerySink{&out, nullptr}).status());
   return out;

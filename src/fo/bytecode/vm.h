@@ -16,7 +16,6 @@
 #define WSV_FO_BYTECODE_VM_H_
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -40,16 +39,16 @@ void SetStepBudget(uint64_t budget);
 StatusOr<bool> Execute(const Program& program, const EvalContext& ctx,
                        const Valuation& valuation = {});
 
-/// Runs a query program, returning the satisfying head tuples. The
+/// Runs a query program, returning the satisfying head tuples as a
+/// relation of arity head_vars.size(): sorted rows without repeats. The
 /// entry valuation must not bind any head variable.
-StatusOr<std::set<Tuple>> ExecuteQuery(const Program& program,
-                                       const EvalContext& ctx,
-                                       const Valuation& valuation = {});
+StatusOr<Relation> ExecuteQuery(const Program& program, const EvalContext& ctx,
+                                const Valuation& valuation = {});
 
 /// Runs a query program with no entry bindings, appending each emitted
 /// head tuple to `rows` as head_vars.size() consecutive values. Skips the
-/// per-tuple allocation and ordering of the set overload; a tuple emitted
-/// twice (e.g. by two disjuncts) appears twice.
+/// ordering of the relation overload; a tuple emitted twice (e.g. by two
+/// disjuncts) appears twice.
 Status ExecuteQuery(const Program& program, const EvalContext& ctx,
                     std::vector<Value>* rows);
 

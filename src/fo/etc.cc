@@ -126,7 +126,7 @@ StatusOr<bool> EvalNode(const EtcFormula& f, const EvalContext& ctx,
 StatusOr<bool> EvalExists(const std::vector<std::string>& vars, size_t i,
                           const EtcFormula& body, const EvalContext& ctx,
                           Valuation& valuation,
-                          const std::vector<Value>& domain) {
+                          Row domain) {
   if (i == vars.size()) return EvalNode(body, ctx, valuation);
   auto saved_it = valuation.find(vars[i]);
   std::optional<Value> saved;
@@ -172,7 +172,7 @@ StatusOr<bool> EvalNode(const EtcFormula& f, const EvalContext& ctx,
       }
       return false;
     case EtcFormula::Kind::kExists: {
-      const std::vector<Value>& domain = ctx.ActiveDomain();
+      const Row domain = ctx.ActiveDomain();
       return EvalExists(f.variables(), 0, *f.children()[0], ctx, valuation,
                         domain);
     }
@@ -192,7 +192,7 @@ StatusOr<bool> EvalNode(const EtcFormula& f, const EvalContext& ctx,
       // TC is reflexive on its arguments by the usual convention used in
       // the reduction (a path of length >= 0); include src itself.
       if (src == dst) return true;
-      const std::vector<Value>& domain = ctx.ActiveDomain();
+      const Row domain = ctx.ActiveDomain();
       // BFS from src over edges defined by body(x; y).
       std::set<Tuple> visited{src};
       std::vector<Tuple> frontier{src};

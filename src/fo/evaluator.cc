@@ -1,5 +1,6 @@
 #include "fo/evaluator.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -50,33 +51,42 @@ std::optional<Value> EvalContext::ResolveConstant(
   return ResolveConstant(id);
 }
 
-const std::vector<Value>& EvalContext::ActiveDomain() const {
+Row EvalContext::ActiveDomain() const {
   if (!domain_valid_) {
-    std::set<Value> dom = extra_domain_;
-    for (size_t i = 0; i < num_layers_; ++i) {
-      dom.insert(layers_[i]->domain().begin(), layers_[i]->domain().end());
+    // Gather every source into the kept vector, then sort and dedup in
+    // place: no set nodes, and no allocation while the union fits inline.
+    SmallVector<Value, kInlineDomain>& dom = domain_cache_;
+    dom.clear();
+    auto append = [&dom](Row values) {
+      dom.insert(dom.size(), values.data(), values.data() + values.size());
+    };
+    for (size_t i = 0; i < num_layers_; ++i) append(layers_[i]->domain());
+    if (prev_layer_ != nullptr) append(prev_layer_->domain());
+    append(Row(extra_domain_.data(), extra_domain_.size()));
+    for (const auto& [name, v] : constant_overrides_.entries()) {
+      dom.push_back(v);
     }
-    if (prev_layer_ != nullptr) {
-      dom.insert(prev_layer_->domain().begin(), prev_layer_->domain().end());
-    }
-    for (const auto& [name, v] : constant_overrides_.entries()) dom.insert(v);
     if (constant_layer_ != nullptr) {
-      for (const auto& [name, v] : constant_layer_->entries()) dom.insert(v);
+      for (const auto& [name, v] : constant_layer_->entries()) {
+        dom.push_back(v);
+      }
     }
-    domain_cache_.assign(dom.begin(), dom.end());
+    std::sort(dom.begin(), dom.end());
+    dom.truncate(
+        static_cast<size_t>(std::unique(dom.begin(), dom.end()) - dom.begin()));
     domain_valid_ = true;
   }
-  return domain_cache_;
+  return Row(domain_cache_.data(), domain_cache_.size());
 }
 
 bool EvalContext::InActiveDomain(Value v) const {
-  if (extra_domain_.count(v) > 0) return true;
+  for (Value e : extra_domain_) {
+    if (e == v) return true;
+  }
   for (size_t i = 0; i < num_layers_; ++i) {
-    if (layers_[i]->domain().count(v) > 0) return true;
+    if (layers_[i]->InDomain(v)) return true;
   }
-  if (prev_layer_ != nullptr && prev_layer_->domain().count(v) > 0) {
-    return true;
-  }
+  if (prev_layer_ != nullptr && prev_layer_->InDomain(v)) return true;
   for (const auto& [name, c] : constant_overrides_.entries()) {
     if (c == v) return true;
   }
@@ -203,7 +213,7 @@ StatusOr<std::set<Tuple>> OracleEvaluateQuery(
   }
   WSV_COUNT1("fo/interp_evals");
   std::set<Tuple> out;
-  const std::vector<Value>& dom = ctx.ActiveDomain();
+  const Row dom = ctx.ActiveDomain();
   if (dom.empty() && !vars.empty()) return out;
   Valuation val = valuation;
   Tuple t(vars.size());

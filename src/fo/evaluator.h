@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "common/status.h"
 #include "fo/formula.h"
 #include "relational/decided.h"
@@ -40,6 +41,8 @@ class EvalContext {
  public:
   /// The most layers a context holds (a step's structure uses five).
   static constexpr size_t kMaxLayers = 6;
+  /// Active-domain values held without allocating.
+  static constexpr size_t kInlineDomain = 48;
 
   EvalContext() = default;
 
@@ -76,7 +79,7 @@ class EvalContext {
 
   /// Adds extra elements to the active domain beyond the layers' domains.
   void AddDomainValue(Value v) {
-    extra_domain_.insert(v);
+    extra_domain_.push_back(v);
     domain_valid_ = false;
   }
 
@@ -98,7 +101,9 @@ class EvalContext {
   std::optional<Value> ResolveConstant(const std::string& name) const;
 
   /// The active domain: union of all layer domains, constant overrides,
-  /// the constant layer's values and extra values, in Value order.
+  /// the constant layer's values and extra values, in Value order. The
+  /// layers' domains are sorted already, so the union is a merge into a
+  /// vector the context keeps (inline up to kInlineDomain values).
   /// Built only by evaluations that loop over it (in the VM, a variable
   /// that no guard atom and no equality pin binds; fo/plan.h; the oracle
   /// loops over it for every quantifier). Memoized until the
@@ -106,10 +111,10 @@ class EvalContext {
   /// synchronized, so a context must not see its first ActiveDomain()
   /// call from two threads at once (contexts are built per evaluation
   /// everywhere in the repo).
-  const std::vector<Value>& ActiveDomain() const;
+  Row ActiveDomain() const;
 
-  /// Whether `v` is in ActiveDomain(), answered from the layers' domain
-  /// sets, the prev layer, the constant overrides, the constant layer
+  /// Whether `v` is in ActiveDomain(), answered from the layers' sorted
+  /// domains, the prev layer, the constant overrides, the constant layer
   /// and the extra values without building the union. An equality pin
   /// x = t binds x only when t's value passes this test.
   bool InActiveDomain(Value v) const;
@@ -120,9 +125,10 @@ class EvalContext {
   const Instance* prev_layer_ = nullptr;
   NameMap<Value> constant_overrides_;
   const NameMap<Value>* constant_layer_ = nullptr;
-  std::set<Value> extra_domain_;
+  /// In insertion order, possibly repeated.
+  SmallVector<Value, 8> extra_domain_;
   ProbeLog* probes_ = nullptr;
-  mutable std::vector<Value> domain_cache_;
+  mutable SmallVector<Value, kInlineDomain> domain_cache_;
   mutable bool domain_valid_ = false;
 };
 

@@ -39,10 +39,11 @@ double LeafMemoHitRate(const MetricsSnapshot& snap);
 /// skipped. -1 when no valuations were swept.
 double ValuationCollapseRate(const MetricsSnapshot& snap);
 
-/// bytecode_execs / (bytecode_execs + interp_evals) — the share of FO
-/// evaluations served by the bytecode VM rather than the plan-free
-/// oracle (fo/evaluator.h; witness validation). -1 when no FO evaluation
-/// ran.
+/// The share of verification-path FO evaluations served by the bytecode
+/// VM. The VM is the only engine of every verification path, so this is
+/// 1 whenever it ran (fo/bytecode_execs > 0) and -1 otherwise: the
+/// plan-free oracle's evaluations (fo/interp_evals) belong to witness
+/// validation (fo/evaluator.h), and reports list them as such.
 double BytecodeCompiledShare(const MetricsSnapshot& snap);
 
 /// cache_hits / (cache_hits + compiles) of the FO program cache, or -1

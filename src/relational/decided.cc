@@ -10,13 +10,31 @@ bool DatabaseBounds::InDomain(Value v) const {
   return std::binary_search(domain.begin(), domain.end(), v);
 }
 
-bool DecidedDatabase::IsOpenFact(NameId rel, const Tuple& t) const {
+namespace {
+
+// The entry of `rel` in false facts sorted by relation id, or where it
+// would go.
+auto FalseFactsOf(std::vector<std::pair<NameId, Relation>>& false_facts,
+                  NameId rel) {
+  return std::lower_bound(
+      false_facts.begin(), false_facts.end(), rel,
+      [](const std::pair<NameId, Relation>& e, NameId r) {
+        return e.first < r;
+      });
+}
+
+}  // namespace
+
+bool DecidedDatabase::IsOpenFact(NameId rel, Row t) const {
   if (!IsOpenRelation(rel)) return false;
   if (facts_->FindRelation(rel)->Contains(t)) return false;
   for (Value v : t) {
     if (!bounds_->InDomain(v)) return false;
   }
-  return false_facts_.count({rel, t}) == 0;
+  for (const auto& [id, rows] : false_facts_) {
+    if (id == rel) return !rows.Contains(t);
+  }
+  return true;
 }
 
 bool DecidedDatabase::IsOpenRelation(NameId rel) const {
@@ -47,13 +65,17 @@ bool DecidedDatabase::IsOpen(const DbProbe& probe) const {
   return false;
 }
 
-DecidedDatabase DecidedDatabase::WithFalse(NameId rel, const Tuple& t) const {
+DecidedDatabase DecidedDatabase::WithFalse(NameId rel, Row t) const {
   DecidedDatabase out = *this;
-  out.false_facts_.emplace(rel, t);
+  auto it = FalseFactsOf(out.false_facts_, rel);
+  if (it == out.false_facts_.end() || it->first != rel) {
+    it = out.false_facts_.emplace(it, rel, Relation(static_cast<int>(t.size())));
+  }
+  it->second.Insert(t);
   return out;
 }
 
-DecidedDatabase DecidedDatabase::WithTrue(NameId rel, const Tuple& t,
+DecidedDatabase DecidedDatabase::WithTrue(NameId rel, Row t,
                                           Instance* facts) const {
   *facts = *facts_;
   Relation* out_rel = facts->MutableRelation(rel);
@@ -68,13 +90,10 @@ DecidedDatabase DecidedDatabase::WithTrue(NameId rel, const Tuple& t,
   return out;
 }
 
-DecidedDatabase DecidedDatabase::WithRelation(NameId rel,
-                                              const std::vector<Tuple>& tuples,
+DecidedDatabase DecidedDatabase::WithRelation(NameId rel, Relation tuples,
                                               Instance* facts) const {
   *facts = *facts_;
-  Relation* out_rel = facts->MutableRelation(rel);
-  out_rel->Clear();
-  for (const Tuple& t : tuples) out_rel->Insert(t);
+  *facts->MutableRelation(rel) = std::move(tuples);
   DecidedDatabase out = *this;
   // A relation decided whole needs no false facts: the rest of it is.
   out.EraseFalseFacts(rel);
@@ -91,10 +110,8 @@ DecidedDatabase DecidedDatabase::WithConstant(NameId c, Value v,
 }
 
 void DecidedDatabase::EraseFalseFacts(NameId rel) {
-  auto first = false_facts_.lower_bound({rel, Tuple()});
-  auto last = first;
-  while (last != false_facts_.end() && last->first == rel) ++last;
-  false_facts_.erase(first, last);
+  auto it = FalseFactsOf(false_facts_, rel);
+  if (it != false_facts_.end() && it->first == rel) false_facts_.erase(it);
 }
 
 Instance DecidedDatabase::Completion() const {
@@ -112,20 +129,20 @@ Instance DecidedDatabase::Completion() const {
 size_t DecidedDatabase::Hash() const {
   std::hash<const void*> h;
   size_t seed = HashCombine(h(facts_), h(bounds_));
-  for (const auto& [rel, t] : false_facts_) {
-    seed = HashCombine(seed, static_cast<size_t>(rel));
-    seed = HashCombine(seed, TupleHash()(t));
+  for (const auto& [rel, rows] : false_facts_) {
+    for (Row t : rows.rows()) {
+      seed = HashCombine(seed, static_cast<size_t>(rel));
+      seed = HashCombine(seed, TupleHash()(t));
+    }
   }
   return HashRange(closed_.begin(), closed_.end(), seed);
 }
 
 size_t DecidedDatabase::ApproxBytes() const {
-  size_t bytes = closed_.capacity() * sizeof(NameId);
-  for (const auto& entry : false_facts_) {
-    // A set node: links, the id and the tuple's storage.
-    bytes += 4 * sizeof(void*) + sizeof(entry) +
-             entry.second.capacity() * sizeof(Value);
-  }
+  size_t bytes = closed_.capacity() * sizeof(NameId) +
+                 false_facts_.capacity() *
+                     (sizeof(false_facts_[0]) - sizeof(Relation));
+  for (const auto& [rel, rows] : false_facts_) bytes += rows.ApproxBytes();
   return bytes;
 }
 

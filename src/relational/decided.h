@@ -18,7 +18,6 @@
 #define WSV_RELATIONAL_DECIDED_H_
 
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -75,7 +74,7 @@ class DecidedDatabase {
   /// Nothing is open.
   bool complete() const { return bounds_ == nullptr; }
 
-  bool IsOpenFact(NameId rel, const Tuple& t) const;
+  bool IsOpenFact(NameId rel, Row t) const;
   /// Whether some fact of `rel` is open (conservatively: the relation is
   /// a database relation, not decided whole and below the bound).
   bool IsOpenRelation(NameId rel) const;
@@ -86,11 +85,12 @@ class DecidedDatabase {
   /// The decisions. Each returns the refined database; a decision that
   /// changes the facts builds them into `*facts`, which the caller
   /// stores and points the result at (SetFacts).
-  DecidedDatabase WithFalse(NameId rel, const Tuple& t) const;
-  /// `rel` decided whole: `*facts` gets exactly `tuples` for it.
-  DecidedDatabase WithRelation(NameId rel, const std::vector<Tuple>& tuples,
+  DecidedDatabase WithFalse(NameId rel, Row t) const;
+  /// `rel` decided whole: `*facts` gets exactly `tuples` for it, a
+  /// relation of rel's arity.
+  DecidedDatabase WithRelation(NameId rel, Relation tuples,
                                Instance* facts) const;
-  DecidedDatabase WithTrue(NameId rel, const Tuple& t, Instance* facts) const;
+  DecidedDatabase WithTrue(NameId rel, Row t, Instance* facts) const;
   DecidedDatabase WithConstant(NameId c, Value v, Instance* facts) const;
   void SetFacts(const Instance* facts) { facts_ = facts; }
 
@@ -114,8 +114,9 @@ class DecidedDatabase {
 
   const Instance* facts_ = nullptr;
   const DatabaseBounds* bounds_ = nullptr;
-  /// Facts decided false, outside relations decided whole.
-  std::set<std::pair<NameId, Tuple>> false_facts_;
+  /// Facts decided false, outside relations decided whole: per relation,
+  /// sorted by id, a relation of its false facts (never empty).
+  std::vector<std::pair<NameId, Relation>> false_facts_;
   /// Relations decided whole, sorted by id.
   std::vector<NameId> closed_;
 };
@@ -131,9 +132,9 @@ class ProbeLog {
  public:
   explicit ProbeLog(const DecidedDatabase* database) : database_(database) {}
 
-  void Fact(NameId rel, const Tuple& t) {
+  void Fact(NameId rel, Row t) {
     if (!first_.has_value() && database_->IsOpenFact(rel, t)) {
-      first_ = DbProbe{DbProbe::Kind::kFact, rel, t};
+      first_ = DbProbe{DbProbe::Kind::kFact, rel, Tuple(t.begin(), t.end())};
     }
   }
   void Relation(NameId rel) {

@@ -6,23 +6,67 @@
 
 namespace wsv {
 
-bool Relation::Insert(const Tuple& t) {
+namespace {
+
+// Row order: lexicographic by Value id, as std::vector<Value>'s.
+bool RowLess(Row a, Row b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+}  // namespace
+
+size_t Relation::LowerBound(Row t, bool* found) const {
+  size_t lo = 0;
+  size_t hi = rows_;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (RowLess(row(mid), t)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  *found = lo < rows_ && !RowLess(t, row(lo));
+  return lo;
+}
+
+bool Relation::Insert(Row t) {
   if (static_cast<int>(t.size()) != arity_) return false;
-  tuples_.insert(t);
+  // Rows often arrive in order: past the last row is an append.
+  if (rows_ == 0 || RowLess(row(rows_ - 1), t)) {
+    Append(t);
+    return true;
+  }
+  bool found = false;
+  const size_t idx = LowerBound(t, &found);
+  if (!found) {
+    values_.insert(idx * t.size(), t.data(), t.data() + t.size());
+    ++rows_;
+  }
   return true;
 }
 
-void Relation::Erase(const Tuple& t) { tuples_.erase(t); }
+void Relation::Erase(Row t) {
+  if (static_cast<int>(t.size()) != arity_) return;
+  bool found = false;
+  const size_t idx = LowerBound(t, &found);
+  if (found) {
+    values_.erase(idx * t.size(), t.size());
+    --rows_;
+  }
+}
 
-void Relation::SetBool(bool b) {
-  tuples_.clear();
-  if (b) tuples_.insert(Tuple{});
+bool Relation::Contains(Row t) const {
+  if (static_cast<int>(t.size()) != arity_) return false;
+  bool found = false;
+  LowerBound(t, &found);
+  return found;
 }
 
 std::string Relation::ToString() const {
   std::string out = "{";
   bool first = true;
-  for (const Tuple& t : tuples_) {
+  for (Row t : rows()) {
     if (!first) out += ", ";
     first = false;
     out += TupleToString(t);
@@ -33,22 +77,13 @@ std::string Relation::ToString() const {
 
 size_t Relation::Hash() const {
   size_t h = static_cast<size_t>(arity_);
-  for (const Tuple& t : tuples_) h = HashCombine(h, TupleHash()(t));
+  for (Row t : rows()) h = HashCombine(h, TupleHash()(t));
   return h;
 }
 
-namespace {
-// Approximate per-node overhead of an ordered container entry (three
-// child/parent pointers, color, allocator rounding).
-constexpr size_t kTreeNodeBytes = 4 * sizeof(void*);
-}  // namespace
-
 size_t Relation::ApproxBytes() const {
-  size_t bytes = sizeof(Relation);
-  for (const Tuple& t : tuples_) {
-    bytes += kTreeNodeBytes + sizeof(Tuple) + t.capacity() * sizeof(Value);
-  }
-  return bytes;
+  return sizeof(Relation) +
+         (values_.on_heap() ? values_.capacity() * sizeof(Value) : 0);
 }
 
 Status Instance::EnsureRelation(NameId name, int arity) {
@@ -78,13 +113,24 @@ Status Instance::AddFact(const std::string& name, const Tuple& t) {
   const NameId id = InternName(name);
   WSV_RETURN_IF_ERROR(EnsureRelation(id, static_cast<int>(t.size())));
   relations_.Find(id)->Insert(t);
-  for (Value v : t) domain_.insert(v);
+  AddDomainValues(t);
   return Status::OK();
+}
+
+void Instance::AddDomainValue(Value v) {
+  Value* pos = std::lower_bound(domain_.begin(), domain_.end(), v);
+  if (pos == domain_.end() || *pos != v) {
+    domain_.insert(static_cast<size_t>(pos - domain_.begin()), v);
+  }
+}
+
+bool Instance::InDomain(Value v) const {
+  return std::binary_search(domain_.begin(), domain_.end(), v);
 }
 
 void Instance::SetConstant(NameId name, Value v) {
   constants_.Set(name, v);
-  domain_.insert(v);
+  AddDomainValue(v);
 }
 
 void Instance::SetConstant(const std::string& name, Value v) {
@@ -118,7 +164,7 @@ size_t Instance::ApproxBytes() const {
              rel.ApproxBytes();
   }
   bytes += constants_.size() * sizeof(NameMap<Value>::Entry);
-  bytes += domain_.size() * (kTreeNodeBytes + sizeof(Value));
+  if (domain_.on_heap()) bytes += domain_.capacity() * sizeof(Value);
   return bytes;
 }
 

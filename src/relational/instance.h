@@ -3,68 +3,166 @@
 // A relational instance maps each relation symbol to a finite relation,
 // each proposition to a truth value (arity-0 relation that is empty or
 // contains the empty tuple), and each constant symbol to a domain element.
-// Instances use ordered containers throughout so that equal instances
-// compare equal structurally — the model checkers deduplicate
-// configurations by comparing state instances.
+// Instances keep relations, constants and the domain in canonical order
+// so that equal instances compare equal structurally — the model
+// checkers deduplicate configurations by comparing state instances.
 
 #ifndef WSV_RELATIONAL_INSTANCE_H_
 #define WSV_RELATIONAL_INSTANCE_H_
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "common/status.h"
 #include "relational/name.h"
 #include "relational/value.h"
 
 namespace wsv {
 
-/// A finite relation of fixed arity over the interned value domain.
+/// A finite relation of fixed arity over the interned value domain
+/// (DESIGN.md §6k). The tuples are stored as rows of `arity` value ids,
+/// back to back in one array, sorted lexicographically by Value id and
+/// free of duplicates. Iteration, printing, comparison and hashing
+/// follow that order, and recorded hashes and cache keys depend on it.
+/// The first kInlineValues values live in the object, so the common
+/// relations of 0-2 rows copy without allocating. Readers see rows as
+/// Row views; Tuple is only for callers that own a tuple.
 class Relation {
  public:
+  /// Values held inline: two rows of arity 3.
+  static constexpr size_t kInlineValues = 6;
+
+  /// Iterates the rows in order, as Row views into the relation.
+  class RowIterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Row;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Row;
+
+    RowIterator() = default;
+    RowIterator(const Value* values, size_t arity, size_t row)
+        : values_(values), arity_(arity), row_(row) {}
+    Row operator*() const { return Row(values_ + row_ * arity_, arity_); }
+    RowIterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    RowIterator operator++(int) {
+      RowIterator old = *this;
+      ++row_;
+      return old;
+    }
+    friend bool operator==(const RowIterator& a, const RowIterator& b) {
+      return a.row_ == b.row_;
+    }
+    friend bool operator!=(const RowIterator& a, const RowIterator& b) {
+      return a.row_ != b.row_;
+    }
+
+   private:
+    const Value* values_ = nullptr;
+    size_t arity_ = 0;
+    size_t row_ = 0;
+  };
+
+  /// The rows of a relation, in order; valid until the relation changes.
+  class Rows {
+   public:
+    Rows(const Value* values, size_t arity, size_t rows)
+        : values_(values), arity_(arity), rows_(rows) {}
+    RowIterator begin() const { return RowIterator(values_, arity_, 0); }
+    RowIterator end() const { return RowIterator(values_, arity_, rows_); }
+    size_t size() const { return rows_; }
+    bool empty() const { return rows_ == 0; }
+    Row operator[](size_t i) const {
+      assert(i < rows_);
+      return Row(values_ + i * arity_, arity_);
+    }
+
+   private:
+    const Value* values_;
+    size_t arity_;
+    size_t rows_;
+  };
+
   Relation() : arity_(0) {}
   explicit Relation(int arity) : arity_(arity) {}
 
   int arity() const { return arity_; }
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
+  /// The number of rows.
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
 
-  /// Inserts a tuple; returns false (and ignores it) on arity mismatch.
-  bool Insert(const Tuple& t);
-  /// Removes a tuple if present.
-  void Erase(const Tuple& t);
-  bool Contains(const Tuple& t) const { return tuples_.count(t) > 0; }
-  void Clear() { tuples_.clear(); }
+  /// Inserts a row; returns false (and ignores it) on arity mismatch.
+  bool Insert(Row t);
+  bool Insert(const Tuple& t) { return Insert(Row(t)); }
+  /// Removes a row if present.
+  void Erase(Row t);
+  bool Contains(Row t) const;
+  void Clear() {
+    values_.clear();
+    rows_ = 0;
+  }
 
-  const std::set<Tuple>& tuples() const { return tuples_; }
+  /// Appends a row of the relation's arity that sorts after every row
+  /// present: how a caller that produces rows in order (the state
+  /// update's merge) builds a relation without searching.
+  void Append(Row t) {
+    assert(static_cast<int>(t.size()) == arity_);
+    assert(rows_ == 0 || std::lexicographical_compare(
+                             row(rows_ - 1).begin(), row(rows_ - 1).end(),
+                             t.begin(), t.end()));
+    values_.insert(values_.size(), t.data(), t.data() + t.size());
+    ++rows_;
+  }
+
+  Rows rows() const {
+    return Rows(values_.data(), static_cast<size_t>(arity_), rows_);
+  }
+  Row row(size_t i) const { return rows()[i]; }
 
   /// Proposition helpers (arity 0): truth == contains the empty tuple.
-  bool AsBool() const { return !tuples_.empty(); }
-  void SetBool(bool b);
+  bool AsBool() const { return rows_ != 0; }
+  void SetBool(bool b) { rows_ = b ? 1 : 0; }
 
   friend bool operator==(const Relation& a, const Relation& b) {
-    return a.arity_ == b.arity_ && a.tuples_ == b.tuples_;
+    return a.arity_ == b.arity_ && a.rows_ == b.rows_ && a.values_ == b.values_;
   }
+  /// Arity first, then the rows compared lexicographically. Rows of one
+  /// arity lie back to back, so that is the order of the value arrays,
+  /// with the row count deciding between arity-0 relations.
   friend bool operator<(const Relation& a, const Relation& b) {
     if (a.arity_ != b.arity_) return a.arity_ < b.arity_;
-    return a.tuples_ < b.tuples_;
+    if (a.values_ != b.values_) return a.values_ < b.values_;
+    return a.rows_ < b.rows_;
   }
 
-  /// Structural hash, consistent with operator== (the tuple set is
-  /// ordered, so iteration order is canonical).
+  /// Structural hash, consistent with operator==: the arity folded with
+  /// each row's TupleHash in row order.
   size_t Hash() const;
 
-  /// Estimated heap footprint (set nodes + tuple storage). Used by the
-  /// mem/* occupancy gauges; coarse by design.
+  /// Heap footprint: the object plus its value block once the rows
+  /// outgrow the inline storage. Used by the mem/* occupancy gauges.
   size_t ApproxBytes() const;
 
   std::string ToString() const;
 
  private:
-  int arity_;
-  std::set<Tuple> tuples_;
+  // The index of the first row not less than `t`, and whether it is `t`.
+  size_t LowerBound(Row t, bool* found) const;
+
+  int32_t arity_;
+  uint32_t rows_ = 0;
+  SmallVector<Value, kInlineValues> values_;
 };
 
 /// A relational instance: named relations, constant interpretations, and
@@ -108,9 +206,15 @@ class Instance {
   std::optional<Value> FindConstant(const std::string& name) const;
 
   /// Adds a bare element to the domain.
-  void AddDomainValue(Value v) { domain_.insert(v); }
+  void AddDomainValue(Value v);
+  /// Adds every value of `t` to the domain.
+  void AddDomainValues(Row t) {
+    for (Value v : t) AddDomainValue(v);
+  }
 
-  const std::set<Value>& domain() const { return domain_; }
+  /// The domain in Value order, without duplicates.
+  Row domain() const { return Row(domain_.data(), domain_.size()); }
+  bool InDomain(Value v) const;
   /// Relations and constants in name order; iterating yields
   /// (name, relation) and (name, value) pairs.
   const NameMap<Relation>& relations() const { return relations_; }
@@ -139,7 +243,8 @@ class Instance {
  private:
   NameMap<Relation> relations_;
   NameMap<Value> constants_;
-  std::set<Value> domain_;
+  /// Sorted by Value id, without duplicates.
+  SmallVector<Value, 4> domain_;
 };
 
 }  // namespace wsv

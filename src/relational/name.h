@@ -115,6 +115,8 @@ class NameMap {
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
+  /// Room for `n` entries, so that inserting up to n allocates nothing.
+  void reserve(size_t n) { entries_.reserve(n); }
 
   /// The entries, in name order.
   const std::vector<Entry>& entries() const { return entries_; }

@@ -90,7 +90,7 @@ const std::string& Value::name() const {
   return *in.names[static_cast<size_t>(id_)];
 }
 
-std::string TupleToString(const Tuple& t) {
+std::string TupleToString(Row t) {
   std::string out = "(";
   for (size_t i = 0; i < t.size(); ++i) {
     if (i > 0) out += ", ";

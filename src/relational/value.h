@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,11 +50,16 @@ class Value {
   int32_t id_;
 };
 
-/// A fixed-arity sequence of domain values.
+/// A fixed-arity sequence of domain values, owned: the form tuples take
+/// at the parse, print and public-API boundaries.
 using Tuple = std::vector<Value>;
 
+/// A fixed-arity sequence of domain values, viewed: one row of a
+/// relation's flat storage (relational/instance.h), or a Tuple's values.
+using Row = std::span<const Value>;
+
 /// Renders a tuple as "(a, b, c)".
-std::string TupleToString(const Tuple& t);
+std::string TupleToString(Row t);
 
 struct ValueHash {
   size_t operator()(Value v) const {
@@ -62,7 +68,7 @@ struct ValueHash {
 };
 
 struct TupleHash {
-  size_t operator()(const Tuple& t) const {
+  size_t operator()(Row t) const {
     size_t h = 0x9e3779b97f4a7c15ULL;
     for (Value v : t) {
       h ^= ValueHash()(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);

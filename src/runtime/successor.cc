@@ -1,6 +1,7 @@
 #include "runtime/successor.h"
 
 #include <algorithm>
+#include <array>
 
 #include "fo/bytecode/cache.h"
 #include "fo/bytecode/vm.h"
@@ -239,7 +240,10 @@ StatusOr<std::map<std::string, std::set<Tuple>>> Stepper::OptionsUnder(
   WSV_ASSIGN_OR_RETURN(InputOptions options,
                        OptionsOn(node, *page, kappa));
   std::map<std::string, std::set<Tuple>> out;
-  for (auto& [rel, tuples] : options) out[NameOf(rel)] = std::move(tuples);
+  for (const auto& [rel, rows] : options) {
+    std::set<Tuple>& tuples = out[NameOf(rel)];
+    for (Row t : rows.rows()) tuples.emplace(t.begin(), t.end());
+  }
   return out;
 }
 
@@ -254,12 +258,11 @@ StatusOr<InputOptions> Stepper::OptionsOn(const ConfigView& node,
   InputOptions options;
   options.reserve(tables.option_relations.size());
   for (NameId rel : tables.option_relations) {
-    options.emplace_back(rel, std::set<Tuple>());
+    options.emplace_back(rel, Relation());
   }
   for (size_t i = 0; i < page.input_rules.size(); ++i) {
-    WSV_ASSIGN_OR_RETURN(
-        std::set<Tuple> tuples,
-        fobc::ExecuteQuery(*tables.programs.input[i], ctx));
+    WSV_ASSIGN_OR_RETURN(Relation tuples,
+                         fobc::ExecuteQuery(*tables.programs.input[i], ctx));
     options[tables.input_rule_slot[i]].second = std::move(tuples);
   }
   return options;
@@ -383,12 +386,45 @@ StatusOr<StepOutcome> Stepper::Step(const Config& config,
 
 namespace {
 
-// Whether `rel` holds every tuple of `sub`.
+// Whether `rel` holds every row of `sub`.
 bool ContainsAll(const Relation& rel, const Relation& sub) {
-  for (const Tuple& t : sub.tuples()) {
+  for (Row t : sub.rows()) {
     if (!rel.Contains(t)) return false;
   }
   return true;
+}
+
+// Three-way row comparison, in row order.
+int CompareRows(Row a, Row b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+// The state update of one relation, S' = (ins \ del) ∪ (S ∩ ins ∩ del) ∪
+// (S \ (ins ∪ del)): a row of ins survives unless it is also deleted and
+// not in S (insert+delete conflicts no-op); a row of S survives unless
+// exactly one of ins and del holds it. One merge over the sorted rows of
+// S and ins, so `out` is built by appending.
+void UpdateRelation(const Relation& old, const Relation& ins,
+                    const Relation& del, Relation* out) {
+  const Relation::Rows s = old.rows();
+  const Relation::Rows i = ins.rows();
+  size_t si = 0;
+  size_t ii = 0;
+  while (si < s.size() || ii < i.size()) {
+    const int cmp = si == s.size()   ? 1
+                    : ii == i.size() ? -1
+                                     : CompareRows(s[si], i[ii]);
+    const Row t = cmp <= 0 ? s[si] : i[ii];
+    const bool in_old = cmp <= 0;
+    const bool in_ins = cmp >= 0;
+    if (cmp <= 0) ++si;
+    if (cmp >= 0) ++ii;
+    const bool in_del = !del.empty() && del.Contains(t);
+    if ((in_ins && !in_del) || (in_old && in_ins == in_del)) out->Append(t);
+  }
 }
 
 }  // namespace
@@ -407,8 +443,9 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   ResolvedChoice resolved;
   for (const auto& [rel, pick] : choice.relation_choices) {
     CountNameLookup();
-    resolved.relations.emplace_back(InternName(rel),
-                                    pick.has_value() ? &*pick : nullptr);
+    resolved.relations.emplace_back(
+        InternName(rel),
+        pick.has_value() ? std::optional<Row>(*pick) : std::nullopt);
   }
   for (const auto& [prop, truth] : choice.proposition_choices) {
     CountNameLookup();
@@ -431,7 +468,7 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   // constant in it.
   bool any_input = !tables.input_constants.empty();
   for (const auto& [rel, pick] : choice.relations) {
-    any_input = any_input || pick != nullptr;
+    any_input = any_input || pick.has_value();
   }
   for (const auto& [prop, truth] : choice.propositions) {
     any_input = any_input || truth;
@@ -439,9 +476,9 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   if (any_input) {
     Instance built = empty_inputs_;
     for (const auto& [rel, pick] : choice.relations) {
-      if (pick == nullptr) continue;
+      if (!pick.has_value()) continue;
       built.MutableRelation(rel)->Insert(*pick);
-      for (Value v : *pick) built.AddDomainValue(v);
+      built.AddDomainValues(*pick);
     }
     for (const auto& [prop, truth] : choice.propositions) {
       built.MutableRelation(prop)->SetBool(truth);
@@ -459,37 +496,41 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   EvalContext ctx = MakeContext(node, *kappa, &inputs, probes);
   const PagePrograms& progs = tables.programs;
 
-  // Target rules; condition (iii) fires on ambiguity.
-  std::vector<size_t> true_targets;
+  // Target rules; condition (iii) fires on ambiguity. Every rule is
+  // evaluated; the first two that fire are kept.
+  size_t num_fired = 0;
+  std::array<size_t, 2> fired_rules{};
   for (size_t i = 0; i < page.target_rules.size(); ++i) {
     WSV_ASSIGN_OR_RETURN(bool fired, fobc::Execute(*progs.target[i], ctx));
-    if (fired) true_targets.push_back(i);
+    if (fired && num_fired++ < fired_rules.size()) {
+      fired_rules[num_fired - 1] = i;
+    }
   }
-  if (true_targets.size() > 1) {
+  if (num_fired > 1) {
     return ToErrorPage(node, kappa,
                        "ambiguous targets: " +
-                           page.target_rules[true_targets[0]].target +
-                           " and " + page.target_rules[true_targets[1]].target +
+                           page.target_rules[fired_rules[0]].target + " and " +
+                           page.target_rules[fired_rules[1]].target +
                            " (condition iii)");
   }
 
-  if (true_targets.empty()) {
+  if (num_fired == 0) {
     out.page = node.page;
     out.page_id = tables.name;
   } else {
-    out.page = &page.target_rules[true_targets.front()].target;
-    out.page_id = tables.target_rule_page[true_targets.front()];
+    out.page = &page.target_rules[fired_rules[0]].target;
+    out.page_id = tables.target_rule_page[fired_rules[0]];
   }
   out.kappa = kappa;
 
-  // State update: S' = (ins \ del) ∪ (S ∩ ins ∩ del) ∪ (S \ (ins ∪ del)),
-  // per state relation with rules on this page; others carry unchanged.
-  // The source state is copied only once some relation actually changes.
-  std::vector<std::pair<std::set<Tuple>, std::set<Tuple>>> updates(
+  // State update (UpdateRelation) per state relation with rules on this
+  // page; others carry unchanged. The source state is copied only once
+  // some relation actually changes.
+  std::vector<std::pair<Relation, Relation>> updates(
       tables.updated_states.size());
   for (size_t i = 0; i < page.state_rules.size(); ++i) {
     const StateRule& rule = page.state_rules[i];
-    WSV_ASSIGN_OR_RETURN(std::set<Tuple> tuples,
+    WSV_ASSIGN_OR_RETURN(Relation tuples,
                          fobc::ExecuteQuery(*progs.state[i], ctx));
     auto& [ins, del] = updates[tables.state_rule_slot[i]];
     (rule.insert ? ins : del) = std::move(tuples);
@@ -502,27 +543,15 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
     const Relation* old = node.state->FindRelation(state_name);
     if (old == nullptr) continue;  // every state relation is materialized
     Relation updated(old->arity());
-    for (const Tuple& t : ins) {
-      bool deleted = del.count(t) > 0;
-      // Insert wins unless also deleted; insert+delete conflicts no-op.
-      if (!deleted || old->Contains(t)) updated.Insert(t);
-    }
-    for (const Tuple& t : old->tuples()) {
-      bool inserted = ins.count(t) > 0;
-      bool deleted = del.count(t) > 0;
-      if (!inserted && !deleted) updated.Insert(t);
-    }
+    UpdateRelation(*old, ins, del, &updated);
     if (updated == *old) continue;
     if (!state_changed) {
       state = *node.state;
       state_changed = true;
     }
-    Relation* rel = state.MutableRelation(state_name);
-    *rel = std::move(updated);
     // Track new values in the state's domain.
-    for (const Tuple& t : rel->tuples()) {
-      for (Value v : t) state.AddDomainValue(v);
-    }
+    for (Row t : updated.rows()) state.AddDomainValues(t);
+    *state.MutableRelation(state_name) = std::move(updated);
   }
   out.state = state_changed ? Part::Built(std::move(state))
                             : Part::Source(node.state);
@@ -531,7 +560,7 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
   Instance actions;
   bool any_action = false;
   for (size_t i = 0; i < page.action_rules.size(); ++i) {
-    WSV_ASSIGN_OR_RETURN(std::set<Tuple> tuples,
+    WSV_ASSIGN_OR_RETURN(Relation tuples,
                          fobc::ExecuteQuery(*progs.action[i], ctx));
     if (tuples.empty()) continue;
     if (!any_action) {
@@ -539,9 +568,9 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
       any_action = true;
     }
     Relation* rel = actions.MutableRelation(tables.action_rule_relation[i]);
-    for (const Tuple& t : tuples) {
+    for (Row t : tuples.rows()) {
       rel->Insert(t);
-      for (Value v : t) actions.AddDomainValue(v);
+      actions.AddDomainValues(t);
     }
   }
   out.actions = any_action ? Part::Built(std::move(actions))
@@ -566,13 +595,11 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
     }
     Relation* rel = prev.MutableRelation(in);
     if (lossless_input_) {
-      for (const Tuple& t : cur->tuples()) rel->Insert(t);
+      for (Row t : cur->rows()) rel->Insert(t);
     } else {
       *rel = *cur;
     }
-    for (const Tuple& t : cur->tuples()) {
-      for (Value v : t) prev.AddDomainValue(v);
-    }
+    for (Row t : cur->rows()) prev.AddDomainValues(t);
   }
   if (prev_changed) {
     out.prev_inputs = Part::Built(std::move(prev));

@@ -116,18 +116,18 @@ struct Successor {
 
 /// A user choice with its relation and proposition names resolved to
 /// ids: the form the apply core reads. `relations` holds one entry per
-/// offered relation with its pick (nullptr: no pick), `propositions` one
-/// per propositional input with its truth value. The picked tuples are
-/// the caller's and must outlive the ApplyChoice call.
+/// offered relation with its pick (nullopt: no pick), `propositions` one
+/// per propositional input with its truth value. The picked rows are the
+/// caller's and must outlive the ApplyChoice call.
 struct ResolvedChoice {
-  std::vector<std::pair<NameId, const Tuple*>> relations;
+  std::vector<std::pair<NameId, std::optional<Row>>> relations;
   std::vector<std::pair<NameId, bool>> propositions;
 };
 
 /// The options of a page's positive-arity input relations under one
 /// kappa: per input relation with rules on the page, in name order, the
-/// tuples its rules offer (the last rule of a relation wins).
-using InputOptions = std::vector<std::pair<NameId, std::set<Tuple>>>;
+/// rows its rules offer (the last rule of a relation wins).
+using InputOptions = std::vector<std::pair<NameId, Relation>>;
 
 class Stepper {
  public:

@@ -41,7 +41,7 @@ std::set<std::string> TraceLabel(const TraceView& trace,
           label.insert(sym.name);
         } else {
           // Ground input atoms: one proposition per chosen tuple.
-          for (const Tuple& t : rel->tuples()) {
+          for (Row t : rel->rows()) {
             Atom atom;
             atom.relation = sym.name;
             for (Value v : t) atom.terms.push_back(Term::Literal(v));

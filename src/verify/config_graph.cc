@@ -194,7 +194,7 @@ class Decider {
     }
     // Whatever the attempt returned, an error included, read an open
     // part: only the redone steps count.
-    const DbProbe probe = *log->first();
+    const DbProbe& probe = *log->first();
     return ForEachDecision(node, probe, [&](const ConfigView& refined) {
       return Refine<T>(refined, attempt, cont);
     });
@@ -261,16 +261,15 @@ class Decider {
             fixed[i] = 2;  // decided false
           }
         }
-        std::vector<Tuple> chosen;
         return ForEachFactSubset(
                    all, bounds.max_tuples_per_relation, fixed,
                    [&](const std::vector<size_t>& subset) -> StatusOr<bool> {
                      if (truncated_) return true;
-                     chosen.clear();
-                     for (size_t i : subset) chosen.push_back(all[i]);
+                     Relation chosen(decided.arity());
+                     for (size_t i : subset) chosen.Insert(all[i]);
                      Instance facts;
-                     DecidedDatabase refined =
-                         db.WithRelation(probe.symbol, chosen, &facts);
+                     DecidedDatabase refined = db.WithRelation(
+                         probe.symbol, std::move(chosen), &facts);
                      WSV_RETURN_IF_ERROR(
                          visit(std::move(refined), std::move(facts)));
                      return false;
@@ -297,14 +296,14 @@ class Decider {
 // checks Step would repeat are skipped. Each successor is handed to
 // `emit` as soon as it is built. The node's parts are stored, so `node`
 // stays valid while `emit` grows the graph.
+template <typename Emit>
 class SuccessorEnumerator {
  public:
-  using Emit = std::function<Status(Successor&)>;
-
   SuccessorEnumerator(const Stepper& stepper, ConfigStore& store,
                       Decider& decider, const ConfigView& node,
                       const PageSchema& page,
-                      const std::vector<Value>& constant_pool, Emit emit)
+                      const std::vector<Value>& constant_pool,
+                      const Emit& emit)
       : stepper_(stepper),
         store_(store),
         decider_(decider),
@@ -312,7 +311,7 @@ class SuccessorEnumerator {
         page_(page),
         constants_(stepper.InputConstantIds(page)),
         constant_pool_(constant_pool),
-        emit_(std::move(emit)) {
+        emit_(emit) {
     for (NameId prop : stepper.PropositionIds(page)) {
       choice_.propositions.emplace_back(prop, false);
     }
@@ -342,7 +341,9 @@ class SuccessorEnumerator {
     // enumerate relation picks and proposition values.
     const Kappa* kappa = node_.kappa;
     if (!constants_.empty()) {
-      Kappa extended = *node_.kappa;
+      Kappa extended;
+      extended.reserve(node_.kappa->size() + constants_.size());
+      extended = *node_.kappa;
       for (size_t i = 0; i < constants_.size(); ++i) {
         extended.Set(constants_[i], chosen_[i]);
       }
@@ -356,7 +357,7 @@ class SuccessorEnumerator {
         [&](const ConfigView& node, InputOptions& options) {
           choice_.relations.clear();
           for (const auto& [rel, tuples] : options) {
-            choice_.relations.emplace_back(rel, nullptr);
+            choice_.relations.emplace_back(rel, std::nullopt);
           }
           return EnumeratePicks(node, options, 0, 0, kappa);
         });
@@ -367,12 +368,12 @@ class SuccessorEnumerator {
   Status EnumeratePicks(const ConfigView& node, const InputOptions& options,
                         size_t rel_idx, size_t prop_idx, const Kappa* kappa) {
     if (rel_idx < options.size()) {
-      const Tuple*& pick = choice_.relations[rel_idx].second;
-      pick = nullptr;
+      std::optional<Row>& pick = choice_.relations[rel_idx].second;
+      pick.reset();
       WSV_RETURN_IF_ERROR(
           EnumeratePicks(node, options, rel_idx + 1, prop_idx, kappa));
-      for (const Tuple& t : options[rel_idx].second) {
-        pick = &t;
+      for (Row t : options[rel_idx].second.rows()) {
+        pick = t;
         WSV_RETURN_IF_ERROR(
             EnumeratePicks(node, options, rel_idx + 1, prop_idx, kappa));
       }
@@ -401,7 +402,7 @@ class SuccessorEnumerator {
   const PageSchema& page_;
   const std::vector<NameId>& constants_;  // the page's input constants
   const std::vector<Value>& constant_pool_;
-  const Emit emit_;
+  const Emit& emit_;
   std::vector<Value> chosen_;  // a value per input constant
   ResolvedChoice choice_;      // the choice being enumerated
 };
@@ -532,18 +533,17 @@ Status LazyConfigGraph::ExpandNode(int v) {
     edge.inputs = inputs;
     edge.error_reason =
         graph_.store->InternReason(std::move(succ.error_reason));
-    graph_.out_edges[static_cast<size_t>(v)].push_back(
-        static_cast<int>(graph_.edges.size() - 1));
     // The edge and its out-edge list slot (the reason text is the store's).
     AccountBytes(sizeof(ConfigGraph::Edge) + sizeof(int));
     return Status::OK();
   };
 
   const NameId page_id = graph_.page_ids[static_cast<size_t>(v)];
+  const size_t first_edge = graph_.edges.size();
   Decider decider(*graph_.store, graph_.truncated);
   // What the property reads is decided before the node's steps, so
   // every edge out of it is labelled on a database that decides it.
-  return decider.DecideFirst(
+  const Status status = decider.DecideFirst(
       current, options_.decide_first, [&](const ConfigView& node) -> Status {
         if (page_id == stepper_->error_page_id()) {
           Successor loop = stepper_->ErrorPageLoop(node);
@@ -565,6 +565,14 @@ Status LazyConfigGraph::ExpandNode(int v) {
                                    *page, pool_, add_edge)
             .Run();
       });
+  // The node's out-edges are the edges this expansion appended, in
+  // order; the list is filled once, at its final size.
+  std::vector<int>& out = graph_.out_edges[static_cast<size_t>(v)];
+  out.reserve(graph_.edges.size() - first_edge);
+  for (size_t e = first_edge; e < graph_.edges.size(); ++e) {
+    out.push_back(static_cast<int>(e));
+  }
+  return status;
 }
 
 StatusOr<bool> LazyConfigGraph::EnsureExpanded(int v) {

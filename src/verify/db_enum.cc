@@ -166,7 +166,7 @@ class DbEnumerator {
       (void)relabeled.EnsureRelation(name, rel.arity());
       Relation* out = relabeled.MutableRelation(name);
       Tuple mapped;
-      for (const Tuple& t : rel.tuples()) {
+      for (Row t : rel.rows()) {
         mapped.assign(t.begin(), t.end());
         for (Value& v : mapped) v = map_value(v);
         out->Insert(mapped);

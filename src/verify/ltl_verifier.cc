@@ -302,7 +302,7 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Build(
   // scan the domain once instead of once per leaf.
   std::vector<char> cand_in_db(check.cand_.size(), 0);
   for (size_t i = 0; i < check.cand_.size(); ++i) {
-    cand_in_db[i] = db.domain().count(check.cand_[i]) > 0 ? 1 : 0;
+    cand_in_db[i] = db.InDomain(check.cand_[i]) ? 1 : 0;
     if (!vars.empty()) {
       check.cand_pos_.emplace(check.cand_[i], static_cast<int32_t>(i));
     }
@@ -686,6 +686,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       std::unordered_map<uint64_t, int> vert_index;
       std::deque<std::vector<int>> vsucc;  // stable addresses for the DFS
       std::vector<char> vsucc_done;
+      std::vector<int> succ_scratch;  // one vertex's successors, gathered
       std::vector<const std::vector<int>*> matching;
 
       auto vid = [&](int e, int q) {
@@ -737,16 +738,18 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         // then a truncated prefix of the real one.
         WSV_ASSIGN_OR_RETURN(bool expanded, lazy.EnsureExpanded(to));
         (void)expanded;
-        std::vector<int> out;
+        succ_scratch.clear();
         const Bitset& q_succ = succ_bits_[q];
         for (int e2 : graph.out_edges[static_cast<size_t>(to)]) {
           WSV_ASSIGN_OR_RETURN(const std::vector<int>* m,
                                edge_matching(static_cast<size_t>(e2)));
           for (int q2 : *m) {
-            if (q_succ.Test(q2)) out.push_back(vid(e2, q2));
+            if (q_succ.Test(q2)) succ_scratch.push_back(vid(e2, q2));
           }
         }
-        vsucc[static_cast<size_t>(v)] = std::move(out);
+        // Stored at its final size: one allocation per vertex.
+        vsucc[static_cast<size_t>(v)].assign(succ_scratch.begin(),
+                                             succ_scratch.end());
         vsucc_done[static_cast<size_t>(v)] = 1;
         return &vsucc[static_cast<size_t>(v)];
       };
@@ -1013,7 +1016,8 @@ class EventBoard {
 // little); with the naive sweep forced, oversubscribe 4x so uneven
 // valuation costs balance. Work counters sum exactly across chunks
 // either way; only their split (memo hits vs misses, classes vs hits)
-// depends on the cut.
+// depends on the cut. A sweep of one chunk (one valuation left, as in
+// every database sweep) runs on the calling thread with no pool.
 StatusOr<std::optional<IndexedCounterExample>> ChunkedSweep(
     const LtlDatabaseCheck& check, uint64_t from, int jobs, bool collapse,
     uint64_t start, uint64_t* product_states) {
@@ -1024,27 +1028,36 @@ StatusOr<std::optional<IndexedCounterExample>> ChunkedSweep(
   const uint64_t chunk = (n - from + num_chunks - 1) / num_chunks;
   EventBoard board;
   std::mutex states_mu;
-  ThreadPool pool(jobs);
-  for (uint64_t begin = from; begin < n; begin += chunk) {
-    const uint64_t end = std::min(n, begin + chunk);
+  // Runs the chunk [begin, end) and offers its outcome; true when the
+  // outcome is the new winner.
+  auto run_chunk = [&](uint64_t begin, uint64_t end) {
+    if (board.Beaten(begin)) return false;
+    uint64_t states = 0;
+    auto found = check.CheckValuations(
+        begin, end, [&board](uint64_t i) { return board.Beaten(i); },
+        &states);
+    {
+      std::lock_guard<std::mutex> lock(states_mu);
+      *product_states += states;
+    }
+    if (!board.Offer(begin, std::move(found))) return false;
+    WSV_COUNT1("verify/cancellations_signalled");
+    return true;
+  };
+  if (num_chunks < 2) {
     WSV_COUNT1("verify/valuation_chunks");
-    pool.Submit([&, begin, end] {
-      if (board.Beaten(begin)) return;
-      uint64_t states = 0;
-      auto found = check.CheckValuations(
-          begin, end, [&board](uint64_t i) { return board.Beaten(i); },
-          &states);
-      {
-        std::lock_guard<std::mutex> lock(states_mu);
-        *product_states += states;
-      }
-      if (board.Offer(begin, std::move(found))) {
-        WSV_COUNT1("verify/cancellations_signalled");
-        pool.CancelPending();
-      }
-    });
+    run_chunk(from, n);
+  } else {
+    ThreadPool pool(jobs);
+    for (uint64_t begin = from; begin < n; begin += chunk) {
+      const uint64_t end = std::min(n, begin + chunk);
+      WSV_COUNT1("verify/valuation_chunks");
+      pool.Submit([&, begin, end] {
+        if (run_chunk(begin, end)) pool.CancelPending();
+      });
+    }
+    pool.Wait();
   }
-  pool.Wait();
   board.RecordTiming(start);
   return board.Take();
 }

@@ -71,7 +71,7 @@ StatusOr<UserChoice> ReconstructChoice(const Stepper& stepper,
           " records " + std::to_string(rel->size()) +
           " tuples; a user picks at most one");
     }
-    choice.relation_choices[in] = *rel->tuples().begin();
+    choice.relation_choices[in] = Tuple(rel->row(0).begin(), rel->row(0).end());
   }
   return choice;
 }

@@ -77,7 +77,7 @@ StatusOr<Instance> ParseDataFile(std::string_view text,
 std::string DataFileToString(const Instance& instance) {
   std::string out;
   for (const auto& [name, rel] : instance.relations()) {
-    for (const Tuple& t : rel.tuples()) {
+    for (Row t : rel.rows()) {
       out += name;
       if (!t.empty()) {
         out += "(";

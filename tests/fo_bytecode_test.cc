@@ -30,6 +30,13 @@
 namespace wsv {
 namespace {
 
+// The rows of `rel` as the oracle returns a query's tuples.
+std::set<Tuple> TupleSet(const Relation& rel) {
+  std::set<Tuple> out;
+  for (Row t : rel.rows()) out.emplace(t.begin(), t.end());
+  return out;
+}
+
 struct RelSpec {
   const char* name;
   int arity;
@@ -235,10 +242,11 @@ bool ExpectSameQuery(const FormulaPtr& f,
   EXPECT_TRUE(prog.ok()) << prog.status().ToString() << "\n  query: "
                          << f->ToString();
   if (!prog.ok()) return false;
-  StatusOr<std::set<Tuple>> compiled = fobc::ExecuteQuery(**prog, ctx, val);
+  StatusOr<Relation> compiled = fobc::ExecuteQuery(**prog, ctx, val);
   StatusOr<std::set<Tuple>> oracle = OracleEvaluateQuery(*f, heads, ctx, val);
   if (!compiled.ok() || !oracle.ok()) return false;
-  EXPECT_EQ(*compiled, *oracle) << "oracle disagrees on: " << f->ToString();
+  EXPECT_EQ(TupleSet(*compiled), *oracle)
+      << "oracle disagrees on: " << f->ToString();
   return true;
 }
 
@@ -521,19 +529,19 @@ TEST(FoBytecodeTest, QueryWithBoundHeadFallsBackIdentically) {
   auto query = fobc::GetOrCompileQuery(f, heads);
   auto sentence = fobc::GetOrCompileBool(f);
   ASSERT_TRUE(query.ok() && sentence.ok());
-  StatusOr<std::set<Tuple>> compiled = fobc::ExecuteQuery(**query, ctx);
+  StatusOr<Relation> compiled = fobc::ExecuteQuery(**query, ctx);
   StatusOr<std::set<Tuple>> oracle = OracleEvaluateQuery(*f, heads, ctx);
   ASSERT_TRUE(compiled.ok() && oracle.ok());
-  EXPECT_EQ(*compiled, *oracle);
+  EXPECT_EQ(TupleSet(*compiled), *oracle);
   ASSERT_FALSE(compiled->empty());
 
-  const std::vector<Value>& dom = ctx.ActiveDomain();
+  const Row dom = ctx.ActiveDomain();
   for (Value x : dom) {
     for (Value y : dom) {
       StatusOr<bool> holds =
           fobc::Execute(**sentence, ctx, Valuation{{"x", x}, {"y", y}});
       ASSERT_TRUE(holds.ok()) << holds.status().ToString();
-      EXPECT_EQ(*holds, compiled->count(Tuple{x, y}) > 0);
+      EXPECT_EQ(*holds, compiled->Contains(Tuple{x, y}));
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "verify/ltl_verifier.h"
+#include "verify/witness_check.h"
 
 namespace wsv {
 namespace {
@@ -290,6 +291,43 @@ TEST(Report, StatsTableAndJson) {
   EXPECT_NE(json.find("\"ltl/leaf_memo_hits\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"fo_leaf_memo_hit_rate\""), std::string::npos);
   EXPECT_DOUBLE_EQ(obs::LeafMemoHitRate(snap), 0.75);
+}
+
+// Witness validation runs the plan-free oracle (fo/interp_evals); those
+// evaluations are reported as the witness check's, and the VM's share
+// counts verification-path evaluations only, which are all the VM's.
+TEST(Report, FoEngineRowSeparatesWitnessOracle) {
+  SKIP_IF_NOT_INSTRUMENTED();
+  WebService service = std::move(BuildLoginService()).value();
+  Instance db = LoginDatabase();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
+  auto prop = ParseTemporalProperty("G(!MP)", &service.vocab());
+  ASSERT_TRUE(prop.ok()) << prop.status().ToString();
+  obs::ResetMetrics();
+  {
+    auto r = LtlVerifier(&service, options).VerifyOnDatabase(*prop, db);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_FALSE(r->holds);
+    ASSERT_TRUE(ValidateWitness(service, *prop, *r->counterexample).ok());
+  }
+  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+  const uint64_t vm = snap.CounterValue("fo/bytecode_execs");
+  const uint64_t oracle = snap.CounterValue("fo/interp_evals");
+  ASSERT_GT(vm, 0u);
+  ASSERT_GT(oracle, 0u);
+  EXPECT_EQ(obs::BytecodeCompiledShare(snap), 1.0);
+  const std::string table = obs::FormatStatsTable(snap);
+  EXPECT_NE(table.find("fo eval engine: 100.0% VM (" + std::to_string(vm) +
+                       " VM runs; " + std::to_string(oracle) +
+                       " witness-check oracle evaluations)"),
+            std::string::npos)
+      << table;
+  EXPECT_NE(obs::StatsToJson(snap).find(
+                "\"fo_bytecode_compiled_share\": 1.0000"),
+            std::string::npos);
+  obs::ResetMetrics();
+  EXPECT_EQ(obs::BytecodeCompiledShare(obs::SnapshotMetrics()), -1.0);
 }
 
 // Successor generation is timed once per expanded node and reported as

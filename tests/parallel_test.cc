@@ -212,6 +212,32 @@ TEST_F(ParallelLoginTest, HoldingEnumeratedSweepAgrees) {
   EXPECT_EQ(serial->databases_checked, par->databases_checked);
 }
 
+// A database sweep is one valuation, hence one chunk: at any job count
+// it runs on the calling thread, submits nothing to a pool, and reports
+// what the serial sweep reports.
+TEST(OneChunkSweepTest, RunsInlineAtEveryJobCount) {
+  WebService service = std::move(BuildLoginService()).value();
+  LtlVerifyOptions options;
+  options.db.fresh_values = 2;
+  auto p = ParseTemporalProperty("G(!CP | logged_in)", &service.vocab());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  auto serial = LtlVerifier(&service, options).Verify(*p);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (int jobs : {2, 4}) {
+    obs::ResetMetrics();
+    auto par = LtlVerifier(&service, options, jobs).Verify(*p);
+    ASSERT_TRUE(par.ok()) << par.status().ToString();
+    obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+    EXPECT_EQ(snap.CounterValue("pool/tasks_submitted"), 0u) << jobs;
+    EXPECT_EQ(snap.CounterValue("verify/valuation_chunks"), 1u) << jobs;
+    EXPECT_EQ(par->holds, serial->holds) << jobs;
+    EXPECT_EQ(par->databases_checked, serial->databases_checked) << jobs;
+    EXPECT_EQ(par->total_graph_nodes, serial->total_graph_nodes) << jobs;
+    EXPECT_EQ(par->total_product_states, serial->total_product_states)
+        << jobs;
+  }
+}
+
 TEST(ParallelEcommerceTest, PaperPropertiesAgree) {
   auto ws = BuildEcommerceService();
   ASSERT_TRUE(ws.ok()) << ws.status().ToString();

@@ -71,7 +71,7 @@ class QfTest : public ::testing::Test {
         presence.MutableRelation(QfPresenceProp(sym.name, is_prev))
             ->SetBool(present);
         for (int i = 1; i <= sym.arity; ++i) {
-          Value v = present ? (*rel->tuples().begin())[i - 1] : dummy;
+          Value v = present ? rel->row(0)[i - 1] : dummy;
           valuation[QfTupleVariable(sym.name, i, is_prev)] = v;
         }
       }

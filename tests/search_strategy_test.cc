@@ -31,7 +31,7 @@ Value V(const char* s) { return Value::Intern(s); }
 
 struct EngineResult {
   std::string engine;
-  StatusOr<LtlVerifyResult> result = Status::OK();
+  StatusOr<LtlVerifyResult> result = Status::Internal("not run");
 };
 
 // Runs one (service, property, database) through the reference oracle,

@@ -272,8 +272,8 @@ Instance Relabel(const Instance& in, const std::map<Value, Value>& pi) {
   for (Value v : in.domain()) out.AddDomainValue(v);
   for (const auto& [name, rel] : in.relations()) {
     (void)out.EnsureRelation(name, rel.arity());
-    for (const Tuple& t : rel.tuples()) {
-      Tuple mapped = t;
+    for (Row t : rel.rows()) {
+      Tuple mapped(t.begin(), t.end());
       for (Value& v : mapped) v = map_value(v);
       out.MutableRelation(name)->Insert(mapped);
     }

@@ -451,7 +451,7 @@ int CmdCheckErrors(const Flags& flags) {
   ErrorFreeOptions options;
   options.graph.constant_pool = flags.pool;
   options.db.fresh_values = flags.fresh;
-  StatusOr<ErrorFreeResult> result = Status::OK();
+  StatusOr<ErrorFreeResult> result = Status::Internal("check not run");
   if (flags.positional.size() >= 2) {
     auto db = LoadDatabase(flags.positional[1], service->vocab());
     if (!db.ok()) return Fail(db.status());
@@ -683,7 +683,7 @@ int CmdVerify(const Flags& flags) {
 
   LtlVerifier verifier(&*service, options, flags.jobs);
   if (!flags.trace_out.empty()) obs::StartTracing();
-  StatusOr<LtlVerifyResult> result = Status::OK();
+  StatusOr<LtlVerifyResult> result = Status::Internal("verification not run");
   {
     std::optional<ProgressHeartbeat> heartbeat;
     if (flags.progress) heartbeat.emplace();
