@@ -70,6 +70,10 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_slice_sliced", "slice/sliced");
   put("obs_slice_lasso_bailouts", "slice/lasso_bailouts");
   put("obs_name_lookups", "relational/name_lookups");
+  // Registry slot writes (counter adds, histogram records, published
+  // deferred counters): the price of the telemetry itself, which must
+  // not grow with the edges (bench-guarded on the login sweep).
+  put("obs_registry_writes", "obs/registry_writes");
   uint64_t cone = snap.CounterValue("slice/cone_size");
   uint64_t dropped = snap.CounterValue("slice/relations_dropped");
   if (cone + dropped > 0) {
@@ -254,6 +258,31 @@ void BM_LoginEnumSweep_Jobs(benchmark::State& state) {
 BENCHMARK(BM_LoginEnumSweep_Jobs)
     ->ArgName("jobs")->Arg(1)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The shipped login sweep of perfbench's db_sweep_jobs2 workload: every
+// database within fresh_values = 2, decided during the search (HOLDS,
+// 207 nodes and 497 product states). Its obs_registry_writes budget
+// keeps the telemetry's own writes at a few per node expansion: a write
+// per edge or per FO program run would multiply it.
+void BM_LoginFresh2Sweep(benchmark::State& state) {
+  WebService service = std::move(BuildLoginService()).value();
+  LtlVerifyOptions options;
+  options.db.fresh_values = 2;
+  LtlVerifier verifier(&service, options);
+  auto prop = ParseTemporalProperty("G(!CP | logged_in)", &service.vocab());
+  obs::ResetMetrics();
+  for (auto _ : state) {
+    auto r = verifier.Verify(*prop);
+    if (!r.ok() || !r->holds) {
+      state.SkipWithError("expected the property to hold");
+      return;
+    }
+    state.counters["product_states"] =
+        static_cast<double>(r->total_product_states);
+  }
+  MergeObsCounters(state);
+}
+BENCHMARK(BM_LoginFresh2Sweep)->Unit(benchmark::kMillisecond);
 
 // --- E3: scaling shape. -------------------------------------------------
 

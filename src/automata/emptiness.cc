@@ -72,15 +72,14 @@ class CvwyRun {
       color_[root] = kCyan;
       blue_stack_.push_back(root);
       stack_pos_[root] = 0;
-      WSV_ASSIGN_OR_RETURN(const std::vector<int>* root_succs,
-                           p_.succ(root));
-      blue_.assign(1, Frame{root, root_succs, 0});
+      WSV_ASSIGN_OR_RETURN(SuccRange root_succs, p_.succ(root));
+      blue_.assign(1, Frame{root, root_succs});
       Visit();
 
       while (!blue_.empty()) {
         Frame& f = blue_.back();
-        if (f.child < f.succs->size()) {
-          int w = (*f.succs)[f.child++];
+        if (f.succs.begin < f.succs.end) {
+          int w = successors()[f.succs.begin++];
           Ensure(w);
           if (color_[w] != kWhite) continue;
           if (poll_.Cancelled()) {
@@ -89,8 +88,8 @@ class CvwyRun {
           color_[w] = kCyan;
           stack_pos_[w] = static_cast<int>(blue_stack_.size());
           blue_stack_.push_back(w);
-          WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, p_.succ(w));
-          blue_.push_back(Frame{w, w_succs, 0});
+          WSV_ASSIGN_OR_RETURN(SuccRange w_succs, p_.succ(w));
+          blue_.push_back(Frame{w, w_succs});
           Visit();
         } else {
           // Post-order of v: accepting vertices seed the inner search
@@ -119,11 +118,14 @@ class CvwyRun {
   // makes the nested search linear.
   enum : char { kWhite = 0, kCyan = 1, kBlue = 2, kRed = 3 };
 
+  // A DFS frame: vertex v and the successors left to visit, as indices
+  // into the successor array (which may move as it grows).
   struct Frame {
     int v;
-    const std::vector<int>* succs;
-    size_t child;
+    SuccRange succs;
   };
+
+  const std::vector<int>& successors() const { return *p_.successors; }
 
   void Ensure(int v) {
     if (static_cast<size_t>(v) >= color_.size()) {
@@ -156,12 +158,12 @@ class CvwyRun {
   // Returns the closing cyan vertex, -1 if no accepting cycle through
   // the seed, or an error (cancellation / implicit-graph failure).
   StatusOr<int> RedDfs(int s) {
-    WSV_ASSIGN_OR_RETURN(const std::vector<int>* s_succs, p_.succ(s));
-    red_.assign(1, Frame{s, s_succs, 0});
+    WSV_ASSIGN_OR_RETURN(SuccRange s_succs, p_.succ(s));
+    red_.assign(1, Frame{s, s_succs});
     while (!red_.empty()) {
       Frame& f = red_.back();
-      if (f.child < f.succs->size()) {
-        int w = (*f.succs)[f.child++];
+      if (f.succs.begin < f.succs.end) {
+        int w = successors()[f.succs.begin++];
         Ensure(w);
         if (color_[w] == kCyan) return w;  // cycle back into the blue stack
         if (color_[w] == kRed) continue;
@@ -169,8 +171,8 @@ class CvwyRun {
           return Status::Cancelled("emptiness search cancelled");
         }
         color_[w] = kRed;
-        WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, p_.succ(w));
-        red_.push_back(Frame{w, w_succs, 0});
+        WSV_ASSIGN_OR_RETURN(SuccRange w_succs, p_.succ(w));
+        red_.push_back(Frame{w, w_succs});
       } else {
         red_.pop_back();
       }

@@ -42,15 +42,26 @@ struct Lasso {
   std::vector<int> cycle;
 };
 
+/// A vertex's successors: entries [begin, end) of the search problem's
+/// successor array. Indices, not pointers: the array grows, and may
+/// move, while the search holds ranges into it.
+struct SuccRange {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
 /// One emptiness query over an implicit graph whose vertex ids the
 /// caller assigns (typically by interning product states on first
-/// discovery). `succ(v)` must be memoizing (the search asks for a
-/// vertex's successors more than once) and the returned pointers must
-/// stay valid until the search ends; its errors (e.g. cancellation from
-/// a lazily expanded graph) abort the search. `stop` may be null.
+/// discovery). The successor lists live in one append-only array,
+/// `*successors`: `succ(v)` returns v's range in it, appending the list
+/// on first call, and must be memoizing (the search asks for a vertex's
+/// successors more than once); entries already handed out never change.
+/// Its errors (e.g. cancellation from a lazily expanded graph) abort the
+/// search. `stop` may be null.
 struct SearchProblem {
   std::vector<int> initial;
-  std::function<StatusOr<const std::vector<int>*>(int)> succ;
+  const std::vector<int>* successors = nullptr;
+  std::function<StatusOr<SuccRange>(int)> succ;
   std::function<bool(int)> accepting;
   /// Cooperative cancellation, polled about every
   /// kCancellationPollInterval expansions.

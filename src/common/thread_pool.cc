@@ -80,16 +80,20 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       ++running_;
     }
-    // Attribute the task's metric writes (including the pool's own
-    // scheduling metrics) to the request that submitted it.
-    obs::RequestBinding bind(task.request);
-    WSV_COUNT1("pool/tasks_run");
-    WSV_HIST("pool/queue_latency_ns", WSV_OBS_NOW() - task.enqueue_ns);
-    try {
-      task.fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_exception_) first_exception_ = std::current_exception();
+    {
+      // Attribute the task's metric writes (including the pool's own
+      // scheduling metrics) to the request that submitted it. The
+      // binding ends, publishing the task's deferred counts, before the
+      // task counts as finished, so a waiter's snapshot sees them.
+      obs::RequestBinding bind(task.request);
+      WSV_COUNT1("pool/tasks_run");
+      WSV_HIST("pool/queue_latency_ns", WSV_OBS_NOW() - task.enqueue_ns);
+      try {
+        task.fn();
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!first_exception_) first_exception_ = std::current_exception();
+      }
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -64,7 +64,12 @@ struct QuerySink {
 
 StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
                    const Valuation& valuation, QuerySink sink) {
-  WSV_COUNT1("fo/bytecode_execs");
+  // Deferred: a run costs the registry nothing; the counts are published
+  // with the enclosing node expansion or sweep (obs/metrics.h). The
+  // first deferred add also sets up the thread's metric shards, before
+  // the arena below, so the arena's destructor can still return its
+  // gauge bytes at thread exit.
+  WSV_COUNT1_DEFERRED("fo/bytecode_execs");
   Scratch& s = t_scratch;
   s.regs.assign(p.num_regs, Value());
   s.consts.clear();
@@ -96,12 +101,12 @@ StatusOr<bool> Run(const Program& p, const EvalContext& ctx,
   uint32_t pc = 0;
 
   // Every return path records the steps actually spent and publishes
-  // arena capacity growth to the occupancy gauge.
+  // arena capacity growth (rare after warm-up) to the occupancy gauge.
   struct StepFlush {
     uint64_t& steps;
     Scratch& scratch;
     ~StepFlush() {
-      WSV_COUNT("fo/bytecode_steps", steps);
+      WSV_COUNT_DEFERRED("fo/bytecode_steps", steps);
       const uint64_t bytes = ArenaBytes(scratch);
       if (bytes > scratch.reported_bytes) {
         WSV_GAUGE_ADD("mem/vm_arena_bytes", bytes - scratch.reported_bytes);

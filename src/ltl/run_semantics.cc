@@ -119,7 +119,6 @@ StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
                             const WebService& service,
                             const PagePropositions& pages,
                             const Valuation& valuation) {
-  WSV_TIMER("ltl/leaf_eval_ns");
   const LeafAnalyses an(leaf, prog);
   // Condition (a) first: a leaf naming an unprovided input constant is
   // false without building the structure.
@@ -167,6 +166,7 @@ class LassoEvaluator {
           WSV_ASSIGN_OR_RETURN(prog, fobc::GetOrCompileBool(f.fo()));
         }
         std::vector<char> v(n);
+        WSV_TIMER("ltl/leaf_eval_ns");  // one batch: the leaf on every step
         for (size_t i = 0; i < n; ++i) {
           const TraceStep& step = run_.steps[i];
           TraceView view;

@@ -120,7 +120,8 @@ class StepContext {
 /// (fobc::GetOrCompileBool); nullptr runs the plan-free oracle
 /// (fo/evaluator.h) instead, which only witness validation asks for.
 /// `pages` is the service's
-/// page-proposition table. Timed under ltl/leaf_eval_ns.
+/// page-proposition table. Not timed itself: callers time a batch of
+/// calls under ltl/leaf_eval_ns.
 StatusOr<bool> EvalFoAtStep(const Formula& leaf, const fobc::Program* prog,
                             const TraceView& step, const Instance& database,
                             const WebService& service,

@@ -1,10 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -94,6 +96,9 @@ namespace {
 
 // Which request this thread's metric writes attribute to.
 thread_local RequestId t_current_request = kNoRequest;
+
+// The counter id of obs/registry_writes, registered first.
+constexpr uint32_t kRegistryWritesId = 0;
 
 // VmHWM from /proc/self/status, in bytes; 0 if unavailable.
 int64_t ProcessPeakRssBytes() {
@@ -185,6 +190,46 @@ class Registry {
   static Registry& Get() {
     static Registry* r = new Registry;
     return *r;
+  }
+
+  Registry() { GetCounter("obs/registry_writes"); }
+
+  DeferredCounter& GetDeferredCounter(std::string_view name) {
+    const uint32_t id = GetCounter(name).id_;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t slot = 0; slot < num_deferred_; ++slot) {
+      if (deferred_ids_[slot] == id) return deferred_handles_[slot];
+    }
+    if (num_deferred_ == kMaxDeferredCounters) {
+      std::fprintf(stderr, "obs: more than %zu deferred counters (%.*s)\n",
+                   kMaxDeferredCounters, static_cast<int>(name.size()),
+                   name.data());
+      std::abort();
+    }
+    const size_t slot = num_deferred_++;
+    deferred_ids_[slot] = id;
+    deferred_handles_.push_back(DeferredCounter(static_cast<uint32_t>(slot)));
+    return deferred_handles_[slot];
+  }
+
+  // Moves this thread's pending deferred counts into its current shard,
+  // one slot write per counter, plus one for the write count.
+  void PublishDeferred(internal::DeferredCounts& d) {
+    Shard* shard = LocalShard();
+    uint64_t writes = 0;
+    for (uint64_t bits = d.dirty; bits != 0; bits &= bits - 1) {
+      const int slot = std::countr_zero(bits);
+      if (d.counts[slot] == 0) continue;
+      shard->CounterSlot(deferred_ids_[static_cast<size_t>(slot)])
+          .fetch_add(d.counts[slot], std::memory_order_relaxed);
+      d.counts[slot] = 0;
+      ++writes;
+    }
+    d.dirty = 0;
+    if (writes != 0) {
+      shard->CounterSlot(kRegistryWritesId)
+          .fetch_add(writes, std::memory_order_relaxed);
+    }
   }
 
   Counter& GetCounter(std::string_view name) {
@@ -352,6 +397,7 @@ class Registry {
   struct ThreadShards {
     explicit ThreadShards(Registry& registry) : registry(registry) {}
     ~ThreadShards() {
+      registry.RetireDeferred(t_current_request, internal::t_deferred);
       for (auto& [id, shard] : shards) registry.Retire(shard);
     }
     Registry& registry;
@@ -490,6 +536,27 @@ class Registry {
     return tls.cached_shard;
   }
 
+  // Thread exit: folds the thread's unpublished deferred counts, made
+  // under request `rid`, into the retired totals and the request's
+  // accumulator, as Retire does for a shard.
+  void RetireDeferred(RequestId rid, internal::DeferredCounts& d) {
+    if (d.dirty == 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = requests_.find(rid);
+    RequestAccum* accum = it == requests_.end() ? nullptr : &it->second;
+    if (accum != nullptr && accum->counters.size() < retired_counters_.size()) {
+      accum->counters.resize(retired_counters_.size(), 0);
+    }
+    for (uint64_t bits = d.dirty; bits != 0; bits &= bits - 1) {
+      const size_t slot = static_cast<size_t>(std::countr_zero(bits));
+      const uint32_t id = deferred_ids_[slot];
+      retired_counters_[id] += d.counts[slot];
+      if (accum != nullptr) accum->counters[id] += d.counts[slot];
+      d.counts[slot] = 0;
+    }
+    d.dirty = 0;
+  }
+
   // Thread exit (or lazy prune of a closed shard): fold into the retired
   // totals — and the request accumulator, if still tracked — so counts
   // survive pool teardown, then stop tracking the shard.
@@ -510,6 +577,11 @@ class Registry {
   std::vector<std::string> counter_names_;
   std::deque<Counter> counter_handles_;  // stable addresses
   std::vector<uint64_t> retired_counters_;
+  // Deferred slot -> counter id. Fixed-size: PublishDeferred reads a
+  // slot without the lock, after the handle that owns it was returned.
+  std::array<uint32_t, kMaxDeferredCounters> deferred_ids_{};
+  size_t num_deferred_ = 0;
+  std::deque<DeferredCounter> deferred_handles_;  // stable addresses
   std::unordered_map<std::string, uint32_t> hist_ids_;
   std::vector<std::string> hist_names_;
   std::deque<Histogram> hist_handles_;
@@ -525,14 +597,15 @@ class Registry {
 };
 
 void Counter::Add(uint64_t n) {
-  Registry::Get()
-      .LocalShard()
-      ->CounterSlot(id_)
-      .fetch_add(n, std::memory_order_relaxed);
+  Shard* shard = Registry::Get().LocalShard();
+  shard->CounterSlot(id_).fetch_add(n, std::memory_order_relaxed);
+  shard->CounterSlot(kRegistryWritesId).fetch_add(1, std::memory_order_relaxed);
 }
 
 void Histogram::Record(uint64_t value) {
-  HistBlock& block = Registry::Get().LocalShard()->HistSlot(id_);
+  Shard* shard = Registry::Get().LocalShard();
+  shard->CounterSlot(kRegistryWritesId).fetch_add(1, std::memory_order_relaxed);
+  HistBlock& block = shard->HistSlot(id_);
   block.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
   block.count.fetch_add(1, std::memory_order_relaxed);
   block.sum.fetch_add(value, std::memory_order_relaxed);
@@ -545,6 +618,21 @@ Counter& GetCounter(std::string_view name) {
   return Registry::Get().GetCounter(name);
 }
 
+DeferredCounter& GetDeferredCounter(std::string_view name) {
+  return Registry::Get().GetDeferredCounter(name);
+}
+
+namespace internal {
+
+void ArmDeferred() { Registry::Get().LocalShard(); }
+
+}  // namespace internal
+
+void PublishDeferred() {
+  internal::DeferredCounts& d = internal::t_deferred;
+  if (d.dirty != 0) Registry::Get().PublishDeferred(d);
+}
+
 Histogram& GetHistogram(std::string_view name) {
   return Registry::Get().GetHistogram(name);
 }
@@ -553,13 +641,20 @@ Gauge& GetGauge(std::string_view name) {
   return Registry::Get().GetGauge(name);
 }
 
-MetricsSnapshot SnapshotMetrics() { return Registry::Get().Snapshot(); }
+MetricsSnapshot SnapshotMetrics() {
+  PublishDeferred();
+  return Registry::Get().Snapshot();
+}
 
-void ResetMetrics() { Registry::Get().Reset(); }
+void ResetMetrics() {
+  internal::t_deferred = internal::DeferredCounts();
+  Registry::Get().Reset();
+}
 
 RequestId CurrentRequestId() { return t_current_request; }
 
 RequestId ExchangeCurrentRequestId(RequestId id) {
+  PublishDeferred();
   const RequestId prev = t_current_request;
   t_current_request = id;
   return prev;
@@ -570,10 +665,12 @@ RequestId OpenRequestAccounting(std::string label) {
 }
 
 MetricsSnapshot SnapshotRequestMetrics(RequestId id) {
+  PublishDeferred();
   return Registry::Get().SnapshotRequest(id);
 }
 
 void CloseRequestAccounting(RequestId id) {
+  PublishDeferred();
   Registry::Get().CloseRequest(id);
 }
 

@@ -8,13 +8,24 @@
 // (WSV_COUNT) and records durations (WSV_TIMER / WSV_HIST_NS), and the
 // front ends snapshot the totals on demand.
 //
-// Design: write paths are lock-cheap so `--jobs N` sweeps pay near-zero
-// overhead. Each thread owns one shard *per request id* (a flat slot
-// array); a counter increment is one thread-local lookup plus one
-// relaxed atomic add on a slot no other thread writes. Aggregation
-// (SnapshotMetrics) walks the live shards plus the folded totals of
-// exited threads, so counter totals are exact and identical between
-// serial and parallel runs of the same work.
+// Design: the hot paths write nothing shared. Each thread owns one
+// shard *per request id* (a flat slot array); a slot write is one
+// thread-local lookup plus one relaxed atomic add on a slot no other
+// thread writes. Counters bumped per edge or per FO program run do not
+// even pay that: they are *deferred* (WSV_COUNT_DEFERRED), a plain add
+// to a thread-local pending slot, and PublishDeferred() moves the
+// pending counts into the shard. Deferred counts are published at the
+// end of each node expansion and each valuation sweep, whenever the
+// thread's request id changes, whenever the thread snapshots or closes a
+// request, and at thread exit — so every total stays exact, and a
+// snapshot from another thread lags by at most one expansion.
+// Aggregation (SnapshotMetrics) walks the live shards plus the folded
+// totals of exited threads, so counter totals are exact and identical
+// between serial and parallel runs of the same work. The counter
+// obs/registry_writes counts the shard slot writes themselves (one per
+// immediate counter add or histogram record, one per published deferred
+// counter), so a guard can tell when a write creeps back onto a
+// per-edge path.
 //
 // Request scoping: shards are tagged with the thread's current request
 // id (see obs/request.h for the RAII layer). A per-request snapshot
@@ -126,12 +137,70 @@ class Histogram {
   uint32_t id_;
 };
 
+/// A counter whose adds stay on the writing thread until published:
+/// Add is a plain add to a thread-local pending slot, and
+/// PublishDeferred() moves the thread's pending counts into its registry
+/// shard (see the file comment for when that happens). For counters
+/// bumped per edge or per FO program run. At most kMaxDeferredCounters
+/// names can be deferred.
+class DeferredCounter {
+ public:
+  inline void Add(uint64_t n);
+
+ private:
+  friend class Registry;
+  explicit DeferredCounter(uint32_t slot) : slot_(slot) {}
+  uint32_t slot_;
+};
+
+inline constexpr size_t kMaxDeferredCounters = 64;
+
+namespace internal {
+
+/// One thread's unpublished deferred counts. Plain data with a constant
+/// initializer, so access compiles to a thread-pointer offset.
+struct DeferredCounts {
+  uint64_t dirty = 0;  // bit i: counts[i] may hold unpublished work
+  uint64_t counts[kMaxDeferredCounters] = {};
+};
+inline thread_local DeferredCounts t_deferred;
+
+/// Called on the first deferred add since the last publish: makes sure
+/// the thread's shards exist, so thread exit publishes what is pending.
+void ArmDeferred();
+
+}  // namespace internal
+
+void DeferredCounter::Add(uint64_t n) {
+  internal::DeferredCounts& d = internal::t_deferred;
+  if (d.dirty == 0) internal::ArmDeferred();
+  d.dirty |= uint64_t{1} << slot_;
+  d.counts[slot_] += n;
+}
+
+/// Publishes this thread's deferred counts to its shard for the current
+/// request id. Cheap when nothing is pending.
+void PublishDeferred();
+
+/// Publishes the thread's deferred counts when the scope ends, on every
+/// exit path (a valuation sweep).
+class PublishDeferredAtExit {
+ public:
+  PublishDeferredAtExit() = default;
+  ~PublishDeferredAtExit() { PublishDeferred(); }
+
+  PublishDeferredAtExit(const PublishDeferredAtExit&) = delete;
+  PublishDeferredAtExit& operator=(const PublishDeferredAtExit&) = delete;
+};
+
 /// An occupancy gauge handle: a signed level that rises and falls (bytes
 /// held, entries cached), and its high-water mark. Writes are relaxed
 /// atomic ops on process-global slots — gauges are not sharded because
 /// they track *current* occupancy, not attributable work. Add raises the
 /// mark to the level it produced (a relaxed max), so the mark is the
-/// highest level any Add reached since the last ResetMetrics.
+/// highest level any Add reached since the last ResetMetrics. Owners on
+/// a hot path keep their growth in a local and publish it at coarse
+/// points (a node expansion's end), not per item.
 class Gauge {
  public:
   void Add(int64_t n) {
@@ -157,6 +226,9 @@ class Gauge {
 /// Interns `name` and returns its process-wide counter. Call sites should
 /// cache the reference (the WSV_COUNT macro does, via a local static).
 Counter& GetCounter(std::string_view name);
+/// The deferred handle of the counter `name` (the same registry counter
+/// GetCounter(name) writes immediately).
+DeferredCounter& GetDeferredCounter(std::string_view name);
 Histogram& GetHistogram(std::string_view name);
 Gauge& GetGauge(std::string_view name);
 
@@ -164,7 +236,8 @@ Gauge& GetGauge(std::string_view name);
 MetricsSnapshot SnapshotMetrics();
 
 /// Zeroes every counter and histogram (names stay registered), including
-/// open per-request accumulators. Gauge levels are deliberately *not*
+/// open per-request accumulators and the calling thread's unpublished
+/// deferred counts (other threads' pending counts are theirs to publish). Gauge levels are deliberately *not*
 /// reset: they track live occupancy whose Add/Sub bookkeeping would
 /// desync. Each gauge's high-water mark is rebased to its current level,
 /// so the mark then measures the peak of what runs after the reset.
@@ -178,8 +251,8 @@ void ResetMetrics();
 RequestId CurrentRequestId();
 
 /// Sets the thread's current request id, returning the previous one.
-/// Subsequent metric writes on this thread land in a shard tagged with
-/// the new id.
+/// Publishes the thread's deferred counts to the old id first; subsequent
+/// metric writes on this thread land in a shard tagged with the new id.
 RequestId ExchangeCurrentRequestId(RequestId id);
 
 /// Allocates a fresh request id (never 0) and starts tracking a
@@ -244,6 +317,12 @@ class ScopedTimer {
 #define WSV_COUNT1(name) \
   do {                   \
   } while (0)
+#define WSV_COUNT_DEFERRED(name, n) \
+  do {                              \
+  } while (0)
+#define WSV_COUNT1_DEFERRED(name) \
+  do {                            \
+  } while (0)
 #define WSV_HIST(name, value) \
   do {                        \
   } while (0)
@@ -269,6 +348,16 @@ class ScopedTimer {
     wsv_obs_counter.Add(static_cast<uint64_t>(n));                          \
   } while (0)
 #define WSV_COUNT1(name) WSV_COUNT(name, 1)
+
+/// Adds `n` to the named counter's thread-local pending slot; the count
+/// reaches the registry at the next PublishDeferred on this thread.
+#define WSV_COUNT_DEFERRED(name, n)                                         \
+  do {                                                                      \
+    static ::wsv::obs::DeferredCounter& wsv_obs_deferred =                  \
+        ::wsv::obs::GetDeferredCounter(name);                               \
+    wsv_obs_deferred.Add(static_cast<uint64_t>(n));                         \
+  } while (0)
+#define WSV_COUNT1_DEFERRED(name) WSV_COUNT_DEFERRED(name, 1)
 
 /// Records `value` into the named histogram.
 #define WSV_HIST(name, value)                                               \

@@ -163,7 +163,7 @@ size_t Instance::ApproxBytes() const {
     bytes += sizeof(NameMap<Relation>::Entry) - sizeof(Relation) +
              rel.ApproxBytes();
   }
-  bytes += constants_.size() * sizeof(NameMap<Value>::Entry);
+  bytes += constants_.HeapBytes();
   if (domain_.on_heap()) bytes += domain_.capacity() * sizeof(Value);
   return bytes;
 }

@@ -24,8 +24,11 @@
 #include <iterator>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "common/small_vector.h"
 
 namespace wsv {
 
@@ -63,15 +66,44 @@ inline bool NameLess(NameId a, NameId b) {
 /// lookup that creeps back onto a per-edge path shows in the counter.
 void CountNameLookup();
 
-/// A small map from names to T, stored as a flat vector of (id, value)
-/// pairs in name order. Lookups scan ids (the maps hold a handful of
+/// An entry of a NameMap over a trivially copyable T: a plain struct,
+/// so that the entries themselves are trivially copyable.
+template <typename T>
+struct NameMapEntry {
+  NameId first;
+  T second;
+
+  friend bool operator==(const NameMapEntry& a, const NameMapEntry& b) {
+    return a.first == b.first && a.second == b.second;
+  }
+};
+
+/// How a NameMap<T> stores its entries: a vector of pairs in general;
+/// for a trivially copyable T (a constant's value, kappa), a SmallVector
+/// holding two entries inline — as many as a shipped page requests
+/// constants, and no larger than the vector it replaces — so copying or
+/// extending such a map allocates nothing.
+template <typename T, bool = std::is_trivially_copyable_v<T>>
+struct NameMapStorage {
+  using Entry = std::pair<NameId, T>;
+  using Entries = std::vector<Entry>;
+};
+template <typename T>
+struct NameMapStorage<T, true> {
+  using Entry = NameMapEntry<T>;
+  using Entries = SmallVector<Entry, 2>;
+};
+
+/// A small map from names to T, stored as a flat array of (id, value)
+/// entries in name order. Lookups scan ids (the maps hold a handful of
 /// entries); only inserting a new name compares strings, to find its
 /// place. Iteration yields (name, value) pairs in name order, and ==
 /// and < agree with std::map<std::string, T>.
 template <typename T>
 class NameMap {
  public:
-  using Entry = std::pair<NameId, T>;
+  using Entry = typename NameMapStorage<T>::Entry;
+  using Entries = typename NameMapStorage<T>::Entries;
 
   /// Iterates (const std::string& name, const T& value) pairs.
   class const_iterator {
@@ -83,8 +115,7 @@ class NameMap {
     using reference = value_type;
 
     const_iterator() = default;
-    explicit const_iterator(typename std::vector<Entry>::const_iterator it)
-        : it_(it) {}
+    explicit const_iterator(const Entry* it) : it_(it) {}
     value_type operator*() const { return {NameOf(it_->first), it_->second}; }
     const_iterator& operator++() {
       ++it_;
@@ -103,7 +134,7 @@ class NameMap {
     }
 
    private:
-    typename std::vector<Entry>::const_iterator it_;
+    const Entry* it_ = nullptr;
   };
 
   NameMap() = default;
@@ -117,11 +148,19 @@ class NameMap {
   size_t size() const { return entries_.size(); }
   /// Room for `n` entries, so that inserting up to n allocates nothing.
   void reserve(size_t n) { entries_.reserve(n); }
+  /// Heap bytes the entries occupy: none while they fit inline.
+  size_t HeapBytes() const {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      return entries_.on_heap() ? entries_.capacity() * sizeof(Entry) : 0;
+    } else {
+      return entries_.size() * sizeof(Entry);
+    }
+  }
 
   /// The entries, in name order.
-  const std::vector<Entry>& entries() const { return entries_; }
-  const_iterator begin() const { return const_iterator(entries_.begin()); }
-  const_iterator end() const { return const_iterator(entries_.end()); }
+  const Entries& entries() const { return entries_; }
+  const_iterator begin() const { return const_iterator(Data()); }
+  const_iterator end() const { return const_iterator(Data() + size()); }
 
   /// The value of `id`; nullptr if absent.
   const T* Find(NameId id) const {
@@ -146,10 +185,18 @@ class NameMap {
       return *found;
     }
     if (added != nullptr) *added = true;
-    auto pos = std::find_if(
-        entries_.begin(), entries_.end(),
-        [id](const Entry& e) { return NameLess(id, e.first); });
-    return entries_.insert(pos, Entry(id, std::move(init)))->second;
+    const size_t pos = static_cast<size_t>(
+        std::find_if(entries_.begin(), entries_.end(),
+                     [id](const Entry& e) { return NameLess(id, e.first); }) -
+        entries_.begin());
+    Entry entry{id, std::move(init)};
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      entries_.insert(pos, entry);
+    } else {
+      entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
+                      std::move(entry));
+    }
+    return *Find(id);
   }
 
   /// Sets the value of `id`, inserting it if absent.
@@ -180,7 +227,9 @@ class NameMap {
   }
 
  private:
-  std::vector<Entry> entries_;
+  const Entry* Data() const { return entries_.data(); }
+
+  Entries entries_;
 };
 
 }  // namespace wsv

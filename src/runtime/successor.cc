@@ -525,9 +525,10 @@ StatusOr<Successor> Stepper::ApplyChoice(const ConfigView& node,
 
   // State update (UpdateRelation) per state relation with rules on this
   // page; others carry unchanged. The source state is copied only once
-  // some relation actually changes.
-  std::vector<std::pair<Relation, Relation>> updates(
-      tables.updated_states.size());
+  // some relation actually changes. The (ins, del) pairs live in a
+  // per-thread buffer that keeps its capacity across steps.
+  thread_local std::vector<std::pair<Relation, Relation>> updates;
+  updates.assign(tables.updated_states.size(), {});
   for (size_t i = 0; i < page.state_rules.size(); ++i) {
     const StateRule& rule = page.state_rules[i];
     WSV_ASSIGN_OR_RETURN(Relation tuples,

@@ -2,8 +2,6 @@
 
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "obs/trace.h"
@@ -25,8 +23,12 @@ struct EdgeKeyHash {
 // key, mapped value, allocator rounding).
 constexpr uint64_t kIndexEntryBytes = 4 * sizeof(void*);
 
+// How many of a node's out-edges its expansion scans for a parallel
+// edge before it indexes them.
+constexpr size_t kEdgeScanLimit = 16;
+
 uint64_t KappaBytes(const Kappa& kappa) {
-  return sizeof(Kappa) + kappa.size() * sizeof(Kappa::Entry);
+  return sizeof(Kappa) + kappa.HeapBytes();
 }
 
 size_t KappaHash(const Kappa& kappa) {
@@ -341,9 +343,7 @@ class SuccessorEnumerator {
     // enumerate relation picks and proposition values.
     const Kappa* kappa = node_.kappa;
     if (!constants_.empty()) {
-      Kappa extended;
-      extended.reserve(node_.kappa->size() + constants_.size());
-      extended = *node_.kappa;
+      Kappa extended = *node_.kappa;
       for (size_t i = 0; i < constants_.size(); ++i) {
         extended.Set(constants_[i], chosen_[i]);
       }
@@ -439,6 +439,8 @@ LazyConfigGraph::LazyConfigGraph(const Stepper* stepper,
                  store.Intern(*initial.kappa),
                  store.Intern(std::move(database))),
       stepper_->home_page_id());
+  PublishBytes();
+  obs::PublishDeferred();
 }
 
 LazyConfigGraph::~LazyConfigGraph() {
@@ -455,9 +457,9 @@ size_t LazyConfigGraph::NodeHash::operator()(const ConfigView& n) const {
   return HashCombine(seed, h(n.database));
 }
 
-void LazyConfigGraph::AccountBytes(uint64_t fixed_bytes) {
-  fixed_bytes_ += fixed_bytes;
+void LazyConfigGraph::PublishBytes() {
   const uint64_t total = graph_.store->bytes() + fixed_bytes_;
+  if (total == gauge_bytes_) return;
   WSV_GAUGE_ADD("mem/config_graph_bytes", total - gauge_bytes_);
   gauge_bytes_ = total;
 }
@@ -479,22 +481,25 @@ int LazyConfigGraph::InternNode(Successor& succ, const ConfigView& source) {
 }
 
 int LazyConfigGraph::InternView(const ConfigView& node, NameId page_id) {
-  auto [it, added] =
-      node_index_.try_emplace(node, static_cast<int>(graph_.nodes.size()));
+  bool added = false;
+  const int id = node_index_.FindOrInsert(
+      NodeHash()(node), static_cast<int>(graph_.nodes.size()),
+      [&](int u) { return graph_.nodes[static_cast<size_t>(u)] == node; },
+      &added);
   if (!added) {
-    WSV_COUNT1("config_graph/node_dedup_hits");
-    return it->second;
+    WSV_COUNT1_DEFERRED("config_graph/node_dedup_hits");
+    return id;
   }
-  WSV_COUNT1("config_graph/nodes");
+  WSV_COUNT1_DEFERRED("config_graph/nodes");
   graph_.nodes.push_back(node);
   graph_.page_ids.push_back(page_id);
   graph_.out_edges.emplace_back();
   expanded_.push_back(0);
-  // The node's pointers and page, its out-edge list, expansion flag and
+  // The node's pointers and page, its out-edge range, expansion flag and
   // index entry.
-  AccountBytes(sizeof(ConfigView) + sizeof(NameId) + sizeof(std::vector<int>) +
-               sizeof(char) + kIndexEntryBytes);
-  return it->second;
+  fixed_bytes_ += sizeof(ConfigView) + sizeof(NameId) + sizeof(EdgeRange) +
+                  sizeof(char) + kIndexEntryBytes;
+  return id;
 }
 
 void LazyConfigGraph::MarkTruncated() {
@@ -506,15 +511,56 @@ void LazyConfigGraph::MarkTruncated() {
 
 Status LazyConfigGraph::ExpandNode(int v) {
   WSV_TIMER("runtime/successor_ns");
-  WSV_COUNT1("config_graph/nodes_expanded");
+  // The expansion's counts and bytes reach the registry once, at its
+  // end (declared after the timer, so published before it records).
+  struct Publish {
+    LazyConfigGraph& graph;
+    ~Publish() {
+      graph.PublishBytes();
+      obs::PublishDeferred();
+    }
+  } publish{*this};
+  WSV_COUNT1_DEFERRED("config_graph/nodes_expanded");
   expanded_[static_cast<size_t>(v)] = 1;
   // The node's parts are stored, so this copy of its pointers stays
   // valid while successors grow graph_.nodes.
   const ConfigView current = graph_.nodes[static_cast<size_t>(v)];
   // Deduplicate parallel edges that lead to the same successor with the
   // same inputs (different choices can be observationally identical):
-  // with the inputs interned, an edge is identified by two pointers.
-  std::unordered_set<std::pair<int, const Instance*>, EdgeKeyHash> seen;
+  // with the inputs interned, an edge is identified by two pointers. The
+  // node's edges so far are graph_.edges[first_edge, end); the first
+  // kEdgeScanLimit are scanned, and from there on they are indexed by
+  // their offset from first_edge.
+  const size_t first_edge = graph_.edges.size();
+  FlatIdIndex seen;
+  auto seen_before = [&](int to, const Instance* inputs) {
+    auto same = [&](size_t e) {
+      return graph_.edges[e].to == to && graph_.edges[e].inputs == inputs;
+    };
+    const size_t n = graph_.edges.size() - first_edge;
+    if (n < kEdgeScanLimit) {
+      for (size_t e = first_edge; e < graph_.edges.size(); ++e) {
+        if (same(e)) return true;
+      }
+      return false;
+    }
+    if (n == kEdgeScanLimit) {
+      // The scanned edges are distinct: index them without comparing.
+      for (size_t i = 0; i < n; ++i) {
+        const ConfigGraph::Edge& edge = graph_.edges[first_edge + i];
+        bool added = false;
+        seen.FindOrInsert(EdgeKeyHash()({edge.to, edge.inputs}),
+                          static_cast<int>(i), [](int) { return false; },
+                          &added);
+      }
+    }
+    bool added = false;
+    seen.FindOrInsert(
+        EdgeKeyHash()({to, inputs}), static_cast<int>(n),
+        [&](int i) { return same(first_edge + static_cast<size_t>(i)); },
+        &added);
+    return !added;
+  };
   auto add_edge = [&](Successor& succ) -> Status {
     if (graph_.edges.size() >= options_.max_edges) {
       MarkTruncated();
@@ -522,24 +568,23 @@ Status LazyConfigGraph::ExpandNode(int v) {
     }
     const int to = InternNode(succ, current);
     const Instance* inputs = graph_.store->Intern(std::move(succ.inputs));
-    if (!seen.emplace(to, inputs).second) {
-      WSV_COUNT1("config_graph/edge_dedup_hits");
+    if (seen_before(to, inputs)) {
+      WSV_COUNT1_DEFERRED("config_graph/edge_dedup_hits");
       return Status::OK();
     }
-    WSV_COUNT1("config_graph/edges");
+    WSV_COUNT1_DEFERRED("config_graph/edges");
     ConfigGraph::Edge& edge = graph_.edges.emplace_back();
     edge.from = v;
     edge.to = to;
     edge.inputs = inputs;
     edge.error_reason =
         graph_.store->InternReason(std::move(succ.error_reason));
-    // The edge and its out-edge list slot (the reason text is the store's).
-    AccountBytes(sizeof(ConfigGraph::Edge) + sizeof(int));
+    // The edge (the reason text is the store's).
+    fixed_bytes_ += sizeof(ConfigGraph::Edge);
     return Status::OK();
   };
 
   const NameId page_id = graph_.page_ids[static_cast<size_t>(v)];
-  const size_t first_edge = graph_.edges.size();
   Decider decider(*graph_.store, graph_.truncated);
   // What the property reads is decided before the node's steps, so
   // every edge out of it is labelled on a database that decides it.
@@ -566,12 +611,10 @@ Status LazyConfigGraph::ExpandNode(int v) {
             .Run();
       });
   // The node's out-edges are the edges this expansion appended, in
-  // order; the list is filled once, at its final size.
-  std::vector<int>& out = graph_.out_edges[static_cast<size_t>(v)];
-  out.reserve(graph_.edges.size() - first_edge);
-  for (size_t e = first_edge; e < graph_.edges.size(); ++e) {
-    out.push_back(static_cast<int>(e));
-  }
+  // order.
+  graph_.out_edges[static_cast<size_t>(v)] =
+      EdgeRange(static_cast<int>(first_edge),
+                static_cast<int>(graph_.edges.size()));
   return status;
 }
 

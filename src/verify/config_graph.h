@@ -23,13 +23,16 @@
 #define WSV_VERIFY_CONFIG_GRAPH_H_
 
 #include <deque>
+#include <cstddef>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/status.h"
 #include "ltl/run_semantics.h"
 #include "runtime/successor.h"
@@ -123,6 +126,47 @@ class ConfigStore {
   uint64_t bytes_ = 0;
 };
 
+/// The out-edges of one node: edge ids [first, last), contiguous
+/// because one expansion appends all of a node's edges. Iterates as
+/// ints; empty until the node is expanded.
+class EdgeRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = int;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const int*;
+    using reference = int;
+
+    iterator() = default;
+    explicit iterator(int e) : e_(e) {}
+    int operator*() const { return e_; }
+    iterator& operator++() {
+      ++e_;
+      return *this;
+    }
+    iterator operator++(int) { return iterator(e_++); }
+    friend bool operator==(iterator a, iterator b) { return a.e_ == b.e_; }
+    friend bool operator!=(iterator a, iterator b) { return a.e_ != b.e_; }
+
+   private:
+    int e_ = 0;
+  };
+
+  EdgeRange() = default;
+  EdgeRange(int first, int last) : first_(first), last_(last) {}
+
+  iterator begin() const { return iterator(first_); }
+  iterator end() const { return iterator(last_); }
+  bool empty() const { return first_ == last_; }
+  size_t size() const { return static_cast<size_t>(last_ - first_); }
+
+ private:
+  int first_ = 0;
+  int last_ = 0;
+};
+
 struct ConfigGraph {
   /// An edge stores only what the source node does not already carry:
   /// the inputs chosen at this step, as a pointer into the store. The
@@ -148,7 +192,7 @@ struct ConfigGraph {
   std::vector<NameId> page_ids;
   std::vector<Edge> edges;
   /// out_edges[v] indexes into `edges`.
-  std::vector<std::vector<int>> out_edges;
+  std::vector<EdgeRange> out_edges;
   int initial = 0;
   /// True if a budget was hit; the graph is then a prefix of the real one.
   bool truncated = false;
@@ -236,21 +280,22 @@ class LazyConfigGraph {
   int InternView(const ConfigView& node, NameId page_id);
   Status ExpandNode(int v);
   void MarkTruncated();
-  /// Adds `fixed_bytes` of node or edge size to the footprint and
-  /// publishes the footprint's growth (store included) to the gauge.
-  void AccountBytes(uint64_t fixed_bytes);
+  /// Publishes the footprint's growth (store included) since the last
+  /// publish to the gauge: once per expansion, not per node or edge.
+  void PublishBytes();
 
   const Stepper* stepper_;
   ConfigGraphOptions options_;
   std::vector<Value> pool_;
   ConfigGraph graph_;
-  /// Dedup index over the nodes' pointer tuples.
-  std::unordered_map<ConfigView, int, NodeHash> node_index_;
+  /// Dedup index over the nodes' pointer tuples (ids into graph_.nodes).
+  FlatIdIndex node_index_;
   std::vector<char> expanded_;
   // Bytes this instance has published to mem/config_graph_bytes (the
   // store's contents plus the fixed node and edge sizes), returned on
   // destruction.
   uint64_t gauge_bytes_ = 0;
+  // The fixed node and edge sizes so far, published or not.
   uint64_t fixed_bytes_ = 0;
 };
 

@@ -277,6 +277,21 @@ uint64_t CountDatabases(const WebService& service,
   return total;
 }
 
+std::string WithinBoundsLine(
+    std::string_view verdict, uint64_t databases,
+    std::initializer_list<std::pair<uint64_t, std::string_view>> counts,
+    bool complete) {
+  const std::string db_count =
+      databases == UINT64_MAX ? "\u2265 2^64" : std::to_string(databases);
+  std::string line =
+      StrCat({verdict, " within bounds (", db_count, " database(s)"});
+  for (const auto& [value, noun] : counts) {
+    line += StrCat({", ", std::to_string(value), " ", noun});
+  }
+  line += complete ? ")" : ") [truncated]";
+  return line;
+}
+
 std::vector<Tuple> AllFacts(const std::vector<Value>& domain, int arity) {
   std::vector<Tuple> out;
   if (arity == 0) {

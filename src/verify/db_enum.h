@@ -19,7 +19,12 @@
 #ifndef WSV_VERIFY_DB_ENUM_H_
 #define WSV_VERIFY_DB_ENUM_H_
 
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -71,6 +76,16 @@ Instance UndecidedDatabase(const WebService& service,
 /// saturates at UINT64_MAX.
 uint64_t CountDatabases(const WebService& service,
                         const DbEnumOptions& options);
+
+/// The one-line summary of a check that found nothing within its
+/// bounds: "<verdict> within bounds (N database(s), <counts>)", each
+/// count as "<value> <noun>", then " [truncated]" unless `complete`. A
+/// database count saturated by CountDatabases (UINT64_MAX) reads
+/// "≥ 2^64", not the sentinel's digits.
+std::string WithinBoundsLine(
+    std::string_view verdict, uint64_t databases,
+    std::initializer_list<std::pair<uint64_t, std::string_view>> counts,
+    bool complete);
 
 /// Every fact of a relation of `arity` over `domain`, in enumeration
 /// order (odometer, first position fastest).

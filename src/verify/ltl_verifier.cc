@@ -13,6 +13,7 @@
 #include "automata/emptiness.h"
 #include "automata/ltl_to_buchi.h"
 #include "common/env.h"
+#include "common/flat_index.h"
 #include "common/hash.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
@@ -65,6 +66,38 @@ struct VectorKeyHash {
 
 // Matching-state list for edge labels no automaton state carries.
 const std::vector<int> kNoMatchingStates;
+
+// The successor range of a product vertex the search has not expanded.
+constexpr SuccRange kUnexpanded{UINT32_MAX, UINT32_MAX};
+
+// Times FO leaf work once per batch of edges: the clock is read only
+// when the batch does some work (Start), and the batch is recorded once,
+// when the timer goes out of scope, into ltl/leaf_eval_ns and, if it
+// evaluated some column binding by binding, ltl/leaf_col_eval_ns.
+class LeafBatchTimer {
+ public:
+  LeafBatchTimer() = default;
+  LeafBatchTimer(const LeafBatchTimer&) = delete;
+  LeafBatchTimer& operator=(const LeafBatchTimer&) = delete;
+  ~LeafBatchTimer() {
+    if (!started_) return;
+    [[maybe_unused]] const uint64_t ns = WSV_OBS_NOW() - start_;
+    WSV_HIST("ltl/leaf_eval_ns", ns);
+    if (per_binding_) WSV_HIST("ltl/leaf_col_eval_ns", ns);
+  }
+
+  void Start(bool per_binding) {
+    per_binding_ = per_binding_ || per_binding;
+    if (started_) return;
+    started_ = true;
+    start_ = WSV_OBS_NOW();
+  }
+
+ private:
+  bool started_ = false;
+  bool per_binding_ = false;
+  uint64_t start_ = 0;
+};
 
 // What the automaton's FO leaves read of the database, to be decided
 // before any step (DESIGN.md §6j): a relation the leaves read only
@@ -374,6 +407,9 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                                   const std::function<bool(uint64_t)>& stop,
                                   uint64_t* product_states) const {
   WSV_SPAN("verify/check_valuations");
+  // The sweep's deferred counts reach the registry by its end at the
+  // latest, whichever way it ends.
+  obs::PublishDeferredAtExit publish;
   const std::vector<std::string>& vars = property_->universal_vars;
   const size_t num_leaves = automaton_->leaves.size();
   const uint64_t c = cand_.size();
@@ -461,13 +497,14 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   } step_cache;
   std::vector<Value> rows;  // query answer scratch
 
-  auto query_edges = [&](size_t k, size_t from, size_t n) -> Status {
+  auto query_edges = [&](size_t k, size_t from, size_t n,
+                         LeafBatchTimer& timer) -> Status {
     LeafTable& table = tables[k];
     table.queried.GrowTo(n);
     table.unprovided.GrowTo(n);
     for (size_t e = from; e < n; ++e) {
       if (table.queried.Test(e)) continue;
-      WSV_TIMER("ltl/leaf_eval_ns");
+      timer.Start(/*per_binding=*/false);
       if (!step_cache.ctx.has_value() || step_cache.edge != e) {
         step_cache.ctx.emplace(
             graph.View(static_cast<int>(e)),
@@ -479,7 +516,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
           bool provided,
           QueryFoAtStep(*leaf_query_progs_[k], *step_cache.ctx,
                         leaf_qfree_[k] ? cand_ : no_values, &rows));
-      WSV_COUNT1("ltl/fo_leaf_queries");
+      WSV_COUNT1_DEFERRED("ltl/fo_leaf_queries");
       table.queried.Set(e);
       if (!provided) table.unprovided.Set(e);
       const size_t arity = leaf_heads_[k].size();
@@ -504,25 +541,17 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     return Status::OK();
   };
 
-  auto extend_col = [&](size_t k, LeafCol* col, size_t n) -> Status {
+  // The FO work that covering edges [from, n) needs for `col`, timed
+  // into `timer`: for a point-backed column the leaf's queries at those
+  // edges (extend_col then reads the column from the leaf table), else
+  // the binding's own evaluation at each edge the column lacks. FO leaf
+  // time is recorded per batch of edges, not per edge.
+  auto evaluate_col = [&](size_t k, LeafCol* col, size_t from, size_t n,
+                          LeafBatchTimer& timer) -> Status {
     if (col->upto >= n) return Status::OK();
+    if (col->point.has_value()) return query_edges(k, from, n, timer);
+    timer.Start(/*per_binding=*/true);
     col->bits.GrowTo(n);
-    if (col->point.has_value()) {
-      WSV_RETURN_IF_ERROR(query_edges(k, col->upto, n));
-      const LeafTable& table = tables[k];
-      auto it = table.answered.find(*col->point);
-      const Bitset* answered =
-          it == table.answered.end() ? nullptr : &it->second;
-      for (size_t e = col->upto; e < n; ++e) {
-        const bool in_answer =
-            answered != nullptr && e < answered->size() && answered->Test(e);
-        col->bits.Set(e, !table.unprovided.Test(e) &&
-                             in_answer != (leaf_complement_[k] != 0));
-      }
-      col->upto = n;
-      return Status::OK();
-    }
-    [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
     for (size_t e = col->upto; e < n; ++e) {
       TraceView view = graph.View(static_cast<int>(e));
       WSV_ASSIGN_OR_RETURN(
@@ -532,11 +561,34 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                                *service_, *pages_, col->val));
       col->bits.Set(e, b);
     }
-    WSV_COUNT("ltl/fo_leaf_evals", n - col->upto);
+    WSV_COUNT_DEFERRED("ltl/fo_leaf_evals", n - col->upto);
     if (!leaf_vars_[k].empty()) {
-      WSV_COUNT("ltl/fo_leaf_fallbacks", n - col->upto);
+      WSV_COUNT_DEFERRED("ltl/fo_leaf_fallbacks", n - col->upto);
     }
-    WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
+    col->upto = n;
+    return Status::OK();
+  };
+
+  // Extends `col` to cover edges [0, n): its FO work as one timed batch,
+  // then, for a point-backed column, the bits from the leaf's table.
+  auto extend_col = [&](size_t k, LeafCol* col, size_t n) -> Status {
+    if (col->upto >= n) return Status::OK();
+    {
+      LeafBatchTimer timer;
+      WSV_RETURN_IF_ERROR(evaluate_col(k, col, col->upto, n, timer));
+    }
+    if (!col->point.has_value()) return Status::OK();
+    col->bits.GrowTo(n);
+    const LeafTable& table = tables[k];
+    auto it = table.answered.find(*col->point);
+    const Bitset* answered =
+        it == table.answered.end() ? nullptr : &it->second;
+    for (size_t e = col->upto; e < n; ++e) {
+      const bool in_answer =
+          answered != nullptr && e < answered->size() && answered->Test(e);
+      col->bits.Set(e, !table.unprovided.Test(e) &&
+                           in_answer != (leaf_complement_[k] != 0));
+    }
     col->upto = n;
     return Status::OK();
   };
@@ -571,6 +623,17 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   std::vector<int32_t> memo_key;
   memo_key.reserve(2 * vars.size() + 1);
   Bitset label_scratch;
+
+  // Product search storage, reused by every search of the sweep: the
+  // vertices (edge, automaton state) in id order, their index, every
+  // vertex's successor list in one append-only array (a vertex's range
+  // is kUnexpanded until the search asks for it), and the states
+  // matching each labelled edge.
+  std::vector<std::pair<int, int>> verts;
+  FlatIdIndex vert_index;
+  std::vector<int> succ_store;
+  std::vector<SuccRange> succ_range;
+  std::vector<const std::vector<int>*> matching;
 
   for (uint64_t i = begin; i < end; ++i) {
     current_index = i;
@@ -656,10 +719,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         bool same = true;
         for (size_t k = 0; k < num_leaves && same; ++k) {
           if (cls.cols[k] == val_cols[k]) continue;
-          WSV_RETURN_IF_ERROR(
-              extend_col(k, cls.cols[k], cls.edges_at_close));
-          WSV_RETURN_IF_ERROR(
-              extend_col(k, val_cols[k], cls.edges_at_close));
+          WSV_RETURN_IF_ERROR(extend_col(k, cls.cols[k], cls.edges_at_close));
+          WSV_RETURN_IF_ERROR(extend_col(k, val_cols[k], cls.edges_at_close));
           if (!cls.cols[k]->bits.PrefixEquals(val_cols[k]->bits,
                                               cls.edges_at_close)) {
             same = false;
@@ -682,76 +743,87 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       // The on-the-fly product search. Vertices (edge, automaton state)
       // are interned as the nested DFS reaches them; asking for a
       // vertex's successors is what expands the configuration graph.
-      std::vector<std::pair<int, int>> verts;
-      std::unordered_map<uint64_t, int> vert_index;
-      std::deque<std::vector<int>> vsucc;  // stable addresses for the DFS
-      std::vector<char> vsucc_done;
-      std::vector<int> succ_scratch;  // one vertex's successors, gathered
-      std::vector<const std::vector<int>*> matching;
+      // The vertex index and the successor lists are sweep-wide storage,
+      // cleared per search.
+      verts.clear();
+      vert_index.clear();
+      succ_store.clear();
+      succ_range.clear();
+      matching.clear();
 
       auto vid = [&](int e, int q) {
-        uint64_t key = PackInts(e, q);
-        auto it = vert_index.find(key);
-        if (it != vert_index.end()) return it->second;
-        int id = static_cast<int>(verts.size());
-        vert_index.emplace(key, id);
-        verts.emplace_back(e, q);
+        bool added = false;
+        const int id = vert_index.FindOrInsert(
+            PackInts(e, q), static_cast<int>(verts.size()),
+            [&](int u) {
+              return verts[static_cast<size_t>(u)] == std::make_pair(e, q);
+            },
+            &added);
+        if (added) {
+          verts.emplace_back(e, q);
+          succ_range.push_back(kUnexpanded);
+        }
         return id;
       };
 
-      // The automaton states whose label matches edge e's leaf truth.
-      // Requires every leaf column to cover e; cached per search.
-      auto edge_matching =
-          [&](size_t e) -> StatusOr<const std::vector<int>*> {
-        if (e < matching.size() && matching[e] != nullptr) {
-          return matching[e];
+      // Labels every out-edge of the expanded node `v` with the
+      // automaton states whose label matches the edge's leaf truth, once
+      // per search. The leaves' FO work over the node's edges is one
+      // timed batch, run edge by edge (the leaves queried at an edge
+      // share its step context).
+      auto label_out_edges = [&](int v) -> Status {
+        const EdgeRange out = graph.out_edges[static_cast<size_t>(v)];
+        if (out.empty()) return Status::OK();
+        const size_t first = static_cast<size_t>(*out.begin());
+        const size_t end = first + out.size();
+        if (matching.size() < end) matching.resize(end, nullptr);
+        if (matching[first] != nullptr) return Status::OK();
+        {
+          LeafBatchTimer timer;
+          for (size_t e = first; e < end; ++e) {
+            for (size_t k = 0; k < num_leaves; ++k) {
+              LeafCol* col = val_cols[k];
+              WSV_RETURN_IF_ERROR(evaluate_col(
+                  k, col, e == first ? col->upto : e, e + 1, timer));
+            }
+          }
         }
-        if (matching.size() <= e) matching.resize(e + 1, nullptr);
         for (size_t k = 0; k < num_leaves; ++k) {
-          WSV_RETURN_IF_ERROR(extend_col(k, val_cols[k], e + 1));
+          WSV_RETURN_IF_ERROR(extend_col(k, val_cols[k], end));
         }
-        label_scratch.Resize(num_leaves);
-        for (size_t k = 0; k < num_leaves; ++k) {
-          if (val_cols[k]->bits.Test(e)) label_scratch.Set(k);
+        for (size_t e = first; e < end; ++e) {
+          label_scratch.Resize(num_leaves);
+          for (size_t k = 0; k < num_leaves; ++k) {
+            if (val_cols[k]->bits.Test(e)) label_scratch.Set(k);
+          }
+          auto it = label_index_.find(label_scratch);
+          matching[e] =
+              it == label_index_.end() ? &kNoMatchingStates : &it->second;
         }
-        auto it = label_index_.find(label_scratch);
-        matching[e] =
-            it == label_index_.end() ? &kNoMatchingStates : &it->second;
-        return matching[e];
+        return Status::OK();
       };
 
-      auto ensure_slot = [&](size_t v) {
-        while (vsucc.size() <= v) {
-          vsucc.emplace_back();
-          vsucc_done.push_back(0);
-        }
-      };
-
-      auto succ_fn = [&](int v) -> StatusOr<const std::vector<int>*> {
-        ensure_slot(static_cast<size_t>(v));
-        if (vsucc_done[static_cast<size_t>(v)]) {
-          return &vsucc[static_cast<size_t>(v)];
-        }
+      auto succ_fn = [&](int v) -> StatusOr<SuccRange> {
+        SuccRange& range = succ_range[static_cast<size_t>(v)];
+        if (range.begin != kUnexpanded.begin) return range;
         const auto [e, q] = verts[static_cast<size_t>(v)];
         const int to = graph.edges[static_cast<size_t>(e)].to;
         // An unexpanded node (budget hit) is a dead end: the graph is
         // then a truncated prefix of the real one.
         WSV_ASSIGN_OR_RETURN(bool expanded, lazy.EnsureExpanded(to));
         (void)expanded;
-        succ_scratch.clear();
+        WSV_RETURN_IF_ERROR(label_out_edges(to));
+        const uint32_t from = static_cast<uint32_t>(succ_store.size());
         const Bitset& q_succ = succ_bits_[q];
         for (int e2 : graph.out_edges[static_cast<size_t>(to)]) {
-          WSV_ASSIGN_OR_RETURN(const std::vector<int>* m,
-                               edge_matching(static_cast<size_t>(e2)));
-          for (int q2 : *m) {
-            if (q_succ.Test(q2)) succ_scratch.push_back(vid(e2, q2));
+          for (int q2 : *matching[static_cast<size_t>(e2)]) {
+            if (q_succ.Test(q2)) succ_store.push_back(vid(e2, q2));
           }
         }
-        // Stored at its final size: one allocation per vertex.
-        vsucc[static_cast<size_t>(v)].assign(succ_scratch.begin(),
-                                             succ_scratch.end());
-        vsucc_done[static_cast<size_t>(v)] = 1;
-        return &vsucc[static_cast<size_t>(v)];
+        // vid may have grown succ_range: index it afresh.
+        SuccRange& stored = succ_range[static_cast<size_t>(v)];
+        stored = SuccRange{from, static_cast<uint32_t>(succ_store.size())};
+        return stored;
       };
 
       // Initial vertices: the initial configuration's out-edges paired
@@ -761,14 +833,10 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       Status search_status = init_or.status();
       std::optional<Lasso> lasso;
       SearchStats search_stats;
+      if (search_status.ok()) search_status = label_out_edges(lazy.initial());
       if (search_status.ok()) {
         for (int e : graph.out_edges[static_cast<size_t>(lazy.initial())]) {
-          auto m_or = edge_matching(static_cast<size_t>(e));
-          if (!m_or.ok()) {
-            search_status = m_or.status();
-            break;
-          }
-          for (int q : **m_or) {
+          for (int q : *matching[static_cast<size_t>(e)]) {
             if (automaton_->initial[static_cast<size_t>(q)]) {
               initial_verts.push_back(vid(e, q));
             }
@@ -778,6 +846,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       if (search_status.ok()) {
         SearchProblem problem;
         problem.initial = std::move(initial_verts);
+        problem.successors = &succ_store;
         problem.succ = succ_fn;
         problem.accepting = [&](int v) {
           return q_acc[static_cast<size_t>(

@@ -197,7 +197,9 @@ void ExpectSameGraph(const ConfigGraph& got, const ReferenceGraph& want,
   for (size_t v = 0; v < want.nodes.size(); ++v) {
     ASSERT_TRUE(got.MaterializeNode(static_cast<int>(v)) == want.nodes[v])
         << "node " << v;
-    ASSERT_EQ(got.out_edges[v], want.out_edges[v]) << "node " << v;
+    ASSERT_EQ(std::vector<int>(got.out_edges[v].begin(), got.out_edges[v].end()),
+              want.out_edges[v])
+        << "node " << v;
   }
   ASSERT_EQ(got.edges.size(), want.edges.size());
   for (size_t e = 0; e < want.edges.size(); ++e) {

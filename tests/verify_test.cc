@@ -2,6 +2,7 @@
 
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
+#include "verify/db_enum.h"
 #include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
 #include "verify/transform.h"
@@ -356,6 +357,29 @@ TEST_F(EcommerceVerifyTest, ErrorFreeOnFixture) {
   auto r = CheckErrorFreeOnDatabase(service_, db_, options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->error_free) << r->witness->ToString();
+}
+
+// The summary line `wsvcli verify` and `check-errors` print for a check
+// that found nothing: counts verbatim, a saturated database count as
+// "≥ 2^64" rather than the sentinel's digits, and the truncation mark.
+TEST(WithinBoundsLineTest, FormatsCountsAndSaturation) {
+  EXPECT_EQ(WithinBoundsLine("HOLDS", 667,
+                             {{207, "graph nodes"}, {497, "product states"}},
+                             true),
+            "HOLDS within bounds (667 database(s), 207 graph nodes, "
+            "497 product states)");
+  EXPECT_EQ(WithinBoundsLine("error-free", 1, {{42, "configurations"}},
+                             false),
+            "error-free within bounds (1 database(s), 42 configurations) "
+            "[truncated]");
+  EXPECT_EQ(WithinBoundsLine("HOLDS", UINT64_MAX,
+                             {{1499998, "graph nodes"}, {4000000, "product states"}},
+                             false),
+            "HOLDS within bounds (\u2265 2^64 database(s), 1499998 graph "
+            "nodes, 4000000 product states) [truncated]");
+  // One below the sentinel is a real count.
+  EXPECT_EQ(WithinBoundsLine("HOLDS", UINT64_MAX - 1, {}, true),
+            "HOLDS within bounds (18446744073709551614 database(s))");
 }
 
 }  // namespace

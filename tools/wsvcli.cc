@@ -130,6 +130,7 @@
 #include "obs/watchdog.h"
 #include "runtime/interpreter.h"
 #include "verify/abstraction.h"
+#include "verify/db_enum.h"
 #include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
 #include "verify/witness_check.h"
@@ -170,6 +171,14 @@ int Usage() {
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// The HOLDS line of `verify`, computed or served from the cache.
+std::string HoldsLine(uint64_t databases, uint64_t nodes, uint64_t states,
+                      bool complete) {
+  return WithinBoundsLine(
+      "HOLDS", databases,
+      {{nodes, "graph nodes"}, {states, "product states"}}, complete);
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {
@@ -461,11 +470,12 @@ int CmdCheckErrors(const Flags& flags) {
   }
   if (!result.ok()) return Fail(result.status());
   if (result->error_free) {
-    std::printf("error-free within bounds (%llu database(s), "
-                "%llu configurations)%s\n",
-                static_cast<unsigned long long>(result->databases_checked),
-                static_cast<unsigned long long>(result->total_graph_nodes),
-                result->complete_within_bounds ? "" : " [truncated]");
+    std::printf("%s\n",
+                WithinBoundsLine(
+                    "error-free", result->databases_checked,
+                    {{result->total_graph_nodes, "configurations"}},
+                    result->complete_within_bounds)
+                    .c_str());
     return 0;
   }
   std::printf("NOT error-free; witness:\n%s",
@@ -668,12 +678,11 @@ int CmdVerify(const Flags& flags) {
       const cache::CachedVerdict& v = looked.verdict;
       finish(Status::OK(), v.holds ? "HOLDS" : "VIOLATED");
       if (v.holds) {
-        std::printf("HOLDS within bounds (%llu database(s), "
-                    "%llu graph nodes, %llu product states)%s\n",
-                    static_cast<unsigned long long>(v.databases_checked),
-                    static_cast<unsigned long long>(v.total_graph_nodes),
-                    static_cast<unsigned long long>(v.total_product_states),
-                    v.complete_within_bounds ? "" : " [truncated]");
+        std::printf("%s\n", HoldsLine(v.databases_checked,
+                                      v.total_graph_nodes,
+                                      v.total_product_states,
+                                      v.complete_within_bounds)
+                                .c_str());
         return 0;
       }
       std::printf("VIOLATED; counterexample:\n%s", v.witness_text.c_str());
@@ -733,13 +742,11 @@ int CmdVerify(const Flags& flags) {
          !result.ok() ? "ERROR" : (result->holds ? "HOLDS" : "VIOLATED"));
   if (!result.ok()) return Fail(result.status());
   if (result->holds) {
-    std::printf("HOLDS within bounds (%llu database(s), %llu graph nodes, "
-                "%llu product states)%s\n",
-                static_cast<unsigned long long>(result->databases_checked),
-                static_cast<unsigned long long>(result->total_graph_nodes),
-                static_cast<unsigned long long>(
-                    result->total_product_states),
-                result->complete_within_bounds ? "" : " [truncated]");
+    std::printf("%s\n", HoldsLine(result->databases_checked,
+                                  result->total_graph_nodes,
+                                  result->total_product_states,
+                                  result->complete_within_bounds)
+                            .c_str());
     return 0;
   }
   std::printf("VIOLATED; counterexample:\n%s",
