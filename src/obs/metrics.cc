@@ -226,6 +226,7 @@ class Registry {
       ++writes;
     }
     d.dirty = 0;
+    d.adds = 0;
     if (writes != 0) {
       shard->CounterSlot(kRegistryWritesId)
           .fetch_add(writes, std::memory_order_relaxed);
@@ -555,6 +556,7 @@ class Registry {
       d.counts[slot] = 0;
     }
     d.dirty = 0;
+    d.adds = 0;
   }
 
   // Thread exit (or lazy prune of a closed shard): fold into the retired

@@ -17,8 +17,9 @@
 // pending counts into the shard. Deferred counts are published at the
 // end of each node expansion and each valuation sweep, whenever the
 // thread's request id changes, whenever the thread snapshots or closes a
-// request, and at thread exit — so every total stays exact, and a
-// snapshot from another thread lags by at most one expansion.
+// request, after every kDeferredPublishInterval deferred adds, and at
+// thread exit — so every total stays exact, and a snapshot from another
+// thread lags by at most one expansion or that many adds.
 // Aggregation (SnapshotMetrics) walks the live shards plus the folded
 // totals of exited threads, so counter totals are exact and identical
 // between serial and parallel runs of the same work. The counter
@@ -154,6 +155,15 @@ class DeferredCounter {
 };
 
 inline constexpr size_t kMaxDeferredCounters = 64;
+/// A thread publishes its deferred counts by itself after this many
+/// deferred adds, so work done between the coarse publish points (one
+/// node expansion that adds a million edges, a sweep over an expanded
+/// graph) reaches other threads' snapshots with a bounded lag.
+inline constexpr uint64_t kDeferredPublishInterval = 16384;
+
+/// Publishes this thread's deferred counts to its shard for the current
+/// request id. Cheap when nothing is pending.
+void PublishDeferred();
 
 namespace internal {
 
@@ -161,6 +171,7 @@ namespace internal {
 /// initializer, so access compiles to a thread-pointer offset.
 struct DeferredCounts {
   uint64_t dirty = 0;  // bit i: counts[i] may hold unpublished work
+  uint64_t adds = 0;   // deferred adds since the last publish
   uint64_t counts[kMaxDeferredCounters] = {};
 };
 inline thread_local DeferredCounts t_deferred;
@@ -176,11 +187,8 @@ void DeferredCounter::Add(uint64_t n) {
   if (d.dirty == 0) internal::ArmDeferred();
   d.dirty |= uint64_t{1} << slot_;
   d.counts[slot_] += n;
+  if (++d.adds == kDeferredPublishInterval) PublishDeferred();
 }
-
-/// Publishes this thread's deferred counts to its shard for the current
-/// request id. Cheap when nothing is pending.
-void PublishDeferred();
 
 /// Publishes the thread's deferred counts when the scope ends, on every
 /// exit path (a valuation sweep).

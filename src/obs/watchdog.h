@@ -12,7 +12,11 @@
 //     pseudo-phase "request" so a whole job exceeding its deadline is
 //     reported even when no span happens to be open;
 //   - the global counters (fo/bytecode_steps, ltl/valuations_checked)
-//     to distinguish "busy" from "wedged".
+//     to distinguish "busy" from "wedged". fo/bytecode_steps is a
+//     deferred counter: a working thread publishes it at least every
+//     obs::kDeferredPublishInterval adds (a few milliseconds of VM
+//     work), so a step delta of 0 over a sample means no VM progress,
+//     not one long node expansion.
 //
 // When a span or request stays open past `stall_deadline_ns`, the
 // watchdog emits one "stall" wide event for it (obs/events.h) and a

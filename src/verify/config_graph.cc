@@ -23,10 +23,6 @@ struct EdgeKeyHash {
 // key, mapped value, allocator rounding).
 constexpr uint64_t kIndexEntryBytes = 4 * sizeof(void*);
 
-// How many of a node's out-edges its expansion scans for a parallel
-// edge before it indexes them.
-constexpr size_t kEdgeScanLimit = 16;
-
 uint64_t KappaBytes(const Kappa& kappa) {
   return sizeof(Kappa) + kappa.HeapBytes();
 }
@@ -528,36 +524,20 @@ Status LazyConfigGraph::ExpandNode(int v) {
   // Deduplicate parallel edges that lead to the same successor with the
   // same inputs (different choices can be observationally identical):
   // with the inputs interned, an edge is identified by two pointers. The
-  // node's edges so far are graph_.edges[first_edge, end); the first
-  // kEdgeScanLimit are scanned, and from there on they are indexed by
+  // node's edges so far are graph_.edges[first_edge, end), indexed by
   // their offset from first_edge.
   const size_t first_edge = graph_.edges.size();
   FlatIdIndex seen;
   auto seen_before = [&](int to, const Instance* inputs) {
-    auto same = [&](size_t e) {
-      return graph_.edges[e].to == to && graph_.edges[e].inputs == inputs;
-    };
-    const size_t n = graph_.edges.size() - first_edge;
-    if (n < kEdgeScanLimit) {
-      for (size_t e = first_edge; e < graph_.edges.size(); ++e) {
-        if (same(e)) return true;
-      }
-      return false;
-    }
-    if (n == kEdgeScanLimit) {
-      // The scanned edges are distinct: index them without comparing.
-      for (size_t i = 0; i < n; ++i) {
-        const ConfigGraph::Edge& edge = graph_.edges[first_edge + i];
-        bool added = false;
-        seen.FindOrInsert(EdgeKeyHash()({edge.to, edge.inputs}),
-                          static_cast<int>(i), [](int) { return false; },
-                          &added);
-      }
-    }
     bool added = false;
     seen.FindOrInsert(
-        EdgeKeyHash()({to, inputs}), static_cast<int>(n),
-        [&](int i) { return same(first_edge + static_cast<size_t>(i)); },
+        EdgeKeyHash()({to, inputs}),
+        static_cast<int>(graph_.edges.size() - first_edge),
+        [&](int i) {
+          const ConfigGraph::Edge& edge =
+              graph_.edges[first_edge + static_cast<size_t>(i)];
+          return edge.to == to && edge.inputs == inputs;
+        },
         &added);
     return !added;
   };
@@ -612,9 +592,8 @@ Status LazyConfigGraph::ExpandNode(int v) {
       });
   // The node's out-edges are the edges this expansion appended, in
   // order.
-  graph_.out_edges[static_cast<size_t>(v)] =
-      EdgeRange(static_cast<int>(first_edge),
-                static_cast<int>(graph_.edges.size()));
+  graph_.out_edges[static_cast<size_t>(v)] = std::views::iota(
+      static_cast<int>(first_edge), static_cast<int>(graph_.edges.size()));
   return status;
 }
 

@@ -23,11 +23,10 @@
 #define WSV_VERIFY_CONFIG_GRAPH_H_
 
 #include <deque>
-#include <cstddef>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -127,45 +126,9 @@ class ConfigStore {
 };
 
 /// The out-edges of one node: edge ids [first, last), contiguous
-/// because one expansion appends all of a node's edges. Iterates as
-/// ints; empty until the node is expanded.
-class EdgeRange {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = int;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const int*;
-    using reference = int;
-
-    iterator() = default;
-    explicit iterator(int e) : e_(e) {}
-    int operator*() const { return e_; }
-    iterator& operator++() {
-      ++e_;
-      return *this;
-    }
-    iterator operator++(int) { return iterator(e_++); }
-    friend bool operator==(iterator a, iterator b) { return a.e_ == b.e_; }
-    friend bool operator!=(iterator a, iterator b) { return a.e_ != b.e_; }
-
-   private:
-    int e_ = 0;
-  };
-
-  EdgeRange() = default;
-  EdgeRange(int first, int last) : first_(first), last_(last) {}
-
-  iterator begin() const { return iterator(first_); }
-  iterator end() const { return iterator(last_); }
-  bool empty() const { return first_ == last_; }
-  size_t size() const { return static_cast<size_t>(last_ - first_); }
-
- private:
-  int first_ = 0;
-  int last_ = 0;
-};
+/// because one expansion appends all of a node's edges. Empty until the
+/// node is expanded.
+using EdgeRange = std::ranges::iota_view<int, int>;
 
 struct ConfigGraph {
   /// An edge stores only what the source node does not already carry:

@@ -744,7 +744,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       // are interned as the nested DFS reaches them; asking for a
       // vertex's successors is what expands the configuration graph.
       // The vertex index and the successor lists are sweep-wide storage,
-      // cleared per search.
+      // cleared per search in O(1): they keep the capacity of the
+      // sweep's largest search.
       verts.clear();
       vert_index.clear();
       succ_store.clear();

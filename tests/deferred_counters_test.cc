@@ -9,7 +9,11 @@
 // counter of the request delta equals the global delta, the work
 // counters equal their values before counters were deferred, and a
 // snapshot taken by another thread during a sweep sees the counts grow
-// expansion by expansion.
+// expansion by expansion. A quantified login property is chunked over
+// the pool's workers at jobs 4 (the other two are one-chunk sweeps,
+// which run on the calling thread at any job count), so worker-side
+// deferred counts and the pool's publish-before-finish rule are pinned
+// too; and a thread publishes by itself after a bounded number of adds.
 
 #include <gtest/gtest.h>
 
@@ -54,6 +58,9 @@ struct Case {
   bool holds = true;
   // Work counters recorded before the hot counters were deferred.
   std::map<std::string, uint64_t> pinned;
+  // The same at jobs 4 for a sweep chunked over the pool; empty for a
+  // one-chunk sweep, whose jobs-4 counts are its jobs-1 counts.
+  std::map<std::string, uint64_t> pinned_jobs4;
 };
 
 // `wsvcli verify specs/login.wsv 'G(!CP | logged_in)' --fresh 2`.
@@ -89,6 +96,34 @@ Case EcommerceProperty1() {
       {"config_graph/edge_dedup_hits", 0}, {"fo/bytecode_execs", 1159},
       {"fo/bytecode_steps", 5515},         {"ltl/fo_leaf_queries", 0},
       {"ltl/fo_leaf_evals", 447},          {"ltl/product_states", 222},
+  };
+  return c;
+}
+
+// `wsvcli verify specs/login.wsv
+//  'forall m . G(!error(m) | m = "failed login")' specs/login.wsd
+//  --pool alice,pw,u0`: seven valuations, four chunks at jobs 4, each
+// building its own graph.
+Case LoginQuantified() {
+  Case c;
+  c.spec = "login.wsv";
+  c.property = "forall m . G(!error(m) | m = \"failed login\")";
+  c.data = "login.wsd";
+  c.pool = {"alice", "pw", "u0"};
+  c.pinned = {
+      {"config_graph/nodes", 19},          {"config_graph/nodes_expanded", 19},
+      {"config_graph/edges", 46},          {"config_graph/node_dedup_hits", 28},
+      {"config_graph/edge_dedup_hits", 0}, {"fo/bytecode_execs", 166},
+      {"fo/bytecode_steps", 882},          {"ltl/fo_leaf_queries", 46},
+      {"ltl/product_states", 46},          {"ltl/valuations_checked", 7},
+  };
+  c.pinned_jobs4 = {
+      {"config_graph/nodes", 76},           {"config_graph/nodes_expanded", 76},
+      {"config_graph/edges", 184},          {"config_graph/node_dedup_hits", 112},
+      {"config_graph/edge_dedup_hits", 0},  {"fo/bytecode_execs", 664},
+      {"fo/bytecode_steps", 3528},          {"ltl/fo_leaf_queries", 184},
+      {"ltl/product_states", 184},          {"ltl/valuations_checked", 7},
+      {"pool/tasks_submitted", 4},          {"pool/tasks_run", 4},
   };
   return c;
 }
@@ -149,8 +184,14 @@ void ExpectExact(const Case& c, int jobs) {
     EXPECT_EQ(d.request.CounterValue(name), total) << "counter " << name;
   }
   if (!kInstrumented) return;
-  for (const auto& [name, value] : c.pinned) {
+  const bool chunked = jobs > 1 && !c.pinned_jobs4.empty();
+  for (const auto& [name, value] : chunked ? c.pinned_jobs4 : c.pinned) {
     EXPECT_EQ(d.request.CounterValue(name), value) << "counter " << name;
+  }
+  if (chunked) {
+    EXPECT_GT(d.request.CounterValue("pool/tasks_run"), 0u);
+  } else {
+    EXPECT_EQ(d.request.CounterValue("pool/tasks_submitted"), 0u);
   }
   EXPECT_GT(d.request.CounterValue("obs/registry_writes"), 0u);
 }
@@ -159,7 +200,8 @@ void ExpectExact(const Case& c, int jobs) {
 // first-use order and order the rows a run enumerates, so the pinned
 // e-commerce counts hold for a process that ran the login sweep first.
 TEST(DeferredCounters, RequestDeltaIsExactAndUnchanged) {
-  for (const Case& c : {LoginFresh2(), EcommerceProperty1()}) {
+  for (const Case& c :
+       {LoginFresh2(), EcommerceProperty1(), LoginQuantified()}) {
     ExpectExact(c, 1);
     ExpectExact(c, 4);
   }
@@ -190,6 +232,32 @@ TEST(DeferredCounters, OtherThreadSeesProgressPerExpansion) {
   for (size_t i = 1; i < seen.size(); ++i) {
     EXPECT_GT(seen[i], seen[i - 1]) << "snapshot " << i;
   }
+}
+
+// Work between the coarse publish points still reaches other threads:
+// after kDeferredPublishInterval deferred adds the thread publishes by
+// itself, so another thread's snapshot lags by a bounded amount.
+TEST(DeferredCounters, PublishesByItselfAfterAnInterval) {
+  if (!kInstrumented) GTEST_SKIP() << "observability compiled out";
+  obs::ResetMetrics();
+  auto seen_elsewhere = [] {
+    uint64_t value = 0;
+    std::thread other([&] {
+      value = obs::SnapshotMetrics().CounterValue("obs_test/deferred_adds");
+    });
+    other.join();
+    return value;
+  };
+  obs::DeferredCounter& counter =
+      obs::GetDeferredCounter("obs_test/deferred_adds");
+  for (uint64_t i = 1; i < obs::kDeferredPublishInterval; ++i) counter.Add(2);
+  EXPECT_EQ(seen_elsewhere(), 0u);
+  counter.Add(2);
+  EXPECT_EQ(seen_elsewhere(), 2 * obs::kDeferredPublishInterval);
+  counter.Add(2);
+  EXPECT_EQ(seen_elsewhere(), 2 * obs::kDeferredPublishInterval);
+  EXPECT_EQ(obs::SnapshotMetrics().CounterValue("obs_test/deferred_adds"),
+            2 * obs::kDeferredPublishInterval + 2);
 }
 
 }  // namespace

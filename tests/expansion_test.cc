@@ -360,6 +360,50 @@ error ERR;
   EXPECT_TRUE(state_updated);
 }
 
+// A node with many out-edges, some of them parallel: a pool that names
+// a value twice makes the third constant binding repeat the first, so
+// every one of its 31 choices reaches a successor the node already has
+// an edge to, with the same inputs, after more than 60 distinct edges
+// (past the edge index's first growth). The production dedup must drop
+// exactly the repeats the reference's printed-inputs dedup drops.
+TEST(ExpansionDiff, WideNodeWithParallelEdges) {
+  auto ws = ParseServiceSpec(R"wsv(
+service Wide;
+database item(x);
+state picked(x);
+input code const;
+input pick(x);
+page HP {
+  input code;
+  options pick(x) :- item(x);
+  state +picked(x) :- pick(x) & item(code);
+}
+home HP;
+error ERR;
+)wsv");
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  Instance db;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(db.AddFact("item", {Value::Intern("i" + std::to_string(i))})
+                    .ok());
+  }
+  LtlVerifyOptions options;
+  Fixture f(*ws, db, "G(true)", options);
+  f.pool = {V("i0"), V("i1"), V("i0")};
+  auto want = ReferenceExpansion(f.stepper, f.pool);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto got = ProductionExpansion(f.stepper, f.pool);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameGraph(*got, *want, "wide");
+
+  // The initial node has 3 x 31 choices and 2 x 31 distinct edges.
+  auto choices = ReferenceChoices(f.stepper, want->nodes[want->initial],
+                                  f.pool);
+  ASSERT_TRUE(choices.ok()) << choices.status().ToString();
+  EXPECT_EQ(choices->size(), 93u);
+  EXPECT_EQ(want->out_edges[static_cast<size_t>(want->initial)].size(), 62u);
+}
+
 TEST(ExpansionDiff, StepStillRejectsInvalidChoices) {
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "common/env.h"
+#include "common/flat_index.h"
 #include "common/str_util.h"
 
 namespace wsv {
@@ -115,6 +117,45 @@ TEST(EnvTest, FlagSetOnlyForNonEmptyValuesOtherThanZero) {
     EXPECT_TRUE(EnvFlagSet(kName)) << "'" << on << "'";
   }
   ::unsetenv(kName);
+}
+
+// FlatIdIndex interns keys the caller stores by id. Colliding hashes
+// fall back to the caller's equality, growth keeps every entry, and a
+// cleared table (O(1): a new generation) finds nothing of the old
+// contents while reusing its capacity for new ones.
+TEST(FlatIdIndexTest, InternsGrowsAndClears) {
+  std::vector<int> keys;
+  FlatIdIndex index;
+  auto intern = [&](int key, uint64_t hash) {
+    bool added = false;
+    const int id = index.FindOrInsert(
+        hash, static_cast<int>(keys.size()),
+        [&](int u) {
+          return static_cast<size_t>(u) < keys.size() &&
+                 keys[static_cast<size_t>(u)] == key;
+        },
+        &added);
+    if (added) keys.push_back(key);
+    return id;
+  };
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    keys.clear();
+    index.clear();
+    EXPECT_EQ(index.size(), 0u);
+    // 500 keys, far past the first capacity, every fourth sharing its
+    // hash with the key before it.
+    for (int k = 0; k < 500; ++k) {
+      const uint64_t hash = k % 4 == 3 ? uint64_t(k - 1) : uint64_t(k);
+      EXPECT_EQ(intern(k + round, hash), k);
+    }
+    for (int k = 0; k < 500; ++k) {
+      const uint64_t hash = k % 4 == 3 ? uint64_t(k - 1) : uint64_t(k);
+      EXPECT_EQ(intern(k + round, hash), k) << "key " << k;
+    }
+    EXPECT_EQ(index.size(), 500u);
+    EXPECT_EQ(keys.size(), 500u);
+  }
 }
 
 }  // namespace
