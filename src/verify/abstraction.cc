@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/hash.h"
-#include "common/str_util.h"
 #include "fo/rewrite.h"
 #include "verify/db_enum.h"
 #include "ws/classify.h"
@@ -79,14 +78,9 @@ StatusOr<Kripke> BuildPropositionalKripke(const WebService& service,
   WSV_RETURN_IF_ERROR(stepper.status());
   stepper.SetTrackedPrev(Stepper::PrevRelationsInRules(service));
   ConfigGraphOptions graph_options = options.graph;
-  if (graph_options.constant_pool.empty()) {
-    std::set<Value> pool(database.domain().begin(), database.domain().end());
-    for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
-    for (int i = 0; i < options.extra_constant_values; ++i) {
-      pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
-    }
-    graph_options.constant_pool.assign(pool.begin(), pool.end());
-  }
+  graph_options.constant_pool =
+      InputConstantPool(options.graph.constant_pool, service, database, {},
+                        /*typed_values=*/1);
   WSV_ASSIGN_OR_RETURN(ConfigGraph graph,
                        BuildConfigGraph(stepper, graph_options));
   if (graph.truncated) {
@@ -135,14 +129,9 @@ StatusOr<Kripke> BuildUnmergedKripke(const WebService& service,
   WSV_RETURN_IF_ERROR(stepper.status());
   stepper.SetTrackedPrev(Stepper::PrevRelationsInRules(service));
   ConfigGraphOptions graph_options = options.graph;
-  if (graph_options.constant_pool.empty()) {
-    std::set<Value> pool(database.domain().begin(), database.domain().end());
-    for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
-    for (int i = 0; i < options.extra_constant_values; ++i) {
-      pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
-    }
-    graph_options.constant_pool.assign(pool.begin(), pool.end());
-  }
+  graph_options.constant_pool =
+      InputConstantPool(options.graph.constant_pool, service, database, {},
+                        /*typed_values=*/1);
   WSV_ASSIGN_OR_RETURN(ConfigGraph graph,
                        BuildConfigGraph(stepper, graph_options));
   if (graph.truncated) {

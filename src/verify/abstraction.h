@@ -29,8 +29,6 @@ namespace wsv {
 
 struct KripkeBuildOptions {
   ConfigGraphOptions graph;
-  /// Fresh values available as user-typed input constants.
-  int extra_constant_values = 1;
   /// Verify the service is in the propositional class first. The
   /// input-driven-search verifier disables this: its services use Prev_I,
   /// but their labels include the chosen input tuple, which again

@@ -1,7 +1,6 @@
 #include "verify/config_graph.h"
 
 #include <optional>
-#include <set>
 
 #include "common/hash.h"
 #include "obs/trace.h"
@@ -408,13 +407,6 @@ class SuccessorEnumerator {
 LazyConfigGraph::LazyConfigGraph(const Stepper* stepper,
                                  ConfigGraphOptions options)
     : stepper_(stepper), options_(std::move(options)) {
-  pool_ = options_.constant_pool;
-  if (pool_.empty()) {
-    std::set<Value> p(stepper_->database().domain().begin(),
-                      stepper_->database().domain().end());
-    for (Value v : ServiceRuleLiterals(stepper_->service())) p.insert(v);
-    pool_.assign(p.begin(), p.end());
-  }
   // The initial node's parts are the stepper's prototypes and its own
   // empty kappa; they are interned like any other part. A fully decided
   // database's facts stay where they are; the facts of one decided in
@@ -587,7 +579,7 @@ Status LazyConfigGraph::ExpandNode(int v) {
           return add_edge(to_error);
         }
         return SuccessorEnumerator(*stepper_, *graph_.store, decider, node,
-                                   *page, pool_, add_edge)
+                                   *page, options_.constant_pool, add_edge)
             .Run();
       });
   // The node's out-edges are the edges this expansion appended, in

@@ -39,8 +39,8 @@
 namespace wsv {
 
 struct ConfigGraphOptions {
-  /// Candidate values for input constants. If empty, the database's
-  /// active domain plus the service's rule literals are used.
+  /// Candidate values for input constants (InputConstantPool,
+  /// verify/db_enum.h); a page requesting constants fails on none.
   std::vector<Value> constant_pool;
   size_t max_nodes = 200000;
   size_t max_edges = 2000000;
@@ -194,9 +194,7 @@ StatusOr<ConfigGraph> BuildConfigGraph(const Stepper& stepper,
 /// instance (the verifiers keep it call-local).
 class LazyConfigGraph {
  public:
-  /// `stepper` must outlive the LazyConfigGraph. An empty
-  /// options.constant_pool resolves to the stepper database's active
-  /// domain plus the service's rule literals, as in BuildConfigGraph.
+  /// `stepper` must outlive the LazyConfigGraph.
   LazyConfigGraph(const Stepper* stepper, ConfigGraphOptions options);
 
   LazyConfigGraph(const LazyConfigGraph&) = delete;
@@ -249,7 +247,6 @@ class LazyConfigGraph {
 
   const Stepper* stepper_;
   ConfigGraphOptions options_;
-  std::vector<Value> pool_;
   ConfigGraph graph_;
   /// Dedup index over the nodes' pointer tuples (ids into graph_.nodes).
   FlatIdIndex node_index_;

@@ -25,6 +25,21 @@ std::vector<Value> ServiceRuleLiterals(const WebService& service) {
   return std::vector<Value>(lits.begin(), lits.end());
 }
 
+std::vector<Value> InputConstantPool(const std::vector<Value>& pinned,
+                                     const WebService& service,
+                                     const Instance& database,
+                                     const std::set<Value>& literals,
+                                     int typed_values) {
+  if (!pinned.empty()) return pinned;
+  std::set<Value> pool(database.domain().begin(), database.domain().end());
+  for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
+  pool.insert(literals.begin(), literals.end());
+  for (int i = 0; i < typed_values; ++i) {
+    pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
+  }
+  return std::vector<Value>(pool.begin(), pool.end());
+}
+
 namespace {
 
 // The enumeration domain, and the fresh values in it that no rule or
@@ -42,6 +57,22 @@ std::vector<Value> EnumerationDomain(const WebService& service,
     if (dom.insert(v).second && fresh != nullptr) fresh->push_back(v);
   }
   return std::vector<Value>(dom.begin(), dom.end());
+}
+
+// The bounds EnumerateDatabases enumerates within: its domain (rule
+// literals, `base_values` and the fresh values), the tuple cap and the
+// database constants.
+DatabaseBounds EnumerationBounds(const WebService& service,
+                                 const DbEnumOptions& options) {
+  DatabaseBounds bounds;
+  bounds.domain = EnumerationDomain(service, options, nullptr);
+  bounds.max_tuples_per_relation = options.max_tuples_per_relation;
+  for (const std::string& c : service.vocab().constants()) {
+    if (!service.vocab().IsInputConstant(c)) {
+      bounds.constants.push_back(InternName(c));
+    }
+  }
+  return bounds;
 }
 
 // The choose-k walk behind ForEachFactSubset.
@@ -219,29 +250,19 @@ class DbEnumerator {
 
 }  // namespace
 
-DatabaseBounds EnumerationBounds(const WebService& service,
-                                 const DbEnumOptions& options) {
-  DatabaseBounds bounds;
-  bounds.domain = EnumerationDomain(service, options, nullptr);
-  bounds.max_tuples_per_relation = options.max_tuples_per_relation;
-  for (const std::string& c : service.vocab().constants()) {
-    if (!service.vocab().IsInputConstant(c)) {
-      bounds.constants.push_back(InternName(c));
-    }
-  }
-  return bounds;
-}
-
-Instance UndecidedDatabase(const WebService& service,
-                           const DatabaseBounds& bounds) {
-  Instance db;
-  for (Value v : bounds.domain) db.AddDomainValue(v);
+DatabaseSpace::DatabaseSpace(const WebService& service,
+                             const DbEnumOptions& options,
+                             const Instance* database)
+    : decided_(database) {
+  if (database != nullptr) return;
+  bounds_ = EnumerationBounds(service, options);
+  for (Value v : bounds_.domain) undecided_.AddDomainValue(v);
   for (const RelationSymbol& sym :
        service.vocab().RelationsOfKind(SymbolKind::kDatabase)) {
     // Only an arity conflict fails, impossible for a vocabulary.
-    (void)db.EnsureRelation(sym.id, sym.arity);
+    (void)undecided_.EnsureRelation(sym.id, sym.arity);
   }
-  return db;
+  decided_ = DecidedDatabase(&undecided_, &bounds_);
 }
 
 uint64_t CountDatabases(const WebService& service,

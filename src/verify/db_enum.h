@@ -1,13 +1,18 @@
 // Database instance enumeration for verification.
 //
 // The paper's decision procedures quantify over *all* databases; our
-// explicit-state verifier enumerates instances over the database schema
-// up to configurable bounds (domain size, tuples per relation) and checks
-// each. For input-bounded services the paper guarantees a small-model
-// property (exponential bounds; Lemma A.11 for the propositional case),
+// explicit-state verifier covers the instances over the database schema
+// up to configurable bounds (domain size, tuples per relation). For
+// input-bounded services the paper guarantees a small-model property
+// (exponential bounds; Lemma A.11 for the propositional case),
 // so bounded enumeration is a genuinely complete procedure once the bound
 // is large enough; the default bounds catch the violations in all the
 // paper's examples at tiny sizes.
+//
+// The LTL verifier and CheckErrorFree decide facts as runs probe them
+// instead (DatabaseSpace, DESIGN.md §6j); EnumerateDatabases serves the
+// CTL input-driven search, whose path quantifiers need one fixed
+// database, and the tests' oracles.
 //
 // The enumeration domain always contains the literal values of the
 // service's rules (they are schema constants — e.g. the catalog
@@ -22,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,9 +49,8 @@ struct DbEnumOptions {
   /// Maximum number of tuples per database relation (-1: all subsets of
   /// the full cross product — beware, explodes quickly).
   int max_tuples_per_relation = 2;
-  /// Safety cap on the number of instances EnumerateDatabases visits.
-  /// The LTL verifier enumerates no databases (it decides facts during
-  /// the search, DESIGN.md §6j) and does not read it.
+  /// Safety cap on the number of instances EnumerateDatabases visits;
+  /// nothing else reads it.
   uint64_t max_instances = 1u << 22;
 };
 
@@ -59,17 +64,34 @@ StatusOr<bool> EnumerateDatabases(
 /// The literal values appearing in any rule of the service.
 std::vector<Value> ServiceRuleLiterals(const WebService& service);
 
-/// The bounds EnumerateDatabases enumerates within: its domain (rule
-/// literals, `base_values` and the fresh values), the tuple cap and the
-/// database constants.
-DatabaseBounds EnumerationBounds(const WebService& service,
-                                 const DbEnumOptions& options);
+/// The candidate values for input constants: `pinned` when it is not
+/// empty, else the active domain of `database`, the service's rule
+/// literals, `literals` (a property's) and the values u0..u(k-1) only a
+/// user types, for k = `typed_values`, in value order.
+std::vector<Value> InputConstantPool(const std::vector<Value>& pinned,
+                                     const WebService& service,
+                                     const Instance& database,
+                                     const std::set<Value>& literals,
+                                     int typed_values);
 
-/// The database with nothing decided within `bounds`: every database
-/// relation of the service present and empty, no constant bound, and
-/// the whole domain.
-Instance UndecidedDatabase(const WebService& service,
-                           const DatabaseBounds& bounds);
+/// The databases a check runs on: `database` fully decided, or if it is
+/// null every database within `options`, nothing decided yet (the whole
+/// domain, every relation empty, no constant bound). Not copyable:
+/// `decided()` points into it.
+class DatabaseSpace {
+ public:
+  DatabaseSpace(const WebService& service, const DbEnumOptions& options,
+                const Instance* database);
+  DatabaseSpace(const DatabaseSpace&) = delete;
+  DatabaseSpace& operator=(const DatabaseSpace&) = delete;
+
+  const DecidedDatabase& decided() const { return decided_; }
+
+ private:
+  DatabaseBounds bounds_;
+  Instance undecided_;
+  DecidedDatabase decided_;
+};
 
 /// The number of databases within the bounds, without fresh-value
 /// symmetry reduction (EnumerateDatabases visits one per orbit);

@@ -1,10 +1,6 @@
 #include "verify/error_free.h"
 
 #include <algorithm>
-#include <queue>
-#include <set>
-
-#include "common/str_util.h"
 
 namespace wsv {
 
@@ -20,64 +16,71 @@ std::string ErrorWitness::ToString() const {
 
 namespace {
 
-StatusOr<bool> CheckOne(const WebService& service, const Instance& database,
-                        const ErrorFreeOptions& options,
-                        ErrorFreeResult* result) {
-  Stepper stepper(&service, &database);
+// Error-freeness on `database`, or on every database within options.db
+// when it is null: a breadth-first search of one lazy configuration
+// graph for an edge into the error page.
+StatusOr<ErrorFreeResult> Check(const WebService& service,
+                                const Instance* database,
+                                const ErrorFreeOptions& options) {
+  const DatabaseSpace space(service, options.db, database);
+  const Instance& facts = space.decided().facts();
+  Stepper stepper(&service, &facts);
   WSV_RETURN_IF_ERROR(stepper.status());
   stepper.SetTrackedPrev(Stepper::PrevRelationsInRules(service));
   ConfigGraphOptions graph_options = options.graph;
-  if (graph_options.constant_pool.empty()) {
-    std::set<Value> pool(database.domain().begin(), database.domain().end());
-    for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
-    for (int i = 0; i < options.extra_constant_values; ++i) {
-      pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
-    }
-    graph_options.constant_pool.assign(pool.begin(), pool.end());
-  }
-  WSV_ASSIGN_OR_RETURN(ConfigGraph graph,
-                       BuildConfigGraph(stepper, graph_options));
-  if (graph.truncated) result->complete_within_bounds = false;
-  result->total_graph_nodes += graph.nodes.size();
+  graph_options.constant_pool =
+      InputConstantPool(options.graph.constant_pool, service, facts, {},
+                        /*typed_values=*/1);
+  graph_options.database = &space.decided();
+  LazyConfigGraph lazy(&stepper, std::move(graph_options));
+  const ConfigGraph& graph = lazy.graph();
 
-  // BFS over nodes, tracking the incoming edge, to find an error edge.
-  std::vector<int> in_edge(graph.nodes.size(), -1);
-  std::vector<char> visited(graph.nodes.size(), 0);
-  std::queue<int> q;
-  visited[graph.initial] = 1;
-  q.push(graph.initial);
+  // Nodes are numbered in discovery order, so expanding them in id
+  // order is the breadth-first search.
   int error_edge = -1;
-  while (!q.empty() && error_edge < 0) {
-    int v = q.front();
-    q.pop();
+  for (size_t v = 0; v < graph.nodes.size() && error_edge < 0; ++v) {
+    WSV_ASSIGN_OR_RETURN(bool expanded,
+                         lazy.EnsureExpanded(static_cast<int>(v)));
+    if (!expanded) break;  // a budget is hit
     for (int e : graph.out_edges[v]) {
       if (graph.edges[e].to_error()) {
         error_edge = e;
         break;
       }
-      int w = graph.edges[e].to;
-      if (!visited[w]) {
-        visited[w] = 1;
-        in_edge[w] = e;
-        q.push(w);
-      }
     }
   }
-  if (error_edge < 0) return false;
 
-  ErrorWitness witness;
-  witness.database = database;
-  witness.reason = *graph.edges[error_edge].error_reason;
+  ErrorFreeResult result;
+  result.total_graph_nodes = graph.nodes.size();
+  result.complete_within_bounds = !graph.truncated;
+  if (error_edge < 0) {
+    result.databases_checked =
+        database != nullptr ? 1 : CountDatabases(service, options.db);
+    return result;
+  }
+
+  // The path follows each node's first in-edge back from the error
+  // edge; every edge before it leaves a node expanded earlier.
+  std::vector<int> in_edge(graph.nodes.size(), -1);
+  for (int e = 0; e < error_edge; ++e) {
+    const int to = graph.edges[e].to;
+    if (to != graph.initial && in_edge[to] < 0) in_edge[to] = e;
+  }
   std::vector<int> edges{error_edge};
   for (int v = graph.edges[error_edge].from; in_edge[v] >= 0;
        v = graph.edges[in_edge[v]].from) {
     edges.push_back(in_edge[v]);
   }
   std::reverse(edges.begin(), edges.end());
+
+  ErrorWitness witness;
+  witness.database = graph.EdgeDatabase(error_edge).Completion();
+  witness.reason = *graph.edges[error_edge].error_reason;
   for (int e : edges) witness.path.push_back(graph.Materialize(e));
-  result->error_free = false;
-  result->witness = std::move(witness);
-  return true;
+  result.error_free = false;
+  result.witness = std::move(witness);
+  result.databases_checked = 1;
+  return result;
 }
 
 }  // namespace
@@ -85,25 +88,12 @@ StatusOr<bool> CheckOne(const WebService& service, const Instance& database,
 StatusOr<ErrorFreeResult> CheckErrorFreeOnDatabase(
     const WebService& service, const Instance& database,
     const ErrorFreeOptions& options) {
-  ErrorFreeResult result;
-  result.databases_checked = 1;
-  WSV_RETURN_IF_ERROR(
-      CheckOne(service, database, options, &result).status());
-  return result;
+  return Check(service, &database, options);
 }
 
 StatusOr<ErrorFreeResult> CheckErrorFree(const WebService& service,
                                          const ErrorFreeOptions& options) {
-  ErrorFreeResult result;
-  WSV_ASSIGN_OR_RETURN(
-      bool stopped,
-      EnumerateDatabases(service, options.db,
-                         [&](const Instance& db) -> StatusOr<bool> {
-                           ++result.databases_checked;
-                           return CheckOne(service, db, options, &result);
-                         }));
-  (void)stopped;
-  return result;
+  return Check(service, nullptr, options);
 }
 
 }  // namespace wsv

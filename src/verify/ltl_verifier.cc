@@ -15,7 +15,6 @@
 #include "common/env.h"
 #include "common/flat_index.h"
 #include "common/hash.h"
-#include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "fo/bytecode/cache.h"
 #include "fo/input_bounded.h"
@@ -166,16 +165,9 @@ std::vector<Value> ResolveConstantPool(const WebService& service,
                                        const TemporalProperty& property,
                                        const Instance& database,
                                        const LtlVerifyOptions& options) {
-  if (!options.graph.constant_pool.empty()) {
-    return options.graph.constant_pool;
-  }
-  std::set<Value> pool(database.domain().begin(), database.domain().end());
-  for (Value v : ServiceRuleLiterals(service)) pool.insert(v);
-  for (Value v : property.formula->Literals()) pool.insert(v);
-  for (int i = 0; i < options.extra_constant_values; ++i) {
-    pool.insert(Value::Intern(StrCat({"u", std::to_string(i)})));
-  }
-  return std::vector<Value>(pool.begin(), pool.end());
+  return InputConstantPool(options.graph.constant_pool, service, database,
+                           property.formula->Literals(),
+                           options.extra_constant_values);
 }
 
 std::vector<Value> ResolveClosureCandidates(const WebService& service,
@@ -185,12 +177,14 @@ std::vector<Value> ResolveClosureCandidates(const WebService& service,
   if (!options.closure_candidates.empty()) {
     return options.closure_candidates;
   }
-  std::vector<Value> pool =
-      ResolveConstantPool(service, property, database, options);
-  std::set<Value> candidates(pool.begin(), pool.end());
-  candidates.insert(database.domain().begin(), database.domain().end());
-  for (Value v : ServiceRuleLiterals(service)) candidates.insert(v);
-  for (Value v : property.formula->Literals()) candidates.insert(v);
+  // The pool, and what an unpinned pool draws from besides typed values.
+  std::set<Value> candidates;
+  for (const std::vector<Value>& values :
+       {ResolveConstantPool(service, property, database, options),
+        InputConstantPool({}, service, database, property.formula->Literals(),
+                          /*typed_values=*/0)}) {
+    candidates.insert(values.begin(), values.end());
+  }
   return std::vector<Value>(candidates.begin(), candidates.end());
 }
 
@@ -1174,14 +1168,7 @@ StatusOr<LtlVerifyResult> LtlVerifier::Run(const TemporalProperty& property,
   for (Value v : property.formula->Literals()) {
     db_options.base_values.push_back(v);
   }
-  DatabaseBounds bounds;
-  Instance undecided;
-  DecidedDatabase decided(database);
-  if (database == nullptr) {
-    bounds = EnumerationBounds(*service_, db_options);
-    undecided = UndecidedDatabase(*service_, bounds);
-    decided = DecidedDatabase(&undecided, &bounds);
-  }
+  const DatabaseSpace space(*service_, db_options, database);
 
   // At jobs > 1 each phase's valuations are chunked.
   const ValuationSweep sweep =
@@ -1195,7 +1182,8 @@ StatusOr<LtlVerifyResult> LtlVerifier::Run(const TemporalProperty& property,
   LtlVerifyResult result;
   WSV_ASSIGN_OR_RETURN(
       std::optional<IndexedCounterExample> found,
-      CheckDatabase(*service_, options_, plan, decided, sweep, &result));
+      CheckDatabase(*service_, options_, plan, space.decided(), sweep,
+                    &result));
   if (found.has_value()) {
     result.holds = false;
     result.counterexample = std::move(found->cex);

@@ -364,13 +364,11 @@ bool OnTheFlyEnabled();
 /// (InvalidArgument). LtlVerifier checks this before any work.
 Status ValidateVerifyOptions(const LtlVerifyOptions& options);
 
-/// The resolved input-constant candidate pool for one (service,
-/// property, database) context: the database's active domain, the rule
-/// and property literals, plus `extra_constant_values` fresh values —
-/// unless `options.graph.constant_pool` already pins the pool, in which
-/// case that is returned unchanged. This is exactly the pool
-/// LtlDatabaseCheck::Create resolves; exposed so cache keys and leaf
-/// store contexts can fingerprint what the sweep will actually see.
+/// The input-constant pool LtlDatabaseCheck::Create resolves for one
+/// (service, property, database) context: InputConstantPool with the
+/// property's literals and `extra_constant_values` typed values, unless
+/// `options.graph.constant_pool` pins it. Exposed so cache keys can
+/// fingerprint what the sweep will actually see.
 std::vector<Value> ResolveConstantPool(const WebService& service,
                                        const TemporalProperty& property,
                                        const Instance& database,

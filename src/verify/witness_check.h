@@ -16,11 +16,16 @@
 //
 // Tests run this on every VIOLATED verdict, which is what lets the
 // on-the-fly early exit be aggressive: a bogus lasso cannot survive.
+//
+// An error witness (verify/error_free.h) is a finite path; its
+// validation replays it the same way and requires its last step to
+// enter the error page for the recorded reason.
 
 #ifndef WSV_VERIFY_WITNESS_CHECK_H_
 #define WSV_VERIFY_WITNESS_CHECK_H_
 
 #include "common/status.h"
+#include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
 
 namespace wsv {
@@ -31,6 +36,12 @@ namespace wsv {
 Status ValidateWitness(const WebService& service,
                        const TemporalProperty& property,
                        const CounterExample& cex);
+
+/// Validates `witness` as a run of `service` on its database whose last
+/// step enters the error page for `witness.reason`. Returns OK for a
+/// valid witness; InvalidArgument with a step-level reason otherwise.
+Status ValidateErrorWitness(const WebService& service,
+                            const ErrorWitness& witness);
 
 }  // namespace wsv
 

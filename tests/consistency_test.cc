@@ -20,8 +20,10 @@ Value V(const char* s) { return Value::Intern(s); }
 
 // --- Error-freeness: the direct reachability check and the Lemma A.5
 // transformation + LTL route must agree — across QBF-generated services
-// with known error status (Lemma A.6 gives ground truth via the
-// evaluator, a third independent path).
+// with known error status. Routes 1 and 2 both search one graph whose
+// nodes decide the database (DESIGN.md §6j), so they share that code;
+// the independent checks are route 3 (Lemma A.6's ground truth via the
+// QBF evaluator) and lazy_database_test's per-database oracle.
 class QbfThreeWayTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(QbfThreeWayTest, DirectTransformAndTruthAgree) {

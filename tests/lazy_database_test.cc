@@ -9,6 +9,12 @@
 // VIOLATED witness must replay through ValidateWitness, and the
 // reference checker must find a violation on the witness's own
 // database. Both sides also agree across job counts and slicing.
+//
+// CheckErrorFree searches the same kind of graph, without property
+// leaves, for an edge into the error page. Its oracle is
+// CheckErrorFreeOnDatabase on each enumerated database; an error
+// witness must replay through ValidateErrorWitness and name a database
+// on which that oracle finds an error.
 
 #include <string>
 #include <vector>
@@ -17,8 +23,10 @@
 
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
+#include "reductions/qbf.h"
 #include "reference_checker.h"
 #include "verify/db_enum.h"
+#include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
 #include "verify/witness_check.h"
 #include "ws/spec_parser.h"
@@ -260,6 +268,167 @@ TEST(LazyDatabase, LoginFreshTwoIsOneSmallGraph) {
   EXPECT_EQ(r->databases_checked, 667u);
   // The per-database graphs expanded 41,079 nodes.
   EXPECT_LE(r->total_graph_nodes, 4108u);
+}
+
+struct ErrorCase {
+  std::string name;
+  WebService service;
+  ErrorFreeOptions options;
+};
+
+ErrorFreeOptions ErrorBounds(int fresh, int max_tuples) {
+  ErrorFreeOptions options;
+  options.db.fresh_values = fresh;
+  options.db.max_tuples_per_relation = max_tuples;
+  return options;
+}
+
+std::vector<ErrorCase> ErrorCases() {
+  std::vector<ErrorCase> cases;
+  // wsvcli check-errors' bounds: --fresh N, two tuples per relation.
+  for (int fresh : {1, 2}) {
+    cases.push_back({"login fresh " + std::to_string(fresh),
+                     std::move(BuildLoginService()).value(),
+                     ErrorBounds(fresh, 2)});
+  }
+  cases.push_back({"login sweep_db", std::move(BuildLoginService()).value(),
+                   ErrorBounds(0, 1)});
+  cases.push_back({"paper-clear-loop sweep_db",
+                   std::move(BuildPaperClearLoopService()).value(),
+                   ErrorBounds(0, 1)});
+  cases.push_back({"catalog", std::move(ParseServiceSpec(kCatalogSpec)).value(),
+                   ErrorBounds(2, 2)});
+  // consistency_test's QBF services (Lemma A.6: an error iff true).
+  const std::vector<QbfPtr> formulas{
+      Qbf::Exists("x", Qbf::Var("x")),
+      Qbf::Forall("x", Qbf::Var("x")),
+      Qbf::Exists("x", Qbf::Forall("y", Qbf::Or(Qbf::Not(Qbf::Var("x")),
+                                                Qbf::Var("y")))),
+      Qbf::Forall("x", Qbf::Exists("y", Qbf::And(Qbf::Var("y"),
+                                                 Qbf::Not(Qbf::Var("x"))))),
+  };
+  for (const QbfPtr& f : formulas) {
+    cases.push_back({"qbf " + f->ToString(),
+                     std::move(BuildQbfService(*f)).value(),
+                     ErrorBounds(0, 2)});
+  }
+  return cases;
+}
+
+// The enumeration CheckErrorFree replaced: CheckErrorFreeOnDatabase on
+// every database the enumerator visits.
+bool ErrorFreeOnEveryDatabase(const ErrorCase& c) {
+  bool error_free = true;
+  auto done = EnumerateDatabases(
+      c.service, c.options.db, [&](const Instance& database) -> StatusOr<bool> {
+        WSV_ASSIGN_OR_RETURN(
+            ErrorFreeResult r,
+            CheckErrorFreeOnDatabase(c.service, database, c.options));
+        error_free = r.error_free;
+        return !error_free;
+      });
+  EXPECT_TRUE(done.ok()) << done.status().ToString();
+  return error_free;
+}
+
+TEST(LazyDatabase, ErrorFreenessMatchesThePerDatabaseCheck) {
+  int error_free = 0;
+  int errors = 0;
+  for (const ErrorCase& c : ErrorCases()) {
+    SCOPED_TRACE(c.name);
+    auto lazy = CheckErrorFree(c.service, c.options);
+    ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+    EXPECT_TRUE(lazy->complete_within_bounds);
+    ASSERT_EQ(lazy->error_free, ErrorFreeOnEveryDatabase(c));
+    (lazy->error_free ? error_free : errors)++;
+    if (lazy->error_free) {
+      EXPECT_EQ(lazy->databases_checked,
+                CountDatabases(c.service, c.options.db));
+      continue;
+    }
+    EXPECT_EQ(lazy->databases_checked, 1u);
+    ASSERT_TRUE(lazy->witness.has_value());
+    const ErrorWitness& witness = *lazy->witness;
+    Status replay = ValidateErrorWitness(c.service, witness);
+    EXPECT_TRUE(replay.ok()) << replay.ToString() << "\n"
+                             << witness.ToString();
+    auto on_witness_db =
+        CheckErrorFreeOnDatabase(c.service, witness.database, c.options);
+    ASSERT_TRUE(on_witness_db.ok()) << on_witness_db.status().ToString();
+    ASSERT_FALSE(on_witness_db->error_free) << witness.ToString();
+    // Both searches are breadth-first, so both paths are shortest.
+    EXPECT_EQ(on_witness_db->witness->path.size(), witness.path.size());
+    EXPECT_EQ(on_witness_db->witness->reason, witness.reason);
+  }
+  EXPECT_GE(error_free, 5);
+  EXPECT_GE(errors, 3);
+}
+
+// wsvcli check-errors specs/login.wsv --fresh N discovers the graph
+// `verify` expands for a property without leaves.
+TEST(LazyDatabase, LoginCheckErrorsIsOneSmallGraph) {
+  WebService service = std::move(BuildLoginService()).value();
+  const std::vector<std::pair<int, uint64_t>> pinned = {
+      {1, 148}, {2, 207}, {3, 276}};
+  for (const auto& [fresh, nodes] : pinned) {
+    SCOPED_TRACE("fresh " + std::to_string(fresh));
+    ErrorFreeOptions options;
+    options.db.fresh_values = fresh;
+    auto r = CheckErrorFree(service, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->error_free);
+    EXPECT_TRUE(r->complete_within_bounds);
+    EXPECT_EQ(r->total_graph_nodes, nodes);
+    EXPECT_EQ(r->databases_checked, CountDatabases(service, options.db));
+  }
+}
+
+// The validator rejects an error witness with a step dropped or a
+// reason changed: the clear-loop service's re-request error (condition
+// ii) and a true QBF's ambiguity (condition iii), whose error step
+// records no pick.
+TEST(LazyDatabase, TamperedErrorWitnessIsRejected) {
+  QbfPtr f = Qbf::Exists("x", Qbf::Var("x"));
+  std::vector<ErrorCase> cases;
+  cases.push_back({"paper-clear-loop",
+                   std::move(BuildPaperClearLoopService()).value(),
+                   ErrorBounds(0, 1)});
+  cases.push_back({"qbf " + f->ToString(),
+                   std::move(BuildQbfService(*f)).value(), ErrorBounds(0, 2)});
+  for (const auto& [name, service, options] : cases) {
+    auto r = CheckErrorFree(service, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_FALSE(r->error_free);
+    const ErrorWitness& witness = *r->witness;
+    SCOPED_TRACE(witness.ToString());
+    ASSERT_TRUE(ValidateErrorWitness(service, witness).ok());
+
+    ErrorWitness no_first = witness;
+    no_first.path.erase(no_first.path.begin());
+    EXPECT_FALSE(ValidateErrorWitness(service, no_first).ok());
+    ErrorWitness no_last = witness;
+    no_last.path.pop_back();
+    EXPECT_FALSE(ValidateErrorWitness(service, no_last).ok());
+    ErrorWitness other_reason = witness;
+    other_reason.reason += " (edited)";
+    EXPECT_FALSE(ValidateErrorWitness(service, other_reason).ok());
+  }
+}
+
+// A lasso that enters the error page on an ambiguous pick replays too:
+// the step records no pick, so the validator finds one.
+TEST(LazyDatabase, LassoThroughAnAmbiguousStepReplays) {
+  QbfPtr f = Qbf::Exists("x", Qbf::Var("x"));
+  WebService service = std::move(BuildQbfService(*f)).value();
+  auto property = ParseTemporalProperty("G(!" + service.error_page() + ")",
+                                        &service.vocab());
+  ASSERT_TRUE(property.ok()) << property.status().ToString();
+  auto r = LtlVerifier(&service, Bounds(0, 2)).Verify(*property);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_FALSE(r->holds);
+  Status witness = ValidateWitness(service, *property, *r->counterexample);
+  EXPECT_TRUE(witness.ok()) << witness.ToString() << "\n"
+                            << r->counterexample->ToString();
 }
 
 TEST(LazyDatabase, CountDatabasesSaturates) {

@@ -1,7 +1,8 @@
-# ctest script for the golden `wsvcli verify` checks (label: cli). Runs
+# ctest script for the golden wsvcli checks (label: cli). Runs
 #
-#   wsvcli verify <ARGS...>
+#   wsvcli <ARGS...>
 #
+# where ARGS starts with the subcommand (`verify`, `check-errors`),
 # and requires the exit code to be EXPECT_RC and stdout to equal the
 # checked-in file EXPECTED byte for byte. Invoked as
 #   cmake -DWSVCLI=... "-DARGS=a;b;c" -DEXPECTED=... -DEXPECT_RC=...
@@ -15,17 +16,17 @@ foreach(var WSVCLI ARGS EXPECTED EXPECT_RC)
 endforeach()
 
 execute_process(
-  COMMAND "${WSVCLI}" verify ${ARGS}
+  COMMAND "${WSVCLI}" ${ARGS}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL EXPECT_RC)
   message(FATAL_ERROR
-      "wsvcli verify exited ${rc}, expected ${EXPECT_RC}:\n${err}")
+      "wsvcli ${ARGS} exited ${rc}, expected ${EXPECT_RC}:\n${err}")
 endif()
 file(READ "${EXPECTED}" expected)
 if(NOT out STREQUAL expected)
   message(FATAL_ERROR
-      "wsvcli verify stdout differs from ${EXPECTED}:\n--- expected\n"
+      "wsvcli ${ARGS} stdout differs from ${EXPECTED}:\n--- expected\n"
       "${expected}\n--- actual\n${out}")
 endif()

@@ -478,6 +478,13 @@ int CmdCheckErrors(const Flags& flags) {
                     .c_str());
     return 0;
   }
+  // Replay the witness path through the runtime stepper before
+  // presenting it, as verify does for its counterexamples.
+  const Status witness_ok = ValidateErrorWitness(*service, *result->witness);
+  if (!witness_ok.ok()) {
+    std::fprintf(stderr, "warning: witness failed validation: %s\n",
+                 witness_ok.ToString().c_str());
+  }
   std::printf("NOT error-free; witness:\n%s",
               result->witness->ToString().c_str());
   return 3;
